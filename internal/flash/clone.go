@@ -25,6 +25,7 @@ func (d *Device) Clone() *Device {
 		now:    d.now,
 
 		totalPages: d.totalPages,
+		dec:        d.dec,
 	}
 	for i := range d.blocks {
 		b := d.blocks[i]
@@ -76,6 +77,7 @@ func (d *Device) CopyFrom(src *Device) {
 	d.stats = src.stats
 	d.dieOps = append(d.dieOps[:0], src.dieOps...)
 	d.totalPages = src.totalPages
+	d.dec = src.dec
 	d.tr = src.tr
 	d.now = src.now
 	d.track.Reset() // d equals src everywhere again
@@ -148,6 +150,7 @@ func (d *Device) smallStateBytes(src *Device) int {
 	d.cfg = src.cfg
 	d.stats = src.stats
 	d.totalPages = src.totalPages
+	d.dec = src.dec
 	d.tr = src.tr
 	d.now = src.now
 	return n + len(src.dies)*16 + int(unsafe.Sizeof(Device{}))

@@ -52,6 +52,9 @@ func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
+	if err := c.Geometry.checkDecodable(); err != nil {
+		return err
+	}
 	if err := c.Latencies.Validate(); err != nil {
 		return err
 	}

@@ -45,6 +45,9 @@ type Device struct {
 	// totalPages caches Geometry.TotalPages() — checkPPN guards every
 	// page operation, and recomputing the product there is measurable.
 	totalPages uint64
+	// dec decodes page and block numbers without dividing; built once
+	// here and copied by the FTL (see Decoder).
+	dec Decoder
 
 	tr obs.Tracer // never nil; obs.Nop when tracing is off
 
@@ -71,6 +74,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		dieOps:     make([]Stats, g.Dies()),
 		tr:         obs.Nop,
 		totalPages: uint64(g.TotalPages()),
+		dec:        newDecoder(g),
 	}
 	for i := range d.blocks {
 		d.blocks[i].states = make([]PageState, g.PagesPerBlock)
@@ -87,6 +91,9 @@ func (d *Device) Config() Config { return d.cfg }
 
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry { return d.cfg.Geometry }
+
+// Decoder returns the device's division-free address decoder.
+func (d *Device) Decoder() Decoder { return d.dec }
 
 // Stats returns a copy of the lifetime operation counters.
 func (d *Device) Stats() Stats { return d.stats }
@@ -143,12 +150,11 @@ func (d *Device) ReadPage(at event.Time, p PPN) (event.Time, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	g := d.cfg.Geometry
-	blk := &d.blocks[g.BlockOf(p)]
-	if blk.states[g.PageIndexOf(p)] == PageFree {
+	b, idx := d.dec.Split(p)
+	if d.blocks[b].states[idx] == PageFree {
 		return 0, fmt.Errorf("%w: ppn %d", ErrNotProgrammed, p)
 	}
-	die := g.DieOf(p)
+	die := d.dec.DieOfBlock(b)
 	start, end := d.dies[die].Reserve(at, d.cfg.Latencies.Read)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieRead, start, end, uint64(p))
 	d.stats.PageReads++
@@ -165,10 +171,8 @@ func (d *Device) ProgramPage(at, dataReady event.Time, p PPN, tag uint64) (event
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	g := d.cfg.Geometry
-	b := g.BlockOf(p)
+	b, idx := d.dec.Split(p)
 	blk := &d.blocks[b]
-	idx := g.PageIndexOf(p)
 	if blk.states[idx] != PageFree {
 		return 0, fmt.Errorf("%w: ppn %d is %v", ErrPageBusy, p, blk.states[idx])
 	}
@@ -176,7 +180,7 @@ func (d *Device) ProgramPage(at, dataReady event.Time, p PPN, tag uint64) (event
 		return 0, fmt.Errorf("%w: ppn %d is page %d of block %d, next programmable is %d",
 			ErrOutOfOrder, p, idx, b, blk.writePtr)
 	}
-	die := g.DieOf(p)
+	die := d.dec.DieOfBlock(b)
 	start, end := d.dies[die].ReserveAfter(at, dataReady, d.cfg.Latencies.Program)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieProgram, start, end, uint64(p))
 	d.dieOps[die].PagePrograms++
@@ -197,10 +201,8 @@ func (d *Device) Invalidate(p PPN) error {
 	if err := d.checkPPN(p); err != nil {
 		return err
 	}
-	g := d.cfg.Geometry
-	b := g.BlockOf(p)
+	b, idx := d.dec.Split(p)
 	blk := &d.blocks[b]
-	idx := g.PageIndexOf(p)
 	if blk.states[idx] != PageValid {
 		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, p, blk.states[idx])
 	}
@@ -226,7 +228,7 @@ func (d *Device) EraseBlock(at, migrated event.Time, b BlockID) (event.Time, err
 	if d.cfg.EraseLimit > 0 && blk.eraseCnt >= d.cfg.EraseLimit {
 		return 0, fmt.Errorf("%w: block %d at %d erases", ErrWornOut, b, blk.eraseCnt)
 	}
-	die := d.cfg.Geometry.DieOfBlock(b)
+	die := d.dec.DieOfBlock(b)
 	start, end := d.dies[die].ReserveAfter(at, migrated, d.cfg.Latencies.Erase)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieErase, start, end, uint64(b))
 	d.dieOps[die].BlockErases++
@@ -249,8 +251,8 @@ func (d *Device) Tag(p PPN) (uint64, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	g := d.cfg.Geometry
-	return d.blocks[g.BlockOf(p)].tags[g.PageIndexOf(p)], nil
+	b, idx := d.dec.Split(p)
+	return d.blocks[b].tags[idx], nil
 }
 
 // PageStateOf returns the state of page p.
@@ -258,8 +260,8 @@ func (d *Device) PageStateOf(p PPN) (PageState, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	g := d.cfg.Geometry
-	return d.blocks[g.BlockOf(p)].states[g.PageIndexOf(p)], nil
+	b, idx := d.dec.Split(p)
+	return d.blocks[b].states[idx], nil
 }
 
 // CountStates tallies pages by state across the device, an O(pages)

@@ -20,7 +20,10 @@ import (
 func (f *FTL) popFree(pref flash.DieID) (flash.BlockID, bool) {
 	dies := len(f.freeByDie)
 	for i := 0; i < dies; i++ {
-		d := (int(pref) + i) % dies
+		d := int(pref) + i
+		if d >= dies {
+			d -= dies
+		}
 		if n := len(f.freeByDie[d]); n > 0 {
 			b := f.freeByDie[d][n-1]
 			f.freeByDie[d] = f.freeByDie[d][:n-1]
@@ -33,7 +36,7 @@ func (f *FTL) popFree(pref flash.DieID) (flash.BlockID, bool) {
 
 // pushFree returns an erased block to its die's free list.
 func (f *FTL) pushFree(b flash.BlockID) {
-	die := f.geo.DieOfBlock(b)
+	die := f.dec.DieOfBlock(b)
 	f.freeByDie[die] = append(f.freeByDie[die], b)
 	f.freeCount++
 	f.blocks[b].state = blkFree
@@ -41,13 +44,12 @@ func (f *FTL) pushFree(b flash.BlockID) {
 }
 
 // allocPage returns the next programmable page in the given region.
-func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
-	g := &f.geo
+func (f *FTL) allocPage(region Region) (flash.PPN, error) {
 	if region == Cold && f.opts.HotCold {
 		if !f.hasCold {
-			b, ok := f.popFree(flash.DieID(f.hotRR % f.dies))
+			b, ok := f.popFree(flash.DieID(f.hotRR))
 			if !ok {
-				return flash.InvalidPPN, 0, ErrDeviceFull
+				return flash.InvalidPPN, ErrDeviceFull
 			}
 			f.coldOpen = b
 			f.hasCold = true
@@ -56,16 +58,19 @@ func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
 		}
 		blk, err := f.dev.Block(f.coldOpen)
 		if err != nil {
-			return flash.InvalidPPN, 0, err
+			return flash.InvalidPPN, err
 		}
-		ppn := g.PageOf(f.coldOpen, blk.Valid()+blk.Invalid())
-		return ppn, g.DieOf(ppn), nil
+		return f.dec.PageOf(f.coldOpen, blk.Valid()+blk.Invalid()), nil
 	}
 
-	// Hot region: round-robin across per-die open blocks.
+	// Hot region: round-robin across per-die open blocks. hotRR stays
+	// in [0, dies), so the cursor wraps by compare, not by modulo.
 	dies := f.dies
 	for i := 0; i < dies; i++ {
-		d := (f.hotRR + i) % dies
+		d := f.hotRR + i
+		if d >= dies {
+			d -= dies
+		}
 		if !f.hasHot[d] {
 			b, ok := f.popFree(flash.DieID(d))
 			if !ok {
@@ -79,10 +84,10 @@ func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
 		b := f.hotOpen[d]
 		blk, err := f.dev.Block(b)
 		if err != nil {
-			return flash.InvalidPPN, 0, err
+			return flash.InvalidPPN, err
 		}
 		next := blk.Valid() + blk.Invalid()
-		if next >= g.PagesPerBlock {
+		if next >= f.geo.PagesPerBlock {
 			// Stale open block (shouldn't happen; closeIfFull retires
 			// them), repair by closing.
 			f.blocks[b].state = blkClosed
@@ -93,18 +98,19 @@ func (f *FTL) allocPage(region Region) (flash.PPN, flash.DieID, error) {
 			i--
 			continue
 		}
-		f.hotRR = (d + 1) % dies
-		ppn := g.PageOf(b, next)
-		return ppn, g.DieOf(ppn), nil
+		f.hotRR = d + 1
+		if f.hotRR == dies {
+			f.hotRR = 0
+		}
+		return f.dec.PageOf(b, next), nil
 	}
-	return flash.InvalidPPN, 0, ErrDeviceFull
+	return flash.InvalidPPN, ErrDeviceFull
 }
 
 // closeIfFull retires the containing block from its frontier once every
 // page is programmed, making it GC-eligible.
 func (f *FTL) closeIfFull(ppn flash.PPN) {
-	g := &f.geo
-	b := g.BlockOf(ppn)
+	b := f.dec.BlockOf(ppn)
 	blk, err := f.dev.Block(b)
 	if err != nil || !blk.Full() {
 		return
@@ -117,7 +123,7 @@ func (f *FTL) closeIfFull(ppn flash.PPN) {
 		f.hasCold = false
 		return
 	}
-	die := g.DieOfBlock(b)
+	die := f.dec.DieOfBlock(b)
 	if f.hasHot[die] && f.hotOpen[die] == b {
 		f.hasHot[die] = false
 	}

@@ -25,6 +25,7 @@ func (f *FTL) Clone(dev *flash.Device) *FTL {
 		dev:          dev,
 		opts:         f.opts,
 		geo:          f.geo,
+		dec:          f.dec,
 		dies:         f.dies,
 		gcFreeOK:     f.gcFreeOK,
 		idx:          f.idx.Clone(),
@@ -115,6 +116,7 @@ func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) {
 		}
 	}
 	f.geo = src.geo
+	f.dec = src.dec
 	f.dies = src.dies
 	f.gcFreeOK = src.gcFreeOK
 	if f.idx == nil {
@@ -217,6 +219,7 @@ func (f *FTL) CopyDirty(src *FTL, dev *flash.Device) int {
 		}
 	}
 	f.geo = src.geo
+	f.dec = src.dec
 	f.dies = src.dies
 	f.gcFreeOK = src.gcFreeOK
 	var n int

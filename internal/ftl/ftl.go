@@ -56,10 +56,12 @@ type FTL struct {
 	dev  *flash.Device
 	opts Options
 
-	// Hot-path caches of per-device constants: the geometry (every
-	// allocation and close consults it), the die count, and the
+	// Hot-path caches of per-device constants: the geometry, the
+	// device's division-free address decoder (every allocation, close
+	// and invalidation decodes a page number), the die count, and the
 	// watermark check precomputed as an integer free-block threshold.
 	geo  flash.Geometry
+	dec  flash.Decoder
 	dies int
 	// gcFreeOK is the smallest free-block count that satisfies the GC
 	// watermark — exactly the set of counts for which
@@ -72,7 +74,9 @@ type FTL struct {
 	owners  []dedup.CID // PPN -> owning CID (NilCID = none)
 	// rev is the lazy reverse map for GC-time merges (see revMap):
 	// arena-backed chains whose cleared nodes are recycled, so
-	// steady-state binds allocate nothing.
+	// steady-state binds allocate nothing. Its only reader is remapAll,
+	// which runs under Options.GCDedup alone, so Baseline and
+	// Inline-Dedupe never populate it and the arena stays empty.
 	rev revMap
 
 	blocks    []blockMeta
@@ -157,6 +161,7 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		dev:          dev,
 		opts:         o,
 		geo:          g,
+		dec:          dev.Decoder(),
 		dies:         g.Dies(),
 		idx:          dedup.NewIndex(),
 		rev:          newRevMap(),
@@ -177,7 +182,7 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		f.owners[i] = dedup.NilCID
 	}
 	for b := 0; b < g.TotalBlocks(); b++ {
-		die := g.DieOfBlock(flash.BlockID(b))
+		die := f.dec.DieOfBlock(flash.BlockID(b))
 		f.freeByDie[die] = append(f.freeByDie[die], flash.BlockID(b))
 	}
 	f.freeCount = g.TotalBlocks()
@@ -232,11 +237,14 @@ func (f *FTL) checkLPN(lpn uint64) error {
 	return nil
 }
 
-// bind points lpn at cid, maintaining the lazy reverse map.
+// bind points lpn at cid, maintaining the lazy reverse map when the
+// scheme can read it (see rev).
 func (f *FTL) bind(lpn uint64, c dedup.CID) {
 	f.mapping[lpn] = c
 	f.cowMap.Mark(int(lpn))
-	f.rev.add(c, lpn)
+	if f.opts.GCDedup {
+		f.rev.add(c, lpn)
+	}
 }
 
 // Write services one page-sized user write of content fp to lpn at
@@ -259,11 +267,10 @@ func (f *FTL) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (event.Time
 
 	// Baseline / CAGC write path: program immediately; content is
 	// unindexed (never hashed on the foreground path).
-	ppn, die, err := f.allocPage(Hot)
+	ppn, err := f.allocPage(Hot)
 	if err != nil {
 		return 0, err
 	}
-	_ = die
 	end, err := f.dev.ProgramPage(at, at, ppn, uint64(fp))
 	if err != nil {
 		return 0, err
@@ -300,7 +307,7 @@ func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old d
 		f.stats.InlineDupHits++
 		return hashEnd + f.opts.CtrlLatency, nil
 	}
-	ppn, _, err := f.allocPage(Hot)
+	ppn, err := f.allocPage(Hot)
 	if err != nil {
 		return 0, err
 	}
@@ -345,7 +352,9 @@ func (f *FTL) unbindOld(old dedup.CID) error {
 	}
 	f.owners[ppn] = dedup.NilCID
 	f.cowOwn.Mark(int(ppn))
-	f.rev.clear(old)
+	if f.opts.GCDedup {
+		f.rev.clear(old)
+	}
 	f.RefDist.Add(peak)
 	return nil
 }

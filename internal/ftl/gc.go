@@ -234,7 +234,6 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 // collectVictim is collect's body; it returns the virtual time at which
 // every flash and hash operation of the collection has completed.
 func (f *FTL) collectVictim(now event.Time, victim flash.BlockID) (event.Time, error) {
-	g := &f.geo
 	blk, err := f.dev.Block(victim)
 	if err != nil {
 		return 0, err
@@ -244,11 +243,11 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID) (event.Time, e
 	// cursor gates each page chain in the serial (no-overlap) mode.
 	cursor := now
 
-	for i := 0; i < g.PagesPerBlock; i++ {
-		ppn := g.PageOf(victim, i)
+	for i := 0; i < f.geo.PagesPerBlock; i++ {
 		if blk.State(i) != flash.PageValid {
 			continue
 		}
+		ppn := f.dec.PageOf(victim, i)
 		c := f.owners[ppn]
 		if c == dedup.NilCID {
 			return 0, fmt.Errorf("valid ppn %d without owner", ppn)
@@ -420,11 +419,11 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, c dedup
 	// collected (lazy demotion — no extra copies, the migration was
 	// happening anyway).
 	if f.opts.HotCold && region == Hot &&
-		f.blocks[f.geo.BlockOf(oldPPN)].region == Cold {
+		f.blocks[f.dec.BlockOf(oldPPN)].region == Cold {
 		f.stats.Demotions++
 		f.tr.Instant(obs.TrackGC, obs.KDemote, now, uint64(oldPPN))
 	}
-	dest, _, err := f.allocPage(region)
+	dest, err := f.allocPage(region)
 	if err != nil {
 		return 0, err
 	}
@@ -461,8 +460,7 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	if err != nil {
 		return 0, false, err
 	}
-	g := &f.geo
-	if f.blocks[g.BlockOf(ppn)].region == Cold {
+	if f.blocks[f.dec.BlockOf(ppn)].region == Cold {
 		return 0, false, nil
 	}
 	st, err := f.dev.PageStateOf(ppn)
@@ -480,7 +478,7 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	if err != nil {
 		return 0, false, err
 	}
-	dest, _, err := f.allocPage(Cold)
+	dest, err := f.allocPage(Cold)
 	if err != nil {
 		return 0, false, err
 	}

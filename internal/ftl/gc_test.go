@@ -295,3 +295,55 @@ func TestDemotionAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The reverse map costs only the scheme that can read it: its one
+// reader, remapAll, runs under GCDedup, so after duplicate-heavy churn
+// with trims Baseline and Inline-Dedupe hold an empty arena, while CAGC
+// still merges references through it.
+func TestReverseMapOnlyUnderGCDedup(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"baseline", BaselineOptions()},
+		{"inline", InlineDedupeOptions()},
+		{"cagc", CAGCOptions()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFTL(t, tc.opts)
+			// 512 contents over ~700 LPNs: duplicates everywhere, yet
+			// enough distinct content that Inline-Dedupe still fills the
+			// device and collects.
+			now := churn(t, f, int(f.LogicalPages())*6, 512, 11)
+			for lpn := uint64(0); lpn < f.LogicalPages(); lpn += 3 {
+				if _, err := f.Trim(now, lpn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now = churn(t, f, int(f.LogicalPages()), 512, 12)
+			st := f.Stats()
+			if st.GCInvocations == 0 || st.PagesMigrated == 0 {
+				t.Fatalf("GC never migrated: %+v", st)
+			}
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			for lpn := uint64(0); lpn < f.LogicalPages(); lpn++ {
+				if _, err := f.Read(now, lpn); err != nil {
+					t.Fatalf("read lpn %d: %v", lpn, err)
+				}
+			}
+			if tc.opts.GCDedup {
+				if st.GCDupDropped == 0 || len(f.rev.nodes) == 0 {
+					t.Fatalf("CAGC merged nothing through the reverse map: %d dropped, %d nodes",
+						st.GCDupDropped, len(f.rev.nodes))
+				}
+				return
+			}
+			if len(f.rev.nodes) != 0 || len(f.rev.heads) != 0 {
+				t.Fatalf("%s populated the reverse map: %d nodes, %d heads",
+					tc.name, len(f.rev.nodes), len(f.rev.heads))
+			}
+		})
+	}
+}

@@ -39,7 +39,7 @@ func (f *FTL) invalidatePage(ppn flash.PPN) error {
 	if err := f.dev.Invalidate(ppn); err != nil {
 		return err
 	}
-	b := f.geo.BlockOf(ppn)
+	b := f.dec.BlockOf(ppn)
 	if f.blocks[b].state == blkClosed {
 		f.markEligible(b)
 	}

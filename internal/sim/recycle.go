@@ -28,8 +28,8 @@ type CloneStats struct {
 	Released    uint64 // runners returned (recyclable or dropped)
 	Live        int    // acquired and not yet released
 	Peak        int    // high-water mark of Live since the last reset
-	Reseeds     uint64 // dirty-chunk re-seeds (== Recycled acquires)
-	ReseedBytes uint64 // bytes copied by those re-seeds
+	Reseeds     uint64 // re-seeds (== Recycled acquires)
+	ReseedBytes uint64 // bytes copied by those re-seeds, one full copy per fresh runner included
 }
 
 var cloneGauge struct {
@@ -113,10 +113,12 @@ func ResetCloneGauge() {
 	g.mu.Unlock()
 }
 
-// enableCOW turns on chunked divergence tracking through every layer
-// of a freshly cut clone, so its next re-seed can take the CopyDirty
-// fast path. Only Acquire calls it: cold runs and plain warm clones
-// stay untracked and pay nothing beyond nil-checks.
+// enableCOW turns on chunked divergence tracking through every layer,
+// so the runner's next re-seed can take the CopyDirty fast path.
+// Idempotent. Only Acquire calls it, and only on a runner it has just
+// re-seeded: a runner that is never recycled — cold runs, plain warm
+// clones, a one-shot CLI run, each worker's first run — stays untracked
+// and pays nothing beyond nil-checks on its writes.
 func (r *Runner) enableCOW() {
 	r.dev.EnableCOW()
 	r.f.EnableCOW()
@@ -195,10 +197,14 @@ func (s *Snapshot) Acquire(cfg Config) (*Runner, error) {
 		if forceFullReseed.Load() {
 			r.markAllCOW()
 		}
+		// A runner parked for the first time is still untracked, so this
+		// re-seed is the full copy (the cost of the clone it replaces);
+		// tracking starts here, from a state equal to the master, and
+		// every later re-seed copies dirty chunks only.
 		gaugeReseed(r.reseed(s.master))
+		r.enableCOW()
 	} else {
 		r = s.master.Clone()
-		r.enableCOW()
 	}
 	gaugeAcquire(recycled)
 	r.cfg = cfg

@@ -275,3 +275,106 @@ func TestConcurrentAcquireReleaseGauge(t *testing.T) {
 		t.Fatalf("reseeds %d != recycled acquires %d", after.Reseeds, after.Recycled)
 	}
 }
+
+// COW tracking starts at a runner's first re-seed, not when it is cut.
+// A fresh Acquire hands out an untracked clone, so a one-shot run pays
+// no per-write marks; the first recycle of that runner copies the full
+// state once (the cost of the clone it replaces) and every later
+// recycle copies dirty chunks only. After each re-seed the runner must
+// equal a fresh Clone of the master — compared through Clone, which
+// copies all state but never trackers or GC scratch.
+func TestFirstRecycleCopiesFullThenDirty(t *testing.T) {
+	cfg, spec, replay := reseedShape(t)
+	snap, err := NewSnapshot(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := uint64(snap.master.Clone().reseed(snap.master)) // untracked: the full-copy byte count
+
+	// cycle acquires, checks the runner against a fresh clone, replays,
+	// and parks it; it returns the bytes the Acquire's re-seed copied.
+	cycle := func(wantRecycled bool) uint64 {
+		t.Helper()
+		before := CloneGaugeStats()
+		r, err := snap.Acquire(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := CloneGaugeStats()
+		if recycled := after.Recycled-before.Recycled == 1; recycled != wantRecycled {
+			t.Fatalf("acquire recycled = %v, want %v", recycled, wantRecycled)
+		}
+		got, want := r.Clone(), snap.master.Clone()
+		for _, layer := range [][2]any{{got.dev, want.dev}, {got.f, want.f}, {got.buf, want.buf}} {
+			if !sameState(reflect.ValueOf(layer[0]), reflect.ValueOf(layer[1])) {
+				t.Fatalf("acquired runner's %T differs from a fresh clone of the master", layer[0])
+			}
+		}
+		if _, err := replayOn(r, snap.offset, replay); err != nil {
+			t.Fatal(err)
+		}
+		if sameState(reflect.ValueOf(r.Clone().f), reflect.ValueOf(want.f)) {
+			t.Fatal("replay left the FTL equal to the master: the comparison is vacuous")
+		}
+		snap.Release(r)
+		return after.ReseedBytes - before.ReseedBytes
+	}
+	if n := cycle(false); n != 0 {
+		t.Fatalf("fresh acquire re-seeded %d bytes, want 0", n)
+	}
+	if n := cycle(true); n != full {
+		t.Fatalf("first recycle copied %d bytes, want the full state (%d)", n, full)
+	}
+	for i := 0; i < 2; i++ {
+		if n := cycle(true); n == 0 || 4*n > full {
+			t.Fatalf("recycle %d copied %d bytes, want a dirty-chunk copy (<= 1/4 of %d)", i+2, n, full)
+		}
+	}
+}
+
+// sameState is reflect.DeepEqual except that a nil slice equals an
+// empty one: a re-seed reuses the runner's backing arrays, so a table
+// the master holds as nil comes back empty but allocated.
+func sameState(a, b reflect.Value) bool {
+	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Invalid:
+		return true
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameState(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameState(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameState(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return a.Uint() == b.Uint()
+	case reflect.Float32, reflect.Float64:
+		return a.Float() == b.Float()
+	case reflect.String:
+		return a.String() == b.String()
+	default: // func, map, chan: none in runner state today; fail loudly
+		return false
+	}
+}

@@ -55,6 +55,9 @@ func TestReseedBytesRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fresh runner is untracked until its first re-seed through the
+	// free-list; this test re-seeds directly, so it tracks from the cut.
+	r.enableCOW()
 	if _, err := replayOn(r, snap.offset, replay); err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +111,10 @@ func TestReseedStateMatchesFullCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Fresh runners are untracked; track both from the cut so r1's
+	// direct re-seeds below take the dirty-chunk path.
+	r1.enableCOW()
+	r2.enableCOW()
 	for _, round := range rounds {
 		replay, err := trace.Preset(round.workload, r1.LogicalPages(), round.requests, round.seed)
 		if err != nil {
@@ -142,8 +149,9 @@ func TestReseedStateMatchesFullCopy(t *testing.T) {
 
 // Result-level differential matrix: for every scheme x policy cell —
 // plus closed-loop and full-stack (write buffer + mapping cache)
-// variants — a cold run, a dirty-recycled run, and a forced-full
-// recycled run must produce DeepEqual results and byte-identical JSON.
+// variants — a cold run, a first-recycled (full copy) run, a
+// dirty-recycled run, and a forced-full recycled run must produce
+// DeepEqual results and byte-identical JSON.
 func TestReseedDifferentialMatrix(t *testing.T) {
 	schemes := []struct {
 		name string
@@ -227,20 +235,27 @@ func TestReseedDifferentialMatrix(t *testing.T) {
 					t.Fatalf("%s run JSON differs from cold run JSON", label)
 				}
 			}
-			// First run cuts the fresh tracked clone and parks it.
+			// First run cuts the fresh, untracked clone and parks it.
 			fresh, err := RunWarmRecycled(snap, c.mk(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("fresh-clone", fresh)
-			// Second run re-seeds it through the dirty-chunk path.
+			// Second run is its first re-seed: a full copy, after which
+			// tracking starts.
+			first, err := RunWarmRecycled(snap, c.mk(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("first-recycled", first)
+			// Third run re-seeds it through the dirty-chunk path.
 			SetForceFullReseed(false)
 			dirty, err := RunWarmRecycled(snap, c.mk(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("dirty-recycled", dirty)
-			// Third run re-seeds through the forced full-copy path.
+			// Fourth run re-seeds through the forced full-copy path.
 			SetForceFullReseed(true)
 			fullRes, err := RunWarmRecycled(snap, c.mk(), spec)
 			SetForceFullReseed(false)
@@ -266,6 +281,7 @@ func BenchmarkReseed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	r.enableCOW() // fresh runners are untracked; measure the dirty path
 	if _, err := replayOn(r, snap.offset, replay); err != nil {
 		b.Fatal(err)
 	}

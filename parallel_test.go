@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachStopsDispatchOnError(t *testing.T) {
@@ -27,6 +28,10 @@ func TestForEachStopsDispatchOnError(t *testing.T) {
 		for !failed.Load() {
 			runtime.Gosched()
 		}
+		// Task 0 raises this flag just before it returns; the pool only
+		// sees the failure once that return has been recorded. Linger so
+		// the gap admits one more task per worker, not thousands.
+		time.Sleep(time.Millisecond)
 		return nil
 	})
 	if err != boom {
