@@ -232,6 +232,11 @@ func (f *FTL) CheckInvariants() error {
 	if validOwned != f.idx.Live() {
 		return fmt.Errorf("%d valid pages but %d live contents", validOwned, f.idx.Live())
 	}
+	if f.opts.GCDedup {
+		if err := f.checkReverseMap(); err != nil {
+			return err
+		}
+	}
 	// Free accounting matches the block states.
 	freeBlocks := 0
 	for b := range f.blocks {
@@ -260,4 +265,51 @@ func (f *FTL) CheckInvariants() error {
 	}
 	// The incremental victim set must agree with a fresh scan.
 	return f.checkEligibleSet()
+}
+
+// checkReverseMap verifies that the reverse map is exact: every chain
+// holds only LPNs mapped to its CID, prev mirrors next (which also
+// rules out cycles: a revisited node would be entered from a second
+// predecessor), its length is the index's reference count — the one
+// cross-check between the mapping and the index — every live CID has a
+// chain, and together the chains hold every mapped LPN.
+func (f *FTL) checkReverseMap() error {
+	chains, linked := 0, 0
+	for c, head := range f.rev.heads {
+		if head == nilNode {
+			continue
+		}
+		n := 0
+		for p, l := nilNode, head; l != nilNode; p, l = l, f.rev.next[l] {
+			if f.mapping[l] != dedup.CID(c) {
+				return fmt.Errorf("reverse map: lpn %d on CID %d's chain maps to %d", l, c, f.mapping[l])
+			}
+			if f.rev.prev[l] != p {
+				return fmt.Errorf("reverse map: lpn %d prev %d, reached from %d", l, f.rev.prev[l], p)
+			}
+			n++
+		}
+		ref, err := f.idx.Ref(dedup.CID(c))
+		if err != nil {
+			return fmt.Errorf("reverse map: chain of %d LPNs: %w", n, err)
+		}
+		if n != ref {
+			return fmt.Errorf("reverse map: CID %d chain holds %d LPNs, refcount %d", c, n, ref)
+		}
+		chains++
+		linked += n
+	}
+	if chains != f.idx.Live() {
+		return fmt.Errorf("reverse map: %d chains for %d live contents", chains, f.idx.Live())
+	}
+	mapped := 0
+	for _, c := range f.mapping {
+		if c != dedup.NilCID {
+			mapped++
+		}
+	}
+	if linked != mapped {
+		return fmt.Errorf("reverse map: chains hold %d LPNs, %d are mapped", linked, mapped)
+	}
+	return nil
 }

@@ -8,7 +8,7 @@ import (
 
 // Steady-state guards for the flat structures the replay phase hammers:
 // the cached mapping table (one open-addressed, LRU-threaded page
-// table) and the arena-backed CID→LPN reverse map. Companions to the
+// table) and the intrusive CID→LPN reverse map. Companions to the
 // dedup-index guards and the event-heap guards of the bench substrate.
 
 func TestCMTSteadyStateAllocs(t *testing.T) {
@@ -38,28 +38,48 @@ func TestCMTSteadyStateAllocs(t *testing.T) {
 }
 
 func TestRevMapSteadyStateAllocs(t *testing.T) {
-	m := newRevMap()
-	const cids = 64
-	// Warm: give every CID a chain, then clear half so the freelist and
-	// the per-CID tables reach their steady size.
-	for c := dedup.CID(0); c < cids; c++ {
-		for i := uint64(0); i < 8; i++ {
-			m.add(c, i)
-		}
+	var m revMap
+	const cids, lpns = 64, 512
+	// Warm: link every LPN once so the tables cover the address space.
+	at := make([]dedup.CID, lpns) // the forward mapping the map mirrors
+	for l := range at {
+		at[l] = dedup.CID(l % cids)
+		m.move(uint32(l), dedup.NilCID, at[l])
 	}
-	for c := dedup.CID(0); c < cids; c += 2 {
-		m.clear(c)
+	rebind := func(l int, to dedup.CID) {
+		m.move(uint32(l), at[l], to)
+		at[l] = to
 	}
-	var k uint64
+	var k int
 	allocs := testing.AllocsPerRun(1000, func() {
-		c := dedup.CID(k % cids)
-		for i := uint64(0); i < 8; i++ {
-			m.add(c, i)
+		// Overwrites, a trim and its rewrite, then a GC merge of one
+		// whole chain into another.
+		for i := 0; i < 8; i++ {
+			rebind((k*8+i)%lpns, dedup.CID((k+i)%cids))
 		}
-		m.clear(c)
+		rebind(k%lpns, dedup.NilCID)
+		rebind(k%lpns, dedup.CID(k%cids))
+		from, to := dedup.CID(k%cids), dedup.CID((k+1)%cids)
+		tail := nilNode
+		for n := m.heads[from]; n != nilNode; n = m.next[n] {
+			at[n], tail = to, n
+		}
+		if tail != nilNode {
+			m.splice(from, to, tail)
+		}
 		k++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state bind/clear churn allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state bind/trim/merge churn allocated %.1f objects/op, want 0", allocs)
+	}
+	for l, c := range at {
+		if c == dedup.NilCID {
+			t.Fatalf("lpn %d left unmapped", l)
+		}
+		for n := m.heads[c]; n != uint32(l); n = m.next[n] {
+			if n == nilNode {
+				t.Fatalf("lpn %d missing from CID %d's chain", l, c)
+			}
+		}
 	}
 }

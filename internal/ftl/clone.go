@@ -197,7 +197,7 @@ func (f *FTL) MarkAllCOW() {
 // CopyDirty re-seeds f from src bound to dev, copying only the chunks
 // f dirtied since it last equaled src, and returns the bytes copied.
 // The big tables (mapping, owners, dedup entries, fingerprint slots,
-// reverse-map arena, cmt page table) go through their dirty-chunk fast
+// reverse-map tables, cmt page table) go through their dirty-chunk fast
 // paths; everything else — block metadata, free lists, frontiers, the
 // GC bitmap, scalars, the victim policy — is small and always copied,
 // exactly as CopyFrom does. Untracked state degrades to full copies,

@@ -72,11 +72,10 @@ type FTL struct {
 	idx     *dedup.Index
 	mapping []dedup.CID // LPN -> CID (NilCID = unmapped)
 	owners  []dedup.CID // PPN -> owning CID (NilCID = none)
-	// rev is the lazy reverse map for GC-time merges (see revMap):
-	// arena-backed chains whose cleared nodes are recycled, so
-	// steady-state binds allocate nothing. Its only reader is remapAll,
-	// which runs under Options.GCDedup alone, so Baseline and
-	// Inline-Dedupe never populate it and the arena stays empty.
+	// rev is the exact reverse map for GC-time merges (see revMap). Its
+	// only reader is remapAll, which runs under Options.GCDedup alone,
+	// so Baseline and Inline-Dedupe never link into it and it stays
+	// empty.
 	rev revMap
 
 	blocks    []blockMeta
@@ -164,7 +163,6 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		dec:          dev.Decoder(),
 		dies:         g.Dies(),
 		idx:          dedup.NewIndex(),
-		rev:          newRevMap(),
 		mapping:      make([]dedup.CID, logicalPages),
 		owners:       make([]dedup.CID, g.TotalPages()),
 		blocks:       make([]blockMeta, g.TotalBlocks()),
@@ -237,14 +235,14 @@ func (f *FTL) checkLPN(lpn uint64) error {
 	return nil
 }
 
-// bind points lpn at cid, maintaining the lazy reverse map when the
-// scheme can read it (see rev).
+// bind points lpn at c (NilCID unmaps it), moving it between reverse-
+// map chains when the scheme can read them (see rev).
 func (f *FTL) bind(lpn uint64, c dedup.CID) {
+	if f.opts.GCDedup {
+		f.rev.move(uint32(lpn), f.mapping[lpn], c)
+	}
 	f.mapping[lpn] = c
 	f.cowMap.Mark(int(lpn))
-	if f.opts.GCDedup {
-		f.rev.add(c, lpn)
-	}
 }
 
 // Write services one page-sized user write of content fp to lpn at
@@ -352,9 +350,6 @@ func (f *FTL) unbindOld(old dedup.CID) error {
 	}
 	f.owners[ppn] = dedup.NilCID
 	f.cowOwn.Mark(int(ppn))
-	if f.opts.GCDedup {
-		f.rev.clear(old)
-	}
 	f.RefDist.Add(peak)
 	return nil
 }
@@ -411,8 +406,7 @@ func (f *FTL) Trim(at event.Time, lpn uint64) (event.Time, error) {
 	if err := f.unbindOld(c); err != nil {
 		return 0, err
 	}
-	f.mapping[lpn] = dedup.NilCID
-	f.cowMap.Mark(int(lpn))
+	f.bind(lpn, dedup.NilCID)
 	return at + f.opts.CtrlLatency, nil
 }
 

@@ -502,19 +502,15 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	return progEnd, true, nil
 }
 
-// remapAll repoints every LPN referencing from at to. The reverse map
-// is maintained lazily (append-only with stale entries), so each entry
-// is verified against the forward mapping before remapping. Walking
-// from's chain while appending to to's is safe: from's nodes are not on
-// the freelist during the walk, so add can never reuse them.
+// remapAll repoints every LPN referencing from at to: the reverse map
+// is exact, so from's chain is precisely those LPNs (at least one: from
+// is live), and the whole chain then moves onto to's in one splice.
 func (f *FTL) remapAll(from, to dedup.CID) {
-	for n := f.rev.head(from); n != nilNode; n = f.rev.nodes[n].next {
-		lpn := f.rev.nodes[n].lpn
-		if f.mapping[lpn] == from {
-			f.mapping[lpn] = to
-			f.cowMap.Mark(int(lpn))
-			f.rev.add(to, lpn)
-		}
+	tail := nilNode
+	for n := f.rev.heads[from]; n != nilNode; n = f.rev.next[n] {
+		f.mapping[n] = to
+		f.cowMap.Mark(int(n))
+		tail = n
 	}
-	f.rev.clear(from)
+	f.rev.splice(from, to, tail)
 }

@@ -5,6 +5,7 @@ import (
 
 	"cagc/internal/event"
 	"cagc/internal/flash"
+	"cagc/internal/trace"
 )
 
 func TestIdleGCReclaims(t *testing.T) {
@@ -298,7 +299,7 @@ func TestDemotionAccounting(t *testing.T) {
 
 // The reverse map costs only the scheme that can read it: its one
 // reader, remapAll, runs under GCDedup, so after duplicate-heavy churn
-// with trims Baseline and Inline-Dedupe hold an empty arena, while CAGC
+// with trims Baseline and Inline-Dedupe hold empty tables, while CAGC
 // still merges references through it.
 func TestReverseMapOnlyUnderGCDedup(t *testing.T) {
 	for _, tc := range []struct {
@@ -334,16 +335,79 @@ func TestReverseMapOnlyUnderGCDedup(t *testing.T) {
 				}
 			}
 			if tc.opts.GCDedup {
-				if st.GCDupDropped == 0 || len(f.rev.nodes) == 0 {
-					t.Fatalf("CAGC merged nothing through the reverse map: %d dropped, %d nodes",
-						st.GCDupDropped, len(f.rev.nodes))
+				if st.GCDupDropped == 0 || len(f.rev.next) == 0 {
+					t.Fatalf("CAGC merged nothing through the reverse map: %d dropped, %d LPNs",
+						st.GCDupDropped, len(f.rev.next))
 				}
 				return
 			}
-			if len(f.rev.nodes) != 0 || len(f.rev.heads) != 0 {
-				t.Fatalf("%s populated the reverse map: %d nodes, %d heads",
-					tc.name, len(f.rev.nodes), len(f.rev.heads))
+			if len(f.rev.next) != 0 || len(f.rev.prev) != 0 || len(f.rev.heads) != 0 {
+				t.Fatalf("%s populated the reverse map: %d LPNs, %d heads",
+					tc.name, len(f.rev.next), len(f.rev.heads))
 			}
 		})
+	}
+}
+
+// The reverse map is sized by the address space, not by write history:
+// a Mail x CAGC replay four times as long leaves exactly the same
+// tables, 8 B per logical page. (The lazy arena this replaced kept a
+// node per stale binding for as long as popular content lived.)
+func TestReverseMapBoundedByLogicalPages(t *testing.T) {
+	footprint := func(requests int) (lpns, cids int) {
+		f := newFTL(t, CAGCOptions())
+		spec, err := trace.Preset(trace.Mail, f.LogicalPages(), requests, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, err := trace.NewPreconditioner(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := trace.NewGenerator(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := event.Time(0)
+		for _, src := range []trace.Source{pre, gen} {
+			for r, ok := src.Next(); ok; r, ok = src.Next() {
+				for i := 0; i < r.Pages; i++ {
+					lpn := r.LPN + uint64(i)
+					switch r.Op {
+					case trace.OpWrite:
+						now, err = f.Write(now, lpn, r.FPs[i])
+					case trace.OpTrim:
+						now, err = f.Trim(now, lpn)
+					default:
+						now, err = f.Read(now, lpn)
+					}
+					if err != nil {
+						t.Fatalf("%v lpn %d: %v", r.Op, lpn, err)
+					}
+				}
+			}
+		}
+		if f.Stats().GCDupDropped == 0 {
+			t.Fatal("replay never merged through the reverse map")
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.rev.next) != len(f.rev.prev) {
+			t.Fatalf("next covers %d LPNs, prev %d", len(f.rev.next), len(f.rev.prev))
+		}
+		return len(f.rev.next), len(f.rev.heads)
+	}
+	const n = 5000
+	lpns1, cids1 := footprint(n)
+	lpns4, cids4 := footprint(4 * n)
+	f := newFTL(t, CAGCOptions())
+	if lpns1 != lpns4 || uint64(lpns4) > f.LogicalPages() {
+		t.Errorf("next/prev cover %d LPNs after %d requests, %d after %d; want equal and <= %d logical pages",
+			lpns1, n, lpns4, 4*n, f.LogicalPages())
+	}
+	// CIDs are dense and recycled, and every live one owns a flash page.
+	if total := f.geo.TotalPages(); cids1 > total || cids4 > total {
+		t.Errorf("heads cover %d and %d CIDs on a %d-page device", cids1, cids4, total)
 	}
 }

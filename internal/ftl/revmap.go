@@ -7,97 +7,97 @@ import (
 	"cagc/internal/dedup"
 )
 
-// revMap is the lazy CID→LPN reverse map used by GC-time merges. It is
-// maintained append-only with stale entries (bind adds, remapAll
-// filters against the forward mapping), exactly like the [][]uint64 it
-// replaced — but all chains live in one node arena as singly-linked
-// lists of slice indices, with a freelist threading through cleared
-// chains. That makes the steady-state bind path allocation-free (the
-// arena grows to the workload's peak chain volume once, then recycles),
-// and makes Clone three flat copies instead of one slice allocation per
-// live CID.
+// revMap is the exact CID→LPN reverse map used by GC-time merges: for
+// every CID, the doubly-linked chain of exactly the LPNs mapped to it.
+// It is intrusive — a chain node *is* an LPN, so next/prev are indexed
+// by LPN and heads by CID — which bounds the footprint at 8 B per
+// logical page plus 4 B per CID no matter how long the run, makes every
+// update O(1) and allocation-free once the tables cover the address
+// space, and keeps Clone three flat copies. The tables grow lazily, so
+// an FTL that never links (Baseline, Inline-Dedupe) holds nothing.
+//
+// Chain order is unobservable: the only reader, remapAll, performs one
+// commuting mapping write per LPN.
 type revMap struct {
-	heads []int32 // CID -> first node, nilNode = empty chain
-	tails []int32 // CID -> last node, for O(1) append in bind order
-	nodes []revNode
-	free  int32 // freelist head, nilNode = empty
+	heads []uint32 // CID -> first LPN on its chain, nilNode = empty
+	next  []uint32 // LPN -> following LPN on the same chain
+	prev  []uint32 // LPN -> preceding LPN, nilNode at the head
 
 	// Divergence trackers for the recycled-clone CopyDirty path: one
-	// over the CID-indexed heads/tails pair, one over the node arena.
-	// nil when untracked. ensure's append growth past the master's
-	// length needs no marks (truncated away at re-seed).
-	trkCID   *cow.Tracker
-	trkNodes *cow.Tracker
+	// over heads, one over the LPN-indexed next/prev pair. nil when
+	// untracked. Append growth past the master's length needs no marks
+	// (truncated away at re-seed).
+	trkCID *cow.Tracker
+	trkLPN *cow.Tracker
 }
 
-// Chunk sizes for the revMap trackers: 128 CIDs (two 512 B head/tail
-// runs) and 128 arena nodes per chunk.
+// Chunk sizes for the revMap trackers: 128 CIDs (512 B of heads) and
+// 128 LPNs (two 512 B next/prev runs) per chunk.
 const (
-	revCIDChunkShift  = 7
-	revNodeChunkShift = 7
+	revCIDChunkShift = 7
+	revLPNChunkShift = 7
 )
 
-type revNode struct {
-	lpn  uint64
-	next int32
+// nilNode ends a chain. No LPN can equal it: ftl.New caps the logical
+// space below the device's page count, itself at most 2^32.
+const nilNode = ^uint32(0)
+
+// growLinks extends s with nilNode so index i is valid.
+func growLinks(s []uint32, i int) []uint32 {
+	for i >= len(s) {
+		s = append(s, nilNode)
+	}
+	return s
 }
 
-const nilNode = int32(-1)
-
-func newRevMap() revMap { return revMap{free: nilNode} }
-
-// ensure grows the per-CID tables to cover c (CIDs are dense and
-// recycled by the dedup index).
-func (m *revMap) ensure(c dedup.CID) {
-	for int(c) >= len(m.heads) {
-		m.heads = append(m.heads, nilNode)
-		m.tails = append(m.tails, nilNode)
+// move takes lpn off from's chain and pushes it on to's; NilCID on
+// either side means lpn was, or becomes, unmapped.
+func (m *revMap) move(lpn uint32, from, to dedup.CID) {
+	if from != dedup.NilCID {
+		p, n := m.prev[lpn], m.next[lpn]
+		if p == nilNode {
+			m.heads[from] = n
+			m.trkCID.Mark(int(from))
+		} else {
+			m.next[p] = n
+			m.trkLPN.Mark(int(p))
+		}
+		if n != nilNode {
+			m.prev[n] = p
+			m.trkLPN.Mark(int(n))
+		}
 	}
-}
-
-// head returns c's first node, or nilNode.
-func (m *revMap) head(c dedup.CID) int32 {
-	if int(c) >= len(m.heads) {
-		return nilNode
-	}
-	return m.heads[c]
-}
-
-// add appends lpn to c's chain, reusing a freelist node when one
-// exists.
-func (m *revMap) add(c dedup.CID, lpn uint64) {
-	m.ensure(c)
-	n := m.free
-	if n != nilNode {
-		m.free = m.nodes[n].next
-		m.nodes[n] = revNode{lpn: lpn, next: nilNode}
-		m.trkNodes.Mark(int(n))
-	} else {
-		n = int32(len(m.nodes))
-		m.nodes = append(m.nodes, revNode{lpn: lpn, next: nilNode})
-	}
-	if t := m.tails[c]; t == nilNode {
-		m.heads[c] = n
-	} else {
-		m.nodes[t].next = n
-		m.trkNodes.Mark(int(t))
-	}
-	m.tails[c] = n
-	m.trkCID.Mark(int(c))
-}
-
-// clear empties c's chain by splicing it whole onto the freelist, so
-// the nodes serve the CID's next tenant without reallocation.
-func (m *revMap) clear(c dedup.CID) {
-	if int(c) >= len(m.heads) || m.heads[c] == nilNode {
+	if to == dedup.NilCID {
 		return
 	}
-	m.nodes[m.tails[c]].next = m.free
-	m.trkNodes.Mark(int(m.tails[c]))
-	m.free = m.heads[c]
-	m.heads[c] = nilNode
-	m.tails[c] = nilNode
-	m.trkCID.Mark(int(c))
+	m.heads = growLinks(m.heads, int(to))
+	m.next = growLinks(m.next, int(lpn))
+	m.prev = growLinks(m.prev, int(lpn))
+	h := m.heads[to]
+	m.next[lpn], m.prev[lpn] = h, nilNode
+	m.trkLPN.Mark(int(lpn))
+	if h != nilNode {
+		m.prev[h] = lpn
+		m.trkLPN.Mark(int(h))
+	}
+	m.heads[to] = lpn
+	m.trkCID.Mark(int(to))
+}
+
+// splice moves from's whole chain, whose last node is tail, onto the
+// front of to's. Both CIDs are live, so heads covers them.
+func (m *revMap) splice(from, to dedup.CID, tail uint32) {
+	h := m.heads[to]
+	m.next[tail] = h
+	m.trkLPN.Mark(int(tail))
+	if h != nilNode {
+		m.prev[h] = tail
+		m.trkLPN.Mark(int(h))
+	}
+	m.heads[to] = m.heads[from]
+	m.heads[from] = nilNode
+	m.trkCID.Mark(int(to))
+	m.trkCID.Mark(int(from))
 }
 
 // clone returns an independent deep copy — flat copies only, no
@@ -105,9 +105,8 @@ func (m *revMap) clear(c dedup.CID) {
 func (m *revMap) clone() revMap {
 	return revMap{
 		heads: slices.Clone(m.heads),
-		tails: slices.Clone(m.tails),
-		nodes: slices.Clone(m.nodes),
-		free:  m.free,
+		next:  slices.Clone(m.next),
+		prev:  slices.Clone(m.prev),
 	}
 }
 
@@ -115,36 +114,34 @@ func (m *revMap) clone() revMap {
 // keeping (resetting) m's own trackers.
 func (m *revMap) copyFrom(src *revMap) {
 	m.heads = append(m.heads[:0], src.heads...)
-	m.tails = append(m.tails[:0], src.tails...)
-	m.nodes = append(m.nodes[:0], src.nodes...)
-	m.free = src.free
+	m.next = append(m.next[:0], src.next...)
+	m.prev = append(m.prev[:0], src.prev...)
 	m.trkCID.Reset()
-	m.trkNodes.Reset()
+	m.trkLPN.Reset()
 }
 
-// enableCOW turns on divergence tracking for the CID tables and the
-// node arena. Idempotent.
+// enableCOW turns on divergence tracking for the three tables.
+// Idempotent.
 func (m *revMap) enableCOW() {
 	if m.trkCID == nil {
 		m.trkCID = cow.NewTracker(revCIDChunkShift)
-		m.trkNodes = cow.NewTracker(revNodeChunkShift)
+		m.trkLPN = cow.NewTracker(revLPNChunkShift)
 	}
 }
 
 func (m *revMap) markAllCOW() {
 	m.trkCID.MarkAll()
-	m.trkNodes.MarkAll()
+	m.trkLPN.MarkAll()
 }
 
-// copyDirty re-seeds m from src copying only dirty chunks (heads and
-// tails share the CID tracker) and returns the bytes copied. Untracked
+// copyDirty re-seeds m from src copying only dirty chunks (next and
+// prev share the LPN tracker) and returns the bytes copied. Untracked
 // maps degrade to the full copy with full accounting.
 func (m *revMap) copyDirty(src *revMap) int {
 	n := cow.CopySlice(m.trkCID, &m.heads, src.heads)
-	n += cow.CopySlice(m.trkCID, &m.tails, src.tails)
-	n += cow.CopySlice(m.trkNodes, &m.nodes, src.nodes)
-	m.free = src.free
+	n += cow.CopySlice(m.trkLPN, &m.next, src.next)
+	n += cow.CopySlice(m.trkLPN, &m.prev, src.prev)
 	m.trkCID.Reset()
-	m.trkNodes.Reset()
+	m.trkLPN.Reset()
 	return n
 }

@@ -175,10 +175,12 @@ func TestReleaseBeyondCapDrops(t *testing.T) {
 	snap.Release(r1)
 	snap.Release(r2) // beyond the cap: dropped
 	before := CloneGaugeStats()
-	if _, err := snap.Acquire(cfg); err != nil { // recycles r1
+	r3, err := snap.Acquire(cfg) // recycles r1
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.Acquire(cfg); err != nil { // list empty: fresh
+	r4, err := snap.Acquire(cfg) // list empty: fresh
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := CloneGaugeStats()
@@ -189,6 +191,10 @@ func TestReleaseBeyondCapDrops(t *testing.T) {
 		t.Fatalf("cut %d fresh clones after a cap-1 double release, want 1", fresh)
 	}
 	// Shrinking the cap below the parked population trims the list.
+	// (Both runners go back first: the gauge's Live outlasts this test,
+	// and one of them is the parked population.)
+	snap.Release(r3)
+	snap.Release(r4)
 	snap.SetFreeListCap(0)
 	snap.mu.Lock()
 	parked := len(snap.free)
@@ -264,8 +270,10 @@ func TestConcurrentAcquireReleaseGauge(t *testing.T) {
 	if after.Live != before.Live {
 		t.Fatalf("gauge live drifted: %d -> %d", before.Live, after.Live)
 	}
-	if after.Peak > workers+1 {
-		t.Fatalf("peak %d exceeds %d concurrent holders +1", after.Peak, workers)
+	// ResetCloneGauge preserves Live, so the peak is bounded relative to
+	// whatever earlier tests still hold, not absolutely.
+	if peak := after.Peak - before.Live; peak > workers {
+		t.Fatalf("peak %d above the starting live count exceeds %d concurrent holders", peak, workers)
 	}
 	acquires := after.Fresh - before.Fresh + after.Recycled - before.Recycled
 	if acquires != workers*perWorker {

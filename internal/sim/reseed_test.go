@@ -55,6 +55,7 @@ func TestReseedBytesRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer snap.Release(r) // the clone gauge's Live outlasts this test
 	// A fresh runner is untracked until its first re-seed through the
 	// free-list; this test re-seeds directly, so it tracks from the cut.
 	r.enableCOW()
@@ -111,6 +112,8 @@ func TestReseedStateMatchesFullCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer snap.Release(r1) // the clone gauge's Live outlasts this test
+	defer snap.Release(r2)
 	// Fresh runners are untracked; track both from the cut so r1's
 	// direct re-seeds below take the dirty-chunk path.
 	r1.enableCOW()

@@ -102,8 +102,8 @@ type Generator struct {
 	spec Spec
 	rng  *rand.Rand
 
-	contentZipf *rand.Zipf
-	addrZipf    *rand.Zipf
+	contentZipf zipf
+	addrZipf    zipf
 	fps         fpArena
 
 	now       event.Time
@@ -153,8 +153,8 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	g := &Generator{
 		spec:        spec,
 		rng:         rng,
-		contentZipf: rand.NewZipf(rng, spec.ContentSkew, 1, spec.ContentPool-1),
-		addrZipf:    rand.NewZipf(rng, spec.AddrSkew, 1, spec.LogicalPages-1),
+		contentZipf: newZipf(rng, spec.ContentSkew, 1, spec.ContentPool-1),
+		addrZipf:    newZipf(rng, spec.AddrSkew, 1, spec.LogicalPages-1),
 	}
 	return g, nil
 }
@@ -202,6 +202,16 @@ func (g *Generator) geometric(mean float64) int {
 	return n
 }
 
+// pages samples a request length with the given mean, clamped to the
+// logical space so that addr and clampRange can always make it fit.
+func (g *Generator) pages(mean float64) int {
+	n := g.geometric(mean)
+	if uint64(n) > g.spec.LogicalPages {
+		n = int(g.spec.LogicalPages)
+	}
+	return n
+}
+
 // addr picks a starting logical page such that the request fits.
 func (g *Generator) addr(pages int) uint64 {
 	a := g.addrZipf.Uint64()
@@ -234,12 +244,12 @@ func (g *Generator) Next() (Request, bool) {
 	switch {
 	case g.rng.Float64() < g.spec.TrimFraction:
 		r.Op = OpTrim
-		r.Pages = g.geometric(g.spec.TrimPages)
+		r.Pages = g.pages(g.spec.TrimPages)
 		raw := g.addr(r.Pages)
 		r.LPN = g.clampRange(g.scramble(raw), r.Pages)
 	case g.rng.Float64() < g.spec.WriteRatio:
 		r.Op = OpWrite
-		r.Pages = g.geometric(g.spec.AvgReqPages)
+		r.Pages = g.pages(g.spec.AvgReqPages)
 		raw := g.addr(r.Pages)
 		r.LPN = g.clampRange(g.scramble(raw), r.Pages)
 		r.FPs = g.fps.alloc(r.Pages)
@@ -255,7 +265,7 @@ func (g *Generator) Next() (Request, bool) {
 		}
 	default:
 		r.Op = OpRead
-		r.Pages = g.geometric(g.spec.AvgReqPages)
+		r.Pages = g.pages(g.spec.AvgReqPages)
 		raw := g.addr(r.Pages)
 		r.LPN = g.clampRange(g.scramble(raw), r.Pages)
 	}

@@ -34,7 +34,7 @@ func NewPreconditioner(spec Spec) (*Preconditioner, error) {
 	return &Preconditioner{
 		spec:  spec,
 		rng:   rng,
-		zipf:  rand.NewZipf(rng, spec.ContentSkew, 1, spec.ContentPool-1),
+		zipf:  newZipf(rng, spec.ContentSkew, 1, spec.ContentPool-1),
 		order: order,
 		chunk: chunk,
 	}, nil
@@ -44,7 +44,7 @@ func NewPreconditioner(spec Spec) (*Preconditioner, error) {
 type Preconditioner struct {
 	spec   Spec
 	rng    *rand.Rand
-	zipf   *rand.Zipf
+	zipf   zipf
 	fps    fpArena
 	order  []int
 	chunk  uint64

@@ -125,23 +125,39 @@ func TestGeneratorProducesExactlyN(t *testing.T) {
 	}
 }
 
+// Every request is well-formed and fits the address space — including
+// logical spaces smaller than the longest request the length
+// distribution can draw (1024 pages), where an unclamped length once
+// wrapped LogicalPages - pages around to an LPN near 2^64.
 func TestGeneratorRequestsValid(t *testing.T) {
-	g, _ := NewGenerator(testSpec())
-	last := event.Time(-1)
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
+	specs := []Spec{testSpec()}
+	for _, logical := range []uint64{1, 8, 1023} {
+		s, err := Preset(WebVM, logical, 20_000, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := r.Validate(); err != nil {
-			t.Fatalf("generated invalid request: %v (%+v)", err, r)
+		long := s
+		long.Name, long.AvgReqPages, long.TrimPages, long.Requests = "long", 600, 600, 2_000
+		specs = append(specs, s, long)
+	}
+	for _, spec := range specs {
+		g, err := NewGenerator(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.At < last {
-			t.Fatalf("arrivals went backwards: %v after %v", r.At, last)
-		}
-		last = r.At
-		if r.LPN+uint64(r.Pages) > g.Spec().LogicalPages {
-			t.Fatalf("request overruns address space: %+v", r)
+		logical := spec.LogicalPages
+		last := event.Time(-1)
+		for r, ok := g.Next(); ok; r, ok = g.Next() {
+			if err := r.Validate(); err != nil {
+				t.Fatalf("%s/%d: generated invalid request: %v (%+v)", spec.Name, logical, err, r)
+			}
+			if r.At < last {
+				t.Fatalf("%s/%d: arrivals went backwards: %v after %v", spec.Name, logical, r.At, last)
+			}
+			last = r.At
+			if r.LPN >= logical || uint64(r.Pages) > logical-r.LPN {
+				t.Fatalf("%s/%d: request overruns address space: %+v", spec.Name, logical, r)
+			}
 		}
 	}
 }
