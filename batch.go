@@ -134,7 +134,7 @@ func RunBatch(items []BatchItem, workers int) *BatchResult {
 	b.Wall = time.Since(start)
 	for i, res := range b.Results {
 		if res != nil && (b.Errs == nil || b.Errs[i] == nil) {
-			b.Events += simulatedEvents(res)
+			b.Events += EventsOf(res)
 		}
 	}
 	return b

@@ -11,11 +11,9 @@ package cagc
 // Benches run a scaled-down device (16 MiB, 4000 requests) so a full
 // sweep completes in seconds; cmd/figures runs the same harness at the
 // default (larger) scale. Figure benches go through the warm-state
-// snapshot cache, exactly as cmd/figures does; the cold-path baseline
-// is BenchmarkSubstrateSingleRun below.
+// snapshot cache, exactly as cmd/figures does.
 
 import (
-	"runtime"
 	"strconv"
 	"testing"
 )
@@ -204,72 +202,6 @@ func BenchmarkAblateUtilization(b *testing.B) {
 		red := reduction(float64(pt.Baseline.FTL.BlocksErased), float64(pt.CAGC.FTL.BlocksErased))
 		b.ReportMetric(red*100, "erased-red%/u="+strconv.FormatFloat(pt.Utilization, 'f', 2, 64))
 	}
-}
-
-// Micro-benchmarks of the substrate hot paths.
-//
-// SingleRun forces a cold start (build + precondition + replay every
-// iteration) so its numbers stay comparable with MeasureSubstrate and
-// across PRs; WarmRun measures the snapshot-cache path (clone +
-// replay) the sweeps above actually take after their first point.
-
-func BenchmarkSubstrateSingleRun(b *testing.B) {
-	p := benchParams()
-	p.ColdStart = true
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(Mail, CAGC, "greedy", p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSubstrateWarmRun(b *testing.B) {
-	p := benchParams()
-	if _, err := Run(Mail, CAGC, "greedy", p); err != nil {
-		b.Fatal(err) // populate the snapshot cache outside the timer
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(Mail, CAGC, "greedy", p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSubstrateBatch times the batched engine's unit of work — an
-// 8-seed warm sweep on NumCPU workers — and reports the aggregate
-// events/sec-per-machine headline alongside the per-run numbers. The
-// serial variant is the same sweep on one worker, so the pair exposes
-// the parallel speedup on the measuring machine.
-func BenchmarkSubstrateBatch(b *testing.B) {
-	benchSubstrateBatch(b, runtime.NumCPU())
-}
-
-func BenchmarkSubstrateBatchSerial(b *testing.B) {
-	benchSubstrateBatch(b, 1)
-}
-
-func benchSubstrateBatch(b *testing.B, workers int) {
-	b.Helper()
-	p := benchParams()
-	p.Requests = 1000
-	items := SeedBatch(Mail, CAGC, "greedy", p, []int64{1, 2, 3, 4, 5, 6, 7, 8})
-	if warm := RunBatch(items, 1); warm.Err() != nil {
-		b.Fatal(warm.Err()) // populate the snapshot cache outside the timer
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var last *BatchResult
-	for i := 0; i < b.N; i++ {
-		last = RunBatch(items, workers)
-		if err := last.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(last.AggregateEventsPerSec(), "agg-events/s")
-	b.ReportMetric(last.AggregateEventsPerSec()/float64(last.Workers), "agg-events/s/worker")
 }
 
 func BenchmarkAblateWriteBuffer(b *testing.B) {

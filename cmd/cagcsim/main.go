@@ -11,7 +11,6 @@
 //	cagcsim -batch 32 -workers 8
 //	cagcsim -fleet 10000 -workers 8 -fleet-util-spread 0.1 -fleet-stagger 4
 //	cagcsim -array raid1 -members 4 -stagger -steer
-//	cagcsim -bench -benchout BENCH_substrate.json
 //	cagcsim -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
@@ -88,10 +87,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		diurnalAmp = fs.Float64("diurnal-amp", 0, "diurnal burst amplitude in [0,1): arrival rate swings 1 +/- this")
 		sloUs      = fs.Float64("slo-us", 0, "per-tenant response-time SLO in microseconds; violations are counted per tenant (0 = off)")
 
-		bench    = fs.Bool("bench", false, "measure substrate throughput (events/sec, ns/op, allocs/op) instead of printing a report")
-		benchOut = fs.String("benchout", "BENCH_substrate.json", "file the -bench report is written to ('' = stdout only)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -135,13 +132,13 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 
 	modes := 0
-	for _, on := range []bool{*bench, *batch > 0, *fleetN > 0, *arrayMode != "", *replayPath != "", *tenants != ""} {
+	for _, on := range []bool{*batch > 0, *fleetN > 0, *arrayMode != "", *replayPath != "", *tenants != ""} {
 		if on {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return fmt.Errorf("-bench, -batch, -fleet, -array, -replay, and -tenants are mutually exclusive modes")
+		return fmt.Errorf("-batch, -fleet, -array, -replay, and -tenants are mutually exclusive modes")
 	}
 	if _, err := cagc.ParseTraceFormat(*replayFmt); err != nil {
 		return err
@@ -158,8 +155,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 
 	tracing := *traceOut != "" || *traceSum || *traceLast > 0
-	if tracing && (*bench || *batch > 0) {
-		return fmt.Errorf("-trace/-trace-summary/-trace-last cannot be combined with -bench or -batch (the harness times many runs; trace one)")
+	if tracing && *batch > 0 {
+		return fmt.Errorf("-trace/-trace-summary/-trace-last cannot be combined with -batch (the harness times many runs; trace one)")
 	}
 	if tracing && *arrayMode != "" {
 		return fmt.Errorf("-trace/-trace-summary/-trace-last cannot be combined with -array (the array layer is untraced)")
@@ -187,23 +184,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 			retErr = err
 		}
 	}()
-
-	if *bench {
-		sb, err := cagc.MeasureSubstrate(w, s, *policy, p)
-		if err != nil {
-			return err
-		}
-		if err := cagc.WriteBenchJSON(stdout, sb); err != nil {
-			return err
-		}
-		if *benchOut != "" {
-			if err := cagc.WriteBenchFile(*benchOut, sb); err != nil {
-				return err
-			}
-			fmt.Fprintln(stderr, "cagcsim: wrote", *benchOut)
-		}
-		return nil
-	}
 
 	if *fleetN > 0 {
 		// Fleet scale trades per-device depth for breadth: default to

@@ -22,7 +22,7 @@ func TestValidationPrecedesProfiling(t *testing.T) {
 		{"-sched", "quantum"},
 		{"-workload", "postgres"},
 		{"-scheme", "raid5"},
-		{"-bench", "-batch", "2"},
+		{"-fleet", "2", "-batch", "2"},
 		{"-trace-last", "5"},
 	}
 	for _, args := range cases {

@@ -102,7 +102,7 @@ func TestReplayFlagValidation(t *testing.T) {
 		{"-replay", path, "-replay-format", "csv"},
 		{"-replay", path, "-chunk", "-1"},
 		{"-replay", path, "-tenants", "Homes"},
-		{"-replay", path, "-bench"},
+		{"-replay", path, "-batch", "2"},
 		{"-tenants", "Homes,,Mail"},
 		{"-tenants", "Mail*0"},
 		{"-tenants", "Mail*x"},

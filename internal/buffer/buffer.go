@@ -74,38 +74,28 @@ func New(f *ftl.FTL, capPages int) (*WriteBuffer, error) {
 // reverts to the no-op default). The wrapped FTL keeps its own tracer.
 func (b *WriteBuffer) SetTracer(tr obs.Tracer) { b.tr = obs.Or(tr) }
 
-// Clone returns a deep, independent copy of the buffer bound to f — the
-// cloned FTL the copy must flush into. Slot contents and LRU order are
-// reproduced exactly, so the copy coalesces, evicts, and drains the
-// same pages at the same times the original would.
-func (b *WriteBuffer) Clone(f *ftl.FTL) *WriteBuffer {
-	c := &WriteBuffer{
-		f:     f,
-		cap:   b.cap,
-		lru:   list.New(),
-		index: make(map[uint64]*list.Element, len(b.index)),
-		ctrl:  b.ctrl,
-		stats: b.stats,
-		tr:    b.tr,
-	}
-	for el := b.lru.Front(); el != nil; el = el.Next() {
-		s := *el.Value.(*slot)
-		c.index[s.lpn] = c.lru.PushBack(&s)
-	}
-	return c
-}
+// slotCopyBytes is the accounted copy cost of one buffered page: the
+// slot value plus its list element and index entry.
+const slotCopyBytes = 64
 
-// CopyFrom makes b an exact copy of src bound to f (the recycled-clone
-// path). The buffer's LRU is list+map backed, so the copy rebuilds the
-// slot chain like Clone does; only the WriteBuffer struct itself is
-// reused. Buffered configurations are rare in batch/fleet runs, so this
-// path stays simple rather than flat.
-func (b *WriteBuffer) CopyFrom(src *WriteBuffer, f *ftl.FTL) {
+// CopyFrom makes b equal src, bound to f — the FTL copy it must flush
+// into — and returns the bytes copied. Slot contents and LRU order are
+// reproduced exactly, so b coalesces, evicts, and drains the same pages
+// at the same times src would. The LRU is list+map backed, so the slot
+// chain is rebuilt rather than copied flat (buffered configurations
+// are rare in batch/fleet runs) — unless it never diverged from src
+// (the dirty flag is clear, e.g. a replay that only missed reads), in
+// which case only the scalars are refreshed. A zero WriteBuffer has no
+// chain yet and always builds one: that is the clone.
+func (b *WriteBuffer) CopyFrom(src *WriteBuffer, f *ftl.FTL) int {
 	b.f = f
 	b.cap = src.cap
 	b.ctrl = src.ctrl
 	b.stats = src.stats
 	b.tr = src.tr
+	if b.lru != nil && !b.dirty {
+		return 0
+	}
 	b.lru = list.New()
 	b.index = make(map[uint64]*list.Element, len(src.index))
 	for el := src.lru.Front(); el != nil; el = el.Next() {
@@ -113,32 +103,6 @@ func (b *WriteBuffer) CopyFrom(src *WriteBuffer, f *ftl.FTL) {
 		b.index[s.lpn] = b.lru.PushBack(&s)
 	}
 	b.dirty = false // b's chain equals src's again
-}
-
-// MarkAllCOW forces the next CopyDirty onto the full rebuild path —
-// the differential reference for the dirty-vs-full fuzz tests.
-func (b *WriteBuffer) MarkAllCOW() { b.dirty = true }
-
-// slotCopyBytes is the accounted re-seed cost of one buffered page:
-// the slot value plus its list element and index entry.
-const slotCopyBytes = 64
-
-// CopyDirty re-seeds b from src bound to f. When the slot chain never
-// diverged from src (the coarse dirty flag is clear — e.g. a replay
-// that exercised no buffered configuration ops), only the scalars are
-// refreshed and the rebuild is skipped entirely; otherwise this is
-// CopyFrom. Returns the bytes copied; always indistinguishable from
-// CopyFrom.
-func (b *WriteBuffer) CopyDirty(src *WriteBuffer, f *ftl.FTL) int {
-	if !b.dirty {
-		b.f = f
-		b.cap = src.cap
-		b.ctrl = src.ctrl
-		b.stats = src.stats
-		b.tr = src.tr
-		return 0
-	}
-	b.CopyFrom(src, f)
 	return len(src.index) * slotCopyBytes
 }
 

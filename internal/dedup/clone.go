@@ -1,68 +1,25 @@
 package dedup
 
 import (
-	"slices"
-
 	"cagc/internal/cow"
+	"cagc/internal/flathash"
 )
 
-// Clone returns a deep, independent copy of the index: entries,
-// fingerprint table, free-CID stack, and counters. Because the
-// fingerprint table is open-addressed with its recency list stored as
-// slot indices inside the slots, the copy is a handful of flat copy()
-// calls — no per-element rebuild — and the clone evicts the same
-// fingerprints at the same moments a cold index in this state would.
-func (x *Index) Clone() *Index {
-	return &Index{
-		byFP:     x.byFP.Clone(),
-		entries:  slices.Clone(x.entries),
-		freeIDs:  slices.Clone(x.freeIDs),
-		live:     x.live,
-		stats:    x.stats,
-		capacity: x.capacity,
-		lruOn:    x.lruOn,
+// CopyFrom makes x equal src and returns the bytes copied: entries,
+// fingerprint table, free-CID stack, and counters. The fingerprint
+// table is open-addressed with its recency list stored as slot indices
+// inside the slots, so the copy is a handful of flat copy() calls — no
+// per-element rebuild — and x evicts the same fingerprints at the same
+// moments a cold index in this state would. Entries and fingerprint
+// slots go chunk by dirty chunk when x is tracked and whole when it is
+// not (a zero Index being cloned into, a runner's first re-seed); the
+// free-CID stack (pop/push churn, not prefix-clean) and the scalars are
+// always copied. x keeps its backing arrays and its own trackers.
+func (x *Index) CopyFrom(src *Index) int {
+	if x.byFP == nil {
+		x.byFP = new(flathash.Map[CID])
 	}
-}
-
-// CopyFrom makes x an exact copy of src, reusing x's existing
-// allocations (the fingerprint table's slot array and the entry/free
-// stacks) where capacity allows. Equivalent to Clone in every
-// observable way; used by the warm-state clone free-list.
-func (x *Index) CopyFrom(src *Index) {
-	x.byFP.CopyFrom(src.byFP)
-	x.entries = append(x.entries[:0], src.entries...)
-	x.freeIDs = append(x.freeIDs[:0], src.freeIDs...)
-	x.live = src.live
-	x.stats = src.stats
-	x.capacity = src.capacity
-	x.lruOn = src.lruOn
-	x.track.Reset() // x equals src everywhere again
-}
-
-// EnableCOW turns on divergence tracking on the entry array and the
-// fingerprint table so CopyDirty can re-seed this index from its
-// snapshot master by copying only the chunks a run touched. Idempotent;
-// Clone never inherits tracking.
-func (x *Index) EnableCOW() {
-	if x.track == nil {
-		x.track = cow.NewTracker(entryChunkShift)
-	}
-	x.byFP.Track()
-}
-
-// MarkAllCOW forces the next CopyDirty onto the full-copy path — the
-// differential reference for the dirty-vs-full fuzz tests.
-func (x *Index) MarkAllCOW() {
-	x.track.MarkAll()
-	x.byFP.MarkAllCOW()
-}
-
-// CopyDirty re-seeds x from src, copying only dirty entry chunks and
-// fingerprint-table chunks, and returns the bytes copied. The free-CID
-// stack (pop/push churn, not prefix-clean) and the scalar counters are
-// always copied. Indistinguishable from CopyFrom.
-func (x *Index) CopyDirty(src *Index) int {
-	n := x.byFP.CopyDirty(src.byFP)
+	n := x.byFP.CopyFrom(src.byFP)
 	n += cow.CopySlice(x.track, &x.entries, src.entries)
 	x.track.Reset()
 	n += cow.CopyAll(&x.freeIDs, src.freeIDs)
@@ -71,4 +28,15 @@ func (x *Index) CopyDirty(src *Index) int {
 	x.capacity = src.capacity
 	x.lruOn = src.lruOn
 	return n
+}
+
+// EnableCOW turns on divergence tracking on the entry array and the
+// fingerprint table so CopyFrom can re-seed this index from its
+// snapshot master by copying only the chunks a run touched. Idempotent;
+// a copy never inherits tracking.
+func (x *Index) EnableCOW() {
+	if x.track == nil {
+		x.track = cow.NewTracker(entryChunkShift)
+	}
+	x.byFP.Track()
 }

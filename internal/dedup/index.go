@@ -68,7 +68,7 @@ type Index struct {
 	lruOn    bool
 
 	// track, when non-nil, records which entry chunks diverged from the
-	// snapshot master this index was seeded from; CopyDirty re-copies
+	// snapshot master this index was seeded from; CopyFrom re-copies
 	// only those. The free-CID stack pops and repushes below the
 	// master's length, so it is not prefix-clean and is always copied
 	// whole (it is bounded by the peak dead-CID count).

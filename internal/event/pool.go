@@ -22,20 +22,10 @@ func NewPool(k int) *Pool {
 // Units returns the number of parallel units.
 func (p *Pool) Units() int { return len(p.units) }
 
-// Clone returns an independent copy of the pool. Unit order is
-// preserved, so the earliest-free tie-break (lowest index) makes the
-// same choices on the copy as on the original.
-func (p *Pool) Clone() *Pool {
-	c := &Pool{units: make([]*Timeline, len(p.units))}
-	for i, u := range p.units {
-		c.units[i] = u.Clone()
-	}
-	return c
-}
-
-// CopyFrom makes p an exact copy of src, reusing p's unit timelines
-// when the unit counts match (they always do on the recycled-clone
-// path, where both pools come from the same device configuration).
+// CopyFrom makes p equal src, reusing p's unit timelines when the unit
+// counts match (always, except when p is a zero Pool being cloned
+// into). Unit order is preserved, so the earliest-free tie-break
+// (lowest index) makes the same choices on the copy as on the original.
 func (p *Pool) CopyFrom(src *Pool) {
 	if len(p.units) != len(src.units) {
 		p.units = make([]*Timeline, len(src.units))

@@ -47,11 +47,11 @@ func TestBucketShift(t *testing.T) {
 	}{
 		{0, defaultBucketShift},
 		{-5, defaultBucketShift},
-		{1, minBucketShift},        // tiny hints clamp up
-		{12 * Microsecond, 14},     // Table-I read latency -> 16.4 us buckets
-		{16384, 14},                // exact power of two stays
-		{16385, 15},                // just past rounds up
-		{Second, maxBucketShift},   // absurd hints clamp down
+		{1, minBucketShift},      // tiny hints clamp up
+		{12 * Microsecond, 14},   // Table-I read latency -> 16.4 us buckets
+		{16384, 14},              // exact power of two stays
+		{16385, 15},              // just past rounds up
+		{Second, maxBucketShift}, // absurd hints clamp down
 	}
 	for _, c := range cases {
 		if got := bucketShift(c.hint); got != c.want {

@@ -55,14 +55,8 @@ func (tl *Timeline) ReserveAfter(at, dep, dur Time) (start, end Time) {
 	return tl.Reserve(at, dur)
 }
 
-// Clone returns an independent copy of the timeline. Timeline state is
-// three scalars, so the copy is exact by construction.
-func (tl *Timeline) Clone() *Timeline {
-	c := *tl
-	return &c
-}
-
-// CopyFrom overwrites tl with src's state (recycled-clone path).
+// CopyFrom makes tl equal src. Timeline state is three scalars, so the
+// copy is exact by construction.
 func (tl *Timeline) CopyFrom(src *Timeline) { *tl = *src }
 
 // Utilization returns busy time divided by the span [0, horizon].

@@ -56,7 +56,7 @@ type Device struct {
 	// track, when non-nil, records which blocks diverged from the
 	// snapshot master this device was seeded from (chunk = one block:
 	// page-state and OOB-tag mutations are block-grained anyway).
-	// CopyDirty re-copies only those blocks.
+	// CopyFrom re-copies only those blocks.
 	track *cow.Tracker
 }
 

@@ -16,16 +16,16 @@
 //     shifts the displaced tail of its probe cluster back into the
 //     hole, so the table never accumulates dead slots, probe distances
 //     never degrade over a long simulation, and — critically — the
-//     whole table remains a plain value array: Clone is a single flat
-//     copy() with no compaction or rehash pass (the warm-state snapshot
-//     cache clones these tables on every sweep point).
+//     whole table remains a plain value array: CopyFrom is a single
+//     flat copy() with no compaction or rehash pass (the warm-state
+//     snapshot cache clones these tables on every sweep point).
 //
 //   - An intrusive doubly-linked recency list whose prev/next fields
 //     live inside the slots and hold slot indices, not pointers. This
 //     replaces one container/list.List plus one position map per LRU
 //     (two allocations per tracked entry) with zero allocations, and —
-//     because links are indices — it too survives Clone's flat copy
-//     verbatim. When backward-shift deletion moves a slot, the moved
+//     because links are indices — it too survives CopyFrom's flat
+//     copy verbatim. When backward-shift deletion moves a slot, the moved
 //     entry's neighbours are re-pointed in O(1), preserving the exact
 //     recency order.
 //
@@ -40,12 +40,7 @@
 // them immediately, never store them.
 package flathash
 
-import (
-	"slices"
-	"unsafe"
-
-	"cagc/internal/cow"
-)
+import "cagc/internal/cow"
 
 // List-link sentinels. A slot's prev field doubles as the membership
 // marker: unlinked means "not on the recency list" (distinct from being
@@ -87,9 +82,9 @@ type Map[V any] struct {
 	nlist int    // entries currently on the recency list
 
 	// track, when non-nil, records which slot chunks diverged from the
-	// snapshot master this table was seeded from; CopyDirty re-copies
-	// only those. Belongs to this table, never shared: Clone starts the
-	// copy untracked, CopyFrom/CopyDirty keep the destination's tracker.
+	// snapshot master this table was seeded from; CopyFrom re-copies
+	// only those. Belongs to this table, never shared: CopyFrom keeps
+	// the destination's tracker.
 	track *cow.Tracker
 }
 
@@ -372,30 +367,22 @@ func (m *Map[V]) unlink(i int32) {
 	m.nlist--
 }
 
-// Clone returns a deep copy. Because slots hold only values and index
-// links — no pointers — this is one flat copy of the slot array, the
-// property the warm-state snapshot cache leans on.
-func (m *Map[V]) Clone() *Map[V] {
-	c := *m
-	c.slots = slices.Clone(m.slots)
-	c.track = nil // divergence tracking is per-table, never inherited
-	return &c
-}
-
-// CopyFrom makes m an exact copy of src, reusing m's slot array when
-// its capacity suffices — the recycled-clone path of the warm-state
-// free-list, which turns the per-run table copy into a pure memmove
-// after the first clone. The result is indistinguishable from Clone.
-// m keeps its own tracker (reset: m now equals src everywhere).
-func (m *Map[V]) CopyFrom(src *Map[V]) {
-	slots, track := m.slots[:0], m.track
+// CopyFrom makes m equal src and returns the bytes copied. Slots hold
+// only values and index links — no pointers — so the copy is flat: the
+// whole slot array when m is untracked (a zero Map being cloned into,
+// a runner's first re-seed) or all-dirty (the table grew), only the
+// slot chunks m dirtied since it last equaled src otherwise. m keeps
+// its slot array and its own tracker, which ends clean.
+func (m *Map[V]) CopyFrom(src *Map[V]) int {
+	slots, track := m.slots, m.track
 	*m = *src
-	m.slots = append(slots, src.slots...)
-	m.track = track
+	m.slots, m.track = slots, track
+	n := cow.CopySlice(track, &m.slots, src.slots)
 	track.Reset()
+	return n
 }
 
-// Track enables chunk-level divergence tracking so CopyDirty can
+// Track enables chunk-level divergence tracking so CopyFrom can
 // re-seed this table from its snapshot master by copying only the slot
 // chunks that changed. Idempotent; cold tables never call it and pay
 // only nil-checks at the mark sites.
@@ -403,28 +390,4 @@ func (m *Map[V]) Track() {
 	if m.track == nil {
 		m.track = cow.NewTracker(slotChunkShift)
 	}
-}
-
-// MarkAllCOW forces the next CopyDirty onto the full-copy path — the
-// differential reference the fuzz tests compare the dirty path against.
-func (m *Map[V]) MarkAllCOW() { m.track.MarkAll() }
-
-// CopyDirty re-seeds m from src, copying only the slot chunks m
-// dirtied since it last equaled src, and returns the bytes copied.
-// Untracked, all-dirty (the table grew), or shape-changed tables fall
-// back to the full CopyFrom with full-copy byte accounting. The result
-// is always indistinguishable from CopyFrom.
-func (m *Map[V]) CopyDirty(src *Map[V]) int {
-	slotBytes := int(unsafe.Sizeof(slot[V]{}))
-	if m.track.All() || len(m.slots) != len(src.slots) {
-		m.CopyFrom(src)
-		return len(src.slots) * slotBytes
-	}
-	slots, track := m.slots, m.track
-	*m = *src
-	m.slots = slots
-	m.track = track
-	n := cow.CopySlice(track, &m.slots, src.slots)
-	track.Reset()
-	return n
 }

@@ -113,7 +113,7 @@ type FTL struct {
 
 	logicalPages uint64
 
-	// Divergence trackers for the recycled-clone CopyDirty path: cowMap
+	// Divergence trackers for the recycled-clone re-seed: cowMap
 	// over the L2P mapping (LPN chunks), cowOwn over the owners table
 	// (PPN chunks). nil when untracked. The remaining FTL state (block
 	// metadata, free lists, frontiers, GC bitmap, scalars) is small

@@ -1,8 +1,6 @@
 package ftl
 
 import (
-	"slices"
-
 	"cagc/internal/cow"
 	"cagc/internal/dedup"
 )
@@ -13,7 +11,7 @@ import (
 // by LPN and heads by CID — which bounds the footprint at 8 B per
 // logical page plus 4 B per CID no matter how long the run, makes every
 // update O(1) and allocation-free once the tables cover the address
-// space, and keeps Clone three flat copies. The tables grow lazily, so
+// space, and keeps copyFrom three flat copies. The tables grow lazily, so
 // an FTL that never links (Baseline, Inline-Dedupe) holds nothing.
 //
 // Chain order is unobservable: the only reader, remapAll, performs one
@@ -23,7 +21,7 @@ type revMap struct {
 	next  []uint32 // LPN -> following LPN on the same chain
 	prev  []uint32 // LPN -> preceding LPN, nilNode at the head
 
-	// Divergence trackers for the recycled-clone CopyDirty path: one
+	// Divergence trackers for the recycled-clone re-seed: one
 	// over heads, one over the LPN-indexed next/prev pair. nil when
 	// untracked. Append growth past the master's length needs no marks
 	// (truncated away at re-seed).
@@ -100,24 +98,17 @@ func (m *revMap) splice(from, to dedup.CID, tail uint32) {
 	m.trkCID.Mark(int(from))
 }
 
-// clone returns an independent deep copy — flat copies only, no
-// per-chain work.
-func (m *revMap) clone() revMap {
-	return revMap{
-		heads: slices.Clone(m.heads),
-		next:  slices.Clone(m.next),
-		prev:  slices.Clone(m.prev),
-	}
-}
-
-// copyFrom overwrites m with src's state, reusing m's arrays and
-// keeping (resetting) m's own trackers.
-func (m *revMap) copyFrom(src *revMap) {
-	m.heads = append(m.heads[:0], src.heads...)
-	m.next = append(m.next[:0], src.next...)
-	m.prev = append(m.prev[:0], src.prev...)
+// copyFrom makes m equal src, reusing m's arrays and keeping m's own
+// trackers (reset), and returns the bytes copied: flat copies only, no
+// per-chain work — dirty chunks when m is tracked (next and prev share
+// the LPN tracker), whole tables when it is not.
+func (m *revMap) copyFrom(src *revMap) int {
+	n := cow.CopySlice(m.trkCID, &m.heads, src.heads)
+	n += cow.CopySlice(m.trkLPN, &m.next, src.next)
+	n += cow.CopySlice(m.trkLPN, &m.prev, src.prev)
 	m.trkCID.Reset()
 	m.trkLPN.Reset()
+	return n
 }
 
 // enableCOW turns on divergence tracking for the three tables.
@@ -127,21 +118,4 @@ func (m *revMap) enableCOW() {
 		m.trkCID = cow.NewTracker(revCIDChunkShift)
 		m.trkLPN = cow.NewTracker(revLPNChunkShift)
 	}
-}
-
-func (m *revMap) markAllCOW() {
-	m.trkCID.MarkAll()
-	m.trkLPN.MarkAll()
-}
-
-// copyDirty re-seeds m from src copying only dirty chunks (next and
-// prev share the LPN tracker) and returns the bytes copied. Untracked
-// maps degrade to the full copy with full accounting.
-func (m *revMap) copyDirty(src *revMap) int {
-	n := cow.CopySlice(m.trkCID, &m.heads, src.heads)
-	n += cow.CopySlice(m.trkLPN, &m.next, src.next)
-	n += cow.CopySlice(m.trkLPN, &m.prev, src.prev)
-	m.trkCID.Reset()
-	m.trkLPN.Reset()
-	return n
 }

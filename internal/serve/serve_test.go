@@ -185,8 +185,14 @@ func TestServeOverflowRejects(t *testing.T) {
 	if got := len(s.Jobs()); got != 2 {
 		t.Fatalf("%d jobs registered, want 2", got)
 	}
-	if qs := s.queue.Stats(); qs.Done != 2 {
-		t.Fatalf("queue done %d, want 2", qs.Done)
+	// A job signals done from inside its queue slot; the queue counts it
+	// when the slot returns, a moment later.
+	deadline = time.Now().Add(5 * time.Second)
+	for s.queue.Stats().Done != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue done %d, want 2", s.queue.Stats().Done)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

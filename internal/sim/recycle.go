@@ -5,19 +5,17 @@ package sim
 // thousands of them back to back — clone churn becomes the allocator's
 // dominant load well before it becomes a correctness problem. The
 // free-list below recycles completed runners: Release parks a runner,
-// Acquire re-seeds a parked one from the snapshot master via the
-// CopyFrom chain (device, FTL, index, buffer), which reuses every
-// backing array in place of a fresh Clone. After each worker's first
-// run a snapshot serves clones with zero heap growth, and the number
-// of live clones is bounded by the number of workers — not by the
-// batch or fleet size. A process-wide gauge tracks that bound so tests
-// can assert it.
+// Acquire re-seeds a parked one from the snapshot master through the
+// same copyFrom a Clone runs (device, FTL, index, buffer), which reuses
+// every backing array instead of allocating them. After each worker's
+// first run a snapshot serves clones with zero heap growth, and the
+// number of live clones is bounded by the number of workers — not by
+// the batch or fleet size. A process-wide gauge tracks that bound so
+// tests can assert it.
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"cagc/internal/event"
 	"cagc/internal/trace"
 )
 
@@ -42,18 +40,6 @@ var cloneGauge struct {
 	reseeds     uint64
 	reseedBytes uint64
 }
-
-// forceFullReseed, when set, marks every recycled runner all-dirty
-// before re-seeding, so Acquire exercises the full-copy path — the
-// differential reference the dirty path is fuzzed against and the
-// denominator of the re-seed byte-ratio guard. Testing/benchmarking
-// only.
-var forceFullReseed atomic.Bool
-
-// SetForceFullReseed toggles the full-copy re-seed path for every
-// subsequent recycled Acquire (testing/benchmarking only). Results are
-// bit-identical either way; only the bytes copied differ.
-func SetForceFullReseed(v bool) { forceFullReseed.Store(v) }
 
 func gaugeAcquire(recycled bool) {
 	g := &cloneGauge
@@ -114,7 +100,7 @@ func ResetCloneGauge() {
 }
 
 // enableCOW turns on chunked divergence tracking through every layer,
-// so the runner's next re-seed can take the CopyDirty fast path.
+// so the runner's next re-seed copies only the chunks its run dirtied.
 // Idempotent. Only Acquire calls it, and only on a runner it has just
 // re-seeded: a runner that is never recycled — cold runs, plain warm
 // clones, a one-shot CLI run, each worker's first run — stays untracked
@@ -124,39 +110,6 @@ func (r *Runner) enableCOW() {
 	r.f.EnableCOW()
 	// The write buffer's coarse dirty flag is maintained unconditionally
 	// (one boolean store per op); nothing to enable.
-}
-
-// markAllCOW forces r's next reseed onto the full-copy path in every
-// layer.
-func (r *Runner) markAllCOW() {
-	r.dev.MarkAllCOW()
-	r.f.MarkAllCOW()
-	if r.buf != nil {
-		r.buf.MarkAllCOW()
-	}
-}
-
-// reseed re-seeds r from master through the CopyDirty chain, copying
-// only the chunks r's previous run dirtied, and returns the bytes
-// copied. Untracked runners (or all-dirty state) degrade to the full
-// CopyFrom chain; either way r ends bit-identical to the state Clone
-// would produce, without the fresh heap. r must have been cloned from
-// the same snapshot (same shapes) — guaranteed by the free-list, the
-// only caller.
-func (r *Runner) reseed(master *Runner) int {
-	n := r.dev.CopyDirty(master.dev)
-	n += r.f.CopyDirty(master.f, r.dev)
-	switch {
-	case master.buf == nil:
-		r.buf = nil
-	case r.buf == nil:
-		r.buf = master.buf.Clone(r.f)
-	default:
-		n += r.buf.CopyDirty(master.buf, r.f)
-	}
-	r.cfg = master.cfg
-	r.tr = master.tr
-	return n
 }
 
 // SetFreeListCap bounds how many completed runners the snapshot parks
@@ -170,6 +123,9 @@ func (s *Snapshot) SetFreeListCap(n int) {
 	s.mu.Lock()
 	s.freeCap = n
 	if len(s.free) > n {
+		// Drop the references too: a runner left in the backing array
+		// (~200 KB each) would stay reachable for the snapshot's life.
+		clear(s.free[n:])
 		s.free = s.free[:n]
 	}
 	s.mu.Unlock()
@@ -194,27 +150,17 @@ func (s *Snapshot) Acquire(cfg Config) (*Runner, error) {
 	s.mu.Unlock()
 	recycled := r != nil
 	if recycled {
-		if forceFullReseed.Load() {
-			r.markAllCOW()
-		}
 		// A runner parked for the first time is still untracked, so this
 		// re-seed is the full copy (the cost of the clone it replaces);
 		// tracking starts here, from a state equal to the master, and
 		// every later re-seed copies dirty chunks only.
-		gaugeReseed(r.reseed(s.master))
+		gaugeReseed(r.copyFrom(s.master))
 		r.enableCOW()
 	} else {
 		r = s.master.Clone()
 	}
 	gaugeAcquire(recycled)
-	r.cfg = cfg
-	r.SetTracer(cfg.Tracer)
-	// Replay-only state, rebuilt per run exactly as Snapshot.NewRunner
-	// does: the master preconditions synchronously, so its scheduler is
-	// pristine, and a recycled runner's scheduler belongs to its
-	// previous run.
-	r.es = event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)
-	return r, nil
+	return adopt(r, cfg), nil
 }
 
 // Release parks r for recycling by a later Acquire (up to the

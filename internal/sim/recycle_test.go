@@ -1,9 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"cagc/internal/ftl"
 	"cagc/internal/trace"
@@ -11,7 +16,7 @@ import (
 
 // A recycled runner must be indistinguishable from a fresh clone: the
 // first RunWarmRecycled cuts a clone, releases it, and every later run
-// re-seeds that same runner via the CopyFrom chain. All of them must
+// re-seeds that same runner through copyFrom. All of them must
 // reproduce a cold Run bit for bit — including with the full stateful
 // stack (write buffer, cached mapping table, stateful victim policy,
 // closed-loop replay), which exercises every CopyFrom in the tree.
@@ -204,6 +209,41 @@ func TestReleaseBeyondCapDrops(t *testing.T) {
 	}
 }
 
+// Trimming the free-list must let go of the runners it drops: a
+// reference left behind in the list's backing array would pin ~200 KB
+// per runner for the snapshot's life.
+func TestSetFreeListCapDropsReferences(t *testing.T) {
+	cfg, spec := snapConfig(t, ftl.CAGCOptions())
+	snap, err := NewSnapshot(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parked = 3
+	snap.SetFreeListCap(parked)
+	var collected atomic.Int32
+	func() { // its own frame, so no runner stays reachable from this one
+		var rs [parked]*Runner
+		for i := range rs {
+			if rs[i], err = snap.Acquire(cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(rs[i], func(*Runner) { collected.Add(1) })
+		}
+		for _, r := range rs {
+			snap.Release(r)
+		}
+	}()
+	snap.SetFreeListCap(0)
+	for i := 0; i < 50 && collected.Load() < parked; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n != parked {
+		t.Fatalf("%d of %d dropped runners became collectable", n, parked)
+	}
+	runtime.KeepAlive(snap)
+}
+
 // A failed run must never re-enter the free-list — its state is
 // mid-replay garbage — but the residency gauge must stay balanced.
 func TestFailedRunNotRecycled(t *testing.T) {
@@ -289,17 +329,16 @@ func TestConcurrentAcquireReleaseGauge(t *testing.T) {
 // no per-write marks; the first recycle of that runner copies the full
 // state once (the cost of the clone it replaces) and every later
 // recycle copies dirty chunks only. After each re-seed the runner must
-// equal a fresh Clone of the master — compared through Clone, which
-// copies all state but never trackers or GC scratch.
+// equal the master in every field but the trackers it alone carries.
 func TestFirstRecycleCopiesFullThenDirty(t *testing.T) {
 	cfg, spec, replay := reseedShape(t)
 	snap, err := NewSnapshot(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := uint64(snap.master.Clone().reseed(snap.master)) // untracked: the full-copy byte count
+	full := uint64(snap.master.Clone().copyFrom(snap.master)) // untracked: the full-copy byte count
 
-	// cycle acquires, checks the runner against a fresh clone, replays,
+	// cycle acquires, checks the runner against the master, replays,
 	// and parks it; it returns the bytes the Acquire's re-seed copied.
 	cycle := func(wantRecycled bool) uint64 {
 		t.Helper()
@@ -312,17 +351,14 @@ func TestFirstRecycleCopiesFullThenDirty(t *testing.T) {
 		if recycled := after.Recycled-before.Recycled == 1; recycled != wantRecycled {
 			t.Fatalf("acquire recycled = %v, want %v", recycled, wantRecycled)
 		}
-		got, want := r.Clone(), snap.master.Clone()
-		for _, layer := range [][2]any{{got.dev, want.dev}, {got.f, want.f}, {got.buf, want.buf}} {
-			if !sameState(reflect.ValueOf(layer[0]), reflect.ValueOf(layer[1])) {
-				t.Fatalf("acquired runner's %T differs from a fresh clone of the master", layer[0])
-			}
+		if d := diffRunners(r, snap.master, trackerFields); d != "" {
+			t.Fatalf("acquired runner differs from the master at %s", d)
 		}
 		if _, err := replayOn(r, snap.offset, replay); err != nil {
 			t.Fatal(err)
 		}
-		if sameState(reflect.ValueOf(r.Clone().f), reflect.ValueOf(want.f)) {
-			t.Fatal("replay left the FTL equal to the master: the comparison is vacuous")
+		if diffRunners(r, snap.master, trackerFields) == "" {
+			t.Fatal("replay left the runner equal to the master: the comparison is vacuous")
 		}
 		snap.Release(r)
 		return after.ReseedBytes - before.ReseedBytes
@@ -340,49 +376,166 @@ func TestFirstRecycleCopiesFullThenDirty(t *testing.T) {
 	}
 }
 
-// sameState is reflect.DeepEqual except that a nil slice equals an
-// empty one: a re-seed reuses the runner's backing arrays, so a table
-// the master holds as nil comes back empty but allocated.
-func sameState(a, b reflect.Value) bool {
+// The one copy routine must copy every field. master.Clone() — copyFrom
+// into an empty Runner — is walked against the master field by field
+// across all three schemes plus the full stateful stack (write buffer,
+// cached mapping table, RandomPolicy), so a field added to a struct and
+// forgotten in its CopyFrom fails here by name. Only scratchFields are
+// skipped.
+func TestCloneEqualsMasterFieldByField(t *testing.T) {
+	stack := ftl.CAGCOptions()
+	stack.Policy = ftl.NewRandomPolicy(7)
+	stack.MappingCache = 1024
+	cases := []struct {
+		name   string
+		opts   ftl.Options
+		buffer int
+	}{
+		{"baseline", ftl.BaselineOptions(), 0},
+		{"inline", ftl.InlineDedupeOptions(), 0},
+		{"cagc", ftl.CAGCOptions(), 0},
+		{"all-layers", stack, 32},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, spec := snapConfig(t, tc.opts)
+			cfg.BufferPages = tc.buffer
+			snap, err := NewSnapshot(cfg, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Precondition stops short of GC on some shapes and leaves
+			// counters at zero; a measured replay on the master-to-be
+			// makes every table and counter non-trivial first.
+			master := snap.master.Clone()
+			if _, err := replayOn(master, snap.offset, spec); err != nil {
+				t.Fatal(err)
+			}
+			clone := master.Clone()
+			if d := diffRunners(clone, master, scratchFields); d != "" {
+				t.Fatalf("clone differs from its master at %s", d)
+			}
+			// The copy is deep: running the clone must not move the master.
+			frozen := master.Clone()
+			if _, err := replayOn(clone, snap.offset, spec); err != nil {
+				t.Fatal(err)
+			}
+			if d := diffRunners(master, frozen, scratchFields); d != "" {
+				t.Fatalf("running a clone changed its master at %s", d)
+			}
+			if diffRunners(clone, master, scratchFields) == "" {
+				t.Fatal("replay left the clone equal to the master: the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// scratchFields are the struct fields no copy carries because they are
+// not runner state: the FTL's victim-candidate buffer, rebuilt on every
+// GC invocation, and the write buffer's dirty mark, which records
+// whether the holder has diverged from whatever it was last copied
+// from. trackerFields adds the chunk trackers only a recycled runner
+// has (its master is never tracked).
+var (
+	scratchFields = map[string]bool{"candScratch": true, "dirty": true}
+	trackerFields = map[string]bool{"candScratch": true, "dirty": true,
+		"track": true, "cowMap": true, "cowOwn": true, "trkCID": true, "trkLPN": true}
+)
+
+// diffRunners walks the device, FTL and write buffer of two runners and
+// returns the path of the first field that differs ("" when equal).
+func diffRunners(a, b *Runner, skip map[string]bool) string {
+	for _, layer := range []struct {
+		name string
+		a, b any
+	}{{"dev", a.dev, b.dev}, {"f", a.f, b.f}, {"buf", a.buf, b.buf}} {
+		seen := map[[2]unsafe.Pointer]bool{}
+		if d := diffState(layer.name, reflect.ValueOf(layer.a), reflect.ValueOf(layer.b), skip, seen); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
+// diffState is reflect.DeepEqual that names the first difference, skips
+// the named struct fields, and lets a nil slice equal an empty one: a
+// re-seed reuses the runner's backing arrays, so a table the master
+// holds as nil comes back empty but allocated. seen breaks pointer
+// cycles (the write buffer's list) the way DeepEqual does.
+func diffState(path string, a, b reflect.Value, skip map[string]bool, seen map[[2]unsafe.Pointer]bool) string {
 	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
-		return false
+		return path
+	}
+	same := func(eq bool) string {
+		if eq {
+			return ""
+		}
+		return path
 	}
 	switch a.Kind() {
 	case reflect.Invalid:
-		return true
-	case reflect.Pointer, reflect.Interface:
+		return ""
+	case reflect.Pointer:
 		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil()
+			return same(a.IsNil() == b.IsNil())
 		}
-		return sameState(a.Elem(), b.Elem())
+		k := [2]unsafe.Pointer{a.UnsafePointer(), b.UnsafePointer()}
+		if seen[k] {
+			return ""
+		}
+		seen[k] = true
+		return diffState(path, a.Elem(), b.Elem(), skip, seen)
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return same(a.IsNil() == b.IsNil())
+		}
+		return diffState(path, a.Elem(), b.Elem(), skip, seen)
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			if !sameState(a.Field(i), b.Field(i)) {
-				return false
+			name := a.Type().Field(i).Name
+			if skip[name] {
+				continue
+			}
+			if d := diffState(path+"."+name, a.Field(i), b.Field(i), skip, seen); d != "" {
+				return d
 			}
 		}
-		return true
+		return ""
 	case reflect.Slice, reflect.Array:
 		if a.Len() != b.Len() {
-			return false
+			return path + " (len)"
 		}
 		for i := 0; i < a.Len(); i++ {
-			if !sameState(a.Index(i), b.Index(i)) {
-				return false
+			if d := diffState(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), skip, seen); d != "" {
+				return d
 			}
 		}
-		return true
+		return ""
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return path + " (len)"
+		}
+		for it := a.MapRange(); it.Next(); {
+			bv := b.MapIndex(it.Key())
+			if !bv.IsValid() {
+				return fmt.Sprintf("%s[%v] (missing)", path, it.Key())
+			}
+			if d := diffState(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value(), bv, skip, seen); d != "" {
+				return d
+			}
+		}
+		return ""
 	case reflect.Bool:
-		return a.Bool() == b.Bool()
+		return same(a.Bool() == b.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return a.Int() == b.Int()
+		return same(a.Int() == b.Int())
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return a.Uint() == b.Uint()
+		return same(a.Uint() == b.Uint())
 	case reflect.Float32, reflect.Float64:
-		return a.Float() == b.Float()
+		return same(a.Float() == b.Float())
 	case reflect.String:
-		return a.String() == b.String()
-	default: // func, map, chan: none in runner state today; fail loudly
-		return false
+		return same(a.String() == b.String())
+	default: // func, chan: none in runner state today; fail loudly
+		return path + " (" + a.Kind().String() + ")"
 	}
 }

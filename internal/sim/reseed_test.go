@@ -1,15 +1,16 @@
 package sim
 
 // Dirty-chunk re-seeding is an optimization with an exact contract: a
-// recycled runner re-seeded through the CopyDirty chain must be
-// bit-identical to one re-seeded through the full CopyFrom chain, and
-// both must reproduce a cold run. The tests here are the differential
-// proof: state-level (two runners, identical histories, dirty vs full
-// re-seed, DeepEqual on every layer) and result-level (cold vs
-// dirty-recycled vs full-recycled across schemes, policies, and loop
-// modes, DeepEqual + byte-equal JSON). BenchmarkReseed and
-// TestReseedBytesRatio pin the payoff: a short replay on a large
-// device re-seeds in a fraction of the full-copy bytes.
+// tracked runner, whose copyFrom copies only the chunks it dirtied,
+// must end bit-identical to an untracked one, whose copyFrom copies
+// everything, and both must reproduce a cold run. The tests here are
+// the differential proof: state-level (two runners, identical
+// histories, dirty vs full re-seed, every layer equal field by field)
+// and result-level (cold vs fresh vs first-recycled (full) vs
+// dirty-recycled across schemes, policies, and loop modes, DeepEqual +
+// byte-equal JSON). BenchmarkReseed and TestReseedBytesRatio pin the
+// payoff: a short replay on a large device re-seeds in a fraction of
+// the full-copy bytes.
 
 import (
 	"encoding/json"
@@ -42,32 +43,29 @@ func reseedShape(t testing.TB) (Config, trace.Spec, trace.Spec) {
 }
 
 // The re-seed byte-ratio guard: on the pinned shape, a dirty-chunk
-// re-seed must copy at least 4x fewer bytes than the full CopyFrom
-// chain. Everything here is deterministic — the same trace dirties the
-// same chunks every run — so the guard is exact, not statistical.
+// re-seed must copy at least 4x fewer bytes than the full copy an
+// untracked runner makes. Everything here is deterministic — the same
+// trace dirties the same chunks every run — so the guard is exact, not
+// statistical.
 func TestReseedBytesRatio(t *testing.T) {
 	cfg, spec, replay := reseedShape(t)
 	snap, err := NewSnapshot(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := snap.Acquire(cfg.withDefaults())
-	if err != nil {
-		t.Fatal(err)
+	// reseedAfterReplay replays on a fresh clone — tracked from the cut
+	// or left untracked — and returns the bytes its re-seed copies.
+	reseedAfterReplay := func(tracked bool) int {
+		r := snap.master.Clone()
+		if tracked {
+			r.enableCOW()
+		}
+		if _, err := replayOn(r, snap.offset, replay); err != nil {
+			t.Fatal(err)
+		}
+		return r.copyFrom(snap.master)
 	}
-	defer snap.Release(r) // the clone gauge's Live outlasts this test
-	// A fresh runner is untracked until its first re-seed through the
-	// free-list; this test re-seeds directly, so it tracks from the cut.
-	r.enableCOW()
-	if _, err := replayOn(r, snap.offset, replay); err != nil {
-		t.Fatal(err)
-	}
-	dirty := r.reseed(snap.master)
-	if _, err := replayOn(r, snap.offset, replay); err != nil {
-		t.Fatal(err)
-	}
-	r.markAllCOW()
-	full := r.reseed(snap.master)
+	dirty, full := reseedAfterReplay(true), reseedAfterReplay(false)
 	if dirty <= 0 || full <= 0 {
 		t.Fatalf("degenerate byte counts: dirty %d, full %d", dirty, full)
 	}
@@ -77,11 +75,12 @@ func TestReseedBytesRatio(t *testing.T) {
 	}
 }
 
-// State-level differential fuzz: two recycled runners replay identical
-// request streams, then one re-seeds through the dirty-chunk path and
-// the other through the forced full-copy path. Every layer must end
-// DeepEqual — including the tracker bookkeeping — across varied seeds,
-// workloads, and replay lengths.
+// State-level differential fuzz: a tracked runner and a fresh untracked
+// one replay identical request streams, then both re-seed — the first
+// copying dirty chunks only, the second everything. Every layer must
+// end equal field by field — including the tracker bookkeeping, once
+// the reference starts tracking too — across varied seeds, workloads,
+// and replay lengths.
 func TestReseedStateMatchesFullCopy(t *testing.T) {
 	rounds := []struct {
 		workload trace.WorkloadName
@@ -103,27 +102,17 @@ func TestReseedStateMatchesFullCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := cfg.withDefaults()
-	r1, err := snap.Acquire(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := snap.Acquire(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Release(r1) // the clone gauge's Live outlasts this test
-	defer snap.Release(r2)
-	// Fresh runners are untracked; track both from the cut so r1's
-	// direct re-seeds below take the dirty-chunk path.
+	// Fresh runners are untracked; track r1 from the cut so its direct
+	// re-seeds below take the dirty-chunk path.
+	r1 := snap.master.Clone()
 	r1.enableCOW()
-	r2.enableCOW()
 	for _, round := range rounds {
 		replay, err := trace.Preset(round.workload, r1.LogicalPages(), round.requests, round.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		replay.PrecondSeed = spec.PrecondSeed
+		r2 := snap.master.Clone() // untracked: the full-copy reference
 		res1, err := replayOn(r1, snap.offset, replay)
 		if err != nil {
 			t.Fatal(err)
@@ -135,25 +124,19 @@ func TestReseedStateMatchesFullCopy(t *testing.T) {
 		if !reflect.DeepEqual(res1, res2) {
 			t.Fatalf("%s/%d: identical replays diverged before re-seeding", round.workload, round.seed)
 		}
-		r1.reseed(snap.master) // dirty-chunk path
-		r2.markAllCOW()
-		r2.reseed(snap.master) // full-copy reference
-		if !reflect.DeepEqual(r1.dev, r2.dev) {
-			t.Fatalf("%s/%d: device state diverged between dirty and full re-seed", round.workload, round.seed)
-		}
-		if !reflect.DeepEqual(r1.f, r2.f) {
-			t.Fatalf("%s/%d: FTL state diverged between dirty and full re-seed", round.workload, round.seed)
-		}
-		if !reflect.DeepEqual(r1.buf, r2.buf) {
-			t.Fatalf("%s/%d: buffer state diverged between dirty and full re-seed", round.workload, round.seed)
+		r1.copyFrom(snap.master) // dirty-chunk path
+		r2.copyFrom(snap.master) // full copy
+		r2.enableCOW()           // clean trackers, comparable with r1's
+		if d := diffRunners(r1, r2, scratchFields); d != "" {
+			t.Fatalf("%s/%d: dirty and full re-seed diverged at %s", round.workload, round.seed, d)
 		}
 	}
 }
 
 // Result-level differential matrix: for every scheme x policy cell —
 // plus closed-loop and full-stack (write buffer + mapping cache)
-// variants — a cold run, a first-recycled (full copy) run, a
-// dirty-recycled run, and a forced-full recycled run must produce
+// variants — a cold run, a fresh-clone run, a first-recycled run (the
+// untracked runner's full copy) and a dirty-recycled run must produce
 // DeepEqual results and byte-identical JSON.
 func TestReseedDifferentialMatrix(t *testing.T) {
 	schemes := []struct {
@@ -208,7 +191,6 @@ func TestReseedDifferentialMatrix(t *testing.T) {
 		return stack
 	}})
 
-	defer SetForceFullReseed(false)
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.mk()
@@ -252,20 +234,11 @@ func TestReseedDifferentialMatrix(t *testing.T) {
 			}
 			check("first-recycled", first)
 			// Third run re-seeds it through the dirty-chunk path.
-			SetForceFullReseed(false)
 			dirty, err := RunWarmRecycled(snap, c.mk(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("dirty-recycled", dirty)
-			// Fourth run re-seeds through the forced full-copy path.
-			SetForceFullReseed(true)
-			fullRes, err := RunWarmRecycled(snap, c.mk(), spec)
-			SetForceFullReseed(false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("full-recycled", fullRes)
 		})
 	}
 }
@@ -280,16 +253,12 @@ func BenchmarkReseed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := snap.Acquire(cfg.withDefaults())
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.enableCOW() // fresh runners are untracked; measure the dirty path
+	r := snap.master.Clone()
 	if _, err := replayOn(r, snap.offset, replay); err != nil {
 		b.Fatal(err)
 	}
-	r.markAllCOW()
-	fullBytes := r.reseed(snap.master)
+	fullBytes := r.copyFrom(snap.master) // still untracked: the full copy
+	r.enableCOW()                        // from here on, the dirty path
 
 	var dirtyBytes int
 	b.ResetTimer()
@@ -299,7 +268,7 @@ func BenchmarkReseed(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		dirtyBytes = r.reseed(snap.master)
+		dirtyBytes = r.copyFrom(snap.master)
 	}
 	b.ReportMetric(float64(dirtyBytes), "reseed-bytes/op")
 	b.ReportMetric(float64(fullBytes), "full-bytes/op")

@@ -5,7 +5,10 @@ import (
 	"runtime"
 	"sync"
 
+	"cagc/internal/buffer"
 	"cagc/internal/event"
+	"cagc/internal/flash"
+	"cagc/internal/ftl"
 	"cagc/internal/trace"
 )
 
@@ -32,15 +35,38 @@ type Snapshot struct {
 	freeCap int
 }
 
-// Clone returns a deep, independent copy of the runner: device, FTL,
-// and write buffer, rebound to each other. See ftl.FTL.Clone for the
-// bit-identity contract.
-func (r *Runner) Clone() *Runner {
-	dev := r.dev.Clone()
-	c := &Runner{cfg: r.cfg, dev: dev, f: r.f.Clone(dev), tr: r.tr, es: r.es.Clone()}
-	if r.buf != nil {
-		c.buf = r.buf.Clone(c.f)
+// copyFrom makes r equal src layer by layer — device, FTL, write
+// buffer, rebound to each other — and returns the bytes copied. It is
+// the one state copy under every warm run: cloning is copyFrom into an
+// empty Runner (everything is copied, every array allocated),
+// re-seeding a recycled runner is copyFrom into one that already holds
+// the arrays (only the chunks its last run dirtied are copied once it
+// is tracked — see enableCOW). See ftl.FTL.CopyFrom for the
+// bit-identity contract. The scheduler is replay-only state and is not
+// touched.
+func (r *Runner) copyFrom(src *Runner) int {
+	if r.dev == nil {
+		r.dev, r.f = new(flash.Device), new(ftl.FTL)
 	}
+	n := r.dev.CopyFrom(src.dev)
+	n += r.f.CopyFrom(src.f, r.dev)
+	if src.buf == nil {
+		r.buf = nil
+	} else {
+		if r.buf == nil {
+			r.buf = new(buffer.WriteBuffer)
+		}
+		n += r.buf.CopyFrom(src.buf, r.f)
+	}
+	r.cfg = src.cfg
+	r.tr = src.tr
+	return n
+}
+
+// Clone returns a deep, independent copy of the runner.
+func (r *Runner) Clone() *Runner {
+	c := &Runner{es: r.es.Clone()}
+	c.copyFrom(r)
 	return c
 }
 
@@ -104,14 +130,19 @@ func (s *Snapshot) NewRunner(cfg Config) (*Runner, error) {
 	if err := s.compatible(cfg); err != nil {
 		return nil, err
 	}
-	r := s.master.Clone()
+	return adopt(s.master.Clone(), cfg), nil
+}
+
+// adopt hands r — just copied from the snapshot master — to a run
+// under cfg. The scheduler is replay-only state (the master
+// preconditions synchronously, so its scheduler is pristine, and a
+// recycled runner's belongs to its previous run): it is rebuilt to the
+// requested kind rather than inherited.
+func adopt(r *Runner, cfg Config) *Runner {
 	r.cfg = cfg
 	r.SetTracer(cfg.Tracer)
-	// The scheduler is replay-only state (the master preconditions
-	// synchronously, so its scheduler is pristine): rebuild it to the
-	// requested kind rather than inheriting the snapshot's.
 	r.es = event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)
-	return r, nil
+	return r
 }
 
 // compatible rejects configurations whose warm state would differ from
