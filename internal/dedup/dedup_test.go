@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -126,8 +127,13 @@ func TestIndexRefCountLifecycle(t *testing.T) {
 	if err := x.SetPPN(c, 7); !errors.Is(err, ErrBadCID) {
 		t.Fatalf("SetPPN on dead CID: %v", err)
 	}
-	if _, err := x.FP(c); !errors.Is(err, ErrBadCID) {
+	_, err = x.FP(c)
+	if !errors.Is(err, ErrBadCID) {
 		t.Fatalf("FP on dead CID: %v", err)
+	}
+	// The error still names the CID.
+	if want := fmt.Sprintf("%v: %d", ErrBadCID, c); err.Error() != want {
+		t.Fatalf("dead-CID error reads %q, want %q", err, want)
 	}
 }
 

@@ -90,12 +90,21 @@ func (x *Index) Live() int { return x.live }
 // Stats returns a copy of the activity counters.
 func (x *Index) Stats() Stats { return x.stats }
 
+// check is on every accessor's path. Its error formats itself only when
+// printed, so failing costs check no call and both it and the accessors
+// around it (PPN, FP, SetPPN, Ref, Indexed) fit the inlining budget.
 func (x *Index) check(c CID) error {
 	if int(c) >= len(x.entries) || x.entries[c].ref <= 0 {
-		return fmt.Errorf("%w: %d", ErrBadCID, c)
+		return badCIDError(c)
 	}
 	return nil
 }
+
+// badCIDError is ErrBadCID naming the offending CID.
+type badCIDError CID
+
+func (e badCIDError) Error() string { return fmt.Sprintf("%v: %d", ErrBadCID, CID(e)) }
+func (e badCIDError) Unwrap() error { return ErrBadCID }
 
 // Lookup reports whether content with fingerprint fp is stored and, if
 // so, under which CID.

@@ -167,6 +167,8 @@ func (d *Device) ReadPage(at event.Time, p PPN) (event.Time, error) {
 // starting no earlier than at and no earlier than dataReady (when the
 // data to program is available, e.g. after a GC read or a hash check).
 // NAND constraint: pages within a block must be programmed in order.
+// It is the address-checked form of ProgramNext for callers that name
+// the page themselves.
 func (d *Device) ProgramPage(at, dataReady event.Time, p PPN, tag uint64) (event.Time, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
@@ -180,19 +182,43 @@ func (d *Device) ProgramPage(at, dataReady event.Time, p PPN, tag uint64) (event
 		return 0, fmt.Errorf("%w: ppn %d is page %d of block %d, next programmable is %d",
 			ErrOutOfOrder, p, idx, b, blk.writePtr)
 	}
+	return d.program(at, dataReady, b, blk, p, tag), nil
+}
+
+// ProgramNext programs the page at block b's write pointer — NAND's
+// in-order rule holds by construction, so there is no address to decode
+// or check — with the timing of ProgramPage. It returns the page
+// programmed, the completion time, and whether that page filled the
+// block. Programming a full block is an FTL bug and returns an error.
+func (d *Device) ProgramNext(at, dataReady event.Time, b BlockID, tag uint64) (p PPN, end event.Time, full bool, err error) {
+	if int(b) >= len(d.blocks) {
+		return InvalidPPN, 0, false, fmt.Errorf("%w: %d (have %d)", ErrBadBlock, b, len(d.blocks))
+	}
+	blk := &d.blocks[b]
+	if blk.Full() {
+		return InvalidPPN, 0, false, fmt.Errorf("%w: block %d is full", ErrPageBusy, b)
+	}
+	p = d.dec.PageOf(b, blk.writePtr)
+	end = d.program(at, dataReady, b, blk, p, tag)
+	return p, end, blk.Full(), nil
+}
+
+// program books the die and records page p — the free page at blk's
+// write pointer — as valid; ProgramPage and ProgramNext share it.
+func (d *Device) program(at, dataReady event.Time, b BlockID, blk *Block, p PPN, tag uint64) event.Time {
 	die := d.dec.DieOfBlock(b)
 	start, end := d.dies[die].ReserveAfter(at, dataReady, d.cfg.Latencies.Program)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieProgram, start, end, uint64(p))
 	d.dieOps[die].PagePrograms++
-	blk.states[idx] = PageValid
-	blk.tags[idx] = tag
+	blk.states[blk.writePtr] = PageValid
+	blk.tags[blk.writePtr] = tag
 	blk.writePtr++
 	blk.validCnt++
 	blk.lastProgram = int64(end)
 	d.track.Mark(int(b))
 	d.stats.PagePrograms++
 	d.observe(end)
-	return end, nil
+	return end
 }
 
 // Invalidate marks a valid page invalid. It costs no device time (a

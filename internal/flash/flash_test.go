@@ -263,6 +263,42 @@ func TestProgramTwiceRejected(t *testing.T) {
 	}
 }
 
+// ProgramNext is ProgramPage at the block's write pointer: same pages in
+// the same order at the same times, the fill reported on the last page,
+// and a full block refused.
+func TestProgramNextMatchesProgramPage(t *testing.T) {
+	byPage, byNext := mustDevice(t, tinyConfig()), mustDevice(t, tinyConfig())
+	g := byPage.Geometry()
+	const b = BlockID(5) // on the second die
+	for i := 0; i < g.PagesPerBlock; i++ {
+		at, ready := event.Time(i)*event.Microsecond, event.Time(i%3)*40*event.Microsecond
+		want, err := byPage.ProgramPage(at, ready, g.PageOf(b, i), uint64(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, end, full, err := byNext.ProgramNext(at, ready, b, uint64(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != g.PageOf(b, i) || end != want || full != (i == g.PagesPerBlock-1) {
+			t.Fatalf("page %d: ProgramNext = (ppn %d, %v, full %v), ProgramPage ended %v", i, p, end, full, want)
+		}
+		if tag, _ := byNext.Tag(p); tag != uint64(100+i) {
+			t.Fatalf("page %d: tag %d", i, tag)
+		}
+	}
+	if byNext.Stats() != byPage.Stats() || byNext.DieStats(1) != byPage.DieStats(1) ||
+		byNext.DieFreeAt(1) != byPage.DieFreeAt(1) {
+		t.Fatal("devices diverged")
+	}
+	if _, _, _, err := byNext.ProgramNext(0, 0, b, 1); !errors.Is(err, ErrPageBusy) {
+		t.Fatalf("program into a full block: err = %v, want ErrPageBusy", err)
+	}
+	if _, _, _, err := byNext.ProgramNext(0, 0, BlockID(g.TotalBlocks()), 1); !errors.Is(err, ErrBadBlock) {
+		t.Fatalf("program into block out of range: err = %v, want ErrBadBlock", err)
+	}
+}
+
 func TestReadFreePageRejected(t *testing.T) {
 	d := mustDevice(t, tinyConfig())
 	if _, err := d.ReadPage(0, 0); !errors.Is(err, ErrNotProgrammed) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cagc/internal/dedup"
+	"cagc/internal/event"
 	"cagc/internal/flash"
 )
 
@@ -40,29 +41,29 @@ func (f *FTL) pushFree(b flash.BlockID) {
 	f.freeByDie[die] = append(f.freeByDie[die], b)
 	f.freeCount++
 	f.blocks[b].state = blkFree
-	f.clearEligible(b)
 }
 
-// allocPage returns the next programmable page in the given region.
-func (f *FTL) allocPage(region Region) (flash.PPN, error) {
-	if region == Cold && f.opts.HotCold {
-		if !f.hasCold {
-			b, ok := f.popFree(flash.DieID(f.hotRR))
-			if !ok {
-				return flash.InvalidPPN, ErrDeviceFull
-			}
-			f.coldOpen = b
-			f.hasCold = true
-			f.blocks[b].state = blkOpen
-			f.blocks[b].region = Cold
-		}
-		blk, err := f.dev.Block(f.coldOpen)
-		if err != nil {
-			return flash.InvalidPPN, err
-		}
-		return f.dec.PageOf(f.coldOpen, blk.Valid()+blk.Invalid()), nil
+// openFrontier opens a free block, preferably from die pref, in slot
+// fr; false when the device has no free block.
+func (f *FTL) openFrontier(fr *frontier, pref flash.DieID, region Region) bool {
+	b, ok := f.popFree(pref)
+	if !ok {
+		return false
 	}
+	*fr = frontier{block: b, open: true}
+	f.blocks[b] = blockMeta{state: blkOpen, region: region}
+	return true
+}
 
+// pickFrontier returns the frontier slot the next page of region goes
+// to, opening a block in it if it has none.
+func (f *FTL) pickFrontier(region Region) (*frontier, error) {
+	if region == Cold && f.opts.HotCold {
+		if !f.cold.open && !f.openFrontier(&f.cold, flash.DieID(f.hotRR), Cold) {
+			return nil, ErrDeviceFull
+		}
+		return &f.cold, nil
+	}
 	// Hot region: round-robin across per-die open blocks. hotRR stays
 	// in [0, dies), so the cursor wraps by compare, not by modulo.
 	dies := f.dies
@@ -71,62 +72,45 @@ func (f *FTL) allocPage(region Region) (flash.PPN, error) {
 		if d >= dies {
 			d -= dies
 		}
-		if !f.hasHot[d] {
-			b, ok := f.popFree(flash.DieID(d))
-			if !ok {
-				continue
-			}
-			f.hotOpen[d] = b
-			f.hasHot[d] = true
-			f.blocks[b].state = blkOpen
-			f.blocks[b].region = Hot
-		}
-		b := f.hotOpen[d]
-		blk, err := f.dev.Block(b)
-		if err != nil {
-			return flash.InvalidPPN, err
-		}
-		next := blk.Valid() + blk.Invalid()
-		if next >= f.geo.PagesPerBlock {
-			// Stale open block (shouldn't happen; closeIfFull retires
-			// them), repair by closing.
-			f.blocks[b].state = blkClosed
-			if blk.Invalid() > 0 {
-				f.markEligible(b)
-			}
-			f.hasHot[d] = false
-			i--
+		fr := &f.hot[d]
+		if !fr.open && !f.openFrontier(fr, flash.DieID(d), Hot) {
 			continue
 		}
 		f.hotRR = d + 1
 		if f.hotRR == dies {
 			f.hotRR = 0
 		}
-		return f.dec.PageOf(b, next), nil
+		return fr, nil
 	}
-	return flash.InvalidPPN, ErrDeviceFull
+	return nil, ErrDeviceFull
 }
 
-// closeIfFull retires the containing block from its frontier once every
-// page is programmed, making it GC-eligible.
-func (f *FTL) closeIfFull(ppn flash.PPN) {
-	b := f.dec.BlockOf(ppn)
-	blk, err := f.dev.Block(b)
-	if err != nil || !blk.Full() {
-		return
+// program writes content fp to the next page of region's frontier,
+// data available at dataReady, and returns the page and the program's
+// completion time. The block is closed, indexed for GC and dropped from
+// its slot the moment its last page is programmed. The slot is the one
+// the page was allocated from, not the one the block's die would name:
+// popFree lends a die a block from another die when its own free list
+// is empty.
+func (f *FTL) program(region Region, at, dataReady event.Time, fp dedup.Fingerprint) (flash.PPN, event.Time, error) {
+	fr, err := f.pickFrontier(region)
+	if err != nil {
+		return flash.InvalidPPN, 0, err
 	}
-	f.blocks[b].state = blkClosed
-	if blk.Invalid() > 0 {
-		f.markEligible(b)
+	ppn, end, full, err := f.dev.ProgramNext(at, dataReady, fr.block, uint64(fp))
+	if err != nil {
+		return flash.InvalidPPN, 0, err
 	}
-	if f.hasCold && f.coldOpen == b {
-		f.hasCold = false
-		return
+	if full {
+		blk, err := f.dev.Block(fr.block)
+		if err != nil {
+			return flash.InvalidPPN, 0, err
+		}
+		fr.open = false
+		f.blocks[fr.block].state = blkClosed
+		f.indexClosed(fr.block, blk)
 	}
-	die := f.dec.DieOfBlock(b)
-	if f.hasHot[die] && f.hotOpen[die] == b {
-		f.hasHot[die] = false
-	}
+	return ppn, end, nil
 }
 
 // regionFor chooses a page's region from its reference count.
@@ -237,8 +221,9 @@ func (f *FTL) CheckInvariants() error {
 			return err
 		}
 	}
-	// Free accounting matches the block states.
-	freeBlocks := 0
+	// Free accounting matches the block states, and the open blocks are
+	// exactly the ones the frontier slots hold.
+	freeBlocks, openBlocks := 0, 0
 	for b := range f.blocks {
 		blk, _ := f.dev.Block(flash.BlockID(b))
 		switch f.blocks[b].state {
@@ -247,11 +232,40 @@ func (f *FTL) CheckInvariants() error {
 			if blk.Free() != g.PagesPerBlock {
 				return fmt.Errorf("free block %d has programmed pages", b)
 			}
+		case blkOpen:
+			openBlocks++
 		case blkClosed:
 			if !blk.Full() {
 				return fmt.Errorf("closed block %d not full", b)
 			}
+		case blkVictim:
+			return fmt.Errorf("block %d left marked as the GC victim", b)
 		}
+	}
+	slots := 0
+	for i := -1; i < len(f.hot); i++ { // slot -1 is the cold frontier
+		fr := f.cold
+		if i >= 0 {
+			fr = f.hot[i]
+		}
+		if !fr.open {
+			continue
+		}
+		slots++
+		// Distinct slots holding distinct open blocks, as many as there
+		// are open blocks: every open block is held exactly once.
+		if blk, _ := f.dev.Block(fr.block); f.blocks[fr.block].state != blkOpen || blk.Full() {
+			return fmt.Errorf("frontier slot %d holds block %d (state=%d, full=%v)",
+				i, fr.block, f.blocks[fr.block].state, blk.Full())
+		}
+		for j := i + 1; j < len(f.hot); j++ {
+			if f.hot[j].open && f.hot[j].block == fr.block {
+				return fmt.Errorf("frontier slots %d and %d both hold block %d", i, j, fr.block)
+			}
+		}
+	}
+	if slots != openBlocks {
+		return fmt.Errorf("%d open blocks but %d frontier slots in use", openBlocks, slots)
 	}
 	if freeBlocks != f.freeCount {
 		return fmt.Errorf("freeCount %d != counted %d", f.freeCount, freeBlocks)
@@ -263,7 +277,7 @@ func (f *FTL) CheckInvariants() error {
 	if perDie != f.freeCount {
 		return fmt.Errorf("free lists hold %d, freeCount %d", perDie, f.freeCount)
 	}
-	// The incremental victim set must agree with a fresh scan.
+	// The victim index must agree with a fresh scan.
 	return f.checkEligibleSet()
 }
 

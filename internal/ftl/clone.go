@@ -23,10 +23,8 @@ import (
 // reverse-map tables, cmt page table) copy only the chunks f dirtied
 // since it last equaled src when f is tracked (EnableCOW), and whole
 // when it is not. Everything else — block metadata, free lists,
-// frontiers, the GC bitmap, scalars, the victim policy — is small and
-// always copied. The victim scratch buffer is deliberately left alone;
-// it is rebuilt on every GC invocation and never holds live data
-// across calls.
+// frontiers, the victim index, scalars, the victim policy — is small
+// and always copied.
 func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) int {
 	f.dev = dev
 	prev := f.opts.Policy
@@ -66,11 +64,9 @@ func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) int {
 	}
 	f.freeCount = src.freeCount
 	f.hotRR = src.hotRR
-	f.coldOpen = src.coldOpen
-	f.hasCold = src.hasCold
-	n += cow.CopyAll(&f.hotOpen, src.hotOpen)
-	n += cow.CopyAll(&f.hasHot, src.hasHot)
-	n += cow.CopyAll(&f.gcEligible, src.gcEligible)
+	f.cold = src.cold
+	n += cow.CopyAll(&f.hot, src.hot)
+	n += f.vix.copyFrom(&src.vix)
 	f.inGC = src.inGC
 	f.gcBusyUntil = src.gcBusyUntil
 	f.gcHashEnd = src.gcHashEnd

@@ -156,3 +156,54 @@ func TestCAGCExtendsLifeUnderWearOut(t *testing.T) {
 			cagcWrites, baseWrites)
 	}
 }
+
+// A victim retired at its erase limit was still migrated: those
+// programs occupy dies and belong to the GC horizon like any other
+// collection's.
+func TestRetiredVictimCountsTowardGCHorizon(t *testing.T) {
+	f := newWornFTL(t, 1, BaselineOptions())
+	now := event.Time(0)
+	// Churn until a block that has used its one erase is closed again
+	// with valid pages left in it.
+	victim, found := flash.BlockID(0), false
+	for i := 0; !found; i++ {
+		if i == int(f.LogicalPages())*40 {
+			t.Fatal("no worn closed block with valid pages appeared")
+		}
+		end, err := f.Write(now, uint64(i)%f.LogicalPages(), fpOf(uint64(i)+9e9))
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		now = end
+		for b := range f.blocks {
+			blk, _ := f.dev.Block(flash.BlockID(b))
+			if f.blocks[b].state == blkClosed && blk.Erases() == 1 && blk.Valid() > 0 {
+				victim, found = flash.BlockID(b), true
+				break
+			}
+		}
+	}
+	// Collect it long after everything scheduled so far has drained.
+	now = max(now, f.GCBusyUntil()) + event.Second
+	bad := f.Stats().BadBlocks
+	if err := f.collect(now, victim); err != nil {
+		t.Fatal(err)
+	}
+	if f.Stats().BadBlocks != bad+1 || f.blocks[victim].state != blkDead {
+		t.Fatalf("block %d was not retired (state %d)", victim, f.blocks[victim].state)
+	}
+	lastProgram := event.Time(0)
+	for b := range f.blocks {
+		blk, _ := f.dev.Block(flash.BlockID(b))
+		lastProgram = max(lastProgram, event.Time(blk.LastProgram()))
+	}
+	if lastProgram <= now {
+		t.Fatal("the collection migrated nothing")
+	}
+	if f.GCBusyUntil() < lastProgram {
+		t.Fatalf("GC horizon %v ends before the retired victim's last migration program at %v", f.GCBusyUntil(), lastProgram)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

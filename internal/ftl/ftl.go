@@ -39,6 +39,7 @@ const (
 	blkFree   blockState = iota // erased, in a free list
 	blkOpen                     // a write frontier
 	blkClosed                   // fully programmed, GC-eligible
+	blkVictim                   // closed and being collected: out of the victim index
 	blkDead                     // worn out and retired (bad block)
 )
 
@@ -57,8 +58,8 @@ type FTL struct {
 	opts Options
 
 	// Hot-path caches of per-device constants: the geometry, the
-	// device's division-free address decoder (every allocation, close
-	// and invalidation decodes a page number), the die count, and the
+	// device's division-free address decoder (every invalidation and
+	// migration decodes a page number), the die count, and the
 	// watermark check precomputed as an integer free-block threshold.
 	geo  flash.Geometry
 	dec  flash.Decoder
@@ -81,20 +82,14 @@ type FTL struct {
 	blocks    []blockMeta
 	freeByDie [][]flash.BlockID
 	freeCount int
-	hotRR     int // round-robin die cursor for the hot region
-	coldOpen  flash.BlockID
-	hasCold   bool
-	hotOpen   []flash.BlockID // per-die open hot block
-	hasHot    []bool
+	hotRR     int        // round-robin die cursor for the hot region
+	cold      frontier   // the cold region's one write frontier
+	hot       []frontier // the hot region's write frontier per die
 
-	// gcEligible is the incremental victim set: bit b is set exactly
-	// when block b is closed and holds at least one invalid page. It is
-	// maintained on every program/invalidate/erase/retire transition so
-	// victimCandidates never scans the whole device.
-	gcEligible []uint64
-	// candScratch is the reusable victim-candidate buffer handed to
-	// victim policies; policies must not retain it across calls.
-	candScratch []Candidate
+	// vix indexes the closed blocks holding invalid pages by how many
+	// they hold (see victimIndex), so selecting a GC victim never scans
+	// the device.
+	vix victimIndex
 
 	inGC        bool
 	gcBusyUntil event.Time // horizon of the latest GC flash operation
@@ -116,7 +111,7 @@ type FTL struct {
 	// Divergence trackers for the recycled-clone re-seed: cowMap
 	// over the L2P mapping (LPN chunks), cowOwn over the owners table
 	// (PPN chunks). nil when untracked. The remaining FTL state (block
-	// metadata, free lists, frontiers, GC bitmap, scalars) is small
+	// metadata, free lists, frontiers, victim index, scalars) is small
 	// relative to these tables and is always copied at re-seed.
 	cowMap *cow.Tracker
 	cowOwn *cow.Tracker
@@ -129,6 +124,14 @@ const mapChunkShift = 8
 type blockMeta struct {
 	state  blockState
 	region Region
+}
+
+// frontier is one write-frontier slot: the block its region (and, for
+// the hot region, its die) is filling. block is meaningful only while
+// open is set; a slot never holds a full block (see program).
+type frontier struct {
+	block flash.BlockID
+	open  bool
 }
 
 // New builds an FTL over dev exposing logicalPages of address space.
@@ -166,10 +169,9 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		mapping:      make([]dedup.CID, logicalPages),
 		owners:       make([]dedup.CID, g.TotalPages()),
 		blocks:       make([]blockMeta, g.TotalBlocks()),
-		gcEligible:   make([]uint64, (g.TotalBlocks()+63)/64),
+		vix:          newVictimIndex(g.TotalBlocks(), g.PagesPerBlock),
 		freeByDie:    make([][]flash.BlockID, g.Dies()),
-		hotOpen:      make([]flash.BlockID, g.Dies()),
-		hasHot:       make([]bool, g.Dies()),
+		hot:          make([]frontier, g.Dies()),
 		tr:           obs.Nop,
 		logicalPages: logicalPages,
 	}
@@ -265,18 +267,13 @@ func (f *FTL) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (event.Time
 
 	// Baseline / CAGC write path: program immediately; content is
 	// unindexed (never hashed on the foreground path).
-	ppn, err := f.allocPage(Hot)
-	if err != nil {
-		return 0, err
-	}
-	end, err := f.dev.ProgramPage(at, at, ppn, uint64(fp))
+	ppn, end, err := f.program(Hot, at, at, fp)
 	if err != nil {
 		return 0, err
 	}
 	c := f.idx.InsertUnindexed(fp, ppn)
 	f.owners[ppn] = c
 	f.cowOwn.Mark(int(ppn))
-	f.closeIfFull(ppn)
 	if old != dedup.NilCID {
 		if err := f.unbindOld(old); err != nil {
 			return 0, err
@@ -305,11 +302,7 @@ func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old d
 		f.stats.InlineDupHits++
 		return hashEnd + f.opts.CtrlLatency, nil
 	}
-	ppn, err := f.allocPage(Hot)
-	if err != nil {
-		return 0, err
-	}
-	end, err := f.dev.ProgramPage(at, hashEnd, ppn, uint64(fp))
+	ppn, end, err := f.program(Hot, at, hashEnd, fp)
 	if err != nil {
 		return 0, err
 	}
@@ -319,7 +312,6 @@ func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old d
 	}
 	f.owners[ppn] = c
 	f.cowOwn.Mark(int(ppn))
-	f.closeIfFull(ppn)
 	if old != dedup.NilCID {
 		if err := f.unbindOld(old); err != nil {
 			return 0, err

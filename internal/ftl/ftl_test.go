@@ -587,3 +587,42 @@ func TestAllocPrefersRequestedDie(t *testing.T) {
 		t.Fatalf("striping touched %d/%d dies", len(seen), g.Dies())
 	}
 }
+
+// popFree lends a die with an empty free list a block from another die.
+// When that borrowed block fills, the slot it was allocated from must
+// let go of it — found by the slot, not by the block's own die.
+func TestBorrowedFrontierBlockLeavesItsSlot(t *testing.T) {
+	f := newFTL(t, BaselineOptions())
+	g := f.dev.Geometry()
+	// Drain die 0's free list into the bottom of die 1's, so die 0's
+	// slot borrows one of die 1's own blocks (lists pop from the top).
+	f.freeByDie[1] = append(f.freeByDie[0], f.freeByDie[1]...)
+	f.freeByDie[0] = nil
+	now := event.Time(0)
+	for i := 0; i < g.Dies()*g.PagesPerBlock; i++ {
+		if i == g.Dies() {
+			// One page in every slot: die 0's block is a borrowed one.
+			if b := f.hot[0].block; !f.hot[0].open || f.dec.DieOfBlock(b) == 0 {
+				t.Fatalf("die 0's slot holds block %d (open=%v), want a block borrowed from another die", b, f.hot[0].open)
+			}
+		}
+		end, err := f.Write(now, uint64(i), fpOf(uint64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = end
+	}
+	// Every frontier block just took its last page.
+	for d, fr := range f.hot {
+		if fr.open {
+			t.Errorf("die %d's slot still holds block %d after it filled", d, fr.block)
+		}
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, f, int(f.LogicalPages())*2, 1<<60, 92)
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

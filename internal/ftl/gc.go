@@ -3,7 +3,6 @@ package ftl
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"cagc/internal/dedup"
 	"cagc/internal/event"
@@ -60,13 +59,11 @@ func (f *FTL) maybeGC(now event.Time) error {
 	f.stats.GCInvocations++
 
 	for i := 0; i < maxGCBatch && f.freeCount < f.gcFreeOK; i++ {
-		cands := f.victimCandidates()
-		if len(cands) == 0 {
+		victim, ok := f.selectVictim(now)
+		if !ok {
 			f.stats.FutileGC++
 			return nil
 		}
-		victim := f.opts.Policy.Select(now, cands)
-		f.tr.Instant(obs.TrackGC, obs.KGCSelect, now, uint64(victim))
 		if err := f.collect(now, victim); err != nil {
 			return fmt.Errorf("ftl: gc of block %d: %w", victim, err)
 		}
@@ -93,12 +90,10 @@ func (f *FTL) IdleGC(now, deadline event.Time, target float64) error {
 		if f.gcBusyUntil > deadline {
 			break
 		}
-		cands := f.victimCandidates()
-		if len(cands) == 0 {
+		victim, ok := f.selectVictim(now)
+		if !ok {
 			break
 		}
-		victim := f.opts.Policy.Select(now, cands)
-		f.tr.Instant(obs.TrackGC, obs.KGCSelect, now, uint64(victim))
 		if err := f.collect(now, victim); err != nil {
 			return fmt.Errorf("ftl: idle gc of block %d: %w", victim, err)
 		}
@@ -123,12 +118,10 @@ func (f *FTL) ForceGC(now event.Time) error {
 	defer func() { f.inGC = false }()
 	f.stats.GCInvocations++
 	for {
-		cands := f.victimCandidates()
-		if len(cands) == 0 {
+		victim, ok := f.selectVictim(now)
+		if !ok {
 			return nil
 		}
-		victim := f.opts.Policy.Select(now, cands)
-		f.tr.Instant(obs.TrackGC, obs.KGCSelect, now, uint64(victim))
 		if err := f.collect(now, victim); err != nil {
 			return fmt.Errorf("ftl: forced gc of block %d: %w", victim, err)
 		}
@@ -163,38 +156,6 @@ func (f *FTL) CollectAll(now event.Time) error {
 	return nil
 }
 
-// victimCandidates lists closed blocks with at least one invalid page,
-// in ascending block order. It walks the incremental eligible set — an
-// O(eligible) enumeration, not an O(device) scan — and fills the FTL's
-// scratch buffer, so steady-state GC triggers allocate nothing. The
-// returned slice is only valid until the next call.
-func (f *FTL) victimCandidates() []Candidate {
-	cands := f.candScratch[:0]
-	for w, word := range f.gcEligible {
-		base := flash.BlockID(w * 64)
-		for word != 0 {
-			b := base + flash.BlockID(bits.TrailingZeros64(word))
-			word &= word - 1
-			blk, err := f.dev.Block(b)
-			if err != nil {
-				// The eligible set only ever holds in-range blocks; an
-				// error here means the set and the device disagree —
-				// corruption, not a skippable candidate.
-				panic(fmt.Sprintf("ftl: victim set holds unreachable block %d: %v", b, err))
-			}
-			cands = append(cands, Candidate{
-				Block:       b,
-				Valid:       blk.Valid(),
-				Invalid:     blk.Invalid(),
-				Erases:      blk.Erases(),
-				LastProgram: event.Time(blk.LastProgram()),
-			})
-		}
-	}
-	f.candScratch = cands
-	return cands
-}
-
 // collect reclaims one victim block: migrate valid pages, erase, free.
 //
 // Timing model: in the overlapped mode (Baseline GC, and CAGC with
@@ -208,6 +169,10 @@ func (f *FTL) victimCandidates() []Candidate {
 // for the last chain, which wastes die time on purpose — it quantifies
 // what the overlap buys.
 func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
+	blk, err := f.dev.Block(victim)
+	if err != nil {
+		return err
+	}
 	// The collect span is detached (no parent): the erase routinely
 	// completes after the user request that tripped the watermark, so
 	// claiming to nest inside it would be a lie the nesting invariant
@@ -215,7 +180,17 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 	// collection still parent to this span.
 	id := f.tr.Begin(obs.TrackGC, obs.KGCCollect, now, uint64(victim))
 	f.gcHashEnd = 0
-	done, err := f.collectVictim(now, victim)
+	// The victim leaves the index for the whole collection (see
+	// victimIndex) and returns to it only if the collection fails.
+	if n := blk.Invalid(); n > 0 {
+		f.vix.remove(victim, n)
+	}
+	f.blocks[victim].state = blkVictim
+	done, err := f.collectVictim(now, victim, blk)
+	if err != nil {
+		f.blocks[victim].state = blkClosed
+		f.indexClosed(victim, blk)
+	}
 	// With OverlapHash a fingerprint can complete after both the erase
 	// and the last program; the span must enclose it.
 	if f.gcHashEnd > done {
@@ -233,11 +208,7 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 
 // collectVictim is collect's body; it returns the virtual time at which
 // every flash and hash operation of the collection has completed.
-func (f *FTL) collectVictim(now event.Time, victim flash.BlockID) (event.Time, error) {
-	blk, err := f.dev.Block(victim)
-	if err != nil {
-		return 0, err
-	}
+func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Block) (event.Time, error) {
 	// blockDone gates the erase in the serial mode only.
 	blockDone := now
 	// cursor gates each page chain in the serial (no-overlap) mode.
@@ -269,10 +240,12 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID) (event.Time, e
 	if errors.Is(err, flash.ErrWornOut) {
 		// Bad-block management: the block is retired. Its valid pages
 		// were already migrated, so no data is lost — the device just
-		// shrinks by one block.
+		// shrinks by one block. The migrations still occupied the dies.
 		f.blocks[victim].state = blkDead
-		f.clearEligible(victim)
 		f.stats.BadBlocks++
+		if blockDone > f.gcBusyUntil {
+			f.gcBusyUntil = blockDone
+		}
 		return blockDone, nil
 	}
 	if err != nil {
@@ -423,11 +396,7 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, c dedup
 		f.stats.Demotions++
 		f.tr.Instant(obs.TrackGC, obs.KDemote, now, uint64(oldPPN))
 	}
-	dest, err := f.allocPage(region)
-	if err != nil {
-		return 0, err
-	}
-	progEnd, err := f.dev.ProgramPage(now, dataReady, dest, uint64(fp))
+	dest, progEnd, err := f.program(region, now, dataReady, fp)
 	if err != nil {
 		return 0, err
 	}
@@ -436,7 +405,6 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, c dedup
 	}
 	f.owners[dest] = c
 	f.cowOwn.Mark(int(dest))
-	f.closeIfFull(dest)
 	if err := f.invalidatePage(oldPPN); err != nil {
 		return 0, err
 	}
@@ -478,11 +446,7 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	if err != nil {
 		return 0, false, err
 	}
-	dest, err := f.allocPage(Cold)
-	if err != nil {
-		return 0, false, err
-	}
-	progEnd, err := f.dev.ProgramPage(now, readEnd, dest, uint64(fp))
+	dest, progEnd, err := f.program(Cold, now, readEnd, fp)
 	if err != nil {
 		return 0, false, err
 	}
@@ -491,7 +455,6 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	}
 	f.owners[dest] = c
 	f.cowOwn.Mark(int(dest))
-	f.closeIfFull(dest)
 	if err := f.invalidatePage(ppn); err != nil {
 		return 0, false, err
 	}

@@ -66,8 +66,8 @@ func TestForceGCDrainsAllVictims(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No closed block with invalid pages may remain.
-	if cands := f.victimCandidates(); len(cands) != 0 {
-		t.Fatalf("%d victims remain after ForceGC", len(cands))
+	if n := f.vix.count[0]; n != 0 {
+		t.Fatalf("%d victims remain after ForceGC", n)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,6 @@ func TestSerialModeErasesAfterChains(t *testing.T) {
 
 func TestVictimCandidatesExcludeFrontiers(t *testing.T) {
 	f := newFTL(t, BaselineOptions())
-	g := f.dev.Geometry()
 	now := event.Time(0)
 	// Write one page: its block is an open frontier, not a candidate
 	// even after invalidation.
@@ -143,13 +142,20 @@ func TestVictimCandidatesExcludeFrontiers(t *testing.T) {
 	if _, err := f.Write(end, 0, fpOf(2)); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range f.victimCandidates() {
-		blk, _ := f.dev.Block(c.Block)
-		if !blk.Full() {
-			t.Fatalf("open block %d offered as victim", c.Block)
+	if _, ok := f.selectVictim(end); ok {
+		t.Fatal("an open frontier's invalid page made a victim")
+	}
+	// After churn every block on offer is a full one.
+	churn(t, f, int(f.LogicalPages())*2, 1<<60, 32)
+	v := VictimView{&f.vix, f.dev}
+	if v.Len() == 0 {
+		t.Fatal("churn produced no victim candidates")
+	}
+	for b, ok := v.Next(0, 0); ok; b, ok = v.Next(0, b+1) {
+		if !v.Block(b).Full() {
+			t.Fatalf("open block %d offered as victim", b)
 		}
 	}
-	_ = g
 }
 
 func TestMaxGCBatchBoundsForegroundWork(t *testing.T) {
@@ -209,22 +215,25 @@ func TestVictimSetMatchesScan(t *testing.T) {
 	}
 }
 
-// victimCandidates fills an FTL-owned scratch buffer from the
-// incremental set: once warm it must not allocate, or every GC trigger
-// re-grows garbage the refactor just removed.
-func TestVictimCandidatesZeroAlloc(t *testing.T) {
-	f := newFTL(t, BaselineOptions())
-	churn(t, f, int(f.LogicalPages())*2, 1<<60, 31)
-	if len(f.victimCandidates()) == 0 {
-		t.Fatal("churn produced no victim candidates")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if f.victimCandidates() == nil {
-			t.Fatal("no candidates")
+// Selection reads the index in place: no candidate table is built, so
+// a GC trigger allocates nothing under any policy.
+func TestSelectVictimZeroAlloc(t *testing.T) {
+	for _, policy := range []string{"greedy", "random", "cost-benefit"} {
+		o := BaselineOptions()
+		o.Policy, _ = PolicyByName(policy, 1)
+		f := newFTL(t, o)
+		now := churn(t, f, int(f.LogicalPages())*2, 1<<60, 31)
+		if _, ok := f.selectVictim(now); !ok {
+			t.Fatal("churn produced no victim candidates")
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("victimCandidates allocated %.1f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := f.selectVictim(now); !ok {
+				t.Fatal("no candidates")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: selectVictim allocated %.1f objects/op, want 0", policy, allocs)
+		}
 	}
 }
 

@@ -13,16 +13,6 @@ import (
 	"cagc/internal/flash"
 )
 
-// Candidate describes one victim-eligible block (closed, with at least
-// one invalid page) to a victim-selection policy.
-type Candidate struct {
-	Block       flash.BlockID
-	Valid       int
-	Invalid     int
-	Erases      int
-	LastProgram event.Time
-}
-
 // VictimPolicy selects which block GC reclaims next. Implementations
 // must be deterministic given their construction parameters (the random
 // policy is seeded).
@@ -30,29 +20,33 @@ type VictimPolicy interface {
 	// Name identifies the policy in reports ("greedy", "random",
 	// "cost-benefit").
 	Name() string
-	// Select picks a victim from candidates (never empty). now is the
-	// current simulation time, used by age-aware policies.
-	Select(now event.Time, candidates []Candidate) flash.BlockID
+	// Select picks a victim from the eligible blocks in v (never
+	// empty). now is the current simulation time, used by age-aware
+	// policies.
+	Select(now event.Time, v VictimView) flash.BlockID
 }
 
 // GreedyPolicy selects the block with the most invalid pages, breaking
-// ties toward the least-worn block (erase count) for wear leveling.
-// This is the paper's default policy.
+// ties toward the least-worn block (erase count) for wear leveling and
+// then toward the lowest block number. This is the paper's default
+// policy; it reads only the index's top bucket.
 type GreedyPolicy struct{}
 
 // Name implements VictimPolicy.
 func (GreedyPolicy) Name() string { return "greedy" }
 
 // Select implements VictimPolicy.
-func (GreedyPolicy) Select(_ event.Time, cands []Candidate) flash.BlockID {
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.Invalid > best.Invalid ||
-			(c.Invalid == best.Invalid && c.Erases < best.Erases) {
-			best = c
+func (GreedyPolicy) Select(_ event.Time, v VictimView) flash.BlockID {
+	k := v.MaxInvalid()
+	b, _ := v.Next(k, 0)
+	best, bestErases := b, v.Block(b).Erases()
+	for n := v.Count(k) - 1; n > 0; n-- {
+		b, _ = v.Next(k, b+1)
+		if e := v.Block(b).Erases(); e < bestErases {
+			best, bestErases = b, e
 		}
 	}
-	return best.Block
+	return best
 }
 
 // ClonablePolicy is implemented by victim policies that carry mutable
@@ -85,13 +79,13 @@ func NewRandomPolicy(seed int64) *RandomPolicy {
 func (*RandomPolicy) Name() string { return "random" }
 
 // Select implements VictimPolicy.
-func (p *RandomPolicy) Select(_ event.Time, cands []Candidate) flash.BlockID {
+func (p *RandomPolicy) Select(_ event.Time, v VictimView) flash.BlockID {
 	p.state += 0x9e3779b97f4a7c15
 	z := p.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return cands[z%uint64(len(cands))].Block
+	return v.Nth(int(z % uint64(v.Len())))
 }
 
 // ClonePolicy implements ClonablePolicy.
@@ -109,24 +103,26 @@ type CostBenefitPolicy struct{}
 func (CostBenefitPolicy) Name() string { return "cost-benefit" }
 
 // Select implements VictimPolicy.
-func (CostBenefitPolicy) Select(now event.Time, cands []Candidate) flash.BlockID {
-	best := cands[0]
-	bestScore := costBenefit(now, cands[0])
-	for _, c := range cands[1:] {
-		if s := costBenefit(now, c); s > bestScore {
-			best, bestScore = c, s
+func (CostBenefitPolicy) Select(now event.Time, v VictimView) flash.BlockID {
+	b, _ := v.Next(0, 0)
+	best, bestScore := b, costBenefit(now, v.Block(b))
+	for n := v.Len() - 1; n > 0; n-- {
+		b, _ = v.Next(0, b+1)
+		if s := costBenefit(now, v.Block(b)); s > bestScore {
+			best, bestScore = b, s
 		}
 	}
-	return best.Block
+	return best
 }
 
-func costBenefit(now event.Time, c Candidate) float64 {
-	pages := c.Valid + c.Invalid
+func costBenefit(now event.Time, blk *flash.Block) float64 {
+	valid := blk.Valid()
+	pages := valid + blk.Invalid()
 	if pages == 0 {
 		return 0
 	}
-	u := float64(c.Valid) / float64(pages)
-	age := float64(now - c.LastProgram)
+	u := float64(valid) / float64(pages)
+	age := float64(now - event.Time(blk.LastProgram()))
 	if age < 1 {
 		age = 1
 	}

@@ -8,86 +8,172 @@ import (
 	"cagc/internal/flash"
 )
 
-func TestGreedyPicksMostInvalid(t *testing.T) {
-	cands := []Candidate{
-		{Block: 1, Valid: 6, Invalid: 2, Erases: 0},
-		{Block: 2, Valid: 1, Invalid: 7, Erases: 9},
-		{Block: 3, Valid: 4, Invalid: 4, Erases: 0},
+// viewPages is the block size of the hand-built views below.
+const viewPages = 8
+
+// blockSpec describes one closed block of a hand-built victim view:
+// invalid of its viewPages pages are invalid, it was erased erases
+// times before being filled, and its last page was programmed no
+// earlier than at.
+type blockSpec struct {
+	invalid, erases int
+	at              event.Time
+}
+
+// viewOf builds a device whose block i (alone on die i, so the specs do
+// not queue behind each other) matches specs[i], and the victim index
+// over it. Blocks with no invalid page stay out of the index, as in the
+// FTL.
+func viewOf(t testing.TB, specs []blockSpec) VictimView {
+	t.Helper()
+	dev, err := flash.NewDevice(flash.Config{
+		Geometry: flash.Geometry{
+			Channels: len(specs), DiesPerChan: 1, PlanesPerDie: 1,
+			BlocksPerPlan: 1, PagesPerBlock: viewPages, PageSize: 4096,
+		},
+		Latencies:     flash.TableILatencies(),
+		OverProvision: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := (GreedyPolicy{}).Select(0, cands); got != 2 {
+	ix := newVictimIndex(len(specs), viewPages)
+	for i, s := range specs {
+		b := flash.BlockID(i)
+		for e := 0; e < s.erases; e++ {
+			if _, err := dev.EraseBlock(0, 0, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pg := 0; pg < viewPages; pg++ {
+			at := event.Time(0)
+			if pg == viewPages-1 {
+				at = s.at
+			}
+			if _, _, _, err := dev.ProgramNext(at, at, b, uint64(pg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pg := 0; pg < s.invalid; pg++ {
+			if err := dev.Invalidate(dev.Geometry().PageOf(b, pg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.invalid > 0 {
+			ix.insert(b, s.invalid)
+		}
+	}
+	return VictimView{&ix, dev}
+}
+
+func TestGreedyPicksMostInvalid(t *testing.T) {
+	v := viewOf(t, []blockSpec{
+		{invalid: 0},
+		{invalid: 2, erases: 0},
+		{invalid: 7, erases: 9},
+		{invalid: 4, erases: 0},
+	})
+	if got := (GreedyPolicy{}).Select(0, v); got != 2 {
 		t.Fatalf("greedy picked %d, want 2", got)
 	}
 }
 
 func TestGreedyTieBreaksOnWear(t *testing.T) {
-	cands := []Candidate{
-		{Block: 1, Invalid: 5, Erases: 10},
-		{Block: 2, Invalid: 5, Erases: 3},
-		{Block: 3, Invalid: 5, Erases: 7},
-	}
-	if got := (GreedyPolicy{}).Select(0, cands); got != 2 {
-		t.Fatalf("greedy tie-break picked %d, want 2 (least worn)", got)
+	v := viewOf(t, []blockSpec{
+		{invalid: 0},
+		{invalid: 5, erases: 10},
+		{invalid: 5, erases: 3},
+		{invalid: 5, erases: 7},
+		{invalid: 5, erases: 3}, // equal wear: the lower block wins
+	})
+	if got := (GreedyPolicy{}).Select(0, v); got != 2 {
+		t.Fatalf("greedy tie-break picked %d, want 2 (least worn, lowest)", got)
 	}
 }
 
 func TestRandomPolicyDeterministicPerSeed(t *testing.T) {
-	cands := make([]Candidate, 10)
-	for i := range cands {
-		cands[i] = Candidate{Block: flash.BlockID(i), Invalid: 1}
+	specs := make([]blockSpec, 10)
+	for i := range specs {
+		specs[i].invalid = 1
 	}
+	v := viewOf(t, specs)
 	a, b := NewRandomPolicy(42), NewRandomPolicy(42)
 	for i := 0; i < 100; i++ {
-		if a.Select(0, cands) != b.Select(0, cands) {
+		if a.Select(0, v) != b.Select(0, v) {
 			t.Fatal("random policy not reproducible")
 		}
 	}
 }
 
 func TestRandomPolicyCoversCandidates(t *testing.T) {
-	cands := make([]Candidate, 4)
-	for i := range cands {
-		cands[i] = Candidate{Block: flash.BlockID(i), Invalid: 1}
+	// Eligible blocks on both sides of a bitmap word boundary, with
+	// ineligible ones in between.
+	specs := make([]blockSpec, 130)
+	want := []flash.BlockID{3, 63, 64, 129}
+	for _, b := range want {
+		specs[b].invalid = 1 + int(b)%viewPages
 	}
+	v := viewOf(t, specs)
 	p := NewRandomPolicy(1)
 	seen := map[flash.BlockID]bool{}
 	for i := 0; i < 200; i++ {
-		seen[p.Select(0, cands)] = true
+		seen[p.Select(0, v)] = true
 	}
-	if len(seen) != 4 {
-		t.Fatalf("random policy only ever picked %d/4 blocks", len(seen))
+	for _, b := range want {
+		if !seen[b] {
+			t.Errorf("random policy never picked eligible block %d", b)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("random policy picked %d distinct blocks, want the %d eligible ones: %v", len(seen), len(want), seen)
 	}
 }
 
 func TestCostBenefitPrefersOldSparseBlocks(t *testing.T) {
-	now := event.Time(1000000)
-	cands := []Candidate{
+	now := event.Second
+	v := viewOf(t, []blockSpec{
+		{invalid: 0},
 		// Young, mostly valid: expensive, low benefit.
-		{Block: 1, Valid: 7, Invalid: 1, LastProgram: now - 10},
+		{invalid: 1, at: now - event.Millisecond},
 		// Old, mostly invalid: cheap, high benefit.
-		{Block: 2, Valid: 1, Invalid: 7, LastProgram: 0},
-		// Old but fully valid-heavy.
-		{Block: 3, Valid: 6, Invalid: 2, LastProgram: 0},
-	}
-	if got := (CostBenefitPolicy{}).Select(now, cands); got != 2 {
+		{invalid: 7},
+		// Old but valid-heavy.
+		{invalid: 2},
+	})
+	if got := (CostBenefitPolicy{}).Select(now, v); got != 2 {
 		t.Fatalf("cost-benefit picked %d, want 2", got)
 	}
 }
 
 func TestCostBenefitFullyInvalidWins(t *testing.T) {
-	now := event.Time(100)
-	cands := []Candidate{
-		{Block: 1, Valid: 1, Invalid: 7, LastProgram: 0},
-		{Block: 2, Valid: 0, Invalid: 8, LastProgram: 99},
-	}
-	if got := (CostBenefitPolicy{}).Select(now, cands); got != 2 {
+	now := event.Second
+	v := viewOf(t, []blockSpec{
+		{invalid: 0},
+		{invalid: 7},
+		{invalid: viewPages, at: now - event.Millisecond},
+	})
+	if got := (CostBenefitPolicy{}).Select(now, v); got != 2 {
 		t.Fatalf("cost-benefit picked %d, want the free block 2", got)
 	}
 }
 
 func TestCostBenefitDegenerate(t *testing.T) {
-	// Zero-page candidate must not panic or divide by zero.
-	cands := []Candidate{{Block: 5}}
-	if got := (CostBenefitPolicy{}).Select(0, cands); got != 5 {
+	// An indexed block the device holds no pages of (the index lying)
+	// must not panic or divide by zero.
+	dev, err := flash.NewDevice(flash.Config{
+		Geometry: flash.Geometry{
+			Channels: 1, DiesPerChan: 1, PlanesPerDie: 1,
+			BlocksPerPlan: 6, PagesPerBlock: viewPages, PageSize: 4096,
+		},
+		Latencies:     flash.TableILatencies(),
+		OverProvision: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := newVictimIndex(6, viewPages)
+	ix.insert(5, 1)
+	if got := (CostBenefitPolicy{}).Select(0, VictimView{&ix, dev}); got != 5 {
 		t.Fatalf("got %d", got)
 	}
 }
@@ -113,23 +199,24 @@ func TestPolicyByName(t *testing.T) {
 func TestPoliciesReturnCandidatesProperty(t *testing.T) {
 	policies := []VictimPolicy{GreedyPolicy{}, NewRandomPolicy(3), CostBenefitPolicy{}}
 	prop := func(raw []uint16, nowRaw uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		cands := make([]Candidate, len(raw))
+		specs := make([]blockSpec, len(raw))
 		members := map[flash.BlockID]bool{}
 		for i, r := range raw {
-			cands[i] = Candidate{
-				Block:       flash.BlockID(i),
-				Valid:       int(r % 8),
-				Invalid:     int(r%8) + 1,
-				Erases:      int(r >> 8),
-				LastProgram: event.Time(r),
+			specs[i] = blockSpec{
+				invalid: int(r % (viewPages + 1)),
+				erases:  int(r>>8) % 16,
+				at:      event.Time(r) * event.Microsecond,
 			}
-			members[flash.BlockID(i)] = true
+			if specs[i].invalid > 0 {
+				members[flash.BlockID(i)] = true
+			}
 		}
+		if len(members) == 0 {
+			return true
+		}
+		v := viewOf(t, specs)
 		for _, p := range policies {
-			if !members[p.Select(event.Time(nowRaw), cands)] {
+			if !members[p.Select(event.Time(nowRaw)*event.Microsecond, v)] {
 				return false
 			}
 		}

@@ -470,9 +470,17 @@ func TestServeMetricsAndCatalog(t *testing.T) {
 	waitDone(t, s, st.ID)
 	postJob(t, ts, JobSpec{Params: testParams(21)}) // cache hit
 
-	metrics, code := getBody(t, ts, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
+	// The queue counts a job executed once its worker returns, which is
+	// after the job's Done channel closes: wait for the counter.
+	var metrics []byte
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var code int
+		if metrics, code = getBody(t, ts, "/metrics"); code != http.StatusOK {
+			t.Fatalf("metrics: %d", code)
+		}
+		if bytes.Contains(metrics, []byte("serve_jobs_executed_total 1")) || time.Now().After(deadline) {
+			break
+		}
 	}
 	for _, want := range []string{
 		"serve_jobs_executed_total 1",

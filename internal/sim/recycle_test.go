@@ -431,14 +431,13 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 }
 
 // scratchFields are the struct fields no copy carries because they are
-// not runner state: the FTL's victim-candidate buffer, rebuilt on every
-// GC invocation, and the write buffer's dirty mark, which records
+// not runner state: the write buffer's dirty mark, which records
 // whether the holder has diverged from whatever it was last copied
 // from. trackerFields adds the chunk trackers only a recycled runner
 // has (its master is never tracked).
 var (
-	scratchFields = map[string]bool{"candScratch": true, "dirty": true}
-	trackerFields = map[string]bool{"candScratch": true, "dirty": true,
+	scratchFields = map[string]bool{"dirty": true}
+	trackerFields = map[string]bool{"dirty": true,
 		"track": true, "cowMap": true, "cowOwn": true, "trkCID": true, "trkLPN": true}
 )
 
