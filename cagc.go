@@ -59,21 +59,11 @@ func SchemeNames() []string { return icagc.SchemeNames() }
 // accepts.
 func PolicyNames() []string { return []string{"greedy", "random", "cost-benefit"} }
 
-// SchedNames lists the event-scheduler names ValidateSched accepts.
-func SchedNames() []string { return []string{"auto", "calendar", "heap"} }
-
 // ValidatePolicy rejects unknown victim-policy names — the same check
 // Run performs, exposed so front ends (CLI flag validation, service
 // admission) can fail before committing resources.
 func ValidatePolicy(name string) error {
 	_, err := ftl.PolicyByName(name, 1)
-	return err
-}
-
-// ValidateSched rejects unknown event-scheduler names, mirroring
-// ValidatePolicy.
-func ValidateSched(name string) error {
-	_, err := event.ParseSched(name)
 	return err
 }
 
@@ -143,13 +133,6 @@ type Params struct {
 	// warm (cached) run the trace covers the measured replay; combine
 	// with ColdStart to also trace the preconditioning fill.
 	Trace Tracer
-	// Sched names the event-scheduler implementation driving the
-	// replay: "auto" (default, also the empty string; heap below the
-	// occupancy threshold, calendar above), "calendar", or "heap" (the
-	// reference implementation). Results are byte-identical regardless;
-	// the knob exists for differential testing and performance
-	// comparison.
-	Sched string
 	// Ctx, when non-nil, bounds the run's wall clock: the replay (and,
 	// on cold starts, the precondition fill) polls it periodically and
 	// fails with an error wrapping ctx.Err() once it is done. Purely a
@@ -218,10 +201,6 @@ func buildRun(w Workload, opts Options, policy string, p Params) (sim.Config, tr
 	if p.MappingCache > 0 {
 		opts.MappingCache = p.MappingCache
 	}
-	sched, err := event.ParseSched(p.Sched)
-	if err != nil {
-		return sim.Config{}, trace.Spec{}, err
-	}
 	device := flash.ScaledConfig(p.DeviceBytes)
 	device.EraseLimit = p.EraseLimit
 	cfg := sim.Config{
@@ -231,7 +210,6 @@ func buildRun(w Workload, opts Options, policy string, p Params) (sim.Config, tr
 		BufferPages: p.BufferPages,
 		QueueDepth:  p.QueueDepth,
 		Tracer:      p.Trace,
-		Sched:       sched,
 		Ctx:         p.Ctx,
 	}
 	spec, err := trace.Preset(w, sim.LogicalPagesOf(cfg), p.Requests, p.Seed)

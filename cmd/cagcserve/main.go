@@ -89,7 +89,14 @@ func run(args []string, stderr io.Writer, shutdown <-chan os.Signal, ready func(
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	// A client that stalls mid-headers or parks idle connections must
+	// not hold server resources forever. No WriteTimeout: a result
+	// document is written for as long as its reader takes.
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	fmt.Fprintf(stderr, "cagcserve: listening on http://%s\n", ln.Addr())
 	if ready != nil {
 		ready(ln.Addr().String())

@@ -50,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		util     = fs.Float64("util", 0.55, "logical space as a fraction of user capacity")
 		thresh   = fs.Int("threshold", 1, "CAGC hot/cold reference-count threshold")
 		qd       = fs.Int("qd", 0, "closed-loop queue depth (0 = open-loop trace replay)")
-		sched    = fs.String("sched", "auto", "event scheduler: auto, calendar, or heap (byte-identical results)")
 		bufPages = fs.Int("buffer", 0, "controller write-buffer pages (0 = none)")
 		asJSON   = fs.Bool("json", false, "emit the result as JSON instead of the text report")
 
@@ -110,13 +109,10 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	// Name-shaped knobs the run would otherwise only reject after the
-	// harness has committed resources: fail them here, with everything
-	// else, before any file is created.
+	// A name the run would otherwise only reject after the harness has
+	// committed resources: fail it here, with everything else, before
+	// any file is created.
 	if err := cagc.ValidatePolicy(*policy); err != nil {
-		return err
-	}
-	if err := cagc.ValidateSched(*sched); err != nil {
 		return err
 	}
 	p := cagc.Params{
@@ -126,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		Utilization:  *util,
 		RefThreshold: *thresh,
 		QueueDepth:   *qd,
-		Sched:        *sched,
 		BufferPages:  *bufPages,
 		ColdStart:    *cold,
 	}

@@ -14,12 +14,13 @@ import (
 // clear one-line error; unset flags (and their 0 sentinels) must not.
 // A bad invocation must fail before any side effect: in particular,
 // profile files must not be created when flag validation rejects the
-// run. (Profiling used to start before policy/sched names were checked,
-// leaving stray pprof files behind.)
+// run. (Profiling used to start before policy names were checked,
+// leaving stray pprof files behind.) -sched is a retired flag: it must
+// fail like any unknown one.
 func TestValidationPrecedesProfiling(t *testing.T) {
 	cases := [][]string{
 		{"-policy", "psychic"},
-		{"-sched", "quantum"},
+		{"-sched", "heap"},
 		{"-workload", "postgres"},
 		{"-scheme", "raid5"},
 		{"-fleet", "2", "-batch", "2"},
@@ -53,7 +54,7 @@ func TestJSONCarriesConfigKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cagc.Params{DeviceBytes: 16 << 20, Requests: 1500, Seed: 3,
-		Utilization: 0.55, RefThreshold: 1, Sched: "auto"}
+		Utilization: 0.55, RefThreshold: 1}
 	key := cagc.ConfigKey(cagc.Mail, cagc.CAGC, "greedy", p)
 	if !strings.Contains(single.String(), `"config_key": "`+key+`"`) {
 		t.Fatalf("single -json output missing config key %s:\n%.200s", key, single.String())

@@ -39,7 +39,6 @@ func run() (retErr error) {
 		seed      = flag.Int64("seed", 1, "workload seed")
 		util      = flag.Float64("util", 0.55, "logical space as a fraction of user capacity")
 		cold      = flag.Bool("coldstart", false, "bypass the warm-state snapshot cache (build and precondition every run from scratch)")
-		sched     = flag.String("sched", "auto", "event scheduler: auto, calendar, or heap (byte-identical results)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON of all runs to this file (load in chrome://tracing or Perfetto)")
 		traceSum  = flag.Bool("trace-summary", false, "print the trace summary (per-phase GC attribution, fingerprint/erase overlap, latency percentiles) to stderr")
 		traceLast = flag.Int("trace-last", 0, "flight-recorder mode: keep only the last N trace events (0 = unbounded)")
@@ -62,7 +61,7 @@ func run() (retErr error) {
 		}
 	}()
 
-	p := cagc.Params{DeviceBytes: *device, Requests: *requests, Seed: *seed, Utilization: *util, ColdStart: *cold, Sched: *sched}
+	p := cagc.Params{DeviceBytes: *device, Requests: *requests, Seed: *seed, Utilization: *util, ColdStart: *cold}
 	// One recorder spans every run of the experiment. Runs that fan out
 	// in parallel interleave their events by goroutine schedule; trace a
 	// single-run experiment (or cagcsim) when determinism matters.

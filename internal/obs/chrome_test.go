@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +192,20 @@ func TestTrackNames(t *testing.T) {
 		if got := trackName(c.t); got != c.want {
 			t.Errorf("trackName(%d) = %q, want %q", c.t, got, c.want)
 		}
+	}
+}
+
+// The scheduler track carries the work pool's counters and nothing
+// else: the replay runs on no event queue, so there is no queue
+// occupancy to sample.
+func TestSchedKindsArePoolCountersOnly(t *testing.T) {
+	var got []string
+	for k := Kind(0); k < numKinds; k++ {
+		if strings.HasPrefix(k.Name(), "sched.") {
+			got = append(got, k.Name())
+		}
+	}
+	if want := []string{"sched.steals", "sched.reseeds"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("sched.* kinds = %v, want %v", got, want)
 	}
 }

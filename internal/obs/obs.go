@@ -42,9 +42,8 @@ const (
 	TrackBuffer Track = 3
 	// TrackIndex carries dedup-index occupancy counter samples.
 	TrackIndex Track = 4
-	// TrackSched carries event-scheduler occupancy telemetry: queue
-	// depth samples during the replay, and the calendar's rotation /
-	// overflow-migration / stale-skip totals at the end of the run.
+	// TrackSched carries work-pool scheduling telemetry: steal and
+	// re-seed totals (harness wall-clock, never simulated time).
 	TrackSched Track = 5
 	// TrackFleet carries fleet-execution telemetry: one span per shard
 	// (the contiguous device range a worker ran), the final merge phase,
@@ -137,12 +136,6 @@ const (
 	// Dedup index telemetry (counter samples on TrackIndex).
 	KIndexLive
 
-	// Event-scheduler occupancy (counter samples on TrackSched).
-	KSchedDepth     // queued events (periodic sample during replay)
-	KSchedRotations // calendar window rotations (cumulative)
-	KSchedOverflow  // overflow-ladder migrations (cumulative)
-	KSchedStale     // lazily-canceled items absorbed at pop (cumulative)
-
 	// Fleet execution (TrackFleet; wall-clock times).
 	KFleetShard     // span: one shard of devices run by a worker (arg = first device ID)
 	KFleetMerge     // span: the deterministic merge phase (arg = device count)
@@ -204,12 +197,6 @@ var kindTable = [numKinds]kindInfo{
 	// Counter series are global state samples, not nested work — and the
 	// post-collect sample can land after the request that triggered GC.
 	KIndexLive: {name: "index.live", ph: 'C', detached: true},
-	// Scheduler occupancy is harness state, not simulated work: samples
-	// are taken between events, outside any request scope.
-	KSchedDepth:     {name: "sched.depth", ph: 'C', detached: true},
-	KSchedRotations: {name: "sched.rotations", ph: 'C', detached: true},
-	KSchedOverflow:  {name: "sched.overflow_migrations", ph: 'C', detached: true},
-	KSchedStale:     {name: "sched.stale_skipped", ph: 'C', detached: true},
 	// Fleet events are harness work around whole simulations, never
 	// nested inside any request scope.
 	KFleetShard:     {name: "fleet.shard", ph: 'X', detached: true},

@@ -11,6 +11,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -80,11 +81,22 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// maxJobSpecBytes bounds a POST /v1/jobs body. The largest legitimate
+// spec is a batch's seed list (a few bytes per seed); anything past
+// 1 MiB is refused without being read further.
+const maxJobSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("job spec larger than %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad job spec: "+err.Error())
 		return
 	}
@@ -212,7 +224,6 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 		"workloads": workloads,
 		"schemes":   cagc.SchemeNames(),
 		"policies":  cagc.PolicyNames(),
-		"scheds":    cagc.SchedNames(),
 	})
 }
 

@@ -119,9 +119,6 @@ func (spec JobSpec) resolve(defTimeout, maxTimeout time.Duration) (*resolvedJob,
 	if err := cagc.ValidatePolicy(r.policy); err != nil {
 		return nil, err
 	}
-	if err := cagc.ValidateSched(r.params.Sched); err != nil {
-		return nil, err
-	}
 	if r.params.DeviceBytes < 0 || r.params.Requests < 0 {
 		return nil, fmt.Errorf("negative device_bytes/requests")
 	}

@@ -310,7 +310,7 @@ func TestServeValidation(t *testing.T) {
 		`{"workload":"postgres"}`,
 		`{"scheme":"raid5"}`,
 		`{"policy":"psychic"}`,
-		`{"params":{"Sched":"quantum"}}`,
+		`{"params":{"Sched":"heap"}}`, // retired field: unknown, so a 400
 		`{"kind":"batch"}`,
 		`{"kind":"sweep"}`,
 		`{"kind":"fleet"}`,
@@ -504,13 +504,12 @@ func TestServeMetricsAndCatalog(t *testing.T) {
 		Workloads []string `json:"workloads"`
 		Schemes   []string `json:"schemes"`
 		Policies  []string `json:"policies"`
-		Scheds    []string `json:"scheds"`
 	}
 	if err := json.Unmarshal(catalog, &cat); err != nil {
 		t.Fatal(err)
 	}
 	if len(cat.Kinds) != 4 || len(cat.Workloads) == 0 || len(cat.Schemes) == 0 ||
-		len(cat.Policies) == 0 || len(cat.Scheds) == 0 {
+		len(cat.Policies) == 0 {
 		t.Fatalf("catalog incomplete: %+v", cat)
 	}
 
@@ -523,5 +522,82 @@ func TestServeMetricsAndCatalog(t *testing.T) {
 		if !bytes.Contains(svcTrace, []byte(want)) {
 			t.Errorf("service trace missing %q", want)
 		}
+	}
+}
+
+// endlessSeeds streams a syntactically valid batch spec whose seed list
+// never closes, counting the bytes the server pulled from it. It gives
+// up far past the bound so an unbounded reader fails the test instead
+// of hanging it.
+type endlessSeeds struct{ read int }
+
+func (e *endlessSeeds) Read(p []byte) (int, error) {
+	const head = `{"kind":"batch","seeds":[1`
+	if e.read > 8*maxJobSpecBytes {
+		return 0, io.ErrUnexpectedEOF
+	}
+	for i := range p {
+		switch {
+		case e.read < len(head):
+			p[i] = head[e.read]
+		case (e.read-len(head))%2 == 0:
+			p[i] = ','
+		default:
+			p[i] = '1'
+		}
+		e.read++
+	}
+	return len(p), nil
+}
+
+func (e *endlessSeeds) Close() error { return nil }
+
+// The submission body is a trust boundary: a spec past the size bound
+// is refused with a 413 and the JSON error body after at most the bound
+// (plus the decoder's read-ahead) has been pulled — never buffered
+// whole — and it neither occupies a queue slot nor leaves a job behind.
+// Ordinary run, batch, sweep and fleet submissions pass through the
+// same bounded reader in every other test of this file.
+func TestServeBoundsSubmissionBody(t *testing.T) {
+	s := New(Options{QueueDepth: 2, Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+
+	body := &endlessSeeds{}
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", nil)
+	req.Body = body
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413; body %s", rec.Code, rec.Body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Fatalf("413 body is not the JSON error document: %q (%v)", rec.Body, err)
+	}
+	if body.read > 2*maxJobSpecBytes {
+		t.Errorf("server pulled %d bytes of an oversized body, bound is %d", body.read, maxJobSpecBytes)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("rejected submission left %d jobs behind", n)
+	}
+	if q := s.MetricsSnapshot().Queue; q.Depth != 0 || q.Admitted != 0 {
+		t.Errorf("rejected submission touched the queue: %+v", q)
+	}
+
+	// A body just under the bound is judged on its content, not its
+	// size (an unknown kind, so that nothing runs).
+	var big bytes.Buffer
+	big.WriteString(`{"kind":"nope","seeds":[1`)
+	for big.Len() < maxJobSpecBytes-4 {
+		big.WriteString(",1")
+	}
+	big.WriteString("]}")
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", &big))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("a spec just under the %d-byte bound: status %d, want 400 for its unknown kind", maxJobSpecBytes, rec.Code)
 	}
 }

@@ -5,8 +5,8 @@ package sim
 // consume, and running them one at a time re-pays cold caches on every
 // run. RunBatch executes N independent runs on a bounded worker pool:
 // each worker takes a run to completion before starting the next (all
-// of a run's event dispatch happens back-to-back, keeping its scheduler
-// queue, flathash tables, and FTL state cache-resident), warm runs
+// of a run's requests are served back-to-back, keeping its flathash
+// tables and FTL state cache-resident), warm runs
 // clone from a shared preconditioned snapshot via the cheap
 // flat-structure copies instead of rebuilding, and results land in
 // index-addressed slots. Every run is a deterministic single-threaded

@@ -1,183 +1,185 @@
 package sim
 
-// The measured replay, event-driven: request arrivals and closed-loop
-// issue slots are events on the runner's scheduler (Runner.es) instead
-// of iterations of a synchronous loop. The pump keeps a window of
-// future events queued — arrivalLookahead trace arrivals in open-loop
-// mode, QueueDepth issue tokens in closed-loop mode — so the scheduler
-// carries the replay's control flow and its insert/pop cost sits
-// directly on the run's critical path. Both scheduler implementations
-// (calendar and heap) pop in the identical (time, seq) order, so the
-// Result is byte-identical regardless of -sched, and identical to the
-// synchronous loop this replaced.
+// The measured replay: two direct loops over the trace source, one per
+// issue mode. Every simulated resource (dies, channels, hash engines)
+// is an event.Timeline reservation made inside serveRequest, so the
+// replay itself has nothing to schedule — it only decides which request
+// is served next and at what time.
+//
+// Open loop serves requests in trace order at their own timestamps,
+// holding one request of look-ahead: the idle-GC window decision reads
+// the gap to the next arrival and nothing further.
+//
+// Closed loop keeps QueueDepth completions outstanding in a min-heap of
+// issue tokens. The order contract (pinned against an event-queue
+// reference by TestReplayMatchesEventDrivenReference):
+//   - a token's key is (max(done, clock), push sequence), where clock is
+//     the key time of the last token popped (a fully clipped request can
+//     complete at 0, before the clock) and ties pop first-pushed-first;
+//   - the popped token's raw completion — not its clamped key — is the
+//     issue time of the next trace request;
+//   - QueueDepth initial tokens sit at the replay offset and carry it;
+//   - a token that finds the trace exhausted dies, and the rest drain.
 
 import (
 	"context"
 	"fmt"
 
 	"cagc/internal/event"
+	"cagc/internal/ftl"
 	"cagc/internal/metrics"
-	"cagc/internal/obs"
 	"cagc/internal/trace"
 )
 
-// arrivalLookahead is how many trace arrivals the open-loop pump keeps
-// scheduled ahead of the clock. Two suffice: the arrival being fired
-// plus the next one, whose timestamp the idle-GC window decision needs.
-// Keeping the horizon this short matters for idle-heavy traces (Mail):
-// with a deep lookahead, arrivals land far beyond the calendar window
-// and every one of them detours through the overflow ladder — heap
-// push, migration, bucket insert — which profiling showed cost ~12 %
-// of the whole run. Results are byte-identical at any lookahead; only
-// scheduler traffic changes.
-const arrivalLookahead = 2
-
-// schedSampleEvery is the request period of scheduler-depth telemetry
-// samples (power of two; sampled only when tracing is enabled).
-const schedSampleEvery = 256
-
-// replayState is the mutable state shared by the replay's event
-// handlers. The two ArgHandlers are hoisted here once per replay so
-// the per-event path allocates nothing.
+// replayState is the mutable state of one Replay call.
 type replayState struct {
 	r          *Runner
 	src        trace.Source
 	offset     event.Time
 	res        *Result
 	idleTarget float64
-	err        error
+	ctx        context.Context // nil unless the run is deadline-bounded
 
 	firstArrival event.Time // -1 until the first request is served
 	lastDone     event.Time
 
-	// Open-loop prefetch ring: requests already pulled from src and
-	// scheduled as arrival events (arg = ring slot). head is the slot
-	// of the next arrival to fire; queued counts scheduled arrivals.
-	ring   []trace.Request
-	head   int
-	queued int
-	eof    bool
-	// floor keeps scheduled arrival times nondecreasing even if a
-	// source misbehaves: a clamped arrival still fires in trace order
-	// (FIFO at equal times) and is served with its original timestamp.
-	floor event.Time
-
-	arrive  event.ArgHandler
-	release event.ArgHandler
-	tron    bool            // tracer enabled: sample scheduler depth periodically
-	ctx     context.Context // nil unless the run is deadline-bounded
+	// Counter baselines taken when the replay began; the Result reports
+	// the measured phase only.
+	statsBefore ftl.Stats
+	refBefore   [4]uint64
 }
 
-func (st *replayState) fail(err error) {
-	st.err = err
-	st.r.es.Stop()
-}
-
-// fill tops the prefetch ring back up to arrivalLookahead scheduled
-// arrivals (open-loop mode only).
-func (st *replayState) fill() {
-	for !st.eof && st.queued < len(st.ring) {
-		req, ok := st.src.Next()
-		if !ok {
-			st.eof = true
-			// Distinguish a clean end of trace from a decode failure:
-			// ignoring the reader's error here would silently replay a
-			// truncated trace as if it were the whole workload.
-			if err := trace.SourceErr(st.src); err != nil {
-				st.fail(fmt.Errorf("sim: replay: %w", err))
-			}
-			return
-		}
-		req.At += st.offset
-		slot := (st.head + st.queued) % len(st.ring)
-		st.ring[slot] = req
-		at := req.At
-		if at < st.floor {
-			at = st.floor
-		}
-		st.floor = at
-		if err := st.r.es.AtArg(at, st.arrive, uint64(slot)); err != nil {
-			st.fail(fmt.Errorf("sim: replay: %w", err))
-			return
-		}
-		st.queued++
-	}
-}
-
-// onArrive serves one open-loop request at its trace timestamp. The
-// order of operations mirrors the synchronous loop exactly: serve,
-// then the idle-GC window decision against the next arrival, then
-// stats (which read GC state idle GC may have advanced).
-func (st *replayState) onArrive(_ event.Time, arg uint64) {
-	if st.err != nil {
-		return
-	}
-	req := st.ring[arg]
-	st.head = (int(arg) + 1) % len(st.ring)
-	st.queued--
-	// Refill before the idle-GC decision so the next arrival is
-	// visible even when the ring had drained to this one event.
-	st.fill()
-	if st.err != nil {
-		return
-	}
-	done, err := st.r.serveRequest(req)
-	if err != nil {
-		st.fail(fmt.Errorf("sim: replay: %w", err))
-		return
-	}
-	if st.queued > 0 {
-		// Gaps to the next arrival longer than idleGCGap are host idle
-		// periods: background GC reclaims toward idleTarget, staying
-		// idleGCMargin clear of the arrival.
-		nextAt := st.ring[st.head].At
-		if nextAt-req.At > idleGCGap {
-			if err := st.r.f.IdleGC(req.At, nextAt-idleGCMargin, st.idleTarget); err != nil {
-				st.fail(fmt.Errorf("sim: idle gc: %w", err))
-				return
-			}
-		}
-	}
-	st.record(req, done)
-}
-
-// onRelease is one closed-loop issue token firing: the completion it
-// carries (arg, the raw completion time) is now the oldest outstanding
-// one, so the next trace request issues at that time. Serving the
-// request yields a new completion, which recycles the token.
-func (st *replayState) onRelease(now event.Time, arg uint64) {
-	if st.err != nil {
-		return
-	}
+// next pulls the following request from the source, shifting its
+// arrival by the replay offset. It reports false at the end of the
+// trace; a decode failure is an error, never a shorter workload —
+// ignoring the reader's error would silently replay a truncated trace
+// as if it were the whole one.
+func (st *replayState) next() (trace.Request, bool, error) {
 	req, ok := st.src.Next()
 	if !ok {
 		if err := trace.SourceErr(st.src); err != nil {
-			st.fail(fmt.Errorf("sim: replay: %w", err))
+			return req, false, fmt.Errorf("sim: replay: %w", err)
 		}
-		return // trace exhausted; the token dies and the queue drains
+		return req, false, nil
 	}
-	req.At = event.Time(arg)
-	done, err := st.r.serveRequest(req)
-	if err != nil {
-		st.fail(fmt.Errorf("sim: replay: %w", err))
-		return
-	}
-	// The token fires when done becomes the minimum outstanding
-	// completion — (time, seq) order reproduces the sorted-window pop
-	// order, stable ties included. The event time is clamped to now
-	// (a fully clipped request can complete at 0); the raw completion
-	// rides in arg so the next request still issues with it.
-	at := done
-	if at < now {
-		at = now
-	}
-	_ = st.r.es.AtArg(at, st.release, uint64(done))
-	st.record(req, done)
+	req.At += st.offset
+	return req, true, nil
 }
 
-// record accounts one served request into the Result — identical
-// bookkeeping, in identical order, to the synchronous loop.
-func (st *replayState) record(req trace.Request, done event.Time) {
+// openLoop serves every request at its trace timestamp (shifted by the
+// replay offset). Per request: pull the look-ahead, serve, make the
+// idle-GC window decision against the next arrival, then account —
+// stats read GC state that idle GC may have advanced.
+func (st *replayState) openLoop() error {
+	next, more, err := st.next()
+	if err != nil {
+		return err
+	}
+	for more {
+		req := next
+		if next, more, err = st.next(); err != nil {
+			return err
+		}
+		done, err := st.r.serveRequest(req)
+		if err != nil {
+			return fmt.Errorf("sim: replay: %w", err)
+		}
+		// Gaps to the next arrival longer than idleGCGap are host idle
+		// periods: background GC reclaims toward idleTarget, staying
+		// idleGCMargin clear of the arrival.
+		if more && next.At-req.At > idleGCGap {
+			if err := st.r.f.IdleGC(req.At, next.At-idleGCMargin, st.idleTarget); err != nil {
+				return fmt.Errorf("sim: idle gc: %w", err)
+			}
+		}
+		if err := st.record(req, done); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// token is one closed-loop issue slot: the completion it carries (done)
+// becomes the next request's issue time once the token is the minimum
+// of the heap under (at, seq).
+type token struct {
+	at   event.Time // max(done, clock when pushed)
+	seq  uint64     // push order; FIFO among equal at
+	done event.Time
+}
+
+func (a token) before(b token) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// siftDown restores the min-heap property of h after h[0] changed.
+func siftDown(h []token) {
+	if len(h) == 0 {
+		return
+	}
+	t := h[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(t) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = t
+}
+
+// closedLoop ignores trace timestamps and keeps qd requests
+// outstanding: each request issues at the completion of the oldest
+// outstanding one. Serving it yields a new completion, which replaces
+// the token at the root — the heap never grows past qd.
+func (st *replayState) closedLoop(qd int) error {
+	h := make([]token, qd)
+	for i := range h {
+		// Equal keys in ascending seq: already a heap.
+		h[i] = token{at: st.offset, seq: uint64(i), done: st.offset}
+	}
+	for seq := uint64(qd); len(h) > 0; seq++ {
+		req, ok, err := st.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			// Trace exhausted: the token dies and the heap drains.
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+			siftDown(h)
+			continue
+		}
+		clock := h[0].at
+		req.At = h[0].done
+		done, err := st.r.serveRequest(req)
+		if err != nil {
+			return fmt.Errorf("sim: replay: %w", err)
+		}
+		h[0] = token{at: max(done, clock), seq: seq, done: done}
+		siftDown(h)
+		if err := st.record(req, done); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// record accounts one served request into the Result. The only error
+// is the run's context being done (polled every cancelPollEvery
+// requests), which ends the replay at this request.
+func (st *replayState) record(req trace.Request, done event.Time) error {
 	res := st.res
 	if st.firstArrival < 0 {
 		st.firstArrival = req.At
@@ -217,14 +219,10 @@ func (st *replayState) record(req trace.Request, done event.Time) {
 		}
 	}
 	res.Requests++
-	if st.tron && res.Requests%schedSampleEvery == 0 {
-		st.r.tr.Counter(obs.TrackSched, obs.KSchedDepth, req.At, uint64(st.r.es.Pending()))
-	}
 	if st.ctx != nil && res.Requests%cancelPollEvery == 0 {
-		if err := canceled(st.ctx, "replay"); err != nil {
-			st.fail(err)
-		}
+		return canceled(st.ctx, "replay")
 	}
+	return nil
 }
 
 // Replay runs the measured trace. Arrival times in src are shifted by
@@ -242,6 +240,28 @@ func (st *replayState) record(req trace.Request, done event.Time) {
 // issuing at the completion time of the oldest outstanding one. Idle
 // GC never runs (a saturating host has no idle periods).
 func (r *Runner) Replay(src trace.Source, offset event.Time, workload string) (*Result, error) {
+	st, err := r.beginReplay(src, offset, workload)
+	if err != nil {
+		return nil, err
+	}
+	if qd := r.cfg.QueueDepth; qd > 0 {
+		err = st.closedLoop(qd)
+	} else {
+		err = st.openLoop()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return st.finish()
+}
+
+// beginReplay opens the measured phase: an empty Result and the
+// counter baselines its deltas are taken against.
+func (r *Runner) beginReplay(src trace.Source, offset event.Time, workload string) (*replayState, error) {
+	// A run whose deadline already passed fails before serving anything.
+	if err := canceled(r.cfg.Ctx, "replay"); err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Scheme:   r.cfg.Options.SchemeName(),
 		Workload: workload,
@@ -253,48 +273,23 @@ func (r *Runner) Replay(src trace.Source, offset event.Time, workload string) (*
 			res.Tenants[i] = TenantResult{Name: t.Name, Base: t.Base, Pages: t.Pages, SLO: t.SLO}
 		}
 	}
-	statsBefore := r.f.Stats()
-	refBefore := r.f.RefDist.Counts()
-
-	st := &replayState{
+	return &replayState{
 		r:            r,
 		src:          src,
 		offset:       offset,
 		res:          res,
 		idleTarget:   r.f.Options().Watermark + idleGCHeadroom,
-		firstArrival: -1,
-		floor:        r.es.Now(),
-		tron:         r.tr.Enabled(),
 		ctx:          r.cfg.Ctx,
-	}
-	st.arrive = st.onArrive
-	st.release = st.onRelease
-	// A run whose deadline already passed fails before serving anything.
-	if err := canceled(st.ctx, "replay"); err != nil {
-		return nil, err
-	}
+		firstArrival: -1,
+		statsBefore:  r.f.Stats(),
+		refBefore:    r.f.RefDist.Counts(),
+	}, nil
+}
 
-	if qd := r.cfg.QueueDepth; qd > 0 {
-		// Seed one issue token per queue slot, all carrying the issue
-		// time of an initial (not-yet-outstanding) request.
-		at := offset
-		if at < st.floor {
-			at = st.floor
-		}
-		for i := 0; i < qd; i++ {
-			if err := r.es.AtArg(at, st.release, uint64(offset)); err != nil {
-				return nil, fmt.Errorf("sim: replay: %w", err)
-			}
-		}
-	} else {
-		st.ring = make([]trace.Request, arrivalLookahead)
-		st.fill()
-	}
-	r.es.Run()
-	if st.err != nil {
-		return nil, st.err
-	}
-
+// finish closes the measured phase: drains the write buffer, takes the
+// counter deltas and reads the device's end state.
+func (st *replayState) finish() (*Result, error) {
+	r, res := st.r, st.res
 	// Drain the write buffer so every accepted write is durable and
 	// accounted before the stats snapshot.
 	if r.buf != nil {
@@ -308,11 +303,10 @@ func (r *Runner) Replay(src trace.Source, offset event.Time, workload string) (*
 		res.Buffer = r.buf.Stats()
 	}
 
-	statsAfter := r.f.Stats()
-	res.FTL = subStats(statsAfter, statsBefore)
+	res.FTL = subStats(r.f.Stats(), st.statsBefore)
 	refAfter := r.f.RefDist.Counts()
 	for i := range res.RefDist {
-		res.RefDist[i] = refAfter[i] - refBefore[i]
+		res.RefDist[i] = refAfter[i] - st.refBefore[i]
 	}
 	if st.firstArrival < 0 {
 		st.firstArrival = 0
@@ -321,13 +315,5 @@ func (r *Runner) Replay(src trace.Source, offset event.Time, workload string) (*
 	res.EraseSpread = r.dev.EraseSpread()
 	res.FreeFraction = r.f.FreeBlockFraction()
 	res.Regions = r.f.RegionStats()
-	if st.tron {
-		// Close the occupancy track with the run's cumulative totals.
-		ss := r.es.SchedStats()
-		r.tr.Counter(obs.TrackSched, obs.KSchedDepth, st.lastDone, uint64(r.es.Pending()))
-		r.tr.Counter(obs.TrackSched, obs.KSchedRotations, st.lastDone, ss.Rotations)
-		r.tr.Counter(obs.TrackSched, obs.KSchedOverflow, st.lastDone, ss.OverflowMigrations)
-		r.tr.Counter(obs.TrackSched, obs.KSchedStale, st.lastDone, ss.StaleSkipped)
-	}
 	return res, nil
 }

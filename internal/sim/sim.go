@@ -59,13 +59,6 @@ type Config struct {
 	// and the field is excluded from warm-state snapshot identity: a
 	// traced run may be served from a snapshot built by an untraced one.
 	Tracer obs.Tracer
-	// Sched selects the event-scheduler implementation driving the
-	// replay. The zero value is the auto scheduler (heap below the
-	// occupancy threshold, calendar above); all kinds produce
-	// byte-identical results — the knob exists for differential testing
-	// and performance comparison. Excluded from warm-state snapshot
-	// identity, like Tracer.
-	Sched event.SchedKind
 	// Ctx, when non-nil, bounds the run: the precondition fill and the
 	// measured replay poll it periodically and abort with an error
 	// wrapping ctx.Err() once it is done. Simulated time is oblivious to
@@ -196,7 +189,6 @@ type Runner struct {
 	f   *ftl.FTL
 	buf *buffer.WriteBuffer // nil unless BufferPages > 0
 	tr  obs.Tracer          // never nil; obs.Nop when tracing is off
-	es  *event.Sim          // drives arrival/issue events during Replay
 	// tenants, when non-empty, makes Replay attribute each request to
 	// the range containing its first logical page (see SetTenants).
 	// Kept off Config so Config stays comparable for snapshot identity.
@@ -223,10 +215,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The calendar's bucket width is sized from the device's read
-	// latency — the smallest latency that separates events.
-	r := &Runner{cfg: cfg, dev: dev, f: f,
-		es: event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)}
+	r := &Runner{cfg: cfg, dev: dev, f: f}
 	if cfg.BufferPages > 0 {
 		if r.buf, err = buffer.New(f, cfg.BufferPages); err != nil {
 			return nil, err

@@ -42,8 +42,7 @@ type Snapshot struct {
 // re-seeding a recycled runner is copyFrom into one that already holds
 // the arrays (only the chunks its last run dirtied are copied once it
 // is tracked — see enableCOW). See ftl.FTL.CopyFrom for the
-// bit-identity contract. The scheduler is replay-only state and is not
-// touched.
+// bit-identity contract.
 func (r *Runner) copyFrom(src *Runner) int {
 	if r.dev == nil {
 		r.dev, r.f = new(flash.Device), new(ftl.FTL)
@@ -65,7 +64,7 @@ func (r *Runner) copyFrom(src *Runner) int {
 
 // Clone returns a deep, independent copy of the runner.
 func (r *Runner) Clone() *Runner {
-	c := &Runner{es: r.es.Clone()}
+	c := new(Runner)
 	c.copyFrom(r)
 	return c
 }
@@ -134,14 +133,10 @@ func (s *Snapshot) NewRunner(cfg Config) (*Runner, error) {
 }
 
 // adopt hands r — just copied from the snapshot master — to a run
-// under cfg. The scheduler is replay-only state (the master
-// preconditions synchronously, so its scheduler is pristine, and a
-// recycled runner's belongs to its previous run): it is rebuilt to the
-// requested kind rather than inherited.
+// under cfg.
 func adopt(r *Runner, cfg Config) *Runner {
 	r.cfg = cfg
 	r.SetTracer(cfg.Tracer)
-	r.es = event.NewSimOpts(cfg.Sched, cfg.Device.Latencies.Read)
 	return r
 }
 
@@ -151,11 +146,9 @@ func (s *Snapshot) compatible(cfg Config) error {
 	a, b := s.cfg, cfg
 	a.QueueDepth, b.QueueDepth = 0, 0
 	// Tracing is observational; a snapshot serves traced and untraced
-	// runs alike. The scheduler kind only changes replay mechanics, not
-	// results, so a snapshot serves both schedulers too. A context only
-	// bounds wall-clock, never what a completed run computes.
+	// runs alike. A context only bounds wall-clock, never what a
+	// completed run computes.
 	a.Tracer, b.Tracer = nil, nil
-	a.Sched, b.Sched = 0, 0
 	a.Ctx, b.Ctx = nil, nil
 	an, bn := "", ""
 	if a.Options.Policy != nil {

@@ -3,13 +3,13 @@ package cagc
 // Canonical run identity. ConfigKey hashes everything that determines a
 // run's deterministic Result — workload, scheme, victim policy, and
 // every output-affecting Params field — and nothing that doesn't:
-// ColdStart (wall-clock strategy), Trace (observational), Sched
-// (byte-identical by contract), and Ctx (a wall-clock bound) are
-// excluded, exactly the identity discipline the warm-snapshot key and
-// the fleet JSON already follow. Two submissions with equal ConfigKeys
-// produce byte-identical result JSON, which is what lets the serving
-// layer's result cache answer repeats without re-running, and what lets
-// a CLI run be cross-checked against a service cache entry.
+// ColdStart (wall-clock strategy), Trace (observational) and Ctx (a
+// wall-clock bound) are excluded, exactly the identity discipline the
+// warm-snapshot key and the fleet JSON already follow. Two submissions
+// with equal ConfigKeys produce byte-identical result JSON, which is
+// what lets the serving layer's result cache answer repeats without
+// re-running, and what lets a CLI run be cross-checked against a
+// service cache entry.
 
 import (
 	"crypto/sha256"

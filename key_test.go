@@ -25,7 +25,6 @@ func TestConfigKeyCanonical(t *testing.T) {
 	// Wall-clock/observational knobs are excluded from identity.
 	same := []Params{
 		{ColdStart: true},
-		{Sched: "calendar"},
 		{Trace: NewTraceRecorder()},
 		{Ctx: context.Background()},
 	}

@@ -116,10 +116,6 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 	}
 	opts := s.Options()
 	opts.Policy = pol
-	sched, err := event.ParseSched(p.Sched)
-	if err != nil {
-		return nil, err
-	}
 	cfg := sim.Config{
 		Device:      flash.ScaledConfig(p.DeviceBytes),
 		Options:     opts,
@@ -127,7 +123,6 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 		BufferPages: p.BufferPages,
 		QueueDepth:  p.QueueDepth,
 		Tracer:      p.Trace,
-		Sched:       sched,
 		Ctx:         p.Ctx,
 	}
 	logical := sim.LogicalPagesOf(cfg)

@@ -214,10 +214,6 @@ func ReplayTrace(src TraceSource, w Workload, s Scheme, policy string, p Params)
 	}
 	opts := s.Options()
 	opts.Policy = pol
-	sched, err := event.ParseSched(p.Sched)
-	if err != nil {
-		return nil, err
-	}
 	cfg := sim.Config{
 		Device:      flash.ScaledConfig(p.DeviceBytes),
 		Options:     opts,
@@ -225,7 +221,6 @@ func ReplayTrace(src TraceSource, w Workload, s Scheme, policy string, p Params)
 		BufferPages: p.BufferPages,
 		QueueDepth:  p.QueueDepth,
 		Tracer:      p.Trace,
-		Sched:       sched,
 		Ctx:         p.Ctx,
 	}
 	spec, err := trace.Preset(w, sim.LogicalPagesOf(cfg), p.Requests, p.Seed)

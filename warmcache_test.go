@@ -55,6 +55,37 @@ func TestWarmRunsMatchColdRunsAllSchemesAndPolicies(t *testing.T) {
 	}
 }
 
+// The closed-loop row of the determinism checks (cagcsim -qd 8): the
+// issue order is a pure function of the configuration, so a cold run,
+// a warm run and a repeat render the same bytes for every scheme, with
+// and without a write buffer in front of the FTL.
+func TestClosedLoopRunsAreDeterministic(t *testing.T) {
+	for _, s := range Schemes {
+		for _, buffer := range []int{0, 64} {
+			t.Run(fmt.Sprintf("%s-buffer%d", s, buffer), func(t *testing.T) {
+				p := equivParams()
+				p.QueueDepth = 8
+				p.BufferPages = buffer
+				var docs [3]bytes.Buffer
+				for i := range docs {
+					q := p
+					q.ColdStart = i == 0
+					res, err := Run(Mail, s, "greedy", q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := WriteJSON(&docs[i], res); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(docs[i].Bytes(), docs[0].Bytes()) {
+						t.Fatalf("closed-loop run %d renders a different document than the cold run", i)
+					}
+				}
+			})
+		}
+	}
+}
+
 // A measured-seed sweep and a queue-depth sweep must share one warm
 // state: only the first run of each (workload, scheme, policy) cell
 // misses.
