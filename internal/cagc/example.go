@@ -116,6 +116,6 @@ func WorkedExample(s Scheme) (WorkedResult, error) {
 		BlocksErased:    after.BlocksErased - before.BlocksErased,
 		ValidAfter:      valid,
 		FreePagesAfter:  free,
-		LiveContents:    f.Index().Live(),
+		LiveContents:    f.LiveContents(),
 	}, nil
 }

@@ -81,8 +81,8 @@ func TestCapacityAdoptsExistingEntries(t *testing.T) {
 func TestCapacityPublishEvicts(t *testing.T) {
 	x := NewIndex()
 	x.SetCapacity(1)
-	a, _ := x.Insert(OfUint64(1), 1)
-	u := x.InsertUnindexed(OfUint64(2), 2)
+	u, _ := x.Insert(OfUint64(2), 2)
+	x.Insert(OfUint64(1), 1) // evicts u
 	if err := x.Publish(u); err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +92,18 @@ func TestCapacityPublishEvicts(t *testing.T) {
 	if _, ok := x.Lookup(OfUint64(2)); !ok {
 		t.Fatal("published entry missing")
 	}
-	_ = a
 }
 
 func TestCapacityRepublishAfterEviction(t *testing.T) {
-	// After eviction, a new copy of the same content may be published;
-	// the two contents then coexist (cache-miss cost, not corruption).
+	// After eviction, a new copy of the same content may be indexed; the
+	// two contents then coexist (cache-miss cost, not corruption).
 	x := NewIndex()
 	x.SetCapacity(1)
 	fp := OfUint64(7)
 	a, _ := x.Insert(fp, 1)
 	b, _ := x.Insert(OfUint64(8), 2) // evicts a
-	u := x.InsertUnindexed(fp, 3)
-	if err := x.Publish(u); err != nil { // evicts b
+	u, err := x.Insert(fp, 3)        // evicts b
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, ok := x.Lookup(fp)

@@ -4,10 +4,12 @@
 // and reference counting (how many logical pages share one physical
 // page).
 //
-// The design follows CAFTL's two-level mapping: logical pages map to a
-// content ID (CID); the CID carries the physical page number and the
-// reference count. Relocating content during GC updates one CID entry
-// regardless of how many logical pages share it.
+// The design follows CAFTL's two-level mapping: logical pages whose
+// content has been hashed map to a content ID (CID); the CID carries the
+// physical page number and the reference count. Relocating content
+// during GC updates one CID entry regardless of how many logical pages
+// share it. Content nobody has hashed never gets a CID: the FTL maps it
+// page to page (see ftl's private pages).
 package dedup
 
 import (

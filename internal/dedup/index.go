@@ -28,15 +28,16 @@ type entry struct {
 	ppn       flash.PPN
 	ref       int32
 	peak      int32 // maximum refcount ever reached; feeds the Figure-6 analysis
-	unindexed bool  // true until the content is hashed and published (CAGC)
+	unindexed bool  // fingerprint evicted by the capacity bound (until republished)
 }
 
-// Stats counts index activity.
+// Stats counts index activity. Contents the FTL keeps outside the index
+// (private pages, see ftl) appear in none of these.
 type Stats struct {
 	Lookups   uint64 // fingerprint queries
 	Hits      uint64 // queries that found existing content
 	Inserts   uint64 // new unique contents stored
-	Removals  uint64 // contents whose last reference was dropped
+	Removals  uint64 // contents whose last reference was dropped or merged away
 	Evictions uint64 // fingerprints evicted by the capacity bound
 	PeakCount int    // maximum number of live entries ever
 }
@@ -84,7 +85,8 @@ func NewIndex() *Index {
 	return &Index{byFP: flathash.New[CID](0)}
 }
 
-// Live returns the number of unique contents currently stored.
+// Live returns the number of live CIDs: unique contents stored under
+// the index, indexed or evicted.
 func (x *Index) Live() int { return x.live }
 
 // Stats returns a copy of the activity counters.

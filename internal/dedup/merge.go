@@ -2,44 +2,31 @@ package dedup
 
 import (
 	"fmt"
-
-	"cagc/internal/flash"
 )
 
 // The operations in this file support CAGC's offline (GC-time)
-// deduplication. Under CAGC, user writes are *not* fingerprint-checked:
-// each write stores content as an unindexed entry (the fingerprint is
-// unknown to the FTL until the hash engine computes it during GC).
-// During GC migration the content is hashed, looked up, and either
-// published into the fingerprint index (first copy) or merged into the
-// already-indexed copy (redundant copy).
+// deduplication. Under CAGC, user writes are *not* fingerprint-checked
+// and never reach the index: the FTL keeps each one as a private page
+// until GC hashes it. GC then either adopts the page into the indexed
+// copy of its content (AdoptPrivate) or Inserts it as new content.
+// Entries the capacity bound evicted are the one kind of unindexed
+// entry left; when GC meets one it re-hashes it and either publishes it
+// back (Publish) or merges it into a copy indexed since (MergeInto).
 
-// InsertUnindexed stores content located at ppn with refcount 1 but
-// does not enter it into the fingerprint index: the content has not
-// been hashed yet. fp is retained for later Publish (the simulator
-// carries the fingerprint in the trace; the *device* learns it only
-// when it pays hash-engine latency).
-func (x *Index) InsertUnindexed(fp Fingerprint, ppn flash.PPN) CID {
-	var c CID
-	if n := len(x.freeIDs); n > 0 {
-		c = x.freeIDs[n-1]
-		x.freeIDs = x.freeIDs[:n-1]
-	} else {
-		c = CID(len(x.entries))
-		x.entries = append(x.entries, entry{})
+// AdoptPrivate adds one reference to the indexed content c on behalf of
+// a private page GC found to hold the same content (the FTL drops the
+// page and links its logical page to c) and returns c's new count.
+func (x *Index) AdoptPrivate(c CID) (int, error) {
+	ref, err := x.IncRef(c)
+	if err != nil {
+		return 0, err
 	}
-	x.entries[c] = entry{fp: fp, ppn: ppn, ref: 1, peak: 1, unindexed: true}
-	x.track.Mark(int(c))
-	x.live++
-	x.stats.Inserts++
-	if x.live > x.stats.PeakCount {
-		x.stats.PeakCount = x.live
-	}
-	return c
+	x.touch(c)
+	return ref, nil
 }
 
-// Indexed reports whether c is in the fingerprint index (i.e., its
-// content has been hashed and published).
+// Indexed reports whether c is in the fingerprint index (false once the
+// capacity bound evicted its fingerprint, until it is published again).
 func (x *Index) Indexed(c CID) (bool, error) {
 	if err := x.check(c); err != nil {
 		return false, err
@@ -47,10 +34,10 @@ func (x *Index) Indexed(c CID) (bool, error) {
 	return !x.entries[c].unindexed, nil
 }
 
-// Publish enters an unindexed entry into the fingerprint index after
-// its content has been hashed. The caller must have verified via Lookup
-// that the fingerprint is not already present; publishing a duplicate
-// or already-indexed entry is a bug.
+// Publish enters an evicted entry back into the fingerprint index after
+// its content has been hashed again. The caller must have verified via
+// Lookup that the fingerprint is not already present; publishing a
+// duplicate or already-indexed entry is a bug.
 func (x *Index) Publish(c CID) error {
 	if err := x.check(c); err != nil {
 		return err
@@ -97,9 +84,9 @@ func (x *Index) MergeInto(from, to CID) (int, error) {
 	}
 	x.track.Mark(int(to))
 	x.touch(to)
-	// Remove from. It is unindexed in the common (CAGC) path; if it was
-	// indexed this is a caller bug because two indexed entries can never
-	// share a fingerprint.
+	// Remove from. It is an evicted (unindexed) entry; if it was indexed
+	// this is a caller bug because two indexed entries can never share a
+	// fingerprint.
 	if !ef.unindexed {
 		return 0, fmt.Errorf("dedup: merge source CID %d is indexed", from)
 	}

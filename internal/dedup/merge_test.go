@@ -1,26 +1,61 @@
 package dedup
 
-import "testing"
+import (
+	"testing"
 
-func TestInsertUnindexedNotVisible(t *testing.T) {
+	"cagc/internal/flash"
+)
+
+// evicted stores fp at ppn as a live entry whose fingerprint the
+// capacity bound has evicted — the only unindexed entry there is now
+// that host writes stay outside the index. It leaves the index in
+// exactly the state enforceCapacity leaves an evicted entry in, without
+// imposing a bound on the rest of the test.
+func evicted(t *testing.T, x *Index, fp Fingerprint, ppn flash.PPN) CID {
+	t.Helper()
+	c, err := x.Insert(fp, ppn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.byFP.Delete(uint64(fp))
+	x.entries[c].unindexed = true
+	return c
+}
+
+func TestAdoptPrivate(t *testing.T) {
 	x := NewIndex()
+	x.SetCapacity(2)
 	fp := OfUint64(1)
-	c := x.InsertUnindexed(fp, 10)
-	if _, ok := x.Lookup(fp); ok {
-		t.Fatal("unindexed content visible to Lookup")
+	c, _ := x.Insert(fp, 1)
+	x.Insert(OfUint64(2), 2) // c is now the LRU entry
+	ref, err := x.AdoptPrivate(c)
+	if err != nil || ref != 2 {
+		t.Fatalf("AdoptPrivate = %d, %v; want 2", ref, err)
 	}
-	if idx, err := x.Indexed(c); err != nil || idx {
-		t.Fatalf("Indexed = %v, %v; want false", idx, err)
+	// Adoption is a use: the next insert evicts the other entry, not c.
+	x.Insert(OfUint64(3), 3)
+	if got, ok := x.Lookup(fp); !ok || got != c {
+		t.Fatalf("adopted content evicted: lookup = %v, %v", got, ok)
 	}
-	if x.Live() != 1 {
-		t.Fatalf("Live = %d", x.Live())
+	if x.Live() != 3 {
+		t.Fatalf("Live = %d, want 3", x.Live())
+	}
+	_, peak, _ := x.DecRef(c)
+	if peak != 2 {
+		t.Fatalf("peak = %d, want 2", peak)
+	}
+	if _, err := x.AdoptPrivate(CID(99)); err == nil {
+		t.Fatal("adoption into a dead CID accepted")
 	}
 }
 
 func TestPublishMakesVisible(t *testing.T) {
 	x := NewIndex()
 	fp := OfUint64(2)
-	c := x.InsertUnindexed(fp, 10)
+	c := evicted(t, x, fp, 10)
+	if _, ok := x.Lookup(fp); ok {
+		t.Fatal("evicted content visible to Lookup")
+	}
 	if err := x.Publish(c); err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +75,10 @@ func TestPublishMakesVisible(t *testing.T) {
 func TestPublishDuplicateFingerprintRejected(t *testing.T) {
 	x := NewIndex()
 	fp := OfUint64(3)
+	c := evicted(t, x, fp, 2)
 	if _, err := x.Insert(fp, 1); err != nil {
 		t.Fatal(err)
 	}
-	c := x.InsertUnindexed(fp, 2)
 	if err := x.Publish(c); err == nil {
 		t.Fatal("publishing a duplicate fingerprint accepted")
 	}
@@ -52,10 +87,10 @@ func TestPublishDuplicateFingerprintRejected(t *testing.T) {
 func TestMergeInto(t *testing.T) {
 	x := NewIndex()
 	fp := OfUint64(4)
+	from := evicted(t, x, fp, 2)
+	x.IncRef(from) // ref 2
 	to, _ := x.Insert(fp, 1)
 	x.IncRef(to) // ref 2
-	from := x.InsertUnindexed(fp, 2)
-	x.IncRef(from) // ref 2
 
 	ref, err := x.MergeInto(from, to)
 	if err != nil {
@@ -79,9 +114,9 @@ func TestMergeInto(t *testing.T) {
 
 func TestMergeErrors(t *testing.T) {
 	x := NewIndex()
+	b := evicted(t, x, OfUint64(6), 2)
+	c := evicted(t, x, OfUint64(5), 3)
 	a, _ := x.Insert(OfUint64(5), 1)
-	b := x.InsertUnindexed(OfUint64(6), 2)
-	c := x.InsertUnindexed(OfUint64(5), 3)
 	d, _ := x.Insert(OfUint64(7), 4)
 
 	if _, err := x.MergeInto(a, a); err == nil {
@@ -107,7 +142,7 @@ func TestMergeErrors(t *testing.T) {
 func TestUnindexedDecRefToZero(t *testing.T) {
 	x := NewIndex()
 	fp := OfUint64(8)
-	c := x.InsertUnindexed(fp, 1)
+	c := evicted(t, x, fp, 1)
 	ref, peak, err := x.DecRef(c)
 	if err != nil || ref != 0 || peak != 1 {
 		t.Fatalf("DecRef = %d, %d, %v", ref, peak, err)
@@ -133,39 +168,37 @@ func TestIndexedDeadCID(t *testing.T) {
 
 func TestCAGCLifecycleScenario(t *testing.T) {
 	// Simulates the CAGC flow: three user writes of the same content
-	// (unindexed), then GC hashes them one by one.
+	// stay outside the index as private pages; GC hashes them one by one.
 	x := NewIndex()
 	fp := OfUint64(9)
-	c1 := x.InsertUnindexed(fp, 1)
-	c2 := x.InsertUnindexed(fp, 2)
-	c3 := x.InsertUnindexed(fp, 3)
-	if x.Live() != 3 {
-		t.Fatalf("Live = %d, want 3 (duplicates stored separately pre-GC)", x.Live())
-	}
 
-	// GC migrates c1: miss -> publish.
+	// GC migrates the first: miss -> insert.
 	if _, ok := x.Lookup(fp); ok {
 		t.Fatal("premature index hit")
 	}
-	if err := x.Publish(c1); err != nil {
+	c1, err := x.Insert(fp, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// GC migrates c2: hit -> merge into c1.
+	// GC migrates the second: hit -> adopt into c1.
 	hit, ok := x.Lookup(fp)
 	if !ok || hit != c1 {
 		t.Fatalf("lookup = %v, %v", hit, ok)
 	}
-	if ref, err := x.MergeInto(c2, c1); err != nil || ref != 2 {
-		t.Fatalf("merge c2: ref=%d err=%v", ref, err)
+	if ref, err := x.AdoptPrivate(c1); err != nil || ref != 2 {
+		t.Fatalf("adopt second: ref=%d err=%v", ref, err)
 	}
-	// GC migrates c3: hit -> merge.
-	if ref, err := x.MergeInto(c3, c1); err != nil || ref != 3 {
-		t.Fatalf("merge c3: ref=%d err=%v", ref, err)
+	// GC migrates the third: hit -> adopt.
+	if ref, err := x.AdoptPrivate(c1); err != nil || ref != 3 {
+		t.Fatalf("adopt third: ref=%d err=%v", ref, err)
 	}
 	if x.Live() != 1 {
 		t.Fatalf("Live = %d, want 1 after GC dedup", x.Live())
 	}
 	if h := x.RefHistogram(); h != [4]int{0, 0, 1, 0} {
 		t.Fatalf("histogram = %v", h)
+	}
+	if st := x.Stats(); st.Inserts != 1 || st.Removals != 0 {
+		t.Fatalf("stats %+v: private pages must not count as inserts or removals", st)
 	}
 }

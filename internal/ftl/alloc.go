@@ -165,12 +165,26 @@ func (f *FTL) RegionStats() RegionStats {
 // call it after workloads. It is O(pages) and not used on hot paths.
 func (f *FTL) CheckInvariants() error {
 	g := f.dev.Geometry()
-	// Every mapped LPN points at a live CID whose PPN is valid and
-	// whose stored tag matches the fingerprint.
-	for lpn, c := range f.mapping {
-		if c == dedup.NilCID {
+	// Every mapped LPN points at a valid page it owns: directly for a
+	// private page, through a live CID whose stored tag matches the
+	// fingerprint otherwise.
+	private := 0
+	for lpn, s := range f.mapping {
+		if s == nilSlot {
 			continue
 		}
+		if s.private() {
+			ppn := flash.PPN(s.page())
+			if st, err := f.dev.PageStateOf(ppn); err != nil || st != flash.PageValid {
+				return fmt.Errorf("lpn %d -> private ppn %d in state %v (%v)", lpn, ppn, st, err)
+			}
+			if f.owners[ppn] != privateSlot(uint64(lpn)) {
+				return fmt.Errorf("lpn %d -> private ppn %d owned by %v", lpn, ppn, f.owners[ppn])
+			}
+			private++
+			continue
+		}
+		c := s.cid()
 		ppn, err := f.idx.PPN(c)
 		if err != nil {
 			return fmt.Errorf("lpn %d -> dead CID %d: %w", lpn, c, err)
@@ -182,8 +196,8 @@ func (f *FTL) CheckInvariants() error {
 		if st != flash.PageValid {
 			return fmt.Errorf("lpn %d -> CID %d -> ppn %d in state %v", lpn, c, ppn, st)
 		}
-		if f.owners[ppn] != c {
-			return fmt.Errorf("ppn %d owner %d != CID %d", ppn, f.owners[ppn], c)
+		if f.owners[ppn] != s {
+			return fmt.Errorf("ppn %d owner %v != CID %d", ppn, f.owners[ppn], c)
 		}
 		tag, _ := f.dev.Tag(ppn)
 		fp, _ := f.idx.FP(c)
@@ -191,30 +205,37 @@ func (f *FTL) CheckInvariants() error {
 			return fmt.Errorf("ppn %d tag %#x != fp %#x", ppn, tag, uint64(fp))
 		}
 	}
-	// Every valid page has an owner, every free/invalid page has none.
+	if private != f.private {
+		return fmt.Errorf("%d private pages mapped, %d counted", private, f.private)
+	}
+	// Every valid page has an owner that maps back to it, every
+	// free/invalid page has none.
 	validOwned := 0
 	for p := 0; p < g.TotalPages(); p++ {
 		st, _ := f.dev.PageStateOf(flash.PPN(p))
 		owner := f.owners[p]
-		switch st {
-		case flash.PageValid:
-			if owner == dedup.NilCID {
-				return fmt.Errorf("valid ppn %d has no owner", p)
+		switch {
+		case st != flash.PageValid:
+			if owner != nilSlot {
+				return fmt.Errorf("%v ppn %d has owner %v", st, p, owner)
 			}
-			ppn, err := f.idx.PPN(owner)
-			if err != nil || ppn != flash.PPN(p) {
-				return fmt.Errorf("valid ppn %d owner %d maps to %d (%v)", p, owner, ppn, err)
+			continue
+		case owner == nilSlot:
+			return fmt.Errorf("valid ppn %d has no owner", p)
+		case owner.private():
+			if lpn := owner.page(); lpn >= f.logicalPages || f.mapping[lpn] != privateSlot(uint64(p)) {
+				return fmt.Errorf("valid ppn %d: private owner lpn %d does not map to it", p, lpn)
 			}
-			validOwned++
 		default:
-			if owner != dedup.NilCID {
-				return fmt.Errorf("%v ppn %d has owner %d", st, p, owner)
+			if ppn, err := f.idx.PPN(owner.cid()); err != nil || ppn != flash.PPN(p) {
+				return fmt.Errorf("valid ppn %d owner %v maps to %d (%v)", p, owner, ppn, err)
 			}
 		}
+		validOwned++
 	}
 	// Valid pages == live contents.
-	if validOwned != f.idx.Live() {
-		return fmt.Errorf("%d valid pages but %d live contents", validOwned, f.idx.Live())
+	if validOwned != f.LiveContents() {
+		return fmt.Errorf("%d valid pages but %d live contents", validOwned, f.LiveContents())
 	}
 	if f.opts.GCDedup {
 		if err := f.checkReverseMap(); err != nil {
@@ -286,7 +307,8 @@ func (f *FTL) CheckInvariants() error {
 // rules out cycles: a revisited node would be entered from a second
 // predecessor), its length is the index's reference count — the one
 // cross-check between the mapping and the index — every live CID has a
-// chain, and together the chains hold every mapped LPN.
+// chain, and together the chains hold every LPN mapped to a CID (and
+// no private one).
 func (f *FTL) checkReverseMap() error {
 	chains, linked := 0, 0
 	for c, head := range f.rev.heads {
@@ -295,8 +317,8 @@ func (f *FTL) checkReverseMap() error {
 		}
 		n := 0
 		for p, l := nilNode, head; l != nilNode; p, l = l, f.rev.next[l] {
-			if f.mapping[l] != dedup.CID(c) {
-				return fmt.Errorf("reverse map: lpn %d on CID %d's chain maps to %d", l, c, f.mapping[l])
+			if f.mapping[l] != cidSlot(dedup.CID(c)) {
+				return fmt.Errorf("reverse map: lpn %d on CID %d's chain maps to %v", l, c, f.mapping[l])
 			}
 			if f.rev.prev[l] != p {
 				return fmt.Errorf("reverse map: lpn %d prev %d, reached from %d", l, f.rev.prev[l], p)
@@ -316,14 +338,14 @@ func (f *FTL) checkReverseMap() error {
 	if chains != f.idx.Live() {
 		return fmt.Errorf("reverse map: %d chains for %d live contents", chains, f.idx.Live())
 	}
-	mapped := 0
-	for _, c := range f.mapping {
-		if c != dedup.NilCID {
-			mapped++
+	shared := 0
+	for _, s := range f.mapping {
+		if s.chain() != dedup.NilCID {
+			shared++
 		}
 	}
-	if linked != mapped {
-		return fmt.Errorf("reverse map: chains hold %d LPNs, %d are mapped", linked, mapped)
+	if linked != shared {
+		return fmt.Errorf("reverse map: chains hold %d LPNs, %d are mapped to CIDs", linked, shared)
 	}
 	return nil
 }

@@ -54,6 +54,7 @@ func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) int {
 	f.cowMap.Reset()
 	n += cow.CopySlice(f.cowOwn, &f.owners, src.owners)
 	f.cowOwn.Reset()
+	f.private = src.private
 	n += f.rev.copyFrom(&src.rev)
 	n += cow.CopyAll(&f.blocks, src.blocks)
 	if len(f.freeByDie) != len(src.freeByDie) {

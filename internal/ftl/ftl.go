@@ -71,12 +71,15 @@ type FTL struct {
 	gcFreeOK int
 
 	idx     *dedup.Index
-	mapping []dedup.CID // LPN -> CID (NilCID = unmapped)
-	owners  []dedup.CID // PPN -> owning CID (NilCID = none)
+	mapping []slot // LPN -> CID, or the tagged PPN of its private page
+	owners  []slot // PPN -> owning CID, or the tagged LPN of a private page
+	// private counts the private pages (see slot): valid pages no CID
+	// describes. LiveContents is the index's live CIDs plus these.
+	private int
 	// rev is the exact reverse map for GC-time merges (see revMap). Its
 	// only reader is remapAll, which runs under Options.GCDedup alone,
 	// so Baseline and Inline-Dedupe never link into it and it stays
-	// empty.
+	// empty; private pages are on no chain.
 	rev revMap
 
 	blocks    []blockMeta
@@ -118,8 +121,69 @@ type FTL struct {
 }
 
 // mapChunkShift sizes the mapping/owners dirty-tracking chunks: 256
-// four-byte CIDs (1 KB) per chunk.
+// four-byte slots (1 KB) per chunk.
 const mapChunkShift = 8
+
+// slot is one word of the two translation tables. Content the host
+// wrote and nobody has hashed is a private page: it has one reference by
+// construction, so it needs no CID — mapping[lpn] holds its PPN and
+// owners[ppn] its LPN, each tagged with privateTag, and the dedup index,
+// the reverse map and the refcount table never see it (CAFTL's
+// two-level map, indirection only where content is shared). Every other
+// slot is a CID. nilSlot, the all-ones word, is empty; it carries the
+// tag bit too, so test for it first.
+type slot uint32
+
+const (
+	privateTag = slot(1) << 31
+	nilSlot    = slot(dedup.NilCID)
+)
+
+// maxPages bounds a device's page count: a tagged page number must stay
+// clear of nilSlot, and an untagged CID (at most one per valid page)
+// clear of the tag.
+const maxPages = 1<<31 - 1
+
+func cidSlot(c dedup.CID) slot { return slot(c) }
+
+// privateSlot tags a PPN (in mapping) or an LPN (in owners).
+func privateSlot(n uint64) slot { return slot(n) | privateTag }
+
+// private reports whether a non-nil slot is a private page.
+func (s slot) private() bool { return s&privateTag != 0 }
+
+func (s slot) cid() dedup.CID { return dedup.CID(s) }
+
+// page is a private slot's page number: a PPN in mapping, an LPN in
+// owners.
+func (s slot) page() uint64 { return uint64(s &^ privateTag) }
+
+// chain is the reverse-map chain s is on: its CID, NilCID for a private
+// or empty slot.
+func (s slot) chain() dedup.CID {
+	if s&privateTag != 0 {
+		return dedup.NilCID
+	}
+	return dedup.CID(s)
+}
+
+func (s slot) String() string {
+	switch {
+	case s == nilSlot:
+		return "nil"
+	case s.private():
+		return fmt.Sprintf("private %d", s.page())
+	}
+	return fmt.Sprintf("CID %d", uint32(s))
+}
+
+// checkPages rejects a geometry whose page numbers do not fit a slot.
+func checkPages(g flash.Geometry) error {
+	if n := g.TotalPages(); n >= maxPages {
+		return fmt.Errorf("ftl: %d pages do not fit the mapping word (limit %d)", n, maxPages-1)
+	}
+	return nil
+}
 
 type blockMeta struct {
 	state  blockState
@@ -146,6 +210,9 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		return nil, fmt.Errorf("ftl: zero logical pages")
 	}
 	cfg := dev.Config()
+	if err := checkPages(cfg.Geometry); err != nil {
+		return nil, err
+	}
 	// The free-block fraction can never exceed (total-logical)/total
 	// once the address space is fully mapped (without dedup every
 	// mapped page occupies one flash page). If that ceiling is at or
@@ -166,8 +233,8 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		dec:          dev.Decoder(),
 		dies:         g.Dies(),
 		idx:          dedup.NewIndex(),
-		mapping:      make([]dedup.CID, logicalPages),
-		owners:       make([]dedup.CID, g.TotalPages()),
+		mapping:      make([]slot, logicalPages),
+		owners:       make([]slot, g.TotalPages()),
 		blocks:       make([]blockMeta, g.TotalBlocks()),
 		vix:          newVictimIndex(g.TotalBlocks(), g.PagesPerBlock),
 		freeByDie:    make([][]flash.BlockID, g.Dies()),
@@ -176,10 +243,10 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		logicalPages: logicalPages,
 	}
 	for i := range f.mapping {
-		f.mapping[i] = dedup.NilCID
+		f.mapping[i] = nilSlot
 	}
 	for i := range f.owners {
-		f.owners[i] = dedup.NilCID
+		f.owners[i] = nilSlot
 	}
 	for b := 0; b < g.TotalBlocks(); b++ {
 		die := f.dec.DieOfBlock(flash.BlockID(b))
@@ -213,8 +280,14 @@ func (f *FTL) SetTracer(tr obs.Tracer) {
 }
 
 // Index exposes the dedup index (read-mostly; used by reports and the
-// Figure-6 analysis).
+// Figure-6 analysis). It holds hashed content only: private pages are
+// not in it (see LiveContents).
 func (f *FTL) Index() *dedup.Index { return f.idx }
+
+// LiveContents returns the number of distinct stored contents — the
+// index's live CIDs plus the private pages — which is the number of
+// valid flash pages.
+func (f *FTL) LiveContents() int { return f.idx.Live() + f.private }
 
 // LogicalPages returns the exported address-space size.
 func (f *FTL) LogicalPages() uint64 { return f.logicalPages }
@@ -237,14 +310,20 @@ func (f *FTL) checkLPN(lpn uint64) error {
 	return nil
 }
 
-// bind points lpn at c (NilCID unmaps it), moving it between reverse-
+// bind points lpn at s (nilSlot unmaps it), moving it between reverse-
 // map chains when the scheme can read them (see rev).
-func (f *FTL) bind(lpn uint64, c dedup.CID) {
+func (f *FTL) bind(lpn uint64, s slot) {
 	if f.opts.GCDedup {
-		f.rev.move(uint32(lpn), f.mapping[lpn], c)
+		f.rev.move(uint32(lpn), f.mapping[lpn].chain(), s.chain())
 	}
-	f.mapping[lpn] = c
+	f.mapping[lpn] = s
 	f.cowMap.Mark(int(lpn))
+}
+
+// own records s as the owner of ppn (nilSlot: none).
+func (f *FTL) own(ppn flash.PPN, s slot) {
+	f.owners[ppn] = s
+	f.cowOwn.Mark(int(ppn))
 }
 
 // Write services one page-sized user write of content fp to lpn at
@@ -265,40 +344,40 @@ func (f *FTL) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (event.Time
 		return f.writeInline(at, lpn, fp, old)
 	}
 
-	// Baseline / CAGC write path: program immediately; content is
-	// unindexed (never hashed on the foreground path).
+	// Baseline / CAGC write path: program immediately; the page is
+	// private (never hashed on the foreground path).
 	ppn, end, err := f.program(Hot, at, at, fp)
 	if err != nil {
 		return 0, err
 	}
-	c := f.idx.InsertUnindexed(fp, ppn)
-	f.owners[ppn] = c
-	f.cowOwn.Mark(int(ppn))
-	if old != dedup.NilCID {
+	f.own(ppn, privateSlot(lpn))
+	f.private++
+	if old != nilSlot {
 		if err := f.unbindOld(old); err != nil {
 			return 0, err
 		}
 	}
-	f.bind(lpn, c)
+	f.bind(lpn, privateSlot(uint64(ppn)))
 	f.stats.UserPrograms++
 	return end, nil
 }
 
 // writeInline is the Inline-Dedupe write path: hash + lookup before any
-// flash program.
-func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old dedup.CID) (event.Time, error) {
+// flash program. Every page it stores is indexed, so every slot it
+// writes is a CID.
+func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old slot) (event.Time, error) {
 	hashEnd := f.reserveHash(at, at)
 	if c2, hit := f.idx.Lookup(fp); hit {
 		// Redundant write: metadata update only.
 		if _, err := f.idx.IncRef(c2); err != nil {
 			return 0, err
 		}
-		if old != dedup.NilCID {
+		if old != nilSlot {
 			if err := f.unbindOld(old); err != nil {
 				return 0, err
 			}
 		}
-		f.bind(lpn, c2)
+		f.bind(lpn, cidSlot(c2))
 		f.stats.InlineDupHits++
 		return hashEnd + f.opts.CtrlLatency, nil
 	}
@@ -310,38 +389,45 @@ func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old d
 	if err != nil {
 		return 0, err
 	}
-	f.owners[ppn] = c
-	f.cowOwn.Mark(int(ppn))
-	if old != dedup.NilCID {
+	f.own(ppn, cidSlot(c))
+	if old != nilSlot {
 		if err := f.unbindOld(old); err != nil {
 			return 0, err
 		}
 	}
-	f.bind(lpn, c)
+	f.bind(lpn, cidSlot(c))
 	f.stats.UserPrograms++
 	return end, nil
 }
 
-// unbindOld drops the reference an overwritten/trimmed LPN held.
-func (f *FTL) unbindOld(old dedup.CID) error {
-	// Remember the PPN before the DecRef so a death can invalidate it
-	// without scanning.
-	ppn, err := f.idx.PPN(old)
-	if err != nil {
-		return err
-	}
-	ref, peak, err := f.idx.DecRef(old)
-	if err != nil {
-		return err
-	}
-	if ref > 0 {
-		return nil
+// unbindOld drops the reference an overwritten/trimmed LPN held: a
+// private page dies outright, shared content when its count reaches 0.
+func (f *FTL) unbindOld(old slot) error {
+	var ppn flash.PPN
+	peak := 1
+	if old.private() {
+		ppn = flash.PPN(old.page())
+		f.private--
+	} else {
+		// Remember the PPN before the DecRef so a death can invalidate
+		// it without scanning.
+		var err error
+		if ppn, err = f.idx.PPN(old.cid()); err != nil {
+			return err
+		}
+		ref, p, err := f.idx.DecRef(old.cid())
+		if err != nil {
+			return err
+		}
+		if ref > 0 {
+			return nil
+		}
+		peak = p
 	}
 	if err := f.invalidatePage(ppn); err != nil {
 		return fmt.Errorf("ftl: invalidating dead content: %w", err)
 	}
-	f.owners[ppn] = dedup.NilCID
-	f.cowOwn.Mark(int(ppn))
+	f.own(ppn, nilSlot)
 	f.RefDist.Add(peak)
 	return nil
 }
@@ -354,32 +440,62 @@ func (f *FTL) Read(at event.Time, lpn uint64) (event.Time, error) {
 	}
 	f.stats.UserReadPages++
 	at = f.chargeMapAccess(at, lpn, false)
-	c := f.mapping[lpn]
-	if c == dedup.NilCID {
-		return at + f.opts.CtrlLatency, nil
-	}
-	ppn, err := f.idx.PPN(c)
+	ppn, mapped, err := f.locate(lpn)
 	if err != nil {
 		return 0, err
+	}
+	if !mapped {
+		return at + f.opts.CtrlLatency, nil
 	}
 	end, err := f.dev.ReadPage(at, ppn)
 	if err != nil {
 		return 0, err
 	}
-	// Integrity check: the stored content stamp must match the CID's
-	// fingerprint. A mismatch means the mapping or GC corrupted data.
-	tag, err := f.dev.Tag(ppn)
-	if err != nil {
+	if err := f.verify(lpn, ppn); err != nil {
 		return 0, err
-	}
-	fp, err := f.idx.FP(c)
-	if err != nil {
-		return 0, err
-	}
-	if tag != uint64(fp) {
-		return 0, fmt.Errorf("%w: lpn %d ppn %d tag %#x fp %#x", ErrCorruption, lpn, ppn, tag, uint64(fp))
 	}
 	return end, nil
+}
+
+// locate returns the page holding lpn's content; mapped is false when
+// lpn is unmapped.
+func (f *FTL) locate(lpn uint64) (ppn flash.PPN, mapped bool, err error) {
+	s := f.mapping[lpn]
+	switch {
+	case s == nilSlot:
+		return flash.InvalidPPN, false, nil
+	case s.private():
+		return flash.PPN(s.page()), true, nil
+	}
+	ppn, err = f.idx.PPN(s.cid())
+	return ppn, true, err
+}
+
+// verify is Read's integrity check of the page ppn that lpn located. A
+// private page's owner back-pointer (the LPN real SSDs keep in a page's
+// out-of-band area) must name lpn; shared content's stored tag must
+// match its CID's fingerprint. A mismatch means the mapping or GC
+// corrupted data.
+func (f *FTL) verify(lpn uint64, ppn flash.PPN) error {
+	s := f.mapping[lpn]
+	if s.private() {
+		if owner := f.owners[ppn]; owner != privateSlot(lpn) {
+			return fmt.Errorf("%w: lpn %d ppn %d owned by %v", ErrCorruption, lpn, ppn, owner)
+		}
+		return nil
+	}
+	tag, err := f.dev.Tag(ppn)
+	if err != nil {
+		return err
+	}
+	fp, err := f.idx.FP(s.cid())
+	if err != nil {
+		return err
+	}
+	if tag != uint64(fp) {
+		return fmt.Errorf("%w: lpn %d ppn %d tag %#x fp %#x", ErrCorruption, lpn, ppn, tag, uint64(fp))
+	}
+	return nil
 }
 
 // Trim discards lpn (file delete): the reference is dropped, and the
@@ -391,14 +507,14 @@ func (f *FTL) Trim(at event.Time, lpn uint64) (event.Time, error) {
 	}
 	f.stats.UserTrimPages++
 	at = f.chargeMapAccess(at, lpn, true)
-	c := f.mapping[lpn]
-	if c == dedup.NilCID {
+	s := f.mapping[lpn]
+	if s == nilSlot {
 		return at + f.opts.CtrlLatency, nil
 	}
-	if err := f.unbindOld(c); err != nil {
+	if err := f.unbindOld(s); err != nil {
 		return 0, err
 	}
-	f.bind(lpn, dedup.NilCID)
+	f.bind(lpn, nilSlot)
 	return at + f.opts.CtrlLatency, nil
 }
 

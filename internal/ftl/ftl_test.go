@@ -345,12 +345,12 @@ func TestCAGCDedupsDuringGC(t *testing.T) {
 	// Dedup must have produced shared pages: live contents < mapped LPNs.
 	mapped := 0
 	for lpn := uint64(0); lpn < f.LogicalPages(); lpn++ {
-		if f.mapping[lpn] != dedup.NilCID {
+		if f.mapping[lpn] != nilSlot {
 			mapped++
 		}
 	}
-	if f.Index().Live() >= mapped {
-		t.Fatalf("no sharing: %d live contents for %d mapped LPNs", f.Index().Live(), mapped)
+	if f.LiveContents() >= mapped {
+		t.Fatalf("no sharing: %d live contents for %d mapped LPNs", f.LiveContents(), mapped)
 	}
 }
 

@@ -201,7 +201,7 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 	}
 	f.tr.End(id, done)
 	if err == nil {
-		f.idx.EmitTelemetry(f.tr, done)
+		f.tr.Counter(obs.TrackIndex, obs.KIndexLive, done, uint64(f.LiveContents()))
 	}
 	return err
 }
@@ -219,11 +219,11 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Blo
 			continue
 		}
 		ppn := f.dec.PageOf(victim, i)
-		c := f.owners[ppn]
-		if c == dedup.NilCID {
+		owner := f.owners[ppn]
+		if owner == nilSlot {
 			return 0, fmt.Errorf("valid ppn %d without owner", ppn)
 		}
-		done, err := f.migratePage(now, &cursor, ppn, c)
+		done, err := f.migratePage(now, &cursor, ppn, owner)
 		if err != nil {
 			return 0, err
 		}
@@ -268,7 +268,7 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Blo
 
 // migratePage relocates (or dedups away) one valid page during GC and
 // returns the completion time of its processing.
-func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, c dedup.CID) (event.Time, error) {
+func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, owner slot) (event.Time, error) {
 	overlap := !f.opts.GCDedup || f.opts.OverlapHash
 	start := now
 	if !overlap {
@@ -282,19 +282,22 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, c d
 	}
 
 	if f.opts.GCDedup {
-		indexed, err := f.idx.Indexed(c)
-		if err != nil {
-			return 0, err
+		hashed := false // a private page never is
+		if !owner.private() {
+			if hashed, err = f.idx.Indexed(owner.cid()); err != nil {
+				return 0, err
+			}
 		}
-		if !indexed {
-			return f.migrateUnindexed(now, cursor, overlap, ppn, c, readEnd)
+		if !hashed {
+			return f.migrateUnhashed(now, cursor, overlap, ppn, owner, readEnd)
 		}
 	}
 
-	// Plain migration: the content keeps its CID; one program.
+	// Plain migration: the content keeps its CID (a private page its
+	// LPN); one program. A private page has one reference.
 	ref := 1
-	if f.opts.HotCold {
-		if ref, err = f.idx.Ref(c); err != nil {
+	if f.opts.HotCold && !owner.private() {
+		if ref, err = f.idx.Ref(owner.cid()); err != nil {
 			return 0, err
 		}
 	}
@@ -302,7 +305,7 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, c d
 	if !overlap {
 		dataReady = readEnd
 	}
-	progEnd, err := f.relocateAfter(now, dataReady, ppn, c, f.regionFor(ref))
+	progEnd, err := f.relocateAfter(now, dataReady, ppn, owner, f.regionFor(ref))
 	if err != nil {
 		return 0, err
 	}
@@ -310,32 +313,42 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, c d
 	return progEnd, nil
 }
 
-// migrateUnindexed handles the CAGC path for a page whose content has
-// never been fingerprinted: hash it, then either merge it into an
-// existing copy or publish and write it.
-func (f *FTL) migrateUnindexed(now event.Time, cursor *event.Time, overlap bool, ppn flash.PPN, c dedup.CID, readEnd event.Time) (event.Time, error) {
+// migrateUnhashed handles the CAGC path for content the index cannot
+// see — a private page, never hashed, or shared content whose
+// fingerprint the capacity bound evicted: hash it, then either fold it
+// into the indexed copy or index and write it.
+func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, ppn flash.PPN, owner slot, readEnd event.Time) (event.Time, error) {
 	hashAt := now
 	if !overlap {
 		hashAt = readEnd
 	}
 	hashEnd := f.reserveHash(hashAt, readEnd)
 
-	fp, err := f.idx.FP(c)
+	fp, err := f.fingerprint(ppn, owner)
 	if err != nil {
 		return 0, err
 	}
+	if owner.private() {
+		f.private-- // it becomes shared content either way
+	}
 	if c2, hit := f.idx.Lookup(fp); hit {
-		// Redundant copy: drop the page, merge references.
-		f.remapAll(c, c2)
-		newRef, err := f.idx.MergeInto(c, c2)
-		if err != nil {
-			return 0, err
+		// Redundant copy: drop the page; its references join c2.
+		var newRef int
+		if owner.private() {
+			if newRef, err = f.idx.AdoptPrivate(c2); err != nil {
+				return 0, err
+			}
+			f.bind(owner.page(), cidSlot(c2))
+		} else {
+			f.remapAll(owner.cid(), c2)
+			if newRef, err = f.idx.MergeInto(owner.cid(), c2); err != nil {
+				return 0, err
+			}
 		}
 		if err := f.invalidatePage(ppn); err != nil {
 			return 0, err
 		}
-		f.owners[ppn] = dedup.NilCID
-		f.cowOwn.Mark(int(ppn))
+		f.own(ppn, nilSlot)
 		f.stats.GCDupDropped++
 		f.tr.Instant(obs.TrackGC, obs.KGCDedupHit, hashEnd, uint64(ppn))
 		done := hashEnd
@@ -359,8 +372,14 @@ func (f *FTL) migrateUnindexed(now event.Time, cursor *event.Time, overlap bool,
 		return done, nil
 	}
 
-	// First copy of this content: publish and migrate.
-	if err := f.idx.Publish(c); err != nil {
+	// First indexed copy of this content: index it and migrate.
+	c := owner.cid()
+	if owner.private() {
+		if c, err = f.idx.Insert(fp, ppn); err != nil {
+			return 0, err
+		}
+		f.bind(owner.page(), cidSlot(c))
+	} else if err := f.idx.Publish(c); err != nil {
 		return 0, err
 	}
 	f.tr.Instant(obs.TrackGC, obs.KGCPublish, hashEnd, uint64(ppn))
@@ -372,7 +391,7 @@ func (f *FTL) migrateUnindexed(now event.Time, cursor *event.Time, overlap bool,
 	if !overlap {
 		dataReady = hashEnd
 	}
-	progEnd, err := f.relocateAfter(now, dataReady, ppn, c, f.regionFor(ref))
+	progEnd, err := f.relocateAfter(now, dataReady, ppn, cidSlot(c), f.regionFor(ref))
 	if err != nil {
 		return 0, err
 	}
@@ -380,10 +399,22 @@ func (f *FTL) migrateUnindexed(now event.Time, cursor *event.Time, overlap bool,
 	return progEnd, nil
 }
 
-// relocateAfter copies c's content from oldPPN into region, data
-// available at dataReady, and updates all metadata.
-func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, c dedup.CID, region Region) (event.Time, error) {
-	fp, err := f.idx.FP(c)
+// fingerprint returns the content fingerprint of ppn, owned by owner:
+// the programmed tag for a private page (what GC's hash of it
+// computes), the CID's fingerprint otherwise.
+func (f *FTL) fingerprint(ppn flash.PPN, owner slot) (dedup.Fingerprint, error) {
+	if owner.private() {
+		tag, err := f.dev.Tag(ppn)
+		return dedup.Fingerprint(tag), err
+	}
+	return f.idx.FP(owner.cid())
+}
+
+// relocateAfter copies owner's content from oldPPN into region, data
+// available at dataReady, and updates all metadata: the CID's location,
+// or a private page's LPN.
+func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, owner slot, region Region) (event.Time, error) {
+	fp, err := f.fingerprint(oldPPN, owner)
 	if err != nil {
 		return 0, err
 	}
@@ -400,16 +431,19 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, c dedup
 	if err != nil {
 		return 0, err
 	}
-	if err := f.idx.SetPPN(c, dest); err != nil {
+	if owner.private() {
+		// GC-side map updates are batched, not charged (see cmt).
+		lpn := owner.page()
+		f.mapping[lpn] = privateSlot(uint64(dest))
+		f.cowMap.Mark(int(lpn))
+	} else if err := f.idx.SetPPN(owner.cid(), dest); err != nil {
 		return 0, err
 	}
-	f.owners[dest] = c
-	f.cowOwn.Mark(int(dest))
+	f.own(dest, owner)
 	if err := f.invalidatePage(oldPPN); err != nil {
 		return 0, err
 	}
-	f.owners[oldPPN] = dedup.NilCID
-	f.cowOwn.Mark(int(oldPPN))
+	f.own(oldPPN, nilSlot)
 	f.stats.PagesMigrated++
 	return progEnd, nil
 }
@@ -453,13 +487,11 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	if err := f.idx.SetPPN(c, dest); err != nil {
 		return 0, false, err
 	}
-	f.owners[dest] = c
-	f.cowOwn.Mark(int(dest))
+	f.own(dest, cidSlot(c))
 	if err := f.invalidatePage(ppn); err != nil {
 		return 0, false, err
 	}
-	f.owners[ppn] = dedup.NilCID
-	f.cowOwn.Mark(int(ppn))
+	f.own(ppn, nilSlot)
 	f.stats.Promotions++
 	f.tr.Instant(obs.TrackGC, obs.KPromote, progEnd, uint64(dest))
 	return progEnd, true, nil
@@ -471,7 +503,7 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 func (f *FTL) remapAll(from, to dedup.CID) {
 	tail := nilNode
 	for n := f.rev.heads[from]; n != nilNode; n = f.rev.next[n] {
-		f.mapping[n] = to
+		f.mapping[n] = cidSlot(to)
 		f.cowMap.Mark(int(n))
 		tail = n
 	}

@@ -94,9 +94,9 @@ func TestCollectAllConsolidates(t *testing.T) {
 	if st.GCDupDropped == 0 {
 		t.Fatal("consolidation found no duplicates")
 	}
-	// Only 4 distinct contents remain stored.
-	if f.Index().Live() != 4 {
-		t.Fatalf("live contents = %d, want 4", f.Index().Live())
+	// Only 4 distinct contents remain stored, all of them hashed.
+	if f.LiveContents() != 4 || f.Index().Live() != 4 {
+		t.Fatalf("live contents = %d (%d indexed), want 4 (4)", f.LiveContents(), f.Index().Live())
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)

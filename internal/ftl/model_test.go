@@ -20,19 +20,44 @@ const modelOpBytes = 4
 // modelCheckEvery is how many operations pass between full comparisons.
 const modelCheckEvery = 64
 
-// runAgainstModel decodes data into a scheme, a policy and an operation
-// stream, applies the stream to an FTL on a 64-page device and to the
-// model, and compares them every modelCheckEvery operations and at the
-// end. Victim selection goes through checkedPolicy, so each selection is
-// also compared with the full-scan reference. It returns the FTL's
-// final counters.
-func runAgainstModel(t *testing.T, data []byte) Stats {
+// Option legs, bit flags in data[1]/3 (data[1]%3 is the policy, so a
+// policy byte below 3 runs no leg).
+const (
+	// legCapacity caps the index at 4 fingerprints: with 16 contents
+	// they are evicted constantly, so shared CIDs that are not indexed
+	// (GC re-hashes and merges or republishes them) are common.
+	legCapacity = 1 << iota
+	legMappingCache
+	legWearLevel
+	numLegs = iota
+)
+
+// legName names the corpus files of the legs.
+var legName = [numLegs]string{"capacity", "mapcache", "wearlevel"}
+
+// runAgainstModel decodes data into a scheme, a policy, option legs and
+// an operation stream, applies the stream to an FTL on a 64-page device
+// and to the model, and compares them every modelCheckEvery operations
+// and at the end. Victim selection goes through checkedPolicy, so each
+// selection is also compared with the full-scan reference. It returns
+// the FTL.
+func runAgainstModel(t *testing.T, data []byte) *FTL {
 	if len(data) < 2 {
-		return Stats{}
+		return nil
 	}
 	opts := []Options{BaselineOptions(), InlineDedupeOptions(), CAGCOptions()}[data[0]%3]
 	policy := checkedPolicies(t)[data[1]%3]
 	opts.Policy = policy
+	legs := data[1] / 3
+	if legs&legCapacity != 0 {
+		opts.IndexCapacity = 4
+	}
+	if legs&legMappingCache != 0 {
+		opts.MappingCache = 1 // one translation page of 512 entries
+	}
+	if legs&legWearLevel != 0 {
+		opts.WearLevelThreshold = 2
+	}
 	dev, err := flash.NewDevice(flash.Config{
 		Geometry: flash.Geometry{
 			Channels: 2, DiesPerChan: 1, PlanesPerDie: 1,
@@ -82,29 +107,29 @@ func runAgainstModel(t *testing.T, data []byte) Stats {
 		}
 	}
 	compareWithModel(t, f, model, now)
-	return f.Stats()
+	return f
 }
 
 // compareWithModel asserts that f stores exactly the model's contents.
 func compareWithModel(t *testing.T, f *FTL, model map[uint64]dedup.Fingerprint, now event.Time) {
 	t.Helper()
 	distinct := map[dedup.Fingerprint]bool{}
+	bound := map[dedup.CID]int{} // model LPNs bound to each CID
 	for lpn := uint64(0); lpn < f.LogicalPages(); lpn++ {
-		want, mapped := model[lpn]
-		c := f.mapping[lpn]
+		want, inModel := model[lpn]
+		ppn, mapped, err := f.locate(lpn)
+		if err != nil {
+			t.Fatalf("lpn %d: %v", lpn, err)
+		}
+		if mapped != inModel {
+			t.Fatalf("lpn %d: mapped=%v (%v), the model holds it: %v", lpn, mapped, f.mapping[lpn], inModel)
+		}
 		if !mapped {
-			if c != dedup.NilCID {
-				t.Fatalf("lpn %d is mapped to CID %d, the model has it unmapped", lpn, c)
-			}
 			continue
 		}
 		distinct[want] = true
-		if c == dedup.NilCID {
-			t.Fatalf("lpn %d is unmapped, the model holds %#x", lpn, uint64(want))
-		}
-		ppn, err := f.idx.PPN(c)
-		if err != nil {
-			t.Fatalf("lpn %d: %v", lpn, err)
+		if s := f.mapping[lpn]; !s.private() {
+			bound[s.cid()]++
 		}
 		if st, _ := f.dev.PageStateOf(ppn); st != flash.PageValid {
 			t.Fatalf("lpn %d lives on ppn %d in state %v", lpn, ppn, st)
@@ -138,14 +163,34 @@ func compareWithModel(t *testing.T, f *FTL, model map[uint64]dedup.Fingerprint, 
 	}
 	lo, hi := len(distinct), len(model)
 	switch {
-	case f.opts.InlineDedup:
+	case f.opts.InlineDedup && f.opts.IndexCapacity == 0:
 		hi = lo
-	case !f.opts.GCDedup:
+	case !f.opts.InlineDedup && !f.opts.GCDedup:
 		lo = hi
 	}
 	if valid < lo || valid > hi {
 		t.Fatalf("%d valid pages for %d mapped pages of %d distinct contents, want %d..%d",
 			valid, len(model), len(distinct), lo, hi)
+	}
+	// Reference counting against the model: each CID's count is the
+	// number of LPNs bound to it, every live CID has some, and those plus
+	// the private pages are every mapped LPN; one stored content per
+	// valid page.
+	refs := 0
+	for c, lpns := range bound {
+		if ref, err := f.idx.Ref(c); err != nil || ref != lpns {
+			t.Fatalf("CID %d: refcount %d (%v), %d LPNs bound to it", c, ref, err, lpns)
+		}
+		refs += lpns
+	}
+	if len(bound) != f.idx.Live() {
+		t.Fatalf("%d CIDs bound, %d live", len(bound), f.idx.Live())
+	}
+	if f.private+refs != len(model) {
+		t.Fatalf("%d private pages + %d references != %d mapped LPNs", f.private, refs, len(model))
+	}
+	if f.LiveContents() != valid {
+		t.Fatalf("%d live contents, %d valid pages", f.LiveContents(), valid)
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -165,16 +210,34 @@ func modelStream(scheme, policy byte, ops int) []byte {
 }
 
 // TestFTLAgainstModel runs the model comparison over every scheme and
-// policy on streams that are known to reach GC, so plain `go test`
-// covers what the fuzz target explores.
+// policy, and every scheme under each option leg, on streams that are
+// known to reach GC, so plain `go test` covers what the fuzz target
+// explores.
 func TestFTLAgainstModel(t *testing.T) {
 	for scheme := byte(0); scheme < 3; scheme++ {
 		for policy := byte(0); policy < 3; policy++ {
-			st := runAgainstModel(t, modelStream(scheme, policy, 2000))
+			st := runAgainstModel(t, modelStream(scheme, policy, 2000)).Stats()
 			// Inline-Dedupe stores 16 pages at most here: never short
 			// enough of free blocks for idle GC to have work.
 			if st.BlocksErased == 0 || st.PagesMigrated == 0 || (st.IdleGCCollects == 0 && scheme != 1) {
 				t.Errorf("scheme %d policy %d: stream never reached GC: %+v", scheme, policy, st)
+			}
+		}
+		for leg := 0; leg < numLegs; leg++ {
+			f := runAgainstModel(t, modelStream(scheme, 3<<leg, 2000))
+			// Each leg must reach what it exists for (Baseline has no
+			// index to bound).
+			reached := true
+			switch 1 << leg {
+			case legCapacity:
+				reached = scheme == 0 || f.Index().Evictions() > 0
+			case legMappingCache:
+				reached = f.MapCacheStats().Hits > 0
+			case legWearLevel:
+				reached = f.Stats().WLSwaps > 0
+			}
+			if !reached {
+				t.Errorf("scheme %d, %s leg: never exercised: %+v", scheme, legName[leg], f.Stats())
 			}
 		}
 	}
@@ -182,7 +245,7 @@ func TestFTLAgainstModel(t *testing.T) {
 
 // FuzzFTLAgainstModel is the open-ended form; the seed corpus under
 // testdata/fuzz/FuzzFTLAgainstModel holds one GC-reaching stream per
-// scheme and policy.
+// scheme and policy, and per scheme and option leg (greedy).
 func FuzzFTLAgainstModel(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 1, 5, 0, 0, 2, 5, 9, 0, 1, 0, 15, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runAgainstModel(t, data) })

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -86,11 +87,19 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // 1 MiB is refused without being read further.
 const maxJobSpecBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads one job spec as POST /v1/jobs does: at most
+// maxJobSpecBytes of body, unknown fields refused. w may be nil.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxJobSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,

@@ -73,9 +73,22 @@ type resolvedJob struct {
 	key      string // canonical cache identity of the whole job
 }
 
+// maxJobRuns caps the runs one job fans out to: a sweep's count, a
+// batch's seeds, a fleet's devices. resolve allocates and hashes per
+// run inside the HTTP handler, before admission, so the cap is checked
+// first — a 40-byte sweep spec could otherwise ask for a billion.
+const maxJobRuns = 4096
+
 // resolve validates spec and computes its identity. defTimeout applies
 // when the spec names none; maxTimeout (when positive) caps it.
 func (spec JobSpec) resolve(defTimeout, maxTimeout time.Duration) (*resolvedJob, error) {
+	runs := max(spec.Count, len(spec.Seeds))
+	if spec.Fleet != nil {
+		runs = max(runs, spec.Fleet.Devices)
+	}
+	if runs > maxJobRuns {
+		return nil, fmt.Errorf("job fans out to %d runs (count/seeds/fleet.Devices), limit %d", runs, maxJobRuns)
+	}
 	r := &resolvedJob{kind: spec.Kind, policy: spec.Policy, params: spec.Params, trace: spec.Trace}
 	if r.kind == "" {
 		r.kind = KindRun

@@ -42,11 +42,23 @@ func reseedShape(t testing.TB) (Config, trace.Spec, trace.Spec) {
 	return cfg, spec, replay
 }
 
+// minReseedRatio is how many times fewer bytes a dirty-chunk re-seed
+// must copy than a full copy on the pinned shape. It was 4 until private
+// pages left the dedup index (PR 25): the full copy fell from 1 286 796
+// to 545 704 B, because a host write no longer costs an index entry and
+// the index's tables were most of the FTL's state, but the dirty
+// re-seed only from 258 932 to 142 480 B, because what it still copies
+// — the device's dirtied blocks (58 KB), the mapping and owner chunks a
+// write dirties either way, the small state copied whole — did not
+// shrink. So the ratio fell from 4.97 to 3.83. With dirty tracking off
+// both copies are the full copy: ratio 1.
+const minReseedRatio = 3.5
+
 // The re-seed byte-ratio guard: on the pinned shape, a dirty-chunk
-// re-seed must copy at least 4x fewer bytes than the full copy an
-// untracked runner makes. Everything here is deterministic — the same
-// trace dirties the same chunks every run — so the guard is exact, not
-// statistical.
+// re-seed must copy at least minReseedRatio times fewer bytes than the
+// full copy an untracked runner makes. Everything here is deterministic
+// — the same trace dirties the same chunks every run — so the guard is
+// exact, not statistical.
 func TestReseedBytesRatio(t *testing.T) {
 	cfg, spec, replay := reseedShape(t)
 	snap, err := NewSnapshot(cfg, spec)
@@ -69,9 +81,9 @@ func TestReseedBytesRatio(t *testing.T) {
 	if dirty <= 0 || full <= 0 {
 		t.Fatalf("degenerate byte counts: dirty %d, full %d", dirty, full)
 	}
-	if full < 4*dirty {
-		t.Fatalf("dirty re-seed copied %d bytes, full %d: ratio %.2f < 4",
-			dirty, full, float64(full)/float64(dirty))
+	if float64(full) < minReseedRatio*float64(dirty) {
+		t.Fatalf("dirty re-seed copied %d bytes, full %d: ratio %.2f < %v",
+			dirty, full, float64(full)/float64(dirty), minReseedRatio)
 	}
 }
 
