@@ -46,12 +46,10 @@ type WriteBuffer struct {
 	stats Stats
 	tr    obs.Tracer // never nil; obs.Nop when tracing is off
 
-	// dirty is the buffer's coarse copy-on-write mark: true once the
-	// slot chain (lru list + index) has diverged from the snapshot
-	// master this buffer was seeded from. The chain is pointer-backed,
-	// so divergence is tracked whole rather than per chunk; stats and
-	// scalars are always refreshed at re-seed. Read misses leave the
-	// chain untouched and stay clean.
+	// dirty is true once the slot chain (lru list + index) has diverged
+	// from whatever this buffer was last copied from. A clean chain lets
+	// CopyFrom skip rebuilding the list and map — an allocation saved,
+	// not bytes. Read misses leave the chain untouched and stay clean.
 	dirty bool
 }
 

@@ -94,7 +94,6 @@ func (x *Index) enforceCapacity() {
 		if e.ref > 0 && !e.unindexed {
 			x.byFP.Delete(fp)
 			e.unindexed = true
-			x.track.Mark(int(c))
 			x.stats.Evictions++
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cagc/internal/cow"
 	"cagc/internal/flash"
 	"cagc/internal/flathash"
 )
@@ -67,18 +66,7 @@ type Index struct {
 	// list of the original map-based implementation.
 	capacity int
 	lruOn    bool
-
-	// track, when non-nil, records which entry chunks diverged from the
-	// snapshot master this index was seeded from; CopyFrom re-copies
-	// only those. The free-CID stack pops and repushes below the
-	// master's length, so it is not prefix-clean and is always copied
-	// whole (it is bounded by the peak dead-CID count).
-	track *cow.Tracker
 }
-
-// entryChunkShift sizes the entry dirty-tracking chunks: 64 entries
-// (~2 KB) per chunk.
-const entryChunkShift = 6
 
 // NewIndex returns an empty index.
 func NewIndex() *Index {
@@ -138,7 +126,6 @@ func (x *Index) Insert(fp Fingerprint, ppn flash.PPN) (CID, error) {
 		x.entries = append(x.entries, entry{})
 	}
 	x.entries[c] = entry{fp: fp, ppn: ppn, ref: 1, peak: 1}
-	x.track.Mark(int(c))
 	s := x.byFP.Put(uint64(fp), c)
 	x.live++
 	x.stats.Inserts++
@@ -160,7 +147,6 @@ func (x *Index) IncRef(c CID) (int, error) {
 	if e.ref > e.peak {
 		e.peak = e.ref
 	}
-	x.track.Mark(int(c))
 	return int(e.ref), nil
 }
 
@@ -174,7 +160,6 @@ func (x *Index) DecRef(c CID) (ref int, peak int, err error) {
 	}
 	e := &x.entries[c]
 	e.ref--
-	x.track.Mark(int(c))
 	if e.ref == 0 {
 		if !e.unindexed {
 			// Delete unlinks the slot from the recency list too — the
@@ -212,7 +197,6 @@ func (x *Index) SetPPN(c CID, ppn flash.PPN) error {
 		return err
 	}
 	x.entries[c].ppn = ppn
-	x.track.Mark(int(c))
 	return nil
 }
 

@@ -50,7 +50,6 @@ func (x *Index) Publish(c CID) error {
 		return fmt.Errorf("dedup: Publish of duplicate fingerprint %#x (merge instead)", uint64(e.fp))
 	}
 	e.unindexed = false
-	x.track.Mark(int(c))
 	s := x.byFP.Put(uint64(e.fp), c)
 	x.trackIndexed(s)
 	return nil
@@ -82,7 +81,6 @@ func (x *Index) MergeInto(from, to CID) (int, error) {
 	if et.ref > et.peak {
 		et.peak = et.ref
 	}
-	x.track.Mark(int(to))
 	x.touch(to)
 	// Remove from. It is an evicted (unindexed) entry; if it was indexed
 	// this is a caller bug because two indexed entries can never share a
@@ -91,7 +89,6 @@ func (x *Index) MergeInto(from, to CID) (int, error) {
 		return 0, fmt.Errorf("dedup: merge source CID %d is indexed", from)
 	}
 	ef.ref = 0
-	x.track.Mark(int(from))
 	x.freeIDs = append(x.freeIDs, from)
 	x.live--
 	x.stats.Removals++

@@ -3,7 +3,6 @@ package flash
 import (
 	"unsafe"
 
-	"cagc/internal/cow"
 	"cagc/internal/event"
 )
 
@@ -16,27 +15,17 @@ import (
 // operation stream a cold device in src's state would — warm-state
 // snapshots depend on that.
 //
-// A tracked d (EnableCOW) that has the master's shape copies only the
-// blocks it dirtied since it last equaled src; an untracked or
-// differently-shaped d copies every block. Either way d's existing
-// allocations are reused, so after the first copy a re-seed is pure
-// copying with zero heap growth. The small always-copied state (die
-// timelines, hash pool, counters) is tiny next to the block arrays,
-// which is why chunking ignores it.
+// Every block is copied, into d's existing state and tag arrays when it
+// has them, so after the first copy a re-seed is pure copying with zero
+// heap growth.
 func (d *Device) CopyFrom(src *Device) int {
 	if len(d.blocks) != len(src.blocks) {
 		d.blocks = make([]Block, len(src.blocks))
-		d.track.MarkAll()
 	}
 	n := 0
-	if d.track.All() {
-		for i := range src.blocks {
-			n += d.copyBlock(src, i)
-		}
-	} else {
-		d.track.Chunks(func(i int) { n += d.copyBlock(src, i) })
+	for i := range src.blocks {
+		n += d.copyBlock(src, i)
 	}
-	d.track.Reset() // d equals src everywhere again
 	if len(d.dies) != len(src.dies) {
 		d.dies = make([]*event.Timeline, len(src.dies))
 		for i := range d.dies {
@@ -50,7 +39,8 @@ func (d *Device) CopyFrom(src *Device) int {
 		d.hash = new(event.Pool)
 	}
 	d.hash.CopyFrom(src.hash)
-	n += cow.CopyAll(&d.dieOps, src.dieOps)
+	d.dieOps = append(d.dieOps[:0], src.dieOps...)
+	n += len(src.dieOps) * int(unsafe.Sizeof(Stats{}))
 	d.cfg = src.cfg
 	d.stats = src.stats
 	d.totalPages = src.totalPages
@@ -71,14 +61,4 @@ func (d *Device) copyBlock(src *Device, i int) int {
 	dst.tags = append(tags, s.tags...)
 	return len(s.states)*int(unsafe.Sizeof(PageState(0))) +
 		len(s.tags)*8 + int(unsafe.Sizeof(Block{}))
-}
-
-// EnableCOW turns on per-block divergence tracking so CopyFrom can
-// re-seed this device from its snapshot master by copying only the
-// blocks a run touched. Idempotent. A copy never inherits tracking, so
-// cold runs pay only nil-checks at the mark sites.
-func (d *Device) EnableCOW() {
-	if d.track == nil {
-		d.track = cow.NewTracker(0) // chunk = one block
-	}
 }

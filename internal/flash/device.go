@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cagc/internal/cow"
 	"cagc/internal/event"
 	"cagc/internal/obs"
 )
@@ -52,12 +51,6 @@ type Device struct {
 	tr obs.Tracer // never nil; obs.Nop when tracing is off
 
 	now event.Time // latest operation time observed, for block ages
-
-	// track, when non-nil, records which blocks diverged from the
-	// snapshot master this device was seeded from (chunk = one block:
-	// page-state and OOB-tag mutations are block-grained anyway).
-	// CopyFrom re-copies only those blocks.
-	track *cow.Tracker
 }
 
 // NewDevice builds a device in the all-erased state.
@@ -215,7 +208,6 @@ func (d *Device) program(at, dataReady event.Time, b BlockID, blk *Block, p PPN,
 	blk.writePtr++
 	blk.validCnt++
 	blk.lastProgram = int64(end)
-	d.track.Mark(int(b))
 	d.stats.PagePrograms++
 	d.observe(end)
 	return end
@@ -235,7 +227,6 @@ func (d *Device) Invalidate(p PPN) error {
 	blk.states[idx] = PageInvalid
 	blk.validCnt--
 	blk.invalidCnt++
-	d.track.Mark(int(b))
 	return nil
 }
 
@@ -266,7 +257,6 @@ func (d *Device) EraseBlock(at, migrated event.Time, b BlockID) (event.Time, err
 	blk.writePtr = 0
 	blk.invalidCnt = 0
 	blk.eraseCnt++
-	d.track.Mark(int(b))
 	d.stats.BlockErases++
 	d.observe(end)
 	return end, nil

@@ -40,7 +40,7 @@
 // them immediately, never store them.
 package flathash
 
-import "cagc/internal/cow"
+import "unsafe"
 
 // List-link sentinels. A slot's prev field doubles as the membership
 // marker: unlinked means "not on the recency list" (distinct from being
@@ -55,10 +55,6 @@ const (
 
 // minSlots keeps the smallest table one cache line's worth of slots.
 const minSlots = 8
-
-// slotChunkShift sizes the dirty-tracking chunks: 64 slots (~1.5 KB for
-// V = uint32) per chunk balances bitmap size against copy granularity.
-const slotChunkShift = 6
 
 // slot is one table cell. With V = uint32 a slot is 24 bytes, so a
 // probe cluster of several entries fits in two cache lines.
@@ -80,12 +76,6 @@ type Map[V any] struct {
 	head  int32  // most recently used, NilSlot when list empty
 	tail  int32  // least recently used, NilSlot when list empty
 	nlist int    // entries currently on the recency list
-
-	// track, when non-nil, records which slot chunks diverged from the
-	// snapshot master this table was seeded from; CopyFrom re-copies
-	// only those. Belongs to this table, never shared: CopyFrom keeps
-	// the destination's tracker.
-	track *cow.Tracker
 }
 
 // New returns a table pre-sized so that hint entries fit without
@@ -157,7 +147,6 @@ func (m *Map[V]) Get(key uint64) (int32, bool) {
 func (m *Map[V]) Put(key uint64, val V) int32 {
 	if i, ok := m.Get(key); ok {
 		m.slots[i].val = val
-		m.track.Mark(int(i))
 		return i
 	}
 	if (m.n+1)*4 > len(m.slots)*3 {
@@ -168,7 +157,6 @@ func (m *Map[V]) Put(key uint64, val V) int32 {
 		i = (i + 1) & m.mask
 	}
 	m.slots[i] = slot[V]{key: key, val: val, prev: unlinked, next: unlinked, used: true}
-	m.track.Mark(int(i))
 	m.n++
 	return int32(i)
 }
@@ -208,7 +196,6 @@ func (m *Map[V]) deleteSlot(i uint64) {
 	var zero slot[V]
 	zero.prev, zero.next = unlinked, unlinked
 	m.slots[i] = zero
-	m.track.Mark(int(i))
 	m.n--
 }
 
@@ -218,7 +205,6 @@ func (m *Map[V]) deleteSlot(i uint64) {
 func (m *Map[V]) moveSlot(from, to uint64) {
 	s := m.slots[from]
 	m.slots[to] = s
-	m.track.Mark(int(to))
 	if s.prev == unlinked {
 		return
 	}
@@ -226,21 +212,17 @@ func (m *Map[V]) moveSlot(from, to uint64) {
 		m.head = int32(to)
 	} else {
 		m.slots[s.prev].next = int32(to)
-		m.track.Mark(int(s.prev))
 	}
 	if s.next == NilSlot {
 		m.tail = int32(to)
 	} else {
 		m.slots[s.next].prev = int32(to)
-		m.track.Mark(int(s.next))
 	}
 }
 
 // grow doubles the table. Entries are re-probed into the new array;
-// the recency list is rebuilt in its exact prior order. Every entry
-// relocates, so chunk-level divergence tracking gives up: MarkAll.
+// the recency list is rebuilt in its exact prior order.
 func (m *Map[V]) grow() {
-	m.track.MarkAll()
 	old := m.slots
 	oldHead := m.head
 	m.init(len(old) * 2)
@@ -271,12 +253,8 @@ func (m *Map[V]) grow() {
 func (m *Map[V]) Key(i int32) uint64 { return m.slots[i].key }
 
 // At returns a pointer to slot i's value, valid until the next
-// mutating call. The pointer is writable, so the slot is conservatively
-// marked dirty — callers that only read pay one bitmap store.
-func (m *Map[V]) At(i int32) *V {
-	m.track.Mark(int(i))
-	return &m.slots[i].val
-}
+// mutating call.
+func (m *Map[V]) At(i int32) *V { return &m.slots[i].val }
 
 // --- intrusive recency list ---
 
@@ -303,10 +281,8 @@ func (m *Map[V]) PushFront(i int32) {
 	s := &m.slots[i]
 	s.prev = NilSlot
 	s.next = m.head
-	m.track.Mark(int(i))
 	if m.head != NilSlot {
 		m.slots[m.head].prev = i
-		m.track.Mark(int(m.head))
 	}
 	m.head = i
 	if m.tail == NilSlot {
@@ -319,10 +295,8 @@ func (m *Map[V]) pushBack(i int32) {
 	s := &m.slots[i]
 	s.next = NilSlot
 	s.prev = m.tail
-	m.track.Mark(int(i))
 	if m.tail != NilSlot {
 		m.slots[m.tail].next = i
-		m.track.Mark(int(m.tail))
 	}
 	m.tail = i
 	if m.head == NilSlot {
@@ -354,40 +328,22 @@ func (m *Map[V]) unlink(i int32) {
 		m.head = s.next
 	} else {
 		m.slots[s.prev].next = s.next
-		m.track.Mark(int(s.prev))
 	}
 	if s.next == NilSlot {
 		m.tail = s.prev
 	} else {
 		m.slots[s.next].prev = s.prev
-		m.track.Mark(int(s.next))
 	}
 	s.prev, s.next = unlinked, unlinked
-	m.track.Mark(int(i))
 	m.nlist--
 }
 
-// CopyFrom makes m equal src and returns the bytes copied. Slots hold
-// only values and index links — no pointers — so the copy is flat: the
-// whole slot array when m is untracked (a zero Map being cloned into,
-// a runner's first re-seed) or all-dirty (the table grew), only the
-// slot chunks m dirtied since it last equaled src otherwise. m keeps
-// its slot array and its own tracker, which ends clean.
+// CopyFrom makes m equal src, reusing m's slot array, and returns the
+// bytes copied. Slots hold only values and index links — no pointers —
+// so the copy is one flat copy of the slot array.
 func (m *Map[V]) CopyFrom(src *Map[V]) int {
-	slots, track := m.slots, m.track
+	slots := m.slots
 	*m = *src
-	m.slots, m.track = slots, track
-	n := cow.CopySlice(track, &m.slots, src.slots)
-	track.Reset()
-	return n
-}
-
-// Track enables chunk-level divergence tracking so CopyFrom can
-// re-seed this table from its snapshot master by copying only the slot
-// chunks that changed. Idempotent; cold tables never call it and pay
-// only nil-checks at the mark sites.
-func (m *Map[V]) Track() {
-	if m.track == nil {
-		m.track = cow.NewTracker(slotChunkShift)
-	}
+	m.slots = append(slots[:0], src.slots...)
+	return len(src.slots) * int(unsafe.Sizeof(slot[V]{}))
 }

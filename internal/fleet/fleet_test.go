@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"cagc/internal/event"
 	"cagc/internal/flash"
 	"cagc/internal/ftl"
+	"cagc/internal/pool"
 	"cagc/internal/sim"
 	"cagc/internal/trace"
 )
@@ -205,6 +207,43 @@ func TestFleetCloneResidencyBounded(t *testing.T) {
 	}
 	if stats.Live != 0 {
 		t.Fatalf("%d clones still live after the fleet completed", stats.Live)
+	}
+}
+
+// armedPanicPolicy is greedy until armed, then panics in Select — a
+// stand-in for any bug deep inside a device run.
+type armedPanicPolicy struct{ armed *atomic.Bool }
+
+func (p armedPanicPolicy) Name() string { return "armed-panic" }
+
+func (p armedPanicPolicy) Select(now event.Time, v ftl.VictimView) flash.BlockID {
+	if p.armed.Load() {
+		panic("armed victim policy")
+	}
+	return ftl.GreedyPolicy{}.Select(now, v)
+}
+
+// A device that panics fails the fleet with a *pool.PanicError instead
+// of taking the process, and leaks no live clone on any worker.
+func TestFleetPanicBalancesGauge(t *testing.T) {
+	cfg := fleetConfig(t, 12)
+	cfg.Workers = 3
+	armed := new(atomic.Bool)
+	cfg.Base.Options.Policy = armedPanicPolicy{armed}
+	// Arm once the warm snapshots exist, so only device replays panic.
+	cfg.Snapshots = func(c sim.Config, s trace.Spec) (*sim.Snapshot, error) {
+		armed.Store(false)
+		defer armed.Store(true)
+		return sim.NewSnapshot(c, s)
+	}
+	before := sim.CloneGaugeStats().Live
+	_, err := Run(cfg)
+	var pe *pool.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("fleet error %v, want a *pool.PanicError", err)
+	}
+	if live := sim.CloneGaugeStats().Live; live != before {
+		t.Fatalf("panicking fleet left live clones at %d, want %d", live, before)
 	}
 }
 

@@ -1,7 +1,8 @@
 package ftl
 
 import (
-	"cagc/internal/cow"
+	"unsafe"
+
 	"cagc/internal/dedup"
 	"cagc/internal/flash"
 	"cagc/internal/flathash"
@@ -18,13 +19,6 @@ import (
 // stream afterwards produces identical results and identical internal
 // state, which is what lets warm-state snapshots stand in for cold
 // preconditioning runs.
-//
-// The big tables (mapping, owners, dedup entries, fingerprint slots,
-// reverse-map tables, cmt page table) copy only the chunks f dirtied
-// since it last equaled src when f is tracked (EnableCOW), and whole
-// when it is not. Everything else — block metadata, free lists,
-// frontiers, the victim index, scalars, the victim policy — is small
-// and always copied.
 func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) int {
 	f.dev = dev
 	prev := f.opts.Policy
@@ -50,23 +44,21 @@ func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) int {
 		f.idx = new(dedup.Index)
 	}
 	n := f.idx.CopyFrom(src.idx)
-	n += cow.CopySlice(f.cowMap, &f.mapping, src.mapping)
-	f.cowMap.Reset()
-	n += cow.CopySlice(f.cowOwn, &f.owners, src.owners)
-	f.cowOwn.Reset()
+	n += copyAll(&f.mapping, src.mapping)
+	n += copyAll(&f.owners, src.owners)
 	f.private = src.private
 	n += f.rev.copyFrom(&src.rev)
-	n += cow.CopyAll(&f.blocks, src.blocks)
+	n += copyAll(&f.blocks, src.blocks)
 	if len(f.freeByDie) != len(src.freeByDie) {
 		f.freeByDie = make([][]flash.BlockID, len(src.freeByDie))
 	}
 	for i, l := range src.freeByDie {
-		n += cow.CopyAll(&f.freeByDie[i], l)
+		n += copyAll(&f.freeByDie[i], l)
 	}
 	f.freeCount = src.freeCount
 	f.hotRR = src.hotRR
 	f.cold = src.cold
-	n += cow.CopyAll(&f.hot, src.hot)
+	n += copyAll(&f.hot, src.hot)
 	n += f.vix.copyFrom(&src.vix)
 	f.inGC = src.inGC
 	f.gcBusyUntil = src.gcBusyUntil
@@ -96,20 +88,9 @@ func (c *cmt) copyFrom(src *cmt) int {
 	return c.pages.CopyFrom(src.pages)
 }
 
-// EnableCOW turns on divergence tracking on the mapping and owners
-// tables and cascades into the dedup index, the reverse map, and the
-// cached mapping table, so CopyFrom can re-seed this FTL from its
-// snapshot master by copying only what a run touched. The bound device
-// has its own EnableCOW; sim.Runner enables both together. Idempotent;
-// a copy never inherits tracking.
-func (f *FTL) EnableCOW() {
-	if f.cowMap == nil {
-		f.cowMap = cow.NewTracker(mapChunkShift)
-		f.cowOwn = cow.NewTracker(mapChunkShift)
-	}
-	f.rev.enableCOW()
-	f.idx.EnableCOW()
-	if f.cmt != nil {
-		f.cmt.pages.Track()
-	}
+// copyAll makes *dst equal src, reusing dst's backing array, and
+// returns the bytes copied.
+func copyAll[T any](dst *[]T, src []T) int {
+	*dst = append((*dst)[:0], src...)
+	return len(src) * int(unsafe.Sizeof(*new(T)))
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"cagc/internal/cow"
 	"cagc/internal/dedup"
 	"cagc/internal/event"
 	"cagc/internal/flash"
@@ -110,19 +109,7 @@ type FTL struct {
 	RefDist metrics.RefcountDist
 
 	logicalPages uint64
-
-	// Divergence trackers for the recycled-clone re-seed: cowMap
-	// over the L2P mapping (LPN chunks), cowOwn over the owners table
-	// (PPN chunks). nil when untracked. The remaining FTL state (block
-	// metadata, free lists, frontiers, victim index, scalars) is small
-	// relative to these tables and is always copied at re-seed.
-	cowMap *cow.Tracker
-	cowOwn *cow.Tracker
 }
-
-// mapChunkShift sizes the mapping/owners dirty-tracking chunks: 256
-// four-byte slots (1 KB) per chunk.
-const mapChunkShift = 8
 
 // slot is one word of the two translation tables. Content the host
 // wrote and nobody has hashed is a private page: it has one reference by
@@ -317,13 +304,6 @@ func (f *FTL) bind(lpn uint64, s slot) {
 		f.rev.move(uint32(lpn), f.mapping[lpn].chain(), s.chain())
 	}
 	f.mapping[lpn] = s
-	f.cowMap.Mark(int(lpn))
-}
-
-// own records s as the owner of ppn (nilSlot: none).
-func (f *FTL) own(ppn flash.PPN, s slot) {
-	f.owners[ppn] = s
-	f.cowOwn.Mark(int(ppn))
 }
 
 // Write services one page-sized user write of content fp to lpn at
@@ -350,7 +330,7 @@ func (f *FTL) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (event.Time
 	if err != nil {
 		return 0, err
 	}
-	f.own(ppn, privateSlot(lpn))
+	f.owners[ppn] = privateSlot(lpn)
 	f.private++
 	if old != nilSlot {
 		if err := f.unbindOld(old); err != nil {
@@ -389,7 +369,7 @@ func (f *FTL) writeInline(at event.Time, lpn uint64, fp dedup.Fingerprint, old s
 	if err != nil {
 		return 0, err
 	}
-	f.own(ppn, cidSlot(c))
+	f.owners[ppn] = cidSlot(c)
 	if old != nilSlot {
 		if err := f.unbindOld(old); err != nil {
 			return 0, err
@@ -427,7 +407,7 @@ func (f *FTL) unbindOld(old slot) error {
 	if err := f.invalidatePage(ppn); err != nil {
 		return fmt.Errorf("ftl: invalidating dead content: %w", err)
 	}
-	f.own(ppn, nilSlot)
+	f.owners[ppn] = nilSlot
 	f.RefDist.Add(peak)
 	return nil
 }

@@ -348,7 +348,7 @@ func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, 
 		if err := f.invalidatePage(ppn); err != nil {
 			return 0, err
 		}
-		f.own(ppn, nilSlot)
+		f.owners[ppn] = nilSlot
 		f.stats.GCDupDropped++
 		f.tr.Instant(obs.TrackGC, obs.KGCDedupHit, hashEnd, uint64(ppn))
 		done := hashEnd
@@ -433,17 +433,15 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, owner s
 	}
 	if owner.private() {
 		// GC-side map updates are batched, not charged (see cmt).
-		lpn := owner.page()
-		f.mapping[lpn] = privateSlot(uint64(dest))
-		f.cowMap.Mark(int(lpn))
+		f.mapping[owner.page()] = privateSlot(uint64(dest))
 	} else if err := f.idx.SetPPN(owner.cid(), dest); err != nil {
 		return 0, err
 	}
-	f.own(dest, owner)
+	f.owners[dest] = owner
 	if err := f.invalidatePage(oldPPN); err != nil {
 		return 0, err
 	}
-	f.own(oldPPN, nilSlot)
+	f.owners[oldPPN] = nilSlot
 	f.stats.PagesMigrated++
 	return progEnd, nil
 }
@@ -487,11 +485,11 @@ func (f *FTL) promote(now, after event.Time, c dedup.CID) (event.Time, bool, err
 	if err := f.idx.SetPPN(c, dest); err != nil {
 		return 0, false, err
 	}
-	f.own(dest, cidSlot(c))
+	f.owners[dest] = cidSlot(c)
 	if err := f.invalidatePage(ppn); err != nil {
 		return 0, false, err
 	}
-	f.own(ppn, nilSlot)
+	f.owners[ppn] = nilSlot
 	f.stats.Promotions++
 	f.tr.Instant(obs.TrackGC, obs.KPromote, progEnd, uint64(dest))
 	return progEnd, true, nil
@@ -504,7 +502,6 @@ func (f *FTL) remapAll(from, to dedup.CID) {
 	tail := nilNode
 	for n := f.rev.heads[from]; n != nilNode; n = f.rev.next[n] {
 		f.mapping[n] = cidSlot(to)
-		f.cowMap.Mark(int(n))
 		tail = n
 	}
 	f.rev.splice(from, to, tail)

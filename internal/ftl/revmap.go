@@ -1,9 +1,6 @@
 package ftl
 
-import (
-	"cagc/internal/cow"
-	"cagc/internal/dedup"
-)
+import "cagc/internal/dedup"
 
 // revMap is the exact CID→LPN reverse map used by GC-time merges: for
 // every CID, the doubly-linked chain of exactly the LPNs mapped to it.
@@ -20,21 +17,7 @@ type revMap struct {
 	heads []uint32 // CID -> first LPN on its chain, nilNode = empty
 	next  []uint32 // LPN -> following LPN on the same chain
 	prev  []uint32 // LPN -> preceding LPN, nilNode at the head
-
-	// Divergence trackers for the recycled-clone re-seed: one
-	// over heads, one over the LPN-indexed next/prev pair. nil when
-	// untracked. Append growth past the master's length needs no marks
-	// (truncated away at re-seed).
-	trkCID *cow.Tracker
-	trkLPN *cow.Tracker
 }
-
-// Chunk sizes for the revMap trackers: 128 CIDs (512 B of heads) and
-// 128 LPNs (two 512 B next/prev runs) per chunk.
-const (
-	revCIDChunkShift = 7
-	revLPNChunkShift = 7
-)
 
 // nilNode ends a chain. No LPN can equal it: ftl.New caps the logical
 // space below the device's page count, itself at most 2^32.
@@ -55,14 +38,11 @@ func (m *revMap) move(lpn uint32, from, to dedup.CID) {
 		p, n := m.prev[lpn], m.next[lpn]
 		if p == nilNode {
 			m.heads[from] = n
-			m.trkCID.Mark(int(from))
 		} else {
 			m.next[p] = n
-			m.trkLPN.Mark(int(p))
 		}
 		if n != nilNode {
 			m.prev[n] = p
-			m.trkLPN.Mark(int(n))
 		}
 	}
 	if to == dedup.NilCID {
@@ -73,13 +53,10 @@ func (m *revMap) move(lpn uint32, from, to dedup.CID) {
 	m.prev = growLinks(m.prev, int(lpn))
 	h := m.heads[to]
 	m.next[lpn], m.prev[lpn] = h, nilNode
-	m.trkLPN.Mark(int(lpn))
 	if h != nilNode {
 		m.prev[h] = lpn
-		m.trkLPN.Mark(int(h))
 	}
 	m.heads[to] = lpn
-	m.trkCID.Mark(int(to))
 }
 
 // splice moves from's whole chain, whose last node is tail, onto the
@@ -87,35 +64,15 @@ func (m *revMap) move(lpn uint32, from, to dedup.CID) {
 func (m *revMap) splice(from, to dedup.CID, tail uint32) {
 	h := m.heads[to]
 	m.next[tail] = h
-	m.trkLPN.Mark(int(tail))
 	if h != nilNode {
 		m.prev[h] = tail
-		m.trkLPN.Mark(int(h))
 	}
 	m.heads[to] = m.heads[from]
 	m.heads[from] = nilNode
-	m.trkCID.Mark(int(to))
-	m.trkCID.Mark(int(from))
 }
 
-// copyFrom makes m equal src, reusing m's arrays and keeping m's own
-// trackers (reset), and returns the bytes copied: flat copies only, no
-// per-chain work — dirty chunks when m is tracked (next and prev share
-// the LPN tracker), whole tables when it is not.
+// copyFrom makes m equal src, reusing m's arrays, and returns the bytes
+// copied: three flat copies, no per-chain work.
 func (m *revMap) copyFrom(src *revMap) int {
-	n := cow.CopySlice(m.trkCID, &m.heads, src.heads)
-	n += cow.CopySlice(m.trkLPN, &m.next, src.next)
-	n += cow.CopySlice(m.trkLPN, &m.prev, src.prev)
-	m.trkCID.Reset()
-	m.trkLPN.Reset()
-	return n
-}
-
-// enableCOW turns on divergence tracking for the three tables.
-// Idempotent.
-func (m *revMap) enableCOW() {
-	if m.trkCID == nil {
-		m.trkCID = cow.NewTracker(revCIDChunkShift)
-		m.trkLPN = cow.NewTracker(revLPNChunkShift)
-	}
+	return copyAll(&m.heads, src.heads) + copyAll(&m.next, src.next) + copyAll(&m.prev, src.prev)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"cagc/internal/cow"
 	"cagc/internal/event"
 	"cagc/internal/flash"
 	"cagc/internal/obs"
@@ -87,7 +86,7 @@ func (x *victimIndex) bump(b flash.BlockID, k int) {
 
 func (x *victimIndex) copyFrom(src *victimIndex) int {
 	x.words, x.top = src.words, src.top
-	return cow.CopyAll(&x.rows, src.rows) + cow.CopyAll(&x.count, src.count)
+	return copyAll(&x.rows, src.rows) + copyAll(&x.count, src.count)
 }
 
 // VictimView is the read-only face of the victim index handed to a

@@ -8,7 +8,9 @@ package pool
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -19,12 +21,36 @@ import (
 // exactly which runs completed.
 var ErrNotRun = errors.New("pool: not run (dispatch stopped after an earlier failure)")
 
+// PanicError is a task's panic, recovered at the task's index: the
+// panic value and the stack of the goroutine that panicked. Every
+// dispatcher treats it exactly like an error the task returned, so one
+// panicking task cannot take the process.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pool: task panicked: %v\n%s", e.Value, e.Stack)
+}
+
+// call runs task(i), turning a panic into a *PanicError. Every
+// dispatcher, serial or parallel, runs its tasks through it.
+func call(task func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return task(i)
+}
+
 // ForEach runs task(0..n-1) on up to workers goroutines (workers <= 0
 // means GOMAXPROCS) and returns one error slot per index: nil for tasks
 // that completed, the task's error for tasks that failed, and ErrNotRun
 // for tasks never handed to a worker because dispatch stopped at the
-// first failure. Tasks already in flight when a failure occurs run to
-// completion — a sweep with one broken configuration fails in about one
+// first failure. A task that panics fails with a *PanicError. Tasks
+// already in flight when a failure occurs run to completion — a sweep with one broken configuration fails in about one
 // run's time, and the caller still learns exactly which runs finished.
 //
 // The returned slice is nil when every task succeeded, so the
@@ -61,7 +87,7 @@ func ForEach(n, workers int, task func(i int) error) []error {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := task(i); err != nil {
+				if err := call(task, i); err != nil {
 					record(i, err)
 				}
 			}
@@ -85,7 +111,7 @@ func ForEach(n, workers int, task func(i int) error) []error {
 // at the first failure.
 func forEachSerial(n int, task func(i int) error) []error {
 	for i := 0; i < n; i++ {
-		if err := task(i); err != nil {
+		if err := call(task, i); err != nil {
 			errs := make([]error, n)
 			errs[i] = err
 			for j := i + 1; j < n; j++ {

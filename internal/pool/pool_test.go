@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -113,6 +114,63 @@ func TestForEachSerialOrder(t *testing.T) {
 	for i := 5; i < 10; i++ {
 		if !errors.Is(errs[i], ErrNotRun) {
 			t.Errorf("errs[%d] = %v, want ErrNotRun", i, errs[i])
+		}
+	}
+}
+
+// TestPanicIsATaskError: a panicking task fails at its own index with a
+// *PanicError carrying the value and the panicking stack, and dispatch
+// stops exactly as for a returned error — every slot is the panic, nil
+// (ran) or ErrNotRun (never started) — under both dispatchers, serial
+// and parallel.
+func TestPanicIsATaskError(t *testing.T) {
+	dispatchers := []struct {
+		name string
+		run  func(n, workers int, task func(i int) error) []error
+	}{
+		{"ForEach", ForEach},
+		{"Run", func(n, workers int, task func(i int) error) []error {
+			return Run(n, Options{Workers: workers}, task).Errs
+		}},
+	}
+	for _, d := range dispatchers {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", d.name, workers), func(t *testing.T) {
+				const n, bad = 200, 3
+				var started atomic.Int64
+				errs := d.run(n, workers, func(i int) error {
+					started.Add(1)
+					if i == bad {
+						panic("boom")
+					}
+					return nil
+				})
+				var pe *PanicError
+				if len(errs) != n || !errors.As(errs[bad], &pe) {
+					t.Fatalf("errs = %v, want a *PanicError at %d", errs, bad)
+				}
+				if pe.Value != "boom" || !bytes.Contains(pe.Stack, []byte("TestPanicIsATaskError")) {
+					t.Fatalf("PanicError{%v, stack without the task frame}:\n%s", pe.Value, pe.Stack)
+				}
+				notRun := 0
+				for i, err := range errs {
+					switch {
+					case errors.Is(err, ErrNotRun):
+						notRun++
+					case err != nil && i != bad:
+						t.Fatalf("errs[%d] = %v, want nil or ErrNotRun", i, err)
+					}
+				}
+				if int64(n-notRun) != started.Load() {
+					t.Fatalf("started %d tasks but %d slots are not ErrNotRun", started.Load(), n-notRun)
+				}
+				if workers == 1 && notRun != n-bad-1 {
+					t.Fatalf("serial dispatch ran %d tasks past the panic", n-bad-1-notRun)
+				}
+				if err := First(errs); err != errs[bad] {
+					t.Errorf("First = %v, want the panic", err)
+				}
+			})
 		}
 	}
 }

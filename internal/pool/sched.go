@@ -124,7 +124,7 @@ func Run(n int, opts Options, task func(i int) error) RunStats {
 				if !ok {
 					return
 				}
-				if err := task(i); err != nil {
+				if err := call(task, i); err != nil {
 					record(i, err)
 				}
 			}
@@ -147,7 +147,7 @@ func Run(n int, opts Options, task func(i int) error) RunStats {
 // per-index error semantics match forEachSerial.
 func runSerial(n int, order []int, task func(i int) error) []error {
 	for k, i := range order {
-		if err := task(i); err != nil {
+		if err := call(task, i); err != nil {
 			errs := make([]error, n)
 			errs[i] = err
 			for _, j := range order[k+1:] {

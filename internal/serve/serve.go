@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -194,9 +195,10 @@ type Server struct {
 	events  uint64
 	ewmaNs  float64 // EWMA of executed-job wall time, for Retry-After
 
-	// gate, when non-nil, stalls workers at the top of exec until the
-	// channel is closed — a test hook to wedge the queue deterministically.
-	gate chan struct{}
+	// beforeExec, when non-nil, runs on the worker just before a job
+	// executes, inside its panic recovery — a test hook to wedge the
+	// queue or fail a job deterministically.
+	beforeExec func()
 }
 
 // New starts a Server (its queue workers run until Shutdown).
@@ -297,16 +299,13 @@ func (s *Server) register(j *Job, terminal string) {
 
 // exec runs one dequeued job to its terminal status.
 func (s *Server) exec(j *Job) {
-	if s.gate != nil {
-		<-s.gate
-	}
 	j.mu.Lock()
 	j.status = StatusRunning
 	j.started = time.Now()
 	queued := j.started.Sub(j.submitted)
 	j.mu.Unlock()
 
-	body, summary, events, err := s.execute(j.spec, j.ctx, j.rec)
+	body, summary, events, err := s.run(j)
 	finished := time.Now()
 	j.cancel() // release the deadline timer
 
@@ -357,6 +356,20 @@ func (s *Server) exec(j *Job) {
 	}
 	s.mu.Unlock()
 	close(j.done)
+}
+
+// run executes j, turning a panic into the job's error: a bug in one job
+// fails that job, never the service or its queue slot.
+func (s *Server) run(j *Job) (body []byte, summary string, events uint64, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &pool.PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	if s.beforeExec != nil {
+		s.beforeExec()
+	}
+	return s.execute(j.spec, j.ctx, j.rec)
 }
 
 // execute runs the resolved job and renders its result document and

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,7 +132,8 @@ func TestServeRunByteIdentityAndCacheHit(t *testing.T) {
 // refused job never executes.
 func TestServeOverflowRejects(t *testing.T) {
 	s := New(Options{QueueDepth: 1, Workers: 1})
-	s.gate = make(chan struct{})
+	gate := make(chan struct{})
+	s.beforeExec = func() { <-gate }
 	defer s.Shutdown(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -175,7 +177,7 @@ func TestServeOverflowRejects(t *testing.T) {
 		t.Fatalf("queue stats after overflow: %+v", qs)
 	}
 
-	close(s.gate)
+	close(gate)
 	for _, id := range []string{a.ID, b.ID} {
 		if fin := waitDone(t, s, id); fin.Status != StatusDone {
 			t.Fatalf("job %s: %s (%s)", id, fin.Status, fin.Err)
@@ -250,6 +252,49 @@ func TestServeDeadlineTimesOutAndFreesResources(t *testing.T) {
 	}
 	if fin := waitDone(t, s, after.ID); fin.Status != StatusDone {
 		t.Fatalf("post-timeout job: %s (%s)", fin.Status, fin.Err)
+	}
+}
+
+// A job that panics fails alone: it is marked failed with the panic as
+// its error and counted, its queue slot comes back (one worker, one
+// slot, so a leak would wedge the queue), and the next job completes.
+func TestServeSurvivesPanickingJob(t *testing.T) {
+	s := New(Options{QueueDepth: 1, Workers: 1})
+	var armed atomic.Bool
+	armed.Store(true)
+	s.beforeExec = func() {
+		if armed.CompareAndSwap(true, false) {
+			panic("job bug")
+		}
+	}
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	bad, code := postJob(t, ts, JobSpec{Params: testParams(1)})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	fin := waitDone(t, s, bad.ID)
+	if fin.Status != StatusFailed || !strings.Contains(fin.Err, "job bug") {
+		t.Fatalf("panicking job: status %s (err %q), want failed naming the panic", fin.Status, fin.Err)
+	}
+	if n := s.MetricsSnapshot().Jobs[StatusFailed]; n != 1 {
+		t.Fatalf("%d failed jobs counted, want 1", n)
+	}
+	good, code := postJob(t, ts, JobSpec{Params: testParams(1)})
+	if code != http.StatusAccepted {
+		t.Fatalf("post-panic submit: %d (a failed job must not be cached)", code)
+	}
+	if fin := waitDone(t, s, good.ID); fin.Status != StatusDone {
+		t.Fatalf("post-panic job: %s (%s)", fin.Status, fin.Err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for qs := s.queue.Stats(); qs.Done != 2 || qs.Running != 0; qs = s.queue.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue after the panic: %+v, want 2 done, 0 running", qs)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,17 +1,17 @@
 package sim
 
-// Clone recycling. A warm snapshot hands every run a deep clone
-// (~205 KB, ~170 allocations), and batch/fleet executions cut
-// thousands of them back to back — clone churn becomes the allocator's
-// dominant load well before it becomes a correctness problem. The
-// free-list below recycles completed runners: Release parks a runner,
-// Acquire re-seeds a parked one from the snapshot master through the
-// same copyFrom a Clone runs (device, FTL, index, buffer), which reuses
-// every backing array instead of allocating them. After each worker's
-// first run a snapshot serves clones with zero heap growth, and the
-// number of live clones is bounded by the number of workers — not by
-// the batch or fleet size. A process-wide gauge tracks that bound so
-// tests can assert it.
+// Clone recycling. A warm snapshot hands every run a deep clone (two
+// allocations per flash block, plus the tables), and batch/fleet
+// executions cut thousands of them back to back — clone churn becomes
+// the allocator's dominant load well before it becomes a correctness
+// problem. The free-list below recycles completed runners: Release
+// parks a runner, Acquire re-seeds a parked one from the snapshot
+// master through the same full copyFrom a Clone runs (device, FTL,
+// index, buffer), which reuses every backing array instead of
+// allocating them. After each worker's first run a snapshot serves
+// clones with zero heap growth, and the number of live clones is
+// bounded by the number of workers — not by the batch or fleet size. A
+// process-wide gauge tracks that bound so tests can assert it.
 
 import (
 	"sync"
@@ -27,7 +27,7 @@ type CloneStats struct {
 	Live        int    // acquired and not yet released
 	Peak        int    // high-water mark of Live since the last reset
 	Reseeds     uint64 // re-seeds (== Recycled acquires)
-	ReseedBytes uint64 // bytes copied by those re-seeds, one full copy per fresh runner included
+	ReseedBytes uint64 // bytes copied by those re-seeds, one full copy each
 }
 
 var cloneGauge struct {
@@ -99,19 +99,6 @@ func ResetCloneGauge() {
 	g.mu.Unlock()
 }
 
-// enableCOW turns on chunked divergence tracking through every layer,
-// so the runner's next re-seed copies only the chunks its run dirtied.
-// Idempotent. Only Acquire calls it, and only on a runner it has just
-// re-seeded: a runner that is never recycled — cold runs, plain warm
-// clones, a one-shot CLI run, each worker's first run — stays untracked
-// and pays nothing beyond nil-checks on its writes.
-func (r *Runner) enableCOW() {
-	r.dev.EnableCOW()
-	r.f.EnableCOW()
-	// The write buffer's coarse dirty flag is maintained unconditionally
-	// (one boolean store per op); nothing to enable.
-}
-
 // SetFreeListCap bounds how many completed runners the snapshot parks
 // for recycling (default GOMAXPROCS at snapshot build). Workers each
 // hold at most one live clone, so the cap never needs to exceed the
@@ -124,7 +111,7 @@ func (s *Snapshot) SetFreeListCap(n int) {
 	s.freeCap = n
 	if len(s.free) > n {
 		// Drop the references too: a runner left in the backing array
-		// (~200 KB each) would stay reachable for the snapshot's life.
+		// would stay reachable for the snapshot's life.
 		clear(s.free[n:])
 		s.free = s.free[:n]
 	}
@@ -150,12 +137,7 @@ func (s *Snapshot) Acquire(cfg Config) (*Runner, error) {
 	s.mu.Unlock()
 	recycled := r != nil
 	if recycled {
-		// A runner parked for the first time is still untracked, so this
-		// re-seed is the full copy (the cost of the clone it replaces);
-		// tracking starts here, from a state equal to the master, and
-		// every later re-seed copies dirty chunks only.
 		gaugeReseed(r.copyFrom(s.master))
-		r.enableCOW()
 	} else {
 		r = s.master.Clone()
 	}
@@ -189,13 +171,20 @@ func RunWarmRecycled(snap *Snapshot, cfg Config, spec trace.Spec) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	released := false
+	defer func() {
+		if !released {
+			// An error or a panic: keep the runner out of the free-list,
+			// but keep the gauge balanced — it was acquired, it is no
+			// longer live.
+			gaugeRelease()
+		}
+	}()
 	res, err := replayOn(r, snap.offset, spec)
 	if err != nil {
-		// Keep the failed runner out of the free-list, but keep the
-		// gauge balanced: it was acquired, it is no longer live.
-		gaugeRelease()
 		return nil, err
 	}
+	released = true
 	snap.Release(r)
 	return res, nil
 }

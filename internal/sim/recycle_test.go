@@ -324,19 +324,17 @@ func TestConcurrentAcquireReleaseGauge(t *testing.T) {
 	}
 }
 
-// COW tracking starts at a runner's first re-seed, not when it is cut.
-// A fresh Acquire hands out an untracked clone, so a one-shot run pays
-// no per-write marks; the first recycle of that runner copies the full
-// state once (the cost of the clone it replaces) and every later
-// recycle copies dirty chunks only. After each re-seed the runner must
-// equal the master in every field but the trackers it alone carries.
-func TestFirstRecycleCopiesFullThenDirty(t *testing.T) {
+// Every re-seed is the one full copy. A fresh Acquire cuts a clone
+// and re-seeds nothing; each of the next three recycles of that runner
+// copies exactly the bytes master.Clone() copies, and leaves the runner
+// equal to the master field by field.
+func TestEveryRecycleCopiesFull(t *testing.T) {
 	cfg, spec, replay := reseedShape(t)
 	snap, err := NewSnapshot(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := uint64(snap.master.Clone().copyFrom(snap.master)) // untracked: the full-copy byte count
+	full := uint64(new(Runner).copyFrom(snap.master)) // Clone's copy
 
 	// cycle acquires, checks the runner against the master, replays,
 	// and parks it; it returns the bytes the Acquire's re-seed copied.
@@ -351,13 +349,13 @@ func TestFirstRecycleCopiesFullThenDirty(t *testing.T) {
 		if recycled := after.Recycled-before.Recycled == 1; recycled != wantRecycled {
 			t.Fatalf("acquire recycled = %v, want %v", recycled, wantRecycled)
 		}
-		if d := diffRunners(r, snap.master, trackerFields); d != "" {
+		if d := diffRunners(r, snap.master); d != "" {
 			t.Fatalf("acquired runner differs from the master at %s", d)
 		}
 		if _, err := replayOn(r, snap.offset, replay); err != nil {
 			t.Fatal(err)
 		}
-		if diffRunners(r, snap.master, trackerFields) == "" {
+		if diffRunners(r, snap.master) == "" {
 			t.Fatal("replay left the runner equal to the master: the comparison is vacuous")
 		}
 		snap.Release(r)
@@ -366,13 +364,9 @@ func TestFirstRecycleCopiesFullThenDirty(t *testing.T) {
 	if n := cycle(false); n != 0 {
 		t.Fatalf("fresh acquire re-seeded %d bytes, want 0", n)
 	}
-	if n := cycle(true); n != full {
-		t.Fatalf("first recycle copied %d bytes, want the full state (%d)", n, full)
-	}
-	// See minReseedRatio for why the bound is not 1/4 any more.
-	for i := 0; i < 2; i++ {
-		if n := cycle(true); n == 0 || minReseedRatio*float64(n) > float64(full) {
-			t.Fatalf("recycle %d copied %d bytes, want a dirty-chunk copy (<= 1/%v of %d)", i+2, n, minReseedRatio, full)
+	for i := 1; i <= 3; i++ {
+		if n := cycle(true); n != full {
+			t.Fatalf("recycle %d copied %d bytes, want the full copy (%d)", i, n, full)
 		}
 	}
 }
@@ -419,7 +413,7 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 				t.Fatalf("%d private pages under %s", private, tc.opts.SchemeName())
 			}
 			clone := master.Clone()
-			if d := diffRunners(clone, master, scratchFields); d != "" {
+			if d := diffRunners(clone, master); d != "" {
 				t.Fatalf("clone differs from its master at %s", d)
 			}
 			// The copy is deep: running the clone must not move the master.
@@ -427,10 +421,10 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 			if _, err := replayOn(clone, snap.offset, spec); err != nil {
 				t.Fatal(err)
 			}
-			if d := diffRunners(master, frozen, scratchFields); d != "" {
+			if d := diffRunners(master, frozen); d != "" {
 				t.Fatalf("running a clone changed its master at %s", d)
 			}
-			if diffRunners(clone, master, scratchFields) == "" {
+			if diffRunners(clone, master) == "" {
 				t.Fatal("replay left the clone equal to the master: the comparison is vacuous")
 			}
 		})
@@ -440,23 +434,18 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 // scratchFields are the struct fields no copy carries because they are
 // not runner state: the write buffer's dirty mark, which records
 // whether the holder has diverged from whatever it was last copied
-// from. trackerFields adds the chunk trackers only a recycled runner
-// has (its master is never tracked).
-var (
-	scratchFields = map[string]bool{"dirty": true}
-	trackerFields = map[string]bool{"dirty": true,
-		"track": true, "cowMap": true, "cowOwn": true, "trkCID": true, "trkLPN": true}
-)
+// from.
+var scratchFields = map[string]bool{"dirty": true}
 
 // diffRunners walks the device, FTL and write buffer of two runners and
 // returns the path of the first field that differs ("" when equal).
-func diffRunners(a, b *Runner, skip map[string]bool) string {
+func diffRunners(a, b *Runner) string {
 	for _, layer := range []struct {
 		name string
 		a, b any
 	}{{"dev", a.dev, b.dev}, {"f", a.f, b.f}, {"buf", a.buf, b.buf}} {
 		seen := map[[2]unsafe.Pointer]bool{}
-		if d := diffState(layer.name, reflect.ValueOf(layer.a), reflect.ValueOf(layer.b), skip, seen); d != "" {
+		if d := diffState(layer.name, reflect.ValueOf(layer.a), reflect.ValueOf(layer.b), seen); d != "" {
 			return d
 		}
 	}
@@ -464,11 +453,11 @@ func diffRunners(a, b *Runner, skip map[string]bool) string {
 }
 
 // diffState is reflect.DeepEqual that names the first difference, skips
-// the named struct fields, and lets a nil slice equal an empty one: a
+// scratchFields, and lets a nil slice equal an empty one: a
 // re-seed reuses the runner's backing arrays, so a table the master
 // holds as nil comes back empty but allocated. seen breaks pointer
 // cycles (the write buffer's list) the way DeepEqual does.
-func diffState(path string, a, b reflect.Value, skip map[string]bool, seen map[[2]unsafe.Pointer]bool) string {
+func diffState(path string, a, b reflect.Value, seen map[[2]unsafe.Pointer]bool) string {
 	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
 		return path
 	}
@@ -490,19 +479,19 @@ func diffState(path string, a, b reflect.Value, skip map[string]bool, seen map[[
 			return ""
 		}
 		seen[k] = true
-		return diffState(path, a.Elem(), b.Elem(), skip, seen)
+		return diffState(path, a.Elem(), b.Elem(), seen)
 	case reflect.Interface:
 		if a.IsNil() || b.IsNil() {
 			return same(a.IsNil() == b.IsNil())
 		}
-		return diffState(path, a.Elem(), b.Elem(), skip, seen)
+		return diffState(path, a.Elem(), b.Elem(), seen)
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
 			name := a.Type().Field(i).Name
-			if skip[name] {
+			if scratchFields[name] {
 				continue
 			}
-			if d := diffState(path+"."+name, a.Field(i), b.Field(i), skip, seen); d != "" {
+			if d := diffState(path+"."+name, a.Field(i), b.Field(i), seen); d != "" {
 				return d
 			}
 		}
@@ -512,7 +501,7 @@ func diffState(path string, a, b reflect.Value, skip map[string]bool, seen map[[
 			return path + " (len)"
 		}
 		for i := 0; i < a.Len(); i++ {
-			if d := diffState(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), skip, seen); d != "" {
+			if d := diffState(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), seen); d != "" {
 				return d
 			}
 		}
@@ -526,7 +515,7 @@ func diffState(path string, a, b reflect.Value, skip map[string]bool, seen map[[
 			if !bv.IsValid() {
 				return fmt.Sprintf("%s[%v] (missing)", path, it.Key())
 			}
-			if d := diffState(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value(), bv, skip, seen); d != "" {
+			if d := diffState(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value(), bv, seen); d != "" {
 				return d
 			}
 		}

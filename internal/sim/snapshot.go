@@ -38,11 +38,9 @@ type Snapshot struct {
 // copyFrom makes r equal src layer by layer — device, FTL, write
 // buffer, rebound to each other — and returns the bytes copied. It is
 // the one state copy under every warm run: cloning is copyFrom into an
-// empty Runner (everything is copied, every array allocated),
-// re-seeding a recycled runner is copyFrom into one that already holds
-// the arrays (only the chunks its last run dirtied are copied once it
-// is tracked — see enableCOW). See ftl.FTL.CopyFrom for the
-// bit-identity contract.
+// empty Runner (every array allocated), re-seeding a recycled runner is
+// the same full copy into one that already holds the arrays. See
+// ftl.FTL.CopyFrom for the bit-identity contract.
 func (r *Runner) copyFrom(src *Runner) int {
 	if r.dev == nil {
 		r.dev, r.f = new(flash.Device), new(ftl.FTL)

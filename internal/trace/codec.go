@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -18,6 +19,11 @@ var magic = [8]byte{'C', 'A', 'G', 'C', 'T', 'R', '0', '1'}
 
 // ErrBadMagic indicates the input is not a binary CAGC trace.
 var ErrBadMagic = errors.New("trace: bad magic (not a CAGC binary trace)")
+
+// maxRequestPages bounds one decoded request's length. Decoders
+// allocate a fingerprint per written page, so an implausible count in a
+// corrupt record must fail the stream, not the allocator.
+const maxRequestPages = 1 << 20
 
 // Writer streams requests into the compact binary trace format:
 // delta-encoded arrival times and uvarint fields, one fingerprint per
@@ -125,6 +131,9 @@ func (tr *Reader) Next() (Request, bool) {
 	if err != nil {
 		return fail(err) // EOF here is a clean end of trace
 	}
+	if delta > uint64(math.MaxInt64-tr.lastAt) {
+		return fail(fmt.Errorf("trace: arrival time overflows after %v", tr.lastAt))
+	}
 	var r Request
 	tr.lastAt += event.Time(delta)
 	r.At = tr.lastAt
@@ -143,7 +152,7 @@ func (tr *Reader) Next() (Request, bool) {
 	if err != nil {
 		return fail(fmt.Errorf("trace: truncated record: %w", err))
 	}
-	if pages == 0 || pages > 1<<20 {
+	if pages == 0 || pages > maxRequestPages {
 		return fail(fmt.Errorf("trace: implausible page count %d", pages))
 	}
 	r.Pages = int(pages)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -91,14 +92,18 @@ func (fr *FIUReader) parse(line string) (Request, error) {
 	if rel < 0 {
 		rel = 0 // traces occasionally have small timestamp inversions
 	}
-	rel = event.Time(float64(rel) * fr.scale)
+	scaled := float64(rel) * fr.scale
+	if !(scaled < math.MaxInt64) { // also rejects a NaN scale
+		return Request{}, fmt.Errorf("timestamp %d out of range at time scale %g", ts, fr.scale)
+	}
+	rel = event.Time(scaled)
 
 	block, err := strconv.ParseUint(f[3], 10, 64)
 	if err != nil {
 		return Request{}, fmt.Errorf("block: %w", err)
 	}
 	count, err := strconv.Atoi(f[4])
-	if err != nil || count < 1 {
+	if err != nil || count < 1 || count > maxRequestPages {
 		return Request{}, fmt.Errorf("count: %q", f[4])
 	}
 	r := Request{At: rel, LPN: block, Pages: count}

@@ -225,3 +225,30 @@ func TestOpenFileStreams(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// fuzzOpenMax bounds how many requests FuzzOpen drains per input.
+const fuzzOpenMax = 4096
+
+// FuzzOpen feeds arbitrary bytes through Open — gzip detection, format
+// sniffing and whichever decoder they pick. No input may panic, and
+// every request a decoder emits must pass Validate: malformed input
+// must fail the stream (reported through SourceErr), never leak out as
+// a request.
+func FuzzOpen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, err := Open(bytes.NewReader(data), OpenOptions{})
+		if err != nil {
+			return
+		}
+		for i := 0; i < fuzzOpenMax; i++ {
+			r, ok := src.Next()
+			if !ok {
+				_ = SourceErr(src) // a decode error is a fine answer
+				return
+			}
+			if err := r.Validate(); err != nil {
+				t.Fatalf("request %d: %v (%+v)", i, err, r)
+			}
+		}
+	})
+}
