@@ -114,7 +114,9 @@ func RunArray(w Workload, s Scheme, p Params, ap ArrayParams) (*ArrayResult, err
 	if err != nil {
 		return nil, err
 	}
-	return array.Replay(a, gen, offset)
+	src, release := trace.Ahead(gen, spec.Requests, trace.StreamOptions{})
+	defer release()
+	return array.Replay(a, src, offset)
 }
 
 // ArraySummary is the JSON-stable view of an ArrayResult.

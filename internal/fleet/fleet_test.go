@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cagc/internal/event"
 	"cagc/internal/flash"
@@ -224,10 +225,13 @@ func (p armedPanicPolicy) Select(now event.Time, v ftl.VictimView) flash.BlockID
 }
 
 // A device that panics fails the fleet with a *pool.PanicError instead
-// of taking the process, and leaks no live clone on any worker.
+// of taking the process, and leaks no live clone and no decode-ahead
+// producer on any worker (devices run long enough to go ahead).
 func TestFleetPanicBalancesGauge(t *testing.T) {
 	cfg := fleetConfig(t, 12)
 	cfg.Workers = 3
+	cfg.Spec.Requests = trace.AheadMinRequests
+	base := runtime.NumGoroutine()
 	armed := new(atomic.Bool)
 	cfg.Base.Options.Policy = armedPanicPolicy{armed}
 	// Arm once the warm snapshots exist, so only device replays panic.
@@ -244,6 +248,13 @@ func TestFleetPanicBalancesGauge(t *testing.T) {
 	}
 	if live := sim.CloneGaugeStats().Live; live != before {
 		t.Fatalf("panicking fleet left live clones at %d, want %d", live, before)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("panicking fleet left %d goroutines, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

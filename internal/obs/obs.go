@@ -68,6 +68,10 @@ const (
 	trackHashBase Track = 10000
 )
 
+// wallClock reports whether t carries harness wall-clock times rather
+// than simulated time.
+func (t Track) wallClock() bool { return t >= TrackSched && t <= TrackIngest }
+
 // DieTrack returns the track of die i (the per-die busy/idle timeline).
 func DieTrack(i int) Track { return trackDieBase + Track(i) }
 

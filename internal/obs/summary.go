@@ -16,7 +16,9 @@ import (
 type Summary struct {
 	Events  int
 	Dropped uint64
-	// Horizon is the latest event end time — the traced window's extent.
+	// Horizon is the latest simulated event end time — the traced
+	// window's extent. Wall-clock tracks (sched, fleet, serve, ingest)
+	// keep a different time base and never extend it.
 	Horizon event.Time
 
 	Requests uint64
@@ -158,7 +160,7 @@ func Summarize(r *Recorder) *Summary {
 	var hashIvs, eraseIvs []ival
 	for i := range evs {
 		ev := &evs[i]
-		if ev.End > s.Horizon {
+		if ev.End > s.Horizon && !ev.Track.wallClock() {
 			s.Horizon = ev.End
 		}
 		dur := ev.End - ev.Start

@@ -110,6 +110,9 @@ func TestSummarizeGCAttribution(t *testing.T) {
 	r.End(gc, 157)
 	r.Instant(TrackGC, KIdleGC, 200, 1)
 	r.Instant(TrackGC, KWearLevel, 210, 0)
+	// Wall-clock harness work (a decode-ahead chunk) ends later in its
+	// own time base and must not stretch the simulated window.
+	r.Span(TrackIngest, KIngestChunk, 0, 5000, 256)
 
 	s := Summarize(r)
 	g := s.GC

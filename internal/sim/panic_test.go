@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -25,8 +26,9 @@ func (p armedPanicPolicy) Select(now event.Time, v ftl.VictimView) flash.BlockID
 	return ftl.GreedyPolicy{}.Select(now, v)
 }
 
-// A run that panics mid-replay must not leak a live clone or park its
-// runner: the panic leaves RunWarmRecycled with the gauge released, and
+// A run that panics mid-replay must not leak a live clone, park its
+// runner or leave its decode-ahead producer running: the panic leaves
+// RunWarmRecycled with the gauge released and the ring closed, and
 // under RunBatch the pool turns it into that run's *pool.PanicError.
 // Once disarmed, the snapshot serves runs as before.
 func TestPanickingRunBalancesGauge(t *testing.T) {
@@ -34,7 +36,7 @@ func TestPanickingRunBalancesGauge(t *testing.T) {
 	opts := ftl.CAGCOptions()
 	opts.Policy = armedPanicPolicy{armed}
 	cfg := smallConfig(opts)
-	spec := specFor(t, cfg, trace.Mail, 3000)
+	spec := specFor(t, cfg, trace.Mail, trace.AheadMinRequests+1000)
 	snap, err := NewSnapshot(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +46,7 @@ func TestPanickingRunBalancesGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := CloneGaugeStats()
+	base := runtime.NumGoroutine()
 	armed.Store(true)
 	func() {
 		defer func() {
@@ -56,6 +59,7 @@ func TestPanickingRunBalancesGauge(t *testing.T) {
 	if live := CloneGaugeStats().Live; live != before.Live {
 		t.Fatalf("panicking run left live clones at %d, want %d", live, before.Live)
 	}
+	settleGoroutines(t, base, "panicking run")
 	_, errs := RunBatch([]BatchRun{{snap, cfg, spec}, {snap, cfg, spec}, {snap, cfg, spec}}, 2)
 	var pe *pool.PanicError
 	if !errors.As(pool.First(errs), &pe) {
@@ -64,6 +68,7 @@ func TestPanickingRunBalancesGauge(t *testing.T) {
 	if live := CloneGaugeStats().Live; live != before.Live {
 		t.Fatalf("panicking batch left live clones at %d, want %d", live, before.Live)
 	}
+	settleGoroutines(t, base, "panicking batch")
 	snap.mu.Lock()
 	parked := len(snap.free)
 	snap.mu.Unlock()

@@ -389,20 +389,7 @@ func Run(cfg Config, spec trace.Spec) (*Result, error) {
 			return nil, err
 		}
 	}
-	gen, err := trace.NewGenerator(spec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.Replay(gen, offset, spec.Name)
-	if err != nil {
-		return nil, err
-	}
-	// Post-run self-check: a result from an inconsistent FTL is not a
-	// result.
-	if err := r.f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("sim: post-run invariant violation: %w", err)
-	}
-	return res, nil
+	return replayOn(r, offset, spec)
 }
 
 func subStats(a, b ftl.Stats) ftl.Stats {

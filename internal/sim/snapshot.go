@@ -173,9 +173,11 @@ func RunWarm(snap *Snapshot, cfg Config, spec trace.Spec) (*Result, error) {
 	return replayOn(r, snap.offset, spec)
 }
 
-// replayOn runs spec's measured trace on a warm runner and checks
-// post-run invariants — the shared back half of RunWarm and
-// RunWarmRecycled.
+// replayOn runs spec's measured trace on a preconditioned runner and
+// checks post-run invariants — the shared back half of Run, RunWarm and
+// RunWarmRecycled. A long trace is generated one ring ahead of the
+// replay on its own goroutine (trace.Ahead); the deferred release frees
+// the producer on every exit, errors and panics included.
 func replayOn(r *Runner, offset event.Time, spec trace.Spec) (*Result, error) {
 	if spec.LogicalPages != r.LogicalPages() {
 		return nil, fmt.Errorf("sim: workload spec covers %d logical pages, device exports %d",
@@ -185,7 +187,9 @@ func replayOn(r *Runner, offset event.Time, spec trace.Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.Replay(gen, offset, spec.Name)
+	src, release := trace.Ahead(gen, spec.Requests, trace.StreamOptions{Tracer: r.tr})
+	defer release()
+	res, err := r.Replay(src, offset, spec.Name)
 	if err != nil {
 		return nil, err
 	}

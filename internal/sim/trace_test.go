@@ -43,6 +43,30 @@ func TestTracedRunBitIdentical(t *testing.T) {
 	}
 }
 
+// A traced generated run long enough to go ahead shows its ring on the
+// ingest track: at least one ingest.chunk span. A shorter run stays on
+// the replay's goroutine and records none.
+func TestTracedGeneratedRunRecordsIngestChunks(t *testing.T) {
+	for _, c := range []struct {
+		reqs  int
+		ahead bool
+	}{{trace.AheadMinRequests, true}, {trace.AheadMinRequests - 1, false}} {
+		_, rec := tracedRun(t, ftl.CAGCOptions(), trace.Mail, c.reqs)
+		chunks := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind == obs.KIngestChunk {
+				if ev.Track != obs.TrackIngest {
+					t.Fatalf("ingest.chunk on track %d, want the ingest track", ev.Track)
+				}
+				chunks++
+			}
+		}
+		if (chunks > 0) != c.ahead {
+			t.Fatalf("%d requests: %d ingest.chunk spans, want ahead = %v", c.reqs, chunks, c.ahead)
+		}
+	}
+}
+
 // TestTraceSpansNestWithinParents checks the structural invariant of
 // the scope stack: every parented event falls inside its parent span's
 // interval, and parents are always span ('X') kinds.

@@ -1,12 +1,13 @@
 package trace
 
-// Decode-ahead streaming ingestion. Replaying a file-backed trace used
-// to pull requests synchronously through Source.Next(), so file I/O and
-// line/varint parsing serialized with the simulator's hot loop. Stream
-// moves read+decode onto a background goroutine that hands fixed-size
-// request chunks to the consumer over a small bounded ring: parsing
-// overlaps simulation, and reader-side live memory stays O(chunk ×
-// depth) — a fixed budget — instead of O(trace).
+// Decode-ahead streaming ingestion. Pulling requests synchronously
+// through Source.Next() serializes file I/O, parsing and trace
+// generation with the simulator's hot loop. Stream moves the source onto
+// a background goroutine that hands fixed-size request chunks to the
+// consumer over a small bounded ring: producing overlaps simulation, and
+// reader-side live memory stays O(chunk × depth) — a fixed budget —
+// instead of O(trace). File replays and long generated replays (Ahead)
+// share this one path.
 //
 // The contract is byte-identity: a Stream yields exactly the requests
 // of its underlying source, in order, at any chunk size, with
@@ -15,6 +16,8 @@ package trace
 // through Err after the stream ends, never as silent truncation.
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,6 +33,71 @@ const (
 	DefaultChunkRequests = 256
 	DefaultChunkDepth    = 4
 )
+
+// AheadMinRequests is the shortest run Ahead puts on a ring. Below it
+// the goroutine start, the wait for the first chunk and the handoffs
+// eat most of what producing in parallel saves: a fleet sweep over run
+// lengths on a 2-vCPU host put the crossover between 1 250 and 1 500
+// requests per run, and 2 048 is the first length where the wall-clock
+// gain reaches 10 % (EXPERIMENTS.md, run-length sweep).
+const AheadMinRequests = 8 * DefaultChunkRequests
+
+// Ahead runs src one ring ahead of its consumer: it returns a
+// decode-ahead Stream over src and the function that releases it.
+// requests is the run's length, negative when unknown (a file or a
+// merge of files); a known run shorter than AheadMinRequests, or opts
+// asking for Sync, keeps src on the consumer's goroutine and gets a
+// no-op release. Callers defer the release, so an error, a deadline or
+// a panic that ends the replay early never leaks the producer.
+func Ahead(src Source, requests int, opts StreamOptions) (Source, func()) {
+	if opts.Sync || (requests >= 0 && requests < AheadMinRequests) {
+		return src, func() {}
+	}
+	st := NewStream(src, opts)
+	return st, st.Close
+}
+
+// chunkPool recycles default-size chunk buffers across streams, so a
+// process replaying run after run (batch, fleet, the service) allocates
+// ring buffers once rather than per run. It holds at most as many
+// buffers as were ever out at once. Buffers are cleared on return: a
+// pooled buffer must not keep a finished run's fingerprints reachable.
+// A plain free list rather than a sync.Pool, which drops entries at
+// every GC (and at random under -race), so that a stream returning each
+// buffer exactly once stays checkable.
+var chunkPool struct {
+	mu   sync.Mutex
+	free [][]Request
+}
+
+// getChunk returns an empty buffer of capacity n, pooled when n is the
+// default chunk size.
+func getChunk(n int) []Request {
+	if n == DefaultChunkRequests {
+		chunkPool.mu.Lock()
+		if k := len(chunkPool.free); k > 0 {
+			b := chunkPool.free[k-1]
+			chunkPool.free[k-1] = nil
+			chunkPool.free = chunkPool.free[:k-1]
+			chunkPool.mu.Unlock()
+			return b
+		}
+		chunkPool.mu.Unlock()
+	}
+	return make([]Request, 0, n)
+}
+
+// putChunk clears b and returns it to the pool; other sizes are left
+// to the garbage collector.
+func putChunk(b []Request) {
+	if cap(b) != DefaultChunkRequests {
+		return
+	}
+	clear(b[:cap(b)])
+	chunkPool.mu.Lock()
+	chunkPool.free = append(chunkPool.free, b[:0])
+	chunkPool.mu.Unlock()
+}
 
 // requestFootprint approximates the in-memory bytes of one Request
 // struct (header only; fingerprint payloads are accounted per-slice).
@@ -136,7 +204,7 @@ func NewStream(src Source, opts StreamOptions) *Stream {
 		// free list is sized to make every return non-blocking.
 		s.free = make(chan []Request, opts.Depth+2)
 		for i := 0; i < opts.Depth+2; i++ {
-			s.free <- make([]Request, 0, s.chunkCap)
+			s.free <- getChunk(s.chunkCap)
 		}
 		s.quit = make(chan struct{})
 		go s.produce()
@@ -158,9 +226,19 @@ func chunkBytes(reqs []Request) int64 {
 }
 
 // produce decodes chunks ahead of the consumer until the source ends,
-// a decode error occurs, or the stream is closed.
+// a decode error occurs, or the stream is closed. Every buffer it takes
+// goes back out, either as a chunk or to the free list, so once out is
+// closed the consumer can account for all of them.
 func (s *Stream) produce() {
 	defer close(s.out)
+	defer func() {
+		// A panicking source fails the stream like a decode error: this
+		// goroutine has no caller to unwind into, and an unrecovered
+		// panic here would take the whole process down.
+		if p := recover(); p != nil {
+			s.decErr = fmt.Errorf("trace: source panicked: %v", p)
+		}
+	}()
 	for {
 		var buf []Request
 		select {
@@ -170,25 +248,28 @@ func (s *Stream) produce() {
 		}
 		buf = buf[:0]
 		start := s.wall()
+		more := true
 		for len(buf) < s.chunkCap {
 			r, ok := s.src.Next()
 			if !ok {
 				s.decErr = SourceErr(s.src)
-				if len(buf) > 0 {
-					s.finishChunk(buf, start)
-					select {
-					case s.out <- buf:
-					case <-s.quit:
-					}
-				}
-				return
+				more = false
+				break
 			}
 			buf = append(buf, r)
+		}
+		if len(buf) == 0 {
+			s.free <- buf
+			return
 		}
 		s.finishChunk(buf, start)
 		select {
 		case s.out <- buf:
 		case <-s.quit:
+			s.free <- buf
+			return
+		}
+		if !more {
 			return
 		}
 	}
@@ -249,12 +330,27 @@ func (s *Stream) Next() (Request, bool) {
 		next, ok = <-s.out
 	}
 	if !ok {
-		s.closed = true
 		s.err = s.decErr
+		s.release()
 		return Request{}, false
 	}
 	s.cur, s.pos = next, 0
 	return s.Next()
+}
+
+// release ends the stream on the consumer's side after the producer has
+// exited. By then every chunk buffer is on the free list, and each goes
+// back to the pool exactly once.
+func (s *Stream) release() {
+	s.closed = true
+	for {
+		select {
+		case b := <-s.free:
+			putChunk(b)
+		default:
+			return
+		}
+	}
 }
 
 // Err implements ErrSource: it reports the underlying decoder's
@@ -272,17 +368,23 @@ func (s *Stream) Stats() StreamStats {
 	}
 }
 
-// Close releases the decode goroutine. It is safe to call at any time
-// and more than once; a stream drained to its end needs no Close.
+// Close releases the decode goroutine and returns the ring's buffers to
+// the pool. It is safe to call at any time and more than once; a stream
+// drained to its end has already done both.
 func (s *Stream) Close() {
 	if s.quit == nil || s.closed {
 		s.closed = true
 		return
 	}
-	s.closed = true
 	close(s.quit)
-	// Drain any in-flight chunk so the producer's pending send cannot
-	// block (it selects on quit too; this is belt and braces).
-	for range s.out {
+	// Wait for the producer to exit, taking back the chunks it had
+	// queued; the free list has room for every buffer.
+	for b := range s.out {
+		s.free <- b
 	}
+	if s.cur != nil {
+		s.free <- s.cur
+		s.cur = nil
+	}
+	s.release()
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"cagc/internal/event"
@@ -310,4 +311,165 @@ func TestStreamGzipIdentity(t *testing.T) {
 	}
 	got := mustCollect(t, NewStream(src, StreamOptions{ChunkRequests: 64}))
 	requestsEqual(t, got, want, "gzip stream")
+}
+
+// takePool empties the chunk pool and returns what it held.
+func takePool() [][]Request {
+	chunkPool.mu.Lock()
+	defer chunkPool.mu.Unlock()
+	b := chunkPool.free
+	chunkPool.free = nil
+	return b
+}
+
+// A stream hands its ring's buffers back to the pool exactly once —
+// drained to its end and then closed twice, or abandoned mid-flight —
+// and clears them first, so the pool keeps no fingerprints reachable.
+// Runs under -race in CI.
+func TestStreamReturnsEachBufferOnce(t *testing.T) {
+	for _, midFlight := range []bool{false, true} {
+		takePool()
+		g, err := NewGenerator(streamSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStream(g, StreamOptions{})
+		if midFlight {
+			for i := 0; i < 5; i++ {
+				st.Next()
+			}
+		} else {
+			mustCollect(t, st)
+		}
+		st.Close()
+		st.Close()
+		pooled := takePool()
+		if len(pooled) != DefaultChunkDepth+2 {
+			t.Fatalf("midFlight=%v: pool holds %d buffers, want %d", midFlight, len(pooled), DefaultChunkDepth+2)
+		}
+		seen := make(map[*Request]bool)
+		for _, b := range pooled {
+			if len(b) != 0 || cap(b) != DefaultChunkRequests {
+				t.Fatalf("midFlight=%v: pooled buffer len %d cap %d", midFlight, len(b), cap(b))
+			}
+			first := &b[:1][0]
+			if seen[first] {
+				t.Fatalf("midFlight=%v: a buffer was returned twice", midFlight)
+			}
+			seen[first] = true
+			for i, r := range b[:cap(b)] {
+				if r.At != 0 || r.LPN != 0 || r.Pages != 0 || r.FPs != nil {
+					t.Fatalf("midFlight=%v: pooled buffer slot %d not cleared: %+v", midFlight, i, r)
+				}
+			}
+		}
+		// The next stream draws its ring from the pool.
+		for _, b := range pooled {
+			putChunk(b)
+		}
+		st2 := NewStream(&SliceSource{}, StreamOptions{})
+		if n := len(takePool()); n != 0 {
+			t.Fatalf("midFlight=%v: a new stream left %d pooled buffers unused", midFlight, n)
+		}
+		st2.Close()
+	}
+}
+
+// Streams on several goroutines at once — a fleet's workers — share the
+// pool without handing one buffer to two rings: every stream delivers
+// its source exactly, and afterwards the pool holds distinct buffers.
+func TestStreamsShareThePoolConcurrently(t *testing.T) {
+	takePool()
+	g, err := NewGenerator(streamSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Collect(g)
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				g, err := NewGenerator(streamSpec())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				st := NewStream(g, StreamOptions{})
+				got := Collect(st)
+				st.Close()
+				if len(got) != len(want) || got[len(got)-1].At != want[len(want)-1].At {
+					t.Errorf("stream delivered %d requests, want %d", len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	pooled := takePool()
+	if len(pooled) > workers*(DefaultChunkDepth+2) {
+		t.Fatalf("pool holds %d buffers, more than %d ever out at once", len(pooled), workers*(DefaultChunkDepth+2))
+	}
+	seen := make(map[*Request]bool)
+	for _, b := range pooled {
+		first := &b[:1][0]
+		if seen[first] {
+			t.Fatal("a buffer is in the pool twice")
+		}
+		seen[first] = true
+	}
+}
+
+// Ahead's run-length rule: a known run shorter than AheadMinRequests, or
+// a Sync request, stays on the consumer's goroutine; a long or unknown
+// run gets a decode-ahead Stream. Either release is safe to call twice.
+func TestAheadRunLengthRule(t *testing.T) {
+	src := &SliceSource{}
+	for _, c := range []struct {
+		requests int
+		opts     StreamOptions
+		ahead    bool
+	}{
+		{0, StreamOptions{}, false},
+		{AheadMinRequests - 1, StreamOptions{}, false},
+		{AheadMinRequests, StreamOptions{}, true},
+		{-1, StreamOptions{}, true},
+		{AheadMinRequests, StreamOptions{Sync: true}, false},
+	} {
+		got, release := Ahead(src, c.requests, c.opts)
+		if _, isStream := got.(*Stream); isStream != c.ahead {
+			t.Fatalf("requests %d sync %v: ahead = %v, want %v", c.requests, c.opts.Sync, isStream, c.ahead)
+		}
+		if !c.ahead && got != Source(src) {
+			t.Fatalf("requests %d: short run was wrapped", c.requests)
+		}
+		release()
+		release()
+	}
+}
+
+type panicSource struct{ left int }
+
+func (p *panicSource) Next() (Request, bool) {
+	if p.left == 0 {
+		panic("source bug")
+	}
+	p.left--
+	return Request{At: 1, Op: OpRead, LPN: 1, Pages: 1}, true
+}
+
+// A source that panics on the producer goroutine fails the stream with
+// an error instead of taking the process down; the chunks produced
+// before the panic are still delivered.
+func TestStreamSourcePanicFailsStream(t *testing.T) {
+	st := NewStream(&panicSource{left: 10}, StreamOptions{ChunkRequests: 4})
+	defer st.Close()
+	if got := Collect(st); len(got) != 8 {
+		t.Fatalf("delivered %d requests before the panic, want the 8 of two full chunks", len(got))
+	}
+	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "source bug") {
+		t.Fatalf("Err() = %v, want the source's panic", err)
+	}
 }

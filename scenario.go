@@ -65,7 +65,8 @@ type ScenarioParams struct {
 	// their own).
 	SLOUs float64
 	// ChunkRequests/Depth/SyncDecode tune the decode-ahead streaming
-	// of file-backed tenants (see ReplayFileOptions).
+	// of file-backed tenants and of the merged stream (see
+	// ReplayFileOptions).
 	ChunkRequests int
 	Depth         int
 	SyncDecode    bool
@@ -139,6 +140,9 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 	}()
 	srcs := make([]trace.Source, n)
 	ranges := make([]trace.TenantRange, n)
+	// total is the merged run's length, -1 once a file tenant makes it
+	// unknown.
+	total := 0
 	for i, t := range sp.Tenants {
 		base := share * uint64(i)
 		slo := t.SLOUs
@@ -170,6 +174,7 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 			}
 			closers = append(closers, closer)
 			src = st
+			total = -1
 		} else {
 			reqs := t.Requests
 			if reqs == 0 {
@@ -191,6 +196,9 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 				return nil, fmt.Errorf("cagc: tenant %s: %w", ranges[i].Name, err)
 			}
 			src = gen
+			if total >= 0 {
+				total += reqs
+			}
 		}
 		if t.Rate > 0 && t.Rate != 1 {
 			src = &trace.TimeScale{Src: src, Factor: 1 / t.Rate}
@@ -201,6 +209,13 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 	if sp.DiurnalPeriod > 0 && sp.DiurnalAmp > 0 {
 		merged = &trace.Diurnal{Src: merged, Period: sp.DiurnalPeriod, Amp: sp.DiurnalAmp}
 	}
+	merged, release := trace.Ahead(merged, total, trace.StreamOptions{
+		ChunkRequests: sp.ChunkRequests,
+		Depth:         sp.Depth,
+		Sync:          sp.SyncDecode,
+		Tracer:        p.Trace,
+	})
+	defer release()
 
 	// Precondition over the full address space with the first tenant's
 	// content mixture (file tenants fall back to Homes).
