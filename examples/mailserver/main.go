@@ -57,17 +57,6 @@ func main() {
 		fmt.Println()
 	}
 
-	// The Figure-11/12 mechanism, made visible: latency over time with
-	// GC spikes. Print the worst windows of Baseline vs CAGC.
-	fmt.Println("\nworst 10ms windows (max response in the window):")
-	fmt.Printf("%-14s %14s %14s %10s\n", "scheme", "window start", "max latency", "requests")
-	for _, s := range []cagc.Scheme{cagc.Baseline, cagc.CAGC} {
-		if tl := results[s].Timeline; tl != nil {
-			pk := tl.Peak()
-			fmt.Printf("%-14s %14v %14v %10d\n", s, pk.Start, pk.Max, pk.Count)
-		}
-	}
-
 	in, ba, cg := results[cagc.InlineDedupe], results[cagc.Baseline], results[cagc.CAGC]
 	fmt.Println("\nwhat happened:")
 	fmt.Printf("- Inline-Dedupe computed %d fingerprints on the write path; its\n", in.FTL.HashOps)

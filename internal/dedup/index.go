@@ -112,21 +112,25 @@ func (x *Index) Lookup(fp Fingerprint) (CID, bool) {
 
 // Insert stores new unique content located at ppn with refcount 1 and
 // returns its CID. Inserting a fingerprint that is already present is a
-// caller bug (callers must Lookup first) and returns an error.
+// caller bug (callers must Lookup first) and returns an error; the
+// table insert that fails is the check, so a good insert probes once.
 func (x *Index) Insert(fp Fingerprint, ppn flash.PPN) (CID, error) {
-	if _, dup := x.byFP.Get(uint64(fp)); dup {
+	// The next CID is claimed only once the fingerprint is in.
+	c := CID(len(x.entries))
+	n := len(x.freeIDs)
+	if n > 0 {
+		c = x.freeIDs[n-1]
+	}
+	s, ok := x.byFP.Put(uint64(fp), c)
+	if !ok {
 		return NilCID, fmt.Errorf("dedup: insert of already-present fingerprint %#x", uint64(fp))
 	}
-	var c CID
-	if n := len(x.freeIDs); n > 0 {
-		c = x.freeIDs[n-1]
+	if n > 0 {
 		x.freeIDs = x.freeIDs[:n-1]
 	} else {
-		c = CID(len(x.entries))
 		x.entries = append(x.entries, entry{})
 	}
 	x.entries[c] = entry{fp: fp, ppn: ppn, ref: 1, peak: 1}
-	s := x.byFP.Put(uint64(fp), c)
 	x.live++
 	x.stats.Inserts++
 	if x.live > x.stats.PeakCount {

@@ -37,7 +37,7 @@ func (x *Index) Indexed(c CID) (bool, error) {
 // Publish enters an evicted entry back into the fingerprint index after
 // its content has been hashed again. The caller must have verified via
 // Lookup that the fingerprint is not already present; publishing a
-// duplicate or already-indexed entry is a bug.
+// duplicate (the table insert fails) or already-indexed entry is a bug.
 func (x *Index) Publish(c CID) error {
 	if err := x.check(c); err != nil {
 		return err
@@ -46,11 +46,11 @@ func (x *Index) Publish(c CID) error {
 	if !e.unindexed {
 		return fmt.Errorf("dedup: Publish of already-indexed CID %d", c)
 	}
-	if _, dup := x.byFP.Get(uint64(e.fp)); dup {
+	s, ok := x.byFP.Put(uint64(e.fp), c)
+	if !ok {
 		return fmt.Errorf("dedup: Publish of duplicate fingerprint %#x (merge instead)", uint64(e.fp))
 	}
 	e.unindexed = false
-	s := x.byFP.Put(uint64(e.fp), c)
 	x.trackIndexed(s)
 	return nil
 }

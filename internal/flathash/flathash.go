@@ -36,8 +36,8 @@
 // the repository root).
 //
 // Slot indices returned by Get/Put are stable only until the next
-// mutating call (Put may grow the table, Delete may shift slots); use
-// them immediately, never store them.
+// mutating call (an inserting Put may grow the table, Delete may shift
+// slots); use them immediately, never store them.
 package flathash
 
 import "unsafe"
@@ -142,23 +142,29 @@ func (m *Map[V]) Get(key uint64) (int32, bool) {
 	}
 }
 
-// Put stores key→val, overwriting any existing value, and returns the
-// slot. A new entry starts off the recency list.
-func (m *Map[V]) Put(key uint64, val V) int32 {
-	if i, ok := m.Get(key); ok {
-		m.slots[i].val = val
-		return i
+// Put stores key→val if key is absent, in one probe. It returns the
+// slot holding key and whether this call inserted it; a present key
+// keeps its value and its recency-list position. A new entry starts off
+// the recency list. The table grows only on a real insert, so a failed
+// Put never changes the layout.
+func (m *Map[V]) Put(key uint64, val V) (int32, bool) {
+	i := m.home(key)
+	for m.slots[i].used {
+		if m.slots[i].key == key {
+			return int32(i), false
+		}
+		i = (i + 1) & m.mask
 	}
 	if (m.n+1)*4 > len(m.slots)*3 {
 		m.grow()
-	}
-	i := m.home(key)
-	for m.slots[i].used {
-		i = (i + 1) & m.mask
+		i = m.home(key)
+		for m.slots[i].used {
+			i = (i + 1) & m.mask
+		}
 	}
 	m.slots[i] = slot[V]{key: key, val: val, prev: unlinked, next: unlinked, used: true}
 	m.n++
-	return int32(i)
+	return int32(i), true
 }
 
 // Delete removes key, unlinking it from the recency list if present,

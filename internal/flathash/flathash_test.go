@@ -3,6 +3,7 @@ package flathash
 import (
 	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,13 +13,16 @@ func TestPutGetDelete(t *testing.T) {
 		t.Fatal("hit on empty table")
 	}
 	// Key 0 must be storable (translation page 0 is a real key).
-	s := m.Put(0, 7)
+	s, inserted := m.Put(0, 7)
+	if !inserted {
+		t.Fatal("Put into an empty table did not insert")
+	}
 	if got, ok := m.Get(0); !ok || got != s || *m.At(got) != 7 {
 		t.Fatalf("Get(0) = %v, %v", got, ok)
 	}
-	m.Put(0, 9)
-	if got, _ := m.Get(0); *m.At(got) != 9 {
-		t.Fatal("Put did not overwrite")
+	// Insert-if-absent: a present key answers its own slot, unchanged.
+	if again, inserted := m.Put(0, 9); inserted || again != s || *m.At(again) != 7 {
+		t.Fatalf("Put of a present key = %v, %v, value %d; want %v, false, 7", again, inserted, *m.At(again), s)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d", m.Len())
@@ -53,11 +57,11 @@ func TestGrowthKeepsEntries(t *testing.T) {
 
 func TestLRUOrder(t *testing.T) {
 	m := New[uint32](8)
-	a := m.Put(1, 1)
+	a, _ := m.Put(1, 1)
 	m.PushFront(a)
-	b := m.Put(2, 2)
+	b, _ := m.Put(2, 2)
 	m.PushFront(b)
-	c := m.Put(3, 3)
+	c, _ := m.Put(3, 3)
 	m.PushFront(c)
 	// Order front→back: 3 2 1.
 	wantOrder(t, m, []uint64{3, 2, 1})
@@ -71,7 +75,7 @@ func TestLRUOrder(t *testing.T) {
 	m.Delete(3)
 	wantOrder(t, m, []uint64{1, 2})
 	// Untracked entries don't appear on the list.
-	d := m.Put(4, 4)
+	d, _ := m.Put(4, 4)
 	if m.InList(d) {
 		t.Fatal("fresh entry on list")
 	}
@@ -112,7 +116,7 @@ func cloneOf[V any](m *Map[V]) *Map[V] {
 func TestCloneIndependence(t *testing.T) {
 	m := New[uint32](0)
 	for i := uint64(0); i < 100; i++ {
-		s := m.Put(i, uint32(i))
+		s, _ := m.Put(i, uint32(i))
 		m.PushFront(s)
 	}
 	c := cloneOf(m)
@@ -172,15 +176,22 @@ func TestDifferentialAgainstMapList(t *testing.T) {
 		for step := 0; step < 20000; step++ {
 			key := uint64(rng.Intn(universe))
 			switch op := rng.Intn(100); {
-			case op < 30: // insert or overwrite, track as MRU
+			case op < 30: // insert if absent, track as MRU either way
 				val := uint32(rng.Uint32())
-				s := m.Put(key, val)
+				s, inserted := m.Put(key, val)
+				_, present := ref.vals[key]
+				if inserted == present || m.Key(s) != key {
+					t.Fatalf("seed %d step %d: Put(%d) = slot of %d, inserted %v; ref present %v",
+						seed, step, key, m.Key(s), inserted, present)
+				}
 				if !m.InList(s) {
 					m.PushFront(s)
 				} else {
 					m.MoveToFront(s)
 				}
-				ref.vals[key] = val
+				if inserted {
+					ref.vals[key] = val
+				}
 				if el, ok := ref.pos[key]; ok {
 					ref.lru.MoveToFront(el)
 				} else {
@@ -245,6 +256,58 @@ func TestDifferentialAgainstMapList(t *testing.T) {
 	}
 }
 
+// TestPutAtGrowBoundary fills tables through several doublings with a
+// shuffled recency list. Whenever the next insert will grow the table,
+// every present key is Put again first: each must answer its own slot
+// without inserting, leave the slot array exactly as a twin table built
+// without those Puts has it, and not grow it. The insert that follows
+// then grows, and the recency order must survive the rehash.
+func TestPutAtGrowBoundary(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, twin := New[uint32](0), New[uint32](0)
+		ref := newRefMap()
+		var keys []uint64
+		for len(keys) < 1000 {
+			if (m.Len()+1)*4 > len(m.slots)*3 {
+				size := len(m.slots)
+				for _, k := range keys {
+					s, inserted := m.Put(k, 0)
+					if inserted || m.Key(s) != k || *m.At(s) != ref.vals[k] {
+						t.Fatalf("seed %d: Put of present key %d at the grow boundary inserted=%v", seed, k, inserted)
+					}
+				}
+				if len(m.slots) != size || !slices.Equal(m.slots, twin.slots) {
+					t.Fatalf("seed %d: Puts of present keys changed the layout at %d entries", seed, m.Len())
+				}
+			}
+			key := rng.Uint64()
+			if _, present := ref.vals[key]; present {
+				continue
+			}
+			val := rng.Uint32()
+			for _, tbl := range []*Map[uint32]{m, twin} {
+				s, inserted := tbl.Put(key, val)
+				if !inserted {
+					t.Fatalf("seed %d: Put of absent key %d did not insert", seed, key)
+				}
+				tbl.PushFront(s)
+			}
+			keys = append(keys, key)
+			ref.vals[key] = val
+			ref.pos[key] = ref.lru.PushFront(key)
+			// Touch an older entry so the list is not insertion order.
+			old := keys[rng.Intn(len(keys))]
+			for _, tbl := range []*Map[uint32]{m, twin} {
+				s, _ := tbl.Get(old)
+				tbl.MoveToFront(s)
+			}
+			ref.lru.MoveToFront(ref.pos[old])
+			checkEqual(t, seed, len(keys), m, ref)
+		}
+	}
+}
+
 // checkEqual compares the full observable state of both models.
 func checkEqual(t *testing.T, seed int64, step int, m *Map[uint32], ref *refMap) {
 	t.Helper()
@@ -283,7 +346,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	m := New[uint32](0)
 	const n = 1024
 	for i := uint64(0); i < n; i++ {
-		s := m.Put(i, uint32(i))
+		s, _ := m.Put(i, uint32(i))
 		m.PushFront(s)
 	}
 	var k uint64
@@ -293,7 +356,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		m.MoveToFront(s)
 		// delete + reinsert (churn at constant size)
 		m.Delete(k % n)
-		s = m.Put(k%n, uint32(k))
+		s, _ = m.Put(k%n, uint32(k))
 		m.PushFront(s)
 		k++
 	})

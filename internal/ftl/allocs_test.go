@@ -37,6 +37,29 @@ func TestCMTSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// CheckInvariants runs after every run, fleet device and batch seed; a
+// check that allocates taxes a 256-device fleet far more than it shows
+// on one run.
+func TestCheckInvariantsAllocatesNothing(t *testing.T) {
+	for _, opts := range []Options{BaselineOptions(), InlineDedupeOptions(), CAGCOptions()} {
+		f := newFTL(t, opts)
+		// A content pool as large as the address space: duplicates for
+		// the index, but not so many that Inline-Dedupe never collects.
+		churn(t, f, int(f.LogicalPages())*4, f.LogicalPages(), 5)
+		if f.Stats().GCInvocations == 0 {
+			t.Fatalf("%s: GC never ran", opts.SchemeName())
+		}
+		var err error
+		allocs := testing.AllocsPerRun(20, func() { err = f.CheckInvariants() })
+		if err != nil {
+			t.Fatalf("%s: %v", opts.SchemeName(), err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: CheckInvariants allocated %.1f objects per call, want 0", opts.SchemeName(), allocs)
+		}
+	}
+}
+
 func TestRevMapSteadyStateAllocs(t *testing.T) {
 	var m revMap
 	const cids, lpns = 64, 512

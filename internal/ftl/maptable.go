@@ -55,10 +55,12 @@ func newCMT(capEntries int) *cmt {
 
 // access touches the translation page of lpn. It reports whether the
 // entry was cached and, on a miss, which dirty page (if any) must be
-// written back. write marks the page dirty.
+// written back. write marks the page dirty. The hit or the miss insert
+// is one table probe.
 func (c *cmt) access(lpn uint64, write bool) (hit bool, evictDirty bool, evicted uint64) {
 	page := lpn / mapEntriesPerPage
-	if s, ok := c.pages.Get(page); ok {
+	s, inserted := c.pages.Put(page, write)
+	if !inserted {
 		c.pages.MoveToFront(s)
 		c.hits++
 		if write {
@@ -67,7 +69,6 @@ func (c *cmt) access(lpn uint64, write bool) (hit bool, evictDirty bool, evicted
 		return true, false, 0
 	}
 	c.misses++
-	s := c.pages.Put(page, write)
 	c.pages.PushFront(s)
 	if c.pages.ListLen() > c.capPages {
 		b := c.pages.Back()

@@ -200,10 +200,14 @@ func (f *FTL) invalidatePage(ppn flash.PPN) error {
 // checkEligibleSet verifies the index against the ground-truth
 // predicate: block b sits in bucket k exactly when it is closed with
 // k > 0 invalid pages, row 0 is the union, every population count is
-// exact, and top bounds the non-empty buckets. CheckInvariants calls it.
+// exact, and top bounds the non-empty buckets. CheckInvariants calls it
+// after every run, fleet device and batch seed, so it allocates nothing:
+// with every eligible block's bit found in the union and in its own
+// bucket, bit totals equal to the eligible count rule out stray bits,
+// and each row's population must then equal its count.
 func (f *FTL) checkEligibleSet() error {
 	x := &f.vix
-	want := make([]int32, len(x.count))
+	eligible := int32(0)
 	for b := range f.blocks {
 		blk, err := f.dev.Block(flash.BlockID(b))
 		if err != nil {
@@ -222,23 +226,31 @@ func (f *FTL) checkEligibleSet() error {
 			if x.rows[k*x.words+w]&m == 0 {
 				return fmt.Errorf("victim index: block %d missing from bucket %d", b, k)
 			}
-			want[0]++
-			want[k]++
+			eligible++
 		}
 	}
-	// Every wanted bit is set; equal populations rule out stray ones.
+	bucketed := int32(0)
 	for k := range x.count {
 		n := int32(0)
 		for _, word := range x.row(k) {
 			n += int32(bits.OnesCount64(word))
 		}
-		if n != want[k] || x.count[k] != want[k] {
-			return fmt.Errorf("victim index: bucket %d holds %d blocks, count says %d, want %d",
-				k, n, x.count[k], want[k])
+		if n != x.count[k] {
+			return fmt.Errorf("victim index: bucket %d holds %d blocks, count says %d", k, n, x.count[k])
 		}
-		if k > x.top && want[k] > 0 {
+		if k == 0 {
+			if n != eligible {
+				return fmt.Errorf("victim index: union holds %d blocks, want %d", n, eligible)
+			}
+			continue
+		}
+		if k > x.top && n > 0 {
 			return fmt.Errorf("victim index: top %d below non-empty bucket %d", x.top, k)
 		}
+		bucketed += n
+	}
+	if bucketed != eligible {
+		return fmt.Errorf("victim index: buckets hold %d blocks, want %d", bucketed, eligible)
 	}
 	return nil
 }

@@ -10,9 +10,10 @@ import (
 // virtual time — the view that makes GC interference visible as
 // latency spikes aligned with collection activity.
 //
-// Windows at nonnegative time (every simulation observation) live in a
-// dense slice indexed by window number, so the replay loop's Record is
-// a bounds-checked array update with no per-observation allocation; the
+// No run records into one by default: a series grows with simulated
+// time, so the replay loop keeps none. Windows at nonnegative time live
+// in a dense slice indexed by window number, so Record is a
+// bounds-checked array update with no per-observation allocation; the
 // pathological negative-time case falls back to a lazily built map.
 type TimeSeries struct {
 	width event.Time

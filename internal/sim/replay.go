@@ -27,7 +27,6 @@ import (
 
 	"cagc/internal/event"
 	"cagc/internal/ftl"
-	"cagc/internal/metrics"
 	"cagc/internal/trace"
 )
 
@@ -183,7 +182,6 @@ func (st *replayState) record(req trace.Request, done event.Time) error {
 	res := st.res
 	if st.firstArrival < 0 {
 		st.firstArrival = req.At
-		res.Timeline = metrics.NewTimeSeries(10 * event.Millisecond)
 	}
 	if done > st.lastDone {
 		st.lastDone = done
@@ -193,7 +191,6 @@ func (st *replayState) record(req trace.Request, done event.Time) error {
 		lat = 0 // zero-page (fully clipped) requests
 	}
 	res.Latency.Record(lat)
-	res.Timeline.Record(req.At-st.firstArrival, lat)
 	if req.At < st.r.f.GCBusyUntil() {
 		res.GCLatency.Record(lat)
 		res.GCRequests++

@@ -384,9 +384,8 @@ func TestReplayCancelEndsTheLoop(t *testing.T) {
 
 // The replay allocates per run, not per request: the closed-loop token
 // heap is sized once at QueueDepth, the open loop holds two requests.
-// What does grow is the latency timeline (one bucket per 10 ms of
-// simulated time, appended geometrically), so the guard is a budget far
-// below one allocation per request rather than zero.
+// The guard is a small per-run budget (the Result and its counters);
+// TestReplayAllocationIndependentOfLength pins the bytes.
 func TestReplayLoopAllocatesPerRunNotPerRequest(t *testing.T) {
 	const reqs = 4000
 	for _, qd := range []int{0, 1, 32} {
@@ -408,7 +407,7 @@ func TestReplayLoopAllocatesPerRunNotPerRequest(t *testing.T) {
 		for i := range ring {
 			ring[i] = trace.Request{Op: trace.OpRead, LPN: uint64(i * 17), Pages: 1}
 		}
-		src := &ringSource{ring: ring}
+		src := &ringSource{ring: ring, gap: 50 * event.Microsecond}
 		allocs := testing.AllocsPerRun(5, func() {
 			src.left = reqs
 			if _, err := r.Replay(src, snap.Offset(), "allocs"); err != nil {
@@ -422,8 +421,12 @@ func TestReplayLoopAllocatesPerRunNotPerRequest(t *testing.T) {
 	}
 }
 
+// ringSource serves left requests cycled from a fixed ring, gap apart.
+// It allocates nothing per request, so whatever a replay of it
+// allocates is the replay's own.
 type ringSource struct {
 	ring []trace.Request
+	gap  event.Time
 	left int
 	at   event.Time
 }
@@ -433,7 +436,7 @@ func (s *ringSource) Next() (trace.Request, bool) {
 		return trace.Request{}, false
 	}
 	s.left--
-	s.at += 50 * event.Microsecond
+	s.at += s.gap
 	req := s.ring[s.left%len(s.ring)]
 	req.At = s.at
 	return req, true

@@ -116,11 +116,6 @@ type Result struct {
 	// Buffer holds write-buffer activity when Config.BufferPages > 0.
 	Buffer buffer.Stats
 
-	// Timeline buckets response times into 10 ms windows of measured
-	// time (relative to the first arrival), making GC-induced latency
-	// spikes visible; nil when the replay saw no requests.
-	Timeline *metrics.TimeSeries
-
 	// Device state at the end.
 	EraseSpread  int
 	FreeFraction float64

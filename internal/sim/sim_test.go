@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
+	"cagc/internal/dedup"
 	"cagc/internal/event"
 	"cagc/internal/flash"
 	"cagc/internal/ftl"
@@ -294,33 +296,44 @@ func TestReplayOffsetShiftsArrivals(t *testing.T) {
 	}
 }
 
-func TestReplayTimeline(t *testing.T) {
-	cfg := smallConfig(ftl.BaselineOptions())
-	spec := specFor(t, cfg, trace.Mail, 3000)
-	res, err := Run(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
+// TestReplayAllocationIndependentOfLength pins bounded memory in run
+// length: a replay keeps nothing per request or per window of simulated
+// time, so ten times the requests (and ten times the simulated span)
+// allocate no more bytes.
+func TestReplayAllocationIndependentOfLength(t *testing.T) {
+	ring := make([]trace.Request, 64)
+	for i := range ring {
+		ring[i] = trace.Request{Op: trace.OpRead, LPN: uint64(i * 7), Pages: 1}
+		if i%4 != 0 {
+			ring[i].Op = trace.OpWrite
+			ring[i].FPs = []dedup.Fingerprint{dedup.OfUint64(uint64(i % 24))}
+		}
 	}
-	if res.Timeline == nil {
-		t.Fatal("no timeline recorded")
-	}
-	ws := res.Timeline.Windows()
-	if len(ws) < 2 {
-		t.Fatalf("only %d windows over a %v run", len(ws), res.Duration)
-	}
-	var n uint64
-	for _, w := range ws {
-		n += w.Count
-	}
-	if n != res.Requests {
-		t.Fatalf("timeline holds %d observations, want %d", n, res.Requests)
-	}
-	if ws[0].Start != 0 {
-		t.Fatalf("first window starts at %v, want 0 (relative time)", ws[0].Start)
-	}
-	// GC spikes must be visible: the peak window's max far exceeds the
-	// overall median.
-	if res.Timeline.Peak().Max < res.Latency.Percentile(0.5)*4 {
-		t.Error("no latency spike visible in the timeline")
+	for _, opts := range []ftl.Options{ftl.BaselineOptions(), ftl.InlineDedupeOptions(), ftl.CAGCOptions()} {
+		allocated := func(n int) uint64 {
+			r, err := NewRunner(smallConfig(opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &ringSource{ring: ring, gap: event.Millisecond, left: n}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := r.Replay(src, 0, "ring")
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != uint64(n) {
+				t.Fatalf("%s: replayed %d of %d requests", opts.SchemeName(), res.Requests, n)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		short, long := allocated(4000), allocated(40000)
+		t.Logf("%s: %d B for 4 000 requests, %d B for 40 000", opts.SchemeName(), short, long)
+		// Slack for the runtime's own bookkeeping; a per-10 ms window
+		// record alone would be ~200 KB more over the long run.
+		if long > short+16<<10 {
+			t.Errorf("%s: 40 000 requests allocated %d B, 4 000 allocated %d B", opts.SchemeName(), long, short)
+		}
 	}
 }
