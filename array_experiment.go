@@ -12,7 +12,6 @@ import (
 	"io"
 
 	"cagc/internal/array"
-	"cagc/internal/flash"
 	"cagc/internal/trace"
 )
 
@@ -71,10 +70,21 @@ type ArrayParams struct {
 }
 
 // RunArray replays the workload through a multi-SSD volume whose
-// members all run scheme s. Like the single-device path it is fully
-// deterministic: same arguments, same Result.
+// members all run scheme s, each built from p exactly as Run builds its
+// device. Like the single-device path it is fully deterministic: same
+// arguments, same Result. The array layer replays open loop, without a
+// write buffer and untraced, so p.QueueDepth, p.BufferPages and p.Trace
+// are errors rather than silently ignored.
 func RunArray(w Workload, s Scheme, p Params, ap ArrayParams) (*ArrayResult, error) {
 	p = p.withDefaults()
+	switch {
+	case p.BufferPages != 0:
+		return nil, fmt.Errorf("array: BufferPages is not supported (array members have no write buffer)")
+	case p.QueueDepth != 0:
+		return nil, fmt.Errorf("array: QueueDepth is not supported (the array replays open loop)")
+	case p.Trace != nil:
+		return nil, fmt.Errorf("array: Trace is not supported (the array layer is untraced)")
+	}
 	mode := array.RAID1
 	switch ap.Mode {
 	case "", "raid1":
@@ -89,16 +99,19 @@ func RunArray(w Workload, s Scheme, p Params, ap ArrayParams) (*ArrayResult, err
 	if ap.Steer && mode != array.RAID1 {
 		return nil, fmt.Errorf("array: GC-aware steering needs raid1 (reads have no replica choice in raid0)")
 	}
-	cfg := array.Config{
+	member, _, err := buildRun(w, s.Options(), "greedy", p)
+	if err != nil {
+		return nil, err
+	}
+	a, err := array.New(array.Config{
 		Mode:            mode,
 		Members:         ap.Members,
-		MemberDevice:    flash.ScaledConfig(p.DeviceBytes),
-		MemberOptions:   s.Options(),
-		Utilization:     p.Utilization,
+		MemberDevice:    member.Device,
+		MemberOptions:   member.Options,
+		Utilization:     member.Utilization,
 		GCAwareSteering: ap.Steer,
 		StaggerGC:       ap.Stagger,
-	}
-	a, err := array.New(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -136,31 +149,15 @@ type ArraySummary struct {
 
 // SummarizeArray flattens an ArrayResult.
 func SummarizeArray(r *ArrayResult) ArraySummary {
-	lat := func(h interface {
-		Count() uint64
-		Mean() float64
-		Percentile(float64) Time
-		Max() Time
-	}) LatencySummary {
-		return LatencySummary{
-			Count:  h.Count(),
-			MeanUs: h.Mean() / 1000,
-			P50Us:  h.Percentile(0.50).Micros(),
-			P90Us:  h.Percentile(0.90).Micros(),
-			P99Us:  h.Percentile(0.99).Micros(),
-			P999Us: h.Percentile(0.999).Micros(),
-			MaxUs:  h.Max().Micros(),
-		}
-	}
 	return ArraySummary{
 		Mode:         r.Mode,
 		Scheme:       r.Scheme,
 		Members:      r.Members,
 		Requests:     r.Requests,
 		DurationMs:   r.Duration.Millis(),
-		Latency:      lat(&r.Latency),
-		ReadLatency:  lat(&r.ReadLatency),
-		WriteLatency: lat(&r.WriteLatency),
+		Latency:      latencySummary(&r.Latency),
+		ReadLatency:  latencySummary(&r.ReadLatency),
+		WriteLatency: latencySummary(&r.WriteLatency),
 		SteeredReads: r.SteeredReads,
 	}
 }

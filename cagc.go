@@ -177,11 +177,13 @@ func RunOptions(w Workload, opts Options, policy string, p Params) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return runCached(cfg, spec, p)
+	return measure(cfg, spec, p, sim.Measured{})
 }
 
-// buildRun assembles the simulator configuration and workload spec one
-// run needs; shared by RunOptions and the substrate bench harness.
+// buildRun is the one place Params becomes a simulator configuration
+// and a workload spec. Every entry mode builds its device here — Run,
+// RunFleet, ReplayTrace/ReplayFile, RunScenario, RunArray and
+// LogicalPagesFor — so a Params field means the same in each of them.
 // p must already carry defaults.
 func buildRun(w Workload, opts Options, policy string, p Params) (sim.Config, trace.Spec, error) {
 	pol, err := ftl.PolicyByName(policy, p.Seed)

@@ -156,6 +156,12 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if tracing && *arrayMode != "" {
 		return fmt.Errorf("-trace/-trace-summary/-trace-last cannot be combined with -array (the array layer is untraced)")
 	}
+	if *arrayMode != "" && *qd != 0 {
+		return fmt.Errorf("-qd cannot be combined with -array (the array replays open loop)")
+	}
+	if *arrayMode != "" && *bufPages != 0 {
+		return fmt.Errorf("-buffer cannot be combined with -array (array members have no write buffer)")
+	}
 	if *traceLast > 0 && *traceOut == "" && !*traceSum {
 		return fmt.Errorf("-trace-last needs -trace or -trace-summary to report into")
 	}

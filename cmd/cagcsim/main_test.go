@@ -25,6 +25,8 @@ func TestValidationPrecedesProfiling(t *testing.T) {
 		{"-scheme", "raid5"},
 		{"-fleet", "2", "-batch", "2"},
 		{"-trace-last", "5"},
+		{"-array", "raid1", "-qd", "8"},
+		{"-array", "raid1", "-buffer", "64"},
 	}
 	for _, args := range cases {
 		dir := t.TempDir()

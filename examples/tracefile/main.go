@@ -44,7 +44,7 @@ func main() {
 
 	// 2. Replay the identical file through Baseline and CAGC.
 	for _, s := range []cagc.Scheme{cagc.Baseline, cagc.CAGC} {
-		res, err := cagc.ReplayTraceFile(path, cagc.WebVM, s, "greedy", p)
+		res, err := cagc.ReplayFile(path, cagc.WebVM, s, "greedy", p, cagc.ReplayFileOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

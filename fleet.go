@@ -99,14 +99,8 @@ func (f *FleetRun) AggregateEventsPerSec() float64 {
 // RunFleet simulates a fleet of fp.Devices SSDs running scheme s on
 // workload w, per-device perturbed, and returns the merged report.
 func RunFleet(w Workload, s Scheme, policy string, p Params, fp FleetParams) (*FleetRun, error) {
-	return RunFleetOptions(w, s.Options(), policy, p, fp)
-}
-
-// RunFleetOptions is RunFleet with full control over the FTL
-// mechanisms, mirroring RunOptions.
-func RunFleetOptions(w Workload, opts Options, policy string, p Params, fp FleetParams) (*FleetRun, error) {
 	p = p.withDefaults()
-	cfg, spec, err := buildRun(w, opts, policy, p)
+	cfg, spec, err := buildRun(w, s.Options(), policy, p)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +130,7 @@ func RunFleetOptions(w Workload, opts Options, policy string, p Params, fp Fleet
 		// leaves Snapshots nil: the fleet still builds per-class
 		// snapshots (its architecture needs them) but retains nothing.
 		fc.Snapshots = func(ccfg sim.Config, cspec trace.Spec) (*sim.Snapshot, error) {
-			return warmCache.get(warmKey(ccfg, cspec, p.Seed), func() (*sim.Snapshot, error) {
-				return sim.NewSnapshot(ccfg, cspec)
-			})
+			return warmSnapshot(ccfg, cspec, p.Seed)
 		}
 	}
 	start := time.Now()

@@ -1,7 +1,7 @@
 package pool
 
 // Bounded job queue: the admission-control primitive underneath the
-// serving layer. Where ForEach/Run execute a known, finite task list,
+// serving layer. Where Run executes a known, finite task list,
 // a Queue accepts work over time — TrySubmit either admits a job into
 // a fixed-depth buffer or refuses it immediately (ErrQueueFull), which
 // is what lets an HTTP front end return 429 instead of building an

@@ -6,18 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// Batch-aware dispatch. ForEach hands tasks out in index order, which
-// serializes a batch behind its stragglers: a long run dispatched late
-// leaves every other worker idle while it finishes. Run instead sorts
-// tasks longest-estimated-first, deals them round-robin onto per-worker
-// deques, and lets idle workers steal from the back of a victim's deque
-// (its shortest remaining task), so short runs backfill worker stalls.
+// Batch-aware dispatch. Handing tasks out in index order serializes a
+// batch behind its stragglers: a long run dispatched late leaves every
+// other worker idle while it finishes. Run instead sorts tasks
+// longest-estimated-first (index order when there are no weights),
+// deals them round-robin onto per-worker deques, and lets idle workers
+// steal from the back of a victim's deque (its shortest remaining
+// task), so short runs backfill worker stalls.
 //
 // Scheduling never touches results: every task writes an
 // index-addressed slot and callers fold those slots in index order, so
 // output is byte-identical at any worker count, with or without
-// stealing — the same determinism contract ForEach has. Only wall
-// clock (and the steal counter) varies.
+// stealing. Only wall clock (and the steal counter) varies.
 
 // Options configures Run.
 type Options struct {
@@ -33,8 +33,8 @@ type Options struct {
 type RunStats struct {
 	// Errs is one slot per index: nil for tasks that completed, the
 	// task's error for tasks that failed, ErrNotRun for tasks never
-	// started because dispatch stopped at the first failure. nil when
-	// every task succeeded (same contract as ForEach).
+	// started because dispatch stopped at a failure. nil when every
+	// task succeeded, so the all-clear path allocates nothing.
 	Errs []error
 	// Steals counts tasks executed by a worker other than the one they
 	// were dealt to.
@@ -51,10 +51,14 @@ func Steals() uint64 { return stealsTotal.Load() }
 // Run executes task(0..n-1) with batch-aware scheduling: tasks are
 // ordered longest-estimated-first (per opts.Weight), dealt round-robin
 // onto per-worker deques, and idle workers steal the shortest remaining
-// task from another deque. Error semantics match ForEach exactly:
-// per-index errors, dispatch stops at the first failure, tasks already
-// in flight run to completion, never-started tasks report ErrNotRun,
-// and the slice is nil when everything succeeded.
+// task from another deque. A task that panics fails with a
+// *PanicError. Errors are per index; a failure stops dispatch of every
+// task scheduled after it, while tasks scheduled before it still run,
+// exactly as in a serial run of the schedule — so with no weights the
+// lowest failing index always runs and First reports it
+// deterministically. Tasks already in flight run to completion,
+// never-started tasks report ErrNotRun, and the slice is nil when
+// everything succeeded.
 func Run(n int, opts Options, task func(i int) error) RunStats {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -71,33 +75,33 @@ func Run(n int, opts Options, task func(i int) error) RunStats {
 	var (
 		mu     sync.Mutex
 		deques = make([][]int, workers)
+		rank   = make([]int, n) // task index → position in order
+		stop   = n              // rank of the earliest failure so far
 		errs   []error
-		failed bool
 		steals uint64
 		wg     sync.WaitGroup
 	)
 	for k, idx := range order {
 		w := k % workers
 		deques[w] = append(deques[w], idx)
+		rank[idx] = k
 	}
 	// next pops the worker's own front task (its longest remaining), or
 	// steals the back task (the victim's shortest) scanning victims in a
-	// deterministic ring from w+1. Returns done once every deque is
-	// empty or a failure has stopped dispatch.
+	// deterministic ring from w+1. Each deque holds ascending ranks, so
+	// a front at or past stop means the whole deque is. Returns done once
+	// nothing scheduled before the earliest failure is left.
 	next := func(w int) (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if failed {
-			return 0, false
-		}
-		if d := deques[w]; len(d) > 0 {
+		if d := deques[w]; len(d) > 0 && rank[d[0]] < stop {
 			i := d[0]
 			deques[w] = d[1:]
 			return i, true
 		}
 		for k := 1; k < workers; k++ {
 			v := (w + k) % workers
-			if d := deques[v]; len(d) > 0 {
+			if d := deques[v]; len(d) > 0 && rank[d[len(d)-1]] < stop {
 				i := d[len(d)-1]
 				deques[v] = d[:len(d)-1]
 				steals++
@@ -112,7 +116,7 @@ func Run(n int, opts Options, task func(i int) error) RunStats {
 			errs = make([]error, n)
 		}
 		errs[i] = err
-		failed = true
+		stop = min(stop, rank[i])
 		mu.Unlock()
 	}
 	for w := 0; w < workers; w++ {
@@ -143,8 +147,7 @@ func Run(n int, opts Options, task func(i int) error) RunStats {
 	return RunStats{Errs: errs, Steals: steals}
 }
 
-// runSerial executes order in sequence, stopping at the first failure;
-// per-index error semantics match forEachSerial.
+// runSerial executes order in sequence, stopping at the first failure.
 func runSerial(n int, order []int, task func(i int) error) []error {
 	for k, i := range order {
 		if err := call(task, i); err != nil {

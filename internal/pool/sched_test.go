@@ -3,13 +3,15 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Run must execute every task exactly once at any worker count, and
-// return nil Errs on the all-clear path — the same contract as ForEach.
+// return nil Errs on the all-clear path (no per-index slice allocated).
 func TestRunAllSucceed(t *testing.T) {
 	for _, workers := range []int{0, 1, 4, 17} {
 		var ran [100]atomic.Int64
@@ -49,9 +51,9 @@ func TestRunWeightedAllSucceed(t *testing.T) {
 	}
 }
 
-// Error semantics parity with ForEach: the failing index carries its
-// error, completed tasks stay nil, and tasks never started report
-// ErrNotRun.
+// A failing task gets its own error at its own index, completed tasks
+// stay nil, and tasks never started report ErrNotRun — the bookkeeping
+// a batch needs to say which runs finished.
 func TestRunPerIndexErrors(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
@@ -95,6 +97,118 @@ func TestRunPerIndexErrors(t *testing.T) {
 				t.Fatalf("First = %v, want boom", err)
 			}
 		})
+	}
+}
+
+// The unweighted schedule the root package's forEach sweeps use must
+// stop dispatch at a failure at every worker count: with workers parked
+// until the failure is visible, most indices are never started and
+// report ErrNotRun, while every slot is still accounted for.
+func TestForEachPerIndexErrors(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n = 1000
+			var started atomic.Int64
+			var failed atomic.Bool
+			st := Run(n, Options{Workers: workers}, func(i int) error {
+				started.Add(1)
+				if i == 3 {
+					failed.Store(true)
+					return boom
+				}
+				// Park tasks in flight until the failure is visible, so
+				// dispatch stops with most indices never started. (Serial
+				// execution reaches index 3 on its own.)
+				for workers > 1 && !failed.Load() {
+					runtime.Gosched()
+				}
+				return nil
+			})
+			if st.Errs == nil {
+				t.Fatal("Errs = nil despite a failure")
+			}
+			if !errors.Is(st.Errs[3], boom) {
+				t.Fatalf("Errs[3] = %v, want boom", st.Errs[3])
+			}
+			if !errors.Is(st.Errs[n-1], ErrNotRun) {
+				t.Fatalf("Errs[%d] = %v, want ErrNotRun (dispatch stopped)", n-1, st.Errs[n-1])
+			}
+			var completed, notRun int
+			for i, err := range st.Errs {
+				switch {
+				case err == nil:
+					completed++
+				case errors.Is(err, ErrNotRun):
+					notRun++
+				case i != 3:
+					t.Fatalf("Errs[%d] = %v, want nil or ErrNotRun", i, err)
+				}
+			}
+			if completed+notRun+1 != n {
+				t.Fatalf("slots: %d completed + %d not-run + 1 failed != %d", completed, notRun, n)
+			}
+			if int64(n-notRun) != started.Load() {
+				t.Fatalf("started %d tasks but %d slots are not ErrNotRun", started.Load(), n-notRun)
+			}
+			if notRun == 0 {
+				t.Fatal("Run dispatched past the failure")
+			}
+			if err := First(st.Errs); !errors.Is(err, boom) {
+				t.Fatalf("First = %v, want boom", err)
+			}
+		})
+	}
+}
+
+// Without weights the schedule is index order: the serial path runs
+// strictly ascending and stops at the failure.
+func TestRunSerialIndexOrder(t *testing.T) {
+	var order []int
+	st := Run(10, Options{Workers: 1}, func(i int) error {
+		order = append(order, i)
+		if i == 4 {
+			return errors.New("stop")
+		}
+		return nil
+	})
+	for i, got := range order {
+		if got != i || len(order) != 5 {
+			t.Fatalf("ran %v, want 0..4 ascending", order)
+		}
+	}
+	for i := 5; i < 10; i++ {
+		if !errors.Is(st.Errs[i], ErrNotRun) {
+			t.Fatalf("Errs[%d] = %v, want ErrNotRun", i, st.Errs[i])
+		}
+	}
+}
+
+// A failure stops only the tasks scheduled after it: a task scheduled
+// before it still runs, even when its worker only gets to it after the
+// failure landed — so the failure a serial run would hit first is the
+// one reported, at any worker count. Two workers deal {0, 2, 4} and
+// {1, 3, 5}; task 1 holds its worker until task 4 has failed, and
+// task 3 must run afterwards.
+func TestRunFailureKeepsEarlierTasks(t *testing.T) {
+	boom := errors.New("boom 4")
+	failing := make(chan struct{})
+	st := Run(6, Options{Workers: 2}, func(i int) error {
+		switch i {
+		case 1:
+			<-failing
+			time.Sleep(10 * time.Millisecond) // let the failure be recorded
+		case 4:
+			close(failing)
+			return boom
+		}
+		return nil
+	})
+	if st.Errs[3] != nil {
+		t.Fatalf("Errs[3] = %v: a task scheduled before the failure did not run", st.Errs[3])
+	}
+	if !errors.Is(st.Errs[4], boom) || !errors.Is(st.Errs[5], ErrNotRun) {
+		t.Fatalf("Errs = %v, want boom at 4 and ErrNotRun at 5", st.Errs)
 	}
 }
 

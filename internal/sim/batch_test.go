@@ -4,35 +4,62 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"cagc/internal/ftl"
+	"cagc/internal/pool"
 	"cagc/internal/trace"
 )
+
+// batchRun is one run of a batch: Snap, when non-nil, serves it warm
+// from that snapshot; nil builds it cold.
+type batchRun struct {
+	Snap *Snapshot
+	Cfg  Config
+	Spec trace.Spec
+}
+
+// runBatch executes runs the way the root package's batch engine does:
+// one pool.Run task per run, warm runs recycled through the snapshot's
+// free-list, results and errors addressed by index. results[i] is
+// non-nil exactly where errs[i] is nil.
+func runBatch(runs []batchRun, workers int) (results []*Result, errs []error) {
+	results = make([]*Result, len(runs))
+	errs = pool.Run(len(runs), pool.Options{Workers: workers}, func(i int) error {
+		r := runs[i]
+		res, err := Measure(r.Snap, r.Cfg, r.Spec, Measured{})
+		if err != nil {
+			return err
+		}
+		results[i] = res
+		return nil
+	}).Errs
+	return results, errs
+}
 
 // batchRuns builds a representative batch: n seed-varied warm runs off
 // one shared snapshot plus one cold run, the shape a sweep harness
 // produces.
-func batchRuns(t *testing.T, n int) []BatchRun {
+func batchRuns(t *testing.T, n int) []batchRun {
 	t.Helper()
 	cfg, spec := snapConfig(t, ftl.CAGCOptions())
 	snap, err := NewSnapshot(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := make([]BatchRun, 0, n+1)
+	runs := make([]batchRun, 0, n+1)
 	for i := 0; i < n; i++ {
 		s := spec
 		s.Seed = int64(100 + i)
-		runs = append(runs, BatchRun{Snap: snap, Cfg: cfg, Spec: s})
+		runs = append(runs, batchRun{Snap: snap, Cfg: cfg, Spec: s})
 	}
-	runs = append(runs, BatchRun{Cfg: cfg, Spec: spec}) // cold slot
+	runs = append(runs, batchRun{Cfg: cfg, Spec: spec}) // cold slot
 	return runs
 }
 
-// RunBatch must be byte-identical to serial execution at every worker
-// count — the whole determinism contract of the batched engine.
+// A batch of warm and cold runs on the pool must be byte-identical to
+// cold serial execution at every worker count: recycled clones handed
+// between workers carry no state from the run before.
 // reflect.DeepEqual over *Result sees every histogram bucket and the
 // latency timeline, so this is the strongest equality Go can state.
 func TestRunBatchWorkerCountInvariance(t *testing.T) {
@@ -40,18 +67,14 @@ func TestRunBatchWorkerCountInvariance(t *testing.T) {
 	serial := make([]*Result, len(runs))
 	for i, r := range runs {
 		var err error
-		if r.Snap != nil {
-			serial[i], err = RunWarm(r.Snap, r.Cfg, r.Spec)
-		} else {
-			serial[i], err = Run(r.Cfg, r.Spec)
-		}
-		if err != nil {
+		if serial[i], err = Run(r.Cfg, r.Spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, workers := range []int{1, 4, runtime.NumCPU()} {
+	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, errs := RunBatch(runs, workers)
+			before := CloneGaugeStats()
+			got, errs := runBatch(runs, workers)
 			if errs != nil {
 				t.Fatalf("errs = %v, want nil", errs)
 			}
@@ -60,19 +83,22 @@ func TestRunBatchWorkerCountInvariance(t *testing.T) {
 					t.Fatalf("run %d diverged from serial execution at %d workers", i, workers)
 				}
 			}
+			if live := CloneGaugeStats().Live - before.Live; live != 0 {
+				t.Fatalf("batch left %d clones live", live)
+			}
 		})
 	}
 }
 
 // A failing run reports at its own index, completed runs keep their
-// results, and undispatched slots carry ErrNotRun — the batch always
-// says exactly which runs finished.
+// results, and undispatched slots carry pool.ErrNotRun — the batch
+// always says exactly which runs finished.
 func TestRunBatchPerRunErrors(t *testing.T) {
 	runs := batchRuns(t, 3)
 	bad := runs[1]
 	bad.Cfg.Utilization = 0.45 // incompatible with the snapshot's build
 	runs[1] = bad
-	results, errs := RunBatch(runs, 1)
+	results, errs := runBatch(runs, 1)
 	if errs == nil {
 		t.Fatal("errs = nil, want per-run errors")
 	}
@@ -82,70 +108,18 @@ func TestRunBatchPerRunErrors(t *testing.T) {
 	if errs[0] != nil || results[0] == nil {
 		t.Errorf("run 0: err %v, result %v; want completed", errs[0], results[0])
 	}
-	if errs[1] == nil || errors.Is(errs[1], ErrNotRun) {
+	if errs[1] == nil || errors.Is(errs[1], pool.ErrNotRun) {
 		t.Errorf("errs[1] = %v, want the run's own failure", errs[1])
 	}
 	if results[1] != nil {
 		t.Error("failed run left a non-nil result")
 	}
 	for i := 2; i < len(runs); i++ {
-		if !errors.Is(errs[i], ErrNotRun) {
+		if !errors.Is(errs[i], pool.ErrNotRun) {
 			t.Errorf("errs[%d] = %v, want ErrNotRun (serial dispatch stops at the failure)", i, errs[i])
 		}
 		if results[i] != nil {
 			t.Errorf("undispatched run %d has a result", i)
 		}
-	}
-}
-
-// Runner.Clone is the per-run cost a batch pays instead of a full build
-// + precondition; it must stay cheap and flat. 170 allocs/op measured
-// at this config (one per flat structure and slice header, none
-// proportional to device capacity); the bound leaves headroom for small
-// structural drift while catching any per-page or per-block copy
-// sneaking in.
-func TestCloneAllocBudget(t *testing.T) {
-	cfg, spec := snapConfig(t, ftl.CAGCOptions())
-	snap, err := NewSnapshot(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := snap.NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		_ = r.Clone()
-	})
-	t.Logf("Runner.Clone: %.0f allocs/op", allocs)
-	if allocs > 220 {
-		t.Errorf("Runner.Clone allocates %.0f/op, budget 220 — a deep or per-page copy crept in", allocs)
-	}
-}
-
-// BenchmarkClone prices the snapshot fan-out primitive on its own:
-// cutting a fresh runner from a preconditioned master.
-func BenchmarkClone(b *testing.B) {
-	cfg := smallConfig(ftl.CAGCOptions())
-	r, err := NewRunner(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := trace.Preset(trace.Mail, r.LogicalPages(), 3000, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap, err := NewSnapshot(cfg, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	master, err := snap.NewRunner(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = master.Clone()
 	}
 }

@@ -67,13 +67,13 @@ func TestRunWithLiveContextIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := RunWarm(snap, cfg, spec)
+	plain, err := RunWarmRecycled(snap, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bounded := cfg
 	bounded.Ctx = context.Background()
-	got, err := RunWarm(snap, bounded, spec)
+	got, err := RunWarmRecycled(snap, bounded, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestNewSnapshotIgnoresContext(t *testing.T) {
 	// Replays that drop the context run to completion.
 	clean := cfg
 	clean.Ctx = nil
-	if _, err := RunWarm(snap, clean, spec); err != nil {
+	if _, err := RunWarmRecycled(snap, clean, spec); err != nil {
 		t.Fatal(err)
 	}
 }

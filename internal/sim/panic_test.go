@@ -29,7 +29,7 @@ func (p armedPanicPolicy) Select(now event.Time, v ftl.VictimView) flash.BlockID
 // A run that panics mid-replay must not leak a live clone, park its
 // runner or leave its decode-ahead producer running: the panic leaves
 // RunWarmRecycled with the gauge released and the ring closed, and
-// under RunBatch the pool turns it into that run's *pool.PanicError.
+// under pool.Run the pool turns it into that run's *pool.PanicError.
 // Once disarmed, the snapshot serves runs as before.
 func TestPanickingRunBalancesGauge(t *testing.T) {
 	armed := new(atomic.Bool)
@@ -60,7 +60,10 @@ func TestPanickingRunBalancesGauge(t *testing.T) {
 		t.Fatalf("panicking run left live clones at %d, want %d", live, before.Live)
 	}
 	settleGoroutines(t, base, "panicking run")
-	_, errs := RunBatch([]BatchRun{{snap, cfg, spec}, {snap, cfg, spec}, {snap, cfg, spec}}, 2)
+	errs := pool.Run(3, pool.Options{Workers: 2}, func(int) error {
+		_, err := RunWarmRecycled(snap, cfg, spec)
+		return err
+	}).Errs
 	var pe *pool.PanicError
 	if !errors.As(pool.First(errs), &pe) {
 		t.Fatalf("batch errors %v, want a *pool.PanicError", errs)

@@ -118,10 +118,15 @@ func (s *Snapshot) SetFreeListCap(n int) {
 	s.mu.Unlock()
 }
 
-// Acquire returns a warm runner adopting cfg, exactly like NewRunner,
-// but served from the snapshot's clone free-list when a recycled
-// runner is available. Pair with Release when the run completes;
-// results are bit-identical either way.
+// Acquire returns an independent warm runner adopting cfg: a parked
+// runner from the free-list re-seeded from the master, or a fresh clone
+// when none is parked. Pair with Release when the run completes;
+// results are bit-identical either way. The build-affecting parameters
+// must match the snapshot's; QueueDepth is replay-only and may differ
+// (a queue-depth sweep shares one warm state). For a stateful victim
+// policy the snapshot's policy state is the one that carries over —
+// cfg's policy instance contributes only its name, so it must be
+// constructed with the same seed.
 func (s *Snapshot) Acquire(cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := s.compatible(cfg); err != nil {
@@ -161,30 +166,11 @@ func (s *Snapshot) Release(r *Runner) {
 	s.mu.Unlock()
 }
 
-// RunWarmRecycled is RunWarm through the snapshot's clone free-list:
-// acquire (recycling a parked runner when available), replay, release.
-// Results are bit-identical to RunWarm and to a cold Run; this is the
-// path batch and fleet executions use so clone residency stays bounded
-// by the worker count.
+// RunWarmRecycled is Run starting from a warm snapshot: acquire
+// (recycling a parked runner when available), replay spec's generator,
+// release. Given a snapshot keyed to cfg and spec's precondition
+// parameters, the Result is bit-identical to Run(cfg, spec); clone
+// residency stays bounded by the number of concurrent callers.
 func RunWarmRecycled(snap *Snapshot, cfg Config, spec trace.Spec) (*Result, error) {
-	r, err := snap.Acquire(cfg)
-	if err != nil {
-		return nil, err
-	}
-	released := false
-	defer func() {
-		if !released {
-			// An error or a panic: keep the runner out of the free-list,
-			// but keep the gauge balanced — it was acquired, it is no
-			// longer live.
-			gaugeRelease()
-		}
-	}()
-	res, err := replayOn(r, snap.offset, spec)
-	if err != nil {
-		return nil, err
-	}
-	released = true
-	snap.Release(r)
-	return res, nil
+	return Measure(snap, cfg, spec, Measured{})
 }

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"cagc/internal/ftl"
+	"cagc/internal/pool"
 	"cagc/internal/trace"
 )
 
@@ -125,15 +126,16 @@ func TestBatchCloneResidencyBoundedByWorkers(t *testing.T) {
 	}
 	const n, workers = 12, 3
 	snap.SetFreeListCap(workers)
-	runs := make([]BatchRun, n)
-	for i := range runs {
-		s := spec
-		s.Seed = int64(i + 1)
-		runs[i] = BatchRun{Snap: snap, Cfg: cfg, Spec: s}
-	}
 	ResetCloneGauge()
 	before := CloneGaugeStats()
-	results, errs := RunBatch(runs, workers)
+	results := make([]*Result, n)
+	errs := pool.Run(n, pool.Options{Workers: workers}, func(i int) error {
+		s := spec
+		s.Seed = int64(i + 1)
+		res, err := RunWarmRecycled(snap, cfg, s)
+		results[i] = res
+		return err
+	}).Errs
 	if errs != nil {
 		t.Fatalf("batch errors: %v", errs)
 	}
@@ -352,7 +354,7 @@ func TestEveryRecycleCopiesFull(t *testing.T) {
 		if d := diffRunners(r, snap.master); d != "" {
 			t.Fatalf("acquired runner differs from the master at %s", d)
 		}
-		if _, err := replayOn(r, snap.offset, replay); err != nil {
+		if _, err := replayOn(r, snap.offset, replay, Measured{}); err != nil {
 			t.Fatal(err)
 		}
 		if diffRunners(r, snap.master) == "" {
@@ -403,7 +405,7 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 			// counters at zero; a measured replay on the master-to-be
 			// makes every table and counter non-trivial first.
 			master := snap.master.Clone()
-			if _, err := replayOn(master, snap.offset, spec); err != nil {
+			if _, err := replayOn(master, snap.offset, spec, Measured{}); err != nil {
 				t.Fatal(err)
 			}
 			// The FTL's private-page counter is compared like every other
@@ -418,7 +420,7 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 			}
 			// The copy is deep: running the clone must not move the master.
 			frozen := master.Clone()
-			if _, err := replayOn(clone, snap.offset, spec); err != nil {
+			if _, err := replayOn(clone, snap.offset, spec, Measured{}); err != nil {
 				t.Fatal(err)
 			}
 			if d := diffRunners(master, frozen); d != "" {

@@ -272,10 +272,7 @@ func TestReplayMatchesEventDrivenReference(t *testing.T) {
 			// Both sides replay a fresh clone of one warm state over a
 			// freshly built, identical source.
 			run := func(replay func(*Runner, trace.Source, event.Time, string) (*Result, error)) (*Result, error) {
-				r, err := snap.NewRunner(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				r := warmRunner(t, snap, cfg)
 				var src trace.Source
 				if v.tenants > 0 {
 					src = tenantSource(t, r, v.tenants, reqs)
@@ -352,10 +349,7 @@ func TestReplayCancelEndsTheLoop(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg.Ctx = ctx
-		r, err := snap.NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := warmRunner(t, snap, cfg)
 		gen, err := trace.NewGenerator(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -396,10 +390,7 @@ func TestReplayLoopAllocatesPerRunNotPerRequest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := snap.NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := warmRunner(t, snap, cfg)
 		// A fixed ring of read requests: the source allocates nothing
 		// and reads leave the FTL's structures as they are, so what is
 		// counted is the replay loop itself.

@@ -151,7 +151,7 @@ func BenchmarkReseed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if _, err := replayOn(r, snap.offset, replay); err != nil {
+		if _, err := replayOn(r, snap.offset, replay, Measured{}); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

@@ -366,25 +366,7 @@ const (
 
 // Run is the one-call entry point: build, precondition, replay.
 func Run(cfg Config, spec trace.Spec) (*Result, error) {
-	r, err := NewRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if spec.LogicalPages != r.LogicalPages() {
-		return nil, fmt.Errorf("sim: workload spec covers %d logical pages, device exports %d",
-			spec.LogicalPages, r.LogicalPages())
-	}
-	var offset event.Time
-	if !cfg.SkipPrecondition {
-		pre, err := trace.NewPreconditioner(spec)
-		if err != nil {
-			return nil, err
-		}
-		if offset, err = r.Precondition(pre); err != nil {
-			return nil, err
-		}
-	}
-	return replayOn(r, offset, spec)
+	return Measure(nil, cfg, spec, Measured{})
 }
 
 func subStats(a, b ftl.Stats) ftl.Stats {

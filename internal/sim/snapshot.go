@@ -22,9 +22,8 @@ import (
 
 // Snapshot is a preconditioned SSD frozen at its settle time. The
 // captured runner is pristine — it is only ever cloned, never replayed
-// directly — so every NewRunner call starts from the identical state.
-// Snapshot is safe for concurrent NewRunner / Acquire / Release calls
-// once built.
+// directly — so every Acquire starts from the identical state.
+// Snapshot is safe for concurrent Acquire / Release calls once built.
 type Snapshot struct {
 	cfg    Config     // normalized build configuration
 	offset event.Time // precondition settle time
@@ -57,6 +56,7 @@ func (r *Runner) copyFrom(src *Runner) int {
 	}
 	r.cfg = src.cfg
 	r.tr = src.tr
+	r.tenants = src.tenants
 	return n
 }
 
@@ -72,11 +72,11 @@ func (r *Runner) Clone() *Runner {
 // the precondition-relevant parts of spec matter here — LogicalPages,
 // DedupRatio, ContentSkew, ContentPool, and the precondition seed; the
 // measured-trace parameters (request count, arrival process, Seed) may
-// differ freely between the snapshot and later RunWarm calls.
+// differ freely between the snapshot and the runs it serves.
 func NewSnapshot(cfg Config, spec trace.Spec) (*Snapshot, error) {
 	// Tracers never trace the master build: the fill is shared state,
 	// not part of any one run. A traced run served from this snapshot
-	// installs its tracer on its clone (NewRunner below), so its trace
+	// installs its tracer on its clone (Acquire), so its trace
 	// covers exactly the replay — and tracing being observational, the
 	// replay itself is bit-identical either way.
 	cfg.Tracer = nil
@@ -84,7 +84,7 @@ func NewSnapshot(cfg Config, spec trace.Spec) (*Snapshot, error) {
 	// by every run the snapshot will serve, so one caller's context must
 	// not cancel (or poison the cache entry for) everyone else's. A
 	// bounded run's deadline applies to its own replay, via the cfg it
-	// passes to NewRunner/Acquire.
+	// passes to Acquire.
 	cfg.Ctx = nil
 	r, err := NewRunner(cfg)
 	if err != nil {
@@ -116,20 +116,6 @@ func NewSnapshot(cfg Config, spec trace.Spec) (*Snapshot, error) {
 // a replay over this snapshot must use.
 func (s *Snapshot) Offset() event.Time { return s.offset }
 
-// NewRunner returns an independent warm runner adopting cfg. The
-// build-affecting parameters must match the snapshot's; QueueDepth is
-// replay-only and may differ (a queue-depth sweep shares one warm
-// state). For a stateful victim policy the snapshot's policy state is
-// the one that carries over — cfg's policy instance contributes only
-// its name, so it must be constructed with the same seed.
-func (s *Snapshot) NewRunner(cfg Config) (*Runner, error) {
-	cfg = cfg.withDefaults()
-	if err := s.compatible(cfg); err != nil {
-		return nil, err
-	}
-	return adopt(s.master.Clone(), cfg), nil
-}
-
 // adopt hands r — just copied from the snapshot master — to a run
 // under cfg.
 func adopt(r *Runner, cfg Config) *Runner {
@@ -160,41 +146,4 @@ func (s *Snapshot) compatible(cfg Config) error {
 		return fmt.Errorf("sim: snapshot built for %+v (policy %q) cannot serve %+v (policy %q)", a, an, b, bn)
 	}
 	return nil
-}
-
-// RunWarm is Run starting from a warm snapshot: clone, replay, check
-// invariants. Given a snapshot keyed to cfg and spec's precondition
-// parameters, the Result is bit-identical to Run(cfg, spec).
-func RunWarm(snap *Snapshot, cfg Config, spec trace.Spec) (*Result, error) {
-	r, err := snap.NewRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return replayOn(r, snap.offset, spec)
-}
-
-// replayOn runs spec's measured trace on a preconditioned runner and
-// checks post-run invariants — the shared back half of Run, RunWarm and
-// RunWarmRecycled. A long trace is generated one ring ahead of the
-// replay on its own goroutine (trace.Ahead); the deferred release frees
-// the producer on every exit, errors and panics included.
-func replayOn(r *Runner, offset event.Time, spec trace.Spec) (*Result, error) {
-	if spec.LogicalPages != r.LogicalPages() {
-		return nil, fmt.Errorf("sim: workload spec covers %d logical pages, device exports %d",
-			spec.LogicalPages, r.LogicalPages())
-	}
-	gen, err := trace.NewGenerator(spec)
-	if err != nil {
-		return nil, err
-	}
-	src, release := trace.Ahead(gen, spec.Requests, trace.StreamOptions{Tracer: r.tr})
-	defer release()
-	res, err := r.Replay(src, offset, spec.Name)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.f.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("sim: post-run invariant violation: %w", err)
-	}
-	return res, nil
 }

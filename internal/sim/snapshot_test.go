@@ -17,9 +17,9 @@ func snapConfig(t *testing.T, opts ftl.Options) (Config, trace.Spec) {
 	return cfg, specFor(t, cfg, trace.Mail, 3000)
 }
 
-// RunWarm over a snapshot must reproduce a cold Run bit for bit —
-// reflect.DeepEqual sees every unexported histogram bucket and the
-// latency timeline, so this is the strongest equality Go can state.
+// A warm run — Acquire, replay, Release — must reproduce a cold Run
+// bit for bit. reflect.DeepEqual sees every unexported histogram
+// bucket, so this is the strongest equality Go can state.
 func TestRunWarmMatchesColdRun(t *testing.T) {
 	opts := ftl.CAGCOptions()
 	cfg, spec := snapConfig(t, opts)
@@ -31,8 +31,8 @@ func TestRunWarmMatchesColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // every clone starts pristine
-		warm, err := RunWarm(snap, cfg, spec)
+	for i := 0; i < 2; i++ { // a fresh clone, then a recycled one
+		warm, err := Measure(snap, cfg, spec, Measured{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestRunWarmMatchesColdRunAllLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmCfg, _ := fullCfg(t)
-	warm, err := RunWarm(snap, warmCfg, spec)
+	warm, err := RunWarmRecycled(snap, warmCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSnapshotServesVariedReplayParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunWarm(snap, cfg, seeded)
+	warm, err := RunWarmRecycled(snap, cfg, seeded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSnapshotServesVariedReplayParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmQD, err := RunWarm(snap, qdCfg, spec)
+	warmQD, err := RunWarmRecycled(snap, qdCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +122,16 @@ func TestSnapshotMasterStaysPristine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := RunWarm(snap, cfg, spec)
+	first, err := RunWarmRecycled(snap, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.Seed = 1234
-	if _, err := RunWarm(snap, cfg, other); err != nil {
+	if _, err := RunWarmRecycled(snap, cfg, other); err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunWarm(snap, cfg, spec)
+	again, err := RunWarmRecycled(snap, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +150,21 @@ func TestSnapshotRejectsIncompatibleConfig(t *testing.T) {
 	}
 	bad := cfg
 	bad.Utilization = 0.45
-	if _, err := snap.NewRunner(bad); err == nil {
+	if _, err := snap.Acquire(bad); err == nil {
 		t.Fatal("utilization change accepted by snapshot")
 	}
 	badPol := cfg
 	badPol.Options.Policy = ftl.CostBenefitPolicy{}
-	if _, err := snap.NewRunner(badPol); err == nil {
+	if _, err := snap.Acquire(badPol); err == nil {
 		t.Fatal("policy change accepted by snapshot")
 	}
 	qd := cfg
 	qd.QueueDepth = 16
-	if _, err := snap.NewRunner(qd); err != nil {
+	r, err := snap.Acquire(qd)
+	if err != nil {
 		t.Fatalf("queue-depth change rejected: %v", err)
 	}
+	snap.Release(r)
 }
 
 // Runner.Clone must deep-copy: operations on the clone leave the
@@ -199,5 +201,61 @@ func TestRunnerCloneIsIndependent(t *testing.T) {
 	}
 	if err := r.FTL().CheckInvariants(); err != nil {
 		t.Fatalf("original invariants after clone replay: %v", err)
+	}
+}
+
+// warmRunner acquires a runner from snap for the rest of the test and
+// releases it when the test ends, keeping the clone gauge balanced.
+func warmRunner(t testing.TB, snap *Snapshot, cfg Config) *Runner {
+	t.Helper()
+	r, err := snap.Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { snap.Release(r) })
+	return r
+}
+
+// Runner.Clone is the per-run cost a batch pays instead of a full build
+// + precondition; it must stay cheap and flat. 170 allocs/op measured
+// at this config (one per flat structure and slice header, none
+// proportional to device capacity); the bound leaves headroom for small
+// structural drift while catching any per-page or per-block copy
+// sneaking in.
+func TestCloneAllocBudget(t *testing.T) {
+	cfg, spec := snapConfig(t, ftl.CAGCOptions())
+	snap, err := NewSnapshot(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		_ = snap.master.Clone()
+	})
+	t.Logf("Runner.Clone: %.0f allocs/op", allocs)
+	if allocs > 220 {
+		t.Errorf("Runner.Clone allocates %.0f/op, budget 220 — a deep or per-page copy crept in", allocs)
+	}
+}
+
+// BenchmarkClone prices the snapshot fan-out primitive on its own:
+// cutting a fresh runner from a preconditioned master.
+func BenchmarkClone(b *testing.B) {
+	cfg := smallConfig(ftl.CAGCOptions())
+	r, err := NewRunner(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := trace.Preset(trace.Mail, r.LogicalPages(), 3000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := NewSnapshot(cfg, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = snap.master.Clone()
 	}
 }

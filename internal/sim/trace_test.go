@@ -215,7 +215,7 @@ func TestSnapshotStripsTracer(t *testing.T) {
 	rec2 := obs.NewRecorder()
 	cfg2 := cfg
 	cfg2.Tracer = rec2
-	if _, err := RunWarm(snap, cfg2, spec); err != nil {
+	if _, err := RunWarmRecycled(snap, cfg2, spec); err != nil {
 		t.Fatal(err)
 	}
 	if rec2.Len() == 0 {
@@ -225,7 +225,7 @@ func TestSnapshotStripsTracer(t *testing.T) {
 	before := rec2.Len()
 	cfg3 := cfg
 	cfg3.Tracer = nil
-	if _, err := RunWarm(snap, cfg3, spec); err != nil {
+	if _, err := RunWarmRecycled(snap, cfg3, spec); err != nil {
 		t.Fatal(err)
 	}
 	if rec2.Len() != before {

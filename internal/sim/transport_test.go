@@ -12,7 +12,7 @@ import (
 )
 
 // The decode-ahead ring is a transport, not a transform: a long warm run
-// — whose generator RunWarm puts one ring ahead of the replay — renders
+// — whose generator Measure puts one ring ahead of the replay — renders
 // the same summary document, byte for byte, as the same generator fed
 // straight to Replay on the consumer's goroutine. Three presets × three
 // schemes, open loop and QueueDepth 1/8/32. CI runs it at -cpu 1,2 so
@@ -33,7 +33,7 @@ func TestAheadIsATransport(t *testing.T) {
 			for _, qd := range []int{0, 1, 8, 32} {
 				cfg := base
 				cfg.QueueDepth = qd
-				ahead, err := sim.RunWarm(snap, cfg, spec)
+				ahead, err := sim.RunWarmRecycled(snap, cfg, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,10 +51,11 @@ func TestAheadIsATransport(t *testing.T) {
 // path every run took before generation went ahead.
 func replayPlain(t *testing.T, snap *sim.Snapshot, cfg sim.Config, spec trace.Spec) *sim.Result {
 	t.Helper()
-	r, err := snap.NewRunner(cfg)
+	r, err := snap.Acquire(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer snap.Release(r)
 	gen, err := trace.NewGenerator(spec)
 	if err != nil {
 		t.Fatal(err)

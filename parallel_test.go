@@ -37,9 +37,8 @@ func TestForEachStopsDispatchOnError(t *testing.T) {
 	if err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	// The unbuffered dispatch channel bounds in-flight work to roughly
-	// one index per worker; allow generous slack for indices dispatched
-	// before the failure landed.
+	// Dispatch bounds in-flight work to one index per worker; allow
+	// generous slack for indices started before the failure landed.
 	if max := int64(4 * runtime.GOMAXPROCS(0)); executed.Load() > max {
 		t.Fatalf("executed %d tasks after first error, want <= %d", executed.Load(), max)
 	}

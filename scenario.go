@@ -14,8 +14,6 @@ import (
 	"strings"
 
 	"cagc/internal/event"
-	"cagc/internal/flash"
-	"cagc/internal/ftl"
 	"cagc/internal/sim"
 	"cagc/internal/trace"
 )
@@ -111,22 +109,17 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 	if sp.DiurnalAmp < 0 || sp.DiurnalAmp >= 1 {
 		return nil, fmt.Errorf("cagc: diurnal amplitude %g outside [0, 1)", sp.DiurnalAmp)
 	}
-	pol, err := ftl.PolicyByName(policy, p.Seed)
+	// Precondition over the full address space with the first tenant's
+	// content mixture (file tenants fall back to Homes).
+	preW := sp.Tenants[0].Workload
+	if sp.Tenants[0].Path != "" || preW == "" {
+		preW = Homes
+	}
+	cfg, spec, err := buildRun(preW, s.Options(), policy, p)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.Options()
-	opts.Policy = pol
-	cfg := sim.Config{
-		Device:      flash.ScaledConfig(p.DeviceBytes),
-		Options:     opts,
-		Utilization: p.Utilization,
-		BufferPages: p.BufferPages,
-		QueueDepth:  p.QueueDepth,
-		Tracer:      p.Trace,
-		Ctx:         p.Ctx,
-	}
-	logical := sim.LogicalPagesOf(cfg)
+	logical := spec.LogicalPages
 	share := logical / uint64(n)
 	if share == 0 {
 		return nil, fmt.Errorf("cagc: %d tenants over %d logical pages leaves empty namespaces", n, logical)
@@ -217,22 +210,7 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 	})
 	defer release()
 
-	// Precondition over the full address space with the first tenant's
-	// content mixture (file tenants fall back to Homes).
-	preW := sp.Tenants[0].Workload
-	if sp.Tenants[0].Path != "" || preW == "" {
-		preW = Homes
-	}
-	spec, err := trace.Preset(preW, logical, p.Requests, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	runner, offset, err := warmReplayRunner(cfg, spec, p)
-	if err != nil {
-		return nil, err
-	}
-	runner.SetTenants(ranges)
-	res, err := runner.Replay(merged, offset, ScenarioLabel(sp.Tenants))
+	res, err := measure(cfg, spec, p, sim.Measured{Src: merged, Label: ScenarioLabel(sp.Tenants), Tenants: ranges})
 	if err != nil {
 		return nil, fmt.Errorf("cagc: scenario: %w", err)
 	}

@@ -2,102 +2,8 @@ package cagc
 
 import (
 	"fmt"
-	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestNewMetric(t *testing.T) {
-	m := newMetric([]float64{2, 4, 6})
-	if m.Mean != 4 || m.N != 3 {
-		t.Fatalf("metric = %+v", m)
-	}
-	if math.Abs(m.Stddev-2) > 1e-9 {
-		t.Fatalf("stddev = %v, want 2", m.Stddev)
-	}
-	if m.RelStddev() != 0.5 {
-		t.Fatalf("rel = %v", m.RelStddev())
-	}
-	if newMetric(nil).N != 0 {
-		t.Fatal("empty metric nonzero")
-	}
-	if one := newMetric([]float64{7}); one.Stddev != 0 || one.Mean != 7 {
-		t.Fatalf("single sample = %+v", one)
-	}
-	var zero Metric
-	if zero.RelStddev() != 0 {
-		t.Fatal("zero-mean rel stddev")
-	}
-	if m.String() == "" {
-		t.Fatal("empty string")
-	}
-}
-
-func TestNewMetricProperty(t *testing.T) {
-	prop := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		lo, hi := float64(raw[0]), float64(raw[0])
-		for i, r := range raw {
-			xs[i] = float64(r)
-			lo = math.Min(lo, xs[i])
-			hi = math.Max(hi, xs[i])
-		}
-		m := newMetric(xs)
-		// Mean within range; stddev bounded by the range.
-		return m.Mean >= lo-1e-9 && m.Mean <= hi+1e-9 && m.Stddev <= (hi-lo)+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunSeeds(t *testing.T) {
-	p := testParams()
-	p.Requests = 2500
-	agg, err := RunSeeds(Mail, CAGC, "greedy", p, []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Scheme != "CAGC" || len(agg.Results) != 3 {
-		t.Fatalf("aggregate = %+v", agg)
-	}
-	if agg.BlocksErased.N != 3 || agg.BlocksErased.Mean <= 0 {
-		t.Fatalf("erased metric = %+v", agg.BlocksErased)
-	}
-	// Different seeds genuinely vary the workload.
-	if agg.MeanLatencyUs.Stddev == 0 && agg.BlocksErased.Stddev == 0 {
-		t.Error("no cross-seed variation at all")
-	}
-	if _, err := RunSeeds(Mail, CAGC, "greedy", p, nil); err == nil {
-		t.Error("empty seed list accepted")
-	}
-}
-
-func TestCompareSeeds(t *testing.T) {
-	p := testParams()
-	p.Requests = 2500
-	cmp, err := CompareSeeds(Mail, "greedy", p, []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper's claims must hold in the mean across seeds, with
-	// modest spread.
-	if cmp.ErasedReduction.Mean <= 0 {
-		t.Errorf("erased reduction = %v", cmp.ErasedReduction)
-	}
-	if cmp.MigratedReduction.Mean <= 0.5 {
-		t.Errorf("Mail migration reduction = %v, want large", cmp.MigratedReduction)
-	}
-	if cmp.LatencyReduction.Mean <= 0 {
-		t.Errorf("latency reduction = %v", cmp.LatencyReduction)
-	}
-	if cmp.MigratedReduction.RelStddev() > 0.5 {
-		t.Errorf("migration reduction unstable across seeds: %v", cmp.MigratedReduction)
-	}
-}
 
 func TestForEach(t *testing.T) {
 	// Results land in order and all indices run exactly once.

@@ -7,6 +7,8 @@ package cagc
 import (
 	"encoding/json"
 	"io"
+
+	"cagc/internal/metrics"
 )
 
 // LatencySummary flattens one latency histogram.
@@ -81,24 +83,21 @@ type TenantSummary struct {
 	Latency       LatencySummary `json:"latency"`
 }
 
+// latencySummary flattens one latency histogram.
+func latencySummary(h *metrics.Histogram) LatencySummary {
+	return LatencySummary{
+		Count:  h.Count(),
+		MeanUs: h.Mean() / 1000,
+		P50Us:  h.Percentile(0.50).Micros(),
+		P90Us:  h.Percentile(0.90).Micros(),
+		P99Us:  h.Percentile(0.99).Micros(),
+		P999Us: h.Percentile(0.999).Micros(),
+		MaxUs:  h.Max().Micros(),
+	}
+}
+
 // Summarize flattens a Result.
 func Summarize(r *Result) Summary {
-	lat := func(h interface {
-		Count() uint64
-		Mean() float64
-		Percentile(float64) Time
-		Max() Time
-	}) LatencySummary {
-		return LatencySummary{
-			Count:  h.Count(),
-			MeanUs: h.Mean() / 1000,
-			P50Us:  h.Percentile(0.50).Micros(),
-			P90Us:  h.Percentile(0.90).Micros(),
-			P99Us:  h.Percentile(0.99).Micros(),
-			P999Us: h.Percentile(0.999).Micros(),
-			MaxUs:  h.Max().Micros(),
-		}
-	}
 	var tenants []TenantSummary
 	if len(r.Tenants) > 0 {
 		tenants = make([]TenantSummary, len(r.Tenants))
@@ -109,7 +108,7 @@ func Summarize(r *Result) Summary {
 				Requests:      t.Requests,
 				SLOUs:         t.SLO.Micros(),
 				SLOViolations: t.Violations,
-				Latency:       lat(&t.Latency),
+				Latency:       latencySummary(&t.Latency),
 			}
 		}
 	}
@@ -123,10 +122,10 @@ func Summarize(r *Result) Summary {
 		DurationMs: r.Duration.Millis(),
 		IOPS:       r.IOPS(),
 
-		Latency:      lat(&r.Latency),
-		ReadLatency:  lat(&r.ReadLatency),
-		WriteLatency: lat(&r.WriteLatency),
-		GCLatency:    lat(&r.GCLatency),
+		Latency:      latencySummary(&r.Latency),
+		ReadLatency:  latencySummary(&r.ReadLatency),
+		WriteLatency: latencySummary(&r.WriteLatency),
+		GCLatency:    latencySummary(&r.GCLatency),
 
 		UserReadPages:  s.UserReadPages,
 		UserWritePages: s.UserWritePages,

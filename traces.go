@@ -13,8 +13,6 @@ import (
 	"os"
 	"strings"
 
-	"cagc/internal/event"
-	"cagc/internal/flash"
 	"cagc/internal/ftl"
 	"cagc/internal/sim"
 	"cagc/internal/trace"
@@ -48,24 +46,15 @@ func ParseTraceFormat(name string) (string, error) {
 // LogicalPagesFor returns the logical address-space size a device built
 // from p exports; workload specs must target exactly this size.
 func LogicalPagesFor(p Params) (uint64, error) {
-	p = p.withDefaults()
-	cfg := sim.Config{
-		Device:      flash.ScaledConfig(p.DeviceBytes),
-		Options:     ftl.BaselineOptions(),
-		Utilization: p.Utilization,
-	}
-	return sim.LogicalPagesOf(cfg), nil
+	spec, err := WorkloadSpec(Homes, p)
+	return spec.LogicalPages, err
 }
 
 // WorkloadSpec returns the Table-II-calibrated spec for w sized to the
 // device described by p.
 func WorkloadSpec(w Workload, p Params) (TraceSpec, error) {
-	p = p.withDefaults()
-	logical, err := LogicalPagesFor(p)
-	if err != nil {
-		return TraceSpec{}, err
-	}
-	return trace.Preset(w, logical, p.Requests, p.Seed)
+	_, spec, err := buildRun(w, ftl.BaselineOptions(), "greedy", p.withDefaults())
+	return spec, err
 }
 
 // NewTraceGenerator streams the synthetic workload described by spec.
@@ -174,94 +163,15 @@ func ReplayFile(path string, w Workload, s Scheme, policy string, p Params, o Re
 	return res, nil
 }
 
-// ReplayTraceFile replays a binary trace file through scheme s. The
-// device is preconditioned with the given workload's content mixture
-// before measurement (pass the workload the trace was generated from,
-// or Homes for neutral preconditioning). It is ReplayFile restricted
-// to the binary container (kept for compatibility; new code should
-// call ReplayFile).
-func ReplayTraceFile(path string, w Workload, s Scheme, policy string, p Params) (*Result, error) {
-	return ReplayFile(path, w, s, policy, p, ReplayFileOptions{Format: "binary"})
-}
-
-// MergeTraces interleaves several time-ordered request streams into
-// one, for consolidation studies (several tenants sharing one SSD).
-func MergeTraces(sources ...TraceSource) TraceSource {
-	return trace.Merge(sources...)
-}
-
-// OffsetTrace shifts a stream's logical addresses by base, giving
-// merged tenants disjoint address ranges.
-func OffsetTrace(src TraceSource, base uint64) TraceSource {
-	return &trace.Offset{Src: src, Base: base}
-}
-
-// ScaleTrace stretches (>1) or compresses (<1) a stream's inter-arrival
-// gaps.
-func ScaleTrace(src TraceSource, factor float64) TraceSource {
-	return &trace.TimeScale{Src: src, Factor: factor}
-}
-
 // ReplayTrace replays an arbitrary request stream through scheme s
 // after standard preconditioning. The warm device state is served from
 // the snapshot cache when available (see warmcache.go); set
 // Params.ColdStart to precondition from scratch instead.
 func ReplayTrace(src TraceSource, w Workload, s Scheme, policy string, p Params) (*Result, error) {
 	p = p.withDefaults()
-	pol, err := ftl.PolicyByName(policy, p.Seed)
+	cfg, spec, err := buildRun(w, s.Options(), policy, p)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.Options()
-	opts.Policy = pol
-	cfg := sim.Config{
-		Device:      flash.ScaledConfig(p.DeviceBytes),
-		Options:     opts,
-		Utilization: p.Utilization,
-		BufferPages: p.BufferPages,
-		QueueDepth:  p.QueueDepth,
-		Tracer:      p.Trace,
-		Ctx:         p.Ctx,
-	}
-	spec, err := trace.Preset(w, sim.LogicalPagesOf(cfg), p.Requests, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	runner, offset, err := warmReplayRunner(cfg, spec, p)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Replay(src, offset, string(w))
-}
-
-// warmReplayRunner returns a preconditioned runner for cfg — served
-// from the warm-snapshot cache unless p.ColdStart — plus the arrival
-// offset the replay must apply. Shared by ReplayTrace and RunScenario.
-func warmReplayRunner(cfg sim.Config, spec trace.Spec, p Params) (*sim.Runner, event.Time, error) {
-	if p.ColdStart {
-		runner, err := sim.NewRunner(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		pre, err := trace.NewPreconditioner(spec)
-		if err != nil {
-			return nil, 0, err
-		}
-		offset, err := runner.Precondition(pre)
-		if err != nil {
-			return nil, 0, err
-		}
-		return runner, offset, nil
-	}
-	snap, err := warmCache.get(warmKey(cfg, spec, p.Seed), func() (*sim.Snapshot, error) {
-		return sim.NewSnapshot(cfg, spec)
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	runner, err := snap.NewRunner(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return runner, snap.Offset(), nil
+	return measure(cfg, spec, p, sim.Measured{Src: src})
 }

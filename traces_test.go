@@ -64,11 +64,11 @@ func TestTraceFileRoundTripAndReplay(t *testing.T) {
 	}
 
 	// The same file replays identically through a scheme.
-	a, err := ReplayTraceFile(path, WebVM, CAGC, "greedy", p)
+	a, err := ReplayFile(path, WebVM, CAGC, "greedy", p, ReplayFileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplayTraceFile(path, WebVM, CAGC, "greedy", p)
+	b, err := ReplayFile(path, WebVM, CAGC, "greedy", p, ReplayFileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTraceFileRoundTripAndReplay(t *testing.T) {
 	}
 	// And through different schemes with the usual ordering on a
 	// duplicate-bearing workload.
-	base, err := ReplayTraceFile(path, WebVM, Baseline, "greedy", p)
+	base, err := ReplayFile(path, WebVM, Baseline, "greedy", p, ReplayFileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func TestTraceFileRoundTripAndReplay(t *testing.T) {
 
 func TestReplayTraceFileErrors(t *testing.T) {
 	p := testParams()
-	if _, err := ReplayTraceFile(filepath.Join(t.TempDir(), "missing"), Mail, CAGC, "greedy", p); err == nil {
+	if _, err := ReplayFile(filepath.Join(t.TempDir(), "missing"), Mail, CAGC, "greedy", p, ReplayFileOptions{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad")
 	if err := os.WriteFile(bad, []byte("not a trace at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayTraceFile(bad, Mail, CAGC, "greedy", p); err == nil {
+	if _, err := ReplayFile(bad, Mail, CAGC, "greedy", p, ReplayFileOptions{}); err == nil {
 		t.Fatal("garbage file accepted")
 	}
 	path := filepath.Join(t.TempDir(), "ok.trace")
@@ -105,7 +105,7 @@ func TestReplayTraceFileErrors(t *testing.T) {
 	if _, err := WriteTraceFile(path, gen); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayTraceFile(path, Mail, CAGC, "fifo", p); err == nil {
+	if _, err := ReplayFile(path, Mail, CAGC, "fifo", p, ReplayFileOptions{}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -142,11 +142,11 @@ func TestGzipTraceRoundTrip(t *testing.T) {
 		t.Errorf("gzip trace not smaller: %d vs %d", gs.Size(), ps.Size())
 	}
 	// Both replay identically.
-	a, err := ReplayTraceFile(plain, Mail, CAGC, "greedy", p)
+	a, err := ReplayFile(plain, Mail, CAGC, "greedy", p, ReplayFileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplayTraceFile(gzPath, Mail, CAGC, "greedy", p)
+	b, err := ReplayFile(gzPath, Mail, CAGC, "greedy", p, ReplayFileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package cagc
 // Warm-state snapshot cache. Every point of a sweep used to rebuild and
 // re-precondition an identical SSD; the cache builds each distinct warm
 // state once (sim.NewSnapshot) and serves every later run a clone via
-// the recycling free-list (sim.RunWarmRecycled), so steady-state
+// the recycling free-list (sim.Measure), so steady-state
 // serving allocates no fresh clone per run beyond the worker count.
 // Results are bit-identical to cold runs — the clone
 // layer reproduces device, FTL, index, buffer, and timeline state
@@ -185,22 +185,28 @@ func warmKey(cfg sim.Config, spec trace.Spec, policySeed int64) string {
 		spec.LogicalPages, spec.DedupRatio, spec.ContentSkew, spec.ContentPool, pseed)
 }
 
-// runCached is the Run back end: serve from the snapshot cache unless
-// the caller opted out (ColdStart) or the run skips preconditioning
-// (nothing worth caching).
-func runCached(cfg sim.Config, spec trace.Spec, p Params) (*Result, error) {
-	if p.ColdStart || cfg.SkipPrecondition {
-		return sim.Run(cfg, spec)
-	}
-	snap, err := warmCache.get(warmKey(cfg, spec, p.Seed), func() (*sim.Snapshot, error) {
+// warmSnapshot resolves the warm state of cfg and spec through the
+// registry, building it on the first request for its key.
+func warmSnapshot(cfg sim.Config, spec trace.Spec, policySeed int64) (*sim.Snapshot, error) {
+	return warmCache.get(warmKey(cfg, spec, policySeed), func() (*sim.Snapshot, error) {
 		return sim.NewSnapshot(cfg, spec)
 	})
-	if err != nil {
-		return nil, err
+}
+
+// measure is the back half of every single-device entry mode: Run,
+// ReplayTrace/ReplayFile and RunScenario. The warm snapshot comes from
+// the registry unless the caller opted out (ColdStart) or the run skips
+// preconditioning (nothing worth caching); sim.Measure then acquires a
+// runner, replays m and releases the runner through the clone
+// free-list, so per-run allocation stays flat and clone residency stays
+// bounded by the number of concurrent runs.
+func measure(cfg sim.Config, spec trace.Spec, p Params, m sim.Measured) (*Result, error) {
+	var snap *sim.Snapshot
+	if !p.ColdStart && !cfg.SkipPrecondition {
+		var err error
+		if snap, err = warmSnapshot(cfg, spec, p.Seed); err != nil {
+			return nil, err
+		}
 	}
-	// Through the clone free-list (bit-identical to RunWarm): steady
-	// per-run allocation stays flat and clone residency stays bounded by
-	// the worker count — the access pattern a long-running service makes
-	// permanent.
-	return sim.RunWarmRecycled(snap, cfg, spec)
+	return sim.Measure(snap, cfg, spec, m)
 }
