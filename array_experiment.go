@@ -77,27 +77,15 @@ type ArrayParams struct {
 // are errors rather than silently ignored.
 func RunArray(w Workload, s Scheme, p Params, ap ArrayParams) (*ArrayResult, error) {
 	p = p.withDefaults()
-	switch {
-	case p.BufferPages != 0:
-		return nil, fmt.Errorf("array: BufferPages is not supported (array members have no write buffer)")
-	case p.QueueDepth != 0:
-		return nil, fmt.Errorf("array: QueueDepth is not supported (the array replays open loop)")
-	case p.Trace != nil:
-		return nil, fmt.Errorf("array: Trace is not supported (the array layer is untraced)")
+	if err := ap.check(p); err != nil {
+		return nil, err
 	}
 	mode := array.RAID1
-	switch ap.Mode {
-	case "", "raid1":
-	case "raid0":
+	if ap.Mode == "raid0" {
 		mode = array.RAID0
-	default:
-		return nil, fmt.Errorf("array: unknown mode %q (want raid0 or raid1)", ap.Mode)
 	}
 	if ap.Members == 0 {
 		ap.Members = 2
-	}
-	if ap.Steer && mode != array.RAID1 {
-		return nil, fmt.Errorf("array: GC-aware steering needs raid1 (reads have no replica choice in raid0)")
 	}
 	member, _, err := buildRun(w, s.Options(), "greedy", p)
 	if err != nil {
@@ -130,6 +118,25 @@ func RunArray(w Workload, s Scheme, p Params, ap ArrayParams) (*ArrayResult, err
 	src, release := trace.Ahead(gen, spec.Requests, trace.StreamOptions{})
 	defer release()
 	return array.Replay(a, src, offset)
+}
+
+// check refuses by name what the array layer cannot honour: it replays
+// open loop, unbuffered and untraced, striped or mirrored, and steers
+// reads only between mirrors.
+func (ap ArrayParams) check(p Params) error {
+	switch {
+	case p.BufferPages != 0:
+		return fmt.Errorf("array: BufferPages is not supported (array members have no write buffer)")
+	case p.QueueDepth != 0:
+		return fmt.Errorf("array: QueueDepth is not supported (the array replays open loop)")
+	case p.Trace != nil:
+		return fmt.Errorf("array: Trace is not supported (the array layer is untraced)")
+	case ap.Mode != "" && ap.Mode != "raid0" && ap.Mode != "raid1":
+		return fmt.Errorf("array: unknown mode %q (want raid0 or raid1)", ap.Mode)
+	case ap.Steer && ap.Mode == "raid0":
+		return fmt.Errorf("array: GC-aware steering needs raid1 (reads have no replica choice in raid0)")
+	}
+	return nil
 }
 
 // ArraySummary is the JSON-stable view of an ArrayResult.

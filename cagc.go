@@ -3,6 +3,7 @@ package cagc
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	icagc "cagc/internal/cagc"
 	"cagc/internal/event"
@@ -48,6 +49,17 @@ const (
 // Schemes lists the schemes in the paper's presentation order.
 var Schemes = icagc.Schemes
 
+// ParseWorkload resolves a workload name case-insensitively (the hyphen
+// in "Web-vm" is required).
+func ParseWorkload(name string) (Workload, error) {
+	for _, w := range Workloads {
+		if strings.EqualFold(string(w), name) {
+			return w, nil
+		}
+	}
+	return "", fmt.Errorf("unknown workload %q (want one of %v)", name, Workloads)
+}
+
 // ParseScheme resolves a scheme CLI name.
 func ParseScheme(name string) (Scheme, error) { return icagc.ParseScheme(name) }
 
@@ -55,17 +67,8 @@ func ParseScheme(name string) (Scheme, error) { return icagc.ParseScheme(name) }
 // presentation order.
 func SchemeNames() []string { return icagc.SchemeNames() }
 
-// PolicyNames lists the canonical victim-policy names ValidatePolicy
-// accepts.
+// PolicyNames lists the canonical victim-policy names.
 func PolicyNames() []string { return []string{"greedy", "random", "cost-benefit"} }
-
-// ValidatePolicy rejects unknown victim-policy names — the same check
-// Run performs, exposed so front ends (CLI flag validation, service
-// admission) can fail before committing resources.
-func ValidatePolicy(name string) error {
-	_, err := ftl.PolicyByName(name, 1)
-	return err
-}
 
 // Result is the full measurement record of one simulation run.
 type Result = sim.Result

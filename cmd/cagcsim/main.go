@@ -21,7 +21,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"cagc"
 	"cagc/internal/profiling"
@@ -34,149 +33,138 @@ func main() {
 	}
 }
 
-// run is the testable body of main. Every flag is validated before any
-// side effect (in particular before profile files are created): a bad
-// invocation exits with an error and leaves the filesystem untouched.
-func run(args []string, stdout, stderr io.Writer) (retErr error) {
+// invocation is one parsed command line: the job, and what is the
+// CLI's own — the output form, tracing and profiling.
+type invocation struct {
+	job       cagc.Job
+	json      bool
+	traceOut  string
+	traceSum  bool
+	traceLast int
+	cpuProf   string
+	memProf   string
+}
+
+// parse maps the command line onto the shared job vocabulary. Numeric
+// flags default to 0, the kind's default. A mode flag (-batch, -fleet,
+// -array, -replay, -tenants) selects its kind; Resolve refuses any other
+// kind's input, so two modes fail there without a check here.
+func parse(args []string, stderr io.Writer) (*invocation, error) {
 	fs := flag.NewFlagSet("cagcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	inv := &invocation{}
+	j, p := &inv.job, &inv.job.Params
 	var (
-		workload = fs.String("workload", "Mail", "workload preset: Homes, Web-vm, or Mail")
-		scheme   = fs.String("scheme", "cagc", "scheme: baseline, inline, or cagc")
-		policy   = fs.String("policy", "greedy", "victim policy: greedy, random, or cost-benefit")
-		device   = fs.Int64("device", 16<<20, "physical flash bytes (Table-I parameters at any scale)")
-		requests = fs.Int("requests", 20000, "measured requests to replay")
-		seed     = fs.Int64("seed", 1, "workload seed")
-		util     = fs.Float64("util", 0.55, "logical space as a fraction of user capacity")
-		thresh   = fs.Int("threshold", 1, "CAGC hot/cold reference-count threshold")
-		qd       = fs.Int("qd", 0, "closed-loop queue depth (0 = open-loop trace replay)")
-		bufPages = fs.Int("buffer", 0, "controller write-buffer pages (0 = none)")
-		asJSON   = fs.Bool("json", false, "emit the result as JSON instead of the text report")
-
-		cold = fs.Bool("coldstart", false, "bypass the warm-state snapshot cache (build and precondition from scratch)")
-
-		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON of the run to this file (load in chrome://tracing or Perfetto)")
-		traceSum  = fs.Bool("trace-summary", false, "print the trace summary (per-phase GC attribution, fingerprint/erase overlap, latency percentiles) to stderr")
-		traceLast = fs.Int("trace-last", 0, "flight-recorder mode: keep only the last N trace events (0 = unbounded)")
-
-		batch   = fs.Int("batch", 0, "run a batch of N seed-varied runs (seeds seed..seed+N-1) and print the aggregate throughput report")
-		workers = fs.Int("workers", 0, "worker goroutines for -batch and -fleet (0 = one per core)")
-
-		fleetN       = fs.Int("fleet", 0, "simulate a fleet of N per-device-perturbed SSDs and print the merged fleet report (deterministic at any -workers)")
-		fleetShard   = fs.Int("fleet-shard", 0, "devices per shard (scheduling granularity only; 0 = default 64)")
-		fleetUtil    = fs.Float64("fleet-util-spread", 0, "total width of per-device utilization skew (0 = uniform fleet)")
-		fleetUtilCls = fs.Int("fleet-util-classes", 0, "distinct utilization classes, one warm snapshot each (0 = default 4 when skew is on)")
-		fleetStagger = fs.Int("fleet-stagger", 0, "GC-watermark stagger classes desynchronizing fleet GC (0 or 1 = coordinated watermarks)")
-		fleetDiurnal = fs.Float64("fleet-diurnal", 0, "per-device arrival-rate spread: mean inter-arrival scaled by 1 +/- this/2")
-		fleetTopK    = fs.Int("fleet-topk", 0, "straggler devices to report (0 = default 10)")
-
-		arrayMode = fs.String("array", "", "replay through a multi-SSD volume instead of one device: raid0 (striped) or raid1 (mirrored)")
-		members   = fs.Int("members", 2, "array members for -array")
-		stagger   = fs.Bool("stagger", false, "stagger array member GC watermarks (-array)")
-		steer     = fs.Bool("steer", false, "GC-aware read steering (-array raid1)")
-
-		replayPath = fs.String("replay", "", "replay a trace file (binary CAGC container, text, FIU IODedup text, or gzip of any) instead of a synthetic preset; -workload selects the preconditioning mixture")
-		replayFmt  = fs.String("replay-format", "auto", "trace format for -replay and file tenants: auto, binary, text, or fiu")
-		timeScale  = fs.Float64("time-scale", 0, "compress (<1) or stretch (>1) FIU inter-arrival gaps (0 = 1.0; FIU traces span weeks)")
-		chunk      = fs.Int("chunk", 0, "decode-ahead chunk size in requests (0 = default 256)")
-		syncDecode = fs.Bool("sync-decode", false, "decode on the simulator goroutine instead of the background reader (byte-identical; for comparison)")
-
-		tenants    = fs.String("tenants", "", "multi-tenant scenario: comma-separated workload names or trace paths, each optionally '*rate' (e.g. Homes,Web-vm,Mail*2); tenants share the device in disjoint namespaces")
-		diurnalMs  = fs.Float64("diurnal-period-ms", 0, "diurnal burst-envelope period over the merged tenant stream, in ms of simulated time (0 = off)")
-		diurnalAmp = fs.Float64("diurnal-amp", 0, "diurnal burst amplitude in [0,1): arrival rate swings 1 +/- this")
-		sloUs      = fs.Float64("slo-us", 0, "per-tenant response-time SLO in microseconds; violations are counted per tenant (0 = off)")
-
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = fs.String("memprofile", "", "write a heap profile to this file")
+		fp        cagc.FleetParams
+		ap        cagc.ArrayParams
+		sp        cagc.ScenarioParams
+		tenants   string
+		diurnalMs float64
 	)
+	fs.StringVar(&j.Workload, "workload", "Mail", "workload preset: Homes, Web-vm, or Mail")
+	fs.StringVar(&j.Scheme, "scheme", "cagc", "scheme: baseline, inline, or cagc")
+	fs.StringVar(&j.Policy, "policy", "greedy", "victim policy: greedy, random, or cost-benefit")
+	fs.Int64Var(&p.DeviceBytes, "device", 0, "physical flash bytes, Table-I parameters at any scale (0 = 16 MiB)")
+	fs.IntVar(&p.Requests, "requests", 0, "measured requests to replay (0 = 20000, or 2000 per -fleet device)")
+	fs.Int64Var(&p.Seed, "seed", 0, "workload seed (0 = 1)")
+	fs.Float64Var(&p.Utilization, "util", 0, "logical space as a fraction of user capacity (0 = 0.55)")
+	fs.IntVar(&p.RefThreshold, "threshold", 0, "CAGC hot/cold reference-count threshold (0 = 1)")
+	fs.IntVar(&p.QueueDepth, "qd", 0, "closed-loop queue depth (0 = open-loop trace replay)")
+	fs.IntVar(&p.BufferPages, "buffer", 0, "controller write-buffer pages (0 = none)")
+	fs.BoolVar(&inv.json, "json", false, "emit the result as JSON instead of the text report")
+
+	fs.BoolVar(&p.ColdStart, "coldstart", false, "bypass the warm-state snapshot cache (build and precondition from scratch)")
+
+	fs.StringVar(&inv.traceOut, "trace", "", "write a Chrome trace_event JSON of the run to this file (load in chrome://tracing or Perfetto)")
+	fs.BoolVar(&inv.traceSum, "trace-summary", false, "print the trace summary (per-phase GC attribution, fingerprint/erase overlap, latency percentiles) to stderr")
+	fs.IntVar(&inv.traceLast, "trace-last", 0, "flight-recorder mode: keep only the last N trace events (0 = unbounded)")
+
+	fs.IntVar(&j.Count, "batch", 0, "run a batch of N seed-varied runs (seeds seed..seed+N-1) and print the aggregate throughput report")
+	fs.IntVar(&j.Workers, "workers", 0, "worker goroutines for -batch and -fleet (0 = one per core)")
+
+	fs.IntVar(&fp.Devices, "fleet", 0, "simulate a fleet of N per-device-perturbed SSDs and print the merged fleet report (deterministic at any -workers)")
+	fs.IntVar(&fp.ShardSize, "fleet-shard", 0, "devices per shard (scheduling granularity only; 0 = default 64)")
+	fs.Float64Var(&fp.UtilSpread, "fleet-util-spread", 0, "total width of per-device utilization skew (0 = uniform fleet)")
+	fs.IntVar(&fp.UtilClasses, "fleet-util-classes", 0, "distinct utilization classes, one warm snapshot each (0 = default 4 when skew is on)")
+	fs.IntVar(&fp.StaggerClasses, "fleet-stagger", 0, "GC-watermark stagger classes desynchronizing fleet GC (0 or 1 = coordinated watermarks)")
+	fs.Float64Var(&fp.Diurnal, "fleet-diurnal", 0, "per-device arrival-rate spread: mean inter-arrival scaled by 1 +/- this/2")
+	fs.IntVar(&fp.TopK, "fleet-topk", 0, "straggler devices to report (0 = default 10)")
+
+	fs.StringVar(&ap.Mode, "array", "", "replay through a multi-SSD volume instead of one device: raid0 (striped) or raid1 (mirrored)")
+	fs.IntVar(&ap.Members, "members", 0, "array members for -array (0 = 2)")
+	fs.BoolVar(&ap.Stagger, "stagger", false, "stagger array member GC watermarks (-array)")
+	fs.BoolVar(&ap.Steer, "steer", false, "GC-aware read steering (-array raid1)")
+
+	fs.StringVar(&j.ReplayPath, "replay", "", "replay a trace file (binary CAGC container, text, FIU IODedup text, or gzip of any) instead of a synthetic preset; -workload selects the preconditioning mixture")
+	fs.StringVar(&j.Replay.Format, "replay-format", "auto", "trace format for -replay and file tenants: auto, binary, text, or fiu")
+	fs.Float64Var(&j.Replay.TimeScale, "time-scale", 0, "compress (<1) or stretch (>1) FIU inter-arrival gaps (0 = 1.0; FIU traces span weeks)")
+	fs.IntVar(&j.Replay.ChunkRequests, "chunk", 0, "decode-ahead chunk size in requests (0 = default 256)")
+	fs.BoolVar(&j.Replay.SyncDecode, "sync-decode", false, "decode on the simulator goroutine instead of the background reader (byte-identical; for comparison)")
+
+	fs.StringVar(&tenants, "tenants", "", "multi-tenant scenario: comma-separated workload names or trace paths, each optionally '*rate' (e.g. Homes,Web-vm,Mail*2); tenants share the device in disjoint namespaces")
+	fs.Float64Var(&diurnalMs, "diurnal-period-ms", 0, "diurnal burst-envelope period over the merged tenant stream, in ms of simulated time (0 = off)")
+	fs.Float64Var(&sp.DiurnalAmp, "diurnal-amp", 0, "diurnal burst amplitude in [0,1): arrival rate swings 1 +/- this")
+	fs.Float64Var(&sp.SLOUs, "slo-us", 0, "per-tenant response-time SLO in microseconds; violations are counted per tenant (0 = off)")
+
+	fs.StringVar(&inv.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&inv.memProf, "memprofile", "", "write a heap profile to this file")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 
-	// Scheduling flags keep 0 as a "use the default" sentinel, so only
-	// explicitly-set bad values are rejected.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateSchedFlags(set, *fleetShard, *workers, *fleetTopK); err != nil {
-		return err
+	if j.Count != 0 {
+		j.Kind = cagc.KindSweep
 	}
-
-	s, err := cagc.ParseScheme(*scheme)
-	if err != nil {
-		return err
+	if fp.Devices != 0 {
+		fp.Workers = j.Workers
+		j.Kind, j.Fleet = cagc.KindFleet, &fp
 	}
-	w, err := findWorkload(*workload)
-	if err != nil {
-		return err
+	if ap.Mode != "" {
+		j.Kind, j.Array = cagc.KindArray, &ap
 	}
-	// A name the run would otherwise only reject after the harness has
-	// committed resources: fail it here, with everything else, before
-	// any file is created.
-	if err := cagc.ValidatePolicy(*policy); err != nil {
-		return err
+	if j.ReplayPath != "" {
+		j.Kind = cagc.KindReplay
 	}
-	p := cagc.Params{
-		DeviceBytes:  *device,
-		Requests:     *requests,
-		Seed:         *seed,
-		Utilization:  *util,
-		RefThreshold: *thresh,
-		QueueDepth:   *qd,
-		BufferPages:  *bufPages,
-		ColdStart:    *cold,
-	}
-
-	modes := 0
-	for _, on := range []bool{*batch > 0, *fleetN > 0, *arrayMode != "", *replayPath != "", *tenants != ""} {
-		if on {
-			modes++
+	if tenants != "" {
+		specs, err := parseTenants(tenants, j.Replay.Format, j.Replay.TimeScale)
+		if err != nil {
+			return nil, err
 		}
+		sp.Tenants = specs
+		sp.DiurnalPeriod = cagc.Time(diurnalMs * float64(cagc.Millisecond))
+		sp.ChunkRequests, sp.SyncDecode = j.Replay.ChunkRequests, j.Replay.SyncDecode
+		j.Kind, j.Scenario = cagc.KindScenario, &sp
 	}
-	if modes > 1 {
-		return fmt.Errorf("-batch, -fleet, -array, -replay, and -tenants are mutually exclusive modes")
-	}
-	if _, err := cagc.ParseTraceFormat(*replayFmt); err != nil {
-		return err
-	}
-	if *diurnalAmp < 0 || *diurnalAmp >= 1 {
-		return fmt.Errorf("-diurnal-amp %g: amplitude must be in [0, 1)", *diurnalAmp)
-	}
-	if *chunk < 0 {
-		return fmt.Errorf("-chunk %d: chunk size cannot be negative (0 = default)", *chunk)
-	}
-	tenantSpecs, err := parseTenants(*tenants, *replayFmt, *timeScale)
+	return inv, nil
+}
+
+// run is the testable body of main. The job is resolved — every default
+// applied, every bound checked — before any side effect: a bad
+// invocation exits with an error and leaves the filesystem untouched.
+func run(args []string, stdout, stderr io.Writer) (retErr error) {
+	inv, err := parse(args, stderr)
 	if err != nil {
 		return err
-	}
-
-	tracing := *traceOut != "" || *traceSum || *traceLast > 0
-	if tracing && *batch > 0 {
-		return fmt.Errorf("-trace/-trace-summary/-trace-last cannot be combined with -batch (the harness times many runs; trace one)")
-	}
-	if tracing && *arrayMode != "" {
-		return fmt.Errorf("-trace/-trace-summary/-trace-last cannot be combined with -array (the array layer is untraced)")
-	}
-	if *arrayMode != "" && *qd != 0 {
-		return fmt.Errorf("-qd cannot be combined with -array (the array replays open loop)")
-	}
-	if *arrayMode != "" && *bufPages != 0 {
-		return fmt.Errorf("-buffer cannot be combined with -array (array members have no write buffer)")
-	}
-	if *traceLast > 0 && *traceOut == "" && !*traceSum {
-		return fmt.Errorf("-trace-last needs -trace or -trace-summary to report into")
 	}
 	var rec *cagc.TraceRecorder
-	if tracing {
-		if *traceLast > 0 {
-			rec = cagc.NewFlightRecorder(*traceLast)
-		} else {
-			rec = cagc.NewTraceRecorder()
-		}
-		p.Trace = rec
+	switch {
+	case inv.traceLast > 0 && inv.traceOut == "" && !inv.traceSum:
+		return fmt.Errorf("-trace-last needs -trace or -trace-summary to report into")
+	case inv.traceLast > 0:
+		rec = cagc.NewFlightRecorder(inv.traceLast)
+	case inv.traceOut != "" || inv.traceSum:
+		rec = cagc.NewTraceRecorder()
+	}
+	if rec != nil {
+		inv.job.Params.Trace = rec
+	}
+	r, err := inv.job.Resolve()
+	if err != nil {
+		return err
 	}
 
 	// Validation is complete; side effects (profile files) may start.
-	stop, err := profiling.Start(*cpuProf, *memProf)
+	stop, err := profiling.Start(inv.cpuProf, inv.memProf)
 	if err != nil {
 		return err
 	}
@@ -186,188 +174,25 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		}
 	}()
 
-	if *fleetN > 0 {
-		// Fleet scale trades per-device depth for breadth: default to
-		// 2000 requests per device unless the user asked for a count.
-		if !set["requests"] {
-			p.Requests = 2000
-		}
-		fr, err := cagc.RunFleet(w, s, *policy, p, cagc.FleetParams{
-			Devices:        *fleetN,
-			ShardSize:      *fleetShard,
-			Workers:        *workers,
-			UtilSpread:     *fleetUtil,
-			UtilClasses:    *fleetUtilCls,
-			StaggerClasses: *fleetStagger,
-			Diurnal:        *fleetDiurnal,
-			TopK:           *fleetTopK,
-		})
-		if err != nil {
-			return err
-		}
-		reportCache(stderr)
-		if err := exportTrace(stderr, rec, *traceOut, *traceSum,
-			fmt.Sprintf("fleet %d x %s x %s x %s", *fleetN, w, s, *policy)); err != nil {
-			return err
-		}
-		if *asJSON {
-			// The JSON document is the deterministic fleet report —
-			// byte-identical at any -workers, so CI diffs it. Wall-clock
-			// facts go to stderr, exactly like batch mode.
-			if err := cagc.WriteFleetJSON(stdout, fr.Result); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "fleet: %d devices, %d workers, wall %v, %.1f devices/s, %.0f events/s\n",
-				fr.Result.Devices, fr.Workers, fr.Wall.Round(time.Millisecond),
-				fr.DevicesPerSec(), fr.AggregateEventsPerSec())
-			return nil
-		}
-		cagc.FprintFleet(stdout, fr)
-		return nil
-	}
-
-	if *arrayMode != "" {
-		res, err := cagc.RunArray(w, s, p, cagc.ArrayParams{
-			Mode:    *arrayMode,
-			Members: *members,
-			Stagger: *stagger,
-			Steer:   *steer,
-		})
-		if err != nil {
-			return err
-		}
-		if *asJSON {
-			return cagc.WriteArrayJSON(stdout, res)
-		}
-		cagc.FprintArray(stdout, res)
-		return nil
-	}
-
-	if *batch > 0 {
-		seeds := make([]int64, *batch)
-		for i := range seeds {
-			seeds[i] = *seed + int64(i)
-		}
-		b := cagc.RunBatch(cagc.SeedBatch(w, s, *policy, p, seeds), *workers)
-		reportCache(stderr)
-		if err := b.Err(); err != nil {
-			return fmt.Errorf("batch: %d completed, %d failed, %d skipped; first failure: %w",
-				b.Completed(), b.Failed(), b.Skipped(), err)
-		}
-		if *asJSON {
-			// One JSON document per run, in seed order: deterministic at
-			// any worker count, each stamped with its member's canonical
-			// config key — the prefix property CI relies on (a batch's
-			// documents are exactly the single runs' documents). The
-			// aggregate report carries wall-clock, so it goes to stderr.
-			for i, res := range b.Results {
-				q := p
-				q.Seed = seeds[i]
-				key := cagc.ConfigKey(w, s, *policy, q)
-				if err := cagc.WriteJSONKey(stdout, res, key); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintf(stderr, "batch: %d runs, %d workers, wall %v, aggregate %.0f events/s\n",
-				*batch, b.Workers, b.Wall.Round(time.Millisecond), b.AggregateEventsPerSec())
-			return nil
-		}
-		fmt.Fprintf(stdout, "batch: %d runs x %s x %s x %s, %d workers\n", *batch, w, s, *policy, b.Workers)
-		fmt.Fprintf(stdout, "wall %v  events %d  aggregate %.0f events/s  (%.0f events/s/worker)\n",
-			b.Wall.Round(time.Millisecond), b.Events,
-			b.AggregateEventsPerSec(), b.AggregateEventsPerSec()/float64(b.Workers))
-		return nil
-	}
-
-	if *replayPath != "" {
-		var stats cagc.TraceStreamStats
-		res, err := cagc.ReplayFile(*replayPath, w, s, *policy, p, cagc.ReplayFileOptions{
-			Format:        *replayFmt,
-			TimeScale:     *timeScale,
-			ChunkRequests: *chunk,
-			SyncDecode:    *syncDecode,
-			Stats:         &stats,
-		})
-		if err != nil {
-			return err
-		}
-		reportCache(stderr)
-		// Ingestion counters are wall-clock facts: stderr, so stdout
-		// stays byte-identical across chunk sizes and decode modes.
-		fmt.Fprintf(stderr, "cagcsim: ingest: %d requests in %d chunks, %d stalls (ratio %.3f), peak reader %d bytes\n",
-			stats.Requests, stats.Chunks, stats.Stalls, stats.StallRatio(), stats.PeakLiveBytes)
-		if err := exportTrace(stderr, rec, *traceOut, *traceSum,
-			fmt.Sprintf("replay %s x %s x %s", *replayPath, s, *policy)); err != nil {
-			return err
-		}
-		if *asJSON {
-			// File replays have no canonical config key (the identity
-			// would have to hash the file); the document simply omits it.
-			return cagc.WriteJSON(stdout, res)
-		}
-		cagc.FprintResult(stdout, res)
-		return nil
-	}
-
-	if len(tenantSpecs) > 0 {
-		res, err := cagc.RunScenario(s, *policy, p, cagc.ScenarioParams{
-			Tenants:       tenantSpecs,
-			DiurnalPeriod: cagc.Time(*diurnalMs * float64(cagc.Millisecond)),
-			DiurnalAmp:    *diurnalAmp,
-			SLOUs:         *sloUs,
-			ChunkRequests: *chunk,
-			SyncDecode:    *syncDecode,
-		})
-		if err != nil {
-			return err
-		}
-		reportCache(stderr)
-		if err := exportTrace(stderr, rec, *traceOut, *traceSum,
-			fmt.Sprintf("%s x %s x %s", cagc.ScenarioLabel(tenantSpecs), s, *policy)); err != nil {
-			return err
-		}
-		if *asJSON {
-			return cagc.WriteJSON(stdout, res)
-		}
-		cagc.FprintResult(stdout, res)
-		return nil
-	}
-
-	res, err := cagc.Run(w, s, *policy, p)
+	out, err := r.Execute()
 	if err != nil {
 		return err
 	}
 	reportCache(stderr)
-	if err := exportTrace(stderr, rec, *traceOut, *traceSum,
-		fmt.Sprintf("%s x %s x %s", w, s, *policy)); err != nil {
+	// Wall-clock facts go to stderr, so stdout stays byte-identical at
+	// any worker count, chunk size or decode mode.
+	if out.Facts != "" {
+		fmt.Fprint(stderr, "cagcsim: "+out.Facts)
+	}
+	if err := exportTrace(stderr, rec, inv.traceOut, inv.traceSum, r.Label()); err != nil {
 		return err
 	}
-	if *asJSON {
-		// Stamped with the run's canonical config key — the identity the
-		// result cache and the serving layer key on.
-		return cagc.WriteJSONKey(stdout, res, cagc.ConfigKey(w, s, *policy, p))
+	if inv.json {
+		_, err = stdout.Write(out.Doc)
+	} else {
+		_, err = io.WriteString(stdout, out.Report)
 	}
-	fmt.Fprintln(stdout, cagc.TableIString(p))
-	fmt.Fprintln(stdout)
-	cagc.FprintResult(stdout, res)
-	return nil
-}
-
-// validateSchedFlags rejects explicitly-set scheduling flags outside
-// their domain. 0 stays the "default" sentinel for -fleet-shard (64),
-// -fleet-topk (10), and -workers (one per core), so only values the
-// user actually typed can fail.
-func validateSchedFlags(set map[string]bool, fleetShard, workers, fleetTopK int) error {
-	if set["fleet-shard"] && fleetShard <= 0 {
-		return fmt.Errorf("-fleet-shard %d: shard size must be positive", fleetShard)
-	}
-	if set["workers"] && workers < 0 {
-		return fmt.Errorf("-workers %d: worker count cannot be negative (0 = one per core)", workers)
-	}
-	if set["fleet-topk"] && fleetTopK < 0 {
-		return fmt.Errorf("-fleet-topk %d: straggler count cannot be negative (0 = default 10)", fleetTopK)
-	}
-	return nil
+	return err
 }
 
 // exportTrace writes the Chrome JSON and/or prints the summary. Both
@@ -432,7 +257,7 @@ func parseTenants(arg, format string, timeScale float64) ([]cagc.TenantSpec, err
 			rate, entry = r, entry[:i]
 		}
 		t := cagc.TenantSpec{Rate: rate}
-		if w, err := findWorkload(entry); err == nil {
+		if w, err := cagc.ParseWorkload(entry); err == nil {
 			t.Workload = w
 		} else {
 			t.Path = entry
@@ -442,13 +267,4 @@ func parseTenants(arg, format string, timeScale float64) ([]cagc.TenantSpec, err
 		specs = append(specs, t)
 	}
 	return specs, nil
-}
-
-func findWorkload(name string) (cagc.Workload, error) {
-	for _, w := range cagc.Workloads {
-		if strings.EqualFold(string(w), name) {
-			return w, nil
-		}
-	}
-	return "", fmt.Errorf("unknown workload %q (want one of %v)", name, cagc.Workloads)
 }

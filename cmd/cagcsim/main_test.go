@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,6 +28,7 @@ func TestValidationPrecedesProfiling(t *testing.T) {
 		{"-trace-last", "5"},
 		{"-array", "raid1", "-qd", "8"},
 		{"-array", "raid1", "-buffer", "64"},
+		{"-array", "raid1", "-policy", "random"},
 	}
 	for _, args := range cases {
 		dir := t.TempDir()
@@ -77,36 +79,51 @@ func TestJSONCarriesConfigKey(t *testing.T) {
 		t.Fatalf("batch -json is not the concatenation of its single runs:\n--- batch ---\n%s--- singles ---\n%s",
 			batch.String(), want)
 	}
+
+	// Seed 0 is the default seed 1, so a batch from it runs seeds 1 and
+	// 2, exactly the batch from seed 1 (never seed 1 twice).
+	var fromZero, fromOne bytes.Buffer
+	for out, seed := range map[*bytes.Buffer]string{&fromZero: "0", &fromOne: "1"} {
+		if err := run([]string{"-requests", "1500", "-seed", seed, "-batch", "2", "-json"}, out, &stderr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fromZero.String() != fromOne.String() {
+		t.Fatal("-batch 2 -seed 0 differs from -batch 2 -seed 1")
+	}
 }
 
+// The scheduling flags take the service's bounds: 0 is the kind's
+// default (an explicit -fleet-shard 0 included), a negative value is
+// refused by name in one line, and the flags of a kind the invocation
+// did not select are not read.
 func TestValidateSchedFlags(t *testing.T) {
 	cases := []struct {
 		name       string
-		set        map[string]bool
-		shard      int
-		workers    int
-		topK       int
+		args       []string
 		wantErrSub string
 	}{
-		{name: "all defaults", set: map[string]bool{}},
-		{name: "zero sentinels unset", set: map[string]bool{}, shard: 0, workers: 0, topK: 0},
-		{name: "valid explicit", set: map[string]bool{"fleet-shard": true, "workers": true, "fleet-topk": true},
-			shard: 16, workers: 4, topK: 3},
-		{name: "explicit zero workers ok", set: map[string]bool{"workers": true}, workers: 0},
-		{name: "explicit zero topk ok", set: map[string]bool{"fleet-topk": true}, topK: 0},
-		{name: "zero shard explicit", set: map[string]bool{"fleet-shard": true}, shard: 0,
-			wantErrSub: "-fleet-shard 0"},
-		{name: "negative shard", set: map[string]bool{"fleet-shard": true}, shard: -5,
-			wantErrSub: "-fleet-shard -5"},
-		{name: "negative workers", set: map[string]bool{"workers": true}, workers: -1,
-			wantErrSub: "-workers -1"},
-		{name: "negative topk", set: map[string]bool{"fleet-topk": true}, topK: -2,
-			wantErrSub: "-fleet-topk -2"},
-		{name: "bad value but flag unset", set: map[string]bool{}, shard: -5, workers: -1, topK: -2},
+		{name: "all defaults", args: []string{"-fleet", "4"}},
+		{name: "zero sentinels unset", args: []string{"-batch", "2"}},
+		{name: "valid explicit", args: []string{"-fleet", "4", "-fleet-shard", "16", "-workers", "4", "-fleet-topk", "3"}},
+		{name: "explicit zero workers ok", args: []string{"-batch", "2", "-workers", "0"}},
+		{name: "explicit zero topk ok", args: []string{"-fleet", "4", "-fleet-topk", "0"}},
+		{name: "zero shard explicit", args: []string{"-fleet", "4", "-fleet-shard", "0"}},
+		{name: "negative shard", args: []string{"-fleet", "4", "-fleet-shard", "-5"},
+			wantErrSub: "Fleet.ShardSize -5"},
+		{name: "negative workers", args: []string{"-batch", "2", "-workers", "-1"},
+			wantErrSub: "Workers -1"},
+		{name: "negative topk", args: []string{"-fleet", "4", "-fleet-topk", "-2"},
+			wantErrSub: "Fleet.TopK -2"},
+		{name: "bad value but flag unset", args: []string{"-batch", "2", "-fleet-shard", "-5", "-fleet-topk", "-2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateSchedFlags(tc.set, tc.shard, tc.workers, tc.topK)
+			inv, err := parse(tc.args, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = inv.job.Resolve()
 			if tc.wantErrSub == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -70,7 +70,7 @@ func runGen(args []string, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := findWorkload(*workload)
+	w, err := cagc.ParseWorkload(*workload)
 	if err != nil {
 		return err
 	}
@@ -234,13 +234,4 @@ func emit(src trace.Source, out string, asText bool, stderr io.Writer) (n int, r
 		}
 	}
 	return bw.Count(), bw.Flush()
-}
-
-func findWorkload(name string) (trace.WorkloadName, error) {
-	for _, w := range trace.Workloads {
-		if strings.EqualFold(string(w), name) {
-			return w, nil
-		}
-	}
-	return "", fmt.Errorf("unknown workload %q (want one of %v)", name, trace.Names())
 }

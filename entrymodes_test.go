@@ -38,34 +38,34 @@ func resultDoc(t *testing.T, res *Result) string {
 }
 
 // Every entry mode builds its device from Params through buildRun. For
-// each field that moves a plain run's document, the file replay of
-// that run's own stream and a single-tenant scenario of the same
-// workload must move it exactly as Run does (byte-equal documents, the
-// scenario's label and tenant table aside), and an array run must
-// move too — or the mode must refuse the field by name.
+// each field (and the victim policy) that moves a plain run's document,
+// the file replay of that run's own stream and a single-tenant scenario
+// of the same workload must move it exactly as Run does (byte-equal
+// documents, the scenario's label and tenant table aside), and an array
+// job must move too — or the mode must refuse the field by name.
 func TestEveryEntryModeHonoursParams(t *testing.T) {
 	base := Params{Requests: 3000, Seed: 5}
 	path := entryTrace(t, base)
 	modes := []struct {
 		name string
-		run  func(Params) (string, error)
+		run  func(policy string, p Params) (string, error)
 	}{
-		{"Run", func(p Params) (string, error) {
-			res, err := Run(Mail, CAGC, "greedy", p)
+		{"Run", func(policy string, p Params) (string, error) {
+			res, err := Run(Mail, CAGC, policy, p)
 			if err != nil {
 				return "", err
 			}
 			return resultDoc(t, res), nil
 		}},
-		{"ReplayFile", func(p Params) (string, error) {
-			res, err := ReplayFile(path, Mail, CAGC, "greedy", p, ReplayFileOptions{})
+		{"ReplayFile", func(policy string, p Params) (string, error) {
+			res, err := ReplayFile(path, Mail, CAGC, policy, p, ReplayFileOptions{})
 			if err != nil {
 				return "", err
 			}
 			return resultDoc(t, res), nil
 		}},
-		{"RunScenario", func(p Params) (string, error) {
-			res, err := RunScenario(CAGC, "greedy", p, ScenarioParams{Tenants: []TenantSpec{{Workload: Mail}}})
+		{"RunScenario", func(policy string, p Params) (string, error) {
+			res, err := RunScenario(CAGC, policy, p, ScenarioParams{Tenants: []TenantSpec{{Workload: Mail}}})
 			if err != nil {
 				return "", err
 			}
@@ -75,21 +75,22 @@ func TestEveryEntryModeHonoursParams(t *testing.T) {
 			res.Workload, res.Tenants = string(Mail), nil
 			return resultDoc(t, res), nil
 		}},
-		{"RunArray", func(p Params) (string, error) {
-			res, err := RunArray(Mail, CAGC, p, ArrayParams{Mode: "raid1", Stagger: true})
+		{"array job", func(policy string, p Params) (string, error) {
+			r, err := Job{Kind: KindArray, Policy: policy, Params: p,
+				Array: &ArrayParams{Mode: "raid1", Stagger: true}}.Resolve()
 			if err != nil {
 				return "", err
 			}
-			var b bytes.Buffer
-			if err := WriteArrayJSON(&b, res); err != nil {
-				t.Fatal(err)
+			out, err := r.Execute()
+			if err != nil {
+				return "", err
 			}
-			return b.String(), nil
+			return string(out.Doc), nil
 		}},
 	}
 	baseDocs := make([]string, len(modes))
 	for i, m := range modes {
-		doc, err := m.run(base)
+		doc, err := m.run("greedy", base)
 		if err != nil {
 			t.Fatalf("%s at the base Params: %v", m.name, err)
 		}
@@ -103,21 +104,22 @@ func TestEveryEntryModeHonoursParams(t *testing.T) {
 
 	fields := []struct {
 		name string
-		set  func(*Params)
+		set  func(*Params, *string)
 	}{
-		{"RefThreshold", func(p *Params) { p.RefThreshold = 2 }},
-		{"WearLevelThreshold", func(p *Params) { p.WearLevelThreshold = 2 }},
-		{"IndexCapacity", func(p *Params) { p.IndexCapacity = 64 }},
-		{"MappingCache", func(p *Params) { p.MappingCache = 64 }},
-		{"EraseLimit", func(p *Params) { p.EraseLimit = 2 }},
-		{"BufferPages", func(p *Params) { p.BufferPages = 64 }},
-		{"QueueDepth", func(p *Params) { p.QueueDepth = 8 }},
+		{"RefThreshold", func(p *Params, _ *string) { p.RefThreshold = 2 }},
+		{"WearLevelThreshold", func(p *Params, _ *string) { p.WearLevelThreshold = 2 }},
+		{"IndexCapacity", func(p *Params, _ *string) { p.IndexCapacity = 64 }},
+		{"MappingCache", func(p *Params, _ *string) { p.MappingCache = 64 }},
+		{"EraseLimit", func(p *Params, _ *string) { p.EraseLimit = 2 }},
+		{"BufferPages", func(p *Params, _ *string) { p.BufferPages = 64 }},
+		{"QueueDepth", func(p *Params, _ *string) { p.QueueDepth = 8 }},
+		{"Policy", func(_ *Params, policy *string) { *policy = "random" }},
 	}
 	for _, f := range fields {
 		t.Run(f.name, func(t *testing.T) {
-			p := base
-			f.set(&p)
-			want, err := modes[0].run(p)
+			p, policy := base, "greedy"
+			f.set(&p, &policy)
+			want, err := modes[0].run(policy, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,13 +127,13 @@ func TestEveryEntryModeHonoursParams(t *testing.T) {
 				t.Fatalf("%s does not move Run's document; the check would be vacuous", f.name)
 			}
 			for i, m := range modes[1:] {
-				got, err := m.run(p)
+				got, err := m.run(policy, p)
 				switch {
 				case err != nil:
 					if !strings.Contains(err.Error(), f.name) {
 						t.Errorf("%s: error %q does not name %s", m.name, err, f.name)
 					}
-				case m.name == "RunArray":
+				case m.name == "array job":
 					if got == baseDocs[i+1] {
 						t.Errorf("%s ignores %s", m.name, f.name)
 					}

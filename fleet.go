@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"cagc/internal/fleet"
@@ -100,29 +99,9 @@ func (f *FleetRun) AggregateEventsPerSec() float64 {
 // workload w, per-device perturbed, and returns the merged report.
 func RunFleet(w Workload, s Scheme, policy string, p Params, fp FleetParams) (*FleetRun, error) {
 	p = p.withDefaults()
-	cfg, spec, err := buildRun(w, s.Options(), policy, p)
+	fc, err := fleetConfig(w, s, policy, p, fp)
 	if err != nil {
 		return nil, err
-	}
-	if fp.Workers <= 0 {
-		fp.Workers = runtime.GOMAXPROCS(0)
-	}
-	if fp.FleetSeed == 0 {
-		fp.FleetSeed = p.Seed
-	}
-	fc := fleet.Config{
-		Devices:        fp.Devices,
-		ShardSize:      fp.ShardSize,
-		Workers:        fp.Workers,
-		Seed:           fp.FleetSeed,
-		Base:           cfg,
-		Spec:           spec,
-		UtilSpread:     fp.UtilSpread,
-		UtilClasses:    fp.UtilClasses,
-		StaggerClasses: fp.StaggerClasses,
-		Diurnal:        fp.Diurnal,
-		TopK:           fp.TopK,
-		Tracer:         p.Trace,
 	}
 	if !p.ColdStart {
 		// Resolve class snapshots through the process-wide registry so
@@ -138,7 +117,34 @@ func RunFleet(w Workload, s Scheme, policy string, p Params, fp FleetParams) (*F
 	if err != nil {
 		return nil, err
 	}
-	return &FleetRun{Result: res, Workers: fp.Workers, Wall: time.Since(start)}, nil
+	return &FleetRun{Result: res, Workers: fc.Workers, Wall: time.Since(start)}, nil
+}
+
+// fleetConfig is the normalised fleet.Config RunFleet runs: every fleet
+// default applies here, in fleet.Config.Normalize, so the fleet identity
+// (fleetKey) is computed from exactly what runs. p must carry defaults.
+func fleetConfig(w Workload, s Scheme, policy string, p Params, fp FleetParams) (fleet.Config, error) {
+	cfg, spec, err := buildRun(w, s.Options(), policy, p)
+	if err != nil {
+		return fleet.Config{}, err
+	}
+	if fp.FleetSeed == 0 {
+		fp.FleetSeed = p.Seed
+	}
+	return fleet.Config{
+		Devices:        fp.Devices,
+		ShardSize:      fp.ShardSize,
+		Workers:        fp.Workers,
+		Seed:           fp.FleetSeed,
+		Base:           cfg,
+		Spec:           spec,
+		UtilSpread:     fp.UtilSpread,
+		UtilClasses:    fp.UtilClasses,
+		StaggerClasses: fp.StaggerClasses,
+		Diurnal:        fp.Diurnal,
+		TopK:           fp.TopK,
+		Tracer:         p.Trace,
+	}.Normalize()
 }
 
 // WriteFleetJSON writes the deterministic fleet report as indented

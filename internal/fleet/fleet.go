@@ -249,9 +249,11 @@ func (c *classes) classSpec(u, s int) trace.Spec {
 	return spec
 }
 
-// normalize validates cfg and applies defaults, returning the ready
-// configuration.
-func (c Config) normalize() (Config, error) {
+// Normalize validates c and applies every default, returning the
+// configuration Run runs. It is idempotent, so a caller can key on its
+// result (the root package's fleet identity does) and still pass it to
+// Run.
+func (c Config) Normalize() (Config, error) {
 	if c.Devices <= 0 {
 		return c, fmt.Errorf("fleet: %d devices", c.Devices)
 	}
@@ -410,7 +412,7 @@ func (c *classes) runDevice(dev int, acc *shardAcc) error {
 // re-seeds — are wall-clock telemetry on the scheduler track; they
 // never enter the Result.
 func Run(cfg Config) (*Result, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}

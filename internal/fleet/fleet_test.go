@@ -153,7 +153,7 @@ func TestFleetMergeMatchesSerialReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	norm, err := cfg.normalize()
+	norm, err := cfg.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

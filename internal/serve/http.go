@@ -229,7 +229,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 		workloads[i] = string(n)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"kinds":     []string{KindRun, KindBatch, KindSweep, KindFleet},
+		"kinds":     kinds,
 		"workloads": workloads,
 		"schemes":   cagc.SchemeNames(),
 		"policies":  cagc.PolicyNames(),

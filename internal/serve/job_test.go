@@ -14,7 +14,8 @@ import (
 )
 
 // The fan-out cap sits exactly at maxJobRuns for every kind that fans
-// out, and is judged before resolve allocates anything per run.
+// out, and is judged before the job is resolved, which allocates and
+// hashes per run.
 func TestResolveCapsFanOut(t *testing.T) {
 	seeds := func(n int) []int64 { return make([]int64, n) }
 	for _, tc := range []struct {
@@ -25,10 +26,10 @@ func TestResolveCapsFanOut(t *testing.T) {
 		{"batch", func(n int) JobSpec { return JobSpec{Kind: KindBatch, Seeds: seeds(n)} }},
 		{"fleet", func(n int) JobSpec { return JobSpec{Kind: KindFleet, Fleet: &cagc.FleetParams{Devices: n}} }},
 	} {
-		if _, err := tc.spec(maxJobRuns).resolve(0, 0); err != nil {
+		if _, _, err := tc.spec(maxJobRuns).admit(0, 0); err != nil {
 			t.Errorf("%s of %d runs (the cap): %v", tc.name, maxJobRuns, err)
 		}
-		if _, err := tc.spec(maxJobRuns+1).resolve(0, 0); err == nil {
+		if _, _, err := tc.spec(maxJobRuns+1).admit(0, 0); err == nil {
 			t.Errorf("%s of %d runs accepted past the cap", tc.name, maxJobRuns+1)
 		}
 	}
@@ -67,11 +68,12 @@ func TestServeRejectsOversizedSweep(t *testing.T) {
 	}
 }
 
-// FuzzJobSpec drives bytes through the handler's decoding and resolve:
-// no input may panic, an accepted spec stays inside the fan-out cap, and
-// resolving is a function of the spec (same cache key twice). The seed
-// corpus under testdata/fuzz/FuzzJobSpec holds a run, batch, sweep,
-// fleet and traced spec and one with an unknown field.
+// FuzzJobSpec drives bytes through the handler's decoding, admission
+// and the shared cagc.Job.Resolve: no input may panic, an accepted spec
+// stays inside the fan-out cap, and resolving is a function of the spec
+// (same cache key twice). The seed corpus under
+// testdata/fuzz/FuzzJobSpec holds a run, batch, sweep, fleet and traced
+// spec and one with an unknown field.
 func FuzzJobSpec(f *testing.F) {
 	f.Add([]byte(`{"workload":"mail","params":{"Requests":50}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -79,19 +81,19 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		r, err := spec.resolve(time.Minute, time.Hour)
+		r, _, err := spec.admit(time.Minute, time.Hour)
 		if err != nil {
 			return
 		}
-		if len(r.seeds) > maxJobRuns || r.fleet.Devices > maxJobRuns {
-			t.Fatalf("accepted %d seeds, %d devices past the cap %d", len(r.seeds), r.fleet.Devices, maxJobRuns)
+		if len(r.Seeds) > maxJobRuns || spec.Fleet != nil && spec.Fleet.Devices > maxJobRuns {
+			t.Fatalf("accepted %d seeds, fleet %+v past the cap %d", len(r.Seeds), spec.Fleet, maxJobRuns)
 		}
-		again, err := spec.resolve(time.Minute, time.Hour)
+		again, _, err := spec.admit(time.Minute, time.Hour)
 		if err != nil {
-			t.Fatalf("second resolve failed: %v", err)
+			t.Fatalf("second admission failed: %v", err)
 		}
-		if again.key != r.key {
-			t.Fatalf("second resolve: key %q, first %q", again.key, r.key)
+		if again.Key != r.Key {
+			t.Fatalf("second admission: key %q, first %q", again.Key, r.Key)
 		}
 	})
 }

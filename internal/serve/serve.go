@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -89,7 +88,7 @@ type Job struct {
 	Kind string
 	Key  string // canonical config identity
 
-	spec   *resolvedJob
+	job    *cagc.ResolvedJob   // what exec runs; nil once it has run
 	rec    *cagc.TraceRecorder // non-nil for traced jobs
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -220,7 +219,7 @@ func New(opts Options) *Server {
 // when the queue is full (nothing was enqueued or executed), ErrClosed
 // during shutdown, or a validation error.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	r, err := spec.resolve(s.opts.DefaultTimeout, s.opts.MaxTimeout)
+	r, timeout, err := spec.admit(s.opts.DefaultTimeout, s.opts.MaxTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +233,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	j := &Job{
 		ID:   fmt.Sprintf("j-%06d", s.seq),
 		Seq:  s.seq,
-		Kind: r.kind,
-		Key:  r.key,
-		spec: r,
+		Kind: r.Kind,
+		Key:  r.Key,
 		done: make(chan struct{}),
 	}
 	j.submitted = time.Now()
@@ -246,8 +244,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// identically without touching the queue. Traced jobs always
 	// execute — the recording is the point — but re-populate the cache
 	// on completion (the document is identical either way).
-	if !r.trace {
-		if hit, ok := s.cache.get(r.key); ok {
+	if !spec.Trace {
+		if hit, ok := s.cache.get(r.Key); ok {
 			s.svcRec.Instant(obs.TrackServe, obs.KServeCacheHit, s.sinceStart(), j.Seq)
 			j.ctx, j.cancel = context.Background(), func() {}
 			j.mu.Lock()
@@ -261,13 +259,16 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		}
 	} else {
 		j.rec = cagc.NewTraceRecorder()
+		r.Params.Trace = j.rec
 	}
 
-	if r.timeout > 0 {
-		j.ctx, j.cancel = context.WithTimeout(context.Background(), r.timeout)
+	if timeout > 0 {
+		j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
 	} else {
 		j.ctx, j.cancel = context.WithCancel(context.Background())
 	}
+	r.Params.Ctx = j.ctx
+	j.job = r
 	j.mu.Lock()
 	j.status = StatusQueued
 	j.mu.Unlock()
@@ -307,7 +308,8 @@ func (s *Server) exec(j *Job) {
 
 	body, summary, events, err := s.run(j)
 	finished := time.Now()
-	j.cancel() // release the deadline timer
+	j.cancel()  // release the deadline timer
+	j.job = nil // the registry keeps every job, but not what it ran
 
 	status := StatusDone
 	switch {
@@ -319,7 +321,7 @@ func (s *Server) exec(j *Job) {
 		status = StatusFailed
 	}
 	if err == nil {
-		s.cache.put(j.spec.key, &cachedResult{body: body, summary: summary, events: events})
+		s.cache.put(j.Key, &cachedResult{body: body, summary: summary, events: events})
 	}
 	ran := finished.Sub(j.started)
 	if j.rec != nil {
@@ -369,67 +371,13 @@ func (s *Server) run(j *Job) (body []byte, summary string, events uint64, err er
 	if s.beforeExec != nil {
 		s.beforeExec()
 	}
-	return s.execute(j.spec, j.ctx, j.rec)
-}
-
-// execute runs the resolved job and renders its result document and
-// text summary. The document bytes are exactly what the CLI emits for
-// the same configuration (WriteJSONKey / WriteFleetJSON), which is the
-// byte-identity contract the cache and CI rely on.
-func (s *Server) execute(r *resolvedJob, ctx context.Context, rec *cagc.TraceRecorder) (body []byte, summary string, events uint64, err error) {
-	p := r.params
-	p.Ctx = ctx
-	if rec != nil {
-		p.Trace = rec
+	// The document is rendered by the same code as cagcsim -json, which
+	// is the byte-identity contract the cache relies on.
+	out, err := j.job.Execute()
+	if err != nil {
+		return nil, "", 0, err
 	}
-	var doc, txt bytes.Buffer
-	switch r.kind {
-	case KindRun:
-		res, err := cagc.Run(r.workload, r.scheme, r.policy, p)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		if err := cagc.WriteJSONKey(&doc, res, r.key); err != nil {
-			return nil, "", 0, err
-		}
-		fmt.Fprintln(&txt, cagc.TableIString(p))
-		fmt.Fprintln(&txt)
-		cagc.FprintResult(&txt, res)
-		return doc.Bytes(), txt.String(), cagc.EventsOf(res), nil
-
-	case KindBatch, KindSweep:
-		items := cagc.SeedBatch(r.workload, r.scheme, r.policy, p, r.seeds)
-		b := cagc.RunBatch(items, 0)
-		if err := b.Err(); err != nil {
-			return nil, "", 0, err
-		}
-		// One document per run in seed order, exactly cagcsim -batch
-		// -json; each carries its member identity.
-		for i, res := range b.Results {
-			q := r.params
-			q.Seed = r.seeds[i]
-			key := cagc.ConfigKey(r.workload, r.scheme, r.policy, q)
-			if err := cagc.WriteJSONKey(&doc, res, key); err != nil {
-				return nil, "", 0, err
-			}
-		}
-		fmt.Fprintf(&txt, "batch: %d runs x %s x %s x %s\n", len(items), r.workload, r.scheme, r.policy)
-		fmt.Fprintf(&txt, "wall %v  events %d  aggregate %.0f events/s\n",
-			b.Wall.Round(time.Millisecond), b.Events, b.AggregateEventsPerSec())
-		return doc.Bytes(), txt.String(), b.Events, nil
-
-	case KindFleet:
-		fr, err := cagc.RunFleet(r.workload, r.scheme, r.policy, p, r.fleet)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		if err := cagc.WriteFleetJSON(&doc, fr.Result); err != nil {
-			return nil, "", 0, err
-		}
-		cagc.FprintFleet(&txt, fr)
-		return doc.Bytes(), txt.String(), fr.Result.Events, nil
-	}
-	return nil, "", 0, fmt.Errorf("serve: unreachable job kind %q", r.kind)
+	return out.Doc, out.Report, out.Events, nil
 }
 
 // sinceStart is the server-relative timestamp for service-trace events.

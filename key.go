@@ -15,6 +15,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+
+	"cagc/internal/fleet"
 )
 
 // configKeyVersion is bumped whenever the simulation's output for a
@@ -30,6 +33,36 @@ const configKeyVersion = "cagc-run-v1"
 // omitting it key identically.
 func ConfigKey(w Workload, s Scheme, policy string, p Params) string {
 	sum := sha256.Sum256([]byte(configKeyMaterial(w, s, policy, p)))
+	return hex.EncodeToString(sum[:])
+}
+
+// seedsKey is the batch and sweep identity: the hash of every member
+// run's ConfigKey in seed order, returned with those member keys. A
+// sweep and the equivalent explicit batch are therefore one job.
+func seedsKey(w Workload, s Scheme, policy string, p Params, seeds []int64) (string, []string) {
+	keys := make([]string, len(seeds))
+	h := sha256.New()
+	io.WriteString(h, "cagc-batch-v1")
+	for i, seed := range seeds {
+		p.Seed = seed
+		keys[i] = ConfigKey(w, s, policy, p)
+		io.WriteString(h, "|"+keys[i])
+	}
+	return hex.EncodeToString(h.Sum(nil)), keys
+}
+
+// fleetKey is the fleet identity: the base run's key plus every
+// output-affecting field of fc, the normalised configuration fleet.Run
+// itself runs, so two specs that run the same fleet share a key.
+// ShardSize and Workers are scheduling granularity — the fleet document
+// is byte-identical across both — so they stay out.
+func fleetKey(run string, fc fleet.Config) string {
+	material := fmt.Sprintf(
+		"cagc-fleet-v2|run=%s|devices=%d|fleet_seed=%d|util_spread=%g|util_classes=%d|"+
+			"stagger_classes=%d|diurnal=%g|topk=%d",
+		run, fc.Devices, fc.Seed, fc.UtilSpread, fc.UtilClasses,
+		fc.StaggerClasses, fc.Diurnal, fc.TopK)
+	sum := sha256.Sum256([]byte(material))
 	return hex.EncodeToString(sum[:])
 }
 

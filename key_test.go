@@ -76,6 +76,48 @@ func TestConfigKeyMaterialFields(t *testing.T) {
 	}
 }
 
+// A fleet keys on the configuration fleet.Run normalises it to: specs
+// that run the same fleet share one key whatever their scheduling or
+// spelled-out defaults, and a field that changes the fleet moves it.
+func TestFleetKeyFollowsNormalisation(t *testing.T) {
+	key := func(p Params, fp FleetParams) string {
+		t.Helper()
+		r, err := Job{Kind: KindFleet, Params: p, Fleet: &fp}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Key
+	}
+	base := key(Params{}, FleetParams{Devices: 5})
+	for _, tc := range []struct {
+		p  Params
+		fp FleetParams
+	}{
+		{Params{Requests: 2000, Seed: 1}, FleetParams{Devices: 5, FleetSeed: 1}},
+		{Params{}, FleetParams{Devices: 5, TopK: 5}},           // the default 10, clamped to Devices
+		{Params{}, FleetParams{Devices: 5, TopK: 50}},          // clamped to Devices
+		{Params{}, FleetParams{Devices: 5, UtilClasses: 3}},    // no spread, one class
+		{Params{}, FleetParams{Devices: 5, StaggerClasses: 1}}, // the default
+		{Params{}, FleetParams{Devices: 5, ShardSize: 2, Workers: 3}},
+	} {
+		if got := key(tc.p, tc.fp); got != base {
+			t.Errorf("%+v %+v keys apart from the fleet it runs", tc.p, tc.fp)
+		}
+	}
+	for _, fp := range []FleetParams{
+		{Devices: 6},
+		{Devices: 5, TopK: 4},
+		{Devices: 5, StaggerClasses: 2},
+		{Devices: 5, FleetSeed: 2},
+		{Devices: 5, UtilSpread: 0.1},
+		{Devices: 5, Diurnal: 0.2},
+	} {
+		if key(Params{}, fp) == base {
+			t.Errorf("%+v keys like the base fleet", fp)
+		}
+	}
+}
+
 // WriteJSONKey stamps the key as the document's first field and changes
 // nothing else; WriteJSON output stays byte-identical to before the key
 // existed (the empty key is omitted).

@@ -182,12 +182,12 @@ func TestParseTraceFormat(t *testing.T) {
 		"": "auto", "auto": "auto", "bin": "binary", "cagc": "binary",
 		"txt": "text", "FIU": "fiu",
 	} {
-		got, err := ParseTraceFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseTraceFormat(%q) = %q, %v", in, got, err)
+		got, err := trace.ParseFormat(in)
+		if err != nil || got.String() != want {
+			t.Errorf("trace.ParseFormat(%q) = %q, %v", in, got, err)
 		}
 	}
-	if _, err := ParseTraceFormat("csv"); err == nil {
+	if _, err := (Job{Kind: KindReplay, ReplayPath: "nope", Replay: ReplayFileOptions{Format: "csv"}}).Resolve(); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 	if _, err := ReplayFile("nope", Mail, CAGC, "greedy", testParams(),

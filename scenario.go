@@ -90,6 +90,29 @@ func tenantName(t TenantSpec) string {
 	return string(t.Workload)
 }
 
+// check refuses a scenario RunScenario cannot run: no tenant, an
+// amplitude outside [0, 1), a negative chunk size, or a file tenant in
+// an unknown format.
+func (sp ScenarioParams) check() error {
+	if len(sp.Tenants) == 0 {
+		return fmt.Errorf("cagc: scenario needs at least one tenant")
+	}
+	if sp.DiurnalAmp < 0 || sp.DiurnalAmp >= 1 {
+		return fmt.Errorf("cagc: diurnal amplitude %g outside [0, 1)", sp.DiurnalAmp)
+	}
+	if err := nonNegative(bound{"Scenario.ChunkRequests", int64(sp.ChunkRequests)}); err != nil {
+		return err
+	}
+	for _, t := range sp.Tenants {
+		if t.Path != "" {
+			if _, err := trace.ParseFormat(t.Format); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // RunScenario replays a multi-tenant composition through scheme s. The
 // logical address space is partitioned evenly across the tenants (each
 // tenant's stream is offset into its own namespace); synthetic tenants
@@ -102,13 +125,10 @@ func tenantName(t TenantSpec) string {
 // compatible with plain runs of that workload).
 func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result, error) {
 	p = p.withDefaults()
+	if err := sp.check(); err != nil {
+		return nil, err
+	}
 	n := len(sp.Tenants)
-	if n == 0 {
-		return nil, fmt.Errorf("cagc: scenario needs at least one tenant")
-	}
-	if sp.DiurnalAmp < 0 || sp.DiurnalAmp >= 1 {
-		return nil, fmt.Errorf("cagc: diurnal amplitude %g outside [0, 1)", sp.DiurnalAmp)
-	}
 	// Precondition over the full address space with the first tenant's
 	// content mixture (file tenants fall back to Homes).
 	preW := sp.Tenants[0].Workload

@@ -154,11 +154,7 @@ func Summarize(r *Result) Summary {
 }
 
 // WriteJSON emits the summary as indented JSON.
-func WriteJSON(w io.Writer, r *Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Summarize(r))
-}
+func WriteJSON(w io.Writer, r *Result) error { return WriteJSONKey(w, r, "") }
 
 // WriteJSONKey is WriteJSON with the canonical config key stamped into
 // the document, so CLI output and service cache entries for the same

@@ -32,17 +32,6 @@ type TraceSource = trace.Source
 // chunks decoded ahead, ring stalls, peak reader-side live bytes.
 type TraceStreamStats = trace.StreamStats
 
-// ParseTraceFormat validates a trace-format name ("auto", "binary",
-// "text", or "fiu") and returns its canonical spelling — the
-// pre-side-effect validation hook for CLI flags.
-func ParseTraceFormat(name string) (string, error) {
-	f, err := trace.ParseFormat(name)
-	if err != nil {
-		return "", err
-	}
-	return f.String(), nil
-}
-
 // LogicalPagesFor returns the logical address-space size a device built
 // from p exports; workload specs must target exactly this size.
 func LogicalPagesFor(p Params) (uint64, error) {
