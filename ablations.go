@@ -3,7 +3,11 @@ package cagc
 // Ablation harness for the design choices DESIGN.md calls out. These go
 // beyond the paper's figures: each isolates one mechanism of CAGC.
 
-import "fmt"
+import (
+	"fmt"
+
+	"cagc/internal/ftl"
+)
 
 // ThresholdPoint is one sweep point of the hot/cold reference-count
 // threshold ablation.
@@ -45,7 +49,7 @@ func AblatePlacement(w Workload, p Params) (*PlacementAblation, error) {
 	}
 	opts := CAGC.Options()
 	opts.HotCold = false
-	dedupOnly, err := RunOptions(w, opts, "greedy", p)
+	dedupOnly, err := runOptions(w, opts, "greedy", p)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +78,8 @@ func AblateOverlap(w Workload, p Params) (*OverlapAblation, error) {
 		return nil, err
 	}
 	opts := CAGC.Options()
-	opts.OverlapHash = false
-	serial, err := RunOptions(w, opts, "greedy", p)
+	opts.HashAt = ftl.HashAtMigrateSerial
+	serial, err := runOptions(w, opts, "greedy", p)
 	if err != nil {
 		return nil, err
 	}
@@ -176,13 +180,13 @@ func AblateWatermark(w Workload, marks []float64, p Params) ([]WatermarkPoint, e
 	for _, m := range marks {
 		bo := Baseline.Options()
 		bo.Watermark = m
-		base, err := RunOptions(w, bo, "greedy", p)
+		base, err := runOptions(w, bo, "greedy", p)
 		if err != nil {
 			return nil, fmt.Errorf("watermark %.2f baseline: %w", m, err)
 		}
 		co := CAGC.Options()
 		co.Watermark = m
-		cg, err := RunOptions(w, co, "greedy", p)
+		cg, err := runOptions(w, co, "greedy", p)
 		if err != nil {
 			return nil, fmt.Errorf("watermark %.2f cagc: %w", m, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	icagc "cagc/internal/cagc"
 	"cagc/internal/event"
 	"cagc/internal/flash"
 	"cagc/internal/ftl"
@@ -36,18 +35,48 @@ const (
 // Workloads lists the workloads in the paper's presentation order.
 var Workloads = trace.Workloads
 
-// Scheme names one of the evaluated FTL configurations.
-type Scheme = icagc.Scheme
+// Scheme names one of the evaluated FTL compositions. The mechanisms
+// live in internal/ftl (the paper describes CAGC as a module inside the
+// FTL); a scheme is one row of the table below.
+type Scheme int
 
 // The evaluated schemes.
 const (
-	Baseline     = icagc.Baseline
-	InlineDedupe = icagc.InlineDedupe
-	CAGC         = icagc.CAGC
+	// Baseline: no deduplication anywhere (the non-dedup ULL SSD).
+	Baseline Scheme = iota
+	// InlineDedupe: fingerprinting on the foreground write path.
+	InlineDedupe
+	// CAGC: deduplication embedded in GC with hash overlap and
+	// reference-count-based hot/cold placement (the paper's scheme).
+	CAGC
 )
 
+// schemes is the scheme vocabulary, one row per Scheme: the names
+// ParseScheme accepts (canonical CLI name first) and the FTL
+// composition.
+var schemes = [...]struct {
+	names   []string
+	options func() ftl.Options
+}{
+	Baseline:     {[]string{"baseline"}, ftl.BaselineOptions},
+	InlineDedupe: {[]string{"inline", "inline-dedupe"}, ftl.InlineDedupeOptions},
+	CAGC:         {[]string{"cagc"}, ftl.CAGCOptions},
+}
+
 // Schemes lists the schemes in the paper's presentation order.
-var Schemes = icagc.Schemes
+var Schemes = []Scheme{InlineDedupe, Baseline, CAGC}
+
+// Options returns the FTL composition implementing s.
+func (s Scheme) Options() ftl.Options { return schemes[s].options() }
+
+// String is the scheme's display name, the one its FTL composition
+// reports.
+func (s Scheme) String() string {
+	if s < 0 || int(s) >= len(schemes) {
+		return fmt.Sprintf("Scheme(%d)", int(s))
+	}
+	return s.Options().SchemeName()
+}
 
 // ParseWorkload resolves a workload name case-insensitively (the hyphen
 // in "Web-vm" is required).
@@ -60,25 +89,30 @@ func ParseWorkload(name string) (Workload, error) {
 	return "", fmt.Errorf("unknown workload %q (want one of %v)", name, Workloads)
 }
 
-// ParseScheme resolves a scheme CLI name.
-func ParseScheme(name string) (Scheme, error) { return icagc.ParseScheme(name) }
+// ParseScheme resolves a scheme name case-insensitively.
+func ParseScheme(name string) (Scheme, error) {
+	for s, row := range schemes {
+		for _, n := range row.names {
+			if strings.EqualFold(n, name) {
+				return Scheme(s), nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want one of %v)", name, SchemeNames())
+}
 
 // SchemeNames lists the canonical scheme CLI names, in the paper's
 // presentation order.
-func SchemeNames() []string { return icagc.SchemeNames() }
-
-// PolicyNames lists the canonical victim-policy names.
-func PolicyNames() []string { return []string{"greedy", "random", "cost-benefit"} }
+func SchemeNames() []string {
+	names := make([]string, len(Schemes))
+	for i, s := range Schemes {
+		names[i] = schemes[s].names[0]
+	}
+	return names
+}
 
 // Result is the full measurement record of one simulation run.
 type Result = sim.Result
-
-// Options is the raw FTL mechanism configuration, for ablation studies
-// that go beyond the three named schemes.
-type Options = ftl.Options
-
-// WorkedResult is the outcome of the Figure-8 worked example.
-type WorkedResult = icagc.WorkedResult
 
 // Params scales an experiment. The zero value gives laptop-friendly
 // defaults: a 16 MiB scaled Table-I device and 20 000 requests — the
@@ -164,17 +198,31 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// readBy returns p with the FTL knobs composition o never reads at their
+// defaults, so such a knob forks neither ConfigKey nor the warm state:
+// IndexCapacity when content is never hashed (there is no index), and
+// RefThreshold unless hashed content is placed by reference count (a
+// page never hashed has one reference, never above the threshold).
+func (p Params) readBy(o ftl.Options) Params {
+	if o.HashAt == ftl.HashNever {
+		p.IndexCapacity = 0
+	}
+	if o.HashAt == ftl.HashNever || !o.HotCold {
+		p.RefThreshold = 1
+	}
+	return p
+}
+
 // Run simulates one scheme on one workload with the given victim
 // policy ("greedy", "random", or "cost-benefit").
 func Run(w Workload, s Scheme, policy string, p Params) (*Result, error) {
-	opts := s.Options()
-	return RunOptions(w, opts, policy, p)
+	return runOptions(w, s.Options(), policy, p)
 }
 
-// RunOptions is Run with full control over the FTL mechanisms, for
+// runOptions is Run with full control over the FTL composition, for
 // ablations (e.g., CAGC without hot/cold placement, or without the
 // hash/erase overlap).
-func RunOptions(w Workload, opts Options, policy string, p Params) (*Result, error) {
+func runOptions(w Workload, opts ftl.Options, policy string, p Params) (*Result, error) {
 	p = p.withDefaults()
 	cfg, spec, err := buildRun(w, opts, policy, p)
 	if err != nil {
@@ -188,12 +236,16 @@ func RunOptions(w Workload, opts Options, policy string, p Params) (*Result, err
 // RunFleet, ReplayTrace/ReplayFile, RunScenario, RunArray and
 // LogicalPagesFor — so a Params field means the same in each of them.
 // p must already carry defaults.
-func buildRun(w Workload, opts Options, policy string, p Params) (sim.Config, trace.Spec, error) {
+func buildRun(w Workload, opts ftl.Options, policy string, p Params) (sim.Config, trace.Spec, error) {
+	if err := p.check(); err != nil {
+		return sim.Config{}, trace.Spec{}, err
+	}
 	pol, err := ftl.PolicyByName(policy, p.Seed)
 	if err != nil {
 		return sim.Config{}, trace.Spec{}, err
 	}
 	opts.Policy = pol
+	p = p.readBy(opts)
 	if opts.RefThreshold == 0 || p.RefThreshold != 1 {
 		opts.RefThreshold = p.RefThreshold
 	}

@@ -18,8 +18,9 @@ import (
 )
 
 // The CLI and the service share one set of bounds: each case fails
-// through cagcsim's run and through POST /v1/jobs with the same
-// message, and cagcsim fails it before creating a profile file.
+// through cagcsim's run (or, for a knob with no flag, cagc.Job.Resolve)
+// and through POST /v1/jobs with the same message, and cagcsim fails it
+// before creating a profile file.
 func TestBoundsMatchService(t *testing.T) {
 	s := serve.New(serve.Options{})
 	defer s.Shutdown(context.Background())
@@ -40,15 +41,34 @@ func TestBoundsMatchService(t *testing.T) {
 		{[]string{"-fleet", "2", "-fleet-stagger", "-3"}, `{"kind":"fleet","fleet":{"Devices":2,"StaggerClasses":-3}}`},
 		{[]string{"-fleet", "2", "-fleet-util-spread", "1.5"}, `{"kind":"fleet","fleet":{"Devices":2,"UtilSpread":1.5}}`},
 		{[]string{"-workload", "postgres"}, `{"workload":"postgres"}`},
+		// Bounded whether or not the scheme reads the knob.
+		{[]string{"-threshold", "-2"}, `{"params":{"RefThreshold":-2}}`},
+		{[]string{"-scheme", "baseline", "-threshold", "-2"}, `{"scheme":"baseline","params":{"RefThreshold":-2}}`},
+		// Knobs with no flag: the service must refuse them in Resolve.
+		{nil, `{"params":{"WearLevelThreshold":-1}}`},
+		{nil, `{"scheme":"baseline","params":{"IndexCapacity":-1}}`},
+		{nil, `{"params":{"MappingCache":-1}}`},
+		{nil, `{"params":{"EraseLimit":-1}}`},
 	} {
-		cpu := filepath.Join(t.TempDir(), "cpu.pprof")
-		err := run(append(tc.args, "-cpuprofile", cpu), io.Discard, io.Discard)
-		if err == nil {
-			t.Errorf("cagcsim %v: no error", tc.args)
-			continue
-		}
-		if _, statErr := os.Stat(cpu); !os.IsNotExist(statErr) {
-			t.Errorf("cagcsim %v: profile file created despite the bound", tc.args)
+		var err error
+		if tc.args == nil {
+			var j cagc.Job
+			if err := json.Unmarshal([]byte(tc.spec), &j); err != nil {
+				t.Fatal(err)
+			}
+			if _, err = j.Resolve(); err == nil {
+				t.Errorf("Resolve %s: no error", tc.spec)
+				continue
+			}
+		} else {
+			cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+			if err = run(append(tc.args, "-cpuprofile", cpu), io.Discard, io.Discard); err == nil {
+				t.Errorf("cagcsim %v: no error", tc.args)
+				continue
+			}
+			if _, statErr := os.Stat(cpu); !os.IsNotExist(statErr) {
+				t.Errorf("cagcsim %v: profile file created despite the bound", tc.args)
+			}
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(tc.spec)))

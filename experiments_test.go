@@ -37,10 +37,12 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// The canonical names parse to the schemes they name, in order.
 func TestParseSchemePublic(t *testing.T) {
-	s, err := ParseScheme("cagc")
-	if err != nil || s != CAGC {
-		t.Fatalf("ParseScheme: %v, %v", s, err)
+	for i, name := range SchemeNames() {
+		if s, err := ParseScheme(name); err != nil || s != Schemes[i] {
+			t.Errorf("SchemeNames()[%d] = %q parses to %v, %v", i, name, s, err)
+		}
 	}
 }
 

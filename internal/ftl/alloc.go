@@ -237,7 +237,7 @@ func (f *FTL) CheckInvariants() error {
 	if validOwned != f.LiveContents() {
 		return fmt.Errorf("%d valid pages but %d live contents", validOwned, f.LiveContents())
 	}
-	if f.opts.GCDedup {
+	if f.opts.HashAt.atMigrate() {
 		if err := f.checkReverseMap(); err != nil {
 			return err
 		}

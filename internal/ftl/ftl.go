@@ -76,7 +76,7 @@ type FTL struct {
 	// describes. LiveContents is the index's live CIDs plus these.
 	private int
 	// rev is the exact reverse map for GC-time merges (see revMap). Its
-	// only reader is remapAll, which runs under Options.GCDedup alone,
+	// only reader is remapAll, which runs when GC hashes (HashAtMigrate*),
 	// so Baseline and Inline-Dedupe never link into it and it stays
 	// empty; private pages are on no chain.
 	rev revMap
@@ -96,7 +96,7 @@ type FTL struct {
 	inGC        bool
 	gcBusyUntil event.Time // horizon of the latest GC flash operation
 	// gcHashEnd is the completion horizon of the current collection's
-	// hash reservations. Trace-only: with OverlapHash a fingerprint can
+	// hash reservations. Trace-only: under HashAtMigrate a fingerprint can
 	// outlive both the erase and the last program, and the gc.collect
 	// span must still enclose it. Never feeds back into simulated time.
 	gcHashEnd event.Time
@@ -300,7 +300,7 @@ func (f *FTL) checkLPN(lpn uint64) error {
 // bind points lpn at s (nilSlot unmaps it), moving it between reverse-
 // map chains when the scheme can read them (see rev).
 func (f *FTL) bind(lpn uint64, s slot) {
-	if f.opts.GCDedup {
+	if f.opts.HashAt.atMigrate() {
 		f.rev.move(uint32(lpn), f.mapping[lpn].chain(), s.chain())
 	}
 	f.mapping[lpn] = s
@@ -320,7 +320,7 @@ func (f *FTL) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (event.Time
 
 	old := f.mapping[lpn]
 
-	if f.opts.InlineDedup {
+	if f.opts.HashAt == HashAtWrite {
 		return f.writeInline(at, lpn, fp, old)
 	}
 

@@ -64,14 +64,9 @@ func TestNewValidation(t *testing.T) {
 		t.Error("negative threshold accepted")
 	}
 	bad = Defaults()
-	bad.InlineDedup, bad.GCDedup = true, true
+	bad.HashAt = HashAtMigrateSerial + 1
 	if _, err := New(dev, 100, bad); err == nil {
-		t.Error("inline+GC dedup accepted")
-	}
-	bad = Defaults()
-	bad.OverlapHash = true
-	if _, err := New(dev, 100, bad); err == nil {
-		t.Error("overlap without GC dedup accepted")
+		t.Error("unknown HashAt accepted")
 	}
 }
 
@@ -86,9 +81,13 @@ func TestSchemeNames(t *testing.T) {
 		t.Error("cagc name")
 	}
 	o := CAGCOptions()
+	o.HashAt = HashAtMigrateSerial
+	if o.SchemeName() != "CAGC" {
+		t.Error("serial ablation name")
+	}
 	o.HotCold = false
 	if o.SchemeName() != "CAGC(no-placement)" {
-		t.Error("ablation name")
+		t.Error("placement ablation name")
 	}
 }
 
@@ -399,9 +398,9 @@ func TestCAGCColdRegionPlacement(t *testing.T) {
 
 func TestSerialVsOverlapHashTiming(t *testing.T) {
 	// The overlap pipeline must never be slower than the serial one.
-	mk := func(overlap bool) Stats {
+	mk := func(at HashAt) Stats {
 		o := CAGCOptions()
-		o.OverlapHash = overlap
+		o.HashAt = at
 		f := newFTL(t, o)
 		churn(t, f, int(f.LogicalPages())*3, 64, 7)
 		if err := f.CheckInvariants(); err != nil {
@@ -409,8 +408,8 @@ func TestSerialVsOverlapHashTiming(t *testing.T) {
 		}
 		return f.Stats()
 	}
-	so := mk(true)
-	ss := mk(false)
+	so := mk(HashAtMigrate)
+	ss := mk(HashAtMigrateSerial)
 	// Same logical work happens either way.
 	if so.UserWritePages != ss.UserWritePages {
 		t.Fatalf("different work: %d vs %d", so.UserWritePages, ss.UserWritePages)

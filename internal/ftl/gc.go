@@ -14,15 +14,15 @@ import (
 // below the watermark (Table I: 20%), it selects victims with the
 // configured policy, migrates their valid pages, and erases them.
 //
-// With GCDedup (CAGC), each migrated page that has never been hashed is
-// fingerprinted on the controller hash engine; redundant copies are
-// dropped (one metadata merge instead of a program), unique copies are
-// published into the fingerprint index, and pages are placed into the
-// hot or cold region by reference count. With OverlapHash the hash
-// engine runs in parallel with the die timelines, hiding fingerprint
-// latency under page copies and block erases (the paper's
-// parallelization); without it every page is processed strictly
-// serially (read, hash, program, next page) — the ablation.
+// When GC hashes (HashAtMigrate, CAGC), each migrated page that has
+// never been hashed is fingerprinted on the controller hash engine;
+// redundant copies are dropped (one metadata merge instead of a
+// program), unique copies are published into the fingerprint index, and
+// pages are placed into the hot or cold region by reference count. The
+// hash engine runs in parallel with the die timelines, hiding
+// fingerprint latency under page copies and block erases (the paper's
+// parallelization); under HashAtMigrateSerial every page is processed
+// strictly serially (read, hash, program, next page) — the ablation.
 
 // maxGCBatch bounds how many victims one GC invocation reclaims. GC is
 // incremental: if the pool is still below the watermark afterwards, the
@@ -158,8 +158,8 @@ func (f *FTL) CollectAll(now event.Time) error {
 
 // collect reclaims one victim block: migrate valid pages, erase, free.
 //
-// Timing model: in the overlapped mode (Baseline GC, and CAGC with
-// OverlapHash) every flash operation of the collection is enqueued at
+// Timing model: in the overlapped mode (every HashAt but
+// HashAtMigrateSerial) every flash operation of the collection is enqueued at
 // `now` on its die and drains behind whatever that die is already
 // doing; the victim's erase queues on the victim die after the valid-
 // page reads (once a page is read into controller RAM the block may be
@@ -191,7 +191,7 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 		f.blocks[victim].state = blkClosed
 		f.indexClosed(victim, blk)
 	}
-	// With OverlapHash a fingerprint can complete after both the erase
+	// Under HashAtMigrate a fingerprint can complete after both the erase
 	// and the last program; the span must enclose it.
 	if f.gcHashEnd > done {
 		done = f.gcHashEnd
@@ -233,7 +233,7 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Blo
 	}
 
 	migrated := now
-	if f.opts.GCDedup && !f.opts.OverlapHash {
+	if f.opts.HashAt == HashAtMigrateSerial {
 		migrated = blockDone
 	}
 	eraseEnd, err := f.dev.EraseBlock(now, migrated, victim)
@@ -269,7 +269,7 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Blo
 // migratePage relocates (or dedups away) one valid page during GC and
 // returns the completion time of its processing.
 func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, owner slot) (event.Time, error) {
-	overlap := !f.opts.GCDedup || f.opts.OverlapHash
+	overlap := f.opts.HashAt != HashAtMigrateSerial
 	start := now
 	if !overlap {
 		start = *cursor
@@ -281,7 +281,7 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, own
 		return 0, err
 	}
 
-	if f.opts.GCDedup {
+	if f.opts.HashAt.atMigrate() {
 		hashed := false // a private page never is
 		if !owner.private() {
 			if hashed, err = f.idx.Indexed(owner.cid()); err != nil {

@@ -119,7 +119,7 @@ func TestSerialModeErasesAfterChains(t *testing.T) {
 	// the GC horizon must therefore sit beyond a freshly-triggered
 	// collection's read phase.
 	o := CAGCOptions()
-	o.OverlapHash = false
+	o.HashAt = HashAtMigrateSerial
 	f := newFTL(t, o)
 	churn(t, f, int(f.LogicalPages())*3, 32, 26)
 	if err := f.CheckInvariants(); err != nil {
@@ -307,7 +307,7 @@ func TestDemotionAccounting(t *testing.T) {
 }
 
 // The reverse map costs only the scheme that can read it: its one
-// reader, remapAll, runs under GCDedup, so after duplicate-heavy churn
+// reader, remapAll, runs only when GC hashes, so after duplicate-heavy churn
 // with trims Baseline and Inline-Dedupe hold empty tables, while CAGC
 // still merges references through it.
 func TestReverseMapOnlyUnderGCDedup(t *testing.T) {
@@ -343,7 +343,7 @@ func TestReverseMapOnlyUnderGCDedup(t *testing.T) {
 					t.Fatalf("read lpn %d: %v", lpn, err)
 				}
 			}
-			if tc.opts.GCDedup {
+			if tc.opts.HashAt.atMigrate() {
 				if st.GCDupDropped == 0 || len(f.rev.next) == 0 {
 					t.Fatalf("CAGC merged nothing through the reverse map: %d dropped, %d LPNs",
 						st.GCDupDropped, len(f.rev.next))

@@ -35,7 +35,7 @@ const (
 // legName names the corpus files of the legs.
 var legName = [numLegs]string{"capacity", "mapcache", "wearlevel"}
 
-// runAgainstModel decodes data into a scheme, a policy, option legs and
+// runAgainstModel decodes data into a composition, a policy, option legs and
 // an operation stream, applies the stream to an FTL on a 64-page device
 // and to the model, and compares them every modelCheckEvery operations
 // and at the end. Victim selection goes through checkedPolicy, so each
@@ -45,7 +45,12 @@ func runAgainstModel(t *testing.T, data []byte) *FTL {
 	if len(data) < 2 {
 		return nil
 	}
-	opts := []Options{BaselineOptions(), InlineDedupeOptions(), CAGCOptions()}[data[0]%3]
+	// data[0]%8 is the composition: every HashAt, each with and without
+	// hot/cold placement. Bit 2 flips placement away from the scheme's
+	// own choice, so 0, 1 and 2 stay Baseline, Inline-Dedupe and CAGC.
+	opts := Defaults()
+	opts.HashAt = HashAt(data[0] % 4)
+	opts.HotCold = opts.HashAt.atMigrate() != (data[0]&4 != 0)
 	policy := checkedPolicies(t)[data[1]%3]
 	opts.Policy = policy
 	legs := data[1] / 3
@@ -163,9 +168,9 @@ func compareWithModel(t *testing.T, f *FTL, model map[uint64]dedup.Fingerprint, 
 	}
 	lo, hi := len(distinct), len(model)
 	switch {
-	case f.opts.InlineDedup && f.opts.IndexCapacity == 0:
+	case f.opts.HashAt == HashAtWrite && f.opts.IndexCapacity == 0:
 		hi = lo
-	case !f.opts.InlineDedup && !f.opts.GCDedup:
+	case f.opts.HashAt == HashNever:
 		lo = hi
 	}
 	if valid < lo || valid > hi {
@@ -198,7 +203,8 @@ func compareWithModel(t *testing.T, f *FTL, model map[uint64]dedup.Fingerprint, 
 }
 
 // modelStream is a deterministic operation stream long enough to fill
-// the device several times over, for the given scheme and policy bytes.
+// the device several times over, for the given composition and policy
+// bytes.
 func modelStream(scheme, policy byte, ops int) []byte {
 	data := []byte{scheme, policy}
 	x := uint32(scheme)*31 + uint32(policy)*7 + 1
@@ -209,28 +215,28 @@ func modelStream(scheme, policy byte, ops int) []byte {
 	return data
 }
 
-// TestFTLAgainstModel runs the model comparison over every scheme and
-// policy, and every scheme under each option leg, on streams that are
-// known to reach GC, so plain `go test` covers what the fuzz target
-// explores.
+// TestFTLAgainstModel runs the model comparison over every composition
+// and policy, and every composition under each option leg, on streams
+// that are known to reach GC, so plain `go test` covers what the fuzz
+// target explores.
 func TestFTLAgainstModel(t *testing.T) {
-	for scheme := byte(0); scheme < 3; scheme++ {
+	for scheme := byte(0); scheme < 8; scheme++ {
 		for policy := byte(0); policy < 3; policy++ {
 			st := runAgainstModel(t, modelStream(scheme, policy, 2000)).Stats()
-			// Inline-Dedupe stores 16 pages at most here: never short
+			// Hashing at write stores 16 pages at most here: never short
 			// enough of free blocks for idle GC to have work.
-			if st.BlocksErased == 0 || st.PagesMigrated == 0 || (st.IdleGCCollects == 0 && scheme != 1) {
+			if st.BlocksErased == 0 || st.PagesMigrated == 0 || (st.IdleGCCollects == 0 && scheme%4 != 1) {
 				t.Errorf("scheme %d policy %d: stream never reached GC: %+v", scheme, policy, st)
 			}
 		}
 		for leg := 0; leg < numLegs; leg++ {
 			f := runAgainstModel(t, modelStream(scheme, 3<<leg, 2000))
-			// Each leg must reach what it exists for (Baseline has no
-			// index to bound).
+			// Each leg must reach what it exists for (a composition that
+			// never hashes has no index to bound).
 			reached := true
 			switch 1 << leg {
 			case legCapacity:
-				reached = scheme == 0 || f.Index().Evictions() > 0
+				reached = scheme%4 == 0 || f.Index().Evictions() > 0
 			case legMappingCache:
 				reached = f.MapCacheStats().Hits > 0
 			case legWearLevel:
@@ -245,7 +251,8 @@ func TestFTLAgainstModel(t *testing.T) {
 
 // FuzzFTLAgainstModel is the open-ended form; the seed corpus under
 // testdata/fuzz/FuzzFTLAgainstModel holds one GC-reaching stream per
-// scheme and policy, and per scheme and option leg (greedy).
+// scheme and policy, and per scheme and option leg (greedy); the fuzzer
+// reaches the other five compositions through the first byte.
 func FuzzFTLAgainstModel(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 1, 5, 0, 0, 2, 5, 9, 0, 1, 0, 15, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { runAgainstModel(t, data) })

@@ -6,17 +6,36 @@ import (
 	"cagc/internal/event"
 )
 
+// HashAt is when a page's content is fingerprinted (hashed and looked
+// up in the index) — the one decision the paper's schemes differ in.
+type HashAt uint8
+
+const (
+	// HashNever: no deduplication anywhere (Baseline).
+	HashNever HashAt = iota
+	// HashAtWrite: on the foreground write path (the Inline-Dedupe
+	// comparator, Figures 2 and 11).
+	HashAtWrite
+	// HashAtMigrate: on valid pages as GC migrates them, the hash
+	// engine pipelined with page copies and block erases (CAGC's first
+	// prong and the paper's parallelization).
+	HashAtMigrate
+	// HashAtMigrateSerial: as HashAtMigrate, but each migrated page is
+	// processed strictly serially — read, hash, program — the ablation
+	// isolating the pipelining claim.
+	HashAtMigrateSerial
+)
+
+// atMigrate reports whether GC fingerprints the pages it migrates.
+func (h HashAt) atMigrate() bool { return h >= HashAtMigrate }
+
 // Options selects which of the paper's mechanisms are active in an FTL
-// instance. The three evaluated schemes are specific combinations (see
-// the constructors below), but every knob can be toggled independently
-// for ablation studies.
+// instance. The three evaluated schemes are specific compositions (see
+// the constructors below), but every knob can be set independently for
+// ablation studies.
 type Options struct {
-	// InlineDedup runs fingerprinting + index lookup on the foreground
-	// write path (the Inline-Dedupe comparator, Figures 2 and 11).
-	InlineDedup bool
-	// GCDedup runs fingerprinting + index lookup on valid pages as
-	// they are migrated during GC (CAGC's first prong).
-	GCDedup bool
+	// HashAt is when content is fingerprinted (default HashNever).
+	HashAt HashAt
 	// HotCold places pages into the cold region when their reference
 	// count exceeds RefThreshold (CAGC's second prong). Without it all
 	// writes go to the hot region.
@@ -24,11 +43,6 @@ type Options struct {
 	// RefThreshold is the reference count above which a page is
 	// considered cold (paper default 1).
 	RefThreshold int
-	// OverlapHash pipelines GC-time hashing with page copies and block
-	// erases (the paper's parallelization). When false, each migrated
-	// page is processed strictly serially: read, hash, program —
-	// the ablation isolating the pipelining claim.
-	OverlapHash bool
 	// Policy selects GC victims. Defaults to GreedyPolicy.
 	Policy VictimPolicy
 	// Watermark is the free-block fraction below which GC triggers
@@ -76,7 +90,7 @@ func BaselineOptions() Options { return Defaults() }
 // fingerprints computed on the critical write path.
 func InlineDedupeOptions() Options {
 	o := Defaults()
-	o.InlineDedup = true
+	o.HashAt = HashAtWrite
 	return o
 }
 
@@ -85,9 +99,8 @@ func InlineDedupeOptions() Options {
 // placement.
 func CAGCOptions() Options {
 	o := Defaults()
-	o.GCDedup = true
+	o.HashAt = HashAtMigrate
 	o.HotCold = true
-	o.OverlapHash = true
 	return o
 }
 
@@ -124,11 +137,8 @@ func (o Options) normalize() (Options, error) {
 	if o.MappingCache < 0 {
 		return o, fmt.Errorf("ftl: negative MappingCache")
 	}
-	if o.InlineDedup && o.GCDedup {
-		return o, fmt.Errorf("ftl: InlineDedup and GCDedup are mutually exclusive")
-	}
-	if o.OverlapHash && !o.GCDedup {
-		return o, fmt.Errorf("ftl: OverlapHash requires GCDedup")
+	if o.HashAt > HashAtMigrateSerial {
+		return o, fmt.Errorf("ftl: unknown HashAt %d", o.HashAt)
 	}
 	return o, nil
 }
@@ -136,11 +146,11 @@ func (o Options) normalize() (Options, error) {
 // SchemeName renders the active mechanism combination for reports.
 func (o Options) SchemeName() string {
 	switch {
-	case o.InlineDedup:
+	case o.HashAt == HashAtWrite:
 		return "Inline-Dedupe"
-	case o.GCDedup && o.HotCold:
+	case o.HashAt.atMigrate() && o.HotCold:
 		return "CAGC"
-	case o.GCDedup:
+	case o.HashAt.atMigrate():
 		return "CAGC(no-placement)"
 	default:
 		return "Baseline"

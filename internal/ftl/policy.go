@@ -8,6 +8,7 @@ package ftl
 
 import (
 	"fmt"
+	"slices"
 
 	"cagc/internal/event"
 	"cagc/internal/flash"
@@ -133,16 +134,34 @@ func costBenefit(now event.Time, blk *flash.Block) float64 {
 	return age * (1 - u) / (2 * u)
 }
 
-// PolicyByName constructs a policy from its CLI name.
+// policies is the victim-policy vocabulary: the names PolicyByName
+// accepts (the canonical one, the policy's Name, first) and the
+// constructor.
+var policies = []struct {
+	names []string
+	build func(seed int64) VictimPolicy
+}{
+	{[]string{"greedy"}, func(int64) VictimPolicy { return GreedyPolicy{} }},
+	{[]string{"random"}, func(seed int64) VictimPolicy { return NewRandomPolicy(seed) }},
+	{[]string{"cost-benefit", "costbenefit", "cb"}, func(int64) VictimPolicy { return CostBenefitPolicy{} }},
+}
+
+// PolicyByName constructs a policy from its CLI name or an alias; the
+// policy's Name is the canonical name.
 func PolicyByName(name string, seed int64) (VictimPolicy, error) {
-	switch name {
-	case "greedy":
-		return GreedyPolicy{}, nil
-	case "random":
-		return NewRandomPolicy(seed), nil
-	case "cost-benefit", "costbenefit", "cb":
-		return CostBenefitPolicy{}, nil
-	default:
-		return nil, fmt.Errorf("ftl: unknown victim policy %q (want greedy, random, or cost-benefit)", name)
+	for _, p := range policies {
+		if slices.Contains(p.names, name) {
+			return p.build(seed), nil
+		}
 	}
+	return nil, fmt.Errorf("ftl: unknown victim policy %q (want one of %v)", name, PolicyNames())
+}
+
+// PolicyNames lists the canonical victim-policy names.
+func PolicyNames() []string {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.names[0]
+	}
+	return names
 }

@@ -179,10 +179,18 @@ func TestCostBenefitDegenerate(t *testing.T) {
 }
 
 func TestPolicyByName(t *testing.T) {
-	for _, name := range []string{"greedy", "random", "cost-benefit", "costbenefit", "cb"} {
+	for name, canonical := range map[string]string{
+		"greedy": "greedy", "random": "random",
+		"cost-benefit": "cost-benefit", "costbenefit": "cost-benefit", "cb": "cost-benefit",
+	} {
 		p, err := PolicyByName(name, 1)
-		if err != nil || p == nil {
-			t.Errorf("%q: %v", name, err)
+		if err != nil || p == nil || p.Name() != canonical {
+			t.Errorf("%q: %v, %v", name, p, err)
+		}
+	}
+	for _, name := range PolicyNames() {
+		if p, err := PolicyByName(name, 1); err != nil || p.Name() != name {
+			t.Errorf("canonical name %q builds %v, %v", name, p, err)
 		}
 	}
 	if _, err := PolicyByName("lru", 1); err == nil {

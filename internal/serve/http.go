@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"cagc"
+	"cagc/internal/ftl"
 )
 
 // jobStatus is the wire form of a job's state (GET /v1/jobs/{id} and
@@ -232,7 +233,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 		"kinds":     kinds,
 		"workloads": workloads,
 		"schemes":   cagc.SchemeNames(),
-		"policies":  cagc.PolicyNames(),
+		"policies":  ftl.PolicyNames(),
 	})
 }
 

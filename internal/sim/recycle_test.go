@@ -411,7 +411,7 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 			// The FTL's private-page counter is compared like every other
 			// field; it must not be trivially zero where the scheme keeps
 			// private pages, and must be zero where it does not.
-			if private := master.f.LiveContents() - master.f.Index().Live(); (private > 0) == tc.opts.InlineDedup {
+			if private := master.f.LiveContents() - master.f.Index().Live(); (private > 0) == (tc.opts.HashAt == ftl.HashAtWrite) {
 				t.Fatalf("%d private pages under %s", private, tc.opts.SchemeName())
 			}
 			clone := master.Clone()

@@ -102,6 +102,29 @@ func nonNegative(bs ...bound) error {
 	return nil
 }
 
+// check refuses the Params out of range, naming the first such field.
+// p must carry defaults, so a zero field is its default. Every entry
+// mode checks through buildRun; Resolve checks before anything runs.
+func (p Params) check() error {
+	if err := nonNegative(
+		bound{"Params.DeviceBytes", p.DeviceBytes},
+		bound{"Params.Requests", int64(p.Requests)},
+		bound{"Params.QueueDepth", int64(p.QueueDepth)},
+		bound{"Params.BufferPages", int64(p.BufferPages)},
+		bound{"Params.RefThreshold", int64(p.RefThreshold)},
+		bound{"Params.WearLevelThreshold", int64(p.WearLevelThreshold)},
+		bound{"Params.IndexCapacity", int64(p.IndexCapacity)},
+		bound{"Params.MappingCache", int64(p.MappingCache)},
+		bound{"Params.EraseLimit", int64(p.EraseLimit)},
+	); err != nil {
+		return err
+	}
+	if u := p.Utilization; u <= 0 || u >= 1 {
+		return fmt.Errorf("Params.Utilization %g: must be in (0, 1)", u)
+	}
+	return nil
+}
+
 // Resolve applies every default, checks every bound and computes the
 // job's identity. It has no side effects, so a front end rejects a bad
 // job before it commits anything (profile files, a queue slot).
@@ -133,26 +156,22 @@ func (j Job) Resolve() (*ResolvedJob, error) {
 	if r.Scheme, err = ParseScheme(cmp.Or(j.Scheme, "cagc")); err != nil {
 		return nil, err
 	}
-	if _, err := ftl.PolicyByName(r.Policy, 1); err != nil {
+	pol, err := ftl.PolicyByName(r.Policy, 1)
+	if err != nil {
 		return nil, err
 	}
+	r.Policy = pol.Name() // an alias must not fork the identity
 	p := j.Params
 	if r.Kind == KindFleet && p.Requests == 0 {
 		p.Requests = fleetRequests
 	}
 	// Bounds apply after the defaults, so a zero field is its default.
 	r.Params = p.withDefaults()
-	if err := nonNegative(
-		bound{"Params.DeviceBytes", r.Params.DeviceBytes},
-		bound{"Params.Requests", int64(r.Params.Requests)},
-		bound{"Params.QueueDepth", int64(r.Params.QueueDepth)},
-		bound{"Params.BufferPages", int64(r.Params.BufferPages)},
-		bound{"Workers", int64(j.Workers)},
-	); err != nil {
+	if err := r.Params.check(); err != nil {
 		return nil, err
 	}
-	if u := r.Params.Utilization; u <= 0 || u >= 1 {
-		return nil, fmt.Errorf("Params.Utilization %g: must be in (0, 1)", u)
+	if err := nonNegative(bound{"Workers", int64(j.Workers)}); err != nil {
+		return nil, err
 	}
 
 	switch r.Kind {

@@ -12,12 +12,14 @@ package cagc
 // service cache entry.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
 
 	"cagc/internal/fleet"
+	"cagc/internal/ftl"
 )
 
 // configKeyVersion is bumped whenever the simulation's output for a
@@ -69,9 +71,9 @@ func fleetKey(run string, fc fleet.Config) string {
 // configKeyMaterial is the canonical preimage — kept separate so tests
 // can assert exactly which fields enter the identity.
 func configKeyMaterial(w Workload, s Scheme, policy string, p Params) string {
-	p = p.withDefaults()
-	if policy == "" {
-		policy = "greedy"
+	p = p.withDefaults().readBy(s.Options())
+	if pol, err := ftl.PolicyByName(cmp.Or(policy, "greedy"), 1); err == nil {
+		policy = pol.Name()
 	}
 	return fmt.Sprintf(
 		"%s|workload=%s|scheme=%s|policy=%s|device_bytes=%d|requests=%d|seed=%d|util=%g|"+

@@ -34,6 +34,33 @@ func TestConfigKeyCanonical(t *testing.T) {
 		}
 	}
 
+	// A policy alias keys as its canonical name.
+	cb := ConfigKey(Mail, CAGC, "cost-benefit", Params{})
+	for _, alias := range []string{"costbenefit", "cb"} {
+		if ConfigKey(Mail, CAGC, alias, Params{}) != cb {
+			t.Errorf("policy %q keys apart from cost-benefit", alias)
+		}
+		r, err := Job{Policy: alias}.Resolve()
+		if err != nil || r.Key != cb || r.Policy != "cost-benefit" {
+			t.Errorf("Job{Policy: %q}.Resolve() = %v, %v", alias, r, err)
+		}
+	}
+
+	// A knob the scheme's composition never reads keys as its default:
+	// Baseline neither hashes nor places, Inline-Dedupe never places.
+	for _, tc := range []struct {
+		s Scheme
+		p Params
+	}{
+		{Baseline, Params{IndexCapacity: 16}},
+		{Baseline, Params{RefThreshold: 3}},
+		{InlineDedupe, Params{RefThreshold: 3}},
+	} {
+		if ConfigKey(Mail, tc.s, "", tc.p) != ConfigKey(Mail, tc.s, "", Params{}) {
+			t.Errorf("%v with %+v keys apart from its default", tc.s, tc.p)
+		}
+	}
+
 	// Output-affecting fields each change it.
 	diff := map[string]string{
 		"workload":  ConfigKey(Homes, CAGC, "", Params{}),
@@ -57,6 +84,48 @@ func TestConfigKeyCanonical(t *testing.T) {
 			t.Fatalf("field %s keys identically to %s", field, prev)
 		}
 		seen[key] = field
+	}
+}
+
+// The knobs a composition never reads are outside its identity in every
+// sense: the run renders its default's document, and it shares its
+// default's warm state.
+func TestUnreadKnobsShareIdentity(t *testing.T) {
+	base := Params{Requests: 2000}.withDefaults()
+	for _, tc := range []struct {
+		s Scheme
+		p Params
+	}{
+		{Baseline, Params{Requests: 2000, IndexCapacity: 16}},
+		{Baseline, Params{Requests: 2000, RefThreshold: 3}},
+		{InlineDedupe, Params{Requests: 2000, RefThreshold: 3}},
+	} {
+		p := tc.p.withDefaults()
+		warm := func(p Params) string {
+			cfg, spec, err := buildRun(Mail, tc.s.Options(), "greedy", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return warmKey(cfg, spec, p.Seed)
+		}
+		if warm(p) != warm(base) {
+			t.Errorf("%v with %+v builds its own warm state", tc.s, tc.p)
+		}
+		run := func(p Params) string {
+			res, err := Run(Mail, tc.s, "greedy", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resultDoc(t, res)
+		}
+		if run(p) != run(base) {
+			t.Errorf("%v with %+v renders a different document", tc.s, tc.p)
+		}
+	}
+	// The bounds hold whether or not the composition reads the knob.
+	if _, err := Run(Mail, Baseline, "greedy", Params{RefThreshold: -2}); err == nil ||
+		err.Error() != "Params.RefThreshold -2: cannot be negative" {
+		t.Errorf("Baseline with RefThreshold -2: %v", err)
 	}
 }
 

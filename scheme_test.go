@@ -3,27 +3,26 @@ package cagc
 import (
 	"testing"
 
-	"cagc/internal/flash"
+	"cagc/internal/ftl"
 )
 
 func TestSchemeStrings(t *testing.T) {
 	if Baseline.String() != "Baseline" || InlineDedupe.String() != "Inline-Dedupe" || CAGC.String() != "CAGC" {
 		t.Fatal("scheme strings wrong")
 	}
-	if Scheme(9).String() == "" {
+	if Scheme(9).String() != "Scheme(9)" {
 		t.Fatal("unknown scheme should print")
 	}
 }
 
+// Scheme names fold case, like workload names.
 func TestParseScheme(t *testing.T) {
-	cases := map[string]Scheme{
-		"baseline": Baseline, "Baseline": Baseline,
-		"inline": InlineDedupe, "inline-dedupe": InlineDedupe, "Inline-Dedupe": InlineDedupe,
-		"cagc": CAGC, "CAGC": CAGC,
-	}
-	for in, want := range cases {
-		got, err := ParseScheme(in)
-		if err != nil || got != want {
+	for in, want := range map[string]Scheme{
+		"baseline": Baseline, "Baseline": Baseline, "BASELINE": Baseline,
+		"inline": InlineDedupe, "inline-dedupe": InlineDedupe, "Inline-Dedupe": InlineDedupe, "INLINE": InlineDedupe,
+		"cagc": CAGC, "CAGC": CAGC, "Cagc": CAGC,
+	} {
+		if got, err := ParseScheme(in); err != nil || got != want {
 			t.Errorf("ParseScheme(%q) = %v, %v", in, got, err)
 		}
 	}
@@ -32,39 +31,26 @@ func TestParseScheme(t *testing.T) {
 	}
 }
 
+// Each scheme is one composition: when content is hashed, and whether
+// hashed content is placed by reference count.
 func TestSchemeOptions(t *testing.T) {
-	if o := Baseline.Options(); o.InlineDedup || o.GCDedup {
-		t.Error("baseline options have dedup")
-	}
-	if o := InlineDedupe.Options(); !o.InlineDedup || o.GCDedup {
-		t.Error("inline options wrong")
-	}
-	if o := CAGC.Options(); !o.GCDedup || !o.HotCold || !o.OverlapHash {
-		t.Error("cagc options wrong")
-	}
-}
-
-func TestBuild(t *testing.T) {
-	cfg := flash.ScaledConfig(8 << 20)
-	dev, err := flash.NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Build(dev, uint64(float64(cfg.UserPages())*0.75), CAGC, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Options().SchemeName() != "CAGC" {
-		t.Fatalf("built scheme = %s", f.Options().SchemeName())
+	for _, tc := range []struct {
+		s       Scheme
+		at      ftl.HashAt
+		hotCold bool
+	}{
+		{Baseline, ftl.HashNever, false},
+		{InlineDedupe, ftl.HashAtWrite, false},
+		{CAGC, ftl.HashAtMigrate, true},
+	} {
+		if o := tc.s.Options(); o.HashAt != tc.at || o.HotCold != tc.hotCold {
+			t.Errorf("%v: HashAt %d, HotCold %v; want %d, %v", tc.s, o.HashAt, o.HotCold, tc.at, tc.hotCold)
+		}
 	}
 }
 
 func TestFigure8WorkedExample(t *testing.T) {
-	base, err := WorkedExample(Baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := WorkedExample(CAGC)
+	base, cg, err := Figure8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +104,11 @@ func TestFigure8WorkedExample(t *testing.T) {
 }
 
 func TestWorkedExampleDeterministic(t *testing.T) {
-	a, err := WorkedExample(CAGC)
+	a, err := workedExample(CAGC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := WorkedExample(CAGC)
+	b, err := workedExample(CAGC)
 	if err != nil {
 		t.Fatal(err)
 	}
