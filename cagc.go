@@ -169,7 +169,7 @@ type Params struct {
 	// observational: results are bit-identical with or without it. On a
 	// warm (cached) run the trace covers the measured replay; combine
 	// with ColdStart to also trace the preconditioning fill.
-	Trace Tracer
+	Trace *TraceRecorder
 	// Ctx, when non-nil, bounds the run's wall clock: the replay (and,
 	// on cold starts, the precondition fill) polls it periodically and
 	// fails with an error wrapping ctx.Err() once it is done. Purely a

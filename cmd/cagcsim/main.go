@@ -155,9 +155,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	case inv.traceOut != "" || inv.traceSum:
 		rec = cagc.NewTraceRecorder()
 	}
-	if rec != nil {
-		inv.job.Params.Trace = rec
-	}
+	inv.job.Params.Trace = rec
 	r, err := inv.job.Resolve()
 	if err != nil {
 		return err

@@ -72,8 +72,8 @@ func run() (retErr error) {
 		} else {
 			rec = cagc.NewTraceRecorder()
 		}
-		p.Trace = rec
 	}
+	p.Trace = rec
 	defer func() {
 		st := cagc.WarmCacheStats()
 		if st.Hits+st.Misses > 0 {

@@ -44,7 +44,7 @@ type WriteBuffer struct {
 	index map[uint64]*list.Element
 	ctrl  event.Time
 	stats Stats
-	tr    obs.Tracer // never nil; obs.Nop when tracing is off
+	tr    *obs.Recorder // nil when tracing is off
 
 	// dirty is true once the slot chain (lru list + index) has diverged
 	// from whatever this buffer was last copied from. A clean chain lets
@@ -64,13 +64,12 @@ func New(f *ftl.FTL, capPages int) (*WriteBuffer, error) {
 		lru:   list.New(),
 		index: make(map[uint64]*list.Element, capPages),
 		ctrl:  f.Options().CtrlLatency,
-		tr:    obs.Nop,
 	}, nil
 }
 
-// SetTracer installs the tracer buffer events are reported to (nil
-// reverts to the no-op default). The wrapped FTL keeps its own tracer.
-func (b *WriteBuffer) SetTracer(tr obs.Tracer) { b.tr = obs.Or(tr) }
+// SetTracer installs the recorder buffer events are reported to (nil
+// turns tracing off). The wrapped FTL keeps its own recorder.
+func (b *WriteBuffer) SetTracer(tr *obs.Recorder) { b.tr = tr }
 
 // slotCopyBytes is the accounted copy cost of one buffered page: the
 // slot value plus its list element and index entry.

@@ -31,8 +31,7 @@ func (s PageState) String() string {
 // Block is the bookkeeping for one erase block. All mutation goes
 // through Device so counters stay consistent.
 type Block struct {
-	states []PageState
-	tags   []uint64 // content stamp per page, for integrity checking
+	states []PageState // this block's window of Device.states
 
 	writePtr   int // next programmable page index (NAND programs in order)
 	validCnt   int

@@ -15,50 +15,29 @@ import (
 // operation stream a cold device in src's state would — warm-state
 // snapshots depend on that.
 //
-// Every block is copied, into d's existing state and tag arrays when it
-// has them, so after the first copy a re-seed is pure copying with zero
-// heap growth.
+// The page arrays are copied into d's existing ones when it has them,
+// so after the first copy a re-seed is pure copying with zero heap
+// growth.
 func (d *Device) CopyFrom(src *Device) int {
-	if len(d.blocks) != len(src.blocks) {
-		d.blocks = make([]Block, len(src.blocks))
-	}
-	n := 0
-	for i := range src.blocks {
-		n += d.copyBlock(src, i)
-	}
-	if len(d.dies) != len(src.dies) {
-		d.dies = make([]*event.Timeline, len(src.dies))
-		for i := range d.dies {
-			d.dies[i] = event.NewTimeline()
-		}
-	}
-	for i, tl := range src.dies {
-		d.dies[i].CopyFrom(tl)
-	}
+	d.states = append(d.states[:0], src.states...)
+	d.tags = append(d.tags[:0], src.tags...)
+	d.blocks = append(d.blocks[:0], src.blocks...)
+	d.window() // the copied headers still point into src.states
+	d.dies = append(d.dies[:0], src.dies...)
 	if d.hash == nil {
 		d.hash = new(event.Pool)
 	}
 	d.hash.CopyFrom(src.hash)
 	d.dieOps = append(d.dieOps[:0], src.dieOps...)
-	n += len(src.dieOps) * int(unsafe.Sizeof(Stats{}))
 	d.cfg = src.cfg
 	d.stats = src.stats
-	d.totalPages = src.totalPages
 	d.dec = src.dec
 	d.tr = src.tr
 	d.now = src.now
-	return n + len(src.dies)*16 + int(unsafe.Sizeof(Device{}))
-}
-
-// copyBlock makes d's block i equal src's, reusing its state and tag
-// arrays, and returns the accounted copy cost: the two arrays plus the
-// block bookkeeping header.
-func (d *Device) copyBlock(src *Device, i int) int {
-	s, dst := &src.blocks[i], &d.blocks[i]
-	states, tags := dst.states[:0], dst.tags[:0]
-	*dst = *s
-	dst.states = append(states, s.states...)
-	dst.tags = append(tags, s.tags...)
-	return len(s.states)*int(unsafe.Sizeof(PageState(0))) +
-		len(s.tags)*8 + int(unsafe.Sizeof(Block{}))
+	return len(src.states)*int(unsafe.Sizeof(PageState(0))) +
+		len(src.tags)*int(unsafe.Sizeof(uint64(0))) +
+		len(src.blocks)*int(unsafe.Sizeof(Block{})) +
+		(len(src.dies)+src.hash.Units())*int(unsafe.Sizeof(event.Timeline{})) +
+		len(src.dieOps)*int(unsafe.Sizeof(Stats{})) +
+		int(unsafe.Sizeof(Device{}))
 }

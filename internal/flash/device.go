@@ -36,19 +36,22 @@ type Stats struct {
 type Device struct {
 	cfg    Config
 	blocks []Block
-	dies   []*event.Timeline
+	// states and tags are the state and content stamp of every page,
+	// indexed by PPN: the page path indexes them without decoding the
+	// address, and a copy is one copy() each. Block.states windows
+	// states block by block.
+	states []PageState
+	tags   []uint64
+	dies   []event.Timeline
 	hash   *event.Pool // controller hash engines
 	stats  Stats
 	dieOps []Stats // per-die operation counts, for balance diagnostics
 
-	// totalPages caches Geometry.TotalPages() — checkPPN guards every
-	// page operation, and recomputing the product there is measurable.
-	totalPages uint64
 	// dec decodes page and block numbers without dividing; built once
 	// here and copied by the FTL (see Decoder).
 	dec Decoder
 
-	tr obs.Tracer // never nil; obs.Nop when tracing is off
+	tr *obs.Recorder // nil when tracing is off
 
 	now event.Time // latest operation time observed, for block ages
 }
@@ -60,23 +63,26 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	g := cfg.Geometry
 	d := &Device{
-		cfg:        cfg,
-		blocks:     make([]Block, g.TotalBlocks()),
-		dies:       make([]*event.Timeline, g.Dies()),
-		hash:       event.NewPool(cfg.hashUnits()),
-		dieOps:     make([]Stats, g.Dies()),
-		tr:         obs.Nop,
-		totalPages: uint64(g.TotalPages()),
-		dec:        newDecoder(g),
+		cfg:    cfg,
+		blocks: make([]Block, g.TotalBlocks()),
+		states: make([]PageState, g.TotalPages()),
+		tags:   make([]uint64, g.TotalPages()),
+		dies:   make([]event.Timeline, g.Dies()),
+		hash:   event.NewPool(cfg.hashUnits()),
+		dieOps: make([]Stats, g.Dies()),
+		dec:    newDecoder(g),
 	}
-	for i := range d.blocks {
-		d.blocks[i].states = make([]PageState, g.PagesPerBlock)
-		d.blocks[i].tags = make([]uint64, g.PagesPerBlock)
-	}
-	for i := range d.dies {
-		d.dies[i] = event.NewTimeline()
-	}
+	d.window()
 	return d, nil
+}
+
+// window points every Block.states at its block's range of d.states.
+func (d *Device) window() {
+	ppb := len(d.states) / len(d.blocks)
+	for i := range d.blocks {
+		lo := i * ppb
+		d.blocks[i].states = d.states[lo : lo+ppb : lo+ppb]
+	}
 }
 
 // Config returns the device configuration.
@@ -104,9 +110,9 @@ func (d *Device) Block(b BlockID) (*Block, error) {
 // DieFreeAt returns when die die becomes idle.
 func (d *Device) DieFreeAt(die DieID) event.Time { return d.dies[die].FreeAt() }
 
-// SetTracer installs the tracer die operations are reported to (nil
-// reverts to the no-op default).
-func (d *Device) SetTracer(tr obs.Tracer) { d.tr = obs.Or(tr) }
+// SetTracer installs the recorder die operations are reported to (nil
+// turns tracing off).
+func (d *Device) SetTracer(tr *obs.Recorder) { d.tr = tr }
 
 // ReserveDie books raw die time for controller-managed traffic that is
 // not part of the data-page state machine (e.g., translation-page I/O
@@ -124,8 +130,8 @@ func (d *Device) ReserveDie(at event.Time, die DieID, dur event.Time) event.Time
 func (d *Device) HashEngine() *event.Pool { return d.hash }
 
 func (d *Device) checkPPN(p PPN) error {
-	if uint64(p) >= d.totalPages {
-		return fmt.Errorf("%w: %d (have %d)", ErrBadPPN, p, d.totalPages)
+	if uint64(p) >= uint64(len(d.states)) {
+		return fmt.Errorf("%w: %d (have %d)", ErrBadPPN, p, len(d.states))
 	}
 	return nil
 }
@@ -143,11 +149,10 @@ func (d *Device) ReadPage(at event.Time, p PPN) (event.Time, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	b, idx := d.dec.Split(p)
-	if d.blocks[b].states[idx] == PageFree {
+	if d.states[p] == PageFree {
 		return 0, fmt.Errorf("%w: ppn %d", ErrNotProgrammed, p)
 	}
-	die := d.dec.DieOfBlock(b)
+	die := d.dec.DieOfBlock(d.dec.BlockOf(p))
 	start, end := d.dies[die].Reserve(at, d.cfg.Latencies.Read)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieRead, start, end, uint64(p))
 	d.stats.PageReads++
@@ -203,8 +208,8 @@ func (d *Device) program(at, dataReady event.Time, b BlockID, blk *Block, p PPN,
 	start, end := d.dies[die].ReserveAfter(at, dataReady, d.cfg.Latencies.Program)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieProgram, start, end, uint64(p))
 	d.dieOps[die].PagePrograms++
-	blk.states[blk.writePtr] = PageValid
-	blk.tags[blk.writePtr] = tag
+	d.states[p] = PageValid
+	d.tags[p] = tag
 	blk.writePtr++
 	blk.validCnt++
 	blk.lastProgram = int64(end)
@@ -219,12 +224,11 @@ func (d *Device) Invalidate(p PPN) error {
 	if err := d.checkPPN(p); err != nil {
 		return err
 	}
-	b, idx := d.dec.Split(p)
-	blk := &d.blocks[b]
-	if blk.states[idx] != PageValid {
-		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, p, blk.states[idx])
+	if d.states[p] != PageValid {
+		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, p, d.states[p])
 	}
-	blk.states[idx] = PageInvalid
+	d.states[p] = PageInvalid
+	blk := &d.blocks[d.dec.BlockOf(p)]
 	blk.validCnt--
 	blk.invalidCnt++
 	return nil
@@ -253,7 +257,8 @@ func (d *Device) EraseBlock(at, migrated event.Time, b BlockID) (event.Time, err
 	// each clear to a runtime memclr, which the per-index loop's pair of
 	// strided stores defeats. PageFree is the zero state.
 	clear(blk.states)
-	clear(blk.tags)
+	lo := d.dec.PageOf(b, 0)
+	clear(d.tags[lo : lo+PPN(len(blk.states))])
 	blk.writePtr = 0
 	blk.invalidCnt = 0
 	blk.eraseCnt++
@@ -267,8 +272,7 @@ func (d *Device) Tag(p PPN) (uint64, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	b, idx := d.dec.Split(p)
-	return d.blocks[b].tags[idx], nil
+	return d.tags[p], nil
 }
 
 // PageStateOf returns the state of page p.
@@ -276,9 +280,13 @@ func (d *Device) PageStateOf(p PPN) (PageState, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	b, idx := d.dec.Split(p)
-	return d.blocks[b].states[idx], nil
+	return d.states[p], nil
 }
+
+// Pages returns the device's page states and content stamps, indexed
+// by PPN. The slices alias the device's own arrays: callers read them
+// (an integrity walk over every page) and must not write them.
+func (d *Device) Pages() ([]PageState, []uint64) { return d.states, d.tags }
 
 // CountStates tallies pages by state across the device, an O(pages)
 // integrity check used by tests.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cagc/internal/event"
 )
@@ -530,5 +531,44 @@ func TestDeviceStateMachineProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// CopyFrom reports every byte it copies: the flat page-state and tag
+// arrays, the block headers, one 24-byte timeline per die and per hash
+// engine, the per-die counters and the device header. The copy is deep:
+// programming the copy leaves the source untouched.
+func TestCopyFromCountsEveryByte(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.HashUnits = 3
+	src := mustDevice(t, cfg)
+	if _, err := src.ProgramPage(0, 0, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.Sizeof(event.Timeline{}) != 24 {
+		t.Fatalf("event.Timeline is %d bytes, the hand sum below assumes 24", unsafe.Sizeof(event.Timeline{}))
+	}
+	g := cfg.Geometry
+	want := g.TotalPages()*1 + // states
+		g.TotalPages()*8 + // tags
+		g.TotalBlocks()*int(unsafe.Sizeof(Block{})) +
+		(g.Dies()+3)*24 + // die timelines + hash-engine units
+		g.Dies()*int(unsafe.Sizeof(Stats{})) +
+		int(unsafe.Sizeof(Device{}))
+	d := new(Device)
+	if got := d.CopyFrom(src); got != want {
+		t.Fatalf("CopyFrom reported %d bytes, hand sum is %d", got, want)
+	}
+	if got := d.CopyFrom(src); got != want {
+		t.Fatalf("re-seed reported %d bytes, hand sum is %d", got, want)
+	}
+	if tag, _ := d.Tag(0); tag != 7 || d.HashEngine().Units() != 3 {
+		t.Fatalf("copy holds tag %d and %d hash units, want 7 and 3", tag, d.HashEngine().Units())
+	}
+	if _, err := d.ProgramPage(0, 0, 1, 9); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := src.PageStateOf(1); st != PageFree || src.blocks[0].Valid() != 1 {
+		t.Fatalf("programming the copy moved the source: page 1 %v, block 0 valid %d", st, src.blocks[0].Valid())
 	}
 }

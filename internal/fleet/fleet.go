@@ -96,7 +96,7 @@ type Config struct {
 	// span, straggler instants) on wall-clock time. Device runs
 	// themselves are never traced — a fleet is observed at fleet
 	// granularity.
-	Tracer obs.Tracer
+	Tracer *obs.Recorder
 }
 
 // Per-device derivation dimensions. Each (fleet seed, device, dim)
@@ -296,7 +296,6 @@ func (c Config) Normalize() (Config, error) {
 			return c, fmt.Errorf("fleet: utilization %.3f ± %.3f leaves (0, 1)", base.Utilization, c.UtilSpread/2)
 		}
 	}
-	c.Tracer = obs.Or(c.Tracer)
 	// Device runs are observed at fleet granularity only: a per-request
 	// tracer on the base config would record millions of events across
 	// thousands of devices and interleave wall-clock-ordered shards.

@@ -165,6 +165,10 @@ func (f *FTL) RegionStats() RegionStats {
 // call it after workloads. It is O(pages) and not used on hot paths.
 func (f *FTL) CheckInvariants() error {
 	g := f.dev.Geometry()
+	// The walk reads the device's flat page arrays directly; every PPN
+	// taken from a table is range-checked before it indexes them.
+	states, tags := f.dev.Pages()
+	owners := f.owners[:len(states)]
 	// Every mapped LPN points at a valid page it owns: directly for a
 	// private page, through a live CID whose stored tag matches the
 	// fingerprint otherwise.
@@ -174,12 +178,15 @@ func (f *FTL) CheckInvariants() error {
 			continue
 		}
 		if s.private() {
-			ppn := flash.PPN(s.page())
-			if st, err := f.dev.PageStateOf(ppn); err != nil || st != flash.PageValid {
-				return fmt.Errorf("lpn %d -> private ppn %d in state %v (%v)", lpn, ppn, st, err)
+			ppn := s.page()
+			if ppn >= uint64(len(states)) {
+				return fmt.Errorf("lpn %d -> private ppn %d beyond the device's %d pages", lpn, ppn, len(states))
 			}
-			if f.owners[ppn] != privateSlot(uint64(lpn)) {
-				return fmt.Errorf("lpn %d -> private ppn %d owned by %v", lpn, ppn, f.owners[ppn])
+			if states[ppn] != flash.PageValid {
+				return fmt.Errorf("lpn %d -> private ppn %d in state %v", lpn, ppn, states[ppn])
+			}
+			if owners[ppn] != privateSlot(uint64(lpn)) {
+				return fmt.Errorf("lpn %d -> private ppn %d owned by %v", lpn, ppn, owners[ppn])
 			}
 			private++
 			continue
@@ -189,20 +196,17 @@ func (f *FTL) CheckInvariants() error {
 		if err != nil {
 			return fmt.Errorf("lpn %d -> dead CID %d: %w", lpn, c, err)
 		}
-		st, err := f.dev.PageStateOf(ppn)
-		if err != nil {
-			return err
+		if uint64(ppn) >= uint64(len(states)) {
+			return fmt.Errorf("lpn %d -> CID %d -> ppn %d beyond the device's %d pages", lpn, c, ppn, len(states))
 		}
-		if st != flash.PageValid {
-			return fmt.Errorf("lpn %d -> CID %d -> ppn %d in state %v", lpn, c, ppn, st)
+		if states[ppn] != flash.PageValid {
+			return fmt.Errorf("lpn %d -> CID %d -> ppn %d in state %v", lpn, c, ppn, states[ppn])
 		}
-		if f.owners[ppn] != s {
-			return fmt.Errorf("ppn %d owner %v != CID %d", ppn, f.owners[ppn], c)
+		if owners[ppn] != s {
+			return fmt.Errorf("ppn %d owner %v != CID %d", ppn, owners[ppn], c)
 		}
-		tag, _ := f.dev.Tag(ppn)
-		fp, _ := f.idx.FP(c)
-		if tag != uint64(fp) {
-			return fmt.Errorf("ppn %d tag %#x != fp %#x", ppn, tag, uint64(fp))
+		if fp, _ := f.idx.FP(c); tags[ppn] != uint64(fp) {
+			return fmt.Errorf("ppn %d tag %#x != fp %#x", ppn, tags[ppn], uint64(fp))
 		}
 	}
 	if private != f.private {
@@ -211,9 +215,8 @@ func (f *FTL) CheckInvariants() error {
 	// Every valid page has an owner that maps back to it, every
 	// free/invalid page has none.
 	validOwned := 0
-	for p := 0; p < g.TotalPages(); p++ {
-		st, _ := f.dev.PageStateOf(flash.PPN(p))
-		owner := f.owners[p]
+	for p, st := range states {
+		owner := owners[p]
 		switch {
 		case st != flash.PageValid:
 			if owner != nilSlot {

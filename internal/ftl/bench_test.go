@@ -95,3 +95,39 @@ func BenchmarkCollect(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCheckInvariants times the post-run integrity walk — it runs
+// after every run, fleet device and batch seed — on the canonical
+// 16 MiB device at the default utilization, after enough random
+// overwrites for GC, the index and the reverse map to be in steady
+// state.
+func BenchmarkCheckInvariants(b *testing.B) {
+	for _, opts := range []Options{BaselineOptions(), InlineDedupeOptions(), CAGCOptions()} {
+		b.Run(opts.SchemeName(), func(b *testing.B) {
+			cfg := flash.ScaledConfig(16 << 20)
+			dev, err := flash.NewDevice(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			f, err := New(dev, uint64(float64(cfg.UserPages())*0.55), opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			logical := f.LogicalPages()
+			rng := rand.New(rand.NewSource(1))
+			now := event.Time(0)
+			for i := uint64(0); i < 4*logical; i++ {
+				if now, err = f.Write(now, uint64(rng.Int63n(int64(logical))), dedup.OfUint64(rng.Uint64()%logical)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.CheckInvariants(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

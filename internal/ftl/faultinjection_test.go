@@ -63,6 +63,25 @@ func TestDetectDanglingMapping(t *testing.T) {
 	}
 }
 
+// A page number beyond the device, in a private slot or behind a CID,
+// is reported as an error by the flat page walk, never a panic.
+func TestDetectOutOfRangePage(t *testing.T) {
+	for _, private := range []bool{false, true} {
+		f := corruptedFTL(t)
+		total := uint64(f.dev.Geometry().TotalPages())
+		lpn := mappedLPNs(t, f, private)[0]
+		if private {
+			f.mapping[lpn] = privateSlot(total)
+		} else if err := f.idx.SetPPN(f.mapping[lpn].cid(), flash.PPN(total)); err != nil {
+			t.Fatal(err)
+		}
+		err := f.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lpn %d ", lpn)) {
+			t.Fatalf("private=%v: CheckInvariants = %v, want an error naming lpn %d", private, err, lpn)
+		}
+	}
+}
+
 func TestDetectOwnerMismatch(t *testing.T) {
 	for _, private := range []bool{false, true} {
 		f := corruptedFTL(t)

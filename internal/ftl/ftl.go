@@ -102,7 +102,7 @@ type FTL struct {
 	gcHashEnd event.Time
 	cmt       *cmt // nil unless Options.MappingCache > 0
 	stats     Stats
-	tr        obs.Tracer // never nil; obs.Nop when tracing is off
+	tr        *obs.Recorder // nil when tracing is off
 
 	// RefDist records the peak reference count of every page at the
 	// moment it becomes invalid (Figure 6).
@@ -226,7 +226,6 @@ func New(dev *flash.Device, logicalPages uint64, opts Options) (*FTL, error) {
 		vix:          newVictimIndex(g.TotalBlocks(), g.PagesPerBlock),
 		freeByDie:    make([][]flash.BlockID, g.Dies()),
 		hot:          make([]frontier, g.Dies()),
-		tr:           obs.Nop,
 		logicalPages: logicalPages,
 	}
 	for i := range f.mapping {
@@ -259,10 +258,10 @@ func (f *FTL) Stats() Stats { return f.stats }
 // Device returns the underlying flash device.
 func (f *FTL) Device() *flash.Device { return f.dev }
 
-// SetTracer installs the tracer FTL events are reported to and forwards
-// it to the flash device (nil reverts both to the no-op default).
-func (f *FTL) SetTracer(tr obs.Tracer) {
-	f.tr = obs.Or(tr)
+// SetTracer installs the recorder FTL events are reported to and
+// forwards it to the flash device (nil turns tracing off in both).
+func (f *FTL) SetTracer(tr *obs.Recorder) {
+	f.tr = tr
 	f.dev.SetTracer(tr)
 }
 

@@ -11,7 +11,7 @@ import (
 // The zero-cost-when-off contract, measured where it matters: the write
 // churn that exercises the full CAGC hot loop — allocation, dedup
 // lookup, hash reservation, GC with fingerprint/erase overlap — must
-// stay allocation-free with the default Nop tracer. The flight-recorder
+// stay allocation-free with a nil recorder (tracing off). The flight-recorder
 // variant proves even always-on tracing stays off the heap once its
 // ring exists.
 
@@ -30,6 +30,11 @@ func churnStep(f *FTL, now *event.Time, logical uint64, rng *rand.Rand, ok *bool
 
 func TestWriteChurnZeroAllocTracerOff(t *testing.T) {
 	f := newFTL(t, CAGCOptions())
+	f.SetTracer(obs.NewRecorder())
+	f.SetTracer(nil) // tracing off: a nil recorder in the FTL and the device
+	if f.tr != nil {
+		t.Fatal("SetTracer(nil) left a recorder installed")
+	}
 	// Warm into steady state: GC running, tables at stable size.
 	now := churn(t, f, int(f.LogicalPages())*6, 64, 17)
 	rng := newChurnRNG(18)
@@ -43,7 +48,7 @@ func TestWriteChurnZeroAllocTracerOff(t *testing.T) {
 		t.Fatal("write failed during churn")
 	}
 	if allocs != 0 {
-		t.Fatalf("CAGC write churn with Nop tracer allocated %.2f objects/op, want 0", allocs)
+		t.Fatalf("CAGC write churn with nil recorder allocated %.2f objects/op, want 0", allocs)
 	}
 	if f.Stats().BlocksErased == erasedBefore {
 		t.Fatal("measured window saw no GC — guard did not cover the collection path")

@@ -4,10 +4,11 @@
 // trace_event JSON (chrome://tracing, Perfetto) and a per-phase GC
 // attribution summary.
 //
-// The overhead contract is zero-cost-when-off: every instrumentation
-// point calls through a Tracer interface whose default implementation,
-// Nop, does nothing — no nil checks at call sites, no allocations, no
-// timing perturbation. The recording implementation appends fixed-size
+// The overhead contract is zero-cost-when-off: every layer holds a
+// *Recorder that is nil when tracing is off, and the recording methods
+// are inlinable nil-receiver wrappers, so an untraced instrumentation
+// point is one predicted branch — no call, no allocation, no nil check
+// at the call site, no timing perturbation. The recorder appends fixed-size
 // Event structs into a chunked arena (or a bounded ring in
 // flight-recorder mode), so tracing a run never changes what the run
 // computes: recorders observe the virtual-time intervals the timelines
@@ -20,8 +21,6 @@
 // has a fixed name, a fixed Chrome phase (span, instant, or counter),
 // and a nesting rule (see Detached below).
 package obs
-
-import "cagc/internal/event"
 
 // Track identifies one timeline row of the trace (the Chrome tid).
 // Fixed singleton tracks use small values; per-die and per-hash-engine
@@ -242,54 +241,5 @@ func (k Kind) Phase() byte {
 func (k Kind) Detached() bool { return k < numKinds && kindTable[k].detached }
 
 // SpanID names one recorded scope span so its end time can be filled in
-// later. The zero SpanID is "no span" (what Nop returns).
+// later. The zero SpanID is "no span" (what a nil Recorder returns).
 type SpanID uint64
-
-// Tracer is the instrumentation interface every simulation layer holds.
-// Implementations must never affect simulated time: all times passed in
-// are observations of reservations already made.
-//
-// Call sites never nil-check: components default to Nop, so the
-// disabled path is a handful of empty dynamic calls with scalar
-// arguments — zero allocations, no branches at the call site.
-type Tracer interface {
-	// Enabled reports whether events are being recorded. Instrumentation
-	// that must do extra work to assemble an event (anything beyond
-	// passing scalars it already has) guards on this.
-	Enabled() bool
-	// Span records a completed interval [start, end] on track.
-	Span(track Track, kind Kind, start, end event.Time, arg uint64)
-	// Instant records a point event.
-	Instant(track Track, kind Kind, at event.Time, arg uint64)
-	// Counter records a sampled value series point.
-	Counter(track Track, kind Kind, at event.Time, value uint64)
-	// Begin opens a scope span: events recorded until the matching End
-	// become its children (unless their kind is detached). Returns the
-	// span's id, or 0 from the no-op tracer.
-	Begin(track Track, kind Kind, start event.Time, arg uint64) SpanID
-	// End closes the scope span, setting its completion time. Ends
-	// earlier than the span's start are clamped to the start.
-	End(id SpanID, end event.Time)
-}
-
-// nop is the zero-overhead disabled tracer.
-type nop struct{}
-
-func (nop) Enabled() bool                                    { return false }
-func (nop) Span(Track, Kind, event.Time, event.Time, uint64) {}
-func (nop) Instant(Track, Kind, event.Time, uint64)          {}
-func (nop) Counter(Track, Kind, event.Time, uint64)          {}
-func (nop) Begin(Track, Kind, event.Time, uint64) SpanID     { return 0 }
-func (nop) End(SpanID, event.Time)                           {}
-
-// Nop is the default tracer: it records nothing and allocates nothing.
-var Nop Tracer = nop{}
-
-// Or returns tr, or Nop when tr is nil — the normalization every
-// component applies when a tracer is installed.
-func Or(tr Tracer) Tracer {
-	if tr == nil {
-		return Nop
-	}
-	return tr
-}

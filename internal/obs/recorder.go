@@ -25,10 +25,11 @@ type Event struct {
 
 // chunkEvents is the arena chunk size. One chunk is a single allocation
 // amortized over this many events, which is what keeps the recording
-// tracer's allocation rate far below one per span.
+// recorder's allocation rate far below one per span.
 const chunkEvents = 4096
 
-// Recorder is the buffered recording Tracer. Two storage modes:
+// Recorder is the instrumentation sink every simulation layer holds; a
+// nil *Recorder is tracing off. Two storage modes:
 //
 //   - Unbounded (NewRecorder): events append into a chunked arena —
 //     chunks never move once allocated, so open scope spans can be
@@ -64,9 +65,6 @@ func NewFlightRecorder(n int) *Recorder {
 	}
 	return &Recorder{ring: make([]Event, n), scopes: make([]uint64, 0, 16)}
 }
-
-// Enabled reports true: this tracer records.
-func (r *Recorder) Enabled() bool { return true }
 
 // Len returns the number of events currently held.
 func (r *Recorder) Len() int {
@@ -133,33 +131,50 @@ func (r *Recorder) at(seq uint64) *Event {
 	return &r.chunks[(seq-1)/chunkEvents][(seq-1)%chunkEvents]
 }
 
-// Span records a completed interval.
+// Span records a completed interval [start, end] on track. Every
+// recording method (Span, Instant, Counter, Begin, End) is a no-op on a
+// nil Recorder and small enough to inline, so the untraced call costs
+// one branch. Times are observations of reservations already made;
+// recording never affects simulated time.
 func (r *Recorder) Span(track Track, kind Kind, start, end event.Time, arg uint64) {
-	if end < start {
-		end = start
+	if r != nil {
+		r.add(Event{Start: start, End: max(start, end), Track: track, Kind: kind, Arg: arg})
 	}
-	r.mu.Lock()
-	r.record(Event{Start: start, End: end, Track: track, Kind: kind, Arg: arg})
-	r.mu.Unlock()
 }
 
 // Instant records a point event.
 func (r *Recorder) Instant(track Track, kind Kind, at event.Time, arg uint64) {
-	r.mu.Lock()
-	r.record(Event{Start: at, End: at, Track: track, Kind: kind, Arg: arg})
-	r.mu.Unlock()
+	if r != nil {
+		r.add(Event{Start: at, End: at, Track: track, Kind: kind, Arg: arg})
+	}
 }
 
-// Counter records a sampled value.
+// Counter records a sampled value series point.
 func (r *Recorder) Counter(track Track, kind Kind, at event.Time, value uint64) {
+	if r != nil {
+		r.add(Event{Start: at, End: at, Track: track, Kind: kind, Arg: value})
+	}
+}
+
+// add records ev under the lock.
+func (r *Recorder) add(ev Event) {
 	r.mu.Lock()
-	r.record(Event{Start: at, End: at, Track: track, Kind: kind, Arg: value})
+	r.record(ev)
 	r.mu.Unlock()
 }
 
-// Begin opens a scope span. Its End time is provisionally the start and
-// is patched by End.
+// Begin opens a scope span: events recorded until the matching End
+// become its children (unless their kind is detached). Its End time is
+// provisionally the start and is patched by End. A nil Recorder returns
+// the zero SpanID.
 func (r *Recorder) Begin(track Track, kind Kind, start event.Time, arg uint64) SpanID {
+	if r == nil {
+		return 0
+	}
+	return r.begin(track, kind, start, arg)
+}
+
+func (r *Recorder) begin(track Track, kind Kind, start event.Time, arg uint64) SpanID {
 	r.mu.Lock()
 	seq := r.record(Event{Start: start, End: start, Track: track, Kind: kind, Arg: arg})
 	r.scopes = append(r.scopes, seq)
@@ -167,13 +182,17 @@ func (r *Recorder) Begin(track Track, kind Kind, start event.Time, arg uint64) S
 	return SpanID(seq)
 }
 
-// End closes the scope span id, recording its completion time. If the
-// span was evicted by the flight-recorder ring the time is discarded;
-// either way the scope is popped so later events stop parenting to it.
+// End closes the scope span id, recording its completion time (clamped
+// to the span's start). If the span was evicted by the flight-recorder
+// ring the time is discarded; either way the scope is popped so later
+// events stop parenting to it.
 func (r *Recorder) End(id SpanID, end event.Time) {
-	if id == 0 {
-		return
+	if r != nil && id != 0 {
+		r.end(id, end)
 	}
+}
+
+func (r *Recorder) end(id SpanID, end event.Time) {
 	r.mu.Lock()
 	if ev := r.at(uint64(id)); ev != nil {
 		if end < ev.Start {

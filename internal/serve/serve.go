@@ -259,8 +259,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		}
 	} else {
 		j.rec = cagc.NewTraceRecorder()
-		r.Params.Trace = j.rec
 	}
+	r.Params.Trace = j.rec
 
 	if timeout > 0 {
 		j.ctx, j.cancel = context.WithTimeout(context.Background(), timeout)
@@ -324,12 +324,11 @@ func (s *Server) exec(j *Job) {
 		s.cache.put(j.Key, &cachedResult{body: body, summary: summary, events: events})
 	}
 	ran := finished.Sub(j.started)
-	if j.rec != nil {
-		// Serve-track telemetry on the job's own trace, times relative
-		// to submission so the spans sit next to the simulated timeline.
-		j.rec.Span(obs.TrackServe, obs.KServeWait, 0, event.Time(queued), j.Seq)
-		j.rec.Span(obs.TrackServe, obs.KServeJob, event.Time(queued), event.Time(queued+ran), j.Seq)
-	}
+	// Serve-track telemetry on the job's own trace (a no-op for an
+	// untraced job), times relative to submission so the spans sit next
+	// to the simulated timeline.
+	j.rec.Span(obs.TrackServe, obs.KServeWait, 0, event.Time(queued), j.Seq)
+	j.rec.Span(obs.TrackServe, obs.KServeJob, event.Time(queued), event.Time(queued+ran), j.Seq)
 	// The same spans on the service-lifetime recorder, server-relative.
 	sub := event.Time(j.submitted.Sub(s.t0))
 	s.svcRec.Span(obs.TrackServe, obs.KServeWait, sub, sub+event.Time(queued), j.Seq)

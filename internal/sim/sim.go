@@ -58,7 +58,7 @@ type Config struct {
 	// purely observational — it never changes what the run computes —
 	// and the field is excluded from warm-state snapshot identity: a
 	// traced run may be served from a snapshot built by an untraced one.
-	Tracer obs.Tracer
+	Tracer *obs.Recorder
 	// Ctx, when non-nil, bounds the run: the precondition fill and the
 	// measured replay poll it periodically and abort with an error
 	// wrapping ctx.Err() once it is done. Simulated time is oblivious to
@@ -183,7 +183,7 @@ type Runner struct {
 	dev *flash.Device
 	f   *ftl.FTL
 	buf *buffer.WriteBuffer // nil unless BufferPages > 0
-	tr  obs.Tracer          // never nil; obs.Nop when tracing is off
+	tr  *obs.Recorder       // nil when tracing is off
 	// tenants, when non-empty, makes Replay attribute each request to
 	// the range containing its first logical page (see SetTenants).
 	// Kept off Config so Config stays comparable for snapshot identity.
@@ -220,11 +220,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// SetTracer installs tr (nil reverts to the no-op default) on the
-// runner and every layer beneath it: the FTL, the flash device, and the
-// write buffer when present.
-func (r *Runner) SetTracer(tr obs.Tracer) {
-	r.tr = obs.Or(tr)
+// SetTracer installs tr (nil turns tracing off) on the runner and
+// every layer beneath it: the FTL, the flash device, and the write
+// buffer when present.
+func (r *Runner) SetTracer(tr *obs.Recorder) {
+	r.tr = tr
 	r.f.SetTracer(tr)
 	if r.buf != nil {
 		r.buf.SetTracer(tr)

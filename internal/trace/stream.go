@@ -121,7 +121,7 @@ type StreamOptions struct {
 	// (the consumer wanting a chunk the decoder had not produced yet).
 	// Times are wall-clock relative to the stream's construction — the
 	// decoder works in real time around the simulation, not inside it.
-	Tracer obs.Tracer
+	Tracer *obs.Recorder
 }
 
 // StreamStats reports a stream's ingestion behaviour. Counters are
@@ -158,7 +158,7 @@ type Stream struct {
 	src      Source
 	sync     bool
 	chunkCap int
-	tr       obs.Tracer
+	tr       *obs.Recorder
 	t0       time.Time
 
 	out  chan []Request
@@ -195,7 +195,7 @@ func NewStream(src Source, opts StreamOptions) *Stream {
 		src:      src,
 		sync:     opts.Sync,
 		chunkCap: opts.ChunkRequests,
-		tr:       obs.Or(opts.Tracer),
+		tr:       opts.Tracer,
 		t0:       time.Now(),
 	}
 	if !s.sync {

@@ -4,8 +4,9 @@ package cagc
 // this file re-exports the pieces a harness needs to trace a run: a
 // recorder to pass as Params.Trace, the Chrome trace_event exporter,
 // and the per-phase GC attribution summary. The overhead contract is
-// zero-cost-when-off — an untraced run executes the same instructions
-// (modulo empty interface calls) and allocates nothing extra.
+// zero-cost-when-off: a nil recorder is tracing off, and every
+// instrumentation point then costs one predicted branch and allocates
+// nothing.
 
 import (
 	"io"
@@ -13,11 +14,8 @@ import (
 	"cagc/internal/obs"
 )
 
-// Tracer is the instrumentation sink a traced run reports into. Pass a
-// *TraceRecorder as Params.Trace; leave nil for an untraced run.
-type Tracer = obs.Tracer
-
-// TraceRecorder buffers trace events in memory for export.
+// TraceRecorder buffers trace events in memory for export. Pass one as
+// Params.Trace; leave nil for an untraced run.
 type TraceRecorder = obs.Recorder
 
 // TraceSummary is the aggregate view of one recorded trace: latency
