@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -249,7 +250,7 @@ func parseTenants(arg, format string, timeScale float64) ([]cagc.TenantSpec, err
 		var rate float64
 		if i := strings.LastIndexByte(entry, '*'); i >= 0 {
 			r, err := strconv.ParseFloat(entry[i+1:], 64)
-			if err != nil || r <= 0 {
+			if err != nil || !(r > 0) || math.IsInf(r, 1) {
 				return nil, fmt.Errorf("-tenants: bad rate in %q", entry)
 			}
 			rate, entry = r, entry[:i]

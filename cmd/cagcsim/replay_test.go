@@ -151,6 +151,23 @@ func TestParseTenants(t *testing.T) {
 	}
 }
 
+// A rate must be a finite number above zero: "Mail*NaN" used to run,
+// because the check was r <= 0.
+func TestParseTenantsRejectsBadRates(t *testing.T) {
+	for _, arg := range []string{"Mail*NaN,Homes", "Mail*nan", "Mail*Inf", "Mail*+Inf", "Mail*-Inf", "Mail*0", "Mail*-1", "Mail*x"} {
+		if got, err := parseTenants(arg, "auto", 0); err == nil || !strings.Contains(err.Error(), "bad rate") {
+			t.Errorf("%q: %+v, %v, want a bad-rate error", arg, got, err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-tenants", "Mail*NaN,Homes", "-requests", "200"}, &stdout, &stderr); err == nil {
+		t.Error("cagcsim -tenants 'Mail*NaN,Homes' ran")
+	}
+	if err := run([]string{"-util", "NaN", "-requests", "200"}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "Params.Utilization") {
+		t.Errorf("cagcsim -util NaN: %v, want the Utilization bound", err)
+	}
+}
+
 // A nonexistent file tenant must fail the scenario run cleanly.
 func TestTenantsFileMissing(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -1,6 +1,13 @@
 package trace
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"cagc/internal/dedup"
+	"cagc/internal/event"
+)
 
 // The generator's fingerprint arena amortizes the per-write FPs slice
 // to one block allocation per fpArenaChunk fingerprints, so the mean
@@ -42,5 +49,60 @@ func TestPreconditionerAmortizedAllocs(t *testing.T) {
 	})
 	if allocs > 0.05 {
 		t.Fatalf("Next allocated %.3f objects/op on average, want < 0.05", allocs)
+	}
+}
+
+// The three decoders take write fingerprints from the same arena. Every
+// record of the stream below is a write; per request the binary decoder
+// must allocate next to nothing, and the line decoders no more than
+// their line handling (the scanned line as a string and its fields,
+// plus the text format's fingerprint list), with no slice per write.
+func TestDecoderAmortizedAllocs(t *testing.T) {
+	const n = 20_000
+	var bin, text, fiu bytes.Buffer
+	w, err := NewWriter(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, n)
+	for i := range reqs {
+		pages := 1 + i%4
+		r := Request{At: event.Time(i) * 1000, Op: OpWrite, LPN: uint64(i), Pages: pages}
+		for p := 0; p < pages; p++ {
+			r.FPs = append(r.FPs, dedup.OfUint64(uint64(i%97)))
+		}
+		reqs[i] = r
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&fiu, "%d 1 proc %d %d W 8 1 %032x\n", 1000+i, i, pages, i%97)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteText(&text, &SliceSource{Reqs: reqs}); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		src    ErrSource
+		budget float64
+	}{
+		{"binary", rd, 0.05},
+		{"text", NewTextReader(&text), 3.05},
+		{"fiu", NewFIUReader(&fiu, 1), 2.05},
+	} {
+		allocs := testing.AllocsPerRun(n-1, func() {
+			if _, ok := c.src.Next(); !ok {
+				t.Fatalf("%s: decoder ran dry: %v", c.name, c.src.Err())
+			}
+		})
+		if allocs > c.budget {
+			t.Errorf("%s: Next allocated %.3f objects/op on average, want <= %.2f", c.name, allocs, c.budget)
+		}
 	}
 }

@@ -94,6 +94,7 @@ func (tw *Writer) Flush() error { return tw.w.Flush() }
 type Reader struct {
 	r      *bufio.Reader
 	lastAt event.Time
+	fps    fpArena
 	err    error
 	done   bool
 }
@@ -115,6 +116,20 @@ func NewReader(r io.Reader) (*Reader, error) {
 // boundary is a clean end and is not reported.
 func (tr *Reader) Err() error { return tr.err }
 
+// uvarint decodes one uvarint in place from the bytes already buffered.
+// A uvarint the buffer does not hold whole (it straddles the buffer's
+// end) or that overflows goes to binary.ReadUvarint instead, which
+// re-reads it from the same position, so the reads of the underlying
+// reader and every error are exactly binary.ReadUvarint's.
+func (tr *Reader) uvarint() (uint64, error) {
+	buf, _ := tr.r.Peek(tr.r.Buffered())
+	if v, n := binary.Uvarint(buf); n > 0 {
+		tr.r.Discard(n)
+		return v, nil
+	}
+	return binary.ReadUvarint(tr.r)
+}
+
 // Next implements Source.
 func (tr *Reader) Next() (Request, bool) {
 	if tr.done {
@@ -127,7 +142,7 @@ func (tr *Reader) Next() (Request, bool) {
 		}
 		return Request{}, false
 	}
-	delta, err := binary.ReadUvarint(tr.r)
+	delta, err := tr.uvarint()
 	if err != nil {
 		return fail(err) // EOF here is a clean end of trace
 	}
@@ -145,10 +160,10 @@ func (tr *Reader) Next() (Request, bool) {
 	if r.Op > OpTrim {
 		return fail(fmt.Errorf("trace: unknown op %d", op))
 	}
-	if r.LPN, err = binary.ReadUvarint(tr.r); err != nil {
+	if r.LPN, err = tr.uvarint(); err != nil {
 		return fail(fmt.Errorf("trace: truncated record: %w", err))
 	}
-	pages, err := binary.ReadUvarint(tr.r)
+	pages, err := tr.uvarint()
 	if err != nil {
 		return fail(fmt.Errorf("trace: truncated record: %w", err))
 	}
@@ -157,9 +172,9 @@ func (tr *Reader) Next() (Request, bool) {
 	}
 	r.Pages = int(pages)
 	if r.Op == OpWrite {
-		r.FPs = make([]dedup.Fingerprint, r.Pages)
+		r.FPs = tr.fps.alloc(r.Pages)
 		for i := range r.FPs {
-			v, err := binary.ReadUvarint(tr.r)
+			v, err := tr.uvarint()
 			if err != nil {
 				return fail(fmt.Errorf("trace: truncated fingerprints: %w", err))
 			}
@@ -205,6 +220,7 @@ func WriteText(w io.Writer, src Source) (int, error) {
 // TextReader parses the text format. It implements Source.
 type TextReader struct {
 	sc   *bufio.Scanner
+	fps  fpArena
 	err  error
 	line int
 }
@@ -227,7 +243,7 @@ func (tr *TextReader) Next() (Request, bool) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		r, err := parseTextLine(line)
+		r, err := parseTextLine(line, &tr.fps)
 		if err != nil {
 			tr.err = fmt.Errorf("trace: line %d: %w", tr.line, err)
 			return Request{}, false
@@ -240,7 +256,7 @@ func (tr *TextReader) Next() (Request, bool) {
 	return Request{}, false
 }
 
-func parseTextLine(line string) (Request, error) {
+func parseTextLine(line string, fps *fpArena) (Request, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
 		return Request{}, fmt.Errorf("want >=4 fields, got %d", len(f))
@@ -277,7 +293,7 @@ func parseTextLine(line string) (Request, error) {
 		if len(parts) != pages {
 			return Request{}, fmt.Errorf("%d fingerprints for %d pages", len(parts), pages)
 		}
-		r.FPs = make([]dedup.Fingerprint, pages)
+		r.FPs = fps.alloc(pages)
 		for i, p := range parts {
 			v, err := strconv.ParseUint(p, 16, 64)
 			if err != nil {

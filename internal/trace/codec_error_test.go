@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"cagc/internal/dedup"
 )
@@ -139,6 +142,74 @@ func TestBinaryGarbageNeverPanics(t *testing.T) {
 		for _, r := range got {
 			if err := r.Validate(); err != nil {
 				t.Fatalf("seed %d: decoder emitted invalid request %+v: %v", i, r, err)
+			}
+		}
+	}
+}
+
+// The binary Reader decodes a uvarint in place when the buffer holds it
+// whole and through binary.ReadUvarint otherwise. Read one byte per
+// call, the buffer never holds a multi-byte uvarint whole, so every
+// field takes the ReadUvarint path; the two paths must give the same
+// requests and the same error for every prefix of a trace and for
+// corruptions (an overflowing varint, a varint of 10 bytes whose last
+// byte is too large) in every field position.
+func TestBinaryInPlaceMatchesReadUvarint(t *testing.T) {
+	spec, err := Preset(Homes, 2105, 60, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		r, ok := g.Next()
+		if !ok {
+			break
+		}
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	var inputs [][]byte
+	for n := len(magic); n <= len(full); n++ {
+		inputs = append(inputs, full[:n])
+	}
+	for _, bad := range [][]byte{bytes.Repeat([]byte{0xff}, 11), append(bytes.Repeat([]byte{0x80}, 9), 0x02)} {
+		for at := len(magic); at < len(full); at += 7 {
+			inputs = append(inputs, append(append(append([]byte{}, full[:at]...), bad...), full[at:]...))
+		}
+	}
+	decode := func(r io.Reader) ([]Request, string) {
+		rd, err := NewReader(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Collect(rd)
+		if rd.Err() == nil {
+			return got, ""
+		}
+		return got, rd.Err().Error()
+	}
+	for i, in := range inputs {
+		want, wantErr := decode(iotest.OneByteReader(bytes.NewReader(in)))
+		got, gotErr := decode(bytes.NewReader(in))
+		if gotErr != wantErr || len(got) != len(want) {
+			t.Fatalf("input %d (%d bytes): %d requests, err %q; byte at a time: %d, %q", i, len(in), len(got), gotErr, len(want), wantErr)
+		}
+		for j := range got {
+			if !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("input %d request %d: %+v, byte at a time %+v", i, j, got[j], want[j])
 			}
 		}
 	}

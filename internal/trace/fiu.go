@@ -31,6 +31,7 @@ import (
 // FIUReader parses the FIU format and implements Source.
 type FIUReader struct {
 	sc    *bufio.Scanner
+	fps   fpArena
 	err   error
 	line  int
 	base  event.Time // first timestamp, subtracted so replay starts at 0
@@ -126,7 +127,7 @@ func (fr *FIUReader) parse(line string) (Request, error) {
 		// One hash per line in the published traces (count is almost
 		// always 1); multi-block writes with a single hash replicate
 		// it, which preserves total content volume.
-		r.FPs = make([]dedup.Fingerprint, count)
+		r.FPs = fr.fps.alloc(count)
 		for i := range r.FPs {
 			r.FPs[i] = fp
 		}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"cagc/internal/dedup"
@@ -65,8 +67,16 @@ type Spec struct {
 	PrecondSeed int64
 }
 
-// Validate checks the spec for generability.
+// Validate checks the spec for generability. Every float field must be
+// finite: a NaN passes every range test below, and a NaN probability is
+// the one value the generator's cutoff draws cannot reproduce.
 func (s Spec) Validate() error {
+	names := [...]string{"WriteRatio", "DedupRatio", "AvgReqPages", "BurstMean", "TrimFraction", "TrimPages", "ContentSkew", "AddrSkew"}
+	for i, v := range [...]float64{s.WriteRatio, s.DedupRatio, s.AvgReqPages, s.BurstMean, s.TrimFraction, s.TrimPages, s.ContentSkew, s.AddrSkew} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("trace: %s %v is not finite", names[i], v)
+		}
+	}
 	switch {
 	case s.WriteRatio < 0 || s.WriteRatio > 1:
 		return fmt.Errorf("trace: WriteRatio %v out of [0,1]", s.WriteRatio)
@@ -100,7 +110,10 @@ func (s Spec) Validate() error {
 // implements Source.
 type Generator struct {
 	spec Spec
-	rng  *rand.Rand
+	src  *fibSource
+	rng  *rand.Rand // over src, for ExpFloat64
+	cut  specCutoffs
+	mod  modulus // LogicalPages
 
 	contentZipf zipf
 	addrZipf    zipf
@@ -149,14 +162,44 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	src, rng := newFibSource(spec.Seed)
 	g := &Generator{
 		spec:        spec,
+		src:         src,
 		rng:         rng,
-		contentZipf: newZipf(rng, spec.ContentSkew, 1, spec.ContentPool-1),
-		addrZipf:    newZipf(rng, spec.AddrSkew, 1, spec.LogicalPages-1),
+		cut:         spec.cutoffs(),
+		mod:         newModulus(spec.LogicalPages),
+		contentZipf: newZipf(src, spec.ContentSkew, 1, spec.ContentPool-1),
+		addrZipf:    newZipf(src, spec.AddrSkew, 1, spec.LogicalPages-1),
 	}
 	return g, nil
+}
+
+// specCutoffs holds a spec's fixed probabilities as cutoffs: the three
+// Bernoulli tests of Next and the continuation 1-1/mean of each
+// geometric length, which is 0 — no draw — when the mean is <= 1.
+type specCutoffs struct {
+	trim, write, dedup     cutoff
+	burst, trimLen, reqLen cutoff
+}
+
+func (s Spec) cutoffs() specCutoffs {
+	geo := func(mean float64) cutoff {
+		if mean <= 1 {
+			return 0
+		}
+		// P(continue) = 1 - 1/mean gives E[len] = mean; a mean above 1
+		// has a continuation above 0, so a nonzero cutoff.
+		return cutoffOf(1 - 1/mean)
+	}
+	return specCutoffs{
+		trim:    cutoffOf(s.TrimFraction),
+		write:   cutoffOf(s.WriteRatio),
+		dedup:   cutoffOf(s.DedupRatio),
+		burst:   geo(s.BurstMean),
+		trimLen: geo(s.TrimPages),
+		reqLen:  geo(s.AvgReqPages),
+	}
 }
 
 // Spec returns the generating spec.
@@ -185,27 +228,26 @@ func (g *Generator) advanceClock() {
 	gap := float64(g.spec.MeanInterArrival)*g.spec.BurstMean -
 		float64(g.spec.IntraBurst)*(g.spec.BurstMean-1)
 	g.now += event.Time(g.rng.ExpFloat64() * gap)
-	g.burstLeft = g.geometric(g.spec.BurstMean) - 1
+	g.burstLeft = g.geometric(g.cut.burst) - 1
 }
 
-// geometric samples a geometric length with the given mean, >= 1.
-func (g *Generator) geometric(mean float64) int {
-	if mean <= 1 {
+// geometric samples a geometric length >= 1 whose continuation is c
+// (see specCutoffs).
+func (g *Generator) geometric(c cutoff) int {
+	if c == 0 {
 		return 1
 	}
-	// P(continue) = 1 - 1/mean gives E[len] = mean.
-	p := 1 - 1/mean
 	n := 1
-	for g.rng.Float64() < p && n < 1024 {
+	for g.src.below(c) && n < 1024 {
 		n++
 	}
 	return n
 }
 
-// pages samples a request length with the given mean, clamped to the
+// pages samples a request length with continuation c, clamped to the
 // logical space so that addr and clampRange can always make it fit.
-func (g *Generator) pages(mean float64) int {
-	n := g.geometric(mean)
+func (g *Generator) pages(c cutoff) int {
+	n := g.geometric(c)
 	if uint64(n) > g.spec.LogicalPages {
 		n = int(g.spec.LogicalPages)
 	}
@@ -226,10 +268,26 @@ func (g *Generator) addr(pages int) uint64 {
 // the address space instead of clustered at 0 (cheap Feistel-free
 // mixing that stays within [0, LogicalPages)).
 func (g *Generator) scramble(a uint64) uint64 {
-	n := g.spec.LogicalPages
 	// Multiply by an odd constant modulo n; distributes ranks without
 	// losing the popularity skew.
-	return (a*2654435761 + 0x9e37) % n
+	return g.mod.reduce(a*2654435761 + 0x9e37)
+}
+
+// modulus computes x % n by a reciprocal multiply: with m =
+// floor((2^64-1)/n), q = floor(x*m / 2^64) is floor(x/n) or one less
+// (x*m/2^64 falls short of x/n by x*(2^64/n - m)/2^64 < 1), so one
+// conditional subtraction finishes the remainder.
+type modulus struct{ n, m uint64 }
+
+func newModulus(n uint64) modulus { return modulus{n, ^uint64(0) / n} }
+
+func (d modulus) reduce(x uint64) uint64 {
+	q, _ := bits.Mul64(x, d.m)
+	r := x - q*d.n
+	if r >= d.n {
+		r -= d.n
+	}
+	return r
 }
 
 // Next implements Source.
@@ -242,19 +300,19 @@ func (g *Generator) Next() (Request, bool) {
 
 	r := Request{At: g.now}
 	switch {
-	case g.rng.Float64() < g.spec.TrimFraction:
+	case g.src.below(g.cut.trim):
 		r.Op = OpTrim
-		r.Pages = g.pages(g.spec.TrimPages)
+		r.Pages = g.pages(g.cut.trimLen)
 		raw := g.addr(r.Pages)
 		r.LPN = g.clampRange(g.scramble(raw), r.Pages)
-	case g.rng.Float64() < g.spec.WriteRatio:
+	case g.src.below(g.cut.write):
 		r.Op = OpWrite
-		r.Pages = g.pages(g.spec.AvgReqPages)
+		r.Pages = g.pages(g.cut.reqLen)
 		raw := g.addr(r.Pages)
 		r.LPN = g.clampRange(g.scramble(raw), r.Pages)
 		r.FPs = g.fps.alloc(r.Pages)
 		for i := range r.FPs {
-			if g.rng.Float64() < g.spec.DedupRatio {
+			if g.src.below(g.cut.dedup) {
 				// Duplicate content drawn from the popular pool.
 				r.FPs[i] = dedup.OfUint64(g.contentZipf.Uint64())
 			} else {
@@ -265,7 +323,7 @@ func (g *Generator) Next() (Request, bool) {
 		}
 	default:
 		r.Op = OpRead
-		r.Pages = g.pages(g.spec.AvgReqPages)
+		r.Pages = g.pages(g.cut.reqLen)
 		raw := g.addr(r.Pages)
 		r.LPN = g.clampRange(g.scramble(raw), r.Pages)
 	}

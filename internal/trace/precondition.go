@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"math/rand"
-
-	"cagc/internal/dedup"
-)
+import "cagc/internal/dedup"
 
 // preconditionBase offsets precondition-unique content ids above both
 // the popular pool and the generator's unique namespace, so
@@ -27,14 +23,15 @@ func NewPreconditioner(spec Spec) (*Preconditioner, error) {
 	if spec.PrecondSeed != 0 {
 		seed = spec.PrecondSeed
 	}
-	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	src, rng := newFibSource(seed ^ 0x5eed)
 	const chunk = 8
 	nChunks := int((spec.LogicalPages + chunk - 1) / chunk)
 	order := rng.Perm(nChunks)
 	return &Preconditioner{
 		spec:  spec,
-		rng:   rng,
-		zipf:  newZipf(rng, spec.ContentSkew, 1, spec.ContentPool-1),
+		src:   src,
+		dedup: cutoffOf(spec.DedupRatio),
+		zipf:  newZipf(src, spec.ContentSkew, 1, spec.ContentPool-1),
 		order: order,
 		chunk: chunk,
 	}, nil
@@ -43,7 +40,8 @@ func NewPreconditioner(spec Spec) (*Preconditioner, error) {
 // Preconditioner implements Source; see NewPreconditioner.
 type Preconditioner struct {
 	spec   Spec
-	rng    *rand.Rand
+	src    *fibSource
+	dedup  cutoff
 	zipf   zipf
 	fps    fpArena
 	order  []int
@@ -70,7 +68,7 @@ func (p *Preconditioner) Next() (Request, bool) {
 		FPs:   p.fps.alloc(int(n)),
 	}
 	for i := range r.FPs {
-		if p.rng.Float64() < p.spec.DedupRatio {
+		if p.src.below(p.dedup) {
 			r.FPs[i] = dedup.OfUint64(p.zipf.Uint64())
 		} else {
 			r.FPs[i] = dedup.OfUint64(preconditionBase + p.unique)

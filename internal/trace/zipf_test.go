@@ -24,14 +24,14 @@ var presetZipfParams = []zipfParams{
 	{"mail-addr", 1.03, 2104},
 }
 
-// checkZipfMatchesStdlib draws n variates from zipf and from rand.Zipf
-// off identically seeded RNGs and requires equal values and, at the
-// end, RNGs in the same position.
+// checkZipfMatchesStdlib draws n variates from zipf on the concrete
+// source and from rand.Zipf on a stdlib RNG, identically seeded, and
+// requires equal values and, at the end, sources in the same position.
 func checkZipfMatchesStdlib(t *testing.T, s, v float64, imax uint64, seed int64, n int) {
 	t.Helper()
 	wantRNG := rand.New(rand.NewSource(seed))
 	want := rand.NewZipf(wantRNG, s, v, imax)
-	gotRNG := rand.New(rand.NewSource(seed))
+	gotRNG, _ := newFibSource(seed)
 	got := newZipf(gotRNG, s, v, imax)
 	for i := 0; i < n; i++ {
 		if w, g := want.Uint64(), got.Uint64(); w != g {
@@ -87,7 +87,7 @@ func TestZipfThresholdNeighbours(t *testing.T) {
 		top := len(tab.ranks) - 1
 		certified, probes := 0, 0
 		for i, e := range tab.ranks[1:] {
-			for _, th := range []float64{e.lo, e.rejHi, e.accLo, e.hi, e.slow} {
+			for _, th := range []float64{tab.lo[i+1], e.rejHi, e.accLo, e.hi, e.slow} {
 				for _, ur := range []float64{math.Nextafter(th, math.Inf(-1)), th, math.Nextafter(th, math.Inf(1))} {
 					probes++
 					k, accept, ok := tab.lookup(top, ur)
@@ -167,7 +167,7 @@ func TestZipfSharedTablesAllocs(t *testing.T) {
 	if g1.contentZipf.zipfTable != g2.contentZipf.zipfTable || g1.addrZipf.zipfTable != g2.addrZipf.zipfTable {
 		t.Fatal("two generators with one spec hold different tables")
 	}
-	rng := rand.New(rand.NewSource(1))
+	rng, _ := newFibSource(1)
 	if allocs := testing.AllocsPerRun(100, func() {
 		newZipf(rng, spec.ContentSkew, 1, spec.ContentPool-1)
 		newZipf(rng, spec.AddrSkew, 1, spec.LogicalPages-1)
@@ -194,7 +194,8 @@ func TestZipfConcurrentBuilders(t *testing.T) {
 			for i := 0; i < 3*zipfCacheCap; i++ {
 				// Overlapping keys across workers, more than the cache holds.
 				imax := uint64(20_000 + (i+w)%(zipfCacheCap+3))
-				z := newZipf(rand.New(rand.NewSource(int64(i))), 1.3, 1, imax)
+				src, _ := newFibSource(int64(i))
+				z := newZipf(src, 1.3, 1, imax)
 				want := rand.NewZipf(rand.New(rand.NewSource(int64(i))), 1.3, 1, imax)
 				for d := 0; d < 50; d++ {
 					if g, w := z.Uint64(), want.Uint64(); g != w {
@@ -211,7 +212,8 @@ func TestZipfConcurrentBuilders(t *testing.T) {
 func BenchmarkZipf(b *testing.B) {
 	for _, p := range presetZipfParams {
 		b.Run(p.name, func(b *testing.B) {
-			z := newZipf(rand.New(rand.NewSource(1)), p.s, 1, p.imax)
+			src, _ := newFibSource(1)
+			z := newZipf(src, p.s, 1, p.imax)
 			for i := 0; i < b.N; i++ {
 				benchSink += z.Uint64()
 			}

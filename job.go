@@ -119,7 +119,7 @@ func (p Params) check() error {
 	); err != nil {
 		return err
 	}
-	if u := p.Utilization; u <= 0 || u >= 1 {
+	if u := p.Utilization; !(u > 0 && u < 1) { // written so NaN fails
 		return fmt.Errorf("Params.Utilization %g: must be in (0, 1)", u)
 	}
 	return nil

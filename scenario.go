@@ -11,6 +11,7 @@ package cagc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"cagc/internal/event"
@@ -91,8 +92,8 @@ func tenantName(t TenantSpec) string {
 }
 
 // check refuses a scenario RunScenario cannot run: no tenant, an
-// amplitude outside [0, 1), a negative chunk size, or a file tenant in
-// an unknown format.
+// amplitude outside [0, 1), a negative chunk size, a rate that is not
+// finite, or a file tenant in an unknown format.
 func (sp ScenarioParams) check() error {
 	if len(sp.Tenants) == 0 {
 		return fmt.Errorf("cagc: scenario needs at least one tenant")
@@ -104,6 +105,9 @@ func (sp ScenarioParams) check() error {
 		return err
 	}
 	for _, t := range sp.Tenants {
+		if math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
+			return fmt.Errorf("cagc: tenant %s rate %g is not finite", tenantName(t), t.Rate)
+		}
 		if t.Path != "" {
 			if _, err := trace.ParseFormat(t.Format); err != nil {
 				return err

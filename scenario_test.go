@@ -2,6 +2,7 @@ package cagc
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -169,5 +170,18 @@ func TestRunScenarioDistinctTenantSeeds(t *testing.T) {
 	a, b := res.Tenants[0], res.Tenants[1]
 	if a.Requests == b.Requests && a.Latency.Mean() == b.Latency.Mean() && a.Violations == b.Violations {
 		t.Fatalf("same-workload tenants look identical: %+v vs %+v", a, b)
+	}
+}
+
+// A NaN rate used to fall through the "Rate > 0" test and replay at
+// rate 1; a rate that is not finite now fails the scenario by name.
+func TestRunScenarioRejectsNonFiniteRates(t *testing.T) {
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sp := testScenarioParams()
+		sp.Tenants[2].Rate = rate
+		_, err := RunScenario(CAGC, "greedy", testParams(), sp)
+		if err == nil || !strings.Contains(err.Error(), "Mail rate") {
+			t.Errorf("rate %v: %v, want an error naming the tenant's rate", rate, err)
+		}
 	}
 }
