@@ -33,8 +33,8 @@ func streamHash(t *testing.T, src Source, n int) string {
 
 // pinnedStreams holds the hashes of the generated streams as they were
 // before the generator ran on its own lagged-Fibonacci source, integer
-// cutoff draws, the dense Zipf scan and the reciprocal scramble; every
-// one of those had to leave the bytes alone. Keys are
+// cutoff draws and the reciprocal scramble; every one of those had to
+// leave the bytes alone. Keys are
 // "<preset>/<logical pages>/<seed>" for the first 20 000 generated
 // requests and "<preset>/<logical pages>/precond" for the whole
 // preconditioner stream (its first 20 000 requests at 1<<20 pages).

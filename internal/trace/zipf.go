@@ -67,19 +67,17 @@ const (
 	zipfBuckets = 2048
 )
 
-// zipfRank holds rank k's thresholds in ur space above its lower bound
-// lo (kept apart, in zipfTable.lo), in increasing order lo < rejHi <
-// accLo < hi, plus the slow test's right-hand side.
+// zipfRank holds rank k's thresholds in ur space, in increasing order
+// lo < rejHi < accLo < hi, plus the slow test's right-hand side.
 type zipfRank struct {
-	rejHi, accLo, hi float64
-	slow             float64
+	lo, rejHi, accLo, hi float64
+	slow                 float64
 }
 
 // zipfTable is the immutable, shareable part of a zipf: the stdlib's
 // derived parameters under the stdlib's names, the certified ranks
 // (ranks[k+1] is rank k; ranks[0] is a sentinel no ur certifies, which
-// ends the downward scan and sends the draw to the exact path), their
-// lower bounds lo, dense so the scan reads one float per rank, and the
+// ends the downward scan and sends the draw to the exact path), and the
 // guide: for each bucket of r, the index of the highest rank whose lo
 // a ur in the bucket can reach, where lookup's downward scan starts.
 type zipfTable struct {
@@ -93,7 +91,6 @@ type zipfTable struct {
 	hx0minusHxm  float64
 
 	ranks []zipfRank
-	lo    []float64
 	guide [zipfBuckets]uint16
 }
 
@@ -124,11 +121,10 @@ func buildZipfTable(s, v float64, imax uint64) *zipfTable {
 	t.s = 1 - t.hinv(t.h(1.5)-math.Exp(-t.q*math.Log(t.v+1.0)))
 
 	const g = zipfGuard
-	t.ranks = []zipfRank{{hi: math.Inf(-1)}}
-	t.lo = []float64{math.Inf(-1)}
+	t.ranks = []zipfRank{{lo: math.Inf(-1), hi: math.Inf(-1)}}
 	for k := 0.0; k < zipfMaxRanks && k <= float64(imax); k++ {
-		lo := t.h(k - 0.5 + g)
 		e := zipfRank{
+			lo:    t.h(k - 0.5 + g),
 			rejHi: t.h(k - t.s - g),
 			accLo: t.h(k - t.s + g),
 			hi:    t.h(k + 0.5 - g),
@@ -136,12 +132,11 @@ func buildZipfTable(s, v float64, imax uint64) *zipfTable {
 		}
 		prev := t.ranks[len(t.ranks)-1].hi
 		// Written so that a NaN anywhere fails the test.
-		if !(t.errBound(k+1) <= g/8 && prev < lo && lo < e.rejHi &&
+		if !(t.errBound(k+1) <= g/8 && prev < e.lo && e.lo < e.rejHi &&
 			e.rejHi < e.accLo && e.accLo < e.hi && e.hi < -0x1p-900) {
 			break
 		}
 		t.ranks = append(t.ranks, e)
-		t.lo = append(t.lo, lo)
 	}
 
 	// ur falls as r rises (hx0minusHxm < 0), so bucket b's largest ur is
@@ -149,7 +144,7 @@ func buildZipfTable(s, v float64, imax uint64) *zipfTable {
 	i := len(t.ranks) - 1
 	for b := range t.guide {
 		ur0 := t.hxm + float64(b)/zipfBuckets*t.hx0minusHxm
-		for t.lo[i] > ur0 {
+		for t.ranks[i].lo > ur0 {
 			i--
 		}
 		t.guide[b] = uint16(i)
@@ -214,7 +209,7 @@ func (z zipf) Uint64() uint64 {
 // costs the exact path, never a wrong answer.
 func (t *zipfTable) lookup(start int, ur float64) (k uint64, accept, ok bool) {
 	i := start
-	for ur < t.lo[i] {
+	for ur < t.ranks[i].lo {
 		i--
 	}
 	if e := &t.ranks[i]; ur <= e.hi {

@@ -87,7 +87,7 @@ func TestZipfThresholdNeighbours(t *testing.T) {
 		top := len(tab.ranks) - 1
 		certified, probes := 0, 0
 		for i, e := range tab.ranks[1:] {
-			for _, th := range []float64{tab.lo[i+1], e.rejHi, e.accLo, e.hi, e.slow} {
+			for _, th := range []float64{e.lo, e.rejHi, e.accLo, e.hi, e.slow} {
 				for _, ur := range []float64{math.Nextafter(th, math.Inf(-1)), th, math.Nextafter(th, math.Inf(1))} {
 					probes++
 					k, accept, ok := tab.lookup(top, ur)
