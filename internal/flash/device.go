@@ -107,6 +107,16 @@ func (d *Device) Block(b BlockID) (*Block, error) {
 	return &d.blocks[b], nil
 }
 
+// BlockRef is block ID decoded once, for a pass over its pages by
+// in-block index (GC's victim pass) with ReadIn, TagIn and InvalidateIn.
+// It is valid until the device's next CopyFrom.
+type BlockRef struct {
+	ID   BlockID
+	Die  DieID
+	Base PPN // page 0 of the block
+	Blk  *Block
+}
+
 // DieFreeAt returns when die die becomes idle.
 func (d *Device) DieFreeAt(die DieID) event.Time { return d.dies[die].FreeAt() }
 
@@ -149,14 +159,22 @@ func (d *Device) ReadPage(at event.Time, p PPN) (event.Time, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	if d.states[p] == PageFree {
+	b, i := d.dec.Split(p)
+	r := BlockRef{ID: b, Die: d.dec.DieOfBlock(b), Base: p - PPN(i), Blk: &d.blocks[b]}
+	return d.ReadIn(at, &r, i)
+}
+
+// ReadIn is ReadPage for page i of the block r names: the address is
+// already decoded and in range, so only the page's state is checked.
+func (d *Device) ReadIn(at event.Time, r *BlockRef, i int) (event.Time, error) {
+	p := r.Base + PPN(i)
+	if r.Blk.states[i] == PageFree {
 		return 0, fmt.Errorf("%w: ppn %d", ErrNotProgrammed, p)
 	}
-	die := d.dec.DieOfBlock(d.dec.BlockOf(p))
-	start, end := d.dies[die].Reserve(at, d.cfg.Latencies.Read)
-	d.tr.Span(obs.DieTrack(int(die)), obs.KDieRead, start, end, uint64(p))
+	start, end := d.dies[r.Die].Reserve(at, d.cfg.Latencies.Read)
+	d.tr.Span(obs.DieTrack(int(r.Die)), obs.KDieRead, start, end, uint64(p))
 	d.stats.PageReads++
-	d.dieOps[die].PageReads++
+	d.dieOps[r.Die].PageReads++
 	d.observe(end)
 	return end, nil
 }
@@ -220,17 +238,30 @@ func (d *Device) program(at, dataReady event.Time, b BlockID, blk *Block, p PPN,
 
 // Invalidate marks a valid page invalid. It costs no device time (a
 // mapping-table update in controller RAM).
-func (d *Device) Invalidate(p PPN) error {
+func (d *Device) Invalidate(p PPN) error { _, _, err := d.InvalidateCounted(p); return err }
+
+// InvalidateCounted is Invalidate that also returns p's block and that
+// block's invalid-page count after the call, so a caller indexing
+// blocks by invalid count needs no second decode or lookup.
+func (d *Device) InvalidateCounted(p PPN) (BlockID, int, error) {
 	if err := d.checkPPN(p); err != nil {
-		return err
+		return 0, 0, err
 	}
-	if d.states[p] != PageValid {
-		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, p, d.states[p])
+	b, i := d.dec.Split(p)
+	r := BlockRef{ID: b, Base: p - PPN(i), Blk: &d.blocks[b]}
+	err := d.InvalidateIn(&r, i)
+	return b, r.Blk.invalidCnt, err
+}
+
+// InvalidateIn is Invalidate for page i of the block r names: the
+// address is decoded and in range, so only the page's state is checked.
+func (d *Device) InvalidateIn(r *BlockRef, i int) error {
+	if st := r.Blk.states[i]; st != PageValid {
+		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, r.Base+PPN(i), st)
 	}
-	d.states[p] = PageInvalid
-	blk := &d.blocks[d.dec.BlockOf(p)]
-	blk.validCnt--
-	blk.invalidCnt++
+	r.Blk.states[i] = PageInvalid
+	r.Blk.validCnt--
+	r.Blk.invalidCnt++
 	return nil
 }
 
@@ -274,6 +305,9 @@ func (d *Device) Tag(p PPN) (uint64, error) {
 	}
 	return d.tags[p], nil
 }
+
+// TagIn is Tag for page i of the block r names.
+func (d *Device) TagIn(r *BlockRef, i int) uint64 { return d.tags[r.Base+PPN(i)] }
 
 // PageStateOf returns the state of page p.
 func (d *Device) PageStateOf(p PPN) (PageState, error) {

@@ -173,6 +173,8 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 	if err != nil {
 		return err
 	}
+	v := victimRef{flash.BlockRef{ID: victim, Die: f.dec.DieOfBlock(victim),
+		Base: f.dec.PageOf(victim, 0), Blk: blk}, f.blocks[victim].region}
 	// The collect span is detached (no parent): the erase routinely
 	// completes after the user request that tripped the watermark, so
 	// claiming to nest inside it would be a lie the nesting invariant
@@ -186,7 +188,7 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 		f.vix.remove(victim, n)
 	}
 	f.blocks[victim].state = blkVictim
-	done, err := f.collectVictim(now, victim, blk)
+	done, err := f.collectVictim(now, &v)
 	if err != nil {
 		f.blocks[victim].state = blkClosed
 		f.indexClosed(victim, blk)
@@ -206,24 +208,42 @@ func (f *FTL) collect(now event.Time, victim flash.BlockID) error {
 	return err
 }
 
+// victimRef is the block a collection empties, decoded once: its device
+// address and bookkeeping, and its FTL region.
+type victimRef struct {
+	flash.BlockRef
+	region Region
+}
+
+// invalidate marks page i of the victim invalid. The victim is out of
+// the victim index for the whole collection, so the index does not
+// move; the block being in any state but blkVictim is corruption.
+func (v *victimRef) invalidate(f *FTL, i int) error {
+	if st := f.blocks[v.ID].state; st != blkVictim {
+		return fmt.Errorf("victim block %d in state %d", v.ID, st)
+	}
+	return f.dev.InvalidateIn(&v.BlockRef, i)
+}
+
 // collectVictim is collect's body; it returns the virtual time at which
 // every flash and hash operation of the collection has completed.
-func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Block) (event.Time, error) {
+func (f *FTL) collectVictim(now event.Time, v *victimRef) (event.Time, error) {
 	// blockDone gates the erase in the serial mode only.
 	blockDone := now
 	// cursor gates each page chain in the serial (no-overlap) mode.
 	cursor := now
 
-	for i := 0; i < f.geo.PagesPerBlock; i++ {
-		if blk.State(i) != flash.PageValid {
+	// The range reads each state as it reaches it: a promotion may have
+	// moved a later page of the victim out already.
+	for i, st := range v.Blk.States() {
+		if st != flash.PageValid {
 			continue
 		}
-		ppn := f.dec.PageOf(victim, i)
-		owner := f.owners[ppn]
+		owner := f.owners[v.Base+flash.PPN(i)]
 		if owner == nilSlot {
-			return 0, fmt.Errorf("valid ppn %d without owner", ppn)
+			return 0, fmt.Errorf("valid ppn %d without owner", v.Base+flash.PPN(i))
 		}
-		done, err := f.migratePage(now, &cursor, ppn, owner)
+		done, err := f.migratePage(now, &cursor, v, i, owner)
 		if err != nil {
 			return 0, err
 		}
@@ -236,12 +256,12 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Blo
 	if f.opts.HashAt == HashAtMigrateSerial {
 		migrated = blockDone
 	}
-	eraseEnd, err := f.dev.EraseBlock(now, migrated, victim)
+	eraseEnd, err := f.dev.EraseBlock(now, migrated, v.ID)
 	if errors.Is(err, flash.ErrWornOut) {
 		// Bad-block management: the block is retired. Its valid pages
 		// were already migrated, so no data is lost — the device just
 		// shrinks by one block. The migrations still occupied the dies.
-		f.blocks[victim].state = blkDead
+		f.blocks[v.ID].state = blkDead
 		f.stats.BadBlocks++
 		if blockDone > f.gcBusyUntil {
 			f.gcBusyUntil = blockDone
@@ -257,7 +277,7 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Blo
 	if blockDone > f.gcBusyUntil {
 		f.gcBusyUntil = blockDone
 	}
-	f.pushFree(victim)
+	f.pushFree(v.ID)
 	f.stats.BlocksErased++
 	done := eraseEnd
 	if blockDone > done {
@@ -266,9 +286,9 @@ func (f *FTL) collectVictim(now event.Time, victim flash.BlockID, blk *flash.Blo
 	return done, nil
 }
 
-// migratePage relocates (or dedups away) one valid page during GC and
+// migratePage relocates (or dedups away) valid page i of the victim and
 // returns the completion time of its processing.
-func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, owner slot) (event.Time, error) {
+func (f *FTL) migratePage(now event.Time, cursor *event.Time, v *victimRef, i int, owner slot) (event.Time, error) {
 	overlap := f.opts.HashAt != HashAtMigrateSerial
 	start := now
 	if !overlap {
@@ -276,7 +296,7 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, own
 	}
 
 	f.stats.GCReads++
-	readEnd, err := f.dev.ReadPage(start, ppn)
+	readEnd, err := f.dev.ReadIn(start, &v.BlockRef, i)
 	if err != nil {
 		return 0, err
 	}
@@ -289,7 +309,7 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, own
 			}
 		}
 		if !hashed {
-			return f.migrateUnhashed(now, cursor, overlap, ppn, owner, readEnd)
+			return f.migrateUnhashed(now, cursor, overlap, v, i, owner, readEnd)
 		}
 	}
 
@@ -305,7 +325,7 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, own
 	if !overlap {
 		dataReady = readEnd
 	}
-	progEnd, err := f.relocateAfter(now, dataReady, ppn, owner, f.regionFor(ref))
+	progEnd, err := f.relocateAfter(now, dataReady, v, i, owner, f.regionFor(ref))
 	if err != nil {
 		return 0, err
 	}
@@ -317,14 +337,15 @@ func (f *FTL) migratePage(now event.Time, cursor *event.Time, ppn flash.PPN, own
 // see — a private page, never hashed, or shared content whose
 // fingerprint the capacity bound evicted: hash it, then either fold it
 // into the indexed copy or index and write it.
-func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, ppn flash.PPN, owner slot, readEnd event.Time) (event.Time, error) {
+func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, v *victimRef, i int, owner slot, readEnd event.Time) (event.Time, error) {
+	ppn := v.Base + flash.PPN(i)
 	hashAt := now
 	if !overlap {
 		hashAt = readEnd
 	}
 	hashEnd := f.reserveHash(hashAt, readEnd)
 
-	fp, err := f.fingerprint(ppn, owner)
+	fp, err := f.fingerprint(v, i, owner)
 	if err != nil {
 		return 0, err
 	}
@@ -345,7 +366,7 @@ func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, 
 				return 0, err
 			}
 		}
-		if err := f.invalidatePage(ppn); err != nil {
+		if err := v.invalidate(f, i); err != nil {
 			return 0, err
 		}
 		f.owners[ppn] = nilSlot
@@ -391,7 +412,7 @@ func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, 
 	if !overlap {
 		dataReady = hashEnd
 	}
-	progEnd, err := f.relocateAfter(now, dataReady, ppn, cidSlot(c), f.regionFor(ref))
+	progEnd, err := f.relocateAfter(now, dataReady, v, i, cidSlot(c), f.regionFor(ref))
 	if err != nil {
 		return 0, err
 	}
@@ -399,22 +420,22 @@ func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, 
 	return progEnd, nil
 }
 
-// fingerprint returns the content fingerprint of ppn, owned by owner:
-// the programmed tag for a private page (what GC's hash of it
-// computes), the CID's fingerprint otherwise.
-func (f *FTL) fingerprint(ppn flash.PPN, owner slot) (dedup.Fingerprint, error) {
+// fingerprint returns the content fingerprint of page i of the victim,
+// owned by owner: the programmed tag for a private page (what GC's hash
+// of it computes), the CID's fingerprint otherwise.
+func (f *FTL) fingerprint(v *victimRef, i int, owner slot) (dedup.Fingerprint, error) {
 	if owner.private() {
-		tag, err := f.dev.Tag(ppn)
-		return dedup.Fingerprint(tag), err
+		return dedup.Fingerprint(f.dev.TagIn(&v.BlockRef, i)), nil
 	}
 	return f.idx.FP(owner.cid())
 }
 
-// relocateAfter copies owner's content from oldPPN into region, data
-// available at dataReady, and updates all metadata: the CID's location,
-// or a private page's LPN.
-func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, owner slot, region Region) (event.Time, error) {
-	fp, err := f.fingerprint(oldPPN, owner)
+// relocateAfter copies owner's content from page i of the victim into
+// region, data available at dataReady, and updates all metadata: the
+// CID's location, or a private page's LPN.
+func (f *FTL) relocateAfter(now, dataReady event.Time, v *victimRef, i int, owner slot, region Region) (event.Time, error) {
+	oldPPN := v.Base + flash.PPN(i)
+	fp, err := f.fingerprint(v, i, owner)
 	if err != nil {
 		return 0, err
 	}
@@ -422,8 +443,7 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, owner s
 	// to the hot range leaves the cold region when its block is
 	// collected (lazy demotion — no extra copies, the migration was
 	// happening anyway).
-	if f.opts.HotCold && region == Hot &&
-		f.blocks[f.dec.BlockOf(oldPPN)].region == Cold {
+	if f.opts.HotCold && region == Hot && v.region == Cold {
 		f.stats.Demotions++
 		f.tr.Instant(obs.TrackGC, obs.KDemote, now, uint64(oldPPN))
 	}
@@ -438,7 +458,7 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, oldPPN flash.PPN, owner s
 		return 0, err
 	}
 	f.owners[dest] = owner
-	if err := f.invalidatePage(oldPPN); err != nil {
+	if err := v.invalidate(f, i); err != nil {
 		return 0, err
 	}
 	f.owners[oldPPN] = nilSlot

@@ -19,7 +19,8 @@ import (
 // moves on exactly the transitions that change eligibility or count:
 //
 //	close       (program, last page)   — enter bucket `invalid`, if > 0
-//	invalidate  (invalidatePage)       — closed block: bucket k-1 -> k
+//	invalidate  (invalidatePage)       — closed block: bucket k-1 -> k;
+//	            a victim page (victimRef.invalidate) moves nothing
 //	collect     (collect, on entry)    — leave: the victim's own
 //	            migrations would otherwise walk it through every bucket
 //	            above its own, one invalidation at a time
@@ -181,18 +182,14 @@ func (f *FTL) indexClosed(b flash.BlockID, blk *flash.Block) {
 
 // invalidatePage marks ppn invalid on the device and keeps the victim
 // index current: an invalidation in a closed block moves it up one
-// bucket.
+// bucket. GC's victim pass invalidates through victimRef.invalidate.
 func (f *FTL) invalidatePage(ppn flash.PPN) error {
-	if err := f.dev.Invalidate(ppn); err != nil {
+	b, n, err := f.dev.InvalidateCounted(ppn)
+	if err != nil {
 		return err
 	}
-	b := f.dec.BlockOf(ppn)
 	if f.blocks[b].state == blkClosed {
-		blk, err := f.dev.Block(b)
-		if err != nil {
-			return err
-		}
-		f.vix.bump(b, blk.Invalid())
+		f.vix.bump(b, n)
 	}
 	return nil
 }
