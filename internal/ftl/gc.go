@@ -400,6 +400,7 @@ func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, 
 			return 0, err
 		}
 		f.bind(owner.page(), cidSlot(c))
+		f.owners[ppn] = cidSlot(c) // stays true if the program below fails
 	} else if err := f.idx.Publish(c); err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"errors"
 	"testing"
 
 	"cagc/internal/dedup"
@@ -29,18 +30,27 @@ const (
 	legCapacity = 1 << iota
 	legMappingCache
 	legWearLevel
+	// legEraseLimit gives every block modelEraseLimit erases: blocks are
+	// retired inside GC's victim pass until the device cannot host the
+	// logical space, and the stream then ends at the first ErrDeviceFull.
+	legEraseLimit
 	numLegs = iota
 )
 
+// modelEraseLimit is the erase-limit leg's per-block erase budget.
+const modelEraseLimit = 3
+
 // legName names the corpus files of the legs.
-var legName = [numLegs]string{"capacity", "mapcache", "wearlevel"}
+var legName = [numLegs]string{"capacity", "mapcache", "wearlevel", "eraselimit"}
 
 // runAgainstModel decodes data into a composition, a policy, option legs and
 // an operation stream, applies the stream to an FTL on a 64-page device
 // and to the model, and compares them every modelCheckEvery operations
 // and at the end. Victim selection goes through checkedPolicy, so each
 // selection is also compared with the full-scan reference. It returns
-// the FTL.
+// the FTL. Under the erase-limit leg an operation that fails with
+// ErrDeviceFull ends the stream unapplied: the device wore out cleanly,
+// and the final comparison still runs.
 func runAgainstModel(t *testing.T, data []byte) *FTL {
 	if len(data) < 2 {
 		return nil
@@ -63,14 +73,18 @@ func runAgainstModel(t *testing.T, data []byte) *FTL {
 	if legs&legWearLevel != 0 {
 		opts.WearLevelThreshold = 2
 	}
-	dev, err := flash.NewDevice(flash.Config{
+	cfg := flash.Config{
 		Geometry: flash.Geometry{
 			Channels: 2, DiesPerChan: 1, PlanesPerDie: 1,
 			BlocksPerPlan: 8, PagesPerBlock: 4, PageSize: 4096,
 		},
 		Latencies:     flash.TableILatencies(),
 		OverProvision: 0.1,
-	})
+	}
+	if legs&legEraseLimit != 0 {
+		cfg.EraseLimit = modelEraseLimit
+	}
+	dev, err := flash.NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +102,15 @@ func runAgainstModel(t *testing.T, data []byte) *FTL {
 		kind, arg := ops[i]%16, ops[i+3]
 		lpn := (uint64(ops[i+1])<<8 | uint64(ops[i+2])) % logical
 		end, err := now, error(nil)
+		apply := func() {} // the op's effect on the model, once it succeeded
 		switch {
 		case kind < 9: // write or overwrite, 16 contents so duplicates are common
 			fp := fpOf(uint64(arg % 16))
 			end, err = f.Write(now, lpn, fp)
-			model[lpn] = fp
+			apply = func() { model[lpn] = fp }
 		case kind < 11:
 			end, err = f.Trim(now, lpn)
-			delete(model, lpn)
+			apply = func() { delete(model, lpn) }
 		case kind < 14:
 			end, err = f.Read(now, lpn)
 		case kind < 15:
@@ -103,9 +118,13 @@ func runAgainstModel(t *testing.T, data []byte) *FTL {
 		default:
 			err = f.ForceGC(now)
 		}
+		if legs&legEraseLimit != 0 && errors.Is(err, ErrDeviceFull) {
+			break
+		}
 		if err != nil {
 			t.Fatalf("op %d (kind %d, lpn %d): %v", i/modelOpBytes, kind, lpn, err)
 		}
+		apply()
 		now = end
 		if (i/modelOpBytes+1)%modelCheckEvery == 0 {
 			compareWithModel(t, f, model, now)
@@ -241,6 +260,8 @@ func TestFTLAgainstModel(t *testing.T) {
 				reached = f.MapCacheStats().Hits > 0
 			case legWearLevel:
 				reached = f.Stats().WLSwaps > 0
+			case legEraseLimit:
+				reached = f.Stats().BadBlocks > 0
 			}
 			if !reached {
 				t.Errorf("scheme %d, %s leg: never exercised: %+v", scheme, legName[leg], f.Stats())
