@@ -49,6 +49,17 @@ func TestBoundsMatchService(t *testing.T) {
 		{nil, `{"scheme":"baseline","params":{"IndexCapacity":-1}}`},
 		{nil, `{"params":{"MappingCache":-1}}`},
 		{nil, `{"params":{"EraseLimit":-1}}`},
+		// JSON has no NaN or infinity, so only the CLI can ask for them.
+		{[]string{"-util", "NaN"}, ""},
+		{[]string{"-fleet", "2", "-fleet-util-spread", "NaN"}, ""},
+		{[]string{"-fleet", "2", "-fleet-util-spread", "+Inf"}, ""},
+		{[]string{"-fleet", "2", "-fleet-util-spread", "-Inf"}, ""},
+		{[]string{"-fleet", "2", "-fleet-diurnal", "NaN"}, ""},
+		{[]string{"-fleet", "2", "-fleet-diurnal", "+Inf"}, ""},
+		{[]string{"-fleet", "2", "-fleet-diurnal", "-Inf"}, ""},
+		{[]string{"-tenants", "Mail,Homes", "-diurnal-period-ms", "10", "-diurnal-amp", "NaN"}, ""},
+		{[]string{"-tenants", "Mail,Homes", "-diurnal-period-ms", "10", "-diurnal-amp", "+Inf"}, ""},
+		{[]string{"-tenants", "Mail,Homes", "-diurnal-period-ms", "10", "-diurnal-amp", "-Inf"}, ""},
 	} {
 		var err error
 		if tc.args == nil {
@@ -69,6 +80,9 @@ func TestBoundsMatchService(t *testing.T) {
 			if _, statErr := os.Stat(cpu); !os.IsNotExist(statErr) {
 				t.Errorf("cagcsim %v: profile file created despite the bound", tc.args)
 			}
+		}
+		if tc.spec == "" {
+			continue
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(tc.spec)))

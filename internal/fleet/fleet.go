@@ -282,10 +282,10 @@ func (c Config) Normalize() (Config, error) {
 	if c.TopK > c.Devices {
 		c.TopK = c.Devices
 	}
-	if c.UtilSpread < 0 || c.UtilSpread >= 1 {
+	if !(0 <= c.UtilSpread && c.UtilSpread < 1) { // written so NaN fails
 		return c, fmt.Errorf("fleet: utilization spread %.3f outside [0, 1)", c.UtilSpread)
 	}
-	if c.Diurnal < 0 || c.Diurnal >= 2 {
+	if !(0 <= c.Diurnal && c.Diurnal < 2) {
 		return c, fmt.Errorf("fleet: diurnal spread %.3f outside [0, 2)", c.Diurnal)
 	}
 	base := c.Base.Normalized()

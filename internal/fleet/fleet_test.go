@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -284,6 +285,23 @@ func TestFleetPerturbationEnvelope(t *testing.T) {
 	}
 	if len(staggers) != cfg.StaggerClasses {
 		t.Fatalf("fleet used %d stagger classes, want %d", len(staggers), cfg.StaggerClasses)
+	}
+}
+
+// Normalize refuses a spread outside its range, NaN and infinities
+// included.
+func TestNormalizeRefusesSpreads(t *testing.T) {
+	for _, v := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(*Config){
+			func(c *Config) { c.UtilSpread = v },
+			func(c *Config) { c.Diurnal = v },
+		} {
+			cfg := fleetConfig(t, 2)
+			set(&cfg)
+			if _, err := cfg.Normalize(); err == nil {
+				t.Errorf("spread %g accepted: UtilSpread %g, Diurnal %g", v, cfg.UtilSpread, cfg.Diurnal)
+			}
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func (sp ScenarioParams) check() error {
 	if len(sp.Tenants) == 0 {
 		return fmt.Errorf("cagc: scenario needs at least one tenant")
 	}
-	if sp.DiurnalAmp < 0 || sp.DiurnalAmp >= 1 {
+	if !(0 <= sp.DiurnalAmp && sp.DiurnalAmp < 1) { // written so NaN fails
 		return fmt.Errorf("cagc: diurnal amplitude %g outside [0, 1)", sp.DiurnalAmp)
 	}
 	if err := nonNegative(bound{"Scenario.ChunkRequests", int64(sp.ChunkRequests)}); err != nil {

@@ -132,9 +132,11 @@ func TestRunScenarioValidation(t *testing.T) {
 		t.Fatal("empty scenario accepted")
 	}
 	sp := testScenarioParams()
-	sp.DiurnalAmp = 1.0
-	if _, err := RunScenario(CAGC, "greedy", p, sp); err == nil {
-		t.Fatal("amplitude 1.0 accepted")
+	for _, amp := range []float64{1.0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sp.DiurnalAmp = amp
+		if _, err := RunScenario(CAGC, "greedy", p, sp); err == nil {
+			t.Fatalf("amplitude %g accepted", amp)
+		}
 	}
 	sp = testScenarioParams()
 	sp.Tenants[1].Workload = "Nope"
