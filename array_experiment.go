@@ -72,9 +72,9 @@ type ArrayParams struct {
 // RunArray replays the workload through a multi-SSD volume whose
 // members all run scheme s, each built from p exactly as Run builds its
 // device. Like the single-device path it is fully deterministic: same
-// arguments, same Result. The array layer replays open loop, without a
-// write buffer and untraced, so p.QueueDepth, p.BufferPages and p.Trace
-// are errors rather than silently ignored.
+// arguments, same Result. The array layer replays open loop, unbuffered,
+// untraced and uncancellable, so p.QueueDepth, p.BufferPages, p.Trace and
+// p.Ctx are errors rather than silently ignored.
 func RunArray(w Workload, s Scheme, p Params, ap ArrayParams) (*ArrayResult, error) {
 	p = p.withDefaults()
 	if err := ap.check(p); err != nil {
@@ -121,8 +121,8 @@ func RunArray(w Workload, s Scheme, p Params, ap ArrayParams) (*ArrayResult, err
 }
 
 // check refuses by name what the array layer cannot honour: it replays
-// open loop, unbuffered and untraced, striped or mirrored, and steers
-// reads only between mirrors.
+// open loop, unbuffered, untraced and to the end (no context is polled),
+// striped or mirrored, and steers reads only between mirrors.
 func (ap ArrayParams) check(p Params) error {
 	switch {
 	case p.BufferPages != 0:
@@ -131,6 +131,8 @@ func (ap ArrayParams) check(p Params) error {
 		return fmt.Errorf("array: QueueDepth is not supported (the array replays open loop)")
 	case p.Trace != nil:
 		return fmt.Errorf("array: Trace is not supported (the array layer is untraced)")
+	case p.Ctx != nil:
+		return fmt.Errorf("array: Ctx is not supported (the array layer never polls a context)")
 	case ap.Mode != "" && ap.Mode != "raid0" && ap.Mode != "raid1":
 		return fmt.Errorf("array: unknown mode %q (want raid0 or raid1)", ap.Mode)
 	case ap.Steer && ap.Mode == "raid0":

@@ -2,6 +2,7 @@ package cagc
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -142,6 +143,26 @@ func TestEveryEntryModeHonoursParams(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The array layer never polls a context, so an array job refuses one by
+// name, set before Resolve or after it, rather than drop its deadline.
+func TestArrayRefusesCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	j := Job{Kind: KindArray, Params: Params{Requests: 500}, Array: &ArrayParams{}}
+	r, err := j.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Params.Ctx = ctx
+	if _, err := r.Execute(); err == nil || !strings.Contains(err.Error(), "Ctx") {
+		t.Errorf("array job under a cancelled context: %v, want an error naming Ctx", err)
+	}
+	j.Params.Ctx = ctx
+	if _, err := j.Resolve(); err == nil || !strings.Contains(err.Error(), "Ctx") {
+		t.Errorf("Resolve of an array job with a context: %v, want an error naming Ctx", err)
 	}
 }
 

@@ -69,7 +69,7 @@ type Job struct {
 
 // ResolvedJob is a Job with every default applied, every bound checked
 // and its identity computed. Callers may set Params.Ctx and Params.Trace
-// before Execute; neither enters the identity.
+// before Execute (array jobs refuse both); neither enters the identity.
 type ResolvedJob struct {
 	Kind     string
 	Workload Workload
