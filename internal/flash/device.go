@@ -160,7 +160,7 @@ func (d *Device) ReadPage(at event.Time, p PPN) (event.Time, error) {
 		return 0, err
 	}
 	b, i := d.dec.Split(p)
-	r := BlockRef{ID: b, Die: d.dec.DieOfBlock(b), Base: p - PPN(i), Blk: &d.blocks[b]}
+	r := BlockRef{Die: d.dec.DieOfBlock(b), Base: p - PPN(i), Blk: &d.blocks[b]}
 	return d.ReadIn(at, &r, i)
 }
 
@@ -248,7 +248,7 @@ func (d *Device) InvalidateCounted(p PPN) (BlockID, int, error) {
 		return 0, 0, err
 	}
 	b, i := d.dec.Split(p)
-	r := BlockRef{ID: b, Base: p - PPN(i), Blk: &d.blocks[b]}
+	r := BlockRef{Base: p - PPN(i), Blk: &d.blocks[b]}
 	err := d.InvalidateIn(&r, i)
 	return b, r.Blk.invalidCnt, err
 }

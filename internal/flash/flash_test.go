@@ -300,6 +300,64 @@ func TestProgramNextMatchesProgramPage(t *testing.T) {
 	}
 }
 
+// The block-scoped calls GC's victim pass uses do what the per-PPN calls
+// do — same completion times, counters, die time, tags and page states,
+// same errors — and InvalidateCounted reports the block's new count.
+func TestBlockScopedMatchesPerPPN(t *testing.T) {
+	byPPN, byRef := mustDevice(t, tinyConfig()), mustDevice(t, tinyConfig())
+	g := byPPN.Geometry()
+	b := BlockID(g.TotalBlocks() - 1) // on the last die
+	for _, d := range []*Device{byPPN, byRef} {
+		for i := 0; i < g.PagesPerBlock-1; i++ {
+			if _, _, _, err := d.ProgramNext(0, 0, b, uint64(100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	blk, err := byRef.Block(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := BlockRef{ID: b, Die: g.DieOfBlock(b), Base: g.PageOf(b, 0), Blk: blk}
+	for i := 0; i < g.PagesPerBlock-1; i++ {
+		p := g.PageOf(b, i)
+		want, err := byPPN.ReadPage(event.Time(i), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := byRef.ReadIn(event.Time(i), &r, i); err != nil || got != want {
+			t.Fatalf("page %d: ReadIn = %v, %v; ReadPage = %v", i, got, err, want)
+		}
+		if tag, _ := byPPN.Tag(p); byRef.TagIn(&r, i) != tag {
+			t.Fatalf("page %d: TagIn = %d, Tag = %d", i, byRef.TagIn(&r, i), tag)
+		}
+		if bb, n, err := byPPN.InvalidateCounted(p); err != nil || bb != b || n != i+1 {
+			t.Fatalf("page %d: InvalidateCounted = %d, %d, %v; want %d, %d", i, bb, n, err, b, i+1)
+		}
+		if err := byRef.InvalidateIn(&r, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if byPPN.Stats() != byRef.Stats() || byPPN.DieStats(r.Die) != byRef.DieStats(r.Die) ||
+		byPPN.DieFreeAt(r.Die) != byRef.DieFreeAt(r.Die) {
+		t.Fatal("devices diverged")
+	}
+	f1, v1, i1 := byPPN.CountStates()
+	if f2, v2, i2 := byRef.CountStates(); f1 != f2 || v1 != v2 || i1 != i2 {
+		t.Fatalf("page states %d/%d/%d vs %d/%d/%d", f1, v1, i1, f2, v2, i2)
+	}
+	if err := byRef.InvalidateIn(&r, 0); !errors.Is(err, ErrNotInvalid) {
+		t.Errorf("invalidating an invalid page: %v, want ErrNotInvalid", err)
+	}
+	last := g.PagesPerBlock - 1
+	if _, err := byRef.ReadIn(0, &r, last); !errors.Is(err, ErrNotProgrammed) {
+		t.Errorf("reading a free page: %v, want ErrNotProgrammed", err)
+	}
+	if err := byRef.InvalidateIn(&r, last); !errors.Is(err, ErrNotInvalid) {
+		t.Errorf("invalidating a free page: %v, want ErrNotInvalid", err)
+	}
+}
+
 func TestReadFreePageRejected(t *testing.T) {
 	d := mustDevice(t, tinyConfig())
 	if _, err := d.ReadPage(0, 0); !errors.Is(err, ErrNotProgrammed) {

@@ -215,10 +215,10 @@ type victimRef struct {
 	region Region
 }
 
-// invalidate marks page i of the victim invalid. The victim is out of
-// the victim index for the whole collection, so the index does not
+// invalidateVictim marks page i of the victim invalid. The victim is out
+// of the victim index for the whole collection, so the index does not
 // move; the block being in any state but blkVictim is corruption.
-func (v *victimRef) invalidate(f *FTL, i int) error {
+func (f *FTL) invalidateVictim(v *victimRef, i int) error {
 	if st := f.blocks[v.ID].state; st != blkVictim {
 		return fmt.Errorf("victim block %d in state %d", v.ID, st)
 	}
@@ -366,7 +366,7 @@ func (f *FTL) migrateUnhashed(now event.Time, cursor *event.Time, overlap bool, 
 				return 0, err
 			}
 		}
-		if err := v.invalidate(f, i); err != nil {
+		if err := f.invalidateVictim(v, i); err != nil {
 			return 0, err
 		}
 		f.owners[ppn] = nilSlot
@@ -459,7 +459,7 @@ func (f *FTL) relocateAfter(now, dataReady event.Time, v *victimRef, i int, owne
 		return 0, err
 	}
 	f.owners[dest] = owner
-	if err := v.invalidate(f, i); err != nil {
+	if err := f.invalidateVictim(v, i); err != nil {
 		return 0, err
 	}
 	f.owners[oldPPN] = nilSlot

@@ -158,6 +158,33 @@ func TestVictimCandidatesExcludeFrontiers(t *testing.T) {
 	}
 }
 
+// The victim pass invalidates only inside a collection: a page of a
+// block in any other state is corruption, reported rather than skipped,
+// and the page stays valid.
+func TestInvalidateVictimNeedsVictimState(t *testing.T) {
+	f := newFTL(t, BaselineOptions())
+	churn(t, f, int(f.LogicalPages())*2, 1<<60, 32)
+	v := VictimView{&f.vix, f.dev}
+	for b, ok := v.Next(0, 0); ok; b, ok = v.Next(0, b+1) {
+		blk := v.Block(b)
+		for i, st := range blk.States() {
+			if st != flash.PageValid {
+				continue
+			}
+			ref := victimRef{flash.BlockRef{ID: b, Die: f.dec.DieOfBlock(b),
+				Base: f.dec.PageOf(b, 0), Blk: blk}, f.blocks[b].region}
+			if err := f.invalidateVictim(&ref, i); err == nil {
+				t.Fatalf("closed block %d: victim-pass invalidation accepted", b)
+			}
+			if blk.State(i) != flash.PageValid {
+				t.Fatalf("closed block %d: page %d invalidated despite the error", b, i)
+			}
+			return
+		}
+	}
+	t.Fatal("churn left no closed block with a valid page")
+}
+
 func TestMaxGCBatchBoundsForegroundWork(t *testing.T) {
 	f := newFTL(t, BaselineOptions())
 	// Push free space just below the watermark, then check one write

@@ -20,7 +20,7 @@ import (
 //
 //	close       (program, last page)   — enter bucket `invalid`, if > 0
 //	invalidate  (invalidatePage)       — closed block: bucket k-1 -> k;
-//	            a victim page (victimRef.invalidate) moves nothing
+//	            a victim page (invalidateVictim) moves nothing
 //	collect     (collect, on entry)    — leave: the victim's own
 //	            migrations would otherwise walk it through every bucket
 //	            above its own, one invalidation at a time
@@ -182,7 +182,7 @@ func (f *FTL) indexClosed(b flash.BlockID, blk *flash.Block) {
 
 // invalidatePage marks ppn invalid on the device and keeps the victim
 // index current: an invalidation in a closed block moves it up one
-// bucket. GC's victim pass invalidates through victimRef.invalidate.
+// bucket. GC's victim pass invalidates through invalidateVictim.
 func (f *FTL) invalidatePage(ppn flash.PPN) error {
 	b, n, err := f.dev.InvalidateCounted(ppn)
 	if err != nil {
