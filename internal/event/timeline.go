@@ -34,10 +34,7 @@ func (tl *Timeline) Reserve(at, dur Time) (start, end Time) {
 	if dur < 0 {
 		dur = 0
 	}
-	start = at
-	if tl.freeAt > start {
-		start = tl.freeAt
-	}
+	start = max(at, tl.freeAt)
 	end = start + dur
 	tl.freeAt = end
 	tl.busy += dur
@@ -49,10 +46,7 @@ func (tl *Timeline) Reserve(at, dur Time) (start, end Time) {
 // completion time dep (data dependency: the input of this operation is
 // produced at dep).
 func (tl *Timeline) ReserveAfter(at, dep, dur Time) (start, end Time) {
-	if dep > at {
-		at = dep
-	}
-	return tl.Reserve(at, dur)
+	return tl.Reserve(max(at, dep), dur)
 }
 
 // CopyFrom makes tl equal src. Timeline state is three scalars, so the

@@ -146,11 +146,7 @@ func (d *Device) checkPPN(p PPN) error {
 	return nil
 }
 
-func (d *Device) observe(t event.Time) {
-	if t > d.now {
-		d.now = t
-	}
-}
+func (d *Device) observe(t event.Time) { d.now = max(d.now, t) }
 
 // ReadPage reserves die time to read page p starting no earlier than at,
 // returning the completion time. Reading a free page is an FTL bug and

@@ -3,6 +3,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"cagc/internal/dedup"
 	"cagc/internal/event"
@@ -233,22 +234,34 @@ func (f *FTL) collectVictim(now event.Time, v *victimRef) (event.Time, error) {
 	// cursor gates each page chain in the serial (no-overlap) mode.
 	cursor := now
 
-	// The range reads each state as it reaches it: a promotion may have
-	// moved a later page of the victim out already.
-	for i, st := range v.Blk.States() {
-		if st != flash.PageValid {
-			continue
+	// Pages go in order, 64 at a time: a branch-free pass masks the
+	// valid ones (a branch per page of a valid/invalid mix mispredicts),
+	// then the loop walks the mask, re-reading each state: a promotion
+	// may have moved a later page of the victim out already.
+	states := v.Blk.States()
+	for lo := 0; lo < len(states); lo += 64 {
+		var valid uint64
+		for j, st := range states[lo:min(lo+64, len(states))] {
+			var bit uint64
+			if st == flash.PageValid {
+				bit = 1
+			}
+			valid |= bit << j
 		}
-		owner := f.owners[v.Base+flash.PPN(i)]
-		if owner == nilSlot {
-			return 0, fmt.Errorf("valid ppn %d without owner", v.Base+flash.PPN(i))
-		}
-		done, err := f.migratePage(now, &cursor, v, i, owner)
-		if err != nil {
-			return 0, err
-		}
-		if done > blockDone {
-			blockDone = done
+		for ; valid != 0; valid &= valid - 1 {
+			i := lo + bits.TrailingZeros64(valid)
+			if states[i] != flash.PageValid {
+				continue
+			}
+			owner := f.owners[v.Base+flash.PPN(i)]
+			if owner == nilSlot {
+				return 0, fmt.Errorf("valid ppn %d without owner", v.Base+flash.PPN(i))
+			}
+			done, err := f.migratePage(now, &cursor, v, i, owner)
+			if err != nil {
+				return 0, err
+			}
+			blockDone = max(blockDone, done)
 		}
 	}
 
@@ -263,26 +276,16 @@ func (f *FTL) collectVictim(now event.Time, v *victimRef) (event.Time, error) {
 		// shrinks by one block. The migrations still occupied the dies.
 		f.blocks[v.ID].state = blkDead
 		f.stats.BadBlocks++
-		if blockDone > f.gcBusyUntil {
-			f.gcBusyUntil = blockDone
-		}
+		f.gcBusyUntil = max(f.gcBusyUntil, blockDone)
 		return blockDone, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	if eraseEnd > f.gcBusyUntil {
-		f.gcBusyUntil = eraseEnd
-	}
-	if blockDone > f.gcBusyUntil {
-		f.gcBusyUntil = blockDone
-	}
+	done := max(eraseEnd, blockDone)
+	f.gcBusyUntil = max(f.gcBusyUntil, done)
 	f.pushFree(v.ID)
 	f.stats.BlocksErased++
-	done := eraseEnd
-	if blockDone > done {
-		done = blockDone
-	}
 	return done, nil
 }
 

@@ -297,9 +297,7 @@ func (r *Runner) serveRequest(req trace.Request) (event.Time, error) {
 			r.tr.End(id, req.At)
 			return 0, err
 		}
-		if end > done {
-			done = end
-		}
+		done = max(done, end)
 	}
 	r.tr.End(id, done)
 	return done, nil
