@@ -155,22 +155,25 @@ func (d *Device) ReadPage(at event.Time, p PPN) (event.Time, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, err
 	}
-	b, i := d.dec.Split(p)
-	r := BlockRef{Die: d.dec.DieOfBlock(b), Base: p - PPN(i), Blk: &d.blocks[b]}
-	return d.ReadIn(at, &r, i)
+	return d.read(at, d.dec.DieOfBlock(d.dec.BlockOf(p)), p, d.states[p])
 }
 
 // ReadIn is ReadPage for page i of the block r names: the address is
 // already decoded and in range, so only the page's state is checked.
 func (d *Device) ReadIn(at event.Time, r *BlockRef, i int) (event.Time, error) {
-	p := r.Base + PPN(i)
-	if r.Blk.states[i] == PageFree {
+	return d.read(at, r.Die, r.Base+PPN(i), r.Blk.states[i])
+}
+
+// read books die for reading page p, in state st; ReadPage and ReadIn
+// share it.
+func (d *Device) read(at event.Time, die DieID, p PPN, st PageState) (event.Time, error) {
+	if st == PageFree {
 		return 0, fmt.Errorf("%w: ppn %d", ErrNotProgrammed, p)
 	}
-	start, end := d.dies[r.Die].Reserve(at, d.cfg.Latencies.Read)
-	d.tr.Span(obs.DieTrack(int(r.Die)), obs.KDieRead, start, end, uint64(p))
+	start, end := d.dies[die].Reserve(at, d.cfg.Latencies.Read)
+	d.tr.Span(obs.DieTrack(int(die)), obs.KDieRead, start, end, uint64(p))
 	d.stats.PageReads++
-	d.dieOps[r.Die].PageReads++
+	d.dieOps[die].PageReads++
 	d.observe(end)
 	return end, nil
 }
@@ -243,21 +246,25 @@ func (d *Device) InvalidateCounted(p PPN) (BlockID, int, error) {
 	if err := d.checkPPN(p); err != nil {
 		return 0, 0, err
 	}
-	b, i := d.dec.Split(p)
-	r := BlockRef{Base: p - PPN(i), Blk: &d.blocks[b]}
-	err := d.InvalidateIn(&r, i)
-	return b, r.Blk.invalidCnt, err
+	b := d.dec.BlockOf(p)
+	blk := &d.blocks[b]
+	err := d.invalidate(blk, p)
+	return b, blk.invalidCnt, err
 }
 
 // InvalidateIn is Invalidate for page i of the block r names: the
 // address is decoded and in range, so only the page's state is checked.
-func (d *Device) InvalidateIn(r *BlockRef, i int) error {
-	if st := r.Blk.states[i]; st != PageValid {
-		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, r.Base+PPN(i), st)
+func (d *Device) InvalidateIn(r *BlockRef, i int) error { return d.invalidate(r.Blk, r.Base+PPN(i)) }
+
+// invalidate marks page p of blk invalid; InvalidateCounted and
+// InvalidateIn share it.
+func (d *Device) invalidate(blk *Block, p PPN) error {
+	if st := d.states[p]; st != PageValid {
+		return fmt.Errorf("%w: ppn %d is %v", ErrNotInvalid, p, st)
 	}
-	r.Blk.states[i] = PageInvalid
-	r.Blk.validCnt--
-	r.Blk.invalidCnt++
+	d.states[p] = PageInvalid
+	blk.validCnt--
+	blk.invalidCnt++
 	return nil
 }
 

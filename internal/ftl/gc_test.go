@@ -3,6 +3,7 @@ package ftl
 import (
 	"testing"
 
+	"cagc/internal/dedup"
 	"cagc/internal/event"
 	"cagc/internal/flash"
 	"cagc/internal/trace"
@@ -183,6 +184,45 @@ func TestInvalidateVictimNeedsVictimState(t *testing.T) {
 		}
 	}
 	t.Fatal("churn left no closed block with a valid page")
+}
+
+// The victim pass masks valid pages 64 at a time. On 100-page blocks a
+// victim takes a full mask and a partial one; every page of both must
+// move, under every HashAt, or the erase fails or the model disagrees.
+func TestCollectWalksBlocksWiderThanOneMask(t *testing.T) {
+	for _, hashAt := range []HashAt{HashNever, HashAtWrite, HashAtMigrate, HashAtMigrateSerial} {
+		dev, err := flash.NewDevice(flash.Config{
+			Geometry: flash.Geometry{Channels: 2, DiesPerChan: 1, PlanesPerDie: 1,
+				BlocksPerPlan: 8, PagesPerBlock: 100, PageSize: 4096},
+			Latencies:     flash.TableILatencies(),
+			OverProvision: 0.1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Defaults()
+		opts.HashAt, opts.HotCold = hashAt, hashAt.atMigrate()
+		f, err := New(dev, 1000, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := map[uint64]dedup.Fingerprint{}
+		now, x := event.Time(0), uint64(1)
+		for i := 0; i < 12000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			lpn, fp := x%1000, fpOf(x>>32%4096)
+			if now, err = f.Write(now, lpn, fp); err != nil {
+				t.Fatalf("HashAt %d, write %d: %v", hashAt, i, err)
+			}
+			model[lpn] = fp
+		}
+		if f.Stats().BlocksErased == 0 {
+			t.Fatalf("HashAt %d: no block was collected", hashAt)
+		}
+		compareWithModel(t, f, model, now)
+	}
 }
 
 func TestMaxGCBatchBoundsForegroundWork(t *testing.T) {
