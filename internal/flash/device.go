@@ -107,8 +107,8 @@ func (d *Device) Block(b BlockID) (*Block, error) {
 	return &d.blocks[b], nil
 }
 
-// BlockRef is block ID decoded once, for a pass over its pages by
-// in-block index (GC's victim pass) with ReadIn, TagIn and InvalidateIn.
+// BlockRef is a block's address decoded once, for a pass over its pages
+// by in-block index (GC's victim pass) with ReadIn, TagIn and InvalidateIn.
 // It is valid until the device's next CopyFrom.
 type BlockRef struct {
 	ID   BlockID
