@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -12,7 +13,10 @@ import (
 // pinnedDocs are the sha256 sums of the -json documents of a fixed set
 // of jobs, recorded on amd64 before the GC pass rewrite that introduced
 // this test. A change that moves one of them changes simulation results;
-// a pure performance change must leave every one in place.
+// a pure performance change must leave every one in place. The replay,
+// scenario, array and fleet130 rows were recorded before the stream
+// geometry, the fleet shard size and the RAID-0 stripe unit became
+// constants.
 var pinnedDocs = map[string]string{
 	"Homes/baseline/seed1":         "527fa429c820a93c83cffc2a53c1db681031523cb6b4cbc789095ece1ba838c8",
 	"Homes/baseline/seed7":         "c646bb765fa02172fe13e89c8f9461a1fde144be95ecea8644917ad255c67522",
@@ -45,6 +49,15 @@ var pinnedDocs = map[string]string{
 	"Web-vm/inline/seed7":          "b26f4065e0c132f194ba999e9d8037b253bdd4ebcee0be8f2063eb0fd7756c4d",
 	"batch4":                       "8eb1f9f75ef1d9e4466f9b5505dbd14c12efe5856856f97d2a95ed65da80fcb3",
 	"fleet4":                       "53bced7a906b36e1f5b210b0934d63c309416ddd9f9d90fec0969f3f6f0899c1",
+	"replay/binary":                "511ecda9dc28f605f4c88dc918d0622dfbbc5e107af6964ca0e0b37a610c2d20",
+	"replay/text":                  "511ecda9dc28f605f4c88dc918d0622dfbbc5e107af6964ca0e0b37a610c2d20",
+	"replay/gzip":                  "511ecda9dc28f605f4c88dc918d0622dfbbc5e107af6964ca0e0b37a610c2d20",
+	"scenario3":                    "dab12cef1450750f3599c346fe82458f13ab9e25327f38661f2b46e1b7c59075",
+	"scenario-file":                "859b448d4423ec9e2a210a1641fa02d600a368c659571dbbbd5e00c6a31bd192",
+	"raid1-stagger-steer":          "acf34d12c8bad784621cf6ad00baf8f67b7df816c190a2cdcdb5ec5e432c1756",
+	"raid0":                        "56d41adbab3ad42b7941fa3ddd58b57e0dbdb9a7c78b208ce702d0886b42fdf6",
+	"fleet130/workers1":            "2e813e055512d6e4c44064d5b9366995deb6ab7bb8c72fef2ed0768ad75a9183",
+	"fleet130/workers8":            "2e813e055512d6e4c44064d5b9366995deb6ab7bb8c72fef2ed0768ad75a9183",
 }
 
 // pinnedJob is one pinned document: a job rendered through Resolve and
@@ -54,7 +67,25 @@ type pinnedJob struct {
 	job  Job
 }
 
-func pinnedJobs() []pinnedJob {
+// pinnedTraces are one generated Mail trace written in each file
+// format; every replay of them renders one document.
+type pinnedTraces struct{ bin, text, gz string }
+
+func writePinnedTraces(t *testing.T) pinnedTraces {
+	t.Helper()
+	tr := pinnedTraces{bin: writeTestTrace(t, Mail, Params{Requests: 3000, Seed: 1}, "mail.ctr")}
+	tr.text = filepath.Join(t.TempDir(), "mail.txt")
+	tr.gz = filepath.Join(t.TempDir(), "mail.ctr.gz")
+	if err := convertTrace(tr.bin, tr.text, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := convertTrace(tr.bin, tr.gz, false); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func pinnedJobs(tr pinnedTraces) []pinnedJob {
 	var jobs []pinnedJob
 	add := func(name string, j Job) { jobs = append(jobs, pinnedJob{name, j}) }
 	small := func(seed int64) Params { return Params{Requests: 3000, Seed: seed} }
@@ -89,6 +120,26 @@ func pinnedJobs() []pinnedJob {
 		Params: Params{Requests: 1000}, Fleet: &FleetParams{Devices: 4, UtilSpread: 0.1, StaggerClasses: 2}})
 	add("batch4", Job{Kind: KindBatch, Workload: "web-vm", Scheme: "baseline",
 		Params: small(1), Seeds: []int64{1, 2, 3, 4}})
+
+	for name, path := range map[string]string{"binary": tr.bin, "text": tr.text, "gzip": tr.gz} {
+		add("replay/"+name, Job{Kind: KindReplay, Workload: "mail", Scheme: "cagc", Params: small(1), ReplayPath: path})
+	}
+	add("scenario3", Job{Kind: KindScenario, Scheme: "cagc", Params: small(1), Scenario: &ScenarioParams{
+		Tenants:       []TenantSpec{{Workload: Homes}, {Workload: WebVM}, {Workload: Mail}},
+		DiurnalPeriod: 5 * Millisecond, DiurnalAmp: 0.6, SLOUs: 300}})
+	add("scenario-file", Job{Kind: KindScenario, Scheme: "cagc", Params: small(1), Scenario: &ScenarioParams{
+		Tenants: []TenantSpec{{Name: "mailfile", Path: tr.bin}, {Workload: Homes}}, SLOUs: 500}})
+	add("raid1-stagger-steer", Job{Kind: KindArray, Workload: "mail", Scheme: "cagc", Params: small(1),
+		Array: &ArrayParams{Mode: "raid1", Stagger: true, Steer: true}})
+	add("raid0", Job{Kind: KindArray, Workload: "mail", Scheme: "cagc", Params: small(1),
+		Array: &ArrayParams{Mode: "raid0"}})
+	// 130 devices fill three shards of 64; the worker count never
+	// changes the fold.
+	for _, w := range []int{1, 8} {
+		add(fmt.Sprintf("fleet130/workers%d", w), Job{Kind: KindFleet, Workload: "mail", Scheme: "cagc",
+			Params: Params{Requests: 200}, Fleet: &FleetParams{Devices: 130, Workers: w,
+				UtilSpread: 0.08, StaggerClasses: 2, Diurnal: 0.4}})
+	}
 	return jobs
 }
 
@@ -106,7 +157,7 @@ func TestDocumentsPinned(t *testing.T) {
 		t.Skipf("documents pinned on amd64, not %s", runtime.GOARCH)
 	}
 	got := map[string]string{}
-	for _, pj := range pinnedJobs() {
+	for _, pj := range pinnedJobs(writePinnedTraces(t)) {
 		r, err := pj.job.Resolve()
 		if err != nil {
 			t.Fatalf("%s: %v", pj.name, err)
