@@ -84,7 +84,6 @@ func parse(args []string, stderr io.Writer) (*invocation, error) {
 	fs.IntVar(&j.Workers, "workers", 0, "worker goroutines for -batch and -fleet (0 = one per core)")
 
 	fs.IntVar(&fp.Devices, "fleet", 0, "simulate a fleet of N per-device-perturbed SSDs and print the merged fleet report (deterministic at any -workers)")
-	fs.IntVar(&fp.ShardSize, "fleet-shard", 0, "devices per shard (scheduling granularity only; 0 = default 64)")
 	fs.Float64Var(&fp.UtilSpread, "fleet-util-spread", 0, "total width of per-device utilization skew (0 = uniform fleet)")
 	fs.IntVar(&fp.UtilClasses, "fleet-util-classes", 0, "distinct utilization classes, one warm snapshot each (0 = default 4 when skew is on)")
 	fs.IntVar(&fp.StaggerClasses, "fleet-stagger", 0, "GC-watermark stagger classes desynchronizing fleet GC (0 or 1 = coordinated watermarks)")
@@ -99,8 +98,6 @@ func parse(args []string, stderr io.Writer) (*invocation, error) {
 	fs.StringVar(&j.ReplayPath, "replay", "", "replay a trace file (binary CAGC container, text, FIU IODedup text, or gzip of any) instead of a synthetic preset; -workload selects the preconditioning mixture")
 	fs.StringVar(&j.Replay.Format, "replay-format", "auto", "trace format for -replay and file tenants: auto, binary, text, or fiu")
 	fs.Float64Var(&j.Replay.TimeScale, "time-scale", 0, "compress (<1) or stretch (>1) FIU inter-arrival gaps (0 = 1.0; FIU traces span weeks)")
-	fs.IntVar(&j.Replay.ChunkRequests, "chunk", 0, "decode-ahead chunk size in requests (0 = default 256)")
-	fs.BoolVar(&j.Replay.SyncDecode, "sync-decode", false, "decode on the simulator goroutine instead of the background reader (byte-identical; for comparison)")
 
 	fs.StringVar(&tenants, "tenants", "", "multi-tenant scenario: comma-separated workload names or trace paths, each optionally '*rate' (e.g. Homes,Web-vm,Mail*2); tenants share the device in disjoint namespaces")
 	fs.Float64Var(&diurnalMs, "diurnal-period-ms", 0, "diurnal burst-envelope period over the merged tenant stream, in ms of simulated time (0 = off)")
@@ -132,8 +129,13 @@ func parse(args []string, stderr io.Writer) (*invocation, error) {
 			return nil, err
 		}
 		sp.Tenants = specs
-		sp.DiurnalPeriod = cagc.Time(diurnalMs * float64(cagc.Millisecond))
-		sp.ChunkRequests, sp.SyncDecode = j.Replay.ChunkRequests, j.Replay.SyncDecode
+		// Converting a NaN or out-of-range float to an integer is
+		// implementation-defined, so the period is checked first.
+		period := diurnalMs * float64(cagc.Millisecond)
+		if !(period >= 0 && period < math.MaxInt64) { // written so NaN fails
+			return nil, fmt.Errorf("-diurnal-period-ms %g: must be finite and >= 0", diurnalMs)
+		}
+		sp.DiurnalPeriod = cagc.Time(period)
 		j.Kind, j.Scenario = cagc.KindScenario, &sp
 	}
 	return inv, nil
@@ -179,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 	reportCache(stderr)
 	// Wall-clock facts go to stderr, so stdout stays byte-identical at
-	// any worker count, chunk size or decode mode.
+	// any worker count.
 	if out.Facts != "" {
 		fmt.Fprint(stderr, "cagcsim: "+out.Facts)
 	}

@@ -94,7 +94,7 @@ func TestJSONCarriesConfigKey(t *testing.T) {
 }
 
 // The scheduling flags take the service's bounds: 0 is the kind's
-// default (an explicit -fleet-shard 0 included), a negative value is
+// default (an explicit -fleet-topk 0 included), a negative value is
 // refused by name in one line, and the flags of a kind the invocation
 // did not select are not read.
 func TestValidateSchedFlags(t *testing.T) {
@@ -105,17 +105,14 @@ func TestValidateSchedFlags(t *testing.T) {
 	}{
 		{name: "all defaults", args: []string{"-fleet", "4"}},
 		{name: "zero sentinels unset", args: []string{"-batch", "2"}},
-		{name: "valid explicit", args: []string{"-fleet", "4", "-fleet-shard", "16", "-workers", "4", "-fleet-topk", "3"}},
+		{name: "valid explicit", args: []string{"-fleet", "4", "-workers", "4", "-fleet-topk", "3"}},
 		{name: "explicit zero workers ok", args: []string{"-batch", "2", "-workers", "0"}},
 		{name: "explicit zero topk ok", args: []string{"-fleet", "4", "-fleet-topk", "0"}},
-		{name: "zero shard explicit", args: []string{"-fleet", "4", "-fleet-shard", "0"}},
-		{name: "negative shard", args: []string{"-fleet", "4", "-fleet-shard", "-5"},
-			wantErrSub: "Fleet.ShardSize -5"},
 		{name: "negative workers", args: []string{"-batch", "2", "-workers", "-1"},
 			wantErrSub: "Workers -1"},
 		{name: "negative topk", args: []string{"-fleet", "4", "-fleet-topk", "-2"},
 			wantErrSub: "Fleet.TopK -2"},
-		{name: "bad value but flag unset", args: []string{"-batch", "2", "-fleet-shard", "-5", "-fleet-topk", "-2"}},
+		{name: "bad value but flag unset", args: []string{"-batch", "2", "-fleet-stagger", "-5", "-fleet-topk", "-2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

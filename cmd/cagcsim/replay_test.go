@@ -28,16 +28,13 @@ func genTrace(t *testing.T, requests int) string {
 	return path
 }
 
-// -replay documents are byte-identical across chunk sizes and decode
-// modes; ingest telemetry goes to stderr only.
+// -replay documents are byte-identical whether the format is sniffed
+// or forced; ingest telemetry goes to stderr only.
 func TestReplayFlagByteIdentity(t *testing.T) {
 	path := genTrace(t, 1200)
 	base := []string{"-device", "16777216", "-requests", "1200", "-replay", path, "-json"}
 	variants := [][]string{
 		base,
-		append(append([]string{}, base...), "-chunk", "1"),
-		append(append([]string{}, base...), "-chunk", "4096"),
-		append(append([]string{}, base...), "-sync-decode"),
 		append(append([]string{}, base...), "-replay-format", "binary"),
 	}
 	var want string
@@ -100,7 +97,6 @@ func TestReplayFlagValidation(t *testing.T) {
 	path := genTrace(t, 100)
 	cases := [][]string{
 		{"-replay", path, "-replay-format", "csv"},
-		{"-replay", path, "-chunk", "-1"},
 		{"-replay", path, "-tenants", "Homes"},
 		{"-replay", path, "-batch", "2"},
 		{"-tenants", "Homes,,Mail"},
@@ -108,6 +104,13 @@ func TestReplayFlagValidation(t *testing.T) {
 		{"-tenants", "Mail*x"},
 		{"-tenants", "Homes", "-diurnal-amp", "1.0"},
 		{"-tenants", "Homes", "-diurnal-amp", "-0.1"},
+		{"-tenants", "Homes,Mail", "-slo-us", "NaN"},
+		{"-tenants", "Homes,Mail", "-slo-us", "-5"},
+		{"-tenants", "Homes,Mail", "-slo-us", "+Inf"},
+		{"-tenants", "Homes,Mail", "-diurnal-period-ms", "NaN", "-diurnal-amp", "0.6"},
+		{"-tenants", "Homes,Mail", "-diurnal-period-ms", "-5", "-diurnal-amp", "0.6"},
+		{"-tenants", "Homes,Mail", "-diurnal-period-ms", "+Inf", "-diurnal-amp", "0.6"},
+		{"-tenants", "Homes,Mail", "-diurnal-period-ms", "1e300", "-diurnal-amp", "0.6"},
 		{"-replay", filepath.Join(t.TempDir(), "missing")},
 	}
 	for _, args := range cases {

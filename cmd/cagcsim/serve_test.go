@@ -37,7 +37,6 @@ func TestBoundsMatchService(t *testing.T) {
 		{[]string{"-util", "1"}, `{"params":{"Utilization":1}}`},
 		{[]string{"-batch", "-3"}, `{"kind":"sweep","count":-3}`},
 		{[]string{"-fleet", "2", "-fleet-topk", "-2"}, `{"kind":"fleet","fleet":{"Devices":2,"TopK":-2}}`},
-		{[]string{"-fleet", "2", "-fleet-shard", "-1"}, `{"kind":"fleet","fleet":{"Devices":2,"ShardSize":-1}}`},
 		{[]string{"-fleet", "2", "-fleet-stagger", "-3"}, `{"kind":"fleet","fleet":{"Devices":2,"StaggerClasses":-3}}`},
 		{[]string{"-fleet", "2", "-fleet-util-spread", "1.5"}, `{"kind":"fleet","fleet":{"Devices":2,"UtilSpread":1.5}}`},
 		{[]string{"-workload", "postgres"}, `{"workload":"postgres"}`},

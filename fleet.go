@@ -7,7 +7,7 @@ package cagc
 // the shared worker pool, and merges the per-device results into one
 // deterministic fleet report: latency/WA/erase distributions and the
 // straggler ranking. The merge is byte-identical at any worker count
-// and shard size (see internal/fleet); wall-clock facts live on
+// (see internal/fleet); wall-clock facts live on
 // FleetRun, outside the deterministic Result, exactly like the batch
 // report splits them.
 //
@@ -40,9 +40,6 @@ type FleetDevice = fleet.DeviceSummary
 type FleetParams struct {
 	// Devices is the fleet size (required).
 	Devices int
-	// ShardSize is the contiguous device range one worker runs as a
-	// unit (default 64). Scheduling-only: never changes results.
-	ShardSize int
 	// Workers bounds the worker pool (default GOMAXPROCS). Never
 	// changes results.
 	Workers int
@@ -133,7 +130,6 @@ func fleetConfig(w Workload, s Scheme, policy string, p Params, fp FleetParams) 
 	}
 	return fleet.Config{
 		Devices:        fp.Devices,
-		ShardSize:      fp.ShardSize,
 		Workers:        fp.Workers,
 		Seed:           fp.FleetSeed,
 		Base:           cfg,
@@ -149,8 +145,8 @@ func fleetConfig(w Workload, s Scheme, policy string, p Params, fp FleetParams) 
 
 // WriteFleetJSON writes the deterministic fleet report as indented
 // JSON. The document depends only on the fleet configuration — never
-// on worker count, shard size, or wall clock — so CI byte-compares it
-// across parallelism levels.
+// on worker count or wall clock — so tests pin it across parallelism
+// levels.
 func WriteFleetJSON(w io.Writer, r *FleetResult) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -46,9 +46,6 @@ type Config struct {
 	MemberOptions ftl.Options
 	// Utilization sizes each member's logical space, as in sim.Config.
 	Utilization float64
-	// StripePages is the RAID-0 stripe unit in pages (default 64, one
-	// erase block).
-	StripePages uint64
 	// GCAwareSteering lets RAID-1 reads avoid members whose GC horizon
 	// covers the request's arrival (the steering policy under study);
 	// without it reads round-robin.
@@ -61,6 +58,10 @@ type Config struct {
 	// leaving steering nothing to steer around.
 	StaggerGC bool
 }
+
+// stripePages is the RAID-0 stripe unit in pages: one erase block of
+// Table I's geometry.
+const stripePages = 64
 
 // Array is an assembled multi-SSD volume. Like the single-device
 // simulator it is single-threaded and deterministic.
@@ -79,9 +80,6 @@ type Array struct {
 func New(cfg Config) (*Array, error) {
 	if cfg.Members < 2 {
 		return nil, fmt.Errorf("array: need >= 2 members, got %d", cfg.Members)
-	}
-	if cfg.StripePages == 0 {
-		cfg.StripePages = 64
 	}
 	if cfg.Utilization == 0 {
 		cfg.Utilization = 0.55
@@ -109,11 +107,10 @@ func New(cfg Config) (*Array, error) {
 	if cfg.Mode == RAID0 {
 		// Expose only whole stripes: a member's trailing partial stripe
 		// would map volume pages past its logical space.
-		stripesPerMember := per / cfg.StripePages
-		a.logical = stripesPerMember * cfg.StripePages * uint64(cfg.Members)
+		a.logical = per / stripePages * stripePages * uint64(cfg.Members)
 		if a.logical == 0 {
 			return nil, fmt.Errorf("array: stripe of %d pages exceeds a member's %d logical pages",
-				cfg.StripePages, per)
+				stripePages, per)
 		}
 	} else {
 		a.logical = per // mirrored: every member holds everything
@@ -132,9 +129,9 @@ func (a *Array) SteeredReads() uint64 { return a.steered }
 
 // locate maps a volume page to (member, member-local page) in RAID0.
 func (a *Array) locate(lpn uint64) (int, uint64) {
-	stripe := lpn / a.cfg.StripePages
+	stripe := lpn / stripePages
 	member := int(stripe % uint64(a.cfg.Members))
-	local := (stripe/uint64(a.cfg.Members))*a.cfg.StripePages + lpn%a.cfg.StripePages
+	local := (stripe/uint64(a.cfg.Members))*stripePages + lpn%stripePages
 	return member, local
 }
 

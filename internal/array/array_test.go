@@ -54,16 +54,16 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestRAID0AddressSpaceAndPlacement(t *testing.T) {
-	a := newArray(t, Config{Mode: RAID0, StripePages: 4})
+	a := newArray(t, Config{Mode: RAID0})
 	per := a.Members()[0].LogicalPages()
-	wholeStripes := per / 4 * 4
-	if a.LogicalPages() != wholeStripes*4 {
+	wholeStripes := per / stripePages * stripePages
+	if wholeStripes == 0 || a.LogicalPages() != wholeStripes*4 {
 		t.Fatalf("volume pages = %d, want %d (whole stripes only)", a.LogicalPages(), wholeStripes*4)
 	}
 	// Consecutive stripes land on consecutive members.
 	m0, l0 := a.locate(0)
-	m1, l1 := a.locate(4)
-	m2, _ := a.locate(8)
+	m1, l1 := a.locate(stripePages)
+	m2, _ := a.locate(2 * stripePages)
 	if m0 != 0 || m1 != 1 || m2 != 2 {
 		t.Fatalf("stripe members = %d,%d,%d", m0, m1, m2)
 	}

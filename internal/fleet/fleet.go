@@ -18,8 +18,7 @@
 //     ranges) and reduce each shard into a private accumulator; the
 //     final merge folds shard accumulators in shard-index order after
 //     the pool barrier. Every float accumulation happens in a fixed
-//     order, so the fleet Result is byte-identical at any worker count
-//     and any shard size.
+//     order, so the fleet Result is byte-identical at any worker count.
 //
 // Memory stays bounded by eager reduction: a device's full Result
 // (histograms, timeline) is folded into its shard accumulator and
@@ -43,6 +42,11 @@ import (
 	"cagc/internal/trace"
 )
 
+// shardSize is the number of consecutive devices one worker runs as a
+// unit. It is scheduling granularity only: shards merge in index order,
+// so no shard size changes a result.
+const shardSize = 64
+
 // SnapshotFunc builds (or fetches from a cache) the warm snapshot for
 // one device-class configuration. The root package wires this to its
 // keyed snapshot registry so fleets share warm state with sweeps; nil
@@ -53,10 +57,6 @@ type SnapshotFunc func(cfg sim.Config, spec trace.Spec) (*sim.Snapshot, error)
 type Config struct {
 	// Devices is the fleet size (required, > 0).
 	Devices int
-	// ShardSize is the number of consecutive devices one worker runs as
-	// a unit (default 64). Shard size never changes results, only
-	// scheduling granularity.
-	ShardSize int
 	// Workers bounds the worker pool (<= 0 means GOMAXPROCS). Never
 	// changes results.
 	Workers int
@@ -171,7 +171,7 @@ type DeviceDist struct {
 }
 
 // Result is the deterministic fleet aggregate: byte-identical for a
-// given Config regardless of Workers or ShardSize. Wall-clock facts
+// given Config regardless of Workers. Wall-clock facts
 // (throughput, worker count) deliberately live outside it.
 type Result struct {
 	Devices        int    `json:"devices"`
@@ -256,9 +256,6 @@ func (c *classes) classSpec(u, s int) trace.Spec {
 func (c Config) Normalize() (Config, error) {
 	if c.Devices <= 0 {
 		return c, fmt.Errorf("fleet: %d devices", c.Devices)
-	}
-	if c.ShardSize <= 0 {
-		c.ShardSize = 64
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -429,17 +426,19 @@ func Run(cfg Config) (*Result, error) {
 	// Each shard appends into its own three-index window — disjoint
 	// capacity-capped ranges, so concurrent shard appends never touch a
 	// neighbor and the filled array is already in device-ID order.
-	numShards := (cfg.Devices + cfg.ShardSize - 1) / cfg.ShardSize
+	numShards := (cfg.Devices + shardSize - 1) / shardSize
+	shard := func(i int) (first, last int) {
+		first = i * shardSize
+		return first, min(first+shardSize, cfg.Devices)
+	}
 	accs := make([]shardAcc, numShards)
 	all := make([]DeviceSummary, cfg.Devices)
 	for i := range accs {
-		first := i * cfg.ShardSize
-		last := min(first+cfg.ShardSize, cfg.Devices)
+		first, last := shard(i)
 		accs[i].devices = all[first:first:last]
 	}
 	shardEvents := func(i int) float64 {
-		first := i * cfg.ShardSize
-		last := min(first+cfg.ShardSize, cfg.Devices)
+		first, last := shard(i)
 		return float64(last-first) * float64(cfg.Spec.Requests)
 	}
 	st := pool.Run(numShards, pool.Options{
@@ -448,8 +447,7 @@ func Run(cfg Config) (*Result, error) {
 			return pool.Cost.Estimate(cfg.Spec.Name, shardEvents(i))
 		},
 	}, func(i int) error {
-		first := i * cfg.ShardSize
-		last := min(first+cfg.ShardSize, cfg.Devices)
+		first, last := shard(i)
 		t0 := wall()
 		acc := &accs[i]
 		for dev := first; dev < last; dev++ {

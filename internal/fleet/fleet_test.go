@@ -35,7 +35,6 @@ func fleetConfig(t *testing.T, devices int) Config {
 	}
 	return Config{
 		Devices:        devices,
-		ShardSize:      5,
 		Seed:           7,
 		Base:           base,
 		Spec:           spec,
@@ -62,10 +61,13 @@ func resultBytes(t *testing.T, r *Result) []byte {
 	return append(doc, per...)
 }
 
+// multiShard devices fill three shards, the last of them partly.
+const multiShard = 2*shardSize + 2
+
 // The tentpole contract: the fleet Result is byte-identical at any
-// worker count.
+// worker count, with the devices spread over several shards.
 func TestFleetWorkerCountInvariance(t *testing.T) {
-	cfg := fleetConfig(t, 24)
+	cfg := fleetConfig(t, multiShard)
 	workers := []int{1, 4, runtime.NumCPU()}
 	var ref []byte
 	var refRes *Result
@@ -88,34 +90,11 @@ func TestFleetWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("fleet struct at %d workers differs from 1 worker", w)
 		}
 	}
-	if refRes.Devices != 24 || len(refRes.PerDevice) != 24 {
+	if refRes.Devices != multiShard || len(refRes.PerDevice) != multiShard {
 		t.Fatalf("fleet covered %d/%d devices", len(refRes.PerDevice), refRes.Devices)
 	}
 	if len(refRes.Stragglers) != 5 {
 		t.Fatalf("straggler top-K = %d, want 5", len(refRes.Stragglers))
-	}
-}
-
-// Shard size is scheduling granularity, never semantics.
-func TestFleetShardSizeInvariance(t *testing.T) {
-	cfg := fleetConfig(t, 17)
-	cfg.Workers = 3
-	var ref []byte
-	for _, ss := range []int{1, 4, 17} {
-		c := cfg
-		c.ShardSize = ss
-		res, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := resultBytes(t, res)
-		if ref == nil {
-			ref = b
-			continue
-		}
-		if string(b) != string(ref) {
-			t.Fatalf("fleet result at shard size %d diverged", ss)
-		}
 	}
 }
 
@@ -124,9 +103,8 @@ func TestFleetShardSizeInvariance(t *testing.T) {
 // reshuffles every shard — must not change any existing device.
 func TestFleetDeviceStreamIndependence(t *testing.T) {
 	small := fleetConfig(t, 8)
-	big := fleetConfig(t, 14)
+	big := fleetConfig(t, shardSize+6) // a second shard on top
 	small.Workers, big.Workers = 2, 3
-	big.ShardSize = 3 // different shard composition on top
 	resSmall, err := Run(small)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +125,7 @@ func TestFleetDeviceStreamIndependence(t *testing.T) {
 // device run in ID order into one accumulator, merged alone. Verifies
 // percentile, distribution, and straggler math survive sharding.
 func TestFleetMergeMatchesSerialReference(t *testing.T) {
-	cfg := fleetConfig(t, 13)
+	cfg := fleetConfig(t, multiShard)
 	cfg.Workers = 4
 	got, err := Run(cfg)
 	if err != nil {

@@ -42,8 +42,8 @@ type JobSpec struct {
 	Seeds []int64 `json:"seeds,omitempty"`
 	Count int     `json:"count,omitempty"`
 
-	// Fleet configures the fleet kind. ShardSize and Workers are
-	// scheduling facts and excluded from the job's cache identity.
+	// Fleet configures the fleet kind. Workers is a scheduling fact and
+	// excluded from the job's cache identity.
 	Fleet *cagc.FleetParams `json:"fleet,omitempty"`
 
 	// TimeoutMs bounds the job's execution wall clock; 0 takes the

@@ -355,7 +355,8 @@ func TestServeValidation(t *testing.T) {
 		`{"workload":"postgres"}`,
 		`{"scheme":"raid5"}`,
 		`{"policy":"psychic"}`,
-		`{"params":{"Sched":"heap"}}`, // retired field: unknown, so a 400
+		`{"params":{"Sched":"heap"}}`,                          // retired field: unknown, so a 400
+		`{"kind":"fleet","fleet":{"Devices":2,"ShardSize":8}}`, // retired too
 		`{"kind":"batch"}`,
 		`{"kind":"sweep"}`,
 		`{"kind":"fleet"}`,
@@ -462,7 +463,7 @@ func TestServeShutdownDrains(t *testing.T) {
 }
 
 // A fleet job's document matches RunFleet's JSON byte for byte and its
-// identity ignores scheduling knobs (shard size).
+// identity ignores the worker count.
 func TestServeFleet(t *testing.T) {
 	s := New(Options{QueueDepth: 4, Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -494,13 +495,13 @@ func TestServeFleet(t *testing.T) {
 		t.Fatal("fleet document differs from direct render")
 	}
 
-	// Different shard size, same fleet: cache hit (scheduling excluded
+	// Different worker count, same fleet: cache hit (scheduling excluded
 	// from identity).
 	fp2 := fp
-	fp2.ShardSize = 2
+	fp2.Workers = 2
 	rep, code := postJob(t, ts, JobSpec{Kind: KindFleet, Params: p, Fleet: &fp2})
 	if code != http.StatusOK || !rep.Cached {
-		t.Fatalf("sharded resubmit: status %d cached %v", code, rep.Cached)
+		t.Fatalf("resubmit at 2 workers: status %d cached %v", code, rep.Cached)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // simulator. Fed the same request stream they must agree exactly —
 // GC relocations must never perturb reference-count bookkeeping.
 func TestRefcountAnalysisMatchesInlineFTL(t *testing.T) {
-	cfg := smallConfig(ftl.InlineDedupeOptions())
-	cfg.SkipPrecondition = true // the analysis sees only the trace
-	r, err := NewRunner(cfg)
+	// A bare runner, never preconditioned: the analysis sees only the
+	// trace.
+	r, err := NewRunner(smallConfig(ftl.InlineDedupeOptions()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,16 +23,18 @@ func TestRefcountAnalysisMatchesInlineFTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	gen, err := trace.NewGenerator(spec)
+	newGen := func() trace.Source {
+		gen, err := trace.NewGenerator(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gen
+	}
+	res, err := r.Replay(newGen(), 0, "Mail")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	analysis := trace.AnalyzeRefcounts(gen)
+	analysis := trace.AnalyzeRefcounts(newGen())
 
 	if res.RefDist != analysis.Counts() {
 		t.Fatalf("distributions diverge:\n simulator %v\n analysis  %v",

@@ -22,7 +22,7 @@ type Measured struct {
 
 // Measure is the back half of every measured run. The runner is
 // acquired from snap, or, when snap is nil, built from cfg and
-// preconditioned with spec (unless cfg.SkipPrecondition). Then the
+// preconditioned with spec. Then the
 // tenants are installed, m's source is replayed, the post-run
 // invariants are checked and the runner is released. A run that fails
 // or panics is dropped rather than parked, and the clone gauge stays
@@ -61,9 +61,6 @@ func coldRunner(cfg Config, spec trace.Spec) (*Runner, event.Time, error) {
 	r, err := NewRunner(cfg)
 	if err != nil {
 		return nil, 0, err
-	}
-	if cfg.SkipPrecondition {
-		return r, 0, nil
 	}
 	pre, err := trace.NewPreconditioner(spec)
 	if err != nil {

@@ -39,9 +39,6 @@ type Config struct {
 	// without demanding near-perfect compaction (the free ceiling must
 	// clear the watermark plus the open write frontiers).
 	Utilization float64
-	// Precondition fills the device once before measurement
-	// (default true; set SkipPrecondition to disable).
-	SkipPrecondition bool
 	// BufferPages, when positive, interposes a controller-DRAM
 	// write-back buffer of that many pages in front of the FTL (the
 	// related-work write-traffic lever). The buffer is drained at the

@@ -129,20 +129,6 @@ func TestRunSpecMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestRunSkipPrecondition(t *testing.T) {
-	cfg := smallConfig(ftl.BaselineOptions())
-	cfg.SkipPrecondition = true
-	spec := specFor(t, cfg, trace.Homes, 500)
-	res, err := Run(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without preconditioning a short run sees little or no GC.
-	if res.Requests != 500 {
-		t.Fatalf("requests = %d", res.Requests)
-	}
-}
-
 func TestRunDeterministic(t *testing.T) {
 	cfg := smallConfig(ftl.CAGCOptions())
 	spec := specFor(t, cfg, trace.Mail, 2000)

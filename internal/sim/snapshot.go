@@ -68,7 +68,7 @@ func (r *Runner) Clone() *Runner {
 }
 
 // NewSnapshot builds a runner for cfg and runs spec's preconditioning
-// fill (unless cfg.SkipPrecondition), capturing the warm state. Only
+// fill, capturing the warm state. Only
 // the precondition-relevant parts of spec matter here — LogicalPages,
 // DedupRatio, ContentSkew, ContentPool, and the precondition seed; the
 // measured-trace parameters (request count, arrival process, Seed) may
@@ -94,15 +94,13 @@ func NewSnapshot(cfg Config, spec trace.Spec) (*Snapshot, error) {
 		return nil, fmt.Errorf("sim: workload spec covers %d logical pages, device exports %d",
 			spec.LogicalPages, r.LogicalPages())
 	}
-	var offset event.Time
-	if !cfg.SkipPrecondition {
-		pre, err := trace.NewPreconditioner(spec)
-		if err != nil {
-			return nil, err
-		}
-		if offset, err = r.Precondition(pre); err != nil {
-			return nil, err
-		}
+	pre, err := trace.NewPreconditioner(spec)
+	if err != nil {
+		return nil, err
+	}
+	offset, err := r.Precondition(pre)
+	if err != nil {
+		return nil, err
 	}
 	return &Snapshot{
 		cfg:     cfg.withDefaults(),

@@ -154,7 +154,7 @@ func Open(r io.Reader, opts OpenOptions) (Source, error) {
 }
 
 // OpenFile opens path as a decode-ahead stream: the decoder chosen by
-// Open runs on a background goroutine per StreamOptions. The returned
+// Open runs on the stream's background goroutine. The returned
 // closer releases the goroutine and the file; it is safe to call after
 // a clean drain.
 func OpenFile(path string, opts OpenOptions, sopts StreamOptions) (*Stream, func() error, error) {

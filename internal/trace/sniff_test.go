@@ -211,7 +211,7 @@ func TestOpenFileStreams(t *testing.T) {
 	if err := os.WriteFile(path, gzipBytes(t, binaryTraceBytes(t, want)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, closer, err := OpenFile(path, OpenOptions{}, StreamOptions{ChunkRequests: 64})
+	st, closer, err := OpenFile(path, OpenOptions{}, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

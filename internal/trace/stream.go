@@ -6,12 +6,11 @@ package trace
 // a background goroutine that hands fixed-size request chunks to the
 // consumer over a small bounded ring: producing overlaps simulation, and
 // reader-side live memory stays O(chunk × depth) — a fixed budget —
-// instead of O(trace). File replays and long generated replays (Ahead)
-// share this one path.
+// instead of O(trace). File replays, scenarios and long generated
+// replays (Ahead) share this one path.
 //
 // The contract is byte-identity: a Stream yields exactly the requests
-// of its underlying source, in order, at any chunk size, with
-// decode-ahead enabled or disabled; only wall-clock and memory change.
+// of its underlying source, in order; only wall-clock and memory change.
 // Decode errors are carried across the goroutine boundary and surface
 // through Err after the stream ends, never as silent truncation.
 
@@ -25,13 +24,13 @@ import (
 	"cagc/internal/obs"
 )
 
-// Streaming defaults: chunks of 256 requests, 4 chunks decoded ahead.
+// The ring's geometry: chunks of 256 requests, 4 chunks decoded ahead.
 // With the two buffers held by producer and consumer the live set is
-// (Depth+2) × ChunkRequests requests — a few hundred KiB on the paper's
-// workloads, independent of trace length.
+// (ChunkDepth+2) × ChunkRequests requests — a few hundred KiB on the
+// paper's workloads, independent of trace length.
 const (
-	DefaultChunkRequests = 256
-	DefaultChunkDepth    = 4
+	ChunkRequests = 256
+	ChunkDepth    = 4
 )
 
 // AheadMinRequests is the shortest run Ahead puts on a ring. Below it
@@ -40,26 +39,26 @@ const (
 // lengths on a 2-vCPU host put the crossover between 1 250 and 1 500
 // requests per run, and 2 048 is the first length where the wall-clock
 // gain reaches 10 % (EXPERIMENTS.md, run-length sweep).
-const AheadMinRequests = 8 * DefaultChunkRequests
+const AheadMinRequests = 8 * ChunkRequests
 
 // Ahead runs src one ring ahead of its consumer: it returns a
 // decode-ahead Stream over src and the function that releases it.
 // requests is the run's length, negative when unknown (a file or a
-// merge of files); a known run shorter than AheadMinRequests, or opts
-// asking for Sync, keeps src on the consumer's goroutine and gets a
-// no-op release. Callers defer the release, so an error, a deadline or
-// a panic that ends the replay early never leaks the producer.
+// merge of files); a known run shorter than AheadMinRequests keeps src
+// on the consumer's goroutine and gets a no-op release. Callers defer
+// the release, so an error, a deadline or a panic that ends the replay
+// early never leaks the producer.
 func Ahead(src Source, requests int, opts StreamOptions) (Source, func()) {
-	if opts.Sync || (requests >= 0 && requests < AheadMinRequests) {
+	if requests >= 0 && requests < AheadMinRequests {
 		return src, func() {}
 	}
 	st := NewStream(src, opts)
 	return st, st.Close
 }
 
-// chunkPool recycles default-size chunk buffers across streams, so a
-// process replaying run after run (batch, fleet, the service) allocates
-// ring buffers once rather than per run. It holds at most as many
+// chunkPool recycles chunk buffers across streams, so a process
+// replaying run after run (batch, fleet, the service) allocates ring
+// buffers once rather than per run. It holds at most as many
 // buffers as were ever out at once. Buffers are cleared on return: a
 // pooled buffer must not keep a finished run's fingerprints reachable.
 // A plain free list rather than a sync.Pool, which drops entries at
@@ -70,29 +69,21 @@ var chunkPool struct {
 	free [][]Request
 }
 
-// getChunk returns an empty buffer of capacity n, pooled when n is the
-// default chunk size.
-func getChunk(n int) []Request {
-	if n == DefaultChunkRequests {
-		chunkPool.mu.Lock()
-		if k := len(chunkPool.free); k > 0 {
-			b := chunkPool.free[k-1]
-			chunkPool.free[k-1] = nil
-			chunkPool.free = chunkPool.free[:k-1]
-			chunkPool.mu.Unlock()
-			return b
-		}
-		chunkPool.mu.Unlock()
+// getChunk returns an empty chunk buffer, from the pool when it has one.
+func getChunk() []Request {
+	chunkPool.mu.Lock()
+	defer chunkPool.mu.Unlock()
+	if k := len(chunkPool.free); k > 0 {
+		b := chunkPool.free[k-1]
+		chunkPool.free[k-1] = nil
+		chunkPool.free = chunkPool.free[:k-1]
+		return b
 	}
-	return make([]Request, 0, n)
+	return make([]Request, 0, ChunkRequests)
 }
 
-// putChunk clears b and returns it to the pool; other sizes are left
-// to the garbage collector.
+// putChunk clears b and returns it to the pool.
 func putChunk(b []Request) {
-	if cap(b) != DefaultChunkRequests {
-		return
-	}
 	clear(b[:cap(b)])
 	chunkPool.mu.Lock()
 	chunkPool.free = append(chunkPool.free, b[:0])
@@ -103,19 +94,8 @@ func putChunk(b []Request) {
 // struct (header only; fingerprint payloads are accounted per-slice).
 const requestFootprint = 56
 
-// StreamOptions tunes a Stream. The zero value gives the defaults.
+// StreamOptions configures a Stream's telemetry.
 type StreamOptions struct {
-	// ChunkRequests is the number of requests per handoff chunk
-	// (default DefaultChunkRequests).
-	ChunkRequests int
-	// Depth is how many decoded chunks the background goroutine may
-	// buffer ahead of the consumer (default DefaultChunkDepth).
-	Depth int
-	// Sync disables decode-ahead: requests are decoded on the
-	// consumer's goroutine, one Next at a time — the reference mode
-	// byte-identity is checked against, and the baseline the
-	// replay_stream benchmark compares decode-ahead to.
-	Sync bool
 	// Tracer, when non-nil, receives ingest telemetry on the "ingest"
 	// track: one span per decoded chunk and an instant per ring stall
 	// (the consumer wanting a chunk the decoder had not produced yet).
@@ -137,7 +117,7 @@ type StreamStats struct {
 	// LiveBytes and PeakLiveBytes account the reader-side resident
 	// set: request headers plus fingerprint payloads of every chunk
 	// decoded but not yet consumed. Peak is the bounded-memory
-	// guarantee: it depends on chunk size and depth, never on trace
+	// guarantee: it depends on the ring's geometry, never on trace
 	// length.
 	LiveBytes     int64
 	PeakLiveBytes int64
@@ -155,11 +135,9 @@ func (s StreamStats) StallRatio() float64 {
 // ErrSource; it is not safe for concurrent Next calls (sources never
 // are), but the decode goroutine runs concurrently with the consumer.
 type Stream struct {
-	src      Source
-	sync     bool
-	chunkCap int
-	tr       *obs.Recorder
-	t0       time.Time
+	src Source
+	tr  *obs.Recorder
+	t0  time.Time
 
 	out  chan []Request
 	free chan []Request
@@ -181,34 +159,24 @@ type Stream struct {
 	peakBytes atomic.Int64
 }
 
-// NewStream wraps src. In the default (decode-ahead) mode a background
-// goroutine starts decoding immediately; call Close to release it if
-// the stream is abandoned before Next returns false.
+// NewStream wraps src. A background goroutine starts decoding
+// immediately; call Close to release it if the stream is abandoned
+// before Next returns false.
 func NewStream(src Source, opts StreamOptions) *Stream {
-	if opts.ChunkRequests <= 0 {
-		opts.ChunkRequests = DefaultChunkRequests
-	}
-	if opts.Depth <= 0 {
-		opts.Depth = DefaultChunkDepth
-	}
 	s := &Stream{
-		src:      src,
-		sync:     opts.Sync,
-		chunkCap: opts.ChunkRequests,
-		tr:       opts.Tracer,
-		t0:       time.Now(),
-	}
-	if !s.sync {
-		s.out = make(chan []Request, opts.Depth)
+		src: src,
+		tr:  opts.Tracer,
+		t0:  time.Now(),
+		out: make(chan []Request, ChunkDepth),
 		// Producer holds one buffer and the consumer one more, so the
 		// free list is sized to make every return non-blocking.
-		s.free = make(chan []Request, opts.Depth+2)
-		for i := 0; i < opts.Depth+2; i++ {
-			s.free <- getChunk(s.chunkCap)
-		}
-		s.quit = make(chan struct{})
-		go s.produce()
+		free: make(chan []Request, ChunkDepth+2),
+		quit: make(chan struct{}),
 	}
+	for i := 0; i < ChunkDepth+2; i++ {
+		s.free <- getChunk()
+	}
+	go s.produce()
 	return s
 }
 
@@ -249,7 +217,7 @@ func (s *Stream) produce() {
 		buf = buf[:0]
 		start := s.wall()
 		more := true
-		for len(buf) < s.chunkCap {
+		for len(buf) < ChunkRequests {
 			r, ok := s.src.Next()
 			if !ok {
 				s.decErr = SourceErr(s.src)
@@ -297,18 +265,6 @@ func (s *Stream) Next() (Request, bool) {
 		r := s.cur[s.pos]
 		s.pos++
 		s.requests++
-		return r, true
-	}
-	if s.sync {
-		r, ok := s.src.Next()
-		if !ok {
-			s.err = SourceErr(s.src)
-			return Request{}, false
-		}
-		s.requests++
-		if (s.requests-1)%uint64(s.chunkCap) == 0 {
-			s.chunks.Add(1)
-		}
 		return r, true
 	}
 	if s.closed {
@@ -372,8 +328,7 @@ func (s *Stream) Stats() StreamStats {
 // the pool. It is safe to call at any time and more than once; a stream
 // drained to its end has already done both.
 func (s *Stream) Close() {
-	if s.quit == nil || s.closed {
-		s.closed = true
+	if s.closed {
 		return
 	}
 	close(s.quit)

@@ -13,7 +13,7 @@ import (
 )
 
 // streamSpec is the reference workload the stream tests replay; large
-// enough to cross many chunk boundaries at every tested chunk size.
+// enough to cross many chunk boundaries.
 func streamSpec() Spec {
 	s := testSpec()
 	s.Requests = 3000
@@ -47,63 +47,56 @@ func requestsEqual(t *testing.T, got, want []Request, label string) {
 	}
 }
 
-// The streaming contract: a Stream yields exactly its source's requests
-// at any chunk size and depth, with decode-ahead on or off.
+// The streaming contract: a Stream yields exactly its source's
+// requests, whether the source is empty, ends inside the first chunk,
+// one short of, on, or one past a chunk boundary, or fills the ring
+// several times over.
 func TestStreamByteIdentityAcrossChunkSizes(t *testing.T) {
+	all := Collect(mustGenerator(t))
+	if len(all) <= 6*ChunkRequests {
+		t.Fatalf("reference workload has %d requests, want more than %d", len(all), 6*ChunkRequests)
+	}
+	for _, n := range []int{0, 1, ChunkRequests - 1, ChunkRequests, ChunkRequests + 1, len(all)} {
+		want := Collect(&SliceSource{Reqs: all[:n]})
+		st := NewStream(&SliceSource{Reqs: all[:n]}, StreamOptions{})
+		label := fmt.Sprintf("%d requests", n)
+		requestsEqual(t, mustCollect(t, st), want, label)
+		stats := st.Stats()
+		if stats.Requests != uint64(n) {
+			t.Fatalf("%s: stats.Requests = %d", label, stats.Requests)
+		}
+		if wantChunks := (n + ChunkRequests - 1) / ChunkRequests; stats.Chunks != uint64(wantChunks) {
+			t.Fatalf("%s: %d chunks, want %d", label, stats.Chunks, wantChunks)
+		}
+	}
+}
+
+func mustGenerator(t *testing.T) *Generator {
+	t.Helper()
 	g, err := NewGenerator(streamSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Collect(g)
-	for _, opts := range []StreamOptions{
-		{ChunkRequests: 1},
-		{ChunkRequests: 1, Depth: 1},
-		{ChunkRequests: 64},
-		{ChunkRequests: 64, Depth: 16},
-		{ChunkRequests: 4096},
-		{}, // defaults
-		{Sync: true},
-		{ChunkRequests: 1, Sync: true},
-		{ChunkRequests: 4096, Sync: true},
-	} {
-		g, err := NewGenerator(streamSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := NewStream(g, opts)
-		got := mustCollect(t, st)
-		requestsEqual(t, got, want, "stream "+formatOpts(opts))
-		stats := st.Stats()
-		if stats.Requests != uint64(len(want)) {
-			t.Fatalf("%s: stats.Requests = %d, want %d", formatOpts(opts), stats.Requests, len(want))
-		}
-		if stats.Chunks == 0 {
-			t.Fatalf("%s: no chunks counted", formatOpts(opts))
-		}
-	}
-}
-
-func formatOpts(o StreamOptions) string {
-	return fmt.Sprintf("sync=%v,chunk=%d,depth=%d", o.Sync, o.ChunkRequests, o.Depth)
+	return g
 }
 
 // A decode failure in the source must surface through Err, not truncate
-// the stream silently — in both decode-ahead and sync modes.
+// the stream silently, even when it falls exactly on a chunk boundary.
 func TestStreamPropagatesDecodeError(t *testing.T) {
-	const corrupt = "10 R 5 1\n20 R 6 1\nthis is not a trace line\n30 R 7 1\n"
-	for _, sync := range []bool{false, true} {
-		tr := NewTextReader(strings.NewReader(corrupt))
-		st := NewStream(tr, StreamOptions{ChunkRequests: 1, Sync: sync})
-		got := Collect(st)
-		if len(got) != 2 {
-			t.Fatalf("sync=%v: decoded %d requests before the corrupt line, want 2", sync, len(got))
-		}
-		if st.Err() == nil {
-			t.Fatalf("sync=%v: corrupt input not reported", sync)
-		}
-		if !strings.Contains(st.Err().Error(), "line 3") {
-			t.Fatalf("sync=%v: error does not locate the corrupt line: %v", sync, st.Err())
-		}
+	var text strings.Builder
+	for i := 0; i < ChunkRequests; i++ {
+		fmt.Fprintf(&text, "%d R %d 1\n", 10*(i+1), i)
+	}
+	text.WriteString("this is not a trace line\n30 R 7 1\n")
+	st := NewStream(NewTextReader(strings.NewReader(text.String())), StreamOptions{})
+	if got := Collect(st); len(got) != ChunkRequests {
+		t.Fatalf("decoded %d requests before the corrupt line, want %d", len(got), ChunkRequests)
+	}
+	if st.Err() == nil {
+		t.Fatal("corrupt input not reported")
+	}
+	if want := fmt.Sprintf("line %d", ChunkRequests+1); !strings.Contains(st.Err().Error(), want) {
+		t.Fatalf("error does not locate the corrupt line (%s): %v", want, st.Err())
 	}
 }
 
@@ -127,7 +120,7 @@ func TestStreamCloseMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStream(g, StreamOptions{ChunkRequests: 8, Depth: 2})
+	st := NewStream(g, StreamOptions{})
 	for i := 0; i < 5; i++ {
 		if _, ok := st.Next(); !ok {
 			t.Fatal("stream ended early")
@@ -135,13 +128,10 @@ func TestStreamCloseMidFlight(t *testing.T) {
 	}
 	st.Close()
 	st.Close() // idempotent
-	// Sync streams have no goroutine; Close is still safe.
-	st2 := NewStream(&SliceSource{}, StreamOptions{Sync: true})
-	st2.Close()
 }
 
-// The bounded-memory guarantee: reader-side live bytes depend on chunk
-// size and depth, never on trace length. Replaying a >1M-request file
+// The bounded-memory guarantee: reader-side live bytes depend on the
+// ring's geometry, never on trace length. Replaying a >1M-request file
 // must keep the peak reader-side live set under 16 MiB.
 func TestStreamLargeFileBoundedMemory(t *testing.T) {
 	spec := streamSpec()
@@ -208,24 +198,24 @@ func TestStreamLargeFileBoundedMemory(t *testing.T) {
 // Stall accounting: a slow producer forces the consumer to wait, and
 // every such wait is counted.
 func TestStreamStatsAndStalls(t *testing.T) {
-	reqs := make([]Request, 1000)
+	reqs := make([]Request, 10*ChunkRequests)
 	at := event.Time(0)
 	for i := range reqs {
 		at += 10
 		reqs[i] = Request{At: at, Op: OpRead, LPN: uint64(i), Pages: 1}
 	}
-	st := NewStream(&SliceSource{Reqs: reqs}, StreamOptions{ChunkRequests: 100, Depth: 2})
+	st := NewStream(&SliceSource{Reqs: reqs}, StreamOptions{})
 	Collect(st)
 	stats := st.Stats()
-	if stats.Requests != 1000 {
+	if stats.Requests != uint64(len(reqs)) {
 		t.Fatalf("requests = %d", stats.Requests)
 	}
 	if stats.Chunks != 10 {
 		t.Fatalf("chunks = %d, want 10", stats.Chunks)
 	}
 	// Headers only (no fingerprints): the peak live set is bounded by the
-	// whole ring being full — (depth+2) chunks of 100 requests.
-	if max := int64(4) * 100 * requestFootprint; stats.PeakLiveBytes > max {
+	// whole ring being full — ChunkDepth+2 chunks.
+	if max := int64(ChunkDepth+2) * ChunkRequests * requestFootprint; stats.PeakLiveBytes > max {
 		t.Fatalf("peak live bytes = %d, want <= %d", stats.PeakLiveBytes, max)
 	}
 	if r := stats.StallRatio(); r < 0 || r > 1 {
@@ -249,7 +239,7 @@ func TestStreamAllocFreeHandoff(t *testing.T) {
 	st := NewStream(&SliceSource{Reqs: reqs}, StreamOptions{})
 	defer st.Close()
 	// Prime the ring.
-	for i := 0; i < 2*DefaultChunkRequests; i++ {
+	for i := 0; i < 2*ChunkRequests; i++ {
 		if _, ok := st.Next(); !ok {
 			t.Fatal("stream ended during priming")
 		}
@@ -261,26 +251,6 @@ func TestStreamAllocFreeHandoff(t *testing.T) {
 	})
 	if allocs > 0.01 {
 		t.Fatalf("Next allocated %.4f objects/op in steady state, want 0", allocs)
-	}
-}
-
-// The sync-mode stream must also be allocation-free at the handoff
-// layer (the source itself may allocate; SliceSource does not).
-func TestStreamSyncAllocFree(t *testing.T) {
-	reqs := make([]Request, 120_000)
-	at := event.Time(0)
-	for i := range reqs {
-		at += 10
-		reqs[i] = Request{At: at, Op: OpRead, LPN: uint64(i), Pages: 1}
-	}
-	st := NewStream(&SliceSource{Reqs: reqs}, StreamOptions{Sync: true})
-	allocs := testing.AllocsPerRun(100_000, func() {
-		if _, ok := st.Next(); !ok {
-			t.Fatal("stream ran dry")
-		}
-	})
-	if allocs > 0.01 {
-		t.Fatalf("sync Next allocated %.4f objects/op, want 0", allocs)
 	}
 }
 
@@ -309,7 +279,7 @@ func TestStreamGzipIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := mustCollect(t, NewStream(src, StreamOptions{ChunkRequests: 64}))
+	got := mustCollect(t, NewStream(src, StreamOptions{}))
 	requestsEqual(t, got, want, "gzip stream")
 }
 
@@ -344,12 +314,12 @@ func TestStreamReturnsEachBufferOnce(t *testing.T) {
 		st.Close()
 		st.Close()
 		pooled := takePool()
-		if len(pooled) != DefaultChunkDepth+2 {
-			t.Fatalf("midFlight=%v: pool holds %d buffers, want %d", midFlight, len(pooled), DefaultChunkDepth+2)
+		if len(pooled) != ChunkDepth+2 {
+			t.Fatalf("midFlight=%v: pool holds %d buffers, want %d", midFlight, len(pooled), ChunkDepth+2)
 		}
 		seen := make(map[*Request]bool)
 		for _, b := range pooled {
-			if len(b) != 0 || cap(b) != DefaultChunkRequests {
+			if len(b) != 0 || cap(b) != ChunkRequests {
 				t.Fatalf("midFlight=%v: pooled buffer len %d cap %d", midFlight, len(b), cap(b))
 			}
 			first := &b[:1][0]
@@ -409,8 +379,8 @@ func TestStreamsShareThePoolConcurrently(t *testing.T) {
 	}
 	wg.Wait()
 	pooled := takePool()
-	if len(pooled) > workers*(DefaultChunkDepth+2) {
-		t.Fatalf("pool holds %d buffers, more than %d ever out at once", len(pooled), workers*(DefaultChunkDepth+2))
+	if len(pooled) > workers*(ChunkDepth+2) {
+		t.Fatalf("pool holds %d buffers, more than %d ever out at once", len(pooled), workers*(ChunkDepth+2))
 	}
 	seen := make(map[*Request]bool)
 	for _, b := range pooled {
@@ -422,25 +392,23 @@ func TestStreamsShareThePoolConcurrently(t *testing.T) {
 	}
 }
 
-// Ahead's run-length rule: a known run shorter than AheadMinRequests, or
-// a Sync request, stays on the consumer's goroutine; a long or unknown
-// run gets a decode-ahead Stream. Either release is safe to call twice.
+// Ahead's run-length rule: a known run shorter than AheadMinRequests
+// stays on the consumer's goroutine; a long or unknown run gets a
+// decode-ahead Stream. Either release is safe to call twice.
 func TestAheadRunLengthRule(t *testing.T) {
 	src := &SliceSource{}
 	for _, c := range []struct {
 		requests int
-		opts     StreamOptions
 		ahead    bool
 	}{
-		{0, StreamOptions{}, false},
-		{AheadMinRequests - 1, StreamOptions{}, false},
-		{AheadMinRequests, StreamOptions{}, true},
-		{-1, StreamOptions{}, true},
-		{AheadMinRequests, StreamOptions{Sync: true}, false},
+		{0, false},
+		{AheadMinRequests - 1, false},
+		{AheadMinRequests, true},
+		{-1, true},
 	} {
-		got, release := Ahead(src, c.requests, c.opts)
+		got, release := Ahead(src, c.requests, StreamOptions{})
 		if _, isStream := got.(*Stream); isStream != c.ahead {
-			t.Fatalf("requests %d sync %v: ahead = %v, want %v", c.requests, c.opts.Sync, isStream, c.ahead)
+			t.Fatalf("requests %d: ahead = %v, want %v", c.requests, isStream, c.ahead)
 		}
 		if !c.ahead && got != Source(src) {
 			t.Fatalf("requests %d: short run was wrapped", c.requests)
@@ -464,10 +432,10 @@ func (p *panicSource) Next() (Request, bool) {
 // an error instead of taking the process down; the chunks produced
 // before the panic are still delivered.
 func TestStreamSourcePanicFailsStream(t *testing.T) {
-	st := NewStream(&panicSource{left: 10}, StreamOptions{ChunkRequests: 4})
+	st := NewStream(&panicSource{left: 2*ChunkRequests + 10}, StreamOptions{})
 	defer st.Close()
-	if got := Collect(st); len(got) != 8 {
-		t.Fatalf("delivered %d requests before the panic, want the 8 of two full chunks", len(got))
+	if got := Collect(st); len(got) != 2*ChunkRequests {
+		t.Fatalf("delivered %d requests before the panic, want the %d of two full chunks", len(got), 2*ChunkRequests)
 	}
 	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "source bug") {
 		t.Fatalf("Err() = %v, want the source's panic", err)

@@ -202,7 +202,6 @@ func (j Job) Resolve() (*ResolvedJob, error) {
 		}
 		fp := *j.Fleet
 		if err := nonNegative(
-			bound{"Fleet.ShardSize", int64(fp.ShardSize)},
 			bound{"Fleet.Workers", int64(fp.Workers)},
 			bound{"Fleet.UtilClasses", int64(fp.UtilClasses)},
 			bound{"Fleet.StaggerClasses", int64(fp.StaggerClasses)},
@@ -231,9 +230,6 @@ func (j Job) Resolve() (*ResolvedJob, error) {
 			return nil, fmt.Errorf("replay jobs need a ReplayPath")
 		}
 		if _, err := trace.ParseFormat(j.Replay.Format); err != nil {
-			return nil, err
-		}
-		if err := nonNegative(bound{"Replay.ChunkRequests", int64(j.Replay.ChunkRequests)}); err != nil {
 			return nil, err
 		}
 	case KindScenario:

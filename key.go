@@ -56,8 +56,8 @@ func seedsKey(w Workload, s Scheme, policy string, p Params, seeds []int64) (str
 // fleetKey is the fleet identity: the base run's key plus every
 // output-affecting field of fc, the normalised configuration fleet.Run
 // itself runs, so two specs that run the same fleet share a key.
-// ShardSize and Workers are scheduling granularity — the fleet document
-// is byte-identical across both — so they stay out.
+// Workers is scheduling only — the fleet document is byte-identical at
+// any worker count — so it stays out.
 func fleetKey(run string, fc fleet.Config) string {
 	material := fmt.Sprintf(
 		"cagc-fleet-v2|run=%s|devices=%d|fleet_seed=%d|util_spread=%g|util_classes=%d|"+

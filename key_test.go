@@ -167,7 +167,7 @@ func TestFleetKeyFollowsNormalisation(t *testing.T) {
 		{Params{}, FleetParams{Devices: 5, TopK: 50}},          // clamped to Devices
 		{Params{}, FleetParams{Devices: 5, UtilClasses: 3}},    // no spread, one class
 		{Params{}, FleetParams{Devices: 5, StaggerClasses: 1}}, // the default
-		{Params{}, FleetParams{Devices: 5, ShardSize: 2, Workers: 3}},
+		{Params{}, FleetParams{Devices: 5, Workers: 3}},
 	} {
 		if got := key(tc.p, tc.fp); got != base {
 			t.Errorf("%+v %+v keys apart from the fleet it runs", tc.p, tc.fp)

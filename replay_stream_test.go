@@ -39,8 +39,7 @@ func summaryJSON(t *testing.T, r *Result) []byte {
 
 // The streaming contract end to end: the same trace produces
 // byte-identical result documents from the in-memory path, the binary
-// file, a text conversion, a gzip copy, and at every chunk size — with
-// decode-ahead on or off.
+// file, a text conversion and a gzip copy.
 func TestReplayFileByteIdentity(t *testing.T) {
 	p := testParams()
 	p.Requests = 1500
@@ -77,13 +76,9 @@ func TestReplayFileByteIdentity(t *testing.T) {
 		o    ReplayFileOptions
 	}{
 		{"binary default", binPath, ReplayFileOptions{}},
-		{"binary chunk=1", binPath, ReplayFileOptions{ChunkRequests: 1}},
-		{"binary chunk=64", binPath, ReplayFileOptions{ChunkRequests: 64}},
-		{"binary chunk=4096", binPath, ReplayFileOptions{ChunkRequests: 4096}},
-		{"binary sync", binPath, ReplayFileOptions{SyncDecode: true}},
 		{"binary forced format", binPath, ReplayFileOptions{Format: "binary"}},
 		{"text sniffed", textPath, ReplayFileOptions{}},
-		{"text chunk=1", textPath, ReplayFileOptions{ChunkRequests: 1, SyncDecode: true}},
+		{"text forced format", textPath, ReplayFileOptions{Format: "text"}},
 		{"gzip sniffed", gzPath, ReplayFileOptions{}},
 	}
 	for _, c := range cases {
@@ -170,10 +165,8 @@ func TestReplayFileCorruptFails(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(strings.Join(split, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, sync := range []bool{false, true} {
-		if _, err := ReplayFile(bad, Mail, CAGC, "greedy", p, ReplayFileOptions{SyncDecode: sync}); err == nil {
-			t.Fatalf("sync=%v: corrupt text trace replayed without error", sync)
-		}
+	if _, err := ReplayFile(bad, Mail, CAGC, "greedy", p, ReplayFileOptions{}); err == nil {
+		t.Fatal("corrupt text trace replayed without error")
 	}
 }
 

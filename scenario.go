@@ -12,6 +12,7 @@ package cagc
 import (
 	"fmt"
 	"math"
+	"os"
 	"strings"
 
 	"cagc/internal/event"
@@ -63,12 +64,6 @@ type ScenarioParams struct {
 	// microseconds (0 disables violation counting for tenants without
 	// their own).
 	SLOUs float64
-	// ChunkRequests/Depth/SyncDecode tune the decode-ahead streaming
-	// of file-backed tenants and of the merged stream (see
-	// ReplayFileOptions).
-	ChunkRequests int
-	Depth         int
-	SyncDecode    bool
 }
 
 // ScenarioLabel renders the workload label a scenario's result carries:
@@ -92,8 +87,9 @@ func tenantName(t TenantSpec) string {
 }
 
 // check refuses a scenario RunScenario cannot run: no tenant, an
-// amplitude outside [0, 1), a negative chunk size, a rate that is not
-// finite, or a file tenant in an unknown format.
+// amplitude outside [0, 1), a negative diurnal period, an SLO that is
+// negative or not finite, a rate that is not finite, or a file tenant
+// in an unknown format.
 func (sp ScenarioParams) check() error {
 	if len(sp.Tenants) == 0 {
 		return fmt.Errorf("cagc: scenario needs at least one tenant")
@@ -101,12 +97,18 @@ func (sp ScenarioParams) check() error {
 	if !(0 <= sp.DiurnalAmp && sp.DiurnalAmp < 1) { // written so NaN fails
 		return fmt.Errorf("cagc: diurnal amplitude %g outside [0, 1)", sp.DiurnalAmp)
 	}
-	if err := nonNegative(bound{"Scenario.ChunkRequests", int64(sp.ChunkRequests)}); err != nil {
+	if sp.DiurnalPeriod < 0 {
+		return fmt.Errorf("cagc: diurnal period %v cannot be negative", sp.DiurnalPeriod)
+	}
+	if err := checkSLO("scenario", sp.SLOUs); err != nil {
 		return err
 	}
 	for _, t := range sp.Tenants {
 		if math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
 			return fmt.Errorf("cagc: tenant %s rate %g is not finite", tenantName(t), t.Rate)
+		}
+		if err := checkSLO("tenant "+tenantName(t), t.SLOUs); err != nil {
+			return err
 		}
 		if t.Path != "" {
 			if _, err := trace.ParseFormat(t.Format); err != nil {
@@ -117,12 +119,22 @@ func (sp ScenarioParams) check() error {
 	return nil
 }
 
+// checkSLO refuses an SLO that would count nothing: a negative or
+// non-finite objective.
+func checkSLO(who string, us float64) error {
+	if !(us >= 0) || math.IsInf(us, 1) { // written so NaN fails
+		return fmt.Errorf("cagc: %s SLO %g us must be finite and >= 0", who, us)
+	}
+	return nil
+}
+
 // RunScenario replays a multi-tenant composition through scheme s. The
 // logical address space is partitioned evenly across the tenants (each
 // tenant's stream is offset into its own namespace); synthetic tenants
-// generate presets sized to their share, file tenants stream with
-// decode-ahead. The run is deterministic: identical parameters produce
-// byte-identical results, including the per-tenant attribution.
+// generate presets sized to their share, file tenants decode their
+// files. One decode-ahead ring carries the merged stream. The run is
+// deterministic: identical parameters produce byte-identical results,
+// including the per-tenant attribution.
 //
 // The device is preconditioned over the full address space with the
 // first tenant's workload mixture (neutral across reruns and warm-cache
@@ -149,10 +161,10 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 		return nil, fmt.Errorf("cagc: %d tenants over %d logical pages leaves empty namespaces", n, logical)
 	}
 
-	var closers []func() error
+	var files []*os.File
 	defer func() {
-		for _, c := range closers {
-			c()
+		for _, f := range files {
+			f.Close()
 		}
 	}()
 	srcs := make([]trace.Source, n)
@@ -178,19 +190,14 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 			if err != nil {
 				return nil, err
 			}
-			st, closer, err := trace.OpenFile(t.Path,
-				trace.OpenOptions{Format: format, TimeScale: t.TimeScale},
-				trace.StreamOptions{
-					ChunkRequests: sp.ChunkRequests,
-					Depth:         sp.Depth,
-					Sync:          sp.SyncDecode,
-					Tracer:        p.Trace,
-				})
+			f, err := os.Open(t.Path)
 			if err != nil {
 				return nil, fmt.Errorf("cagc: tenant %s: %w", ranges[i].Name, err)
 			}
-			closers = append(closers, closer)
-			src = st
+			files = append(files, f)
+			if src, err = trace.Open(f, trace.OpenOptions{Format: format, TimeScale: t.TimeScale}); err != nil {
+				return nil, fmt.Errorf("cagc: tenant %s: %w", ranges[i].Name, err)
+			}
 			total = -1
 		} else {
 			reqs := t.Requests
@@ -226,12 +233,9 @@ func RunScenario(s Scheme, policy string, p Params, sp ScenarioParams) (*Result,
 	if sp.DiurnalPeriod > 0 && sp.DiurnalAmp > 0 {
 		merged = &trace.Diurnal{Src: merged, Period: sp.DiurnalPeriod, Amp: sp.DiurnalAmp}
 	}
-	merged, release := trace.Ahead(merged, total, trace.StreamOptions{
-		ChunkRequests: sp.ChunkRequests,
-		Depth:         sp.Depth,
-		Sync:          sp.SyncDecode,
-		Tracer:        p.Trace,
-	})
+	// The release runs before the files close: the ring's producer is
+	// the only reader of every file tenant.
+	merged, release := trace.Ahead(merged, total, trace.StreamOptions{Tracer: p.Trace})
 	defer release()
 
 	res, err := measure(cfg, spec, p, sim.Measured{Src: merged, Label: ScenarioLabel(sp.Tenants), Tenants: ranges})

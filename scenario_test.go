@@ -3,8 +3,12 @@ package cagc
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cagc/internal/obs"
+	"cagc/internal/trace"
 )
 
 func testScenarioParams() ScenarioParams {
@@ -121,6 +125,46 @@ func TestRunScenarioFileTenant(t *testing.T) {
 	}
 }
 
+// A scenario runs one decode-ahead ring, however many file tenants it
+// has: its ingest.chunk spans carry every request exactly once.
+func TestRunScenarioFileTenantsShareOneRing(t *testing.T) {
+	p := testParams()
+	logical, err := LogicalPagesFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp ScenarioParams
+	for i, name := range []string{"a", "b"} {
+		spec, err := trace.Preset(Mail, logical/2, 3000, int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := NewTraceGenerator(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".ctr")
+		if _, err := WriteTraceFile(path, gen); err != nil {
+			t.Fatal(err)
+		}
+		sp.Tenants = append(sp.Tenants, TenantSpec{Name: name, Path: path})
+	}
+	p.Trace = NewTraceRecorder()
+	res, err := RunScenario(CAGC, "greedy", p, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var carried uint64
+	for _, ev := range p.Trace.Events() {
+		if ev.Kind == obs.KIngestChunk {
+			carried += ev.Arg
+		}
+	}
+	if res.Requests != 6000 || carried != res.Requests {
+		t.Fatalf("ingest.chunk spans carry %d requests, the document counts %d (want 6000)", carried, res.Requests)
+	}
+}
+
 // Note: the file tenant's trace addresses the full device's logical
 // space but the tenant namespace is a slice of it; requests beyond the
 // slice clip into neighbouring namespaces only through the offset, so
@@ -136,6 +180,22 @@ func TestRunScenarioValidation(t *testing.T) {
 		sp.DiurnalAmp = amp
 		if _, err := RunScenario(CAGC, "greedy", p, sp); err == nil {
 			t.Fatalf("amplitude %g accepted", amp)
+		}
+	}
+	// Each of these used to run and count nothing, or run without the
+	// envelope it asked for.
+	for i, bad := range []func(*ScenarioParams){
+		func(sp *ScenarioParams) { sp.SLOUs = math.NaN() },
+		func(sp *ScenarioParams) { sp.SLOUs = -5 },
+		func(sp *ScenarioParams) { sp.SLOUs = math.Inf(1) },
+		func(sp *ScenarioParams) { sp.Tenants[1].SLOUs = math.NaN() },
+		func(sp *ScenarioParams) { sp.Tenants[1].SLOUs = -1 },
+		func(sp *ScenarioParams) { sp.DiurnalPeriod = -5 * Millisecond },
+	} {
+		sp := testScenarioParams()
+		bad(&sp)
+		if _, err := RunScenario(CAGC, "greedy", p, sp); err == nil {
+			t.Errorf("case %d: %+v accepted", i, sp)
 		}
 	}
 	sp = testScenarioParams()

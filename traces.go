@@ -91,7 +91,7 @@ func WriteTraceFile(path string, src TraceSource) (int, error) {
 }
 
 // ReplayFileOptions tunes ReplayFile's ingestion pipeline. The zero
-// value sniffs the format and streams with decode-ahead defaults.
+// value sniffs the format.
 type ReplayFileOptions struct {
 	// Format forces a decoder: "auto" (default), "binary", "text", or
 	// "fiu". Auto sniffs the bytes — gzip first, then the CAGC magic,
@@ -101,16 +101,6 @@ type ReplayFileOptions struct {
 	// gaps (the raw traces span weeks); 0 means 1.0. Only the FIU
 	// decoder uses it.
 	TimeScale float64
-	// ChunkRequests is the decode-ahead handoff chunk size (default
-	// trace.DefaultChunkRequests); Depth the ring of chunks decoded
-	// ahead (default trace.DefaultChunkDepth).
-	ChunkRequests int
-	Depth         int
-	// SyncDecode disables the background decode goroutine: requests
-	// decode on the simulator's goroutine. Results are byte-identical
-	// either way; this is the comparison leg of the replay_stream
-	// bench.
-	SyncDecode bool
 	// Stats, when non-nil, receives the stream's ingestion counters
 	// (chunks, stalls, peak reader-side live bytes) after the replay.
 	Stats *trace.StreamStats
@@ -132,12 +122,7 @@ func ReplayFile(path string, w Workload, s Scheme, policy string, p Params, o Re
 	}
 	st, closer, err := trace.OpenFile(path,
 		trace.OpenOptions{Format: format, TimeScale: o.TimeScale},
-		trace.StreamOptions{
-			ChunkRequests: o.ChunkRequests,
-			Depth:         o.Depth,
-			Sync:          o.SyncDecode,
-			Tracer:        p.Trace,
-		})
+		trace.StreamOptions{Tracer: p.Trace})
 	if err != nil {
 		return nil, fmt.Errorf("cagc: opening %s: %w", path, err)
 	}

@@ -195,14 +195,13 @@ func warmSnapshot(cfg sim.Config, spec trace.Spec, policySeed int64) (*sim.Snaps
 
 // measure is the back half of every single-device entry mode: Run,
 // ReplayTrace/ReplayFile and RunScenario. The warm snapshot comes from
-// the registry unless the caller opted out (ColdStart) or the run skips
-// preconditioning (nothing worth caching); sim.Measure then acquires a
-// runner, replays m and releases the runner through the clone
-// free-list, so per-run allocation stays flat and clone residency stays
-// bounded by the number of concurrent runs.
+// the registry unless the caller opted out (ColdStart); sim.Measure
+// then acquires a runner, replays m and releases the runner through the
+// clone free-list, so per-run allocation stays flat and clone residency
+// stays bounded by the number of concurrent runs.
 func measure(cfg sim.Config, spec trace.Spec, p Params, m sim.Measured) (*Result, error) {
 	var snap *sim.Snapshot
-	if !p.ColdStart && !cfg.SkipPrecondition {
+	if !p.ColdStart {
 		var err error
 		if snap, err = warmSnapshot(cfg, spec, p.Seed); err != nil {
 			return nil, err
