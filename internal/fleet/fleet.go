@@ -171,8 +171,8 @@ type DeviceDist struct {
 }
 
 // Result is the deterministic fleet aggregate: byte-identical for a
-// given Config regardless of Workers. Wall-clock facts
-// (throughput, worker count) deliberately live outside it.
+// given Config regardless of Workers. Wall-clock facts (throughput,
+// worker count) deliberately live outside it.
 type Result struct {
 	Devices        int    `json:"devices"`
 	Seed           int64  `json:"seed"`

@@ -22,9 +22,9 @@ type Measured struct {
 
 // Measure is the back half of every measured run. The runner is
 // acquired from snap, or, when snap is nil, built from cfg and
-// preconditioned with spec. Then the
-// tenants are installed, m's source is replayed, the post-run
-// invariants are checked and the runner is released. A run that fails
+// preconditioned with spec. Then the tenants are installed, m's source
+// is replayed, the post-run invariants are checked and the runner is
+// released. A run that fails
 // or panics is dropped rather than parked, and the clone gauge stays
 // balanced either way.
 func Measure(snap *Snapshot, cfg Config, spec trace.Spec, m Measured) (*Result, error) {

@@ -68,9 +68,9 @@ func (r *Runner) Clone() *Runner {
 }
 
 // NewSnapshot builds a runner for cfg and runs spec's preconditioning
-// fill, capturing the warm state. Only
-// the precondition-relevant parts of spec matter here — LogicalPages,
-// DedupRatio, ContentSkew, ContentPool, and the precondition seed; the
+// fill, capturing the warm state. Only the precondition-relevant parts
+// of spec matter here — LogicalPages, DedupRatio, ContentSkew,
+// ContentPool, and the precondition seed; the
 // measured-trace parameters (request count, arrival process, Seed) may
 // differ freely between the snapshot and the runs it serves.
 func NewSnapshot(cfg Config, spec trace.Spec) (*Snapshot, error) {

@@ -52,7 +52,11 @@ func requestsEqual(t *testing.T, got, want []Request, label string) {
 // one short of, on, or one past a chunk boundary, or fills the ring
 // several times over.
 func TestStreamByteIdentityAcrossChunkSizes(t *testing.T) {
-	all := Collect(mustGenerator(t))
+	g, err := NewGenerator(streamSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := Collect(g)
 	if len(all) <= 6*ChunkRequests {
 		t.Fatalf("reference workload has %d requests, want more than %d", len(all), 6*ChunkRequests)
 	}
@@ -69,15 +73,6 @@ func TestStreamByteIdentityAcrossChunkSizes(t *testing.T) {
 			t.Fatalf("%s: %d chunks, want %d", label, stats.Chunks, wantChunks)
 		}
 	}
-}
-
-func mustGenerator(t *testing.T) *Generator {
-	t.Helper()
-	g, err := NewGenerator(streamSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
 }
 
 // A decode failure in the source must surface through Err, not truncate
