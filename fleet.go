@@ -7,9 +7,8 @@ package cagc
 // the shared worker pool, and merges the per-device results into one
 // deterministic fleet report: latency/WA/erase distributions and the
 // straggler ranking. The merge is byte-identical at any worker count
-// (see internal/fleet); wall-clock facts live on
-// FleetRun, outside the deterministic Result, exactly like the batch
-// report splits them.
+// (see internal/fleet); wall-clock facts live on FleetRun, outside the
+// deterministic Result, exactly like the batch report splits them.
 //
 // Warm state is shared with everything else in the process: each
 // device class resolves its snapshot through the keyed registry
