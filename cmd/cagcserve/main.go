@@ -4,7 +4,10 @@
 // traces. Admission is bounded — a full queue answers 429 with a
 // Retry-After estimate instead of queueing unboundedly — and results
 // are cached by canonical configuration hash, so a repeated submission
-// is answered byte-identically without re-running.
+// is answered byte-identically without re-running. Finished jobs stay
+// retrievable for as long as they are among the last -cache finished
+// (at least -queue plus the job workers); an older job ID answers 410
+// Gone, and resubmitting its spec answers the same document.
 //
 // Usage:
 //
@@ -54,7 +57,7 @@ func run(args []string, stderr io.Writer, shutdown <-chan os.Signal, ready func(
 		addr       = fs.String("addr", "localhost:8080", "listen address")
 		queue      = fs.Int("queue", 16, "job queue depth; submissions past it get 429")
 		jobWorkers = fs.Int("jobworkers", 0, "jobs executing concurrently (0 = one per core)")
-		cacheN     = fs.Int("cache", 128, "result-cache entries (documents, LRU)")
+		cacheN     = fs.Int("cache", 128, "result-cache entries (documents, LRU), and how many finished jobs stay retrievable (at least -queue plus the job workers); an older job ID answers 410")
 		timeout    = fs.Duration("timeout", 0, "default per-job deadline for jobs that name none (0 = none)")
 		maxTimeout = fs.Duration("maxtimeout", 0, "hard cap on any job's deadline (0 = uncapped)")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")

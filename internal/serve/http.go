@@ -140,9 +140,19 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
+// job looks up the request's job. An ID the registry has forgotten
+// answers 410: the job finished long enough ago that newer finished
+// jobs pushed it out, and resubmitting its spec answers the same bytes.
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	j, ok := s.Get(r.PathValue("id"))
-	if !ok {
+	id := r.PathValue("id")
+	j, ok := s.Get(id)
+	switch {
+	case ok:
+	case s.expired(id):
+		writeError(w, http.StatusGone, fmt.Sprintf("job %s expired: the service keeps the last %d finished jobs; "+
+			"resubmit its spec, which answers from the result cache while the configuration is cached "+
+			"and otherwise recomputes the same document", id, s.finished.max))
+	default:
 		writeError(w, http.StatusNotFound, "no such job")
 	}
 	return j, ok
@@ -194,14 +204,19 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rec := j.Recorder()
-	if rec == nil {
+	st := j.State()
+	if !st.Traced {
 		writeError(w, http.StatusNotFound, "job was not traced (submit with \"trace\": true)")
 		return
 	}
-	st := j.State()
 	if st.Status == StatusQueued || st.Status == StatusRunning {
 		writeError(w, http.StatusConflict, "job not finished (status "+st.Status+")")
+		return
+	}
+	rec := j.Recorder()
+	if rec == nil {
+		writeError(w, http.StatusGone, fmt.Sprintf("trace of job %s released: the service keeps the recordings "+
+			"of the last %d finished traced jobs; resubmit with \"trace\": true to record it again", j.ID, tracedRetained))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -258,6 +273,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	for _, st := range statuses {
 		fmt.Fprintf(w, "serve_jobs_status_total{status=%q} %d\n", st, m.Jobs[st])
 	}
+	fmt.Fprintf(w, "serve_jobs_retained %d\n", m.Retained)
+	fmt.Fprintf(w, "serve_jobs_expired_total %d\n", m.Expired)
 	fmt.Fprintf(w, "serve_cache_hits_total %d\n", m.Cache.Hits)
 	fmt.Fprintf(w, "serve_cache_misses_total %d\n", m.Cache.Misses)
 	fmt.Fprintf(w, "serve_cache_evictions_total %d\n", m.Cache.Evictions)

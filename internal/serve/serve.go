@@ -10,6 +10,12 @@
 // stops, admitted jobs finish (or are cancelled when the drain deadline
 // expires), then the workers exit.
 //
+// The job registry is bounded the same way: it keeps every queued or
+// running job and the most recent finished ones (as many as the result
+// cache holds documents), so the service's memory does not grow with
+// its uptime. A forgotten job can always be recomputed — its document
+// depends only on its configuration.
+//
 // The deterministic-document discipline is the same one the CLI
 // follows: result bodies depend only on the job's configuration, never
 // on worker counts, queue state, or wall clock; wall-clock facts live
@@ -17,11 +23,15 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,7 +52,9 @@ type Options struct {
 	// GOMAXPROCS). Batch and fleet jobs parallelize internally on the
 	// shared pool regardless.
 	Workers int
-	// CacheEntries bounds the result cache (default 128 documents).
+	// CacheEntries bounds the result cache (default 128 documents) and
+	// the finished jobs the registry keeps (at least QueueDepth +
+	// Workers of them).
 	CacheEntries int
 	// DefaultTimeout bounds jobs that name no timeout_ms (0 = none).
 	DefaultTimeout time.Duration
@@ -88,13 +100,14 @@ type Job struct {
 	Kind string
 	Key  string // canonical config identity
 
-	job    *cagc.ResolvedJob   // what exec runs; nil once it has run
-	rec    *cagc.TraceRecorder // non-nil for traced jobs
+	job    *cagc.ResolvedJob // what exec runs; nil once it has run
+	traced bool
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the job reaches a terminal status
 
 	mu        sync.Mutex
+	rec       *cagc.TraceRecorder // a traced job's recording; nil once released
 	status    string
 	errMsg    string
 	body      []byte
@@ -133,7 +146,7 @@ func (j *Job) State() JobState {
 	st := JobState{
 		ID: j.ID, Kind: j.Kind, Key: j.Key,
 		Status: j.status, Err: j.errMsg, Cached: j.cached,
-		Traced: j.rec != nil, Events: j.events,
+		Traced: j.traced, Events: j.events,
 		Body: j.body, Summary: j.summary,
 	}
 	switch {
@@ -154,8 +167,42 @@ func (j *Job) State() JobState {
 // dequeued; running jobs abort at the replay's next cancellation poll.
 func (j *Job) Cancel() { j.cancel() }
 
-// Recorder returns the job's trace recorder (nil when untraced).
-func (j *Job) Recorder() *cagc.TraceRecorder { return j.rec }
+// Recorder returns the job's trace recorder: nil when untraced, and
+// nil once the service has released the recording (it keeps those of
+// the tracedRetained most recently finished traced jobs).
+func (j *Job) Recorder() *cagc.TraceRecorder {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rec
+}
+
+// tracedRetained is how many finished traced jobs keep their
+// recordings. A recording is unbounded (about 50 bytes per simulated
+// event), so far fewer are kept than finished jobs.
+const tracedRetained = 8
+
+// jobID is the ID of the seq'th registered job.
+func jobID(seq uint64) string { return fmt.Sprintf("j-%06d", seq) }
+
+// fifo is a ring of finished jobs, oldest first, holding at most max.
+type fifo struct {
+	jobs []*Job
+	head int // oldest, once the ring is full
+	max  int
+}
+
+// push appends j and returns the oldest job when the ring was full (it
+// is no longer held), or nil.
+func (f *fifo) push(j *Job) *Job {
+	if len(f.jobs) < f.max {
+		f.jobs = append(f.jobs, j)
+		return nil
+	}
+	old := f.jobs[f.head]
+	f.jobs[f.head] = j
+	f.head = (f.head + 1) % f.max
+	return old
+}
 
 // Metrics is the /metrics snapshot: serving-layer counters plus the
 // substrate telemetry underneath (warm-snapshot registry, work-steal
@@ -165,6 +212,8 @@ type Metrics struct {
 	Queue        pool.QueueStats
 	Cache        CacheStats
 	Jobs         map[string]uint64 // terminal status → count
+	Retained     int               // jobs in the registry
+	Expired      uint64            // finished jobs the registry has forgotten
 	Events       uint64            // simulated events retired by completed jobs
 	EventsPerSec float64           // Events over uptime
 	WarmCache    cagc.CacheStats
@@ -185,14 +234,18 @@ type Server struct {
 	// the last window, the flight-recorder discipline.
 	svcRec *cagc.TraceRecorder
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	order   []string // insertion order, for listing
-	seq     uint64
-	closing bool
-	byState map[string]uint64 // terminal status → count
-	events  uint64
-	ewmaNs  float64 // EWMA of executed-job wall time, for Retry-After
+	mu sync.Mutex
+	// jobs holds every queued or running job and the finished jobs in
+	// finished; a finished job pushed out of finished is forgotten.
+	jobs      map[string]*Job
+	finished  fifo
+	traced    fifo   // finished traced jobs that keep their recordings
+	forgotten uint64 // finished jobs pushed out of finished
+	seq       uint64 // the last ID issued
+	closing   bool
+	byState   map[string]uint64 // terminal status → count
+	events    uint64
+	ewmaNs    float64 // EWMA of executed-job wall time, for Retry-After
 
 	// beforeExec, when non-nil, runs on the worker just before a job
 	// executes, inside its panic recovery — a test hook to wedge the
@@ -204,13 +257,15 @@ type Server struct {
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	return &Server{
-		opts:    opts,
-		queue:   pool.NewQueue(opts.QueueDepth, opts.Workers),
-		cache:   newResultCache(opts.CacheEntries),
-		t0:      time.Now(),
-		svcRec:  cagc.NewFlightRecorder(4096),
-		jobs:    map[string]*Job{},
-		byState: map[string]uint64{},
+		opts:     opts,
+		queue:    pool.NewQueue(opts.QueueDepth, opts.Workers),
+		cache:    newResultCache(opts.CacheEntries),
+		t0:       time.Now(),
+		svcRec:   cagc.NewFlightRecorder(4096),
+		jobs:     map[string]*Job{},
+		finished: fifo{max: max(opts.CacheEntries, opts.QueueDepth+opts.Workers, 1)},
+		traced:   fifo{max: tracedRetained},
+		byState:  map[string]uint64{},
 	}
 }
 
@@ -223,22 +278,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	s.seq++
-	j := &Job{
-		ID:   fmt.Sprintf("j-%06d", s.seq),
-		Seq:  s.seq,
-		Kind: r.Kind,
-		Key:  r.Key,
-		done: make(chan struct{}),
-	}
-	j.submitted = time.Now()
-	s.mu.Unlock()
+	j := &Job{Kind: r.Kind, Key: r.Key, done: make(chan struct{}), submitted: time.Now()}
 
 	// Cache first: a repeat of a finished job is answered byte-
 	// identically without touching the queue. Traced jobs always
@@ -246,19 +286,19 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// on completion (the document is identical either way).
 	if !spec.Trace {
 		if hit, ok := s.cache.get(r.Key); ok {
-			s.svcRec.Instant(obs.TrackServe, obs.KServeCacheHit, s.sinceStart(), j.Seq)
 			j.ctx, j.cancel = context.Background(), func() {}
-			j.mu.Lock()
 			j.status, j.cached = StatusDone, true
 			j.body, j.summary, j.events = hit.body, hit.summary, hit.events
 			j.started, j.finished = j.submitted, j.submitted
-			j.mu.Unlock()
 			close(j.done)
-			s.register(j, StatusDone)
+			if err := s.register(j, nil); err != nil {
+				return nil, err
+			}
+			s.svcRec.Instant(obs.TrackServe, obs.KServeCacheHit, s.sinceStart(), j.Seq)
 			return j, nil
 		}
 	} else {
-		j.rec = cagc.NewTraceRecorder()
+		j.rec, j.traced = cagc.NewTraceRecorder(), true
 	}
 	r.Params.Trace = j.rec
 
@@ -269,10 +309,8 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	r.Params.Ctx = j.ctx
 	j.job = r
-	j.mu.Lock()
 	j.status = StatusQueued
-	j.mu.Unlock()
-	if err := s.queue.TrySubmit(func() { s.exec(j) }); err != nil {
+	if err := s.register(j, func() error { return s.queue.TrySubmit(func() { s.exec(j) }) }); err != nil {
 		j.cancel()
 		switch {
 		case errors.Is(err, pool.ErrQueueFull):
@@ -282,20 +320,52 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 			return nil, ErrClosed
 		}
 	}
-	s.register(j, "")
 	return j, nil
 }
 
-// register indexes the job and, for terminal states reached without
-// executing (cache hits), counts them.
-func (s *Server) register(j *Job, terminal string) {
+// register issues j the next ID and files it in the registry. A job
+// bound for the queue is enqueued under the same lock, so a refused job
+// takes no ID and a running job is registered before it can finish; a
+// job that comes here finished (a cache hit, enqueue nil) is counted
+// and retired at once.
+func (s *Server) register(j *Job, enqueue func() error) error {
 	s.mu.Lock()
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	if terminal != "" {
-		s.byState[terminal]++
+	defer s.mu.Unlock()
+	if s.closing {
+		return ErrClosed
 	}
-	s.mu.Unlock()
+	j.Seq = s.seq + 1
+	j.ID = jobID(j.Seq)
+	if enqueue != nil {
+		if err := enqueue(); err != nil {
+			return err
+		}
+	}
+	s.seq = j.Seq
+	s.jobs[j.ID] = j
+	if enqueue == nil {
+		s.byState[StatusDone]++
+		s.retire(j)
+	}
+	return nil
+}
+
+// retire files a finished job as the newest of the registry's finished
+// jobs, forgetting the oldest when that makes one too many, and does
+// the same for a traced job's recording. O(1). Callers hold s.mu.
+func (s *Server) retire(j *Job) {
+	if old := s.finished.push(j); old != nil {
+		delete(s.jobs, old.ID)
+		s.forgotten++
+	}
+	if !j.traced {
+		return
+	}
+	if old := s.traced.push(j); old != nil {
+		old.mu.Lock()
+		old.rec = nil
+		old.mu.Unlock()
+	}
 }
 
 // exec runs one dequeued job to its terminal status.
@@ -309,7 +379,7 @@ func (s *Server) exec(j *Job) {
 	body, summary, events, err := s.run(j)
 	finished := time.Now()
 	j.cancel()  // release the deadline timer
-	j.job = nil // the registry keeps every job, but not what it ran
+	j.job = nil // the registry keeps the job a while, but not what it ran
 
 	status := StatusDone
 	switch {
@@ -355,6 +425,7 @@ func (s *Server) exec(j *Job) {
 	} else {
 		s.ewmaNs = 0.8*s.ewmaNs + 0.2*wall
 	}
+	s.retire(j)
 	s.mu.Unlock()
 	close(j.done)
 }
@@ -387,7 +458,7 @@ func (s *Server) sinceStart() event.Time { return event.Time(time.Since(s.t0)) }
 // serve track, covering the most recent window.
 func (s *Server) ServiceTrace() *cagc.TraceRecorder { return s.svcRec }
 
-// Get returns a job by ID.
+// Get returns a retained job by ID.
 func (s *Server) Get(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -395,14 +466,33 @@ func (s *Server) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every job in submission order.
-func (s *Server) Jobs() []*Job {
+// expired reports whether id was issued to a job the registry has since
+// forgotten. IDs are issued in sequence, so that is an ID at or below
+// the last one issued that is no longer retained.
+func (s *Server) expired(id string) bool {
+	n, ok := strings.CutPrefix(id, "j-")
+	if !ok {
+		return false
+	}
+	seq, err := strconv.ParseUint(n, 10, 64)
+	if err != nil || seq == 0 || jobID(seq) != id {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.jobs[id]
+	_, retained := s.jobs[id]
+	return seq <= s.seq && !retained
+}
+
+// Jobs returns every retained job in submission order.
+func (s *Server) Jobs() []*Job {
+	s.mu.Lock()
+	out := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j)
 	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -433,12 +523,15 @@ func (s *Server) MetricsSnapshot() Metrics {
 		jobs[k] = v
 	}
 	events := s.events
+	retained, forgotten := len(s.jobs), s.forgotten
 	s.mu.Unlock()
 	m := Metrics{
 		Uptime:    time.Since(s.t0),
 		Queue:     s.queue.Stats(),
 		Cache:     s.cache.stats(),
 		Jobs:      jobs,
+		Retained:  retained,
+		Expired:   forgotten,
 		Events:    events,
 		WarmCache: cagc.WarmCacheStats(),
 		Steals:    pool.Steals(),
