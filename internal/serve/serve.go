@@ -291,7 +291,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 			j.body, j.summary, j.events = hit.body, hit.summary, hit.events
 			j.started, j.finished = j.submitted, j.submitted
 			close(j.done)
-			if err := s.register(j, nil); err != nil {
+			if err := s.register(j, false); err != nil {
 				return nil, err
 			}
 			s.svcRec.Instant(obs.TrackServe, obs.KServeCacheHit, s.sinceStart(), j.Seq)
@@ -310,7 +310,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	r.Params.Ctx = j.ctx
 	j.job = r
 	j.status = StatusQueued
-	if err := s.register(j, func() error { return s.queue.TrySubmit(func() { s.exec(j) }) }); err != nil {
+	if err := s.register(j, true); err != nil {
 		j.cancel()
 		switch {
 		case errors.Is(err, pool.ErrQueueFull):
@@ -323,12 +323,12 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// register issues j the next ID and files it in the registry. A job
-// bound for the queue is enqueued under the same lock, so a refused job
-// takes no ID and a running job is registered before it can finish; a
-// job that comes here finished (a cache hit, enqueue nil) is counted
-// and retired at once.
-func (s *Server) register(j *Job, enqueue func() error) error {
+// register issues j the next ID and files it in the registry. A queued
+// job is admitted onto the queue under the same lock, so a refused job
+// takes no ID and an admitted one is registered before it can finish.
+// A job that comes here finished (a cache hit) is counted and retired
+// at once.
+func (s *Server) register(j *Job, queued bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing {
@@ -336,14 +336,15 @@ func (s *Server) register(j *Job, enqueue func() error) error {
 	}
 	j.Seq = s.seq + 1
 	j.ID = jobID(j.Seq)
-	if enqueue != nil {
-		if err := enqueue(); err != nil {
+	if queued {
+		// Never blocks: a full queue refuses at once.
+		if err := s.queue.TrySubmit(func() { s.exec(j) }); err != nil {
 			return err
 		}
 	}
 	s.seq = j.Seq
 	s.jobs[j.ID] = j
-	if enqueue == nil {
+	if !queued {
 		s.byState[StatusDone]++
 		s.retire(j)
 	}
