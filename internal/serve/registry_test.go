@@ -256,3 +256,78 @@ func TestServeReleasesOldTraceRecordings(t *testing.T) {
 		t.Fatalf("the first recording is still reachable after %d traced jobs", tracedRetained+1)
 	}
 }
+
+// Submitters, finishing jobs and readers share the registry: run under
+// -race. However the jobs interleave, the registry ends holding exactly
+// the last N finished, and every other job is counted as expired.
+func TestServeRegistryConcurrent(t *testing.T) {
+	s := New(Options{QueueDepth: 4, Workers: 2, CacheEntries: 4})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	n := s.finished.max
+
+	const submitters, each = 4, 12
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	go func() { // a reader racing the evictions
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, j := range s.Jobs() {
+				j.State()
+				j.Recorder()
+			}
+			s.MetricsSnapshot()
+		}
+	}()
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				spec := smallSpec(int64(1 + (g*each+i)%7)) // repeats are cache hits
+				spec.Trace = i%3 == 0
+				for {
+					j, err := s.Submit(spec)
+					if err == ErrBusy {
+						time.Sleep(time.Millisecond)
+						continue
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					<-j.Done()
+					if code := getStatus(ts, "/v1/jobs/"+j.ID); code != http.StatusOK && code != http.StatusGone {
+						t.Errorf("%s: %d", j.ID, code)
+					}
+					break
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	m := s.MetricsSnapshot()
+	if m.Retained != n || m.Expired != uint64(submitters*each-n) {
+		t.Fatalf("retained %d, expired %d; want %d and %d", m.Retained, m.Expired, n, submitters*each-n)
+	}
+	if got := len(s.traced.jobs); got > tracedRetained {
+		t.Fatalf("%d recordings kept, bound %d", got, tracedRetained)
+	}
+}
+
+// getStatus is getBody for a goroutine other than the test's own: it
+// reports a failed request as status 0 instead of failing the test.
+func getStatus(ts *httptest.Server, path string) int {
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}

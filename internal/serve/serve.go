@@ -278,6 +278,12 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.mu.Lock()
+	closing := s.closing
+	s.mu.Unlock()
+	if closing { // refused before the cache counts a hit or a miss
+		return nil, ErrClosed
+	}
 	j := &Job{Kind: r.Kind, Key: r.Key, done: make(chan struct{}), submitted: time.Now()}
 
 	// Cache first: a repeat of a finished job is answered byte-
