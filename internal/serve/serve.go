@@ -293,9 +293,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if !spec.Trace {
 		if hit, ok := s.cache.get(r.Key); ok {
 			j.ctx, j.cancel = context.Background(), func() {}
+			j.mu.Lock()
 			j.status, j.cached = StatusDone, true
 			j.body, j.summary, j.events = hit.body, hit.summary, hit.events
 			j.started, j.finished = j.submitted, j.submitted
+			j.mu.Unlock()
 			close(j.done)
 			if err := s.register(j, false); err != nil {
 				return nil, err
@@ -315,7 +317,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	r.Params.Ctx = j.ctx
 	j.job = r
+	j.mu.Lock()
 	j.status = StatusQueued
+	j.mu.Unlock()
 	if err := s.register(j, true); err != nil {
 		j.cancel()
 		switch {
