@@ -31,9 +31,6 @@ import (
 // internal/fleet): distributions, stragglers, per-device summaries.
 type FleetResult = fleet.Result
 
-// FleetDevice is the compact per-device record of a fleet run.
-type FleetDevice = fleet.DeviceSummary
-
 // FleetParams scales a fleet execution. The zero value of every field
 // except Devices picks a sensible default.
 type FleetParams struct {

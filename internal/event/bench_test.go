@@ -2,31 +2,20 @@ package event
 
 import "testing"
 
-func BenchmarkSimScheduleAndRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewSim()
-		for j := 0; j < 100; j++ {
-			s.After(Time(j%17), func(Time) {})
-		}
-		s.Run()
-	}
-}
-
 // BenchmarkSimSteadyState measures the zero-allocation hot path: one
 // hoisted ArgHandler rescheduling itself through a warm queue.
 func BenchmarkSimSteadyState(b *testing.B) {
-	s := NewSim()
+	s := NewSimOpts(SchedAuto, 0)
 	var sum uint64
 	h := ArgHandler(func(now Time, arg uint64) { sum += arg })
 	for j := 0; j < 64; j++ {
-		s.AfterArg(Time(j), h, 1)
+		_ = s.AtArg(Time(j), h, 1)
 	}
 	s.Run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.AtArg(s.Now()+Time(i%13), h, 1)
+		_ = s.AtArg(s.now+Time(i%13), h, 1)
 		s.Step()
 	}
 	_ = sum
@@ -45,79 +34,5 @@ func BenchmarkPoolReserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Reserve(Time(i), 10)
-	}
-}
-
-// schedKinds for the scheduler microbenchmarks.
-var schedKinds = []SchedKind{SchedAuto, SchedCalendar, SchedHeap}
-
-// BenchmarkSchedInsertPop measures the steady-state schedule+fire
-// cycle against a warm queue at realistic depth (64 in flight).
-func BenchmarkSchedInsertPop(b *testing.B) {
-	for _, kind := range schedKinds {
-		b.Run(kind.String(), func(b *testing.B) {
-			s := NewSimOpts(kind, 0)
-			var sum uint64
-			h := ArgHandler(func(now Time, arg uint64) { sum += arg })
-			for j := 0; j < 64; j++ {
-				s.AfterArg(Time(j*13), h, 1)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// NAND-ish delays: mixed read/program/erase magnitudes.
-				_ = s.AtArg(s.Now()+Time(3000+(i%7)*11000), h, 1)
-				s.Step()
-			}
-			_ = sum
-		})
-	}
-}
-
-// BenchmarkSchedCancel measures the lazy-cancellation cycle: schedule
-// a cancelable event, cancel it, then drain the stale item.
-func BenchmarkSchedCancel(b *testing.B) {
-	for _, kind := range schedKinds {
-		b.Run(kind.String(), func(b *testing.B) {
-			s := NewSimOpts(kind, 0)
-			var sum uint64
-			h := ArgHandler(func(now Time, arg uint64) { sum += arg })
-			for j := 0; j < 64; j++ {
-				cycleHandles(s, h)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hd, _ := s.ScheduleAtArg(s.Now()+5000, h, 1)
-				s.AfterArg(10000, h, 1)
-				s.Cancel(hd)
-				for s.Step() {
-				}
-			}
-			_ = sum
-		})
-	}
-}
-
-// BenchmarkSchedDeepQueue measures pop cost with a GC-burst-depth
-// queue (4k in flight), where heap sift depth hurts most.
-func BenchmarkSchedDeepQueue(b *testing.B) {
-	for _, kind := range schedKinds {
-		b.Run(kind.String(), func(b *testing.B) {
-			s := NewSimOpts(kind, 0)
-			var sum uint64
-			h := ArgHandler(func(now Time, arg uint64) { sum += arg })
-			for j := 0; j < 4096; j++ {
-				s.AfterArg(Time(j%997)*1500, h, 1)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Erase-scale fan-out: delays spread across ~1.5 ms.
-				_ = s.AtArg(s.Now()+Time(3000+(i%499)*3001), h, 1)
-				s.Step()
-			}
-			_ = sum
-		})
 	}
 }

@@ -1,22 +1,11 @@
-// Package event provides the discrete-event core used by the SSD
-// simulator: a virtual clock measured in integer nanoseconds and a
-// deterministic event queue.
+// Package event provides the simulator's virtual clock (Time) and the
+// resources device models reserve: Timeline, one unit serving in FIFO
+// order, and Pool, K identical units.
 //
-// The queue orders events by firing time; events scheduled for the same
-// instant fire in the order they were scheduled (FIFO tie-breaking via a
-// monotonically increasing sequence number), so simulations are fully
-// deterministic and independent of map iteration or scheduling jitter.
-//
-// Three queue implementations sit behind the same Sim API (see
-// sched.go): the default auto scheduler (SchedAuto) — the reference
-// heap while occupancy stays shallow, escalating to the calendar when
-// the queue gets deep — plus the two it composes, pinnable directly:
-// the calendar queue (power-of-two time buckets with an overflow
-// ladder, O(1) amortized for the bounded, quantized NAND timing this
-// simulator generates) and the reference value-typed 4-ary min-heap
-// (SchedHeap). All produce the identical (time, seq) firing order. Steady-state scheduling — a bounded queue fed through At/After
-// or the reusable-handler AtArg/AfterArg path, with or without
-// cancelable handles — performs zero allocations per event.
+// Sim, a minimal discrete-event pump over one 4-ary min-heap, runs on no
+// product path: the replay is two direct loops over Timelines and Pools.
+// It remains for the event-driven reference replay that internal/sim's
+// tests compare those loops against, and for the benchmark's kernel.
 package event
 
 import (
@@ -56,34 +45,31 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // Millis returns the time as a float64 number of milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// Handler is the body of a scheduled event. It runs with the simulation
-// clock set to the event's firing time.
-type Handler func(now Time)
-
-// ArgHandler is the body of an event scheduled through the
-// reusable-handler path (AtArg/AfterArg): one pre-bound function value
-// receives a caller-chosen argument, so a steady-state scheduler that
-// hoists the function out of its loop allocates nothing per event —
-// unlike a fresh capturing closure, which costs one heap allocation
-// every time it is created.
+// ArgHandler is the body of a scheduled event: one pre-bound function
+// value receives a caller-chosen argument, so a caller that hoists the
+// function out of its loop allocates nothing per event.
 type ArgHandler func(now Time, arg uint64)
 
-// item is a scheduled event inside a queue, stored by value. Exactly
-// one of fn/afn is non-nil. slot/gen are zero for plain events; for
-// handle-carrying events they tie the item to its slot-table entry so
-// lazy cancellation can recognize it as stale at pop time.
+// ErrPastEvent is returned by Sim.AtArg when an event is scheduled
+// before the current simulation time.
+var ErrPastEvent = errors.New("event: scheduled in the past")
+
+// SchedKind is accepted by NewSimOpts and ignored: SchedAuto, its only
+// value, names Sim's one queue.
+type SchedKind uint8
+
+const SchedAuto SchedKind = 0
+
+// item is one scheduled event, stored by value in the heap.
 type item struct {
-	at   Time
-	seq  uint64
-	fn   Handler
-	afn  ArgHandler
-	arg  uint64
-	slot uint32
-	gen  uint32
+	at  Time
+	seq uint64
+	fn  ArgHandler
+	arg uint64
 }
 
-// before reports whether a fires before b: earlier time first, FIFO
-// scheduling order within the same instant.
+// before orders items by firing time, then by scheduling order, so
+// same-time events fire first-in first-out.
 func (a *item) before(b *item) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -91,179 +77,91 @@ func (a *item) before(b *item) bool {
 	return a.seq < b.seq
 }
 
-// ErrPastEvent is returned by Sim.At when an event is scheduled before
-// the current simulation time.
-var ErrPastEvent = errors.New("event: scheduled in the past")
+// heapArity is the heap's fan-out: half a binary heap's depth.
+const heapArity = 4
 
-// Sim is a discrete-event simulation loop. The zero value is not usable;
-// construct with NewSim or NewSimOpts.
+// Sim is a discrete-event loop. Construct it with NewSimOpts.
 type Sim struct {
 	now     Time
 	seq     uint64
-	q       queue
+	q       []item // 4-ary min-heap under item.before
 	stopped bool
-	fired   uint64
-	live    int // pending events that are not canceled
-	kind    SchedKind
-
-	// Lazy-cancellation handle table (see sched.go).
-	slots     []slot
-	freeSlots []uint32
-	staleFn   func(*item) bool // hoisted s.itemStale, so peeks don't allocate
-
-	maxDepth     int
-	cancels      uint64
-	reschedules  uint64
-	staleSkipped uint64
 }
 
-// NewSim returns a simulation whose clock starts at zero, using the
-// default auto scheduler (heap below the occupancy threshold, calendar
-// above) with the default bucket width.
-func NewSim() *Sim {
-	return NewSimOpts(SchedAuto, 0)
-}
+// NewSimOpts returns a simulation whose clock starts at zero. Both
+// arguments are ignored; they keep the signature the benchmark's event
+// kernel compiles against, and Benchmark v2 (1) deletes what is left.
+func NewSimOpts(SchedKind, Time) *Sim { return &Sim{} }
 
-// NewSimOpts returns a simulation using the given scheduler.
-// bucketWidth sizes the calendar buckets — pass the device's smallest
-// meaningful latency (e.g. the NAND read latency); it is rounded up to
-// a power of two. Zero or negative means the default (2^14 ns ≈ 16 µs,
-// the Table-I read latency rounded up). The heap ignores it; the auto
-// scheduler keeps it for the calendar it may escalate to.
-func NewSimOpts(kind SchedKind, bucketWidth Time) *Sim {
-	s := &Sim{kind: kind}
-	switch kind {
-	case SchedHeap:
-		s.q = &heapQ{}
-	case SchedCalendar:
-		s.q = newCalendar(bucketWidth)
-	default:
-		s.kind = SchedAuto
-		s.q = &hybridQ{widthHint: bucketWidth}
+// AtArg schedules fn(at, arg) to run at absolute time at. Scheduling
+// before the current time returns ErrPastEvent and queues nothing.
+func (s *Sim) AtArg(at Time, fn ArgHandler, arg uint64) error {
+	if at < s.now {
+		return fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, s.now)
 	}
-	s.staleFn = s.itemStale
-	return s
-}
-
-// Kind returns the scheduler implementation in use.
-func (s *Sim) Kind() SchedKind { return s.kind }
-
-// Now returns the current virtual time.
-func (s *Sim) Now() Time { return s.now }
-
-// Fired reports how many events have been executed so far.
-func (s *Sim) Fired() uint64 { return s.fired }
-
-// Pending reports how many scheduled events are still due to fire.
-// Canceled events stop counting immediately, even though their queue
-// slots are only reclaimed lazily.
-func (s *Sim) Pending() int { return s.live }
-
-func (s *Sim) schedule(it item) error {
-	if it.at < s.now {
-		return fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, it.at, s.now)
-	}
-	it.seq = s.seq
+	it := item{at: at, seq: s.seq, fn: fn, arg: arg}
 	s.seq++
-	s.q.push(it, s.now)
-	s.live++
-	if d := s.q.size(); d > s.maxDepth {
-		s.maxDepth = d
+	// Sift up through a hole: parents slide down, one write places it.
+	s.q = append(s.q, it)
+	i := len(s.q) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !it.before(&s.q[p]) {
+			break
+		}
+		s.q[i] = s.q[p]
+		i = p
 	}
+	s.q[i] = it
 	return nil
 }
 
-// At schedules fn to run at absolute time at. Scheduling an event in the
-// past returns ErrPastEvent and does not enqueue the event.
-func (s *Sim) At(at Time, fn Handler) error {
-	return s.schedule(item{at: at, fn: fn})
-}
-
-// AtArg schedules fn(arg) to run at absolute time at — the
-// reusable-handler path: callers that hoist one ArgHandler and vary arg
-// schedule without any per-event allocation.
-func (s *Sim) AtArg(at Time, fn ArgHandler, arg uint64) error {
-	return s.schedule(item{at: at, afn: fn, arg: arg})
-}
-
-// After schedules fn to run delay ticks from now. A negative delay is
-// clamped to zero, i.e. the event fires at the current time after all
-// previously scheduled same-time events.
-func (s *Sim) After(delay Time, fn Handler) {
-	if delay < 0 {
-		delay = 0
+// Step runs the earliest pending event, advancing the clock to its
+// firing time, and reports whether there was one.
+func (s *Sim) Step() bool {
+	n := len(s.q) - 1
+	if n < 0 {
+		return false
 	}
-	// The only error At can return is ErrPastEvent, impossible here.
-	_ = s.At(s.now+delay, fn)
-}
-
-// AfterArg is After on the reusable-handler path.
-func (s *Sim) AfterArg(delay Time, fn ArgHandler, arg uint64) {
-	if delay < 0 {
-		delay = 0
+	top, last := s.q[0], s.q[n]
+	s.q[n] = item{} // release the handler reference
+	s.q = s.q[:n]
+	if n > 0 {
+		// Sift last down from the root, sliding the least child up.
+		i := 0
+		for {
+			c := heapArity*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j := c + 1; j < min(c+heapArity, n); j++ {
+				if s.q[j].before(&s.q[m]) {
+					m = j
+				}
+			}
+			if !s.q[m].before(&last) {
+				break
+			}
+			s.q[i] = s.q[m]
+			i = m
+		}
+		s.q[i] = last
 	}
-	_ = s.AtArg(s.now+delay, fn, arg)
+	s.now = top.at
+	top.fn(top.at, top.arg)
+	return true
 }
 
 // Stop makes Run return after the currently executing event completes.
-// Pending events remain queued.
+// Pending events stay queued.
 func (s *Sim) Stop() { s.stopped = true }
 
-// Step executes the single earliest pending event, advancing the clock
-// to its firing time. It reports whether an event was executed. Stale
-// items — canceled or rescheduled handles surfacing at the head — are
-// absorbed silently without advancing the clock.
-func (s *Sim) Step() bool {
-	for {
-		it, ok := s.q.pop()
-		if !ok {
-			return false
-		}
-		if it.slot != 0 {
-			sl := &s.slots[it.slot]
-			if sl.gen != it.gen {
-				s.staleSkipped++
-				continue
-			}
-			// The handle's event is firing: the handle dies here.
-			s.freeSlot(it.slot)
-		}
-		s.now = it.at
-		s.fired++
-		s.live--
-		if it.afn != nil {
-			it.afn(it.at, it.arg)
-		} else {
-			it.fn(it.at)
-		}
-		return true
-	}
-}
-
-// Run executes events until the queue is empty or Stop is called. It
+// Run executes events until the queue is empty or Stop is called, and
 // returns the final simulation time.
 func (s *Sim) Run() Time {
 	s.stopped = false
 	for !s.stopped && s.Step() {
-	}
-	return s.now
-}
-
-// RunUntil executes events with firing time <= deadline. Events beyond
-// the deadline stay queued; the clock is advanced to the deadline if the
-// simulation ran dry earlier. When Stop fires mid-run the clock stays at
-// the last fired event — a stopped run must not pretend time passed.
-func (s *Sim) RunUntil(deadline Time) Time {
-	s.stopped = false
-	for !s.stopped {
-		t, ok := s.q.peekLive(s.staleFn)
-		if !ok || t > deadline {
-			break
-		}
-		s.Step()
-	}
-	if !s.stopped && s.now < deadline {
-		s.now = deadline
 	}
 	return s.now
 }

@@ -1,8 +1,10 @@
 package event
 
 import (
+	"cmp"
+	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,239 +36,133 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-func TestSimOrdering(t *testing.T) {
-	s := NewSim()
-	var got []int
-	s.After(30, func(Time) { got = append(got, 3) })
-	s.After(10, func(Time) { got = append(got, 1) })
-	s.After(20, func(Time) { got = append(got, 2) })
-	end := s.Run()
-	if end != 30 {
-		t.Fatalf("final time = %v, want 30", end)
+// TestSim holds the pump's contract: the event-driven reference replay
+// and the benchmark's event kernel rely on each case.
+func TestSim(t *testing.T) {
+	// record returns a handler appending each event's argument to got.
+	record := func(got *[]uint64) ArgHandler {
+		return func(_ Time, arg uint64) { *got = append(*got, arg) }
 	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestSimFIFOTieBreak(t *testing.T) {
-	s := NewSim()
-	var got []int
-	for i := 0; i < 100; i++ {
-		i := i
-		s.After(42, func(Time) { got = append(got, i) })
-	}
-	s.Run()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("same-time events fired out of order at %d: %v", i, got[:i+1])
-		}
-	}
-}
-
-func TestSimNestedScheduling(t *testing.T) {
-	s := NewSim()
-	var trace []Time
-	s.After(10, func(now Time) {
-		trace = append(trace, now)
-		s.After(5, func(now Time) {
-			trace = append(trace, now)
-		})
-	})
-	s.Run()
-	if len(trace) != 2 || trace[0] != 10 || trace[1] != 15 {
-		t.Fatalf("trace = %v, want [10 15]", trace)
-	}
-}
-
-func TestSimPastEvent(t *testing.T) {
-	s := NewSim()
-	s.After(100, func(Time) {})
-	s.Run()
-	if err := s.At(50, func(Time) {}); err == nil {
-		t.Fatal("scheduling in the past succeeded, want error")
-	}
-}
-
-func TestSimNegativeDelayClamped(t *testing.T) {
-	s := NewSim()
-	ran := false
-	s.After(-5, func(now Time) {
-		if now != 0 {
-			t.Errorf("fired at %v, want 0", now)
-		}
-		ran = true
-	})
-	s.Run()
-	if !ran {
-		t.Fatal("clamped event never fired")
-	}
-}
-
-func TestSimStop(t *testing.T) {
-	s := NewSim()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.After(Time(i), func(Time) {
-			count++
-			if count == 3 {
-				s.Stop()
+	cases := []struct {
+		name string
+		run  func(t *testing.T, s *Sim)
+	}{
+		{"time_order", func(t *testing.T, s *Sim) {
+			// Enough events at random times to sift through several
+			// heap levels; ties among them keep scheduling order.
+			rng := rand.New(rand.NewSource(7))
+			at := make([]Time, 1000)
+			var got []uint64
+			h := ArgHandler(func(now Time, i uint64) {
+				if now != at[i] {
+					t.Errorf("event %d fired at %v, want %v", i, now, at[i])
+				}
+				got = append(got, i)
+			})
+			for i := range at {
+				at[i] = Time(rng.Intn(500))
+				_ = s.AtArg(at[i], h, uint64(i))
 			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("executed %d events after Stop, want 3", count)
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", s.Pending())
-	}
-}
-
-func TestSimRunUntil(t *testing.T) {
-	s := NewSim()
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		s.After(at, func(now Time) { fired = append(fired, now) })
-	}
-	s.RunUntil(12)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want 2 events", fired)
-	}
-	if s.Now() != 12 {
-		t.Fatalf("now = %v, want 12", s.Now())
-	}
-	s.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("fired %v, want all 4 events", fired)
-	}
-}
-
-// A Stop mid-RunUntil must leave the clock at the last fired event —
-// jumping to the deadline would pretend time passed that the stopped
-// simulation never simulated.
-func TestSimRunUntilStopKeepsClock(t *testing.T) {
-	s := NewSim()
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		s.After(at, func(now Time) {
-			fired = append(fired, now)
-			if now == 10 {
-				s.Stop()
+			end := s.Run()
+			want := make([]uint64, len(at))
+			for i := range want {
+				want[i] = uint64(i)
 			}
-		})
+			slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(at[a], at[b]) })
+			if len(got) != len(want) {
+				t.Fatalf("fired %d events, want %d", len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("event %d fired in position %d, want event %d", got[k], k, want[k])
+				}
+			}
+			if last := at[want[len(want)-1]]; end != last {
+				t.Fatalf("final time = %v, want %v", end, last)
+			}
+		}},
+		{"same_time_fifo", func(t *testing.T, s *Sim) {
+			var got []uint64
+			h := record(&got)
+			for i := uint64(0); i < 100; i++ {
+				_ = s.AtArg(42, h, i)
+			}
+			s.Run()
+			for i, v := range got {
+				if v != uint64(i) {
+					t.Fatalf("same-time events fired out of order at %d: %v", i, got[:i+1])
+				}
+			}
+			if len(got) != 100 {
+				t.Fatalf("fired %d events, want 100", len(got))
+			}
+		}},
+		{"nested_scheduling", func(t *testing.T, s *Sim) {
+			var fired []Time
+			var h ArgHandler
+			h = func(now Time, depth uint64) {
+				fired = append(fired, now)
+				if depth > 0 {
+					_ = s.AtArg(now+5, h, depth-1)
+				}
+			}
+			_ = s.AtArg(10, h, 2)
+			s.Run()
+			if !slices.Equal(fired, []Time{10, 15, 20}) {
+				t.Fatalf("fired at %v, want [10 15 20]", fired)
+			}
+		}},
+		{"past_event", func(t *testing.T, s *Sim) {
+			var got []uint64
+			h := record(&got)
+			_ = s.AtArg(100, h, 1)
+			s.Run()
+			if err := s.AtArg(50, h, 2); !errors.Is(err, ErrPastEvent) {
+				t.Fatalf("AtArg in the past = %v, want ErrPastEvent", err)
+			}
+			if s.Step() {
+				t.Fatalf("a rejected event was queued; fired %v", got)
+			}
+		}},
+		{"stop_keeps_queue", func(t *testing.T, s *Sim) {
+			count := 0
+			h := ArgHandler(func(Time, uint64) {
+				if count++; count == 3 {
+					s.Stop()
+				}
+			})
+			for i := 1; i <= 10; i++ {
+				_ = s.AtArg(Time(i), h, 0)
+			}
+			if end := s.Run(); end != 3 || count != 3 {
+				t.Fatalf("Stop: ran %d events to %v, want 3 to 3", count, end)
+			}
+			if end := s.Run(); end != 10 || count != 10 {
+				t.Fatalf("resumed Run: ran %d events to %v, want 10 to 10", count, end)
+			}
+		}},
+		{"steady_state_zero_alloc", func(t *testing.T, s *Sim) {
+			var sum uint64
+			h := ArgHandler(func(_ Time, arg uint64) { sum += arg })
+			// Warm the heap past any size the loop below reaches.
+			for i := 0; i < 256; i++ {
+				_ = s.AtArg(Time(i), h, 1)
+			}
+			s.Run()
+			allocs := testing.AllocsPerRun(1000, func() {
+				_ = s.AtArg(s.now+10, h, 1)
+				s.Step()
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state schedule+fire allocated %.1f objects/op, want 0", allocs)
+			}
+			if sum == 0 {
+				t.Fatal("handler never ran")
+			}
+		}},
 	}
-	if end := s.RunUntil(1000); end != 10 {
-		t.Fatalf("stopped RunUntil returned %v, want 10", end)
-	}
-	if s.Now() != 10 {
-		t.Fatalf("now = %v after mid-run Stop, want 10", s.Now())
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want exactly the first 2 events", fired)
-	}
-	// Resuming runs the rest and then advances to the deadline.
-	if end := s.RunUntil(1000); end != 1000 {
-		t.Fatalf("resumed RunUntil returned %v, want 1000", end)
-	}
-	if len(fired) != 4 {
-		t.Fatalf("fired %v after resume, want all 4 events", fired)
-	}
-}
-
-func TestSimArgHandlerPath(t *testing.T) {
-	s := NewSim()
-	var got []uint64
-	h := ArgHandler(func(now Time, arg uint64) { got = append(got, arg) })
-	s.AfterArg(30, h, 3)
-	s.AfterArg(10, h, 1)
-	if err := s.AtArg(20, h, 2); err != nil {
-		t.Fatal(err)
-	}
-	s.After(20, func(Time) { got = append(got, 99) }) // same-time FIFO with the plain path
-	s.AfterArg(-5, h, 0)                              // negative delay clamps to now
-	if err := s.AtArg(20, h, 4); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	want := []uint64{0, 1, 2, 99, 4, 3}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-	s2 := NewSim()
-	s2.After(100, func(Time) {})
-	s2.Run()
-	if err := s2.AtArg(50, h, 0); err == nil {
-		t.Fatal("AtArg in the past succeeded, want error")
-	}
-}
-
-// Steady-state scheduling through the reusable-handler path must not
-// allocate: the heap stores items by value and the hoisted ArgHandler
-// is created once. This is the regression guard for the event core's
-// zero-allocation contract.
-func TestSimSteadyStateZeroAlloc(t *testing.T) {
-	s := NewSim()
-	var sum uint64
-	h := ArgHandler(func(now Time, arg uint64) { sum += arg })
-	// Warm the queue storage past any size the loop below reaches.
-	for i := 0; i < 256; i++ {
-		s.AfterArg(Time(i), h, 1)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		_ = s.AtArg(s.Now()+10, h, 1)
-		s.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state schedule+fire allocated %.1f objects/op, want 0", allocs)
-	}
-	if sum == 0 {
-		t.Fatal("handler never ran")
-	}
-}
-
-func TestSimRunUntilAdvancesIdleClock(t *testing.T) {
-	s := NewSim()
-	s.RunUntil(1000)
-	if s.Now() != 1000 {
-		t.Fatalf("now = %v, want 1000", s.Now())
-	}
-}
-
-func TestSimFiredCounter(t *testing.T) {
-	s := NewSim()
-	for i := 0; i < 17; i++ {
-		s.After(Time(i), func(Time) {})
-	}
-	s.Run()
-	if s.Fired() != 17 {
-		t.Fatalf("Fired = %d, want 17", s.Fired())
-	}
-}
-
-// Property: regardless of insertion order, events fire in nondecreasing
-// time order.
-func TestSimSortedFiringProperty(t *testing.T) {
-	prop := func(delays []uint16) bool {
-		s := NewSim()
-		var fired []Time
-		for _, d := range delays {
-			s.After(Time(d), func(now Time) { fired = append(fired, now) })
-		}
-		s.Run()
-		return sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.run(t, NewSimOpts(SchedAuto, 0)) })
 	}
 }
 
@@ -344,27 +240,5 @@ func TestTimelineNoOverlapProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSimManyRandomEventsDeterministic(t *testing.T) {
-	run := func(seed int64) []Time {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewSim()
-		var fired []Time
-		for i := 0; i < 1000; i++ {
-			s.After(Time(rng.Intn(500)), func(now Time) { fired = append(fired, now) })
-		}
-		s.Run()
-		return fired
-	}
-	a, b := run(7), run(7)
-	if len(a) != len(b) {
-		t.Fatal("nondeterministic event count")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic firing at %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }

@@ -124,7 +124,7 @@ func (r *Runner) replayRef(src trace.Source, offset event.Time, workload string)
 	if err != nil {
 		return nil, err
 	}
-	p := &refPump{st: st, es: event.NewSimOpts(event.SchedHeap, 0)}
+	p := &refPump{st: st, es: event.NewSimOpts(event.SchedAuto, 0)}
 	if qd := r.cfg.QueueDepth; qd > 0 {
 		for i := 0; i < qd; i++ {
 			if err := p.es.AtArg(offset, p.onRelease, uint64(offset)); err != nil {

@@ -136,11 +136,6 @@ func (c *warmCacheT) setCapacity(n int) {
 	}
 }
 
-// SetWarmCacheCapacity bounds the snapshot registry to at most n warm
-// states (LRU eviction; minimum 1). The default is 32. Shrinking below
-// the current population evicts immediately, oldest first.
-func SetWarmCacheCapacity(n int) { warmCache.setCapacity(n) }
-
 // WarmCacheStats returns the process-wide snapshot cache counters.
 func WarmCacheStats() CacheStats {
 	warmCache.mu.Lock()

@@ -203,8 +203,8 @@ func TestCacheUnderParallelFanOut(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	ResetWarmCache()
 	defer ResetWarmCache()
-	SetWarmCacheCapacity(2)
-	defer SetWarmCacheCapacity(defaultWarmCapacity)
+	warmCache.setCapacity(2)
+	defer warmCache.setCapacity(defaultWarmCapacity)
 
 	p := equivParams()
 	p.Requests = 1000
@@ -257,7 +257,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheCapacityShrink(t *testing.T) {
 	ResetWarmCache()
 	defer ResetWarmCache()
-	defer SetWarmCacheCapacity(defaultWarmCapacity)
+	defer warmCache.setCapacity(defaultWarmCapacity)
 
 	p := equivParams()
 	p.Requests = 1000
@@ -271,7 +271,7 @@ func TestCacheCapacityShrink(t *testing.T) {
 	if st := WarmCacheStats(); st.Snapshots != 3 {
 		t.Fatalf("setup: want 3 resident snapshots, got %+v", st)
 	}
-	SetWarmCacheCapacity(0) // clamps to 1
+	warmCache.setCapacity(0) // clamps to 1
 	st := WarmCacheStats()
 	if st.Snapshots != 1 || st.Evictions != 2 || st.Capacity != 1 {
 		t.Fatalf("shrink to capacity 1: %+v", st)
@@ -297,8 +297,8 @@ func TestCacheCapacityShrink(t *testing.T) {
 func TestCacheConcurrentChurnWithEviction(t *testing.T) {
 	ResetWarmCache()
 	defer ResetWarmCache()
-	SetWarmCacheCapacity(2)
-	defer SetWarmCacheCapacity(defaultWarmCapacity)
+	warmCache.setCapacity(2)
+	defer warmCache.setCapacity(defaultWarmCapacity)
 
 	utils := []float64{0.50, 0.55, 0.60, 0.65}
 	base := equivParams()
