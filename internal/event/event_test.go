@@ -84,17 +84,14 @@ func TestSim(t *testing.T) {
 		{"same_time_fifo", func(t *testing.T, s *Sim) {
 			var got []uint64
 			h := record(&got)
-			for i := uint64(0); i < 100; i++ {
-				_ = s.AtArg(42, h, i)
+			want := make([]uint64, 100)
+			for i := range want {
+				want[i] = uint64(i)
+				_ = s.AtArg(42, h, want[i])
 			}
 			s.Run()
-			for i, v := range got {
-				if v != uint64(i) {
-					t.Fatalf("same-time events fired out of order at %d: %v", i, got[:i+1])
-				}
-			}
-			if len(got) != 100 {
-				t.Fatalf("fired %d events, want 100", len(got))
+			if !slices.Equal(got, want) {
+				t.Fatalf("same-time events fired in order %v, want 0..99", got)
 			}
 		}},
 		{"nested_scheduling", func(t *testing.T, s *Sim) {
