@@ -163,6 +163,57 @@ func TestSim(t *testing.T) {
 	}
 }
 
+func TestSimOrdering(t *testing.T) {
+	s := NewSimOpts(SchedAuto, 0)
+	var got []uint64
+	h := ArgHandler(func(_ Time, arg uint64) { got = append(got, arg) })
+	_ = s.AtArg(30, h, 3)
+	_ = s.AtArg(10, h, 1)
+	_ = s.AtArg(20, h, 2)
+	if end := s.Run(); end != 30 {
+		t.Fatalf("final time = %v, want 30", end)
+	}
+	if !slices.Equal(got, []uint64{1, 2, 3}) {
+		t.Fatalf("fired order %v, want [1 2 3]", got)
+	}
+}
+
+// Property: whatever the scheduling order, events fire in time order.
+func TestSimSortedFiringProperty(t *testing.T) {
+	prop := func(at []uint16) bool {
+		s := NewSimOpts(SchedAuto, 0)
+		var fired []Time
+		h := ArgHandler(func(now Time, _ uint64) { fired = append(fired, now) })
+		for _, a := range at {
+			_ = s.AtArg(Time(a), h, 0)
+		}
+		s.Run()
+		return len(fired) == len(at) && slices.IsSorted(fired)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Two pumps fed the same random schedule fire the same sequence.
+func TestSimManyRandomEventsDeterministic(t *testing.T) {
+	run := func(seed int64) []uint64 {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewSimOpts(SchedAuto, 0)
+		var fired []uint64
+		h := ArgHandler(func(now Time, i uint64) { fired = append(fired, uint64(now)<<32|i) })
+		for i := 0; i < 1000; i++ {
+			_ = s.AtArg(Time(rng.Intn(500)), h, uint64(i))
+		}
+		s.Run()
+		return fired
+	}
+	a, b := run(7), run(7)
+	if len(a) != 1000 || !slices.Equal(a, b) {
+		t.Fatalf("two runs of one schedule differ: %d and %d events", len(a), len(b))
+	}
+}
+
 func TestTimelineSequentialReservations(t *testing.T) {
 	tl := NewTimeline()
 	s1, e1 := tl.Reserve(0, 10)
