@@ -24,11 +24,3 @@ func BenchmarkHistogramPercentile(b *testing.B) {
 		h.Percentile(0.99)
 	}
 }
-
-func BenchmarkTimeSeriesRecord(b *testing.B) {
-	ts := NewTimeSeries(1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ts.Record(event.Time(i), event.Time(i%777))
-	}
-}

@@ -66,9 +66,10 @@ func (st *replayState) next() (trace.Request, bool, error) {
 }
 
 // openLoop serves every request at its trace timestamp (shifted by the
-// replay offset). Per request: pull the look-ahead, serve, make the
+// replay offset). Per request: serve, pull the look-ahead, make the
 // idle-GC window decision against the next arrival, then account —
-// stats read GC state that idle GC may have advanced.
+// stats read GC state that idle GC may have advanced, and record reads
+// no fingerprints, which the pull has recycled.
 func (st *replayState) openLoop() error {
 	next, more, err := st.next()
 	if err != nil {
@@ -76,12 +77,12 @@ func (st *replayState) openLoop() error {
 	}
 	for more {
 		req := next
-		if next, more, err = st.next(); err != nil {
-			return err
-		}
 		done, err := st.r.serveRequest(req)
 		if err != nil {
 			return fmt.Errorf("sim: replay: %w", err)
+		}
+		if next, more, err = st.next(); err != nil {
+			return err
 		}
 		// Gaps to the next arrival longer than idleGCGap are host idle
 		// periods: background GC reclaims toward idleTarget, staying

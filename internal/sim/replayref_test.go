@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +54,9 @@ func (p *refPump) fill() {
 			return
 		}
 		slot := (p.head + p.n) % len(p.ring)
+		// The ring outlives the source's next Next, which recycles
+		// the fingerprint buffer.
+		req.FPs = slices.Clone(req.FPs)
 		p.ring[slot] = req
 		at := max(req.At, p.floor)
 		p.floor = at

@@ -94,7 +94,7 @@ func (tw *Writer) Flush() error { return tw.w.Flush() }
 type Reader struct {
 	r      *bufio.Reader
 	lastAt event.Time
-	fps    fpArena
+	fps    fpScratch
 	err    error
 	done   bool
 }
@@ -172,7 +172,7 @@ func (tr *Reader) Next() (Request, bool) {
 	}
 	r.Pages = int(pages)
 	if r.Op == OpWrite {
-		r.FPs = tr.fps.alloc(r.Pages)
+		r.FPs = tr.fps.take(r.Pages)
 		for i := range r.FPs {
 			v, err := tr.uvarint()
 			if err != nil {
@@ -220,7 +220,7 @@ func WriteText(w io.Writer, src Source) (int, error) {
 // TextReader parses the text format. It implements Source.
 type TextReader struct {
 	sc   *bufio.Scanner
-	fps  fpArena
+	fps  fpScratch
 	err  error
 	line int
 }
@@ -256,7 +256,7 @@ func (tr *TextReader) Next() (Request, bool) {
 	return Request{}, false
 }
 
-func parseTextLine(line string, fps *fpArena) (Request, error) {
+func parseTextLine(line string, fps *fpScratch) (Request, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
 		return Request{}, fmt.Errorf("want >=4 fields, got %d", len(f))
@@ -293,7 +293,7 @@ func parseTextLine(line string, fps *fpArena) (Request, error) {
 		if len(parts) != pages {
 			return Request{}, fmt.Errorf("%d fingerprints for %d pages", len(parts), pages)
 		}
-		r.FPs = fps.alloc(pages)
+		r.FPs = fps.take(pages)
 		for i, p := range parts {
 			v, err := strconv.ParseUint(p, 16, 64)
 			if err != nil {

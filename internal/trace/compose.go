@@ -38,6 +38,7 @@ type Merger struct {
 	h    mergeHeap
 	srcs []Source
 	err  error
+	fps  fpScratch // the returned request's fingerprints
 }
 
 // Merge builds a k-way time-ordered merge of the sources. Sources with
@@ -62,6 +63,12 @@ func (m *Merger) Next() (Request, bool) {
 		return Request{}, false
 	}
 	it := heap.Pop(&m.h).(mergeItem)
+	// Refilling this source recycles its fingerprint buffer, so the
+	// head leaves with a copy.
+	if fps := it.req.FPs; fps != nil {
+		it.req.FPs = m.fps.take(len(fps))
+		copy(it.req.FPs, fps)
+	}
 	if r, ok := m.srcs[it.src].Next(); ok {
 		heap.Push(&m.h, mergeItem{req: r, src: it.src})
 	} else if err := SourceErr(m.srcs[it.src]); err != nil {

@@ -31,7 +31,7 @@ import (
 // FIUReader parses the FIU format and implements Source.
 type FIUReader struct {
 	sc    *bufio.Scanner
-	fps   fpArena
+	fps   fpScratch
 	err   error
 	line  int
 	base  event.Time // first timestamp, subtracted so replay starts at 0
@@ -127,7 +127,7 @@ func (fr *FIUReader) parse(line string) (Request, error) {
 		// One hash per line in the published traces (count is almost
 		// always 1); multi-block writes with a single hash replicate
 		// it, which preserves total content volume.
-		r.FPs = fr.fps.alloc(count)
+		r.FPs = fr.fps.take(count)
 		for i := range r.FPs {
 			r.FPs[i] = fp
 		}

@@ -117,39 +117,12 @@ type Generator struct {
 
 	contentZipf zipf
 	addrZipf    zipf
-	fps         fpArena
+	fps         fpScratch
 
 	now       event.Time
 	produced  int
 	uniqueSeq uint64 // next unique (non-duplicate) content id
 	burstLeft int    // requests remaining in the current burst
-}
-
-// fpArena carves per-request fingerprint slices out of large shared
-// blocks, so a replay costs one allocation per fpArenaChunk fingerprints
-// instead of one per write request — the single largest allocation
-// source of the replay phase before it. Slices stay valid forever (a
-// full block is abandoned to the garbage collector, never reused), so
-// the Source contract is unchanged: callers may retain Request.FPs.
-// Each slice is capacity-clipped so an append by a caller can never
-// bleed into a neighbouring request's fingerprints.
-type fpArena struct {
-	buf []dedup.Fingerprint
-}
-
-const fpArenaChunk = 4096
-
-func (a *fpArena) alloc(n int) []dedup.Fingerprint {
-	if len(a.buf)+n > cap(a.buf) {
-		size := fpArenaChunk
-		if n > size {
-			size = n
-		}
-		a.buf = make([]dedup.Fingerprint, 0, size)
-	}
-	s := a.buf[len(a.buf) : len(a.buf)+n : len(a.buf)+n]
-	a.buf = a.buf[:len(a.buf)+n]
-	return s
 }
 
 // uniqueBase offsets unique content ids above the popular pool so the
@@ -310,7 +283,7 @@ func (g *Generator) Next() (Request, bool) {
 		r.Pages = g.pages(g.cut.reqLen)
 		raw := g.addr(r.Pages)
 		r.LPN = g.clampRange(g.scramble(raw), r.Pages)
-		r.FPs = g.fps.alloc(r.Pages)
+		r.FPs = g.fps.take(r.Pages)
 		for i := range r.FPs {
 			if g.src.below(g.cut.dedup) {
 				// Duplicate content drawn from the popular pool.

@@ -43,7 +43,7 @@ type Preconditioner struct {
 	src    *fibSource
 	dedup  cutoff
 	zipf   zipf
-	fps    fpArena
+	fps    fpScratch
 	order  []int
 	chunk  uint64
 	pos    int
@@ -65,7 +65,7 @@ func (p *Preconditioner) Next() (Request, bool) {
 		Op:    OpWrite,
 		LPN:   start,
 		Pages: int(n),
-		FPs:   p.fps.alloc(int(n)),
+		FPs:   p.fps.take(int(n)),
 	}
 	for i := range r.FPs {
 		if p.src.below(p.dedup) {

@@ -14,6 +14,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"cagc/internal/dedup"
 	"cagc/internal/event"
@@ -74,6 +75,13 @@ func (r Request) Validate() error {
 }
 
 // Source is a stream of requests, in nondecreasing arrival order.
+//
+// A returned Request's FPs is valid only until the next call to Next
+// on the same source, the rule of bufio.Scanner.Bytes: every generator
+// and decoder fills one recycled buffer per source, so a replay
+// allocates nothing per request. A consumer that keeps a request past
+// its next Next copies the fingerprints first (Collect, Merger and
+// Stream do).
 type Source interface {
 	// Next returns the next request, or ok=false at end of stream.
 	Next() (Request, bool)
@@ -123,8 +131,8 @@ func (s *SliceSource) Next() (Request, bool) {
 // Reset rewinds the source to the beginning.
 func (s *SliceSource) Reset() { s.pos = 0 }
 
-// Collect drains a source into a slice (testing helper; beware memory
-// on long streams).
+// Collect drains a source into a slice, cloning each request's
+// fingerprints (testing helper; beware memory on long streams).
 func Collect(src Source) []Request {
 	var out []Request
 	for {
@@ -132,6 +140,20 @@ func Collect(src Source) []Request {
 		if !ok {
 			return out
 		}
+		r.FPs = slices.Clone(r.FPs)
 		out = append(out, r)
 	}
+}
+
+// fpScratch is a source's one fingerprint buffer. It grows to the
+// largest request the source has produced and is never shrunk.
+type fpScratch []dedup.Fingerprint
+
+// take returns the buffer resized to n fingerprints, capacity-clipped
+// so an append by the caller cannot write into the buffer's tail.
+func (b *fpScratch) take(n int) []dedup.Fingerprint {
+	if cap(*b) < n {
+		*b = make(fpScratch, n)
+	}
+	return (*b)[:n:n]
 }

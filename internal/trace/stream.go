@@ -20,17 +20,24 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cagc/internal/dedup"
 	"cagc/internal/event"
 	"cagc/internal/obs"
 )
 
 // The ring's geometry: chunks of 256 requests, 4 chunks decoded ahead.
-// With the two buffers held by producer and consumer the live set is
-// (ChunkDepth+2) × ChunkRequests requests — a few hundred KiB on the
-// paper's workloads, independent of trace length.
+// A chunk also closes early rather than let its fingerprints pass
+// ChunkFingerprints (128 KiB); a request longer than that gets a chunk
+// to itself. With the two buffers held by producer and consumer the
+// live set is (ChunkDepth+2) chunks of ChunkRequests headers and
+// max(ChunkFingerprints, one request) fingerprints — a few hundred KiB,
+// whatever the trace's length or request sizes. The paper's workloads
+// put about 2 k fingerprints in a chunk, so only the request count
+// closes theirs.
 const (
-	ChunkRequests = 256
-	ChunkDepth    = 4
+	ChunkRequests     = 256
+	ChunkDepth        = 4
+	ChunkFingerprints = 16 << 10
 )
 
 // AheadMinRequests is the shortest run Ahead puts on a ring. Below it
@@ -56,43 +63,96 @@ func Ahead(src Source, requests int, opts StreamOptions) (Source, func()) {
 	return st, st.Close
 }
 
+// chunk is one ring buffer. Its requests' fingerprints live in its own
+// slab, copied out of the source's recycled buffer as each request is
+// decoded, so they stay valid until the consumer hands the chunk back.
+type chunk struct {
+	reqs []Request
+	slab []dedup.Fingerprint
+}
+
+// fits reports whether r can join c without passing the fingerprint
+// budget; an empty chunk takes any request.
+func (c *chunk) fits(r Request) bool {
+	return len(c.reqs) == 0 || len(c.slab)+len(r.FPs) <= ChunkFingerprints
+}
+
+// add appends r with its fingerprints copied into the slab.
+func (c *chunk) add(r Request) {
+	if r.FPs != nil {
+		off, n := len(c.slab), len(r.FPs)
+		if off+n > cap(c.slab) {
+			c.grow(off + n)
+		}
+		c.slab = append(c.slab, r.FPs...)
+		r.FPs = c.slab[off : off+n : off+n]
+	}
+	c.reqs = append(c.reqs, r)
+}
+
+// grow moves the slab to one of at least need fingerprints and points
+// the chunk's requests at the copy. It doubles, but not past the budget
+// unless one request needs it: putChunk drops a slab above the budget.
+func (c *chunk) grow(need int) {
+	grown := make([]dedup.Fingerprint, len(c.slab), max(need, min(2*cap(c.slab), ChunkFingerprints)))
+	copy(grown, c.slab)
+	off := 0
+	for i := range c.reqs {
+		if fps := c.reqs[i].FPs; fps != nil {
+			n := len(fps)
+			c.reqs[i].FPs = grown[off : off+n : off+n]
+			off += n
+		}
+	}
+	c.slab = grown
+}
+
 // chunkPool recycles chunk buffers across streams, so a process
 // replaying run after run (batch, fleet, the service) allocates ring
 // buffers once rather than per run. It holds at most as many
-// buffers as were ever out at once. Buffers are cleared on return: a
-// pooled buffer must not keep a finished run's fingerprints reachable.
-// A plain free list rather than a sync.Pool, which drops entries at
-// every GC (and at random under -race), so that a stream returning each
-// buffer exactly once stays checkable.
+// buffers as were ever out at once. Request slots are cleared on
+// return, so a pooled chunk keeps no slab but its own reachable, and a
+// slab that grew past ChunkFingerprints for one long request is
+// dropped. A plain free list rather than a sync.Pool, which drops
+// entries at every GC (and at random under -race), so that a stream
+// returning each buffer exactly once stays checkable.
 var chunkPool struct {
 	mu   sync.Mutex
-	free [][]Request
+	free []*chunk
 }
 
 // getChunk returns an empty chunk buffer, from the pool when it has one.
-func getChunk() []Request {
+func getChunk() *chunk {
 	chunkPool.mu.Lock()
 	defer chunkPool.mu.Unlock()
 	if k := len(chunkPool.free); k > 0 {
-		b := chunkPool.free[k-1]
+		c := chunkPool.free[k-1]
 		chunkPool.free[k-1] = nil
 		chunkPool.free = chunkPool.free[:k-1]
-		return b
+		return c
 	}
-	return make([]Request, 0, ChunkRequests)
+	return &chunk{reqs: make([]Request, 0, ChunkRequests)}
 }
 
-// putChunk clears b and returns it to the pool.
-func putChunk(b []Request) {
-	clear(b[:cap(b)])
+// putChunk clears c and returns it to the pool.
+func putChunk(c *chunk) {
+	clear(c.reqs[:cap(c.reqs)])
+	c.reqs = c.reqs[:0]
+	c.slab = c.slab[:0]
+	if cap(c.slab) > ChunkFingerprints {
+		c.slab = nil
+	}
 	chunkPool.mu.Lock()
-	chunkPool.free = append(chunkPool.free, b[:0])
+	chunkPool.free = append(chunkPool.free, c)
 	chunkPool.mu.Unlock()
 }
 
 // requestFootprint approximates the in-memory bytes of one Request
-// struct (header only; fingerprint payloads are accounted per-slice).
-const requestFootprint = 56
+// struct (header only; fingerprints are accounted by their slab).
+const (
+	requestFootprint = 56
+	fingerprintBytes = 8
+)
 
 // StreamOptions configures a Stream's telemetry.
 type StreamOptions struct {
@@ -139,11 +199,11 @@ type Stream struct {
 	tr  *obs.Recorder
 	t0  time.Time
 
-	out  chan []Request
-	free chan []Request
+	out  chan *chunk
+	free chan *chunk
 	quit chan struct{}
 
-	cur    []Request
+	cur    *chunk
 	pos    int
 	closed bool
 	err    error // surfaced via Err after the stream ends
@@ -167,10 +227,10 @@ func NewStream(src Source, opts StreamOptions) *Stream {
 		src: src,
 		tr:  opts.Tracer,
 		t0:  time.Now(),
-		out: make(chan []Request, ChunkDepth),
+		out: make(chan *chunk, ChunkDepth),
 		// Producer holds one buffer and the consumer one more, so the
 		// free list is sized to make every return non-blocking.
-		free: make(chan []Request, ChunkDepth+2),
+		free: make(chan *chunk, ChunkDepth+2),
 		quit: make(chan struct{}),
 	}
 	for i := 0; i < ChunkDepth+2; i++ {
@@ -184,13 +244,10 @@ func NewStream(src Source, opts StreamOptions) *Stream {
 // of the ingest track (mirroring the fleet and serve tracks).
 func (s *Stream) wall() event.Time { return event.Time(time.Since(s.t0)) }
 
-// chunkBytes approximates the live footprint of one decoded chunk.
-func chunkBytes(reqs []Request) int64 {
-	n := int64(cap(reqs)) * requestFootprint
-	for i := range reqs {
-		n += int64(len(reqs[i].FPs)) * 8
-	}
-	return n
+// chunkBytes approximates the live footprint of one decoded chunk: its
+// request slots and the fingerprints in its slab.
+func chunkBytes(c *chunk) int64 {
+	return int64(cap(c.reqs))*requestFootprint + int64(len(c.slab))*fingerprintBytes
 }
 
 // produce decodes chunks ahead of the consumer until the source ends,
@@ -207,34 +264,47 @@ func (s *Stream) produce() {
 			s.decErr = fmt.Errorf("trace: source panicked: %v", p)
 		}
 	}()
+	// A request that would pass a chunk's fingerprint budget waits for
+	// the next chunk; its FPs stay valid because the source is not
+	// called again until it has been copied.
+	var held Request
+	holding := false
 	for {
-		var buf []Request
+		var c *chunk
 		select {
-		case buf = <-s.free:
+		case c = <-s.free:
 		case <-s.quit:
 			return
 		}
-		buf = buf[:0]
+		c.reqs, c.slab = c.reqs[:0], c.slab[:0]
 		start := s.wall()
+		if holding {
+			c.add(held)
+			held, holding = Request{}, false
+		}
 		more := true
-		for len(buf) < ChunkRequests {
+		for len(c.reqs) < ChunkRequests {
 			r, ok := s.src.Next()
 			if !ok {
 				s.decErr = SourceErr(s.src)
 				more = false
 				break
 			}
-			buf = append(buf, r)
+			if !c.fits(r) {
+				held, holding = r, true
+				break
+			}
+			c.add(r)
 		}
-		if len(buf) == 0 {
-			s.free <- buf
+		if len(c.reqs) == 0 {
+			s.free <- c
 			return
 		}
-		s.finishChunk(buf, start)
+		s.finishChunk(c, start)
 		select {
-		case s.out <- buf:
+		case s.out <- c:
 		case <-s.quit:
-			s.free <- buf
+			s.free <- c
 			return
 		}
 		if !more {
@@ -244,16 +314,16 @@ func (s *Stream) produce() {
 }
 
 // finishChunk accounts one decoded chunk and records its ingest span.
-func (s *Stream) finishChunk(buf []Request, start event.Time) {
+func (s *Stream) finishChunk(c *chunk, start event.Time) {
 	s.chunks.Add(1)
-	live := s.liveBytes.Add(chunkBytes(buf))
+	live := s.liveBytes.Add(chunkBytes(c))
 	for {
 		peak := s.peakBytes.Load()
 		if live <= peak || s.peakBytes.CompareAndSwap(peak, live) {
 			break
 		}
 	}
-	s.tr.Span(obs.TrackIngest, obs.KIngestChunk, start, s.wall(), uint64(len(buf)))
+	s.tr.Span(obs.TrackIngest, obs.KIngestChunk, start, s.wall(), uint64(len(c.reqs)))
 }
 
 // Next implements Source. The steady-state path (a request already in
@@ -261,8 +331,8 @@ func (s *Stream) finishChunk(buf []Request, start event.Time) {
 // the free list, so priming the ring is the only allocation the handoff
 // ever performs.
 func (s *Stream) Next() (Request, bool) {
-	if s.pos < len(s.cur) {
-		r := s.cur[s.pos]
+	if s.cur != nil && s.pos < len(s.cur.reqs) {
+		r := s.cur.reqs[s.pos]
 		s.pos++
 		s.requests++
 		return r, true
@@ -275,7 +345,7 @@ func (s *Stream) Next() (Request, bool) {
 		s.free <- s.cur
 		s.cur = nil
 	}
-	var next []Request
+	var next *chunk
 	var ok bool
 	select {
 	case next, ok = <-s.out:
@@ -301,8 +371,8 @@ func (s *Stream) release() {
 	s.closed = true
 	for {
 		select {
-		case b := <-s.free:
-			putChunk(b)
+		case c := <-s.free:
+			putChunk(c)
 		default:
 			return
 		}
@@ -334,8 +404,8 @@ func (s *Stream) Close() {
 	close(s.quit)
 	// Wait for the producer to exit, taking back the chunks it had
 	// queued; the free list has room for every buffer.
-	for b := range s.out {
-		s.free <- b
+	for c := range s.out {
+		s.free <- c
 	}
 	if s.cur != nil {
 		s.free <- s.cur

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"cagc/internal/dedup"
 	"cagc/internal/event"
 )
 
@@ -190,6 +191,77 @@ func TestStreamLargeFileBoundedMemory(t *testing.T) {
 	}
 }
 
+// longWrites yields n writes of pages pages each, request i's
+// fingerprints numbered from i*pages, in one recycled buffer as the
+// generators and decoders hand theirs out.
+type longWrites struct {
+	n, pages, i int
+	fps         fpScratch
+}
+
+func (w *longWrites) Next() (Request, bool) {
+	if w.i == w.n {
+		return Request{}, false
+	}
+	r := Request{At: event.Time(w.i), Op: OpWrite, LPN: uint64(w.i * w.pages), Pages: w.pages, FPs: w.fps.take(w.pages)}
+	for j := range r.FPs {
+		r.FPs[j] = dedup.Fingerprint(w.i*w.pages + j)
+	}
+	w.i++
+	return r, true
+}
+
+// The ring's byte bound. Long writes — 2 048 pages, which would make a
+// full chunk 4 MiB of fingerprints — close each chunk at its fingerprint
+// budget, and a write longer than the budget gets a chunk to itself, so
+// the reader-side live set stays within (ChunkDepth+2) chunks of
+// ChunkRequests headers and max(ChunkFingerprints, one request)
+// fingerprints. Every fingerprint arrives intact although the source
+// recycles its buffer, and a slab grown past the budget is not pooled.
+func TestStreamLongWritesBoundedMemory(t *testing.T) {
+	for _, c := range []struct{ n, pages, chunks int }{
+		{4 * ChunkRequests, 2048, 4 * ChunkRequests / (ChunkFingerprints / 2048)},
+		{16, ChunkFingerprints + ChunkFingerprints/2, 16},
+	} {
+		takePool()
+		st := NewStream(&longWrites{n: c.n, pages: c.pages}, StreamOptions{})
+		for i := 0; ; i++ {
+			r, ok := st.Next()
+			if !ok {
+				if i != c.n {
+					t.Fatalf("%d pages: %d requests, want %d", c.pages, i, c.n)
+				}
+				break
+			}
+			if r.Pages != c.pages || len(r.FPs) != c.pages || cap(r.FPs) != c.pages {
+				t.Fatalf("%d pages: request %d has %d pages, %d fingerprints (cap %d)", c.pages, i, r.Pages, len(r.FPs), cap(r.FPs))
+			}
+			for j, fp := range r.FPs {
+				if fp != dedup.Fingerprint(i*c.pages+j) {
+					t.Fatalf("%d pages: request %d fingerprint %d = %d", c.pages, i, j, fp)
+				}
+			}
+		}
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+		stats := st.Stats()
+		if stats.Chunks != uint64(c.chunks) {
+			t.Fatalf("%d pages: %d chunks, want %d", c.pages, stats.Chunks, c.chunks)
+		}
+		bound := int64(ChunkDepth+2) * (ChunkRequests*requestFootprint + int64(max(ChunkFingerprints, c.pages))*fingerprintBytes)
+		t.Logf("%d pages: peak reader-side live set %d B, bound %d B", c.pages, stats.PeakLiveBytes, bound)
+		if stats.PeakLiveBytes > bound {
+			t.Fatalf("%d pages: peak reader-side live set = %d B, want <= %d", c.pages, stats.PeakLiveBytes, bound)
+		}
+		for _, k := range takePool() {
+			if cap(k.slab) > ChunkFingerprints {
+				t.Fatalf("%d pages: pooled a %d-fingerprint slab, budget %d", c.pages, cap(k.slab), ChunkFingerprints)
+			}
+		}
+	}
+}
+
 // Stall accounting: a slow producer forces the consumer to wait, and
 // every such wait is counted.
 func TestStreamStatsAndStalls(t *testing.T) {
@@ -279,7 +351,7 @@ func TestStreamGzipIdentity(t *testing.T) {
 }
 
 // takePool empties the chunk pool and returns what it held.
-func takePool() [][]Request {
+func takePool() []*chunk {
 	chunkPool.mu.Lock()
 	defer chunkPool.mu.Unlock()
 	b := chunkPool.free
@@ -312,16 +384,16 @@ func TestStreamReturnsEachBufferOnce(t *testing.T) {
 		if len(pooled) != ChunkDepth+2 {
 			t.Fatalf("midFlight=%v: pool holds %d buffers, want %d", midFlight, len(pooled), ChunkDepth+2)
 		}
-		seen := make(map[*Request]bool)
-		for _, b := range pooled {
-			if len(b) != 0 || cap(b) != ChunkRequests {
-				t.Fatalf("midFlight=%v: pooled buffer len %d cap %d", midFlight, len(b), cap(b))
+		seen := make(map[*chunk]bool)
+		for _, c := range pooled {
+			b := c.reqs
+			if len(b) != 0 || cap(b) != ChunkRequests || len(c.slab) != 0 {
+				t.Fatalf("midFlight=%v: pooled buffer len %d cap %d, slab len %d", midFlight, len(b), cap(b), len(c.slab))
 			}
-			first := &b[:1][0]
-			if seen[first] {
+			if seen[c] {
 				t.Fatalf("midFlight=%v: a buffer was returned twice", midFlight)
 			}
-			seen[first] = true
+			seen[c] = true
 			for i, r := range b[:cap(b)] {
 				if r.At != 0 || r.LPN != 0 || r.Pages != 0 || r.FPs != nil {
 					t.Fatalf("midFlight=%v: pooled buffer slot %d not cleared: %+v", midFlight, i, r)
@@ -377,13 +449,12 @@ func TestStreamsShareThePoolConcurrently(t *testing.T) {
 	if len(pooled) > workers*(ChunkDepth+2) {
 		t.Fatalf("pool holds %d buffers, more than %d ever out at once", len(pooled), workers*(ChunkDepth+2))
 	}
-	seen := make(map[*Request]bool)
-	for _, b := range pooled {
-		first := &b[:1][0]
-		if seen[first] {
+	seen := make(map[*chunk]bool)
+	for _, c := range pooled {
+		if seen[c] {
 			t.Fatal("a buffer is in the pool twice")
 		}
-		seen[first] = true
+		seen[c] = true
 	}
 }
 

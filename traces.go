@@ -25,7 +25,8 @@ type TraceSpec = trace.Spec
 // TraceRequest is one host I/O with per-page content fingerprints.
 type TraceRequest = trace.Request
 
-// TraceSource is a stream of requests in arrival order.
+// TraceSource is a stream of requests in arrival order. A request's
+// FPs is valid only until the source's next Next; copy it to keep it.
 type TraceSource = trace.Source
 
 // TraceStreamStats reports a file replay's ingestion behaviour —
