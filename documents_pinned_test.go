@@ -268,3 +268,56 @@ func sha256Hex(b []byte) string {
 	h := sha256.Sum256(b)
 	return hex.EncodeToString(h[:])
 }
+
+// pinnedExperiments are the sha256 sums of every experiment's text
+// report at 1 500 requests, one per id and one for RunAllExperiments
+// ("all"). A change to the harness that moves one of them changes what
+// `figures` prints.
+var pinnedExperiments = map[string]string{
+	"tableI":     "468ae778fc2b0c4be382f40ed57c70efb16e0ea2d7d1d21791ffb438ca26c274",
+	"tableII":    "784bf9159b76316f90497a874555e99c537532f8f7735f66504d8ff0fe5fcf73",
+	"fig2":       "713f84018dc1f6350ae3e9cb0c89325536a9a6c3e23f761a7f4ee370237a317f",
+	"fig6":       "79b6829f8aafdc80a1eb00bcb47277ff6b9e800f19174299ba616246f1175e09",
+	"fig8":       "3a689a68ad32952902a9d732e63f5795e4fd416837a20290c3d7d4ebf718e60d",
+	"fig9":       "e391fb893d379ee779fae17a6a5f12f506c1aecaf0106d382f710b981519522d",
+	"fig10":      "e391fb893d379ee779fae17a6a5f12f506c1aecaf0106d382f710b981519522d",
+	"fig11":      "e4bd34f9e8f79a7d3b7ff7b017b313af3f78ce76d2e1683b71313a5a89b2834b",
+	"fig12":      "47303e08cbc143cec1fe789f7998493299397448ea07d051b7aa4feebebdb43f",
+	"fig13":      "70222ee3797ea2891bb9b15c178844d545a34f55735adcb1cf0f23381f1d3242",
+	"throughput": "955ba638908ad6406720bb30f907c62e45e0fc56a504677e9b0c00cfd4bb67d2",
+	"array":      "0676a1d37184a53338ab1b31435223d41782d06030866f8342587da80353e03d",
+	"tenants":    "fdbef84bf96be560db0d39fb3c4011c5a0f5a0fc94808537d4eed40183042369",
+	"ablations":  "f42d81370df45e2327f9ca9edbca3aebcc92bebf4effc07038afa75b1464fda4",
+	"verify":     "7af0b1652ca7fb5e9cdb04daccfd746974d272e94381905e8c806c4424844ed3",
+	"all":        "42cc87861e72c11ebdf3a03842f83188ad0830b5ff33cbf69787efa73629096d",
+}
+
+// TestExperimentsPinned renders every experiment report, and the
+// combined one, and compares each report's sha256 with the recorded one.
+func TestExperimentsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("reports pinned on amd64, not %s", runtime.GOARCH)
+	}
+	p := testParams()
+	p.Requests = 1500
+	got := map[string]string{}
+	for _, id := range append(ExperimentIDs(), "all") {
+		var out bytes.Buffer
+		run := func() error { return RunExperiment(id, p, &out) }
+		if id == "all" {
+			run = func() error { return RunAllExperiments(p, &out) }
+		}
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got[id] = sha256Hex(out.Bytes())
+	}
+	if len(got) != len(pinnedExperiments) {
+		t.Errorf("rendered %d reports, %d pinned", len(got), len(pinnedExperiments))
+	}
+	for id, h := range got {
+		if want, ok := pinnedExperiments[id]; !ok || h != want {
+			t.Errorf("%q: sha256 %s, pinned %s", id, h, want)
+		}
+	}
+}
