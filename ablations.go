@@ -1,281 +1,197 @@
 package cagc
 
-// Ablation harness for the design choices DESIGN.md calls out. These go
-// beyond the paper's figures: each isolates one mechanism of CAGC.
+// The extensions beyond the paper's figures: the closed-loop saturation
+// sweep and the ablations of the design choices DESIGN.md calls out,
+// each isolating one mechanism of CAGC on the Mail workload. Every
+// sweep point is a Scheme cell with one Params knob moved; the two
+// ablations that change the FTL composition itself (placement, overlap)
+// run their variant directly.
 
 import (
 	"fmt"
+	"io"
 
 	"cagc/internal/ftl"
 )
 
-// ThresholdPoint is one sweep point of the hot/cold reference-count
-// threshold ablation.
-type ThresholdPoint struct {
-	Threshold int
-	Result    *Result
+// The sweeps' points.
+var (
+	throughputDepths = []int{1, 2, 4, 8, 16}
+	ablationThresh   = []int{1, 2, 4}
+	ablationUtils    = []float64{0.45, 0.55, 0.65}
+	ablationBuffers  = []int{16, 64, 256}
+	ablationIndexCap = []int{16, 256, 0}
+	ablationMapCache = []int{512, 4096, 0}
+)
+
+// ablationWearLevel is the static wear-leveling threshold, in erase
+// counts, of the wear-leveling ablation.
+const ablationWearLevel = 3
+
+// mailCell declares Mail under scheme s and the greedy policy at p.
+func mailCell(s Scheme, p Params) BatchItem { return BatchItem{Mail, s, "greedy", p} }
+
+// cagcVariant runs Mail under CAGC with one edit to its FTL
+// composition: the ablations' runs that are not a Scheme cell.
+func cagcVariant(p Params, edit func(o *ftl.Options)) (*Result, error) {
+	o := CAGC.Options()
+	edit(&o)
+	return runOptions(Mail, o, "greedy", p)
 }
 
-// AblateThreshold sweeps CAGC's cold-region threshold (the paper uses
-// 1; higher values keep more pages hot).
-func AblateThreshold(w Workload, thresholds []int, p Params) ([]ThresholdPoint, error) {
-	out := make([]ThresholdPoint, 0, len(thresholds))
-	for _, t := range thresholds {
+// throughputCells sweep closed-loop queue depth under Baseline and CAGC.
+func throughputCells(p Params) []BatchItem {
+	var items []BatchItem
+	for _, qd := range throughputDepths {
 		q := p
-		q.RefThreshold = t
-		res, err := Run(w, CAGC, "greedy", q)
-		if err != nil {
-			return nil, fmt.Errorf("threshold %d: %w", t, err)
-		}
-		out = append(out, ThresholdPoint{Threshold: t, Result: res})
+		q.QueueDepth = qd
+		items = append(items, mailCell(Baseline, q), mailCell(CAGC, q))
 	}
-	return out, nil
+	return items
 }
 
-// PlacementAblation contrasts full CAGC with GC-dedup-only (no hot/cold
-// placement), isolating the paper's second prong.
-type PlacementAblation struct {
-	Full        *Result // dedup + placement
-	DedupOnly   *Result // dedup, no placement
-	ErasedDelta float64 // fraction more blocks erased without placement
-}
-
-// AblatePlacement measures what reference-count-based placement adds on
-// top of GC-time dedup.
-func AblatePlacement(w Workload, p Params) (*PlacementAblation, error) {
-	full, err := Run(w, CAGC, "greedy", p)
-	if err != nil {
-		return nil, err
-	}
-	opts := CAGC.Options()
-	opts.HotCold = false
-	dedupOnly, err := runOptions(w, opts, "greedy", p)
-	if err != nil {
-		return nil, err
-	}
-	a := &PlacementAblation{Full: full, DedupOnly: dedupOnly}
-	if full.FTL.BlocksErased > 0 {
-		a.ErasedDelta = float64(dedupOnly.FTL.BlocksErased)/float64(full.FTL.BlocksErased) - 1
-	}
-	return a, nil
-}
-
-// OverlapAblation contrasts the pipelined GC (hash overlapped with
-// copies and erase) with the strictly serial variant, isolating the
-// paper's parallelization claim.
-type OverlapAblation struct {
-	Overlapped *Result
-	Serial     *Result
-	// GCPeriodSlowdown is serial/overlapped mean response during GC
-	// periods (> 1 means the overlap helps).
-	GCPeriodSlowdown float64
-}
-
-// AblateOverlap measures what the hash/copy/erase overlap buys.
-func AblateOverlap(w Workload, p Params) (*OverlapAblation, error) {
-	over, err := Run(w, CAGC, "greedy", p)
-	if err != nil {
-		return nil, err
-	}
-	opts := CAGC.Options()
-	opts.HashAt = ftl.HashAtMigrateSerial
-	serial, err := runOptions(w, opts, "greedy", p)
-	if err != nil {
-		return nil, err
-	}
-	a := &OverlapAblation{Overlapped: over, Serial: serial}
-	if m := gcPeriodMean(over); m > 0 {
-		a.GCPeriodSlowdown = gcPeriodMean(serial) / m
-	}
-	return a, nil
-}
-
-// BufferPoint is one sweep point of the write-buffer ablation: the
-// related-work lever (RAM write caching) applied to the Baseline,
-// against plain CAGC.
-type BufferPoint struct {
-	BufferPages int
-	Baseline    *Result // baseline + buffer of this size
-}
-
-// AblateWriteBuffer asks how much of CAGC's write-traffic benefit a
-// plain controller write buffer captures: it sweeps buffer sizes on the
-// Baseline scheme and runs CAGC (no buffer) for reference.
-func AblateWriteBuffer(w Workload, sizes []int, p Params) (points []BufferPoint, cagcRef *Result, err error) {
-	cagcRef, err = Run(w, CAGC, "greedy", p)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, n := range sizes {
-		q := p
-		q.BufferPages = n
-		res, err := Run(w, Baseline, "greedy", q)
-		if err != nil {
-			return nil, nil, fmt.Errorf("buffer %d: %w", n, err)
-		}
-		points = append(points, BufferPoint{BufferPages: n, Baseline: res})
-	}
-	return points, cagcRef, nil
-}
-
-// WearLevelAblation contrasts CAGC with and without static wear
-// leveling: cold-region pinning is exactly the pattern static WL
-// exists to unpin.
-type WearLevelAblation struct {
-	Off *Result
-	On  *Result
-}
-
-// AblateWearLevel runs CAGC with static wear leveling off and on
-// (threshold in erase counts).
-func AblateWearLevel(w Workload, threshold int, p Params) (*WearLevelAblation, error) {
-	off, err := Run(w, CAGC, "greedy", p)
-	if err != nil {
-		return nil, err
-	}
-	q := p
-	q.WearLevelThreshold = threshold
-	on, err := Run(w, CAGC, "greedy", q)
-	if err != nil {
-		return nil, err
-	}
-	return &WearLevelAblation{Off: off, On: on}, nil
-}
-
-// IndexCapacityPoint is one sweep point of the fingerprint-index RAM
-// bound.
-type IndexCapacityPoint struct {
-	Capacity int // fingerprints (0 = unlimited)
-	Result   *Result
-}
-
-// AblateIndexCapacity sweeps the fingerprint-index bound on CAGC: a
-// smaller cache forfeits dedup hits (CAFTL's RAM/hit-rate trade-off).
-func AblateIndexCapacity(w Workload, caps []int, p Params) ([]IndexCapacityPoint, error) {
-	out := make([]IndexCapacityPoint, 0, len(caps))
-	for _, c := range caps {
-		q := p
-		q.IndexCapacity = c
-		res, err := Run(w, CAGC, "greedy", q)
-		if err != nil {
-			return nil, fmt.Errorf("index capacity %d: %w", c, err)
-		}
-		out = append(out, IndexCapacityPoint{Capacity: c, Result: res})
-	}
-	return out, nil
-}
-
-// WatermarkPoint is one point of the GC-trigger sweep.
-type WatermarkPoint struct {
-	Watermark float64
-	Baseline  *Result
-	CAGC      *Result
-}
-
-// AblateWatermark sweeps the GC trigger threshold (Table I uses 20%).
-// Lower watermarks defer GC (denser victims, better WA) at the price of
-// thinner reserves under bursts.
-func AblateWatermark(w Workload, marks []float64, p Params) ([]WatermarkPoint, error) {
-	out := make([]WatermarkPoint, 0, len(marks))
-	for _, m := range marks {
-		bo := Baseline.Options()
-		bo.Watermark = m
-		base, err := runOptions(w, bo, "greedy", p)
-		if err != nil {
-			return nil, fmt.Errorf("watermark %.2f baseline: %w", m, err)
-		}
-		co := CAGC.Options()
-		co.Watermark = m
-		cg, err := runOptions(w, co, "greedy", p)
-		if err != nil {
-			return nil, fmt.Errorf("watermark %.2f cagc: %w", m, err)
-		}
-		out = append(out, WatermarkPoint{Watermark: m, Baseline: base, CAGC: cg})
-	}
-	return out, nil
-}
-
-// MapCachePoint is one point of the cached-mapping-table sweep.
-type MapCachePoint struct {
-	Entries int // CMT capacity in mapping entries (0 = all in RAM)
-	Result  *Result
-}
-
-// AblateMappingCache sweeps the DFTL-style mapping-cache size on CAGC:
-// how much response time does SRAM-limited mapping metadata cost on
-// top of the scheme? (The paper assumes a fully RAM-resident map.)
-func AblateMappingCache(w Workload, entries []int, p Params) ([]MapCachePoint, error) {
-	out := make([]MapCachePoint, 0, len(entries))
-	for _, n := range entries {
-		q := p
-		q.MappingCache = n
-		res, err := Run(w, CAGC, "greedy", q)
-		if err != nil {
-			return nil, fmt.Errorf("mapping cache %d: %w", n, err)
-		}
-		out = append(out, MapCachePoint{Entries: n, Result: res})
-	}
-	return out, nil
-}
-
-// ThroughputPoint is one point of the closed-loop queue-depth sweep.
-type ThroughputPoint struct {
-	QueueDepth int
-	Baseline   *Result
-	CAGC       *Result
-}
-
-// ThroughputCurve measures saturation throughput (closed-loop IOPS) of
+// printThroughput renders saturation throughput (closed-loop IOPS) of
 // Baseline and CAGC across queue depths — an extension beyond the
 // paper's open-loop evaluation: does GC-time dedup also help when the
 // host never lets the device idle?
-func ThroughputCurve(w Workload, depths []int, p Params) ([]ThroughputPoint, error) {
-	out := make([]ThroughputPoint, len(depths))
-	err := forEach(len(depths), func(i int) error {
+func printThroughput(w io.Writer, p Params, rs runs) error {
+	fmt.Fprintln(w, "Closed-loop saturation throughput (extension; Mail workload)")
+	fmt.Fprintf(w, "%-6s %14s %14s %8s\n", "QD", "Baseline IOPS", "CAGC IOPS", "gain")
+	for _, qd := range throughputDepths {
 		q := p
-		q.QueueDepth = depths[i]
-		base, err := Run(w, Baseline, "greedy", q)
-		if err != nil {
-			return fmt.Errorf("qd %d baseline: %w", depths[i], err)
-		}
-		cg, err := Run(w, CAGC, "greedy", q)
-		if err != nil {
-			return fmt.Errorf("qd %d cagc: %w", depths[i], err)
-		}
-		out[i] = ThroughputPoint{QueueDepth: depths[i], Baseline: base, CAGC: cg}
-		return nil
-	})
+		q.QueueDepth = qd
+		base, cg := rs.get(Mail, Baseline, "greedy", q), rs.get(Mail, CAGC, "greedy", q)
+		fmt.Fprintf(w, "%-6d %14.0f %14.0f %7.2fx\n", qd, base.IOPS(), cg.IOPS(), cg.IOPS()/base.IOPS())
+	}
+	return nil
+}
+
+// ablationCells are the Scheme cells of the ablation suite: plain CAGC
+// and each sweep point.
+func ablationCells(p Params) []BatchItem {
+	items := []BatchItem{mailCell(CAGC, p)}
+	add := func(s Scheme, set func(q *Params)) {
+		q := p
+		set(&q)
+		items = append(items, mailCell(s, q))
+	}
+	for _, t := range ablationThresh {
+		add(CAGC, func(q *Params) { q.RefThreshold = t })
+	}
+	for _, u := range ablationUtils {
+		add(Baseline, func(q *Params) { q.Utilization = u })
+		add(CAGC, func(q *Params) { q.Utilization = u })
+	}
+	for _, n := range ablationBuffers {
+		add(Baseline, func(q *Params) { q.BufferPages = n })
+	}
+	for _, c := range ablationIndexCap {
+		add(CAGC, func(q *Params) { q.IndexCapacity = c })
+	}
+	for _, n := range ablationMapCache {
+		add(CAGC, func(q *Params) { q.MappingCache = n })
+	}
+	add(CAGC, func(q *Params) { q.WearLevelThreshold = ablationWearLevel })
+	return items
+}
+
+// printAblations renders the design-choice ablation suite.
+func printAblations(w io.Writer, p Params, rs runs) error {
+	at := func(s Scheme, set func(q *Params)) *Result {
+		q := p
+		set(&q)
+		return rs.get(Mail, s, "greedy", q)
+	}
+	plain := rs.get(Mail, CAGC, "greedy", p)
+	fmt.Fprintln(w, "Ablations — isolating CAGC's design choices (Mail workload)")
+
+	// The paper's cold-region threshold is 1; higher values keep more
+	// pages hot.
+	fmt.Fprintln(w, "hot/cold threshold sweep:")
+	fmt.Fprintf(w, "  %-10s %10s %10s %10s %10s\n", "threshold", "erased", "migrated", "promoted", "mean µs")
+	for _, t := range ablationThresh {
+		r := at(CAGC, func(q *Params) { q.RefThreshold = t })
+		fmt.Fprintf(w, "  %-10d %10d %10d %10d %10.1f\n",
+			t, r.FTL.BlocksErased, r.FTL.PagesMigrated, r.FTL.Promotions, r.MeanLatency())
+	}
+
+	// GC-dedup without hot/cold placement isolates the paper's second
+	// prong.
+	dedupOnly, err := cagcVariant(p, func(o *ftl.Options) { o.HotCold = false })
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
-}
-
-// UtilizationPoint is one sweep point of the space-pressure ablation
-// (standing in for an over-provisioning sweep: utilization and OP pull
-// the same lever, free-space headroom).
-type UtilizationPoint struct {
-	Utilization float64
-	Baseline    *Result
-	CAGC        *Result
-}
-
-// AblateUtilization sweeps space pressure and reports how CAGC's
-// advantage moves with it.
-func AblateUtilization(w Workload, utils []float64, p Params) ([]UtilizationPoint, error) {
-	out := make([]UtilizationPoint, 0, len(utils))
-	for _, u := range utils {
-		q := p
-		q.Utilization = u
-		base, err := Run(w, Baseline, "greedy", q)
-		if err != nil {
-			return nil, fmt.Errorf("utilization %.2f baseline: %w", u, err)
-		}
-		cg, err := Run(w, CAGC, "greedy", q)
-		if err != nil {
-			return nil, fmt.Errorf("utilization %.2f cagc: %w", u, err)
-		}
-		out = append(out, UtilizationPoint{Utilization: u, Baseline: base, CAGC: cg})
+	var delta float64
+	if plain.FTL.BlocksErased > 0 {
+		delta = float64(dedupOnly.FTL.BlocksErased)/float64(plain.FTL.BlocksErased) - 1
 	}
-	return out, nil
+	fmt.Fprintf(w, "placement: full CAGC erased %d; dedup-only erased %d (%+.1f%%)\n",
+		plain.FTL.BlocksErased, dedupOnly.FTL.BlocksErased, delta*100)
+
+	// Strictly serial GC hashing isolates the paper's parallelization
+	// claim: the ratio is serial/overlapped mean response during GC
+	// periods (> 1 means the overlap helps).
+	serial, err := cagcVariant(p, func(o *ftl.Options) { o.HashAt = ftl.HashAtMigrateSerial })
+	if err != nil {
+		return err
+	}
+	var slowdown float64
+	if m := gcPeriodMean(plain); m > 0 {
+		slowdown = gcPeriodMean(serial) / m
+	}
+	fmt.Fprintf(w, "overlap: serial GC dedup is %.2fx the overlapped response time under GC\n", slowdown)
+
+	// Utilization stands in for an over-provisioning sweep: both pull
+	// the same lever, free-space headroom.
+	fmt.Fprintln(w, "space-pressure sweep:")
+	fmt.Fprintf(w, "  %-12s %14s %10s\n", "utilization", "base erased", "CAGC erased")
+	for _, u := range ablationUtils {
+		set := func(q *Params) { q.Utilization = u }
+		fmt.Fprintf(w, "  %-12.2f %14d %10d\n",
+			u, at(Baseline, set).FTL.BlocksErased, at(CAGC, set).FTL.BlocksErased)
+	}
+
+	// The related-work lever, a controller RAM write buffer, applied to
+	// the Baseline: how much of CAGC's write-traffic benefit does it
+	// capture?
+	fmt.Fprintln(w, "write-buffer alternative (Baseline + RAM buffer vs plain CAGC):")
+	fmt.Fprintf(w, "  %-14s %10s %10s\n", "buffer pages", "programs", "erased")
+	for _, n := range ablationBuffers {
+		r := at(Baseline, func(q *Params) { q.BufferPages = n })
+		fmt.Fprintf(w, "  %-14d %10d %10d\n", n, r.FTL.UserPrograms, r.FTL.BlocksErased)
+	}
+	fmt.Fprintf(w, "  %-14s %10d %10d\n", "CAGC (no buf)", plain.FTL.UserPrograms, plain.FTL.BlocksErased)
+
+	// A smaller fingerprint cache forfeits dedup hits (CAFTL's
+	// RAM/hit-rate trade-off).
+	fmt.Fprintln(w, "fingerprint-index RAM bound (CAGC):")
+	fmt.Fprintf(w, "  %-14s %10s %10s\n", "capacity", "dropped", "migrated")
+	for _, c := range ablationIndexCap {
+		r := at(CAGC, func(q *Params) { q.IndexCapacity = c })
+		label := "unlimited"
+		if c > 0 {
+			label = fmt.Sprintf("%d", c)
+		}
+		fmt.Fprintf(w, "  %-14s %10d %10d\n", label, r.FTL.GCDupDropped, r.FTL.PagesMigrated)
+	}
+
+	// SRAM-limited mapping metadata; the paper assumes a fully
+	// RAM-resident map.
+	fmt.Fprintln(w, "DFTL-style mapping-cache size (CAGC):")
+	fmt.Fprintf(w, "  %-14s %10s\n", "CMT entries", "mean µs")
+	for _, n := range ablationMapCache {
+		r := at(CAGC, func(q *Params) { q.MappingCache = n })
+		label := "all in RAM"
+		if n > 0 {
+			label = fmt.Sprintf("%d", n)
+		}
+		fmt.Fprintf(w, "  %-14s %10.1f\n", label, r.MeanLatency())
+	}
+
+	// Cold-region pinning is exactly the pattern static wear leveling
+	// exists to unpin.
+	wl := at(CAGC, func(q *Params) { q.WearLevelThreshold = ablationWearLevel })
+	fmt.Fprintf(w, "static wear leveling (threshold %d): spread %d -> %d, %d swaps\n",
+		ablationWearLevel, plain.EraseSpread, wl.EraseSpread, wl.FTL.WLSwaps)
+	return nil
 }

@@ -3,23 +3,24 @@ package cagc
 import "testing"
 
 func TestAblateWriteBuffer(t *testing.T) {
-	pts, cagcRef, err := AblateWriteBuffer(Homes, []int{8, 256}, testParams())
-	if err != nil {
-		t.Fatal(err)
+	var items []BatchItem
+	for _, n := range []int{8, 256} {
+		p := testParams()
+		p.BufferPages = n
+		items = append(items, BatchItem{Homes, Baseline, "greedy", p})
 	}
-	if len(pts) != 2 || cagcRef == nil {
-		t.Fatalf("points = %d", len(pts))
-	}
+	items = append(items, BatchItem{Homes, CAGC, "greedy", testParams()})
+	res := runCells(t, items...)
+	small, large, cagcRef := res[0], res[1], res[2]
 	// A larger buffer programs less flash on a skewed workload.
-	small := pts[0].Baseline.FTL.UserPrograms
-	large := pts[1].Baseline.FTL.UserPrograms
-	if large >= small {
-		t.Errorf("buffer 256 wrote %d programs, buffer 8 wrote %d — want fewer", large, small)
+	if large.FTL.UserPrograms >= small.FTL.UserPrograms {
+		t.Errorf("buffer 256 wrote %d programs, buffer 8 wrote %d — want fewer",
+			large.FTL.UserPrograms, small.FTL.UserPrograms)
 	}
 	// Buffered writes complete at RAM speed: write latency collapses.
-	if pts[1].Baseline.WriteLatency.Mean() >= cagcRef.WriteLatency.Mean()*2 {
+	if large.WriteLatency.Mean() >= cagcRef.WriteLatency.Mean()*2 {
 		t.Errorf("buffered write mean %.1fµs suspiciously high",
-			pts[1].Baseline.WriteLatency.Mean()/1000)
+			large.WriteLatency.Mean()/1000)
 	}
 }
 
@@ -29,25 +30,23 @@ func TestAblateWearLevel(t *testing.T) {
 	// skew lives in internal/ftl.)
 	p := testParams()
 	p.Requests = 12000
-	a, err := AblateWearLevel(Homes, 2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Off.FTL.WLSwaps != 0 {
+	on := p
+	on.WearLevelThreshold = 2
+	res := runCells(t, BatchItem{Homes, CAGC, "greedy", p}, BatchItem{Homes, CAGC, "greedy", on})
+	if res[0].FTL.WLSwaps != 0 {
 		t.Fatal("wear leveling ran while disabled")
 	}
 	// Leveling must not increase the erase-count spread.
-	if a.On.EraseSpread > a.Off.EraseSpread {
-		t.Errorf("WL widened the spread: %d -> %d", a.Off.EraseSpread, a.On.EraseSpread)
+	if res[1].EraseSpread > res[0].EraseSpread {
+		t.Errorf("WL widened the spread: %d -> %d", res[0].EraseSpread, res[1].EraseSpread)
 	}
 }
 
 func TestAblateIndexCapacity(t *testing.T) {
-	pts, err := AblateIndexCapacity(Mail, []int{16, 0}, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, unlimited := pts[0].Result, pts[1].Result
+	p := testParams()
+	p.IndexCapacity = 16
+	res := runCells(t, BatchItem{Mail, CAGC, "greedy", p}, BatchItem{Mail, CAGC, "greedy", testParams()})
+	capped, unlimited := res[0], res[1]
 	// A 16-fingerprint cache forfeits dedup hits: fewer drops, more
 	// migrated pages.
 	if capped.FTL.GCDupDropped >= unlimited.FTL.GCDupDropped {
@@ -97,35 +96,33 @@ func TestBufferedCAGCStillConsistent(t *testing.T) {
 }
 
 func TestThroughputCurve(t *testing.T) {
-	p := testParams()
-	p.Requests = 2500
-	pts, err := ThroughputCurve(Mail, []int{1, 8}, p)
-	if err != nil {
-		t.Fatal(err)
+	depths := []int{1, 8}
+	var items []BatchItem
+	for _, qd := range depths {
+		p := testParams()
+		p.Requests = 2500
+		p.QueueDepth = qd
+		items = append(items, BatchItem{Mail, Baseline, "greedy", p}, BatchItem{Mail, CAGC, "greedy", p})
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, pt := range pts {
-		if pt.Baseline.IOPS() <= 0 || pt.CAGC.IOPS() <= 0 {
-			t.Fatalf("qd %d: zero throughput", pt.QueueDepth)
+	res := runCells(t, items...)
+	for i, qd := range depths {
+		if res[2*i].IOPS() <= 0 || res[2*i+1].IOPS() <= 0 {
+			t.Fatalf("qd %d: zero throughput", qd)
 		}
 	}
 	// Under saturation CAGC's lighter GC load yields at least as much
 	// throughput as the baseline at the deeper queue.
-	deep := pts[1]
-	if deep.CAGC.IOPS() < deep.Baseline.IOPS()*0.95 {
-		t.Errorf("CAGC %.0f IOPS well below baseline %.0f at QD8",
-			deep.CAGC.IOPS(), deep.Baseline.IOPS())
+	base, cg := res[2], res[3]
+	if cg.IOPS() < base.IOPS()*0.95 {
+		t.Errorf("CAGC %.0f IOPS well below baseline %.0f at QD8", cg.IOPS(), base.IOPS())
 	}
 }
 
 func TestAblateMappingCache(t *testing.T) {
-	pts, err := AblateMappingCache(Mail, []int{512, 0}, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny, full := pts[0].Result, pts[1].Result
+	p := testParams()
+	p.MappingCache = 512
+	res := runCells(t, BatchItem{Mail, CAGC, "greedy", p}, BatchItem{Mail, CAGC, "greedy", testParams()})
+	tiny, full := res[0], res[1]
 	// A one-page CMT must cost response time relative to a RAM map.
 	if tiny.MeanLatency() <= full.MeanLatency() {
 		t.Errorf("tiny CMT mean %.1fµs <= full map %.1fµs",
@@ -133,22 +130,31 @@ func TestAblateMappingCache(t *testing.T) {
 	}
 }
 
+// The GC trigger (Table I uses 20%) is an FTL option, not a Params
+// field: lower watermarks defer GC (denser victims, better WA) at the
+// price of thinner reserves under bursts.
 func TestAblateWatermark(t *testing.T) {
-	pts, err := AblateWatermark(WebVM, []float64{0.10, 0.25}, testParams())
-	if err != nil {
-		t.Fatal(err)
+	run := func(s Scheme, mark float64) (*Result, error) {
+		o := s.Options()
+		o.Watermark = mark
+		return runOptions(WebVM, o, "greedy", testParams())
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for _, pt := range pts {
+	for _, mark := range []float64{0.10, 0.25} {
+		base, err := run(Baseline, mark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg, err := run(CAGC, mark)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// CAGC's reductions must survive the trigger change.
-		if pt.CAGC.FTL.PagesMigrated >= pt.Baseline.FTL.PagesMigrated {
+		if cg.FTL.PagesMigrated >= base.FTL.PagesMigrated {
 			t.Errorf("watermark %.2f: CAGC migrated %d >= baseline %d",
-				pt.Watermark, pt.CAGC.FTL.PagesMigrated, pt.Baseline.FTL.PagesMigrated)
+				mark, cg.FTL.PagesMigrated, base.FTL.PagesMigrated)
 		}
 	}
-	if _, err := AblateWatermark(WebVM, []float64{0.95}, testParams()); err == nil {
+	if _, err := run(Baseline, 0.95); err == nil {
 		t.Error("invalid watermark accepted")
 	}
 }
@@ -156,28 +162,29 @@ func TestAblateWatermark(t *testing.T) {
 func TestArrayStudy(t *testing.T) {
 	p := testParams()
 	p.Requests = 3000
-	rows, err := ArrayStudy(Mail, []Scheme{Baseline, CAGC}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.PlainRead.Requests != 3000 || r.SteeredRead.Requests != 3000 {
-			t.Fatalf("%v: incomplete replays: %d/%d",
-				r.Scheme, r.PlainRead.Requests, r.SteeredRead.Requests)
-		}
-		if r.SteeredRead.SteeredReads == 0 {
-			t.Errorf("%v: steering never fired", r.Scheme)
+	var steered [2]*ArrayResult
+	for i, s := range []Scheme{Baseline, CAGC} {
+		for _, steer := range []bool{false, true} {
+			r, err := RunArray(Mail, s, p, ArrayParams{Mode: "raid1", Members: 2, Stagger: true, Steer: steer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Requests != 3000 {
+				t.Fatalf("%v steer=%v: incomplete replay: %d", s, steer, r.Requests)
+			}
+			if steer {
+				if r.SteeredReads == 0 {
+					t.Errorf("%v: steering never fired", s)
+				}
+				steered[i] = r
+			}
 		}
 	}
 	// CAGC members give the mirrored volume a better read tail than
 	// Baseline members under the same steering policy.
-	base, cg := rows[0], rows[1]
-	if cg.SteeredRead.ReadLatency.Percentile(0.99) >= base.SteeredRead.ReadLatency.Percentile(0.99) {
+	base, cg := steered[0], steered[1]
+	if cg.ReadLatency.Percentile(0.99) >= base.ReadLatency.Percentile(0.99) {
 		t.Errorf("array read p99: CAGC %v >= Baseline %v",
-			cg.SteeredRead.ReadLatency.Percentile(0.99),
-			base.SteeredRead.ReadLatency.Percentile(0.99))
+			cg.ReadLatency.Percentile(0.99), base.ReadLatency.Percentile(0.99))
 	}
 }

@@ -18,41 +18,26 @@ import (
 // ArrayResult is the volume-level outcome of one mirrored-pair replay.
 type ArrayResult = array.Result
 
-// ArrayStudyRow compares one member scheme with steering off and on.
-type ArrayStudyRow struct {
-	Scheme      Scheme
-	PlainRead   *ArrayResult // round-robin reads
-	SteeredRead *ArrayResult // GC-aware steering
-	// P99ReadImprovement is 1 - steered/plain at the read p99.
-	P99ReadImprovement float64
-}
-
-// ArrayStudy replays the workload through RAID-1 mirrored pairs whose
-// members run scheme s, once with round-robin reads and once with
-// GC-aware steering. Member GC is staggered in both configurations.
-func ArrayStudy(w Workload, schemes []Scheme, p Params) ([]ArrayStudyRow, error) {
-	p = p.withDefaults()
-	rows := make([]ArrayStudyRow, 0, len(schemes))
-	for _, s := range schemes {
-		plain, err := runArray(w, s, p, false)
-		if err != nil {
-			return nil, fmt.Errorf("array %v plain: %w", s, err)
+// printArray replays Mail through RAID-1 mirrored pairs whose members
+// run Baseline, then CAGC, once with round-robin reads and once with
+// GC-aware steering, and renders the volume read p99 of each. Member
+// GC is staggered in both configurations.
+func printArray(w io.Writer, p Params, _ runs) error {
+	fmt.Fprintln(w, "Mirrored pair (RAID-1), Mail workload — volume read p99")
+	fmt.Fprintf(w, "%-10s %14s %14s %10s\n", "members", "round-robin", "GC-aware", "steered")
+	for _, s := range []Scheme{Baseline, CAGC} {
+		var res [2]*ArrayResult // round-robin reads, GC-aware steering
+		for i := range res {
+			r, err := RunArray(Mail, s, p, ArrayParams{Mode: "raid1", Members: 2, Stagger: true, Steer: i == 1})
+			if err != nil {
+				return fmt.Errorf("array %v: %w", s, err)
+			}
+			res[i] = r
 		}
-		steered, err := runArray(w, s, p, true)
-		if err != nil {
-			return nil, fmt.Errorf("array %v steered: %w", s, err)
-		}
-		row := ArrayStudyRow{Scheme: s, PlainRead: plain, SteeredRead: steered}
-		if pp := plain.ReadLatency.Percentile(0.99); pp > 0 {
-			row.P99ReadImprovement = 1 - float64(steered.ReadLatency.Percentile(0.99))/float64(pp)
-		}
-		rows = append(rows, row)
+		fmt.Fprintf(w, "%-10v %14v %14v %10d\n", s,
+			res[0].ReadLatency.Percentile(0.99), res[1].ReadLatency.Percentile(0.99), res[1].SteeredReads)
 	}
-	return rows, nil
-}
-
-func runArray(w Workload, s Scheme, p Params, steering bool) (*ArrayResult, error) {
-	return RunArray(w, s, p, ArrayParams{Mode: "raid1", Members: 2, Stagger: true, Steer: steering})
+	return nil
 }
 
 // ArrayParams configures one multi-SSD volume run — the CLI surface of

@@ -86,7 +86,7 @@ func run() (retErr error) {
 		if strings.EqualFold(*exp, "all") {
 			return cagc.RunAllExperiments(p, os.Stdout)
 		}
-		return cagc.RunExperiment(strings.ToLower(*exp), p, os.Stdout)
+		return cagc.RunExperiment(*exp, p, os.Stdout)
 	}()
 	if runErr != nil {
 		return runErr

@@ -12,9 +12,9 @@
 // embedded in the GC migration pipeline with reference-count-based
 // hot/cold data placement).
 //
-// The package-level functions regenerate every figure and table of the
-// paper's evaluation section; see EXPERIMENTS.md for the paper-vs-
-// measured record and DESIGN.md for the system inventory.
+// RunExperiment and RunAllExperiments regenerate every figure and table
+// of the paper's evaluation section; see EXPERIMENTS.md for the paper-
+// vs-measured record and DESIGN.md for the system inventory.
 //
 // Quick start:
 //
@@ -22,7 +22,8 @@
 //	if err != nil { ... }
 //	fmt.Println(res)
 //
-// For the full comparison behind Figures 9-11:
+// For the comparison behind Figures 9 and 10, read like every
+// experiment from one deduplicated batch of runs:
 //
-//	rows, err := cagc.Figure9And10(cagc.Params{})
+//	err := cagc.RunExperiment("fig9", cagc.Params{}, os.Stdout)
 package cagc

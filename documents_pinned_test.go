@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"cagc/internal/ftl"
 )
 
 // pinnedDocs are the sha256 sums of the -json documents of a fixed set
@@ -212,7 +214,7 @@ func TestBatchDocumentIsSerialRuns(t *testing.T) {
 const pinnedEraseLimit = 2
 
 // TestDocumentsPinned renders every pinned job, plus the serial-hash
-// composition AblateOverlap runs, and compares each document's sha256
+// composition the overlap ablation runs, and compares each document's sha256
 // with the recorded one.
 func TestDocumentsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -232,12 +234,12 @@ func TestDocumentsPinned(t *testing.T) {
 		}
 		got[pj.name] = sha256Hex(out.Doc)
 	}
-	a, err := AblateOverlap(Mail, Params{Requests: 3000, Seed: 1})
+	serial, err := cagcVariant(Params{Requests: 3000, Seed: 1}, func(o *ftl.Options) { o.HashAt = ftl.HashAtMigrateSerial })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc bytes.Buffer
-	if err := WriteJSON(&doc, a.Serial); err != nil {
+	if err := WriteJSON(&doc, serial); err != nil {
 		t.Fatal(err)
 	}
 	got["Mail/cagc-serial"] = sha256Hex(doc.Bytes())

@@ -35,12 +35,14 @@ func main() {
 
 	// CAGC's cold region pins young blocks; static wear leveling
 	// unpins them.
-	wl, err := cagc.AblateWearLevel(cagc.Mail, 3, p)
+	wlp := p
+	wlp.WearLevelThreshold = 3
+	wl, err := cagc.Run(cagc.Mail, cagc.CAGC, "greedy", wlp)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-14s %8d %10d %12s %14s   (+%d WL swaps)\n",
-		"CAGC+WL", wl.On.FTL.BlocksErased, wl.On.EraseSpread, "", "", wl.On.FTL.WLSwaps)
+		"CAGC+WL", wl.FTL.BlocksErased, wl.EraseSpread, "", "", wl.FTL.WLSwaps)
 
 	base, cg := results[1], results[2]
 	if base.FTL.BlocksErased > 0 {

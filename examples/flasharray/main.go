@@ -18,23 +18,27 @@ func main() {
 	p := cagc.Params{DeviceBytes: 16 << 20, Requests: 10000}
 
 	fmt.Println("Mirrored pair (RAID-1), Mail workload — volume-level read latency")
-	rows, err := cagc.ArrayStudy(cagc.Mail, []cagc.Scheme{cagc.Baseline, cagc.CAGC}, p)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("%-10s %-14s %12s %12s %12s %10s\n",
 		"members", "reads", "p50", "p99", "p99.9", "steered")
-	for _, r := range rows {
-		print := func(label string, res *cagc.ArrayResult) {
+	for _, s := range []cagc.Scheme{cagc.Baseline, cagc.CAGC} {
+		for _, steer := range []bool{false, true} {
+			// Member GC is staggered in both configurations.
+			res, err := cagc.RunArray(cagc.Mail, s, p,
+				cagc.ArrayParams{Mode: "raid1", Members: 2, Stagger: true, Steer: steer})
+			if err != nil {
+				log.Fatal(err)
+			}
+			label := "round-robin"
+			if steer {
+				label = "GC-aware"
+			}
 			fmt.Printf("%-10v %-14s %12v %12v %12v %10d\n",
-				r.Scheme, label,
+				s, label,
 				res.ReadLatency.Percentile(0.50),
 				res.ReadLatency.Percentile(0.99),
 				res.ReadLatency.Percentile(0.999),
 				res.SteeredReads)
 		}
-		print("round-robin", r.PlainRead)
-		print("GC-aware", r.SteeredRead)
 	}
 	fmt.Println("\nTwo complementary levers against the GC read tail:")
 	fmt.Println("- steering routes reads around whichever mirror is collecting;")

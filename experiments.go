@@ -1,11 +1,15 @@
 package cagc
 
-// The per-figure experiment harness. Each FigureN function regenerates
-// the data behind the corresponding figure of the paper's evaluation
-// (Section IV); EXPERIMENTS.md records paper-vs-measured for each.
+// The per-figure experiment harness. Each figure of the paper's
+// evaluation (Section IV) is a projection of one run matrix — the three
+// workloads under every scheme and, for Figure 13, every victim policy.
+// An experiment declares the cells it reads (see registry.go) and its
+// rows are computed from the result set one RunBatch produced;
+// EXPERIMENTS.md records paper-vs-measured for each.
 
 import (
 	"fmt"
+	"slices"
 
 	"cagc/internal/dedup"
 	"cagc/internal/event"
@@ -15,85 +19,93 @@ import (
 	"cagc/internal/trace"
 )
 
-// Figure2Row is one bar pair of Figure 2: the response-time cost of
+// grid declares every workload under each scheme and victim policy at
+// p, workloads outermost.
+func grid(p Params, schemes []Scheme, policies ...string) []BatchItem {
+	var items []BatchItem
+	for _, w := range Workloads {
+		for _, pol := range policies {
+			for _, s := range schemes {
+				items = append(items, BatchItem{w, s, pol, p})
+			}
+		}
+	}
+	return items
+}
+
+// The cells each figure reads: fig9, fig10 and fig12 share compareCells.
+func figure2Cells(p Params) []BatchItem  { return grid(p, []Scheme{Baseline, InlineDedupe}, "greedy") }
+func figure6Cells(p Params) []BatchItem  { return grid(p, []Scheme{InlineDedupe}, "greedy") }
+func compareCells(p Params) []BatchItem  { return grid(p, []Scheme{Baseline, CAGC}, "greedy") }
+func figure11Cells(p Params) []BatchItem { return grid(p, Schemes, "greedy") }
+func figure13Cells(p Params) []BatchItem {
+	return grid(p, []Scheme{Baseline, CAGC}, figure13Policies...)
+}
+
+// verifyCells are the cells of every figure the checks read; the batch
+// runs each distinct one once.
+func verifyCells(p Params) []BatchItem {
+	return slices.Concat(figure2Cells(p), figure6Cells(p), compareCells(p), figure11Cells(p), figure13Cells(p))
+}
+
+// figure2Row is one bar pair of Figure 2: the response-time cost of
 // inline deduplication on an ultra-low-latency SSD.
-type Figure2Row struct {
+type figure2Row struct {
 	Workload     Workload
 	BaselineMean float64 // µs
 	InlineMean   float64 // µs
 	Normalized   float64 // InlineMean / BaselineMean (paper: 1.2-1.7)
 }
 
-// Figure2 compares Baseline and Inline-Dedupe mean response times on
+// figure2 compares Baseline and Inline-Dedupe mean response times on
 // the three workloads (the paper's motivation experiment).
-func Figure2(p Params) ([]Figure2Row, error) {
-	rows := make([]Figure2Row, len(Workloads))
-	err := forEach(len(Workloads), func(i int) error {
-		w := Workloads[i]
-		base, err := Run(w, Baseline, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 2 %s baseline: %w", w, err)
-		}
-		inline, err := Run(w, InlineDedupe, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 2 %s inline: %w", w, err)
-		}
-		row := Figure2Row{
+func figure2(p Params, rs runs) []figure2Row {
+	rows := make([]figure2Row, len(Workloads))
+	for i, w := range Workloads {
+		r := figure2Row{
 			Workload:     w,
-			BaselineMean: base.MeanLatency(),
-			InlineMean:   inline.MeanLatency(),
+			BaselineMean: rs.get(w, Baseline, "greedy", p).MeanLatency(),
+			InlineMean:   rs.get(w, InlineDedupe, "greedy", p).MeanLatency(),
 		}
-		if row.BaselineMean > 0 {
-			row.Normalized = row.InlineMean / row.BaselineMean
+		if r.BaselineMean > 0 {
+			r.Normalized = r.InlineMean / r.BaselineMean
 		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows[i] = r
 	}
-	return rows, nil
+	return rows
 }
 
-// Figure6Row is one bar group of Figure 6: where invalid pages come
+// figure6Row is one bar group of Figure 6: where invalid pages come
 // from, bucketed by the page's reference count {1, 2, 3, >3}.
-type Figure6Row struct {
+type figure6Row struct {
 	Workload Workload
 	Shares   [4]float64
 	Total    uint64
 }
 
-// Figure6 measures the reference-count distribution of invalidated
-// pages. The Inline-Dedupe scheme is used because it maintains exact
-// reference counts from the first write on (the paper computed this
-// from the traces with full dedup visibility).
-func Figure6(p Params) ([]Figure6Row, error) {
-	rows := make([]Figure6Row, len(Workloads))
-	err := forEach(len(Workloads), func(i int) error {
-		w := Workloads[i]
-		res, err := Run(w, InlineDedupe, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 6 %s: %w", w, err)
-		}
+// figure6 reads the reference-count distribution of invalidated pages.
+// The Inline-Dedupe scheme is used because it maintains exact reference
+// counts from the first write on (the paper computed this from the
+// traces with full dedup visibility).
+func figure6(p Params, rs runs) []figure6Row {
+	rows := make([]figure6Row, len(Workloads))
+	for i, w := range Workloads {
+		res := rs.get(w, InlineDedupe, "greedy", p)
 		var total uint64
 		for _, c := range res.RefDist {
 			total += c
 		}
-		rows[i] = Figure6Row{Workload: w, Shares: res.RefShares(), Total: total}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rows[i] = figure6Row{Workload: w, Shares: res.RefShares(), Total: total}
 	}
-	return rows, nil
+	return rows
 }
 
-// Figure6Analysis computes the same distribution by pure trace
+// figure6Analysis computes the same distribution by pure trace
 // analysis — the paper's own methodology (content accounting over the
 // trace, no device model).
-func Figure6Analysis(p Params) ([]Figure6Row, error) {
+func figure6Analysis(p Params) ([]figure6Row, error) {
 	p = p.withDefaults()
-	rows := make([]Figure6Row, 0, len(Workloads))
+	rows := make([]figure6Row, 0, len(Workloads))
 	for _, w := range Workloads {
 		spec, err := trace.Preset(w, 1<<16, p.Requests, p.Seed)
 		if err != nil {
@@ -104,7 +116,7 @@ func Figure6Analysis(p Params) ([]Figure6Row, error) {
 			return nil, err
 		}
 		dist := trace.AnalyzeRefcounts(gen)
-		rows = append(rows, Figure6Row{Workload: w, Shares: dist.Shares(), Total: dist.Total()})
+		rows = append(rows, figure6Row{Workload: w, Shares: dist.Shares(), Total: dist.Total()})
 	}
 	return rows, nil
 }
@@ -220,9 +232,9 @@ func workedExample(s Scheme) (WorkedResult, error) {
 	}, nil
 }
 
-// CompareRow carries one workload's Baseline-vs-CAGC comparison: the
+// compareRow carries one workload's Baseline-vs-CAGC comparison: the
 // data behind Figures 9 (blocks erased) and 10 (pages migrated).
-type CompareRow struct {
+type compareRow struct {
 	Workload Workload
 	Baseline *Result
 	CAGC     *Result
@@ -231,42 +243,30 @@ type CompareRow struct {
 	MigratedReduction float64 // Figure 10 (paper: 35.1%, 47.9%, 85.9%)
 }
 
-// Figure9And10 runs Baseline and CAGC on every workload under the
-// greedy policy and reports the erase and migration reductions.
-func Figure9And10(p Params) ([]CompareRow, error) {
-	rows := make([]CompareRow, len(Workloads))
-	err := forEach(len(Workloads), func(i int) error {
-		w := Workloads[i]
-		base, err := Run(w, Baseline, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 9/10 %s baseline: %w", w, err)
-		}
-		cg, err := Run(w, CAGC, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 9/10 %s cagc: %w", w, err)
-		}
-		rows[i] = CompareRow{
+// figure9And10 compares Baseline and CAGC on every workload under the
+// greedy policy: the erase and migration reductions.
+func figure9And10(p Params, rs runs) []compareRow {
+	rows := make([]compareRow, len(Workloads))
+	for i, w := range Workloads {
+		base, cg := rs.get(w, Baseline, "greedy", p), rs.get(w, CAGC, "greedy", p)
+		rows[i] = compareRow{
 			Workload:          w,
 			Baseline:          base,
 			CAGC:              cg,
 			ErasedReduction:   reduction(float64(base.FTL.BlocksErased), float64(cg.FTL.BlocksErased)),
 			MigratedReduction: reduction(float64(base.FTL.PagesMigrated), float64(cg.FTL.PagesMigrated)),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return rows, nil
+	return rows
 }
 
-// Figure11Row is one workload's normalized mean response time for the
+// figure11Row is one workload's normalized mean response time for the
 // three schemes (Baseline = 1.0). The paper frames these numbers as
 // response times "during the SSD GC periods"; since GC interference is
 // what separates the schemes over the replay, the normalized overall
 // means carry the same comparison (per-request during-GC histograms
 // are additionally available in each Result as GCLatency).
-type Figure11Row struct {
+type figure11Row struct {
 	Workload      Workload
 	InlineNorm    float64 // paper: > 1 on every workload
 	BaselineNorm  float64 // always 1
@@ -274,75 +274,45 @@ type Figure11Row struct {
 	CAGCReduction float64 // 1 - CAGCNorm (paper: 33.6%, 29.6%, 70.1%)
 }
 
-// Figure11 compares user response times across the three schemes under
+// figure11 compares user response times across the three schemes under
 // GC activity.
-func Figure11(p Params) ([]Figure11Row, error) {
-	rows := make([]Figure11Row, len(Workloads))
-	err := forEach(len(Workloads), func(i int) error {
-		w := Workloads[i]
-		base, err := Run(w, Baseline, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 11 %s baseline: %w", w, err)
-		}
-		inline, err := Run(w, InlineDedupe, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 11 %s inline: %w", w, err)
-		}
-		cg, err := Run(w, CAGC, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 11 %s cagc: %w", w, err)
-		}
-		row := Figure11Row{Workload: w, BaselineNorm: 1}
-		if bm := base.Latency.Mean(); bm > 0 {
-			row.InlineNorm = inline.Latency.Mean() / bm
-			row.CAGCNorm = cg.Latency.Mean() / bm
+func figure11(p Params, rs runs) []figure11Row {
+	rows := make([]figure11Row, len(Workloads))
+	for i, w := range Workloads {
+		row := figure11Row{Workload: w, BaselineNorm: 1}
+		if bm := rs.get(w, Baseline, "greedy", p).Latency.Mean(); bm > 0 {
+			row.InlineNorm = rs.get(w, InlineDedupe, "greedy", p).Latency.Mean() / bm
+			row.CAGCNorm = rs.get(w, CAGC, "greedy", p).Latency.Mean() / bm
 			row.CAGCReduction = 1 - row.CAGCNorm
 		}
 		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return rows, nil
+	return rows
 }
 
-// Figure12Series is one workload's response-time CDF pair.
-type Figure12Series struct {
+// figure12Series is one workload's response-time CDF pair.
+type figure12Series struct {
 	Workload Workload
 	Baseline []metrics.CDFPoint
 	CAGC     []metrics.CDFPoint
 }
 
-// Figure12 extracts the response-time CDFs of Baseline and CAGC.
-func Figure12(p Params) ([]Figure12Series, error) {
-	series := make([]Figure12Series, len(Workloads))
-	err := forEach(len(Workloads), func(i int) error {
-		w := Workloads[i]
-		base, err := Run(w, Baseline, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 12 %s baseline: %w", w, err)
-		}
-		cg, err := Run(w, CAGC, "greedy", p)
-		if err != nil {
-			return fmt.Errorf("figure 12 %s cagc: %w", w, err)
-		}
-		series[i] = Figure12Series{
+// figure12 extracts the response-time CDFs of Baseline and CAGC.
+func figure12(p Params, rs runs) []figure12Series {
+	series := make([]figure12Series, len(Workloads))
+	for i, w := range Workloads {
+		series[i] = figure12Series{
 			Workload: w,
-			Baseline: base.Latency.CDF(),
-			CAGC:     cg.Latency.CDF(),
+			Baseline: rs.get(w, Baseline, "greedy", p).Latency.CDF(),
+			CAGC:     rs.get(w, CAGC, "greedy", p).Latency.CDF(),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return series, nil
+	return series
 }
 
-// Figure13Cell is one bar of Figure 13: CAGC's reduction relative to
+// figure13Cell is one bar of Figure 13: CAGC's reduction relative to
 // Baseline under one victim-selection policy on one workload.
-type Figure13Cell struct {
+type figure13Cell struct {
 	Policy   string
 	Workload Workload
 
@@ -351,96 +321,64 @@ type Figure13Cell struct {
 	ResponseReduction float64 // Figure 13(c), during GC periods
 }
 
-// Figure13Policies are the victim-selection policies of the
+// figure13Policies are the victim-selection policies of the
 // sensitivity study.
-var Figure13Policies = []string{"random", "greedy", "cost-benefit"}
+var figure13Policies = []string{"random", "greedy", "cost-benefit"}
 
-// Figure13 runs the sensitivity study: CAGC's improvements under
-// Random, Greedy, and Cost-Benefit victim selection.
-func Figure13(p Params) ([]Figure13Cell, error) {
-	n := len(Workloads) * len(Figure13Policies)
-	cells := make([]Figure13Cell, n)
-	err := forEach(n, func(i int) error {
-		w := Workloads[i/len(Figure13Policies)]
-		pol := Figure13Policies[i%len(Figure13Policies)]
-		base, err := Run(w, Baseline, pol, p)
-		if err != nil {
-			return fmt.Errorf("figure 13 %s/%s baseline: %w", w, pol, err)
+// figure13 is the sensitivity study: CAGC's improvements under Random,
+// Greedy, and Cost-Benefit victim selection.
+func figure13(p Params, rs runs) []figure13Cell {
+	var cells []figure13Cell
+	for _, w := range Workloads {
+		for _, pol := range figure13Policies {
+			base, cg := rs.get(w, Baseline, pol, p), rs.get(w, CAGC, pol, p)
+			cells = append(cells, figure13Cell{
+				Policy:            pol,
+				Workload:          w,
+				ErasedReduction:   reduction(float64(base.FTL.BlocksErased), float64(cg.FTL.BlocksErased)),
+				MigratedReduction: reduction(float64(base.FTL.PagesMigrated), float64(cg.FTL.PagesMigrated)),
+				ResponseReduction: reduction(base.Latency.Mean(), cg.Latency.Mean()),
+			})
 		}
-		cg, err := Run(w, CAGC, pol, p)
-		if err != nil {
-			return fmt.Errorf("figure 13 %s/%s cagc: %w", w, pol, err)
-		}
-		cells[i] = Figure13Cell{
-			Policy:            pol,
-			Workload:          w,
-			ErasedReduction:   reduction(float64(base.FTL.BlocksErased), float64(cg.FTL.BlocksErased)),
-			MigratedReduction: reduction(float64(base.FTL.PagesMigrated), float64(cg.FTL.PagesMigrated)),
-			ResponseReduction: reduction(base.Latency.Mean(), cg.Latency.Mean()),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return cells, nil
+	return cells
 }
 
-// TenantsRow is one scheme's result under the consolidation mix.
-type TenantsRow struct {
-	Scheme Scheme
-	Result *Result
-}
-
-// MixedTenants replays a Mail tenant and a Web-vm tenant, merged by
-// arrival time onto disjoint halves of one SSD, through each scheme —
-// the enterprise consolidation scenario the paper's introduction
+// mixedTenants replays a Mail tenant and a Web-vm tenant, merged by
+// arrival time onto disjoint halves of one SSD, through scheme s — the
+// enterprise consolidation scenario the paper's introduction
 // motivates. Dedup still pays off across tenants when they share
 // content (both draw from the same popular-content universe here, as
 // co-hosted services with shared software images do).
-func MixedTenants(p Params, schemes []Scheme) ([]TenantsRow, error) {
+func mixedTenants(p Params, s Scheme) (*Result, error) {
 	p = p.withDefaults()
-	rows := make([]TenantsRow, len(schemes))
-	err := forEach(len(schemes), func(i int) error {
-		logical, err := LogicalPagesFor(p)
-		if err != nil {
-			return err
-		}
-		half := logical / 2
-		mailSpec, err := trace.Preset(Mail, half, p.Requests/2, p.Seed)
-		if err != nil {
-			return err
-		}
-		webSpec, err := trace.Preset(WebVM, half, p.Requests/2, p.Seed+1)
-		if err != nil {
-			return err
-		}
-		mg, err := trace.NewGenerator(mailSpec)
-		if err != nil {
-			return err
-		}
-		wg, err := trace.NewGenerator(webSpec)
-		if err != nil {
-			return err
-		}
-		merged := trace.Merge(mg, &trace.Offset{Src: wg, Base: half})
-		res, err := ReplayTrace(merged, Homes, schemes[i], "greedy", p)
-		if err != nil {
-			return err
-		}
-		res.Workload = "Mail+Web-vm"
-		rows[i] = TenantsRow{Scheme: schemes[i], Result: res}
-		return nil
-	})
+	logical, err := LogicalPagesFor(p)
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	half := logical / 2
+	var tenants [2]*trace.Generator // Mail, then Web-vm on the upper half
+	for i, w := range []Workload{Mail, WebVM} {
+		spec, err := trace.Preset(w, half, p.Requests/2, p.Seed+int64(i))
+		if err != nil {
+			return nil, err
+		}
+		if tenants[i], err = trace.NewGenerator(spec); err != nil {
+			return nil, err
+		}
+	}
+	merged := trace.Merge(tenants[0], &trace.Offset{Src: tenants[1], Base: half})
+	res, err := ReplayTrace(merged, Homes, s, "greedy", p)
+	if err != nil {
+		return nil, err
+	}
+	res.Workload = "Mail+Web-vm"
+	return res, nil
 }
 
-// TableIIRow compares one generated workload's characteristics with
+// tableIIRow compares one generated workload's characteristics with
 // the published Table II values.
-type TableIIRow struct {
+type tableIIRow struct {
 	Workload                      Workload
 	WantWriteRatio, GotWriteRatio float64
 	WantDedupRatio, GotDedupRatio float64
@@ -448,11 +386,11 @@ type TableIIRow struct {
 	Requests, UniqueContents      int
 }
 
-// TableII generates each workload and characterizes it against the
+// tableII generates each workload and characterizes it against the
 // published statistics.
-func TableII(p Params) ([]TableIIRow, error) {
+func tableII(p Params) ([]tableIIRow, error) {
 	p = p.withDefaults()
-	rows := make([]TableIIRow, 0, len(Workloads))
+	rows := make([]tableIIRow, 0, len(Workloads))
 	for _, w := range Workloads {
 		spec, err := trace.Preset(w, 1<<16, p.Requests, p.Seed)
 		if err != nil {
@@ -467,7 +405,7 @@ func TableII(p Params) ([]TableIIRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, TableIIRow{
+		rows = append(rows, tableIIRow{
 			Workload:       w,
 			WantWriteRatio: wr, GotWriteRatio: c.WriteRatio,
 			WantDedupRatio: dr, GotDedupRatio: c.DedupRatio,

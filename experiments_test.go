@@ -3,11 +3,29 @@ package cagc
 import (
 	"strings"
 	"testing"
+
+	"cagc/internal/ftl"
 )
 
 // testParams keeps harness tests fast: a 16 MiB device, 5000 requests.
 func testParams() Params {
 	return Params{DeviceBytes: 16 << 20, Requests: 5000, Seed: 1}
+}
+
+// runsOf evaluates the cells experiment id reads at p.
+func runsOf(t testing.TB, p Params, id string) runs {
+	t.Helper()
+	for _, e := range experiments {
+		if e.id == id {
+			rs, err := evaluate(p, 0, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
 }
 
 func TestRunPublicAPI(t *testing.T) {
@@ -47,10 +65,9 @@ func TestParseSchemePublic(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	rows, err := Figure2(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := testParams()
+	rs := runsOf(t, p, "fig2")
+	rows := figure2(p, rs)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -62,17 +79,15 @@ func TestFigure2Shape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	FprintFigure2(&sb, rows)
+	printFigure2(&sb, p, rs)
 	if !strings.Contains(sb.String(), "Figure 2") {
 		t.Error("formatting broken")
 	}
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rows, err := Figure6(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := testParams()
+	rows := figure6(p, runsOf(t, p, "fig6"))
 	for _, r := range rows {
 		// Paper: >80% of invalid pages come from refcount-1 pages.
 		if r.Shares[0] < 0.8 {
@@ -83,7 +98,7 @@ func TestFigure6Shape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	FprintFigure6(&sb, rows)
+	fprintFigure6(&sb, rows)
 	if !strings.Contains(sb.String(), "Figure 6") {
 		t.Error("formatting broken")
 	}
@@ -98,7 +113,7 @@ func TestFigure8Exact(t *testing.T) {
 		t.Fatalf("worked example off: base=%+v cagc=%+v", base, cg)
 	}
 	var sb strings.Builder
-	FprintFigure8(&sb, base, cg)
+	printFigure8(&sb, Params{}, nil)
 	if !strings.Contains(sb.String(), "Figure 8") {
 		t.Error("formatting broken")
 	}
@@ -106,10 +121,8 @@ func TestFigure8Exact(t *testing.T) {
 
 func TestFigures9Through11Shape(t *testing.T) {
 	p := testParams()
-	rows, err := Figure9And10(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := runsOf(t, p, "fig11")
+	rows := figure9And10(p, rs)
 	for _, r := range rows {
 		if r.ErasedReduction <= 0 {
 			t.Errorf("%s: erase reduction %.2f, want > 0", r.Workload, r.ErasedReduction)
@@ -120,7 +133,7 @@ func TestFigures9Through11Shape(t *testing.T) {
 	}
 	// Mail (highest dedup ratio) must benefit most, Homes least —
 	// the ordering of both paper figures.
-	byW := map[Workload]CompareRow{}
+	byW := map[Workload]compareRow{}
 	for _, r := range rows {
 		byW[r.Workload] = r
 	}
@@ -134,11 +147,7 @@ func TestFigures9Through11Shape(t *testing.T) {
 			byW[Mail].ErasedReduction, byW[Homes].ErasedReduction)
 	}
 
-	f11, err := Figure11(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range f11 {
+	for _, r := range figure11(p, rs) {
 		if r.InlineNorm <= 1 {
 			t.Errorf("%s: inline norm %.2f, want > 1 (inline must lose)", r.Workload, r.InlineNorm)
 		}
@@ -147,19 +156,17 @@ func TestFigures9Through11Shape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	FprintFigure9And10(&sb, rows)
-	FprintFigure11(&sb, f11)
+	printFigure9And10(&sb, p, rs)
+	printFigure11(&sb, p, rs)
 	if !strings.Contains(sb.String(), "Figure 10") || !strings.Contains(sb.String(), "Figure 11") {
 		t.Error("formatting broken")
 	}
 }
 
 func TestFigure12Shape(t *testing.T) {
-	series, err := Figure12(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range series {
+	p := testParams()
+	rs := runsOf(t, p, "fig12")
+	for _, s := range figure12(p, rs) {
 		if len(s.Baseline) == 0 || len(s.CAGC) == 0 {
 			t.Fatalf("%s: empty CDF", s.Workload)
 		}
@@ -172,17 +179,16 @@ func TestFigure12Shape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	FprintFigure12(&sb, series)
+	printFigure12(&sb, p, rs)
 	if !strings.Contains(sb.String(), "Figure 12") {
 		t.Error("formatting broken")
 	}
 }
 
 func TestFigure13Shape(t *testing.T) {
-	cells, err := Figure13(testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := testParams()
+	rs := runsOf(t, p, "fig13")
+	cells := figure13(p, rs)
 	if len(cells) != 9 {
 		t.Fatalf("cells = %d, want 3 policies x 3 workloads", len(cells))
 	}
@@ -197,14 +203,14 @@ func TestFigure13Shape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	FprintFigure13(&sb, cells)
+	printFigure13(&sb, p, rs)
 	if !strings.Contains(sb.String(), "Figure 13") {
 		t.Error("formatting broken")
 	}
 }
 
 func TestTableIIVerification(t *testing.T) {
-	rows, err := TableII(Params{Requests: 30000})
+	rows, err := tableII(Params{Requests: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,14 +223,16 @@ func TestTableIIVerification(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	FprintTableII(&sb, rows)
+	if err := printTableII(&sb, Params{Requests: 30000}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(sb.String(), "Table II") {
 		t.Error("formatting broken")
 	}
 }
 
 func TestTableIString(t *testing.T) {
-	s := TableIString(Params{})
+	s := tableIString(Params{})
 	for _, want := range []string{"4096", "256KB", "12.000us", "1.500ms", "14.000us"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("TableIString missing %q in:\n%s", want, s)
@@ -246,57 +254,75 @@ func TestFprintResult(t *testing.T) {
 	}
 }
 
-func TestAblateThreshold(t *testing.T) {
-	pts, err := AblateThreshold(Mail, []int{1, 3}, testParams())
-	if err != nil {
+// runCells runs items in one batch and returns their results.
+func runCells(t testing.TB, items ...BatchItem) []*Result {
+	t.Helper()
+	b := RunBatch(items, 0)
+	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[0].Threshold != 1 || pts[1].Threshold != 3 {
-		t.Fatalf("points: %+v", pts)
+	return b.Results
+}
+
+func TestAblateThreshold(t *testing.T) {
+	thresholds := []int{1, 3}
+	var items []BatchItem
+	for _, th := range thresholds {
+		p := testParams()
+		p.RefThreshold = th
+		items = append(items, BatchItem{Mail, CAGC, "greedy", p})
 	}
-	for _, pt := range pts {
-		if pt.Result.FTL.GCDupDropped == 0 {
-			t.Errorf("threshold %d: no dedup", pt.Threshold)
+	for i, res := range runCells(t, items...) {
+		if res.FTL.GCDupDropped == 0 {
+			t.Errorf("threshold %d: no dedup", thresholds[i])
 		}
 	}
 }
 
 func TestAblatePlacement(t *testing.T) {
-	a, err := AblatePlacement(Mail, testParams())
+	full, err := Run(Mail, CAGC, "greedy", testParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Full.FTL.Promotions == 0 {
+	dedupOnly, err := cagcVariant(testParams(), func(o *ftl.Options) { o.HotCold = false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.FTL.Promotions == 0 {
 		t.Error("full CAGC never promoted")
 	}
-	if a.DedupOnly.FTL.Promotions != 0 {
+	if dedupOnly.FTL.Promotions != 0 {
 		t.Error("placement-free variant promoted")
 	}
 }
 
 func TestAblateOverlap(t *testing.T) {
-	a, err := AblateOverlap(Mail, testParams())
+	over, err := Run(Mail, CAGC, "greedy", testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := cagcVariant(testParams(), func(o *ftl.Options) { o.HashAt = ftl.HashAtMigrateSerial })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The serial variant must not be faster under GC.
-	if a.GCPeriodSlowdown < 0.95 {
-		t.Errorf("serial GC faster than overlapped: %.2f", a.GCPeriodSlowdown)
+	if slowdown := gcPeriodMean(serial) / gcPeriodMean(over); slowdown < 0.95 {
+		t.Errorf("serial GC faster than overlapped: %.2f", slowdown)
 	}
 }
 
 func TestAblateUtilization(t *testing.T) {
-	pts, err := AblateUtilization(WebVM, []float64{0.45, 0.65}, testParams())
-	if err != nil {
-		t.Fatal(err)
+	var items []BatchItem
+	for _, u := range []float64{0.45, 0.65} {
+		p := testParams()
+		p.Utilization = u
+		items = append(items, BatchItem{WebVM, Baseline, "greedy", p})
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
+	pts := runCells(t, items...)
 	// More space pressure means more baseline erases.
-	if pts[1].Baseline.FTL.BlocksErased <= pts[0].Baseline.FTL.BlocksErased {
+	if pts[1].FTL.BlocksErased <= pts[0].FTL.BlocksErased {
 		t.Errorf("erases did not grow with utilization: %d vs %d",
-			pts[0].Baseline.FTL.BlocksErased, pts[1].Baseline.FTL.BlocksErased)
+			pts[0].FTL.BlocksErased, pts[1].FTL.BlocksErased)
 	}
 }
 
@@ -325,7 +351,7 @@ func TestSummarizeAndJSON(t *testing.T) {
 }
 
 func TestFigure6AnalysisShape(t *testing.T) {
-	rows, err := Figure6Analysis(testParams())
+	rows, err := figure6Analysis(testParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,28 +1,82 @@
 package cagc
 
-// Text renderers for the experiment harness: each prints the same rows
-// or series the paper's figure reports, in plain ASCII for terminals
-// and for EXPERIMENTS.md.
+// Text renderers for the experiment harness: each report prints the
+// same rows or series the paper's figure reports, in plain ASCII for
+// terminals and for EXPERIMENTS.md, projected from one result set.
 
 import (
 	"fmt"
 	"io"
 
+	"cagc/internal/flash"
 	"cagc/internal/metrics"
 )
 
-// FprintFigure2 renders the inline-dedup motivation comparison.
-func FprintFigure2(w io.Writer, rows []Figure2Row) {
+// printTableI renders Table I.
+func printTableI(w io.Writer, p Params, _ runs) error {
+	fmt.Fprintln(w, "Table I — SSD configuration")
+	fmt.Fprintln(w, tableIString(p))
+	return nil
+}
+
+// tableIString renders the device configuration actually used at the
+// given scale, next to the paper's Table I.
+func tableIString(p Params) string {
+	c := flash.ScaledConfig(p.withDefaults().DeviceBytes)
+	return fmt.Sprintf(
+		"Page %dB  Block %dKB  OP %.0f%%  Capacity %.2fGB (scaled from Table I's 80GB)\n"+
+			"Read %v  Write %v  Erase %v  Hash %v  GC watermark 20%%\n"+
+			"Geometry: %v",
+		c.Geometry.PageSize, c.Geometry.BlockBytes()/1024, c.OverProvision*100,
+		float64(c.UserBytes())/(1<<30),
+		c.Latencies.Read, c.Latencies.Program, c.Latencies.Erase, c.Latencies.Hash,
+		c.Geometry)
+}
+
+// printTableII renders the workload-calibration check.
+func printTableII(w io.Writer, p Params, _ runs) error {
+	rows, err := tableII(p)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "Table II — workload characteristics, generated vs published")
+	fmt.Fprintf(w, "%-8s %16s %16s %18s\n", "workload", "write% (got/want)", "dedup% (got/want)", "avg KB (got/want)")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-8s %8.1f/%-7.1f %8.1f/%-7.1f %9.1f/%-8.1f\n",
+			r.Workload,
+			r.GotWriteRatio*100, r.WantWriteRatio*100,
+			r.GotDedupRatio*100, r.WantDedupRatio*100,
+			r.GotAvgReqKB, r.WantAvgReqKB)
+	}
+	return nil
+}
+
+// printFigure2 renders the inline-dedup motivation comparison.
+func printFigure2(w io.Writer, p Params, rs runs) error {
 	fmt.Fprintln(w, "Figure 2 — normalized mean response time (Baseline = 1.00)")
 	fmt.Fprintf(w, "%-8s %12s %12s %11s\n", "workload", "baseline µs", "inline µs", "normalized")
-	for _, r := range rows {
+	for _, r := range figure2(p, rs) {
 		fmt.Fprintf(w, "%-8s %12.1f %12.1f %10.2fx\n",
 			r.Workload, r.BaselineMean, r.InlineMean, r.Normalized)
 	}
+	return nil
 }
 
-// FprintFigure6 renders the invalid-page reference-count distribution.
-func FprintFigure6(w io.Writer, rows []Figure6Row) {
+// printFigure6 renders the invalid-page reference-count distribution,
+// by trace analysis and as simulated.
+func printFigure6(w io.Writer, p Params, rs runs) error {
+	rows, err := figure6Analysis(p)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "(trace analysis, the paper's methodology)")
+	fprintFigure6(w, rows)
+	fmt.Fprintln(w, "(simulated, Inline-Dedupe FTL)")
+	fprintFigure6(w, figure6(p, rs))
+	return nil
+}
+
+func fprintFigure6(w io.Writer, rows []figure6Row) {
 	fmt.Fprintln(w, "Figure 6 — invalid pages by reference count (paper: >80% from refcount 1)")
 	fmt.Fprintf(w, "%-8s %8s %8s %8s %8s %10s\n", "workload",
 		metrics.BucketLabels[0], metrics.BucketLabels[1],
@@ -33,8 +87,12 @@ func FprintFigure6(w io.Writer, rows []Figure6Row) {
 	}
 }
 
-// FprintFigure8 renders the worked example.
-func FprintFigure8(w io.Writer, base, cg WorkedResult) {
+// printFigure8 renders the worked example.
+func printFigure8(w io.Writer, _ Params, _ runs) error {
+	base, cg, err := Figure8()
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Figure 8 — worked example: write 4 files, GC, delete files 2 and 4")
 	fmt.Fprintf(w, "%-12s %9s %8s %8s %8s %8s\n",
 		"scheme", "GC writes", "dropped", "erases", "valid", "contents")
@@ -43,10 +101,12 @@ func FprintFigure8(w io.Writer, base, cg WorkedResult) {
 			r.Scheme, r.MigrationWrites, r.GCDupDropped, r.BlocksErased, r.ValidAfter, r.LiveContents)
 	}
 	fmt.Fprintln(w, "(paper: traditional 12 GC page writes vs CAGC 7, 5 redundant copies dropped)")
+	return nil
 }
 
-// FprintFigure9And10 renders the erase/migration comparison.
-func FprintFigure9And10(w io.Writer, rows []CompareRow) {
+// printFigure9And10 renders the erase/migration comparison.
+func printFigure9And10(w io.Writer, p Params, rs runs) error {
+	rows := figure9And10(p, rs)
 	fmt.Fprintln(w, "Figure 9 — flash blocks erased   (paper reductions: Homes 23.3%, Web-vm 48.3%, Mail 86.6%)")
 	fmt.Fprintf(w, "%-8s %10s %10s %10s\n", "workload", "baseline", "CAGC", "reduction")
 	for _, r := range rows {
@@ -60,23 +120,25 @@ func FprintFigure9And10(w io.Writer, rows []CompareRow) {
 		fmt.Fprintf(w, "%-8s %10d %10d %9.1f%%\n",
 			r.Workload, r.Baseline.FTL.PagesMigrated, r.CAGC.FTL.PagesMigrated, r.MigratedReduction*100)
 	}
+	return nil
 }
 
-// FprintFigure11 renders the during-GC response-time comparison.
-func FprintFigure11(w io.Writer, rows []Figure11Row) {
+// printFigure11 renders the during-GC response-time comparison.
+func printFigure11(w io.Writer, p Params, rs runs) error {
 	fmt.Fprintln(w, "Figure 11 — normalized mean response time under GC activity (paper CAGC reductions: 33.6%, 29.6%, 70.1%)")
 	fmt.Fprintf(w, "%-8s %14s %10s %8s %12s\n", "workload", "Inline-Dedupe", "Baseline", "CAGC", "CAGC saves")
-	for _, r := range rows {
+	for _, r := range figure11(p, rs) {
 		fmt.Fprintf(w, "%-8s %13.2fx %9.2fx %7.2fx %11.1f%%\n",
 			r.Workload, r.InlineNorm, r.BaselineNorm, r.CAGCNorm, r.CAGCReduction*100)
 	}
+	return nil
 }
 
-// FprintFigure12 renders the CDFs at a fixed set of quantile probes.
-func FprintFigure12(w io.Writer, series []Figure12Series) {
+// printFigure12 renders the CDFs at a fixed set of quantile probes.
+func printFigure12(w io.Writer, p Params, rs runs) error {
 	fmt.Fprintln(w, "Figure 12 — response-time CDF, Baseline vs CAGC")
 	probes := []float64{0.50, 0.80, 0.90, 0.95, 0.99, 0.999}
-	for _, s := range series {
+	for _, s := range figure12(p, rs) {
 		fmt.Fprintf(w, "%s:\n", s.Workload)
 		fmt.Fprintf(w, "  %-10s", "quantile")
 		for _, p := range probes {
@@ -94,6 +156,7 @@ func FprintFigure12(w io.Writer, series []Figure12Series) {
 		}
 		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // quantileOf reads a quantile off a CDF point series.
@@ -109,28 +172,31 @@ func quantileOf(cdf []metrics.CDFPoint, p float64) string {
 	return "-"
 }
 
-// FprintFigure13 renders the victim-policy sensitivity study.
-func FprintFigure13(w io.Writer, cells []Figure13Cell) {
+// printFigure13 renders the victim-policy sensitivity study.
+func printFigure13(w io.Writer, p Params, rs runs) error {
 	fmt.Fprintln(w, "Figure 13 — CAGC reduction vs Baseline under different victim-selection policies")
 	fmt.Fprintf(w, "%-8s %-13s %10s %10s %10s\n",
 		"workload", "policy", "erased", "migrated", "resp(GC)")
-	for _, c := range cells {
+	for _, c := range figure13(p, rs) {
 		fmt.Fprintf(w, "%-8s %-13s %9.1f%% %9.1f%% %9.1f%%\n",
 			c.Workload, c.Policy, c.ErasedReduction*100, c.MigratedReduction*100, c.ResponseReduction*100)
 	}
+	return nil
 }
 
-// FprintTableII renders the workload-calibration check.
-func FprintTableII(w io.Writer, rows []TableIIRow) {
-	fmt.Fprintln(w, "Table II — workload characteristics, generated vs published")
-	fmt.Fprintf(w, "%-8s %16s %16s %18s\n", "workload", "write% (got/want)", "dedup% (got/want)", "avg KB (got/want)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %8.1f/%-7.1f %8.1f/%-7.1f %9.1f/%-8.1f\n",
-			r.Workload,
-			r.GotWriteRatio*100, r.WantWriteRatio*100,
-			r.GotDedupRatio*100, r.WantDedupRatio*100,
-			r.GotAvgReqKB, r.WantAvgReqKB)
+// printTenants renders the consolidation mix under Baseline and CAGC.
+func printTenants(w io.Writer, p Params, _ runs) error {
+	fmt.Fprintln(w, "Consolidated tenants (Mail + Web-vm halves, merged arrivals)")
+	fmt.Fprintf(w, "%-10s %10s %10s %10s %8s\n", "scheme", "mean µs", "erased", "migrated", "WA")
+	for _, s := range []Scheme{Baseline, CAGC} {
+		r, err := mixedTenants(p, s)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-10v %10.1f %10d %10d %8.3f\n", s,
+			r.MeanLatency(), r.FTL.BlocksErased, r.FTL.PagesMigrated, r.FTL.WriteAmplification())
 	}
+	return nil
 }
 
 // FprintResult renders one run in full (the cagcsim CLI report).

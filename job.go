@@ -285,7 +285,7 @@ func (r *ResolvedJob) Execute() (*Outcome, error) {
 	switch r.Kind {
 	case KindRun:
 		res, err = Run(r.Workload, r.Scheme, r.Policy, r.Params)
-		fmt.Fprintf(&rep, "%s\n\n", TableIString(r.Params))
+		fmt.Fprintf(&rep, "%s\n\n", tableIString(r.Params))
 	case KindBatch, KindSweep:
 		b := RunBatch(SeedBatch(r.Workload, r.Scheme, r.Policy, r.Params, r.Seeds), r.job.Workers)
 		if err := b.Err(); err != nil {

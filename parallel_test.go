@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cagc/internal/pool"
 )
 
 func TestForEachStopsDispatchOnError(t *testing.T) {
@@ -19,7 +21,9 @@ func TestForEachStopsDispatchOnError(t *testing.T) {
 	boom := errors.New("boom 0")
 	var failed atomic.Bool
 	var executed atomic.Int64
-	err := forEach(n, func(i int) error {
+	// pool.Run, with no weights, is the dispatcher under RunBatch and
+	// the fleet sharder.
+	err := pool.First(pool.Run(n, pool.Options{}, func(i int) error {
 		executed.Add(1)
 		if i == 0 {
 			failed.Store(true)
@@ -33,7 +37,7 @@ func TestForEachStopsDispatchOnError(t *testing.T) {
 		// the gap admits one more task per worker, not thousands.
 		time.Sleep(time.Millisecond)
 		return nil
-	})
+	}).Errs)
 	if err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}

@@ -1,158 +1,90 @@
 package cagc
 
 // Experiment registry: every regenerable artifact of the evaluation,
-// addressable by id. cmd/figures is a thin shell over this, so the
-// dispatch itself is library code under test.
+// addressable by id. Each experiment declares the runs it reads as
+// cells — BatchItems of the paper's workload × scheme × policy matrix
+// and of the extensions' parameter sweeps — and a report that projects
+// them. One RunBatch executes the distinct cells, deduplicated by
+// ConfigKey, of every experiment a call asks for, so the figures, the
+// checks and the ablations read one result set. cmd/figures is a thin
+// shell over this, so the dispatch itself is library code under test.
 
 import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
-// experiment couples an id with its runner.
+// experiment couples an id with the cells its report reads (nil: it
+// reads none) and the report.
 type experiment struct {
-	id   string
-	desc string
-	run  func(p Params, w io.Writer) error
+	id     string
+	desc   string
+	cells  func(p Params) []BatchItem
+	report func(w io.Writer, p Params, rs runs) error
 }
 
 // experiments lists every experiment in presentation order. fig9 and
 // fig10 share one comparison run and print together.
 var experiments = []experiment{
-	{"tableI", "SSD configuration", func(p Params, w io.Writer) error {
-		fmt.Fprintln(w, "Table I — SSD configuration")
-		fmt.Fprintln(w, TableIString(p))
-		return nil
-	}},
-	{"tableII", "workload characteristics vs published", func(p Params, w io.Writer) error {
-		rows, err := TableII(p)
-		if err != nil {
-			return err
-		}
-		FprintTableII(w, rows)
-		return nil
-	}},
-	{"fig2", "inline-dedup response-time penalty", func(p Params, w io.Writer) error {
-		rows, err := Figure2(p)
-		if err != nil {
-			return err
-		}
-		FprintFigure2(w, rows)
-		return nil
-	}},
-	{"fig6", "invalid pages by reference count", func(p Params, w io.Writer) error {
-		rows, err := Figure6Analysis(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "(trace analysis, the paper's methodology)")
-		FprintFigure6(w, rows)
-		sim, err := Figure6(p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "(simulated, Inline-Dedupe FTL)")
-		FprintFigure6(w, sim)
-		return nil
-	}},
-	{"fig8", "worked example (write 4 files, GC, delete 2)", func(p Params, w io.Writer) error {
-		base, cg, err := Figure8()
-		if err != nil {
-			return err
-		}
-		FprintFigure8(w, base, cg)
-		return nil
-	}},
-	{"fig9", "blocks erased and pages migrated (with fig10)", runFig9And10},
-	{"fig10", "pages migrated (alias of fig9's comparison)", runFig9And10},
-	{"fig11", "normalized response times across schemes", func(p Params, w io.Writer) error {
-		rows, err := Figure11(p)
-		if err != nil {
-			return err
-		}
-		FprintFigure11(w, rows)
-		return nil
-	}},
-	{"fig12", "response-time CDFs", func(p Params, w io.Writer) error {
-		series, err := Figure12(p)
-		if err != nil {
-			return err
-		}
-		FprintFigure12(w, series)
-		return nil
-	}},
-	{"fig13", "victim-policy sensitivity", func(p Params, w io.Writer) error {
-		cells, err := Figure13(p)
-		if err != nil {
-			return err
-		}
-		FprintFigure13(w, cells)
-		return nil
-	}},
-	{"throughput", "closed-loop saturation sweep (extension)", func(p Params, w io.Writer) error {
-		pts, err := ThroughputCurve(Mail, []int{1, 2, 4, 8, 16}, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Closed-loop saturation throughput (extension; Mail workload)")
-		fmt.Fprintf(w, "%-6s %14s %14s %8s\n", "QD", "Baseline IOPS", "CAGC IOPS", "gain")
-		for _, pt := range pts {
-			fmt.Fprintf(w, "%-6d %14.0f %14.0f %7.2fx\n",
-				pt.QueueDepth, pt.Baseline.IOPS(), pt.CAGC.IOPS(),
-				pt.CAGC.IOPS()/pt.Baseline.IOPS())
-		}
-		return nil
-	}},
-	{"array", "RAID-1 mirrored pair with GC-aware steering (extension)", func(p Params, w io.Writer) error {
-		rows, err := ArrayStudy(Mail, []Scheme{Baseline, CAGC}, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Mirrored pair (RAID-1), Mail workload — volume read p99")
-		fmt.Fprintf(w, "%-10s %14s %14s %10s\n", "members", "round-robin", "GC-aware", "steered")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-10v %14v %14v %10d\n", r.Scheme,
-				r.PlainRead.ReadLatency.Percentile(0.99),
-				r.SteeredRead.ReadLatency.Percentile(0.99),
-				r.SteeredRead.SteeredReads)
-		}
-		return nil
-	}},
-	{"tenants", "consolidated Mail+Web-vm tenants on one SSD (extension)", func(p Params, w io.Writer) error {
-		rows, err := MixedTenants(p, []Scheme{Baseline, CAGC})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "Consolidated tenants (Mail + Web-vm halves, merged arrivals)")
-		fmt.Fprintf(w, "%-10s %10s %10s %10s %8s\n", "scheme", "mean µs", "erased", "migrated", "WA")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%-10v %10.1f %10d %10d %8.3f\n", r.Scheme,
-				r.Result.MeanLatency(), r.Result.FTL.BlocksErased,
-				r.Result.FTL.PagesMigrated, r.Result.FTL.WriteAmplification())
-		}
-		return nil
-	}},
-	{"ablations", "design-choice ablations (extension)", runAblations},
-	{"verify", "audit every shape claim", func(p Params, w io.Writer) error {
-		checks, err := Verify(p)
-		if err != nil {
-			return err
-		}
-		if failed := FprintChecks(w, checks); failed > 0 {
-			return fmt.Errorf("%d checks failed", failed)
-		}
-		return nil
-	}},
+	{"tableI", "SSD configuration", nil, printTableI},
+	{"tableII", "workload characteristics vs published", nil, printTableII},
+	{"fig2", "inline-dedup response-time penalty", figure2Cells, printFigure2},
+	{"fig6", "invalid pages by reference count", figure6Cells, printFigure6},
+	{"fig8", "worked example (write 4 files, GC, delete 2)", nil, printFigure8},
+	{"fig9", "blocks erased and pages migrated (with fig10)", compareCells, printFigure9And10},
+	{"fig10", "pages migrated (alias of fig9's comparison)", compareCells, printFigure9And10},
+	{"fig11", "normalized response times across schemes", figure11Cells, printFigure11},
+	{"fig12", "response-time CDFs", compareCells, printFigure12},
+	{"fig13", "victim-policy sensitivity", figure13Cells, printFigure13},
+	{"throughput", "closed-loop saturation sweep (extension)", throughputCells, printThroughput},
+	{"array", "RAID-1 mirrored pair with GC-aware steering (extension)", nil, printArray},
+	{"tenants", "consolidated Mail+Web-vm tenants on one SSD (extension)", nil, printTenants},
+	{"ablations", "design-choice ablations (extension)", ablationCells, printAblations},
+	{"verify", "audit every shape claim", verifyCells, printChecks},
 }
 
-func runFig9And10(p Params, w io.Writer) error {
-	rows, err := Figure9And10(p)
-	if err != nil {
-		return err
+// runs is the result set of one evaluation: the Result of every
+// distinct cell, keyed by ConfigKey.
+type runs map[string]*Result
+
+// evaluate executes the distinct cells of exps in one RunBatch on up to
+// workers goroutines (0 means GOMAXPROCS).
+func evaluate(p Params, workers int, exps ...experiment) (runs, error) {
+	rs := runs{}
+	var items []BatchItem
+	var keys []string
+	for _, e := range exps {
+		if e.cells == nil {
+			continue
+		}
+		for _, it := range e.cells(p) {
+			k := ConfigKey(it.Workload, it.Scheme, it.Policy, it.Params)
+			if _, dup := rs[k]; !dup {
+				rs[k] = nil
+				items, keys = append(items, it), append(keys, k)
+			}
+		}
 	}
-	FprintFigure9And10(w, rows)
-	return nil
+	b := RunBatch(items, workers)
+	if err := b.Err(); err != nil {
+		return nil, err
+	}
+	for i, k := range keys {
+		rs[k] = b.Results[i]
+	}
+	return rs, nil
+}
+
+// get returns the Result of one cell. Reading a cell the experiment
+// did not declare is a bug in its cells function.
+func (rs runs) get(w Workload, s Scheme, policy string, p Params) *Result {
+	res, ok := rs[ConfigKey(w, s, policy, p)]
+	if !ok {
+		panic(fmt.Sprintf("cagc: experiment reads undeclared cell %s/%v/%s %+v", w, s, policy, p))
+	}
+	return res
 }
 
 // ExperimentIDs returns every experiment id, sorted.
@@ -165,117 +97,39 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// RunExperiment regenerates one experiment by id, writing its report.
+// RunExperiment regenerates one experiment by id (case-insensitive),
+// writing its report.
 func RunExperiment(id string, p Params, w io.Writer) error {
 	for _, e := range experiments {
-		if e.id == id {
-			return e.run(p, w)
+		if strings.EqualFold(e.id, id) {
+			rs, err := evaluate(p, 0, e)
+			if err != nil {
+				return err
+			}
+			return e.report(w, p, rs)
 		}
 	}
 	return fmt.Errorf("cagc: unknown experiment %q (have %v)", id, ExperimentIDs())
 }
 
 // RunAllExperiments regenerates everything once, in presentation order
-// (fig10 is folded into fig9's comparison output).
+// (fig10 is folded into fig9's comparison output), from one result set.
 func RunAllExperiments(p Params, w io.Writer) error {
+	var all []experiment
 	for _, e := range experiments {
-		if e.id == "fig10" {
-			continue // printed with fig9
+		if e.id != "fig10" { // printed with fig9
+			all = append(all, e)
 		}
-		if err := e.run(p, w); err != nil {
+	}
+	rs, err := evaluate(p, 0, all...)
+	if err != nil {
+		return err
+	}
+	for _, e := range all {
+		if err := e.report(w, p, rs); err != nil {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
-}
-
-// runAblations prints the design-choice ablation suite.
-func runAblations(p Params, w io.Writer) error {
-	fmt.Fprintln(w, "Ablations — isolating CAGC's design choices (Mail workload)")
-
-	pts, err := AblateThreshold(Mail, []int{1, 2, 4}, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "hot/cold threshold sweep:")
-	fmt.Fprintf(w, "  %-10s %10s %10s %10s %10s\n", "threshold", "erased", "migrated", "promoted", "mean µs")
-	for _, pt := range pts {
-		s := pt.Result.FTL
-		fmt.Fprintf(w, "  %-10d %10d %10d %10d %10.1f\n",
-			pt.Threshold, s.BlocksErased, s.PagesMigrated, s.Promotions, pt.Result.MeanLatency())
-	}
-
-	pa, err := AblatePlacement(Mail, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "placement: full CAGC erased %d; dedup-only erased %d (%+.1f%%)\n",
-		pa.Full.FTL.BlocksErased, pa.DedupOnly.FTL.BlocksErased, pa.ErasedDelta*100)
-
-	oa, err := AblateOverlap(Mail, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "overlap: serial GC dedup is %.2fx the overlapped response time under GC\n",
-		oa.GCPeriodSlowdown)
-
-	up, err := AblateUtilization(Mail, []float64{0.45, 0.55, 0.65}, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "space-pressure sweep:")
-	fmt.Fprintf(w, "  %-12s %14s %10s\n", "utilization", "base erased", "CAGC erased")
-	for _, u := range up {
-		fmt.Fprintf(w, "  %-12.2f %14d %10d\n",
-			u.Utilization, u.Baseline.FTL.BlocksErased, u.CAGC.FTL.BlocksErased)
-	}
-
-	bufPts, cagcRef, err := AblateWriteBuffer(Mail, []int{16, 64, 256}, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "write-buffer alternative (Baseline + RAM buffer vs plain CAGC):")
-	fmt.Fprintf(w, "  %-14s %10s %10s\n", "buffer pages", "programs", "erased")
-	for _, bp := range bufPts {
-		fmt.Fprintf(w, "  %-14d %10d %10d\n",
-			bp.BufferPages, bp.Baseline.FTL.UserPrograms, bp.Baseline.FTL.BlocksErased)
-	}
-	fmt.Fprintf(w, "  %-14s %10d %10d\n", "CAGC (no buf)", cagcRef.FTL.UserPrograms, cagcRef.FTL.BlocksErased)
-
-	caps, err := AblateIndexCapacity(Mail, []int{16, 256, 0}, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "fingerprint-index RAM bound (CAGC):")
-	fmt.Fprintf(w, "  %-14s %10s %10s\n", "capacity", "dropped", "migrated")
-	for _, cp := range caps {
-		label := "unlimited"
-		if cp.Capacity > 0 {
-			label = fmt.Sprintf("%d", cp.Capacity)
-		}
-		fmt.Fprintf(w, "  %-14s %10d %10d\n", label, cp.Result.FTL.GCDupDropped, cp.Result.FTL.PagesMigrated)
-	}
-
-	mc, err := AblateMappingCache(Mail, []int{512, 4096, 0}, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "DFTL-style mapping-cache size (CAGC):")
-	fmt.Fprintf(w, "  %-14s %10s\n", "CMT entries", "mean µs")
-	for _, pt := range mc {
-		label := "all in RAM"
-		if pt.Entries > 0 {
-			label = fmt.Sprintf("%d", pt.Entries)
-		}
-		fmt.Fprintf(w, "  %-14s %10.1f\n", label, pt.Result.MeanLatency())
-	}
-
-	wl, err := AblateWearLevel(Mail, 3, p)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "static wear leveling (threshold 3): spread %d -> %d, %d swaps\n",
-		wl.Off.EraseSpread, wl.On.EraseSpread, wl.On.FTL.WLSwaps)
 	return nil
 }

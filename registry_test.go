@@ -24,14 +24,20 @@ func TestRunExperimentUnknown(t *testing.T) {
 	if err := RunExperiment("fig99", testParams(), &sb); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
+	// Ids match case-insensitively, as workload and scheme names do.
+	for _, id := range []string{"tablei", "TableII"} {
+		if err := RunExperiment(id, testParams(), &sb); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+	}
 }
 
 // Every registered experiment must run to completion and produce output
-// at a small scale.
+// at a small scale, whatever the case of its id.
 func TestRunEveryExperiment(t *testing.T) {
 	p := testParams()
 	p.Requests = 1500
-	for _, id := range ExperimentIDs() {
+	for _, id := range append(ExperimentIDs(), "tablei", "TableII") {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var sb strings.Builder
@@ -67,11 +73,14 @@ func TestRunAllExperiments(t *testing.T) {
 func TestMixedTenants(t *testing.T) {
 	p := testParams()
 	p.Requests = 3000
-	rows, err := MixedTenants(p, []Scheme{Baseline, CAGC})
+	base, err := mixedTenants(p, Baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, cg := rows[0].Result, rows[1].Result
+	cg, err := mixedTenants(p, CAGC)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base.Requests != cg.Requests || base.Requests == 0 {
 		t.Fatalf("request counts: %d vs %d", base.Requests, cg.Requests)
 	}

@@ -2,55 +2,63 @@ package cagc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
+// The harness fans its runs out through RunBatch: results land in
+// their items' slots, and, among equally weighted items, the
+// lowest-index failure is the one reported.
 func TestForEach(t *testing.T) {
-	// Results land in order and all indices run exactly once.
-	n := 100
-	got := make([]int, n)
-	if err := forEach(n, func(i int) error {
-		got[i] = i + 1
-		return nil
-	}); err != nil {
+	// Results land in order and every index runs exactly once.
+	n := 24
+	var items []BatchItem
+	for i := 0; i < n; i++ {
+		items = append(items, BatchItem{Homes, Schemes[i%len(Schemes)], "greedy",
+			Params{DeviceBytes: 16 << 20, Requests: 100, Seed: int64(i + 1)}})
+	}
+	b := RunBatch(items, 0)
+	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("slot %d = %d", i, v)
+	for i, res := range b.Results {
+		if res == nil || res.Scheme != items[i].Scheme.String() {
+			t.Fatalf("slot %d = %+v", i, res)
 		}
 	}
-	// Zero tasks is a no-op.
-	if err := forEach(0, func(int) error { t.Fatal("ran"); return nil }); err != nil {
-		t.Fatal(err)
+	// Zero items is a no-op.
+	if b := RunBatch(nil, 0); b.Err() != nil || b.Completed() != 0 {
+		t.Fatalf("empty batch: err %v, %d completed", b.Err(), b.Completed())
 	}
 	// The lowest-index error wins deterministically.
-	err := forEach(50, func(i int) error {
+	for i := range items {
 		if i%10 == 3 {
-			return fmt.Errorf("boom %d", i)
+			items[i].Policy = fmt.Sprintf("boom%d", i)
 		}
-		return nil
-	})
-	if err == nil || err.Error() != "boom 3" {
-		t.Fatalf("err = %v, want boom 3", err)
+	}
+	if err := RunBatch(items, 0).Err(); err == nil || !strings.Contains(err.Error(), `"boom3"`) {
+		t.Fatalf("err = %v, want boom3's", err)
 	}
 }
 
 func TestFigure13ParallelMatchesSequential(t *testing.T) {
-	// Parallel fan-out must be bit-identical to a single-threaded pass.
+	// The parallel batch must be bit-identical to a one-worker pass;
+	// each pass builds its own warm snapshots.
 	p := testParams()
 	p.Requests = 1200
-	a, err := Figure13(p)
-	if err != nil {
-		t.Fatal(err)
+	pass := func(workers int) []figure13Cell {
+		ResetWarmCache()
+		rs, err := evaluate(p, workers, experiment{cells: figure13Cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return figure13(p, rs)
 	}
-	b, err := Figure13(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer ResetWarmCache()
+	a, b := pass(1), pass(0)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("cell %d differs across runs: %+v vs %+v", i, a[i], b[i])
+			t.Fatalf("cell %d differs between one worker and many: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }

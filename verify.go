@@ -1,44 +1,45 @@
 package cagc
 
 // Programmatic verification of every shape claim the reproduction
-// makes — the artifact-evaluation checklist as code. Each check runs
-// the relevant experiment and states pass/fail with the measured
-// numbers, so `figures -exp verify` audits the whole reproduction in
-// one command.
+// makes — the artifact-evaluation checklist as code. Each check reads
+// the relevant figure's rows from the evaluation's result set and
+// states pass/fail with the measured numbers, so `figures -exp verify`
+// audits the whole reproduction in one command.
 
 import (
 	"fmt"
 	"io"
+	"math"
 )
 
-// Check is one verified claim.
-type Check struct {
+// check is one verified claim.
+type check struct {
 	ID     string // e.g. "fig9-ordering"
 	Claim  string // the paper-derived statement being tested
 	Pass   bool
 	Detail string // measured numbers
 }
 
-// Verify runs every figure experiment at the given scale and evaluates
-// the paper's shape claims against the measurements.
-func Verify(p Params) ([]Check, error) {
-	var checks []Check
+// verify evaluates the paper's shape claims against the figures'
+// rows, read from rs (which holds verifyCells).
+func verify(p Params, rs runs) ([]check, error) {
+	var checks []check
 	add := func(id, claim string, pass bool, detail string, args ...any) {
-		checks = append(checks, Check{
+		checks = append(checks, check{
 			ID: id, Claim: claim, Pass: pass,
 			Detail: fmt.Sprintf(detail, args...),
 		})
 	}
 
 	// Table II: generator calibration.
-	t2, err := TableII(p)
+	t2, err := tableII(p)
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range t2 {
-		okW := abs(r.GotWriteRatio-r.WantWriteRatio) <= 0.04
-		okD := abs(r.GotDedupRatio-r.WantDedupRatio) <= 0.09
-		okS := abs(r.GotAvgReqKB-r.WantAvgReqKB) <= r.WantAvgReqKB*0.15
+		okW := math.Abs(r.GotWriteRatio-r.WantWriteRatio) <= 0.04
+		okD := math.Abs(r.GotDedupRatio-r.WantDedupRatio) <= 0.09
+		okS := math.Abs(r.GotAvgReqKB-r.WantAvgReqKB) <= r.WantAvgReqKB*0.15
 		add("tableII-"+string(r.Workload),
 			"generated workload matches the published characteristics",
 			okW && okD && okS,
@@ -49,11 +50,7 @@ func Verify(p Params) ([]Check, error) {
 	}
 
 	// Figure 2: inline dedup always degrades response time.
-	f2, err := Figure2(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range f2 {
+	for _, r := range figure2(p, rs) {
 		add("fig2-"+string(r.Workload),
 			"inline dedup slows the ULL SSD",
 			r.Normalized > 1,
@@ -61,11 +58,7 @@ func Verify(p Params) ([]Check, error) {
 	}
 
 	// Figure 6: refcount-1 dominates invalidations.
-	f6, err := Figure6(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range f6 {
+	for _, r := range figure6(p, rs) {
 		add("fig6-"+string(r.Workload),
 			">80% of invalid pages come from refcount-1 pages",
 			r.Shares[0] > 0.8,
@@ -84,14 +77,10 @@ func Verify(p Params) ([]Check, error) {
 		base8.MigrationWrites, cagc8.MigrationWrites, cagc8.GCDupDropped)
 
 	// Figures 9/10: reductions everywhere, ordered by dedup ratio.
-	cmp, err := Figure9And10(p)
-	if err != nil {
-		return nil, err
-	}
-	byW := map[Workload]CompareRow{}
+	byW := map[Workload]compareRow{}
 	allPositive := true
 	detail := ""
-	for _, r := range cmp {
+	for _, r := range figure9And10(p, rs) {
 		byW[r.Workload] = r
 		if r.ErasedReduction <= 0 || r.MigratedReduction <= 0 {
 			allPositive = false
@@ -112,11 +101,7 @@ func Verify(p Params) ([]Check, error) {
 		byW[Mail].MigratedReduction*100)
 
 	// Figure 11: CAGC < Baseline < Inline-Dedupe.
-	f11, err := Figure11(p)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range f11 {
+	for _, r := range figure11(p, rs) {
 		add("fig11-"+string(r.Workload),
 			"response ordering CAGC < Baseline < Inline-Dedupe",
 			r.CAGCNorm < 1 && r.InlineNorm > 1,
@@ -124,43 +109,34 @@ func Verify(p Params) ([]Check, error) {
 	}
 
 	// Figure 13: reductions survive every victim policy.
-	f13, err := Figure13(p)
-	if err != nil {
-		return nil, err
-	}
-	pass13 := true
+	f13, positive := figure13(p, rs), 0
 	for _, c := range f13 {
-		if c.ErasedReduction <= 0 || c.MigratedReduction <= 0 {
-			pass13 = false
+		if c.ErasedReduction > 0 && c.MigratedReduction > 0 {
+			positive++
 		}
 	}
 	add("fig13-policies",
 		"CAGC's reductions hold under random, greedy and cost-benefit selection",
-		pass13, "%d/9 cells positive on both GC metrics", count13(f13))
+		positive == len(f13), "%d/9 cells positive on both GC metrics", positive)
 
 	return checks, nil
 }
 
-func count13(cells []Figure13Cell) int {
-	n := 0
-	for _, c := range cells {
-		if c.ErasedReduction > 0 && c.MigratedReduction > 0 {
-			n++
-		}
+// printChecks renders the verification report and fails when a check
+// does.
+func printChecks(w io.Writer, p Params, rs runs) error {
+	checks, err := verify(p, rs)
+	if err != nil {
+		return err
 	}
-	return n
+	if failed := fprintChecks(w, checks); failed > 0 {
+		return fmt.Errorf("%d checks failed", failed)
+	}
+	return nil
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// FprintChecks renders the verification report; it returns the number
-// of failed checks.
-func FprintChecks(w io.Writer, checks []Check) int {
+// fprintChecks renders checks; it returns the number of failed ones.
+func fprintChecks(w io.Writer, checks []check) int {
 	failed := 0
 	for _, c := range checks {
 		status := "PASS"

@@ -1,13 +1,14 @@
 package cagc
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestVerifyAllChecksPass(t *testing.T) {
 	p := testParams()
-	checks, err := Verify(p)
+	checks, err := verify(p, runsOf(t, p, "verify"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,7 +16,7 @@ func TestVerifyAllChecksPass(t *testing.T) {
 		t.Fatalf("only %d checks produced", len(checks))
 	}
 	var sb strings.Builder
-	failed := FprintChecks(&sb, checks)
+	failed := fprintChecks(&sb, checks)
 	if failed != 0 {
 		t.Fatalf("%d reproduction checks failed:\n%s", failed, sb.String())
 	}
@@ -32,7 +33,7 @@ func TestVerifyAllChecksPass(t *testing.T) {
 
 func TestFprintChecksCountsFailures(t *testing.T) {
 	var sb strings.Builder
-	n := FprintChecks(&sb, []Check{
+	n := fprintChecks(&sb, []check{
 		{ID: "a", Claim: "x", Pass: true, Detail: "d"},
 		{ID: "b", Claim: "y", Pass: false, Detail: "d"},
 	})
@@ -49,7 +50,7 @@ func TestVerifyCanonicalScale(t *testing.T) {
 		t.Skip("full canonical-scale audit (~10s)")
 	}
 	// The exact configuration EXPERIMENTS.md documents.
-	checks, err := Verify(Params{})
+	checks, err := verify(Params{}, runsOf(t, Params{}, "verify"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,5 +58,20 @@ func TestVerifyCanonicalScale(t *testing.T) {
 		if !c.Pass {
 			t.Errorf("[FAIL] %s: %s (%s)", c.ID, c.Claim, c.Detail)
 		}
+	}
+}
+
+// The checks read every figure's cells from one batch: 21 distinct
+// configurations, each simulated once.
+func TestVerifySimulatesEachCellOnce(t *testing.T) {
+	ResetWarmCache()
+	defer ResetWarmCache()
+	p := testParams()
+	p.Requests = 1500
+	if err := RunExperiment("verify", p, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if st := WarmCacheStats(); st.Hits+st.Misses != 21 {
+		t.Fatalf("verify made %d simulations (%+v), want 21", st.Hits+st.Misses, st)
 	}
 }

@@ -20,13 +20,12 @@ package cagc
 // the warm state.
 //
 // Concurrency: distinct keys build in parallel (each entry has its own
-// once), so the cache composes with forEach fan-out instead of
+// once), so the cache composes with RunBatch fan-out instead of
 // serializing it; concurrent requests for the same key share one build.
 //
 // Retention is a keyed LRU registry: at most Capacity snapshots stay
-// resident (default 32 — comfortably above the ~22-key working set of
-// the full evaluation suite), and inserting past capacity
-// evicts the least recently used entry. An evicted snapshot that is
+// resident (default 32), and inserting past capacity evicts the least
+// recently used entry. An evicted snapshot that is
 // still building completes its build for the requests already waiting
 // on it; the registry just stops retaining it, so a later request
 // rebuilds. For very large DeviceBytes prefer Params.ColdStart (or the
@@ -43,10 +42,10 @@ import (
 )
 
 // defaultWarmCapacity is the snapshot registry's default size. The
-// full evaluation (figures -exp all / verify, including the
-// utilization and buffer ablations) touches ~22 distinct warm states;
-// 32 holds it eviction-free with slack, without letting an unbounded
-// sweep accumulate snapshots forever.
+// full evaluation (figures at its defaults) makes 49 simulations over
+// 37 distinct warm states, so at 32 the LRU evicts a few (6, one of
+// them rebuilt, on two cores); verify alone touches 21. The bound keeps
+// an unbounded sweep from accumulating snapshots forever.
 const defaultWarmCapacity = 32
 
 // CacheStats reports warm-state snapshot cache activity.

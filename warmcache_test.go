@@ -145,7 +145,7 @@ func TestColdStartBypassesCache(t *testing.T) {
 	}
 }
 
-// The cache must compose with forEach fan-out: concurrent workers
+// The cache must compose with RunBatch fan-out: concurrent workers
 // hitting the same key share one build, workers on distinct keys build
 // independently, and every result stays bit-identical to its cold run.
 func TestCacheUnderParallelFanOut(t *testing.T) {
@@ -153,46 +153,34 @@ func TestCacheUnderParallelFanOut(t *testing.T) {
 	defer ResetWarmCache()
 	p := equivParams()
 	p.Requests = 1500
-	type cell struct {
-		s    Scheme
-		seed int64
-	}
-	var cells []cell
+	var items []BatchItem
 	for _, s := range Schemes {
 		for seed := int64(1); seed <= 4; seed++ {
-			cells = append(cells, cell{s, seed})
+			q := p
+			q.Seed = seed
+			items = append(items, BatchItem{Mail, s, "greedy", q})
 		}
 	}
-	results := make([]*Result, len(cells))
-	if err := forEach(len(cells), func(i int) error {
-		q := p
-		q.Seed = cells[i].seed
-		res, err := Run(Mail, cells[i].s, "greedy", q)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	}); err != nil {
+	b := RunBatch(items, 0)
+	if err := b.Err(); err != nil {
 		t.Fatal(err)
 	}
 	st := WarmCacheStats()
 	if st.Snapshots != len(Schemes) {
 		t.Fatalf("expected one snapshot per scheme, got %+v", st)
 	}
-	if st.Hits+st.Misses != uint64(len(cells)) {
+	if st.Hits+st.Misses != uint64(len(items)) {
 		t.Fatalf("every run must consult the cache: %+v", st)
 	}
-	for i, c := range cells {
-		q := p
-		q.Seed = c.seed
+	for i, it := range items {
+		q := it.Params
 		q.ColdStart = true
-		want, err := Run(Mail, c.s, "greedy", q)
+		want, err := Run(Mail, it.Scheme, "greedy", q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, results[i]) {
-			t.Fatalf("parallel warm run %v diverged from cold run", c)
+		if !reflect.DeepEqual(want, b.Results[i]) {
+			t.Fatalf("parallel warm run %v seed %d diverged from cold run", it.Scheme, it.Params.Seed)
 		}
 	}
 }
