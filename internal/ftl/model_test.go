@@ -185,6 +185,18 @@ func compareWithModel(t *testing.T, f *FTL, model map[uint64]dedup.Fingerprint, 
 		t.Fatalf("page states count free/valid/invalid %v, block counters say %d/%d/%d of %d",
 			n, free, valid, invalid, total)
 	}
+	// Program/erase conservation from the fresh device: every program
+	// the FTL accounts for reached the flash, and every page the flash
+	// programmed is still held, valid or invalid, unless the erase of a
+	// full block wiped it.
+	ds, programs := f.dev.Stats(), f.Stats().TotalPrograms()
+	if ds.PagePrograms != programs {
+		t.Fatalf("device programmed %d pages, FTL accounts %d", ds.PagePrograms, programs)
+	}
+	if held := int64(ds.PagePrograms) - int64(ds.BlockErases)*int64(f.geo.PagesPerBlock); held != int64(valid+invalid) {
+		t.Fatalf("%d programs − %d erases × %d pages = %d, but %d pages are programmed",
+			ds.PagePrograms, ds.BlockErases, f.geo.PagesPerBlock, held, valid+invalid)
+	}
 	lo, hi := len(distinct), len(model)
 	switch {
 	case f.opts.HashAt == HashAtWrite && f.opts.IndexCapacity == 0:
