@@ -21,8 +21,10 @@ type ArrayResult = array.Result
 // printArray replays Mail through RAID-1 mirrored pairs whose members
 // run Baseline, then CAGC, once with round-robin reads and once with
 // GC-aware steering, and renders the volume read p99 of each. Member
-// GC is staggered in both configurations.
+// GC is staggered in both configurations. The array layer is untraced,
+// so a traced evaluation records the other experiments' runs only.
 func printArray(w io.Writer, p Params, _ runs) error {
+	p.Trace = nil
 	fmt.Fprintln(w, "Mirrored pair (RAID-1), Mail workload — volume read p99")
 	fmt.Fprintf(w, "%-10s %14s %14s %10s\n", "members", "round-robin", "GC-aware", "steered")
 	for _, s := range []Scheme{Baseline, CAGC} {

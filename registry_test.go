@@ -51,6 +51,26 @@ func TestRunEveryExperiment(t *testing.T) {
 	}
 }
 
+// A traced evaluation traces what it can: the array experiment, whose
+// layer is untraced, runs untraced instead of failing.
+func TestArrayExperimentUnderTrace(t *testing.T) {
+	p := testParams()
+	p.Requests = 1500
+	p.Trace = NewTraceRecorder()
+	var sb strings.Builder
+	if err := RunExperiment("array", p, &sb); err != nil {
+		t.Fatal(err)
+	}
+	p.Trace = nil
+	var plain strings.Builder
+	if err := RunExperiment("array", p, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != plain.String() {
+		t.Fatalf("traced array report differs:\n%s\nvs\n%s", sb.String(), plain.String())
+	}
+}
+
 func TestRunAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite")
