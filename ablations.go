@@ -16,20 +16,14 @@ import (
 
 // The sweeps' points.
 var (
-	throughputDepths = []int{1, 2, 4, 8, 16}
-	ablationThresh   = []int{1, 2, 4}
-	ablationUtils    = []float64{0.45, 0.55, 0.65}
-	ablationBuffers  = []int{16, 64, 256}
-	ablationIndexCap = []int{16, 256, 0}
-	ablationMapCache = []int{512, 4096, 0}
+	throughputDepths  = []int{1, 2, 4, 8, 16}
+	ablationThresh    = []int{1, 2, 4}
+	ablationUtils     = []float64{0.45, 0.55, 0.65}
+	ablationBuffers   = []int{16, 64, 256}
+	ablationIndexCap  = []int{16, 256, 0}
+	ablationMapCache  = []int{512, 4096, 0}
+	ablationWearLevel = 3 // static wear-leveling threshold, in erase counts
 )
-
-// ablationWearLevel is the static wear-leveling threshold, in erase
-// counts, of the wear-leveling ablation.
-const ablationWearLevel = 3
-
-// mailCell declares Mail under scheme s and the greedy policy at p.
-func mailCell(s Scheme, p Params) BatchItem { return BatchItem{Mail, s, "greedy", p} }
 
 // cagcVariant runs Mail under CAGC with one edit to its FTL
 // composition: the ablations' runs that are not a Scheme cell.
@@ -45,7 +39,7 @@ func throughputCells(p Params) []BatchItem {
 	for _, qd := range throughputDepths {
 		q := p
 		q.QueueDepth = qd
-		items = append(items, mailCell(Baseline, q), mailCell(CAGC, q))
+		items = append(items, BatchItem{Mail, Baseline, "greedy", q}, BatchItem{Mail, CAGC, "greedy", q})
 	}
 	return items
 }
@@ -69,11 +63,11 @@ func printThroughput(w io.Writer, p Params, rs runs) error {
 // ablationCells are the Scheme cells of the ablation suite: plain CAGC
 // and each sweep point.
 func ablationCells(p Params) []BatchItem {
-	items := []BatchItem{mailCell(CAGC, p)}
+	items := []BatchItem{{Mail, CAGC, "greedy", p}}
 	add := func(s Scheme, set func(q *Params)) {
 		q := p
 		set(&q)
-		items = append(items, mailCell(s, q))
+		items = append(items, BatchItem{Mail, s, "greedy", q})
 	}
 	for _, t := range ablationThresh {
 		add(CAGC, func(q *Params) { q.RefThreshold = t })

@@ -293,3 +293,18 @@ func gcPeriodMean(r *Result) float64 {
 	}
 	return r.Latency.Mean()
 }
+
+// tableIString renders the device configuration actually used at the
+// given scale, next to the paper's Table I.
+func tableIString(p Params) string {
+	p = p.withDefaults()
+	c := flash.ScaledConfig(p.DeviceBytes)
+	return fmt.Sprintf(
+		"Page %dB  Block %dKB  OP %.0f%%  Capacity %.2fGB (scaled from Table I's 80GB)\n"+
+			"Read %v  Write %v  Erase %v  Hash %v  GC watermark 20%%\n"+
+			"Geometry: %v",
+		c.Geometry.PageSize, c.Geometry.BlockBytes()/1024, c.OverProvision*100,
+		float64(c.UserBytes())/(1<<30),
+		c.Latencies.Read, c.Latencies.Program, c.Latencies.Erase, c.Latencies.Hash,
+		c.Geometry)
+}

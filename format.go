@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"cagc/internal/flash"
 	"cagc/internal/metrics"
 )
 
@@ -17,20 +16,6 @@ func printTableI(w io.Writer, p Params, _ runs) error {
 	fmt.Fprintln(w, "Table I — SSD configuration")
 	fmt.Fprintln(w, tableIString(p))
 	return nil
-}
-
-// tableIString renders the device configuration actually used at the
-// given scale, next to the paper's Table I.
-func tableIString(p Params) string {
-	c := flash.ScaledConfig(p.withDefaults().DeviceBytes)
-	return fmt.Sprintf(
-		"Page %dB  Block %dKB  OP %.0f%%  Capacity %.2fGB (scaled from Table I's 80GB)\n"+
-			"Read %v  Write %v  Erase %v  Hash %v  GC watermark 20%%\n"+
-			"Geometry: %v",
-		c.Geometry.PageSize, c.Geometry.BlockBytes()/1024, c.OverProvision*100,
-		float64(c.UserBytes())/(1<<30),
-		c.Latencies.Read, c.Latencies.Program, c.Latencies.Erase, c.Latencies.Hash,
-		c.Geometry)
 }
 
 // printTableII renders the workload-calibration check.

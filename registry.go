@@ -68,8 +68,11 @@ func evaluate(p Params, workers int, exps ...experiment) (runs, error) {
 		}
 	}
 	b := RunBatch(items, workers)
-	if err := b.Err(); err != nil {
-		return nil, err
+	for i, err := range b.Errs {
+		if err != nil && err != ErrNotRun {
+			it := items[i]
+			return nil, fmt.Errorf("%s/%v/%s: %w", it.Workload, it.Scheme, it.Policy, err)
+		}
 	}
 	for i, k := range keys {
 		rs[k] = b.Results[i]
