@@ -62,15 +62,15 @@ type figure2Row struct {
 func figure2(p Params, rs runs) []figure2Row {
 	rows := make([]figure2Row, len(Workloads))
 	for i, w := range Workloads {
-		r := figure2Row{
+		row := figure2Row{
 			Workload:     w,
 			BaselineMean: rs.get(w, Baseline, "greedy", p).MeanLatency(),
 			InlineMean:   rs.get(w, InlineDedupe, "greedy", p).MeanLatency(),
 		}
-		if r.BaselineMean > 0 {
-			r.Normalized = r.InlineMean / r.BaselineMean
+		if row.BaselineMean > 0 {
+			row.Normalized = row.InlineMean / row.BaselineMean
 		}
-		rows[i] = r
+		rows[i] = row
 	}
 	return rows
 }

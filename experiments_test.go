@@ -17,7 +17,7 @@ func runsOf(t testing.TB, p Params, id string) runs {
 	t.Helper()
 	for _, e := range experiments {
 		if e.id == id {
-			rs, err := evaluate(p, 0, e)
+			rs, err := evaluate(p, e)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,9 +49,8 @@ var experiments = []experiment{
 // distinct cell, keyed by ConfigKey.
 type runs map[string]*Result
 
-// evaluate executes the distinct cells of exps in one RunBatch on up to
-// workers goroutines (0 means GOMAXPROCS).
-func evaluate(p Params, workers int, exps ...experiment) (runs, error) {
+// evaluate executes the distinct cells of exps in one RunBatch.
+func evaluate(p Params, exps ...experiment) (runs, error) {
 	rs := runs{}
 	var items []BatchItem
 	var keys []string
@@ -67,7 +66,7 @@ func evaluate(p Params, workers int, exps ...experiment) (runs, error) {
 			}
 		}
 	}
-	b := RunBatch(items, workers)
+	b := RunBatch(items, 0)
 	for i, err := range b.Errs {
 		if err != nil && err != ErrNotRun {
 			it := items[i]
@@ -105,7 +104,7 @@ func ExperimentIDs() []string {
 func RunExperiment(id string, p Params, w io.Writer) error {
 	for _, e := range experiments {
 		if strings.EqualFold(e.id, id) {
-			rs, err := evaluate(p, 0, e)
+			rs, err := evaluate(p, e)
 			if err != nil {
 				return err
 			}
@@ -124,7 +123,7 @@ func RunAllExperiments(p Params, w io.Writer) error {
 			all = append(all, e)
 		}
 	}
-	rs, err := evaluate(p, 0, all...)
+	rs, err := evaluate(p, all...)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package cagc
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,16 +47,17 @@ func TestFigure13ParallelMatchesSequential(t *testing.T) {
 	// each pass builds its own warm snapshots.
 	p := testParams()
 	p.Requests = 1200
-	pass := func(workers int) []figure13Cell {
+	pass := func(procs int) []figure13Cell {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		ResetWarmCache()
-		rs, err := evaluate(p, workers, experiment{cells: figure13Cells})
+		rs, err := evaluate(p, experiment{cells: figure13Cells})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return figure13(p, rs)
 	}
 	defer ResetWarmCache()
-	a, b := pass(1), pass(0)
+	a, b := pass(1), pass(max(2, runtime.NumCPU()))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("cell %d differs between one worker and many: %+v vs %+v", i, a[i], b[i])
