@@ -22,8 +22,8 @@
 //	if err != nil { ... }
 //	fmt.Println(res)
 //
-// For the comparison behind Figures 9 and 10, read like every
-// experiment from one deduplicated batch of runs:
+// Each experiment runs its distinct configurations in one RunBatch;
+// for the comparison behind Figures 9 and 10:
 //
 //	err := cagc.RunExperiment("fig9", cagc.Params{}, os.Stdout)
 package cagc

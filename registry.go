@@ -10,6 +10,7 @@ package cagc
 // shell over this, so the dispatch itself is library code under test.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -68,7 +69,7 @@ func evaluate(p Params, exps ...experiment) (runs, error) {
 	}
 	b := RunBatch(items, 0)
 	for i, err := range b.Errs {
-		if err != nil && err != ErrNotRun {
+		if err != nil && !errors.Is(err, ErrNotRun) {
 			it := items[i]
 			return nil, fmt.Errorf("%s/%v/%s: %w", it.Workload, it.Scheme, it.Policy, err)
 		}
