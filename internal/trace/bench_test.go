@@ -170,3 +170,35 @@ func BenchmarkDecodeHomes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEncodeHomes encodes the 250 000-request Homes trace of
+// BenchmarkDecodeHomes in the binary format to io.Discard: the
+// encoder's own cost, without a file system behind it.
+func BenchmarkEncodeHomes(b *testing.B) {
+	spec, err := Preset(Homes, 2105, 250_000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := NewGenerator(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := Collect(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := NewWriter(io.Discard)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range reqs {
+			if err := w.Write(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/request")
+}
