@@ -25,68 +25,103 @@ var ErrBadMagic = errors.New("trace: bad magic (not a CAGC binary trace)")
 // corrupt record must fail the stream, not the allocator.
 const maxRequestPages = 1 << 20
 
+// writeBlock is the size of the blocks a Writer hands to its
+// underlying writer.
+const writeBlock = 64 << 10
+
 // Writer streams requests into the compact binary trace format:
 // delta-encoded arrival times and uvarint fields, one fingerprint per
-// written page. Close/Flush is the caller's responsibility via Flush.
+// written page. Each request is appended to one reusable buffer, and
+// every whole 64 KiB block of it goes to the underlying writer as soon
+// as it fills; Flush writes the rest. The first write error sticks:
+// every later Write and Flush returns it, so a failed trace is never a
+// silently short one.
 type Writer struct {
-	w      *bufio.Writer
+	w      io.Writer
+	buf    []byte
 	lastAt event.Time
-	buf    [binary.MaxVarintLen64]byte
 	n      int
+	err    error
 }
 
 // NewWriter starts a binary trace on w.
 func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-func (tw *Writer) uvarint(v uint64) error {
-	n := binary.PutUvarint(tw.buf[:], v)
-	_, err := tw.w.Write(tw.buf[:n])
-	return err
+	// Room for a block and the record that crosses its end.
+	buf := make([]byte, 0, 2*writeBlock)
+	return &Writer{w: w, buf: append(buf, magic[:]...)}, nil
 }
 
 // Write appends one request.
 func (tw *Writer) Write(r Request) error {
+	if tw.err != nil {
+		return tw.err
+	}
 	if err := r.Validate(); err != nil {
 		return err
 	}
 	if r.At < tw.lastAt {
 		return fmt.Errorf("trace: arrival times must be nondecreasing (%v after %v)", r.At, tw.lastAt)
 	}
-	if err := tw.uvarint(uint64(r.At - tw.lastAt)); err != nil {
-		return err
-	}
-	tw.lastAt = r.At
-	if err := tw.w.WriteByte(byte(r.Op)); err != nil {
-		return err
-	}
-	if err := tw.uvarint(r.LPN); err != nil {
-		return err
-	}
-	if err := tw.uvarint(uint64(r.Pages)); err != nil {
-		return err
-	}
+	b := binary.AppendUvarint(tw.buf, uint64(r.At-tw.lastAt))
+	b = append(b, byte(r.Op))
+	b = binary.AppendUvarint(b, r.LPN)
+	b = binary.AppendUvarint(b, uint64(r.Pages))
 	if r.Op == OpWrite {
 		for _, fp := range r.FPs {
-			if err := tw.uvarint(uint64(fp)); err != nil {
-				return err
-			}
+			b = binary.AppendUvarint(b, uint64(fp))
 		}
 	}
+	tw.lastAt = r.At
 	tw.n++
-	return nil
+	if len(b) >= writeBlock {
+		whole := len(b) - len(b)%writeBlock
+		tw.write(b[:whole])
+		b = b[:copy(b, b[whole:])]
+	}
+	tw.buf = b
+	return tw.err
+}
+
+// write hands p to the underlying writer, keeping the first error; a
+// short write without one is io.ErrShortWrite.
+func (tw *Writer) write(p []byte) {
+	n, err := tw.w.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	tw.err = err
 }
 
 // Count returns the number of requests written.
 func (tw *Writer) Count() int { return tw.n }
 
 // Flush drains buffered output to the underlying writer.
-func (tw *Writer) Flush() error { return tw.w.Flush() }
+func (tw *Writer) Flush() error {
+	if tw.err == nil && len(tw.buf) > 0 {
+		tw.write(tw.buf)
+		tw.buf = tw.buf[:0]
+	}
+	return tw.err
+}
+
+// WriteAll encodes every request of src in the binary format on w, the
+// binary twin of WriteText, and returns how many it wrote. A decode
+// error of src is the caller's to check with SourceErr.
+func WriteAll(w io.Writer, src Source) (int, error) {
+	tw, err := NewWriter(w)
+	if err != nil {
+		return 0, err
+	}
+	for {
+		r, ok := src.Next()
+		if !ok {
+			return tw.n, tw.Flush()
+		}
+		if err := tw.Write(r); err != nil {
+			return tw.n, err
+		}
+	}
+}
 
 // Reader streams requests back out of the binary format. It implements
 // Source; decoding errors are reported through Err after Next returns

@@ -3,12 +3,15 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"cagc/internal/dedup"
+	"cagc/internal/event"
 )
 
 func gzipBytes(t *testing.T, data []byte) []byte {
@@ -229,26 +232,99 @@ func TestOpenFileStreams(t *testing.T) {
 // fuzzOpenMax bounds how many requests FuzzOpen drains per input.
 const fuzzOpenMax = 4096
 
+// referenceEncoding encodes reqs in the binary container field by
+// field with binary.PutUvarint, independently of Writer.
+func referenceEncoding(reqs []Request) []byte {
+	out := append([]byte{}, magic[:]...)
+	var tmp [binary.MaxVarintLen64]byte
+	put := func(v uint64) { out = append(out, tmp[:binary.PutUvarint(tmp[:], v)]...) }
+	var last event.Time
+	for _, r := range reqs {
+		put(uint64(r.At - last))
+		last = r.At
+		out = append(out, byte(r.Op))
+		put(r.LPN)
+		put(uint64(r.Pages))
+		if r.Op == OpWrite {
+			for _, fp := range r.FPs {
+				put(uint64(fp))
+			}
+		}
+	}
+	return out
+}
+
+// fuzzOpenSeeds are binary traces FuzzOpen starts from beyond its
+// corpus: fingerprints whose uvarints take all 10 bytes, and one write
+// long enough that its re-encoding crosses a 64 KiB write block.
+func fuzzOpenSeeds() [][]byte {
+	wide := make([]dedup.Fingerprint, 3)
+	for i := range wide {
+		wide[i] = dedup.Fingerprint(^uint64(0) - uint64(i))
+	}
+	long := make([]dedup.Fingerprint, writeBlock/10+64)
+	for i := range long {
+		long[i] = dedup.Fingerprint(1<<63 | uint64(i))
+	}
+	return [][]byte{
+		referenceEncoding([]Request{
+			{At: 1 << 40, Op: OpWrite, LPN: 1 << 63, Pages: 3, FPs: wide},
+			{At: 1 << 40, Op: OpRead, LPN: 9, Pages: 1},
+		}),
+		referenceEncoding([]Request{
+			{At: 5, Op: OpTrim, LPN: 2, Pages: 4},
+			{At: 7, Op: OpWrite, LPN: 3, Pages: len(long), FPs: long},
+			{At: 9, Op: OpWrite, LPN: 4, Pages: 1, FPs: wide[:1]},
+		}),
+	}
+}
+
 // FuzzOpen feeds arbitrary bytes through Open — gzip detection, format
 // sniffing and whichever decoder they pick. No input may panic, and
 // every request a decoder emits must pass Validate: malformed input
 // must fail the stream (reported through SourceErr), never leak out as
-// a request.
+// a request. The requests a binary input decodes to are encoded again
+// with Writer, which must give the reference encoding and decode back
+// to the same requests. The input bytes themselves are not compared:
+// a non-canonical uvarint (0x80 0x00 for 0) decodes, and re-encodes
+// shorter.
 func FuzzOpen(f *testing.F) {
+	for _, seed := range fuzzOpenSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, err := Open(bytes.NewReader(data), OpenOptions{})
 		if err != nil {
 			return
 		}
+		var reqs []Request
 		for i := 0; i < fuzzOpenMax; i++ {
 			r, ok := src.Next()
 			if !ok {
 				_ = SourceErr(src) // a decode error is a fine answer
-				return
+				break
 			}
 			if err := r.Validate(); err != nil {
 				t.Fatalf("request %d: %v (%+v)", i, err, r)
 			}
+			r.FPs = slices.Clone(r.FPs)
+			reqs = append(reqs, r)
+		}
+		if _, isBinary := src.(*Reader); !isBinary {
+			return
+		}
+		got := binaryTraceBytes(t, reqs)
+		if want := referenceEncoding(reqs); !bytes.Equal(got, want) {
+			t.Fatalf("Writer encoded %d requests to %d bytes, the reference to %d", len(reqs), len(got), len(want))
+		}
+		back, err := decodeAll(t, got)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		if len(reqs) > 0 {
+			requestsEqual(t, back, reqs, "re-encoded")
+		} else if len(back) != 0 {
+			t.Fatalf("re-encoding of no requests decodes to %d", len(back))
 		}
 	})
 }

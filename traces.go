@@ -67,28 +67,16 @@ func WriteTraceFile(path string, src TraceSource) (int, error) {
 		gz = gzip.NewWriter(f)
 		sink = gz
 	}
-	w, err := trace.NewWriter(sink)
+	n, err := trace.WriteAll(sink, src)
 	if err != nil {
-		return 0, err
-	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := w.Write(r); err != nil {
-			return w.Count(), err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return w.Count(), err
+		return n, err
 	}
 	if gz != nil {
 		if err := gz.Close(); err != nil {
-			return w.Count(), err
+			return n, err
 		}
 	}
-	return w.Count(), f.Close()
+	return n, f.Close()
 }
 
 // ReplayFileOptions tunes ReplayFile's ingestion pipeline. The zero
