@@ -86,7 +86,7 @@ func runGen(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	n, err := emit(gen, *out, *text, stderr)
+	n, err := emit(gen, *out, *text)
 	if err != nil {
 		return err
 	}
@@ -112,12 +112,16 @@ func runConvert(args []string, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("convert: -i is required")
 	}
-	src, closer, err := openSrc(*in, *format, *scale)
+	f, err := trace.ParseFormat(*format)
+	if err != nil {
+		return err
+	}
+	src, closer, err := trace.OpenFile(*in, trace.OpenOptions{Format: f, TimeScale: *scale}, trace.StreamOptions{})
 	if err != nil {
 		return err
 	}
 	defer closer()
-	n, err := emit(src, *out, *text, stderr)
+	n, err := emit(src, *out, *text)
 	if err != nil {
 		return err
 	}
@@ -145,7 +149,12 @@ func runStats(args []string, stdout io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("stats: -i is required")
 	}
-	src, closer, err := openSrc(*in, *format, *scale)
+	f, err := trace.ParseFormat(*format)
+	if err != nil {
+		return err
+	}
+	opts := trace.OpenOptions{Format: f, TimeScale: *scale}
+	src, closer, err := trace.OpenFile(*in, opts, trace.StreamOptions{})
 	if err != nil {
 		return err
 	}
@@ -157,7 +166,7 @@ func runStats(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, c)
 	// Second pass for the Figure-6 refcount analysis.
-	src2, closer2, err := openSrc(*in, *format, *scale)
+	src2, closer2, err := trace.OpenFile(*in, opts, trace.StreamOptions{})
 	if err != nil {
 		return err
 	}
@@ -172,29 +181,10 @@ func runStats(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// openSrc opens a trace file through the sniffing pipeline (gzip →
-// CAGC magic → text-vs-FIU line shape).
-func openSrc(path, format string, timeScale float64) (trace.Source, func() error, error) {
-	f, err := trace.ParseFormat(format)
-	if err != nil {
-		return nil, nil, err
-	}
-	in, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	src, err := trace.Open(in, trace.OpenOptions{Format: f, TimeScale: timeScale})
-	if err != nil {
-		in.Close()
-		return nil, nil, err
-	}
-	return src, in.Close, nil
-}
-
 // emit writes the stream to out (stdout when empty) in binary or text,
 // gzip-compressing when the path ends in .gz, and returns the request
 // count.
-func emit(src trace.Source, out string, asText bool, stderr io.Writer) (n int, retErr error) {
+func emit(src trace.Source, out string, asText bool) (n int, retErr error) {
 	var w io.Writer = os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -220,18 +210,5 @@ func emit(src trace.Source, out string, asText bool, stderr io.Writer) (n int, r
 	if asText {
 		return trace.WriteText(w, src)
 	}
-	bw, err := trace.NewWriter(w)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := bw.Write(r); err != nil {
-			return bw.Count(), err
-		}
-	}
-	return bw.Count(), bw.Flush()
+	return trace.WriteAll(w, src)
 }
