@@ -24,7 +24,7 @@ package cagc
 // serializing it; concurrent requests for the same key share one build.
 //
 // Retention is a keyed LRU registry: at most Capacity snapshots stay
-// resident (default 32), and inserting past capacity evicts the least
+// resident (default 64), and inserting past capacity evicts the least
 // recently used entry. An evicted snapshot that is
 // still building completes its build for the requests already waiting
 // on it; the registry just stops retaining it, so a later request
@@ -43,10 +43,10 @@ import (
 
 // defaultWarmCapacity is the snapshot registry's default size. The
 // full evaluation (figures at its defaults) makes 49 simulations over
-// 37 distinct warm states, so at 32 the LRU evicts a few (6, one of
-// them rebuilt, on two cores); verify alone touches 21. The bound keeps
-// an unbounded sweep from accumulating snapshots forever.
-const defaultWarmCapacity = 32
+// 37 distinct warm states, verify alone 21 over fewer, so 64 holds the
+// evaluation with room to grow and preconditions each state once. The
+// bound keeps an unbounded sweep from accumulating snapshots forever.
+const defaultWarmCapacity = 64
 
 // CacheStats reports warm-state snapshot cache activity.
 type CacheStats struct {

@@ -3,6 +3,7 @@ package cagc
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -361,5 +362,23 @@ func TestCacheConcurrentChurnWithEviction(t *testing.T) {
 	}
 	if live := sim.CloneGaugeStats().Live; live != preLive {
 		t.Fatalf("clone gauge leaked under churn: live %d, want %d", live, preLive)
+	}
+}
+
+// The snapshot registry holds every warm state of the full evaluation:
+// RunAllExperiments preconditions each state once and evicts none.
+// Warm keys leave out the request count, so a short evaluation touches
+// the states of figures at its defaults.
+func TestWarmCapacityHoldsTheEvaluation(t *testing.T) {
+	ResetWarmCache()
+	defer ResetWarmCache()
+	p := Params{DeviceBytes: 16 << 20, Requests: 1500, Seed: 1, Utilization: 0.55}
+	if err := RunAllExperiments(p, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	st := WarmCacheStats()
+	if st.Evictions != 0 || int(st.Misses) != st.Snapshots || st.Snapshots > defaultWarmCapacity {
+		t.Fatalf("full evaluation: %d misses, %d evictions, %d of %d snapshots; want every state built once and kept",
+			st.Misses, st.Evictions, st.Snapshots, st.Capacity)
 	}
 }
