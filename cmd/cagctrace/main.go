@@ -86,7 +86,10 @@ func runGen(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	n, err := emit(gen, *out, *text)
+	// Generate one ring ahead of the encoder and the file write.
+	src, release := trace.Ahead(gen, *requests, trace.StreamOptions{})
+	defer release()
+	n, err := emit(src, *out, *text)
 	if err != nil {
 		return err
 	}
@@ -123,10 +126,6 @@ func runConvert(args []string, stderr io.Writer) error {
 	defer closer()
 	n, err := emit(src, *out, *text)
 	if err != nil {
-		return err
-	}
-	// A decode failure must fail the conversion, not shorten it.
-	if err := trace.SourceErr(src); err != nil {
 		return fmt.Errorf("convert: %s: %w", *in, err)
 	}
 	fmt.Fprintf(stderr, "cagctrace: converted %d requests\n", n)
@@ -183,7 +182,8 @@ func runStats(args []string, stdout io.Writer) error {
 
 // emit writes the stream to out (stdout when empty) in binary or text,
 // gzip-compressing when the path ends in .gz, and returns the request
-// count.
+// count. A source that fails fails the output rather than shortening
+// it.
 func emit(src trace.Source, out string, asText bool) (n int, retErr error) {
 	var w io.Writer = os.Stdout
 	if out != "" {
@@ -207,8 +207,12 @@ func emit(src trace.Source, out string, asText bool) (n int, retErr error) {
 			w = gz
 		}
 	}
+	write := trace.WriteAll
 	if asText {
-		return trace.WriteText(w, src)
+		write = trace.WriteText
 	}
-	return trace.WriteAll(w, src)
+	if n, retErr = write(w, src); retErr == nil {
+		retErr = trace.SourceErr(src)
+	}
+	return n, retErr
 }

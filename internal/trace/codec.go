@@ -112,15 +112,12 @@ func WriteAll(w io.Writer, src Source) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return tw.n, tw.Flush()
-		}
+	for r, ok := src.Next(); ok; r, ok = src.Next() {
 		if err := tw.Write(r); err != nil {
 			return tw.n, err
 		}
 	}
+	return tw.n, tw.Flush()
 }
 
 // Reader streams requests back out of the binary format. It implements

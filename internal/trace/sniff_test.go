@@ -31,16 +31,7 @@ func gzipBytes(t *testing.T, data []byte) []byte {
 func binaryTraceBytes(t *testing.T, reqs []Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reqs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := WriteAll(&buf, &SliceSource{Reqs: reqs}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -68,13 +68,11 @@ func WriteTraceFile(path string, src TraceSource) (int, error) {
 		sink = gz
 	}
 	n, err := trace.WriteAll(sink, src)
+	if err == nil && gz != nil {
+		err = gz.Close()
+	}
 	if err != nil {
 		return n, err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return n, err
-		}
 	}
 	return n, f.Close()
 }
