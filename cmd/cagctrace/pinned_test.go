@@ -129,3 +129,44 @@ func TestWritePathPinned(t *testing.T) {
 		t.Errorf("%d pins for %d outputs", len(writePathPins), len(outs))
 	}
 }
+
+// statsPins holds `stats` stdout for a generated trace of each preset
+// (5 000 requests, seed 1) in binary, Mail also as gzip and text, and
+// for the FIU sample. Both analyses read one decode of the input; the
+// lines must not move when the way they are driven changes.
+var statsPins = map[string]string{
+	"Homes .bin": "reqs=5000 write%=81.2 dedup%=27.6 avg=13.2KB written=52.0MB unique=9633\n" +
+		"invalidations by refcount: 1: 99.2%  2: 0.7%  3: 0.1%  >3: 0.0% (n=8710)\n",
+	"Web-vm .bin": "reqs=5000 write%=78.5 dedup%=48.1 avg=41.6KB written=154.8MB unique=20563\n" +
+		"invalidations by refcount: 1: 98.6%  2: 1.0%  3: 0.2%  >3: 0.2% (n=20543)\n",
+	"Mail .bin": "reqs=5000 write%=71.0 dedup%=87.3 avg=15.1KB written=50.4MB unique=1643\n" +
+		"invalidations by refcount: 1: 94.9%  2: 3.4%  3: 1.1%  >3: 0.6% (n=1582)\n",
+	"Mail .bin.gz": "reqs=5000 write%=71.0 dedup%=87.3 avg=15.1KB written=50.4MB unique=1643\n" +
+		"invalidations by refcount: 1: 94.9%  2: 3.4%  3: 1.1%  >3: 0.6% (n=1582)\n",
+	"Mail .txt": "reqs=5000 write%=71.0 dedup%=87.3 avg=15.1KB written=50.4MB unique=1643\n" +
+		"invalidations by refcount: 1: 94.9%  2: 3.4%  3: 1.1%  >3: 0.6% (n=1582)\n",
+	"FIU sample": "reqs=40 write%=60.0 dedup%=51.9 avg=4.5KB written=0.1MB unique=13\n" +
+		"invalidations by refcount: 1: 0.0%  2: 0.0%  3: 0.0%  >3: 0.0% (n=0)\n",
+}
+
+// TestStatsPinned checks `stats` stdout against statsPins.
+func TestStatsPinned(t *testing.T) {
+	dir := t.TempDir()
+	inputs := map[string]string{"FIU sample": filepath.Join("testdata", "fiu-sample.txt")}
+	for _, c := range []struct{ workload, ext string }{
+		{"Homes", ".bin"}, {"Web-vm", ".bin"}, {"Mail", ".bin"}, {"Mail", ".bin.gz"}, {"Mail", ".txt"},
+	} {
+		path := filepath.Join(dir, c.workload+c.ext)
+		args := []string{"gen", "-workload", c.workload, "-requests", "5000", "-seed", "1", "-o", path}
+		if c.ext == ".txt" {
+			args = append(args, "-text")
+		}
+		runOK(t, args...)
+		inputs[c.workload+" "+c.ext] = path
+	}
+	for name, want := range statsPins {
+		if got, _ := runOK(t, "stats", "-i", inputs[name]); got != want {
+			t.Errorf("stats %s:\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
