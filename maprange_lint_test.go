@@ -2,14 +2,7 @@ package cagc
 
 import (
 	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 )
 
@@ -18,9 +11,9 @@ import (
 // any output path, because map range order is deliberately randomized
 // by the runtime. The hot-path structures were flattened into
 // internal/flathash tables partly so this invariant holds by
-// construction; this lint keeps it that way. It typechecks every
-// non-test file of the simulation packages and fails on any range
-// statement whose operand is a map.
+// construction; this lint keeps it that way. It reads the type-checked
+// non-test files of the simulation packages (lintload_test.go) and
+// fails on any range statement whose operand is a map.
 //
 // Test files are exempt (they may range over maps for assertions where
 // order does not matter), as is any range feeding a commutative fold —
@@ -38,48 +31,26 @@ var mapRangeLintedPackages = []string{
 }
 
 func TestNoMapRangeInSimulationPackages(t *testing.T) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	m := loadRepoForLint(t)
 	for _, dir := range mapRangeLintedPackages {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+		p := m.Package("cagc/" + dir)
+		if p == nil {
+			t.Fatalf("%s: not loaded", dir)
 		}
-		var names []string
-		for _, e := range entries {
-			n := e.Name()
-			if strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-				names = append(names, n)
-			}
-		}
-		sort.Strings(names)
-		var files []*ast.File
-		for _, n := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check("cagc/"+dir, fset, files, info); err != nil {
-			t.Fatalf("typechecking %s: %v", dir, err)
-		}
-		for _, f := range files {
+		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
 				if !ok {
 					return true
 				}
-				tv, ok := info.Types[rs.X]
+				tv, ok := p.Info.Types[rs.X]
 				if !ok {
-					t.Errorf("%s: range operand with no type info", fset.Position(rs.Pos()))
+					t.Errorf("%s: range operand with no type info", m.Fset.Position(rs.Pos()))
 					return true
 				}
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 					t.Errorf("%s: range over map %s — map iteration order is randomized and breaks bit-identical output; use a flathash table, a slice, or an explicitly ordered walk",
-						fset.Position(rs.Pos()), tv.Type)
+						m.Fset.Position(rs.Pos()), tv.Type)
 				}
 				return true
 			})
