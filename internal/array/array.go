@@ -121,9 +121,6 @@ func New(cfg Config) (*Array, error) {
 // LogicalPages returns the volume's exported address-space size.
 func (a *Array) LogicalPages() uint64 { return a.logical }
 
-// Members returns the member FTLs (for stats and tests).
-func (a *Array) Members() []*ftl.FTL { return a.members }
-
 // SteeredReads returns how many reads GC-aware steering redirected.
 func (a *Array) SteeredReads() uint64 { return a.steered }
 
@@ -215,32 +212,6 @@ func (a *Array) Trim(at event.Time, lpn uint64) (event.Time, error) {
 		}
 	}
 	return done, nil
-}
-
-// Stats sums the member FTL counters.
-func (a *Array) Stats() ftl.Stats {
-	var total ftl.Stats
-	for _, m := range a.members {
-		s := m.Stats()
-		total.UserReadPages += s.UserReadPages
-		total.UserWritePages += s.UserWritePages
-		total.UserTrimPages += s.UserTrimPages
-		total.UserPrograms += s.UserPrograms
-		total.InlineDupHits += s.InlineDupHits
-		total.GCInvocations += s.GCInvocations
-		total.BlocksErased += s.BlocksErased
-		total.PagesMigrated += s.PagesMigrated
-		total.GCReads += s.GCReads
-		total.GCDupDropped += s.GCDupDropped
-		total.Promotions += s.Promotions
-		total.FutileGC += s.FutileGC
-		total.IdleGCWindows += s.IdleGCWindows
-		total.IdleGCCollects += s.IdleGCCollects
-		total.WLSwaps += s.WLSwaps
-		total.BadBlocks += s.BadBlocks
-		total.HashOps += s.HashOps
-	}
-	return total
 }
 
 // CheckInvariants verifies every member.

@@ -55,7 +55,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestRAID0AddressSpaceAndPlacement(t *testing.T) {
 	a := newArray(t, Config{Mode: RAID0})
-	per := a.Members()[0].LogicalPages()
+	per := a.members[0].LogicalPages()
 	wholeStripes := per / stripePages * stripePages
 	if wholeStripes == 0 || a.LogicalPages() != wholeStripes*4 {
 		t.Fatalf("volume pages = %d, want %d (whole stripes only)", a.LogicalPages(), wholeStripes*4)
@@ -93,7 +93,7 @@ func TestRAID0WriteReadTrim(t *testing.T) {
 	}
 	// Exactly one member saw the traffic.
 	touched := 0
-	for _, m := range a.Members() {
+	for _, m := range a.members {
 		if m.Stats().UserWritePages > 0 {
 			touched++
 		}
@@ -118,13 +118,13 @@ func TestRAID0WriteReadTrim(t *testing.T) {
 
 func TestRAID1MirrorsWrites(t *testing.T) {
 	a := newArray(t, Config{Mode: RAID1, Members: 2})
-	if a.LogicalPages() != a.Members()[0].LogicalPages() {
+	if a.LogicalPages() != a.members[0].LogicalPages() {
 		t.Fatal("mirrored volume must expose one member's space")
 	}
 	if _, err := a.Write(0, 3, fp(9)); err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range a.Members() {
+	for i, m := range a.members {
 		if m.Stats().UserWritePages != 1 {
 			t.Fatalf("member %d saw %d writes", i, m.Stats().UserWritePages)
 		}
@@ -133,7 +133,7 @@ func TestRAID1MirrorsWrites(t *testing.T) {
 	if _, err := a.Trim(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range a.Members() {
+	for i, m := range a.members {
 		if m.Stats().UserTrimPages != 1 {
 			t.Fatalf("member %d saw %d trims", i, m.Stats().UserTrimPages)
 		}
@@ -150,8 +150,8 @@ func TestRAID1ReadsSpread(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r0 := a.Members()[0].Stats().UserReadPages
-	r1 := a.Members()[1].Stats().UserReadPages
+	r0 := a.members[0].Stats().UserReadPages
+	r1 := a.members[1].Stats().UserReadPages
 	if r0 != 5 || r1 != 5 {
 		t.Fatalf("round-robin reads split %d/%d", r0, r1)
 	}
@@ -200,18 +200,29 @@ func TestSteeringNeverFiresWhenDisabled(t *testing.T) {
 	}
 }
 
+// RAID0 sends each page write to exactly one member: the members'
+// write counters add up to the volume's writes, and GC runs somewhere.
 func TestArrayStatsAggregate(t *testing.T) {
 	a := newArray(t, Config{Mode: RAID0})
-	churnArray(t, a, int(a.LogicalPages())*6, 1<<60, 63)
-	total := a.Stats()
-	var sum uint64
-	for _, m := range a.Members() {
+	rng := rand.New(rand.NewSource(63))
+	writes := int(a.LogicalPages()) * 6
+	now := event.Time(0)
+	for i := 0; i < writes; i++ {
+		end, err := a.Write(now, uint64(rng.Int63n(int64(a.LogicalPages()))), fp(rng.Uint64()))
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		now = end
+	}
+	var sum, erased uint64
+	for _, m := range a.members {
 		sum += m.Stats().UserWritePages
+		erased += m.Stats().BlocksErased
 	}
-	if total.UserWritePages != sum {
-		t.Fatalf("aggregate writes %d != member sum %d", total.UserWritePages, sum)
+	if sum != uint64(writes) {
+		t.Fatalf("member writes sum to %d, the volume took %d", sum, writes)
 	}
-	if total.BlocksErased == 0 {
+	if erased == 0 {
 		t.Fatal("no GC anywhere in the array")
 	}
 }

@@ -109,9 +109,6 @@ func (b *WriteBuffer) Stats() Stats { return b.stats }
 // Len returns the number of buffered pages.
 func (b *WriteBuffer) Len() int { return b.lru.Len() }
 
-// FTL returns the wrapped translation layer.
-func (b *WriteBuffer) FTL() *ftl.FTL { return b.f }
-
 // Write buffers one page write. Overwrites of buffered pages coalesce;
 // a full buffer evicts its least-recently-used page to flash in the
 // background (the user response is not gated on the flush).

@@ -39,10 +39,10 @@ func fp(i uint64) dedup.Fingerprint { return dedup.OfUint64(i) }
 
 func TestNewRejectsBadCapacity(t *testing.T) {
 	b := newBuffered(t, 4)
-	if _, err := New(b.FTL(), 0); err == nil {
+	if _, err := New(b.f, 0); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	if _, err := New(b.FTL(), -1); err == nil {
+	if _, err := New(b.f, -1); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
@@ -54,7 +54,7 @@ func TestWriteCoalescing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if end != b.FTL().Options().CtrlLatency {
+		if end != b.f.Options().CtrlLatency {
 			t.Fatalf("buffered write latency %v, want ctrl", end)
 		}
 	}
@@ -63,7 +63,7 @@ func TestWriteCoalescing(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// No flash program happened.
-	if b.FTL().Stats().UserPrograms != 0 {
+	if b.f.Stats().UserPrograms != 0 {
 		t.Fatal("coalesced writes reached flash")
 	}
 }
@@ -84,11 +84,11 @@ func TestEvictionFlushesLRU(t *testing.T) {
 		t.Fatalf("flushes = %d", b.Stats().Flushes)
 	}
 	// LPN 2 must now be on flash with its content.
-	if _, err := b.FTL().Read(1*event.Millisecond, 2); err != nil {
+	if _, err := b.f.Read(1*event.Millisecond, 2); err != nil {
 		t.Fatalf("flushed page unreadable: %v", err)
 	}
-	if b.FTL().Stats().UserPrograms != 1 {
-		t.Fatalf("programs = %d", b.FTL().Stats().UserPrograms)
+	if b.f.Stats().UserPrograms != 1 {
+		t.Fatalf("programs = %d", b.f.Stats().UserPrograms)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestReadHitAndMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end != 100+b.FTL().Options().CtrlLatency {
+	if end != 100+b.f.Options().CtrlLatency {
 		t.Fatalf("read hit latency %v", end)
 	}
 	// Miss goes to the FTL (unmapped -> ctrl latency, but counted as miss).
@@ -122,7 +122,7 @@ func TestTrimDropsBufferedPage(t *testing.T) {
 		t.Fatalf("len=%d stats=%+v", b.Len(), b.Stats())
 	}
 	// Nothing ever reached flash.
-	if b.FTL().Stats().UserPrograms != 0 {
+	if b.f.Stats().UserPrograms != 0 {
 		t.Fatal("trimmed buffered page was flushed")
 	}
 }
@@ -143,11 +143,11 @@ func TestFlushDrains(t *testing.T) {
 		t.Fatalf("len=%d stats=%+v", b.Len(), b.Stats())
 	}
 	for i := uint64(0); i < 5; i++ {
-		if _, err := b.FTL().Read(done, i); err != nil {
+		if _, err := b.f.Read(done, i); err != nil {
 			t.Fatalf("read %d after flush: %v", i, err)
 		}
 	}
-	if err := b.FTL().CheckInvariants(); err != nil {
+	if err := b.f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,10 +170,10 @@ func TestBufferReducesFlashWritesUnderSkew(t *testing.T) {
 		if _, err := b.Flush(now); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.FTL().CheckInvariants(); err != nil {
+		if err := b.f.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return b.FTL().Stats().UserPrograms
+		return b.f.Stats().UserPrograms
 	}
 	small := run(4)
 	big := run(128)
@@ -188,7 +188,7 @@ func TestBufferReducesFlashWritesUnderSkew(t *testing.T) {
 func TestBufferedIntegrityAfterChurn(t *testing.T) {
 	b := newBuffered(t, 32)
 	rng := rand.New(rand.NewSource(6))
-	logical := int64(b.FTL().LogicalPages())
+	logical := int64(b.f.LogicalPages())
 	now := event.Time(0)
 	for i := 0; i < 4000; i++ {
 		lpn := uint64(rng.Int63n(logical))
@@ -210,7 +210,7 @@ func TestBufferedIntegrityAfterChurn(t *testing.T) {
 	if _, err := b.Flush(now); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.FTL().CheckInvariants(); err != nil {
+	if err := b.f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

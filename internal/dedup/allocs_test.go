@@ -66,7 +66,7 @@ func TestIndexLookupRefcountAllocs(t *testing.T) {
 func TestIndexInsertEvictChurnAllocs(t *testing.T) {
 	const n = 256
 	x := warmIndex(t, n)
-	evBefore := x.Evictions()
+	evBefore := x.Stats().Evictions
 	k := uint64(1 << 35)
 	allocs := testing.AllocsPerRun(1000, func() {
 		// Fresh content: insert (evicting an LRU fingerprint while any
@@ -84,7 +84,7 @@ func TestIndexInsertEvictChurnAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state insert/evict churn allocated %.1f objects/op, want 0", allocs)
 	}
-	if x.Evictions() == evBefore {
+	if x.Stats().Evictions == evBefore {
 		t.Fatal("churn never exercised the capacity-eviction path")
 	}
 }

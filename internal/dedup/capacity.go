@@ -39,12 +39,6 @@ func (x *Index) SetCapacity(n int) {
 	x.enforceCapacity()
 }
 
-// Capacity returns the current bound (0 = unlimited).
-func (x *Index) Capacity() int { return x.capacity }
-
-// Evictions returns how many fingerprints were evicted under pressure.
-func (x *Index) Evictions() uint64 { return x.stats.Evictions }
-
 // touchSlot marks the entry in fingerprint-table slot s most-recently-
 // used. Valid only immediately after the probe that produced s.
 func (x *Index) touchSlot(s int32) {

@@ -27,8 +27,8 @@ func TestCapacityEvictsLRU(t *testing.T) {
 	if _, ok := x.Lookup(OfUint64(3)); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	if x.Evictions() != 1 {
-		t.Fatalf("evictions = %d", x.Evictions())
+	if x.Stats().Evictions != 1 {
+		t.Fatalf("evictions = %d", x.Stats().Evictions)
 	}
 	// Evicted content keeps its refcount and stays alive.
 	if r, err := x.Ref(b); err != nil || r != 1 {
@@ -48,10 +48,10 @@ func TestCapacityZeroMeansUnlimited(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if x.Evictions() != 0 {
+	if x.Stats().Evictions != 0 {
 		t.Fatal("evictions without a bound")
 	}
-	if x.Capacity() != 0 {
+	if x.capacity != 0 {
 		t.Fatal("capacity not zero")
 	}
 }

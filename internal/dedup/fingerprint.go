@@ -12,11 +12,7 @@
 // page to page (see ftl's private pages).
 package dedup
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"hash/fnv"
-)
+import "hash/fnv"
 
 // Fingerprint identifies page content. Trace records carry fingerprints
 // directly (like the FIU traces' per-request MD5s); two pages are
@@ -36,13 +32,6 @@ func Of(data []byte) Fingerprint {
 	h := fnv.New64a()
 	h.Write(data)
 	return nonzero(Fingerprint(h.Sum64()))
-}
-
-// OfStrong fingerprints content with SHA-256 folded to 64 bits, for
-// callers that want a cryptographic digest (the content-store example).
-func OfStrong(data []byte) Fingerprint {
-	sum := sha256.Sum256(data)
-	return nonzero(Fingerprint(binary.LittleEndian.Uint64(sum[:8])))
 }
 
 // OfUint64 derives a fingerprint from a synthetic content identifier,

@@ -16,11 +16,8 @@ type CID uint32
 // NilCID is the "no content" sentinel.
 const NilCID = CID(^uint32(0))
 
-// Errors returned by Index operations.
-var (
-	ErrBadCID   = errors.New("dedup: CID out of range or dead")
-	ErrDangling = errors.New("dedup: decrement of zero refcount")
-)
+// ErrBadCID is returned by Index operations on a dead or unknown CID.
+var ErrBadCID = errors.New("dedup: CID out of range or dead")
 
 type entry struct {
 	fp        Fingerprint
@@ -210,34 +207,4 @@ func (x *Index) FP(c CID) (Fingerprint, error) {
 		return Zero, err
 	}
 	return x.entries[c].fp, nil
-}
-
-// RefHistogram returns the live reference-count distribution bucketed
-// as {1, 2, 3, >3} — the bucketing of Figure 6.
-func (x *Index) RefHistogram() [4]int {
-	var h [4]int
-	for i := range x.entries {
-		r := x.entries[i].ref
-		switch {
-		case r <= 0:
-		case r == 1:
-			h[0]++
-		case r == 2:
-			h[1]++
-		case r == 3:
-			h[2]++
-		default:
-			h[3]++
-		}
-	}
-	return h
-}
-
-// DedupRatio returns hits/lookups — the fraction of checked writes that
-// were duplicates.
-func (x *Index) DedupRatio() float64 {
-	if x.stats.Lookups == 0 {
-		return 0
-	}
-	return float64(x.stats.Hits) / float64(x.stats.Lookups)
 }

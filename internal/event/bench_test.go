@@ -11,7 +11,7 @@ func BenchmarkSimSteadyState(b *testing.B) {
 	for j := 0; j < 64; j++ {
 		_ = s.AtArg(Time(j), h, 1)
 	}
-	s.Run()
+	drain(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,6 +33,6 @@ func BenchmarkPoolReserve(b *testing.B) {
 	p := NewPool(4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Reserve(Time(i), 10)
+		p.ReserveAfterIdx(Time(i), 0, 10)
 	}
 }

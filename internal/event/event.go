@@ -82,10 +82,9 @@ const heapArity = 4
 
 // Sim is a discrete-event loop. Construct it with NewSimOpts.
 type Sim struct {
-	now     Time
-	seq     uint64
-	q       []item // 4-ary min-heap under item.before
-	stopped bool
+	now Time
+	seq uint64
+	q   []item // 4-ary min-heap under item.before
 }
 
 // NewSimOpts returns a simulation whose clock starts at zero. Both
@@ -151,17 +150,4 @@ func (s *Sim) Step() bool {
 	s.now = top.at
 	top.fn(top.at, top.arg)
 	return true
-}
-
-// Stop makes Run return after the currently executing event completes.
-// Pending events stay queued.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called, and
-// returns the final simulation time.
-func (s *Sim) Run() Time {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-	return s.now
 }

@@ -38,6 +38,13 @@ func TestTimeConversions(t *testing.T) {
 
 // TestSim holds the pump's contract: the event-driven reference replay
 // and the benchmark's event kernel rely on each case.
+// drain fires every queued event and returns the final time.
+func drain(s *Sim) Time {
+	for s.Step() {
+	}
+	return s.now
+}
+
 func TestSim(t *testing.T) {
 	// record returns a handler appending each event's argument to got.
 	record := func(got *[]uint64) ArgHandler {
@@ -63,7 +70,7 @@ func TestSim(t *testing.T) {
 				at[i] = Time(rng.Intn(500))
 				_ = s.AtArg(at[i], h, uint64(i))
 			}
-			end := s.Run()
+			end := drain(s)
 			want := make([]uint64, len(at))
 			for i := range want {
 				want[i] = uint64(i)
@@ -89,7 +96,7 @@ func TestSim(t *testing.T) {
 				want[i] = uint64(i)
 				_ = s.AtArg(42, h, want[i])
 			}
-			s.Run()
+			drain(s)
 			if !slices.Equal(got, want) {
 				t.Fatalf("same-time events fired in order %v, want 0..99", got)
 			}
@@ -104,7 +111,7 @@ func TestSim(t *testing.T) {
 				}
 			}
 			_ = s.AtArg(10, h, 2)
-			s.Run()
+			drain(s)
 			if !slices.Equal(fired, []Time{10, 15, 20}) {
 				t.Fatalf("fired at %v, want [10 15 20]", fired)
 			}
@@ -113,7 +120,7 @@ func TestSim(t *testing.T) {
 			var got []uint64
 			h := record(&got)
 			_ = s.AtArg(100, h, 1)
-			s.Run()
+			drain(s)
 			if err := s.AtArg(50, h, 2); !errors.Is(err, ErrPastEvent) {
 				t.Fatalf("AtArg in the past = %v, want ErrPastEvent", err)
 			}
@@ -122,20 +129,19 @@ func TestSim(t *testing.T) {
 			}
 		}},
 		{"stop_keeps_queue", func(t *testing.T, s *Sim) {
+			// A caller that stops stepping leaves the rest queued.
 			count := 0
-			h := ArgHandler(func(Time, uint64) {
-				if count++; count == 3 {
-					s.Stop()
-				}
-			})
+			h := ArgHandler(func(Time, uint64) { count++ })
 			for i := 1; i <= 10; i++ {
 				_ = s.AtArg(Time(i), h, 0)
 			}
-			if end := s.Run(); end != 3 || count != 3 {
-				t.Fatalf("Stop: ran %d events to %v, want 3 to 3", count, end)
+			for count < 3 && s.Step() {
 			}
-			if end := s.Run(); end != 10 || count != 10 {
-				t.Fatalf("resumed Run: ran %d events to %v, want 10 to 10", count, end)
+			if s.now != 3 || count != 3 {
+				t.Fatalf("stopped stepping: ran %d events to %v, want 3 to 3", count, s.now)
+			}
+			if end := drain(s); end != 10 || count != 10 {
+				t.Fatalf("resumed stepping: ran %d events to %v, want 10 to 10", count, end)
 			}
 		}},
 		{"steady_state_zero_alloc", func(t *testing.T, s *Sim) {
@@ -145,7 +151,7 @@ func TestSim(t *testing.T) {
 			for i := 0; i < 256; i++ {
 				_ = s.AtArg(Time(i), h, 1)
 			}
-			s.Run()
+			drain(s)
 			allocs := testing.AllocsPerRun(1000, func() {
 				_ = s.AtArg(s.now+10, h, 1)
 				s.Step()
@@ -170,7 +176,7 @@ func TestSimOrdering(t *testing.T) {
 	_ = s.AtArg(30, h, 3)
 	_ = s.AtArg(10, h, 1)
 	_ = s.AtArg(20, h, 2)
-	if end := s.Run(); end != 30 {
+	if end := drain(s); end != 30 {
 		t.Fatalf("final time = %v, want 30", end)
 	}
 	if !slices.Equal(got, []uint64{1, 2, 3}) {
@@ -187,7 +193,7 @@ func TestSimSortedFiringProperty(t *testing.T) {
 		for _, a := range at {
 			_ = s.AtArg(Time(a), h, 0)
 		}
-		s.Run()
+		drain(s)
 		return len(fired) == len(at) && slices.IsSorted(fired)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
@@ -205,7 +211,7 @@ func TestSimManyRandomEventsDeterministic(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			_ = s.AtArg(Time(rng.Intn(500)), h, uint64(i))
 		}
-		s.Run()
+		drain(s)
 		return fired
 	}
 	a, b := run(7), run(7)
@@ -246,26 +252,25 @@ func TestTimelineNegativeDuration(t *testing.T) {
 	if s != 10 || e != 10 {
 		t.Fatalf("got [%v,%v), want [10,10)", s, e)
 	}
-	if tl.Busy() != 0 {
-		t.Fatalf("busy = %v, want 0", tl.Busy())
+	if tl.FreeAt() != 10 {
+		t.Fatalf("free at %v, want 10", tl.FreeAt())
 	}
 }
 
+// Back-to-back reservations account for all the time booked: the
+// windows tile [0, 30) and the frontier sits at their end.
 func TestTimelineAccounting(t *testing.T) {
 	tl := NewTimeline()
-	tl.Reserve(0, 10)
-	tl.Reserve(0, 20)
-	if tl.Busy() != 30 {
-		t.Fatalf("busy = %v, want 30", tl.Busy())
+	var busy Time
+	for _, dur := range []Time{10, 20} {
+		s, e := tl.Reserve(0, dur)
+		if s != busy {
+			t.Fatalf("reservation of %v starts at %v, want %v", dur, s, busy)
+		}
+		busy += e - s
 	}
-	if tl.Ops() != 2 {
-		t.Fatalf("ops = %d, want 2", tl.Ops())
-	}
-	if u := tl.Utilization(60); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-	if u := tl.Utilization(0); u != 0 {
-		t.Fatalf("utilization at zero horizon = %v, want 0", u)
+	if busy != 30 || tl.FreeAt() != 30 {
+		t.Fatalf("busy = %v, free at %v; want 30 and 30", busy, tl.FreeAt())
 	}
 }
 

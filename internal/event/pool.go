@@ -38,39 +38,15 @@ func (p *Pool) CopyFrom(src *Pool) {
 	}
 }
 
-// Busy returns the cumulative busy time across all units.
-func (p *Pool) Busy() Time {
-	var b Time
-	for _, u := range p.units {
-		b += u.Busy()
-	}
-	return b
-}
-
-// Ops returns the total number of reservations.
-func (p *Pool) Ops() uint64 {
-	var n uint64
-	for _, u := range p.units {
-		n += u.Ops()
-	}
-	return n
-}
-
-// ReserveAfter books dur ticks on the earliest-free unit, starting no
-// earlier than at and no earlier than dep. Unit selection scans all K
-// units linearly — deliberate: K is the controller's hash-engine count
-// (1–8 in every configuration, never device-sized), so a scan beats
-// any priority structure and stays allocation-free. Ties on FreeAt
-// resolve to the lowest-indexed unit (strict <), which keeps the pool
-// deterministic.
-func (p *Pool) ReserveAfter(at, dep, dur Time) (start, end Time) {
-	start, end, _ = p.ReserveAfterIdx(at, dep, dur)
-	return start, end
-}
-
-// ReserveAfterIdx is ReserveAfter plus the index of the unit the
-// reservation landed on, for callers that attribute work to individual
-// units (the tracing subsystem's per-engine timelines).
+// ReserveAfterIdx books dur ticks on the earliest-free unit, starting
+// no earlier than at and no earlier than dep, and returns the window
+// and the index of the unit it landed on (the tracing subsystem's
+// per-engine timelines attribute work by it). Unit selection scans all
+// K units linearly — deliberate: K is the controller's hash-engine
+// count (1–8 in every configuration, never device-sized), so a scan
+// beats any priority structure and stays allocation-free. Ties on
+// FreeAt resolve to the lowest-indexed unit (strict <), which keeps the
+// pool deterministic.
 func (p *Pool) ReserveAfterIdx(at, dep, dur Time) (start, end Time, unit int) {
 	best := 0
 	for i, u := range p.units[1:] {
@@ -80,10 +56,4 @@ func (p *Pool) ReserveAfterIdx(at, dep, dur Time) (start, end Time, unit int) {
 	}
 	start, end = p.units[best].ReserveAfter(at, dep, dur)
 	return start, end, best
-}
-
-// Reserve books dur ticks on the earliest-free unit starting no earlier
-// than at.
-func (p *Pool) Reserve(at, dur Time) (start, end Time) {
-	return p.ReserveAfter(at, 0, dur)
 }

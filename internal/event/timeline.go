@@ -11,8 +11,6 @@ package event
 // operation is issued it runs to completion.
 type Timeline struct {
 	freeAt Time
-	busy   Time // total busy time accumulated
-	ops    uint64
 }
 
 // NewTimeline returns a timeline that is free from time zero.
@@ -20,12 +18,6 @@ func NewTimeline() *Timeline { return &Timeline{} }
 
 // FreeAt returns the earliest time a new reservation could start.
 func (tl *Timeline) FreeAt() Time { return tl.freeAt }
-
-// Busy returns the cumulative time the resource has been reserved.
-func (tl *Timeline) Busy() Time { return tl.busy }
-
-// Ops returns the number of reservations made.
-func (tl *Timeline) Ops() uint64 { return tl.ops }
 
 // Reserve books the resource for dur ticks starting no earlier than at,
 // and no earlier than the end of all previous reservations. It returns
@@ -37,8 +29,6 @@ func (tl *Timeline) Reserve(at, dur Time) (start, end Time) {
 	start = max(at, tl.freeAt)
 	end = start + dur
 	tl.freeAt = end
-	tl.busy += dur
-	tl.ops++
 	return start, end
 }
 
@@ -49,15 +39,6 @@ func (tl *Timeline) ReserveAfter(at, dep, dur Time) (start, end Time) {
 	return tl.Reserve(max(at, dep), dur)
 }
 
-// CopyFrom makes tl equal src. Timeline state is three scalars, so the
+// CopyFrom makes tl equal src. Timeline state is one scalar, so the
 // copy is exact by construction.
 func (tl *Timeline) CopyFrom(src *Timeline) { *tl = *src }
-
-// Utilization returns busy time divided by the span [0, horizon].
-// A zero or negative horizon yields 0.
-func (tl *Timeline) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(tl.busy) / float64(horizon)
-}

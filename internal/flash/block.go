@@ -61,8 +61,5 @@ func (b *Block) Erases() int { return b.eraseCnt }
 // LastProgram returns the device time of the last program operation.
 func (b *Block) LastProgram() int64 { return b.lastProgram }
 
-// State returns the state of the page at in-block index i.
-func (b *Block) State(i int) PageState { return b.states[i] }
-
 // States returns the block's page states by in-block index, read-only.
 func (b *Block) States() []PageState { return b.states }

@@ -28,7 +28,6 @@ func (d *Device) CopyFrom(src *Device) int {
 		d.hash = new(event.Pool)
 	}
 	d.hash.CopyFrom(src.hash)
-	d.dieOps = append(d.dieOps[:0], src.dieOps...)
 	d.cfg = src.cfg
 	d.stats = src.stats
 	d.dec = src.dec
@@ -38,6 +37,5 @@ func (d *Device) CopyFrom(src *Device) int {
 		len(src.tags)*int(unsafe.Sizeof(uint64(0))) +
 		len(src.blocks)*int(unsafe.Sizeof(Block{})) +
 		(len(src.dies)+src.hash.Units())*int(unsafe.Sizeof(event.Timeline{})) +
-		len(src.dieOps)*int(unsafe.Sizeof(Stats{})) +
 		int(unsafe.Sizeof(Device{}))
 }

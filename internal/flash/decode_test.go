@@ -5,6 +5,23 @@ import (
 	"testing"
 )
 
+// BlockOf, PageIndexOf and DieOfBlock are the decoder's reference:
+// plain division by the geometry's divisors.
+
+func (g Geometry) BlockOf(p PPN) BlockID {
+	return BlockID(uint64(p) / uint64(g.PagesPerBlock))
+}
+
+func (g Geometry) PageIndexOf(p PPN) int {
+	return int(uint64(p) % uint64(g.PagesPerBlock))
+}
+
+// Blocks are laid out die by die: blocks
+// [d*PlanesPerDie*BlocksPerPlan, (d+1)*...) belong to die d.
+func (g Geometry) DieOfBlock(b BlockID) DieID {
+	return DieID(int(b) / (g.PlanesPerDie * g.BlocksPerPlan))
+}
+
 // checkDecode compares every Decoder method against Geometry's plain
 // `/` and `%` for page number n on a geometry with ppb pages per block
 // and planes x perPlane blocks per die.

@@ -45,7 +45,6 @@ type Device struct {
 	dies   []event.Timeline
 	hash   *event.Pool // controller hash engines
 	stats  Stats
-	dieOps []Stats // per-die operation counts, for balance diagnostics
 
 	// dec decodes page and block numbers without dividing; built once
 	// here and copied by the FTL (see Decoder).
@@ -69,7 +68,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		tags:   make([]uint64, g.TotalPages()),
 		dies:   make([]event.Timeline, g.Dies()),
 		hash:   event.NewPool(cfg.hashUnits()),
-		dieOps: make([]Stats, g.Dies()),
 		dec:    newDecoder(g),
 	}
 	d.window()
@@ -116,9 +114,6 @@ type BlockRef struct {
 	Base PPN // page 0 of the block
 	Blk  *Block
 }
-
-// DieFreeAt returns when die die becomes idle.
-func (d *Device) DieFreeAt(die DieID) event.Time { return d.dies[die].FreeAt() }
 
 // SetTracer installs the recorder die operations are reported to (nil
 // turns tracing off).
@@ -173,7 +168,6 @@ func (d *Device) read(at event.Time, die DieID, p PPN, st PageState) (event.Time
 	start, end := d.dies[die].Reserve(at, d.cfg.Latencies.Read)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieRead, start, end, uint64(p))
 	d.stats.PageReads++
-	d.dieOps[die].PageReads++
 	d.observe(end)
 	return end, nil
 }
@@ -224,7 +218,6 @@ func (d *Device) program(at, dataReady event.Time, b BlockID, blk *Block, p PPN,
 	die := d.dec.DieOfBlock(b)
 	start, end := d.dies[die].ReserveAfter(at, dataReady, d.cfg.Latencies.Program)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieProgram, start, end, uint64(p))
-	d.dieOps[die].PagePrograms++
 	d.states[p] = PageValid
 	d.tags[p] = tag
 	blk.writePtr++
@@ -286,7 +279,6 @@ func (d *Device) EraseBlock(at, migrated event.Time, b BlockID) (event.Time, err
 	die := d.dec.DieOfBlock(b)
 	start, end := d.dies[die].ReserveAfter(at, migrated, d.cfg.Latencies.Erase)
 	d.tr.Span(obs.DieTrack(int(die)), obs.KDieErase, start, end, uint64(b))
-	d.dieOps[die].BlockErases++
 	// Two memclr calls instead of one fused loop: the compiler lowers
 	// each clear to a runtime memclr, which the per-index loop's pair of
 	// strided stores defeats. PageFree is the zero state.
@@ -335,21 +327,6 @@ func (d *Device) CountStates() (free, valid, invalid int) {
 		free += len(b.states) - b.validCnt - b.invalidCnt
 	}
 	return free, valid, invalid
-}
-
-// DieStats returns the operation counts of one die.
-func (d *Device) DieStats(die DieID) Stats { return d.dieOps[die] }
-
-// MaxErase returns the highest per-block erase count (wear peak) and
-// TotalErase the sum; together they characterize wear leveling.
-func (d *Device) MaxErase() int {
-	m := 0
-	for i := range d.blocks {
-		if d.blocks[i].eraseCnt > m {
-			m = d.blocks[i].eraseCnt
-		}
-	}
-	return m
 }
 
 // EraseSpread returns max-min per-block erase counts, a crude

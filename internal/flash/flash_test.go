@@ -79,9 +79,6 @@ func TestGeometryDieMapping(t *testing.T) {
 	if d := g.DieOfBlock(4); d != 1 {
 		t.Errorf("DieOfBlock(4) = %d, want 1", d)
 	}
-	if ch := g.ChannelOfDie(1); ch != 1 {
-		t.Errorf("ChannelOfDie(1) = %d, want 1", ch)
-	}
 }
 
 func TestGeometryValidate(t *testing.T) {
@@ -288,8 +285,7 @@ func TestProgramNextMatchesProgramPage(t *testing.T) {
 			t.Fatalf("page %d: tag %d", i, tag)
 		}
 	}
-	if byNext.Stats() != byPage.Stats() || byNext.DieStats(1) != byPage.DieStats(1) ||
-		byNext.DieFreeAt(1) != byPage.DieFreeAt(1) {
+	if byNext.Stats() != byPage.Stats() || byNext.dies[1] != byPage.dies[1] {
 		t.Fatal("devices diverged")
 	}
 	if _, _, _, err := byNext.ProgramNext(0, 0, b, 1); !errors.Is(err, ErrPageBusy) {
@@ -338,8 +334,7 @@ func TestBlockScopedMatchesPerPPN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if byPPN.Stats() != byRef.Stats() || byPPN.DieStats(r.Die) != byRef.DieStats(r.Die) ||
-		byPPN.DieFreeAt(r.Die) != byRef.DieFreeAt(r.Die) {
+	if byPPN.Stats() != byRef.Stats() || byPPN.dies[r.Die] != byRef.dies[r.Die] {
 		t.Fatal("devices diverged")
 	}
 	f1, v1, i1 := byPPN.CountStates()
@@ -593,8 +588,8 @@ func TestDeviceStateMachineProperty(t *testing.T) {
 }
 
 // CopyFrom reports every byte it copies: the flat page-state and tag
-// arrays, the block headers, one 24-byte timeline per die and per hash
-// engine, the per-die counters and the device header. The copy is deep:
+// arrays, the block headers, one 8-byte timeline per die and per hash
+// engine, and the device header. The copy is deep:
 // programming the copy leaves the source untouched.
 func TestCopyFromCountsEveryByte(t *testing.T) {
 	cfg := tinyConfig()
@@ -603,15 +598,14 @@ func TestCopyFromCountsEveryByte(t *testing.T) {
 	if _, err := src.ProgramPage(0, 0, 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if unsafe.Sizeof(event.Timeline{}) != 24 {
-		t.Fatalf("event.Timeline is %d bytes, the hand sum below assumes 24", unsafe.Sizeof(event.Timeline{}))
+	if unsafe.Sizeof(event.Timeline{}) != 8 {
+		t.Fatalf("event.Timeline is %d bytes, the hand sum below assumes 8", unsafe.Sizeof(event.Timeline{}))
 	}
 	g := cfg.Geometry
 	want := g.TotalPages()*1 + // states
 		g.TotalPages()*8 + // tags
 		g.TotalBlocks()*int(unsafe.Sizeof(Block{})) +
-		(g.Dies()+3)*24 + // die timelines + hash-engine units
-		g.Dies()*int(unsafe.Sizeof(Stats{})) +
+		(g.Dies()+3)*8 + // die timelines + hash-engine units
 		int(unsafe.Sizeof(Device{}))
 	d := new(Device)
 	if got := d.CopyFrom(src); got != want {

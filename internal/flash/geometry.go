@@ -79,28 +79,6 @@ func (g Geometry) PageOf(b BlockID, pg int) PPN {
 	return PPN(uint64(b)*uint64(g.PagesPerBlock) + uint64(pg))
 }
 
-// BlockOf returns the block containing p.
-func (g Geometry) BlockOf(p PPN) BlockID {
-	return BlockID(uint64(p) / uint64(g.PagesPerBlock))
-}
-
-// PageIndexOf returns the in-block page index of p.
-func (g Geometry) PageIndexOf(p PPN) int {
-	return int(uint64(p) % uint64(g.PagesPerBlock))
-}
-
-// DieOfBlock returns the die a block lives on. Blocks are laid out die
-// by die: blocks [d*PlanesPerDie*BlocksPerPlan, (d+1)*...) belong to die d.
-func (g Geometry) DieOfBlock(b BlockID) DieID {
-	return DieID(int(b) / (g.PlanesPerDie * g.BlocksPerPlan))
-}
-
-// DieOf returns the die a page lives on.
-func (g Geometry) DieOf(p PPN) DieID { return g.DieOfBlock(g.BlockOf(p)) }
-
-// ChannelOfDie returns the channel a die is attached to.
-func (g Geometry) ChannelOfDie(d DieID) int { return int(d) / g.DiesPerChan }
-
 func (g Geometry) String() string {
 	return fmt.Sprintf("%dch x %ddie x %dpl x %dblk x %dpg x %dB (%.2f GiB raw)",
 		g.Channels, g.DiesPerChan, g.PlanesPerDie, g.BlocksPerPlan,

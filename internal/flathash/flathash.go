@@ -271,9 +271,6 @@ func (m *Map[V]) InList(i int32) bool { return m.slots[i].prev != unlinked }
 // can be stored without being tracked).
 func (m *Map[V]) ListLen() int { return m.nlist }
 
-// Front returns the most recently used slot, or NilSlot.
-func (m *Map[V]) Front() int32 { return m.head }
-
 // Back returns the least recently used slot, or NilSlot.
 func (m *Map[V]) Back() int32 { return m.tail }
 

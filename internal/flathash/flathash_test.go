@@ -92,7 +92,7 @@ func wantOrder(t *testing.T, m *Map[uint32], want []uint64) {
 		t.Fatalf("ListLen = %d, want %d", m.ListLen(), len(want))
 	}
 	var got []uint64
-	for i := m.Front(); i != NilSlot; i = m.Next(i) {
+	for i := m.head; i != NilSlot; i = m.Next(i) {
 		got = append(got, m.Key(i))
 	}
 	if len(got) != len(want) {
@@ -328,7 +328,7 @@ func checkEqual(t *testing.T, seed int64, step int, m *Map[uint32], ref *refMap)
 		}
 	}
 	// Full recency order, front to back.
-	i := m.Front()
+	i := m.head
 	for el := ref.lru.Front(); el != nil; el = el.Next() {
 		if i == NilSlot || m.Key(i) != el.Value.(uint64) {
 			t.Fatalf("seed %d step %d: recency order diverged", seed, step)

@@ -21,7 +21,6 @@ const (
 	// Cold holds pages with reference count > threshold (rarely
 	// invalidated).
 	Cold
-	numRegions
 )
 
 func (r Region) String() string {

@@ -523,19 +523,48 @@ func TestRegionStats(t *testing.T) {
 	}
 }
 
+// dieProgramsOf counts the pages programmed on die d since the device
+// was made. GC erases only full blocks, so each erase of a block stands
+// for one block of programs, and the pages written since its last
+// erase are the rest.
+func dieProgramsOf(t *testing.T, f *FTL, d flash.DieID) uint64 {
+	t.Helper()
+	var n uint64
+	for b := range f.blocks {
+		if f.dec.DieOfBlock(flash.BlockID(b)) != d {
+			continue
+		}
+		blk, err := f.dev.Block(flash.BlockID(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += uint64(blk.Erases() * len(blk.States()))
+		for _, st := range blk.States() {
+			if st != flash.PageFree {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 func TestStripingBalancesDies(t *testing.T) {
 	f := newFTL(t, BaselineOptions())
 	churn(t, f, int(f.LogicalPages())*4, 1<<60, 91)
 	g := f.Device().Geometry()
-	var min, max uint64
+	var min, max, sum uint64
 	for d := 0; d < g.Dies(); d++ {
-		p := f.Device().DieStats(flash.DieID(d)).PagePrograms
+		p := dieProgramsOf(t, f, flash.DieID(d))
 		if d == 0 || p < min {
 			min = p
 		}
 		if p > max {
 			max = p
 		}
+		sum += p
+	}
+	if total := f.Device().Stats().PagePrograms; sum != total {
+		t.Fatalf("per-die programs sum to %d, the device counted %d", sum, total)
 	}
 	if max == 0 {
 		t.Fatal("no programs recorded per die")
@@ -578,7 +607,7 @@ func TestAllocPrefersRequestedDie(t *testing.T) {
 		now = end
 	}
 	for d := 0; d < g.Dies(); d++ {
-		if f.Device().DieStats(flash.DieID(d)).PagePrograms == 1 {
+		if dieProgramsOf(t, f, flash.DieID(d)) == 1 {
 			seen[flash.DieID(d)] = true
 		}
 	}

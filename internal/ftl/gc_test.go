@@ -177,7 +177,7 @@ func TestInvalidateVictimNeedsVictimState(t *testing.T) {
 			if err := f.invalidateVictim(&ref, i); err == nil {
 				t.Fatalf("closed block %d: victim-pass invalidation accepted", b)
 			}
-			if blk.State(i) != flash.PageValid {
+			if blk.States()[i] != flash.PageValid {
 				t.Fatalf("closed block %d: page %d invalidated despite the error", b, i)
 			}
 			return

@@ -84,36 +84,6 @@ func (c *cmt) access(lpn uint64, write bool) (hit bool, evictDirty bool, evicted
 	return false, false, 0
 }
 
-// MapCacheStats reports cached-mapping-table activity.
-type MapCacheStats struct {
-	Hits       uint64
-	Misses     uint64
-	Evictions  uint64
-	Writebacks uint64
-}
-
-// HitRatio returns hits/(hits+misses), or 0 when idle.
-func (s MapCacheStats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-// MapCacheStats returns the CMT counters (zero value when the cache is
-// disabled).
-func (f *FTL) MapCacheStats() MapCacheStats {
-	if f.cmt == nil {
-		return MapCacheStats{}
-	}
-	return MapCacheStats{
-		Hits:       f.cmt.hits,
-		Misses:     f.cmt.misses,
-		Evictions:  f.cmt.evictions,
-		Writebacks: f.cmt.writeback,
-	}
-}
-
 // chargeMapAccess stalls an operation on lpn for any translation-page
 // flash traffic and returns the time the mapping entry is available.
 // Translation reads land on the die the page id hashes to, modeling

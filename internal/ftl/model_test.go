@@ -267,7 +267,7 @@ func TestFTLAgainstModel(t *testing.T) {
 			reached := true
 			switch 1 << leg {
 			case legCapacity:
-				reached = scheme%4 == 0 || f.Index().Evictions() > 0
+				reached = scheme%4 == 0 || f.Index().Stats().Evictions > 0
 			case legMappingCache:
 				reached = f.MapCacheStats().Hits > 0
 			case legWearLevel:

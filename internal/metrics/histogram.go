@@ -83,12 +83,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Min returns the smallest observation, or 0 when empty.
-func (h *Histogram) Min() event.Time { return h.min }
-
 // Max returns the largest observation, or 0 when empty.
 func (h *Histogram) Max() event.Time { return h.max }
 
@@ -202,9 +196,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.n += other.n
 	h.sum += other.sum
 }
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
 
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1fus p50=%v p99=%v max=%v",

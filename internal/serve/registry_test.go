@@ -28,7 +28,7 @@ func submitWait(t *testing.T, s *Server, spec JobSpec) *Job {
 		t.Fatal(err)
 	}
 	select {
-	case <-j.Done():
+	case <-j.done:
 	case <-time.After(30 * time.Second):
 		t.Fatalf("job %s did not finish", j.ID)
 	}
@@ -167,7 +167,7 @@ func TestServeRegistryNeverEvictsLiveJobs(t *testing.T) {
 	}
 	unhold()
 	for _, j := range live {
-		<-j.Done()
+		<-j.done
 	}
 	if got := len(s.Jobs()); got != n {
 		t.Fatalf("registry holds %d jobs after the live ones finished, want %d", got, n)
@@ -301,7 +301,7 @@ func TestServeRegistryConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					<-j.Done()
+					<-j.done
 					if code := getStatus(ts, "/v1/jobs/"+j.ID); code != http.StatusOK && code != http.StatusGone {
 						t.Errorf("%s: %d", j.ID, code)
 					}

@@ -119,9 +119,6 @@ type Job struct {
 	finished  time.Time
 }
 
-// Done returns a channel closed when the job reaches a terminal status.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Snapshot is a point-in-time copy of the job's mutable state.
 type JobState struct {
 	ID        string

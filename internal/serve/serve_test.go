@@ -49,7 +49,7 @@ func waitDone(t *testing.T, s *Server, id string) JobState {
 		t.Fatalf("job %s not found", id)
 	}
 	select {
-	case <-j.Done():
+	case <-j.done:
 	case <-time.After(30 * time.Second):
 		t.Fatalf("job %s did not finish", id)
 	}

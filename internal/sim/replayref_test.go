@@ -38,10 +38,7 @@ type refPump struct {
 	floor event.Time
 }
 
-func (p *refPump) fail(err error) {
-	p.err = err
-	p.es.Stop()
-}
+func (p *refPump) fail(err error) { p.err = err }
 
 func (p *refPump) fill() {
 	for !p.eof && p.n < len(p.ring) {
@@ -138,7 +135,8 @@ func (r *Runner) replayRef(src trace.Source, offset event.Time, workload string)
 	} else {
 		p.fill()
 	}
-	p.es.Run()
+	for p.err == nil && p.es.Step() {
+	}
 	if p.err != nil {
 		return nil, p.err
 	}

@@ -238,9 +238,6 @@ func (r *Runner) SetTenants(ranges []trace.TenantRange) {
 	r.tenants = ranges
 }
 
-// Buffer returns the interposed write buffer, or nil.
-func (r *Runner) Buffer() *buffer.WriteBuffer { return r.buf }
-
 // FTL exposes the runner's translation layer (for reports and tests).
 func (r *Runner) FTL() *ftl.FTL { return r.f }
 
@@ -358,11 +355,6 @@ const (
 	idleGCMargin   = 1 * event.Millisecond
 	idleGCHeadroom = 0.05
 )
-
-// Run is the one-call entry point: build, precondition, replay.
-func Run(cfg Config, spec trace.Spec) (*Result, error) {
-	return Measure(nil, cfg, spec, Measured{})
-}
 
 func subStats(a, b ftl.Stats) ftl.Stats {
 	return ftl.Stats{

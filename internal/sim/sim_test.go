@@ -140,7 +140,7 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.FTL != b.FTL || a.Duration != b.Duration || a.Latency.Sum() != b.Latency.Sum() {
+	if a.FTL != b.FTL || a.Duration != b.Duration || a.Latency.Mean() != b.Latency.Mean() {
 		t.Fatalf("nondeterministic results:\n%+v\n%+v", a.FTL, b.FTL)
 	}
 }
@@ -154,7 +154,7 @@ func TestReplayRequestClipping(t *testing.T) {
 	// A request straddling the end of the address space is clipped, and
 	// one fully outside is a zero-latency no-op.
 	last := r.LogicalPages() - 1
-	src := &trace.SliceSource{Reqs: []trace.Request{
+	src := &sliceSource{reqs: []trace.Request{
 		{At: 0, Op: trace.OpRead, LPN: last, Pages: 4},
 		{At: 1, Op: trace.OpTrim, LPN: r.LogicalPages() + 10, Pages: 1},
 	}}
@@ -268,7 +268,7 @@ func TestReplayOffsetShiftsArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &trace.SliceSource{Reqs: []trace.Request{
+	src := &sliceSource{reqs: []trace.Request{
 		{At: 0, Op: trace.OpRead, LPN: 0, Pages: 1},
 	}}
 	offset := 5 * event.Millisecond

@@ -92,9 +92,6 @@ func (tw *Writer) write(p []byte) {
 	tw.err = err
 }
 
-// Count returns the number of requests written.
-func (tw *Writer) Count() int { return tw.n }
-
 // Flush drains buffered output to the underlying writer.
 func (tw *Writer) Flush() error {
 	if tw.err == nil && len(tw.buf) > 0 {

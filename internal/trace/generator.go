@@ -175,9 +175,6 @@ func (s Spec) cutoffs() specCutoffs {
 	}
 }
 
-// Spec returns the generating spec.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // advanceClock moves virtual time to the next arrival. With BurstMean
 // <= 1 arrivals are Poisson at MeanInterArrival; otherwise requests
 // arrive in geometric-length bursts with IntraBurst spacing, separated

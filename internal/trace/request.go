@@ -14,7 +14,6 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 
 	"cagc/internal/dedup"
 	"cagc/internal/event"
@@ -109,40 +108,6 @@ func SourceErr(src Source) error {
 		return es.Err()
 	}
 	return nil
-}
-
-// SliceSource replays a fixed request slice; used by tests and by the
-// worked-example scenarios.
-type SliceSource struct {
-	Reqs []Request
-	pos  int
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Request, bool) {
-	if s.pos >= len(s.Reqs) {
-		return Request{}, false
-	}
-	r := s.Reqs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Collect drains a source into a slice, cloning each request's
-// fingerprints (testing helper; beware memory on long streams).
-func Collect(src Source) []Request {
-	var out []Request
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		r.FPs = slices.Clone(r.FPs)
-		out = append(out, r)
-	}
 }
 
 // fpScratch is a source's one fingerprint buffer. It grows to the

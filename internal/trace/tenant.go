@@ -26,11 +26,6 @@ type TenantRange struct {
 	SLO event.Time
 }
 
-// Contains reports whether lpn falls in the tenant's namespace.
-func (t TenantRange) Contains(lpn uint64) bool {
-	return lpn >= t.Base && lpn-t.Base < t.Pages
-}
-
 // Diurnal reshapes a stream's arrival rate with a sinusoidal envelope:
 // rate(t) = 1 + Amp·sin(2πt/Period), evaluated at the input stream's
 // clock. Each inter-arrival gap is divided by the instantaneous rate,

@@ -264,8 +264,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != len(orig) {
-		t.Fatalf("writer count = %d, want %d", w.Count(), len(orig))
+	if w.n != len(orig) {
+		t.Fatalf("writer count = %d, want %d", w.n, len(orig))
 	}
 
 	r, err := NewReader(&buf)

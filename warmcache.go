@@ -120,21 +120,6 @@ func (c *warmCacheT) evictOldest() {
 	c.evictions++
 }
 
-// setCapacity resizes the registry, evicting LRU-first if the new
-// capacity is below the current population. Capacities below 1 clamp
-// to 1: a zero-size cache is ColdStart's job.
-func (c *warmCacheT) setCapacity(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = n
-	for c.lru.Len() > c.capacity {
-		c.evictOldest()
-	}
-}
-
 // WarmCacheStats returns the process-wide snapshot cache counters.
 func WarmCacheStats() CacheStats {
 	warmCache.mu.Lock()
@@ -146,16 +131,6 @@ func WarmCacheStats() CacheStats {
 		Snapshots: len(warmCache.entries),
 		Capacity:  warmCache.capacity,
 	}
-}
-
-// ResetWarmCache drops every cached snapshot and zeroes the counters
-// (tests and cold-vs-warm benchmarks). Capacity is preserved.
-func ResetWarmCache() {
-	warmCache.mu.Lock()
-	defer warmCache.mu.Unlock()
-	warmCache.entries = map[string]*warmEntry{}
-	warmCache.lru = list.New()
-	warmCache.hits, warmCache.misses, warmCache.evictions = 0, 0, 0
 }
 
 // warmKey identifies one warm state; see the package comment above for
