@@ -157,27 +157,34 @@ func runStats(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	c := trace.Characterize(src, 4096)
-	err = trace.SourceErr(src)
-	closer()
-	if err != nil {
+	defer closer()
+	// One decode feeds both the Table-II characteristics and the
+	// Figure-6 refcount analysis.
+	var rc trace.RefcountAnalysis
+	c := trace.Characterize(refcountTap{src, &rc}, 4096)
+	if err := trace.SourceErr(src); err != nil {
 		return fmt.Errorf("stats: %s: %w", *in, err)
 	}
 	fmt.Fprintln(stdout, c)
-	// Second pass for the Figure-6 refcount analysis.
-	src2, closer2, err := trace.OpenFile(*in, opts, trace.StreamOptions{})
-	if err != nil {
-		return err
-	}
-	defer closer2()
-	dist := trace.AnalyzeRefcounts(src2)
-	if err := trace.SourceErr(src2); err != nil {
-		return fmt.Errorf("stats: %s: %w", *in, err)
-	}
-	sh := dist.Shares()
+	sh := rc.Dist.Shares()
 	fmt.Fprintf(stdout, "invalidations by refcount: 1: %.1f%%  2: %.1f%%  3: %.1f%%  >3: %.1f%% (n=%d)\n",
-		sh[0]*100, sh[1]*100, sh[2]*100, sh[3]*100, dist.Total())
+		sh[0]*100, sh[1]*100, sh[2]*100, sh[3]*100, rc.Dist.Total())
 	return nil
+}
+
+// refcountTap passes a source's requests on and adds each one to rc
+// before its fingerprints are recycled.
+type refcountTap struct {
+	trace.Source
+	rc *trace.RefcountAnalysis
+}
+
+func (t refcountTap) Next() (trace.Request, bool) {
+	r, ok := t.Source.Next()
+	if ok {
+		t.rc.Add(r)
+	}
+	return r, ok
 }
 
 // emit writes the stream to out (stdout when empty) in binary or text,
