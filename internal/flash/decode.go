@@ -26,9 +26,9 @@ const maxDecodablePages = 1 << 32
 // e*(n+1) <= 2^32 * 2^32. Since 1 <= r+1 <= d, 0 <= r+1-t < d, so the
 // floor is q. One code path serves every geometry, power of two or not.
 //
-// A Decoder is immutable; Device and FTL each hold a copy, and
-// Geometry's plain-division methods remain the reference it is tested
-// against.
+// A Decoder is immutable; Device and FTL each hold a copy. Its tests
+// compare it against plain division (Geometry's BlockOf, PageIndexOf
+// and DieOfBlock in decode_test.go).
 type Decoder struct {
 	pagesPerBlock, blocksPerDie uint64 // the divisors
 	mPage, mBlock               uint64 // their reciprocals

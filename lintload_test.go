@@ -30,7 +30,6 @@ import (
 type lintPackage struct {
 	Path  string
 	Name  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -141,11 +140,10 @@ func loadLintModule(dir string) (*lintModule, error) {
 		return std.Import(path)
 	})
 	for _, lp := range pkgs {
-		p := &lintPackage{Path: lp.ImportPath, Name: lp.Name, Dir: lp.Dir, Info: &types.Info{
-			Types:     map[ast.Expr]types.TypeAndValue{},
-			Defs:      map[*ast.Ident]types.Object{},
-			Uses:      map[*ast.Ident]types.Object{},
-			Instances: map[*ast.Ident]types.Instance{},
+		p := &lintPackage{Path: lp.ImportPath, Name: lp.Name, Info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}}
 		for _, name := range lp.GoFiles {
 			f, err := parser.ParseFile(m.Fset, filepath.Join(lp.Dir, name), nil, 0)
