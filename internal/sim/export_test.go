@@ -6,15 +6,3 @@ import "cagc/internal/trace"
 func Run(cfg Config, spec trace.Spec) (*Result, error) {
 	return Measure(nil, cfg, spec, Measured{})
 }
-
-// sliceSource replays a fixed request slice.
-type sliceSource struct{ reqs []trace.Request }
-
-func (s *sliceSource) Next() (trace.Request, bool) {
-	if len(s.reqs) == 0 {
-		return trace.Request{}, false
-	}
-	r := s.reqs[0]
-	s.reqs = s.reqs[1:]
-	return r, true
-}

@@ -145,6 +145,18 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// sliceSource replays a fixed request slice.
+type sliceSource struct{ reqs []trace.Request }
+
+func (s *sliceSource) Next() (trace.Request, bool) {
+	if len(s.reqs) == 0 {
+		return trace.Request{}, false
+	}
+	r := s.reqs[0]
+	s.reqs = s.reqs[1:]
+	return r, true
+}
+
 func TestReplayRequestClipping(t *testing.T) {
 	cfg := smallConfig(ftl.BaselineOptions())
 	r, err := NewRunner(cfg)
