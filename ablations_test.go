@@ -75,12 +75,6 @@ func TestBufferedRunEndToEnd(t *testing.T) {
 		t.Errorf("buffered programs %d >= unbuffered %d",
 			res.FTL.UserPrograms, plain.FTL.UserPrograms)
 	}
-	if res.Buffer.WriteHits == 0 {
-		t.Error("buffer recorded no coalesced writes")
-	}
-	if plain.Buffer.WriteHits != 0 {
-		t.Error("unbuffered run has buffer stats")
-	}
 }
 
 func TestBufferedCAGCStillConsistent(t *testing.T) {

@@ -11,7 +11,7 @@
 //	figures -exp fig11 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments: tableI, tableII, fig2, fig6, fig8, fig9, fig10, fig11,
-// fig12, fig13, throughput, array, ablations, verify, all.
+// fig12, fig13, throughput, array, tenants, ablations, verify, all.
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 
 func run() (retErr error) {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (see command doc; 'all' runs everything)")
+		exp       = flag.String("exp", "all", "experiment id, one of "+strings.Join(cagc.ExperimentIDs(), ", ")+"; 'all' runs everything")
 		device    = flag.Int64("device", 16<<20, "physical flash bytes")
 		requests  = flag.Int("requests", 20000, "measured requests per run")
 		seed      = flag.Int64("seed", 1, "workload seed")

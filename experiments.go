@@ -154,11 +154,9 @@ var figure8Files = [][]byte{
 type WorkedResult struct {
 	Scheme          Scheme
 	MigrationWrites uint64 // valid-page copies performed by GC (paper: 12 vs 7)
-	Promotions      uint64 // hot->cold moves when refcounts cross the threshold
 	GCDupDropped    uint64 // redundant copies eliminated (paper: 5 for CAGC)
 	BlocksErased    uint64
 	ValidAfter      int // live flash pages after the deletes (paper: 7 vs 4 contents)
-	FreePagesAfter  int
 	LiveContents    int // unique stored contents at the end
 }
 
@@ -219,15 +217,13 @@ func workedExample(s Scheme) (WorkedResult, error) {
 		}
 	}
 
-	free, valid, _ := dev.CountStates()
+	_, valid, _ := dev.CountStates()
 	return WorkedResult{
 		Scheme:          s,
 		MigrationWrites: after.PagesMigrated - before.PagesMigrated,
-		Promotions:      after.Promotions - before.Promotions,
 		GCDupDropped:    after.GCDupDropped - before.GCDupDropped,
 		BlocksErased:    after.BlocksErased - before.BlocksErased,
 		ValidAfter:      valid,
-		FreePagesAfter:  free,
 		LiveContents:    f.LiveContents(),
 	}, nil
 }
@@ -383,7 +379,6 @@ type tableIIRow struct {
 	WantWriteRatio, GotWriteRatio float64
 	WantDedupRatio, GotDedupRatio float64
 	WantAvgReqKB, GotAvgReqKB     float64
-	Requests, UniqueContents      int
 }
 
 // tableII generates each workload and characterizes it against the
@@ -410,8 +405,6 @@ func tableII(p Params) ([]tableIIRow, error) {
 			WantWriteRatio: wr, GotWriteRatio: c.WriteRatio,
 			WantDedupRatio: dr, GotDedupRatio: c.DedupRatio,
 			WantAvgReqKB: kb, GotAvgReqKB: c.AvgReqKB,
-			Requests:       c.Requests,
-			UniqueContents: c.UniqueFPs,
 		})
 	}
 	return rows, nil

@@ -71,9 +71,7 @@ type Array struct {
 	logical uint64 // volume logical pages
 	rr      int    // round-robin read cursor (RAID1)
 
-	steered   uint64 // reads redirected away from a GC-busy member
-	readsRR   uint64
-	gcBlocked uint64 // reads that found every member GC-busy
+	steered uint64 // reads redirected away from a GC-busy member
 }
 
 // New builds the array.
@@ -175,7 +173,6 @@ func (a *Array) Read(at event.Time, lpn uint64) (event.Time, error) {
 	}
 	pick := a.rr % len(a.members)
 	a.rr++
-	a.readsRR++
 	if a.cfg.GCAwareSteering && a.members[pick].GCBusyUntil() > at {
 		for i := 1; i < len(a.members); i++ {
 			alt := (pick + i) % len(a.members)
@@ -184,9 +181,6 @@ func (a *Array) Read(at event.Time, lpn uint64) (event.Time, error) {
 				a.steered++
 				break
 			}
-		}
-		if a.members[pick].GCBusyUntil() > at {
-			a.gcBlocked++
 		}
 	}
 	return a.members[pick].Read(at, lpn)

@@ -19,17 +19,6 @@ import (
 	"cagc/internal/obs"
 )
 
-// Stats counts buffer activity.
-type Stats struct {
-	WriteHits  uint64 // overwrites coalesced in RAM
-	WriteMiss  uint64 // writes that allocated a buffer slot
-	ReadHits   uint64 // reads served from RAM
-	ReadMiss   uint64 // reads forwarded to flash
-	Flushes    uint64 // pages written back to the FTL on eviction
-	TrimDrops  uint64 // buffered pages discarded by trim
-	FinalFlush uint64 // pages written back by Flush (drain)
-}
-
 type slot struct {
 	lpn uint64
 	fp  dedup.Fingerprint
@@ -43,7 +32,6 @@ type WriteBuffer struct {
 	lru   *list.List // front = most recent; element values are *slot
 	index map[uint64]*list.Element
 	ctrl  event.Time
-	stats Stats
 	tr    *obs.Recorder // nil when tracing is off
 
 	// dirty is true once the slot chain (lru list + index) has diverged
@@ -88,7 +76,6 @@ func (b *WriteBuffer) CopyFrom(src *WriteBuffer, f *ftl.FTL) int {
 	b.f = f
 	b.cap = src.cap
 	b.ctrl = src.ctrl
-	b.stats = src.stats
 	b.tr = src.tr
 	if b.lru != nil && !b.dirty {
 		return 0
@@ -103,9 +90,6 @@ func (b *WriteBuffer) CopyFrom(src *WriteBuffer, f *ftl.FTL) int {
 	return len(src.index) * slotCopyBytes
 }
 
-// Stats returns a copy of the counters.
-func (b *WriteBuffer) Stats() Stats { return b.stats }
-
 // Len returns the number of buffered pages.
 func (b *WriteBuffer) Len() int { return b.lru.Len() }
 
@@ -117,11 +101,9 @@ func (b *WriteBuffer) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (ev
 	if el, ok := b.index[lpn]; ok {
 		el.Value.(*slot).fp = fp
 		b.lru.MoveToFront(el)
-		b.stats.WriteHits++
 		b.tr.Instant(obs.TrackBuffer, obs.KBufHit, at, lpn)
 		return at + b.ctrl, nil
 	}
-	b.stats.WriteMiss++
 	b.index[lpn] = b.lru.PushFront(&slot{lpn: lpn, fp: fp})
 	if b.lru.Len() > b.cap {
 		el := b.lru.Back()
@@ -135,7 +117,6 @@ func (b *WriteBuffer) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (ev
 		// Detached: the background flush completes after the buffered
 		// write has already answered at at+ctrl.
 		b.tr.Span(obs.TrackBuffer, obs.KBufFlush, at, end, s.lpn)
-		b.stats.Flushes++
 	}
 	return at + b.ctrl, nil
 }
@@ -145,11 +126,9 @@ func (b *WriteBuffer) Read(at event.Time, lpn uint64) (event.Time, error) {
 	if el, ok := b.index[lpn]; ok {
 		b.dirty = true
 		b.lru.MoveToFront(el)
-		b.stats.ReadHits++
 		b.tr.Instant(obs.TrackBuffer, obs.KBufHit, at, lpn)
 		return at + b.ctrl, nil
 	}
-	b.stats.ReadMiss++
 	return b.f.Read(at, lpn)
 }
 
@@ -159,7 +138,6 @@ func (b *WriteBuffer) Trim(at event.Time, lpn uint64) (event.Time, error) {
 		b.dirty = true
 		b.lru.Remove(el)
 		delete(b.index, lpn)
-		b.stats.TrimDrops++
 	}
 	return b.f.Trim(at, lpn)
 }
@@ -181,7 +159,6 @@ func (b *WriteBuffer) Flush(at event.Time) (event.Time, error) {
 			return 0, fmt.Errorf("buffer: draining lpn %d: %w", s.lpn, err)
 		}
 		b.tr.Span(obs.TrackBuffer, obs.KBufFlush, at, end, s.lpn)
-		b.stats.FinalFlush++
 		if end > done {
 			done = end
 		}

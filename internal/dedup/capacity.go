@@ -88,7 +88,6 @@ func (x *Index) enforceCapacity() {
 		if e.ref > 0 && !e.unindexed {
 			x.byFP.Delete(fp)
 			e.unindexed = true
-			x.stats.Evictions++
 		}
 	}
 }

@@ -27,9 +27,6 @@ func TestCapacityEvictsLRU(t *testing.T) {
 	if _, ok := x.Lookup(OfUint64(3)); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	if x.Stats().Evictions != 1 {
-		t.Fatalf("evictions = %d", x.Stats().Evictions)
-	}
 	// Evicted content keeps its refcount and stays alive.
 	if r, err := x.Ref(b); err != nil || r != 1 {
 		t.Fatalf("evicted entry ref = %d, %v", r, err)
@@ -48,8 +45,10 @@ func TestCapacityZeroMeansUnlimited(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if x.Stats().Evictions != 0 {
-		t.Fatal("evictions without a bound")
+	for i := uint64(0); i < 100; i++ {
+		if _, ok := x.Lookup(OfUint64(i)); !ok {
+			t.Fatalf("fingerprint %d evicted without a bound", i)
+		}
 	}
 	if x.capacity != 0 {
 		t.Fatal("capacity not zero")

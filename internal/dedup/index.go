@@ -34,7 +34,6 @@ type Stats struct {
 	Hits      uint64 // queries that found existing content
 	Inserts   uint64 // new unique contents stored
 	Removals  uint64 // contents whose last reference was dropped or merged away
-	Evictions uint64 // fingerprints evicted by the capacity bound
 	PeakCount int    // maximum number of live entries ever
 }
 

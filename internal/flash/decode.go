@@ -30,8 +30,8 @@ const maxDecodablePages = 1 << 32
 // compare it against plain division (Geometry's BlockOf, PageIndexOf
 // and DieOfBlock in decode_test.go).
 type Decoder struct {
-	pagesPerBlock, blocksPerDie uint64 // the divisors
-	mPage, mBlock               uint64 // their reciprocals
+	pagesPerBlock uint64 // the page divisor; blocks per die is the other
+	mPage, mBlock uint64 // the two reciprocals
 }
 
 // checkDecodable rejects a (dimension-wise valid) geometry whose page
@@ -55,7 +55,7 @@ func newDecoder(g Geometry) Decoder {
 	bpd := uint64(g.PlanesPerDie) * uint64(g.BlocksPerPlan)
 	return Decoder{
 		pagesPerBlock: ppb, mPage: ^uint64(0) / ppb,
-		blocksPerDie: bpd, mBlock: ^uint64(0) / bpd,
+		mBlock: ^uint64(0) / bpd,
 	}
 }
 

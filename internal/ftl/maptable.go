@@ -33,11 +33,6 @@ const mapEntriesPerPage = 512
 type cmt struct {
 	capPages int                 // capacity in translation pages
 	pages    *flathash.Map[bool] // page id → dirty, LRU-threaded
-
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	writeback uint64
 }
 
 func newCMT(capEntries int) *cmt {
@@ -62,22 +57,18 @@ func (c *cmt) access(lpn uint64, write bool) (hit bool, evictDirty bool, evicted
 	s, inserted := c.pages.Put(page, write)
 	if !inserted {
 		c.pages.MoveToFront(s)
-		c.hits++
 		if write {
 			*c.pages.At(s) = true
 		}
 		return true, false, 0
 	}
-	c.misses++
 	c.pages.PushFront(s)
 	if c.pages.ListLen() > c.capPages {
 		b := c.pages.Back()
 		victim := c.pages.Key(b)
 		dirty := *c.pages.At(b)
 		c.pages.Delete(victim)
-		c.evictions++
 		if dirty {
-			c.writeback++
 			return false, true, victim
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"cagc/internal/event"
 	"cagc/internal/flash"
+	"cagc/internal/obs"
 )
 
 func TestCMTHitAndMiss(t *testing.T) {
@@ -48,14 +49,13 @@ func TestCMTMinimumOnePage(t *testing.T) {
 	}
 }
 
-func TestMapCacheStatsDisabled(t *testing.T) {
+func TestMapCacheDisabledChargesNothing(t *testing.T) {
 	f := newFTL(t, BaselineOptions())
-	if f.MapCacheStats() != (MapCacheStats{}) {
-		t.Fatal("disabled cache has stats")
+	if f.cmt != nil {
+		t.Fatal("disabled cache built a table")
 	}
-	var s MapCacheStats
-	if s.HitRatio() != 0 {
-		t.Fatal("idle hit ratio not 0")
+	if end := f.chargeMapAccess(100, 0, true); end != 100 {
+		t.Fatalf("disabled cache charged a map access until %v", end)
 	}
 }
 
@@ -82,12 +82,9 @@ func TestMappingCacheChargesMisses(t *testing.T) {
 	if end2 > end+lat.Program+lat.Read {
 		t.Fatalf("hit write took %v", end2-end)
 	}
-	st := f.MapCacheStats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.HitRatio() != 0.5 {
-		t.Fatalf("hit ratio = %v", st.HitRatio())
+	// The one cached translation page is the one both writes touched.
+	if f.cmt.pages.Len() != 1 {
+		t.Fatalf("%d translation pages cached, want 1", f.cmt.pages.Len())
 	}
 }
 
@@ -113,17 +110,34 @@ func TestMappingCacheUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn(t, f, int(f.LogicalPages())*3, 64, 41)
-	st := f.MapCacheStats()
-	if st.Misses == 0 || st.Hits == 0 {
-		t.Fatalf("cache never exercised: %+v", st)
+	rec := obs.NewRecorder()
+	f.SetTracer(rec)
+	writes := int(f.LogicalPages()) * 3
+	churn(t, f, writes, 64, 41)
+	// Each write looks its mapping up once. A miss stalls on a
+	// translation read; a dirty victim adds a write-back, the other
+	// translation-page I/O on the die tracks.
+	misses, meta := countKind(rec, obs.KMapStall), countKind(rec, obs.KDieMeta)
+	if misses == 0 || misses == writes {
+		t.Fatalf("cache never exercised: %d misses in %d writes", misses, writes)
 	}
-	if st.Writebacks == 0 {
+	if meta == misses {
 		t.Fatal("no dirty write-backs under write churn")
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// countKind returns how many of rec's events are of kind k.
+func countKind(rec *obs.Recorder, k obs.Kind) int {
+	n := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == k {
+			n++
+		}
+	}
+	return n
 }
 
 func TestMappingCacheSlowsMissyWorkload(t *testing.T) {

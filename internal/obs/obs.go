@@ -158,7 +158,7 @@ const (
 
 	// Trace ingestion (TrackIngest; wall-clock times).
 	KIngestChunk // span: one chunk decoded by the background reader (arg = requests in chunk)
-	KIngestStall // instant: the consumer found the ring empty (arg = ring occupancy)
+	KIngestStall // instant: the consumer found the ring empty and waited for a chunk (arg = ring occupancy)
 
 	numKinds
 )

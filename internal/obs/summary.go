@@ -80,11 +80,8 @@ func (g *GCAttribution) OverlapRatio() float64 {
 
 // DieUsage is one die's share of the traced window.
 type DieUsage struct {
-	Die      int
-	Busy     event.Time
-	Reads    uint64
-	Programs uint64
-	Erases   uint64
+	Die  int
+	Busy event.Time
 }
 
 // ival is a half-open interval used by the overlap math.
@@ -188,17 +185,14 @@ func Summarize(r *Recorder) *Summary {
 			gc := underGC(ev.Parent)
 			switch ev.Kind {
 			case KDieRead:
-				d.Reads++
 				if gc {
 					s.GC.MigrateRead += dur
 				}
 			case KDieProgram:
-				d.Programs++
 				if gc {
 					s.GC.MigrateProgram += dur
 				}
 			case KDieErase:
-				d.Erases++
 				s.GC.Erase += dur
 				eraseIvs = append(eraseIvs, ival{ev.Start, ev.End})
 			}

@@ -26,7 +26,6 @@ type CacheStats struct {
 	Misses    uint64
 	Evictions uint64
 	Entries   int
-	Capacity  int
 }
 
 type cacheItem struct {
@@ -97,6 +96,5 @@ func (c *resultCache) stats() CacheStats {
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		Entries:   len(c.entries),
-		Capacity:  c.capacity,
 	}
 }

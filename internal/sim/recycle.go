@@ -23,7 +23,6 @@ import (
 type CloneStats struct {
 	Fresh       uint64 // clones cut from a snapshot master
 	Recycled    uint64 // runners re-seeded from the free-list
-	Released    uint64 // runners returned (recyclable or dropped)
 	Live        int    // acquired and not yet released
 	Peak        int    // high-water mark of Live since the last reset
 	Reseeds     uint64 // re-seeds (== Recycled acquires)
@@ -34,7 +33,6 @@ var cloneGauge struct {
 	mu          sync.Mutex
 	fresh       uint64
 	recycled    uint64
-	released    uint64
 	live        int
 	peak        int
 	reseeds     uint64
@@ -67,7 +65,6 @@ func gaugeReseed(bytes int) {
 func gaugeRelease() {
 	g := &cloneGauge
 	g.mu.Lock()
-	g.released++
 	g.live--
 	g.mu.Unlock()
 }
@@ -80,7 +77,6 @@ func CloneGaugeStats() CloneStats {
 	return CloneStats{
 		Fresh:       g.fresh,
 		Recycled:    g.recycled,
-		Released:    g.released,
 		Live:        g.live,
 		Peak:        g.peak,
 		Reseeds:     g.reseeds,
@@ -93,7 +89,7 @@ func CloneGaugeStats() CloneStats {
 func ResetCloneGauge() {
 	g := &cloneGauge
 	g.mu.Lock()
-	g.fresh, g.recycled, g.released = 0, 0, 0
+	g.fresh, g.recycled = 0, 0
 	g.reseeds, g.reseedBytes = 0, 0
 	g.peak = g.live
 	g.mu.Unlock()

@@ -298,7 +298,6 @@ func (st *replayState) finish() (*Result, error) {
 		if done > st.lastDone {
 			st.lastDone = done
 		}
-		res.Buffer = r.buf.Stats()
 	}
 
 	res.FTL = subStats(r.f.Stats(), st.statsBefore)

@@ -110,9 +110,6 @@ type Result struct {
 	// the peak reference count of the page, measured phase only.
 	RefDist [4]uint64
 
-	// Buffer holds write-buffer activity when Config.BufferPages > 0.
-	Buffer buffer.Stats
-
 	// Device state at the end.
 	EraseSpread  int
 	FreeFraction float64

@@ -12,7 +12,6 @@ type Characteristics struct {
 	Requests   int
 	Reads      int
 	Writes     int
-	Trims      int
 	WriteRatio float64 // writes / (reads + writes)
 	DedupRatio float64 // duplicate written pages / written pages
 	AvgReqKB   float64 // mean read+write request size in KiB
@@ -47,8 +46,6 @@ func Characterize(src Source, pageSize int) Characteristics {
 					seen[fp] = struct{}{}
 				}
 			}
-		case OpTrim:
-			c.Trims++
 		}
 	}
 	if rw := c.Reads + c.Writes; rw > 0 {

@@ -174,12 +174,10 @@ type StreamStats struct {
 	// empty and had to wait for the decoder — the measure of how often
 	// decode failed to stay ahead of simulation.
 	Stalls uint64
-	// LiveBytes and PeakLiveBytes account the reader-side resident
+	// PeakLiveBytes is the high-water mark of the reader-side resident
 	// set: request headers plus fingerprint payloads of every chunk
-	// decoded but not yet consumed. Peak is the bounded-memory
-	// guarantee: it depends on the ring's geometry, never on trace
-	// length.
-	LiveBytes     int64
+	// decoded but not yet consumed. It is the bounded-memory guarantee:
+	// it depends on the ring's geometry, never on trace length.
 	PeakLiveBytes int64
 }
 
@@ -350,10 +348,14 @@ func (s *Stream) Next() (Request, bool) {
 	select {
 	case next, ok = <-s.out:
 	default:
-		// The ring is empty: the decoder has not kept ahead.
-		s.stalls++
-		s.tr.Instant(obs.TrackIngest, obs.KIngestStall, s.wall(), uint64(len(s.out)))
-		next, ok = <-s.out
+		// The ring is empty. The wait is a stall, the decoder not having
+		// kept ahead, only if it ends in a chunk rather than the
+		// producer's close.
+		at, occupancy := s.wall(), uint64(len(s.out))
+		if next, ok = <-s.out; ok {
+			s.stalls++
+			s.tr.Instant(obs.TrackIngest, obs.KIngestStall, at, occupancy)
+		}
 	}
 	if !ok {
 		s.err = s.decErr
@@ -389,7 +391,6 @@ func (s *Stream) Stats() StreamStats {
 		Requests:      s.requests,
 		Chunks:        s.chunks.Load(),
 		Stalls:        s.stalls,
-		LiveBytes:     s.liveBytes.Load(),
 		PeakLiveBytes: s.peakBytes.Load(),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cagc/internal/dedup"
 	"cagc/internal/event"
@@ -186,8 +187,8 @@ func TestStreamLargeFileBoundedMemory(t *testing.T) {
 	if stats.PeakLiveBytes > 16<<20 {
 		t.Fatalf("peak reader-side live set = %d bytes, want <= 16 MiB", stats.PeakLiveBytes)
 	}
-	if stats.LiveBytes < 0 {
-		t.Fatalf("live bytes went negative: %d", stats.LiveBytes)
+	if live := st.liveBytes.Load(); live != 0 {
+		t.Fatalf("%d live bytes after the stream drained", live)
 	}
 }
 
@@ -290,6 +291,36 @@ func TestStreamStatsAndStalls(t *testing.T) {
 	}
 	if (StreamStats{}).StallRatio() != 0 {
 		t.Fatal("zero stats should have zero stall ratio")
+	}
+}
+
+// blockedEnd is a source whose one Next blocks until release is closed
+// and then reports the end.
+type blockedEnd struct{ release chan struct{} }
+
+func (b blockedEnd) Next() (Request, bool) {
+	<-b.release
+	return Request{}, false
+}
+
+// A consumer that finds the ring empty and then receives the
+// producer's close has waited for no chunk: that wait is not a stall.
+// The release comes after the consumer is (very likely) waiting, so the
+// wait ends in the close; each round repeats the race.
+func TestStreamWaitForCloseIsNoStall(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		src := blockedEnd{release: make(chan struct{})}
+		st := NewStream(src, StreamOptions{})
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			close(src.release)
+		}()
+		if _, ok := st.Next(); ok {
+			t.Fatal("empty source yielded a request")
+		}
+		if s := st.Stats(); s.Stalls > s.Chunks {
+			t.Fatalf("round %d: %d stalls for %d chunks", round, s.Stalls, s.Chunks)
+		}
 	}
 }
 

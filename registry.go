@@ -21,7 +21,6 @@ import (
 // reads none) and the report.
 type experiment struct {
 	id     string
-	desc   string
 	cells  func(p Params) []BatchItem
 	report func(w io.Writer, p Params, rs runs) error
 }
@@ -29,21 +28,21 @@ type experiment struct {
 // experiments lists every experiment in presentation order. fig9 and
 // fig10 share one comparison run and print together.
 var experiments = []experiment{
-	{"tableI", "SSD configuration", nil, printTableI},
-	{"tableII", "workload characteristics vs published", nil, printTableII},
-	{"fig2", "inline-dedup response-time penalty", figure2Cells, printFigure2},
-	{"fig6", "invalid pages by reference count", figure6Cells, printFigure6},
-	{"fig8", "worked example (write 4 files, GC, delete 2)", nil, printFigure8},
-	{"fig9", "blocks erased and pages migrated (with fig10)", compareCells, printFigure9And10},
-	{"fig10", "pages migrated (alias of fig9's comparison)", compareCells, printFigure9And10},
-	{"fig11", "normalized response times across schemes", figure11Cells, printFigure11},
-	{"fig12", "response-time CDFs", compareCells, printFigure12},
-	{"fig13", "victim-policy sensitivity", figure13Cells, printFigure13},
-	{"throughput", "closed-loop saturation sweep (extension)", throughputCells, printThroughput},
-	{"array", "RAID-1 mirrored pair with GC-aware steering (extension)", nil, printArray},
-	{"tenants", "consolidated Mail+Web-vm tenants on one SSD (extension)", nil, printTenants},
-	{"ablations", "design-choice ablations (extension)", ablationCells, printAblations},
-	{"verify", "audit every shape claim", verifyCells, printChecks},
+	{"tableI", nil, printTableI},
+	{"tableII", nil, printTableII},
+	{"fig2", figure2Cells, printFigure2},
+	{"fig6", figure6Cells, printFigure6},
+	{"fig8", nil, printFigure8},
+	{"fig9", compareCells, printFigure9And10},
+	{"fig10", compareCells, printFigure9And10},
+	{"fig11", figure11Cells, printFigure11},
+	{"fig12", compareCells, printFigure12},
+	{"fig13", figure13Cells, printFigure13},
+	{"throughput", throughputCells, printThroughput},
+	{"array", nil, printArray},
+	{"tenants", nil, printTenants},
+	{"ablations", ablationCells, printAblations},
+	{"verify", verifyCells, printChecks},
 }
 
 // runs is the result set of one evaluation: the Result of every

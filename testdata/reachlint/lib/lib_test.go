@@ -7,3 +7,10 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly")
 	}
 }
+
+func TestCounters(t *testing.T) {
+	var c Counters
+	if c.TestRead != 0 {
+		t.Fatal("TestRead")
+	}
+}
