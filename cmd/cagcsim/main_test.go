@@ -139,3 +139,25 @@ func TestValidateSchedFlags(t *testing.T) {
 		})
 	}
 }
+
+// -trace-summary prints the same text for one configuration every
+// time. The run is long enough to stream its generator through the
+// ring, whose wall-clock ingest events differ run to run.
+func TestTraceSummaryDeterministic(t *testing.T) {
+	args := []string{"-workload", "mail", "-scheme", "cagc", "-buffer", "64", "-requests", "3000", "-trace-summary"}
+	summary := func() string {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		_, text, ok := strings.Cut(stderr.String(), "trace summary [")
+		if !ok {
+			t.Fatalf("no trace summary on stderr:\n%s", stderr.String())
+		}
+		return text
+	}
+	first := summary()
+	if second := summary(); second != first {
+		t.Fatalf("trace summary changed between runs:\n%s\nthen\n%s", first, second)
+	}
+}

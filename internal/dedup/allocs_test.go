@@ -63,35 +63,56 @@ func TestIndexLookupRefcountAllocs(t *testing.T) {
 	}
 }
 
+// The churn holds the index at capacity: each iteration inserts fresh
+// content, which evicts the least-recently-used indexed fingerprint,
+// and then drops the evicted entry's last reference so its CID and
+// table slot recycle. Every measured iteration evicts exactly one.
 func TestIndexInsertEvictChurnAllocs(t *testing.T) {
 	const n = 256
 	x := warmIndex(t, n)
-	k := uint64(1 << 35)
+	// warmIndex left fingerprints 1..n-1 and 1<<31 indexed, least
+	// recently used first; Lookup in that order keeps the order.
+	var lru [n]CID
+	for i := range lru {
+		fp := OfUint64(uint64(i + 1))
+		if i == n-1 {
+			fp = OfUint64(1 << 31)
+		}
+		c, ok := x.Lookup(fp)
+		if !ok {
+			t.Fatalf("warm fingerprint %d not indexed", i)
+		}
+		lru[i] = c
+	}
+	k, oldest, calls, evicted := uint64(1<<35), 0, 0, 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		// Fresh content: insert (evicting an LRU fingerprint while any
-		// warm one remains indexed), then drop it to death so the CID
-		// and table slot recycle — constant-size churn.
+		calls++
 		c, err := x.Insert(OfUint64(k), flash.PPN(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := x.DecRef(c); err != nil {
+		k++
+		if indexed, err := x.Indexed(lru[oldest]); err != nil {
+			t.Fatal(err)
+		} else if !indexed {
+			evicted++
+		}
+		if _, _, err := x.DecRef(lru[oldest]); err != nil {
 			t.Fatal(err)
 		}
-		k++
+		lru[oldest] = c
+		oldest = (oldest + 1) % n
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state insert/evict churn allocated %.1f objects/op, want 0", allocs)
 	}
-	// warmIndex left fingerprints 1..n-1 indexed; the churn must have
-	// evicted at least one.
-	indexed := 0
-	for i := uint64(1); i < n; i++ {
-		if _, ok := x.Lookup(OfUint64(i)); ok {
-			indexed++
-		}
+	if evicted != calls {
+		t.Fatalf("%d of %d churn iterations evicted a fingerprint, want every one", evicted, calls)
 	}
-	if indexed == n-1 {
-		t.Fatal("churn never exercised the capacity-eviction path")
+	// The index is still full: the last n inserted are all indexed.
+	for i, c := range lru {
+		if indexed, err := x.Indexed(c); err != nil || !indexed {
+			t.Fatalf("recent content %d: indexed %v, %v", i, indexed, err)
+		}
 	}
 }

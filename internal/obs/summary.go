@@ -14,6 +14,9 @@ import (
 // fingerprint/erase overlap that CAGC's hiding claim rests on), per-die
 // utilization, and the auxiliary-track tallies.
 type Summary struct {
+	// Events counts the simulated-time events. The wall-clock tracks
+	// (sched, fleet, serve, ingest) are left out: how many ingest stalls
+	// a run records depends on the host, and the report must not.
 	Events  int
 	Dropped uint64
 	// Horizon is the latest simulated event end time — the traced
@@ -143,7 +146,7 @@ func intersect(a, b []ival) event.Time {
 // foreground.
 func Summarize(r *Recorder) *Summary {
 	evs := r.Events()
-	s := &Summary{Events: len(evs), Dropped: r.Dropped()}
+	s := &Summary{Dropped: r.Dropped()}
 	if len(evs) == 0 {
 		return s
 	}
@@ -157,8 +160,9 @@ func Summarize(r *Recorder) *Summary {
 	var hashIvs, eraseIvs []ival
 	for i := range evs {
 		ev := &evs[i]
-		if ev.End > s.Horizon && !ev.Track.wallClock() {
-			s.Horizon = ev.End
+		if !ev.Track.wallClock() {
+			s.Events++
+			s.Horizon = max(s.Horizon, ev.End)
 		}
 		dur := ev.End - ev.Start
 		switch ev.Kind {

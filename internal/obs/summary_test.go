@@ -158,6 +158,20 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
+// The wall-clock ingest track's events, whose number depends on the
+// host, count neither in Events nor toward the horizon.
+func TestSummarizeCountsSimulatedEventsOnly(t *testing.T) {
+	r := NewRecorder()
+	r.Span(TrackRequests, KReqRead, 10, 40, 0)
+	r.Span(DieTrack(0), KDieRead, 15, 35, 0)
+	r.Span(TrackIngest, KIngestChunk, 0, 5_000, 256)
+	r.Instant(TrackIngest, KIngestStall, 9_000, 0)
+	s := Summarize(r)
+	if s.Events != 2 || s.Horizon != 40 {
+		t.Fatalf("events %d, horizon %d; want 2 and 40", s.Events, s.Horizon)
+	}
+}
+
 func TestWriteTextReportsOverlap(t *testing.T) {
 	r := NewRecorder()
 	gc := r.Begin(TrackGC, KGCCollect, 0, 0)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -112,8 +113,9 @@ func BenchmarkPreconditionerPresets(b *testing.B) {
 }
 
 // BenchmarkDecodeHomes decodes a 250 000-request Homes trace in the
-// binary and text formats; ns/op is per trace, so divide by
-// 250 000 for ns per request.
+// binary, text and FIU formats; ns/op is per trace, so divide by
+// 250 000 for ns per request. The FIU rendering has one line per read
+// or write, its first fingerprint as the content hash, and no trims.
 func BenchmarkDecodeHomes(b *testing.B) {
 	spec, err := Preset(Homes, 2105, 250_000, 5)
 	if err != nil {
@@ -140,13 +142,28 @@ func BenchmarkDecodeHomes(b *testing.B) {
 	if _, err := WriteText(&text, &SliceSource{Reqs: reqs}); err != nil {
 		b.Fatal(err)
 	}
+	var fiu bytes.Buffer
+	fiuLines := 0
+	for _, r := range reqs {
+		switch r.Op {
+		case OpRead:
+			fmt.Fprintf(&fiu, "%d 4242 proc %d %d R 8 0\n", int64(r.At), r.LPN, r.Pages)
+		case OpWrite:
+			fmt.Fprintf(&fiu, "%d 4242 proc %d %d W 8 0 %016x%016x\n", int64(r.At), r.LPN, r.Pages, uint64(r.FPs[0]), uint64(r.FPs[0]))
+		default:
+			continue
+		}
+		fiuLines++
+	}
 	for _, c := range []struct {
 		name string
 		data []byte
+		want int
 		open func(io.Reader) (Source, error)
 	}{
-		{"binary", bin.Bytes(), func(r io.Reader) (Source, error) { return NewReader(r) }},
-		{"text", text.Bytes(), func(r io.Reader) (Source, error) { return NewTextReader(r), nil }},
+		{"binary", bin.Bytes(), len(reqs), func(r io.Reader) (Source, error) { return NewReader(r) }},
+		{"text", text.Bytes(), len(reqs), func(r io.Reader) (Source, error) { return NewTextReader(r), nil }},
+		{"fiu", fiu.Bytes(), fiuLines, func(r io.Reader) (Source, error) { return NewFIUReader(r, 1), nil }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -163,8 +180,8 @@ func BenchmarkDecodeHomes(b *testing.B) {
 					}
 					n++
 				}
-				if n != len(reqs) {
-					b.Fatalf("decoded %d of %d", n, len(reqs))
+				if n != c.want {
+					b.Fatalf("decoded %d of %d", n, c.want)
 				}
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -129,8 +130,10 @@ type Reader struct {
 }
 
 // NewReader validates the header and positions at the first record.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
+func NewReader(r io.Reader) (*Reader, error) { return newReader(bufio.NewReader(r)) }
+
+// newReader is NewReader over br itself, whatever its buffer size.
+func newReader(br *bufio.Reader) (*Reader, error) {
 	var got [8]byte
 	if _, err := io.ReadFull(br, got[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
@@ -145,25 +148,99 @@ func NewReader(r io.Reader) (*Reader, error) {
 // boundary is a clean end and is not reported.
 func (tr *Reader) Err() error { return tr.err }
 
-// uvarint decodes one uvarint in place from the bytes already buffered.
-// A uvarint the buffer does not hold whole (it straddles the buffer's
-// end) or that overflows goes to binary.ReadUvarint instead, which
-// re-reads it from the same position, so the reads of the underlying
-// reader and every error are exactly binary.ReadUvarint's.
-func (tr *Reader) uvarint() (uint64, error) {
-	buf, _ := tr.r.Peek(tr.r.Buffered())
-	if v, n := binary.Uvarint(buf); n > 0 {
-		tr.r.Discard(n)
-		return v, nil
+// uvarint is binary.Uvarint reading eight bytes per load: one load
+// holds any value below 2^56, and a 9- or 10-byte one takes one or two
+// more bytes. Anything else (a short buffer, an overflow) gets
+// binary.Uvarint's own answer.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) < 8 {
+		return binary.Uvarint(b)
 	}
-	return binary.ReadUvarint(tr.r)
+	w := binary.LittleEndian.Uint64(b)
+	if stop := ^w & 0x8080808080808080; stop != 0 {
+		// Keep the bytes up to and including the first without a
+		// continuation bit.
+		return packGroups(w & (stop ^ (stop - 1))), bits.TrailingZeros64(stop)/8 + 1
+	}
+	v := packGroups(w)
+	if len(b) > 8 && b[8] < 0x80 {
+		return v | uint64(b[8])<<56, 9
+	}
+	if len(b) > 9 && b[9] <= 1 {
+		return v | uint64(b[8]&0x7f)<<56 | uint64(b[9])<<63, 10
+	}
+	return binary.Uvarint(b)
 }
 
-// Next implements Source.
+// packGroups joins the low seven bits of each byte of w, little end
+// first, into one 56-bit value.
+func packGroups(w uint64) uint64 {
+	w &= 0x7f7f7f7f7f7f7f7f
+	w = (w&0x7f007f007f007f00)>>1 | w&0x007f007f007f007f
+	w = (w&0x3fff00003fff0000)>>2 | w&0x00003fff00003fff
+	return (w&0x0fffffff00000000)>>4 | w&0x000000000fffffff
+}
+
+// Next implements Source. A record the buffer holds whole and valid is
+// decoded in place; any other goes field by field from the same
+// position.
 func (tr *Reader) Next() (Request, bool) {
 	if tr.done {
 		return Request{}, false
 	}
+	if r, ok := tr.nextBuffered(); ok {
+		return r, true
+	}
+	return tr.nextFields()
+}
+
+// nextBuffered decodes one record from the bytes already buffered,
+// with one Peek and one Discard. It consumes nothing and reports false
+// unless the record is there whole and valid, so a record that
+// straddles the buffer's end, and every malformed one, is left to
+// nextFields at the same position.
+func (tr *Reader) nextBuffered() (Request, bool) {
+	buf, _ := tr.r.Peek(tr.r.Buffered())
+	delta, n := uvarint(buf)
+	if n <= 0 || n == len(buf) || delta > uint64(math.MaxInt64-tr.lastAt) {
+		return Request{}, false
+	}
+	op := Op(buf[n])
+	if op > OpTrim {
+		return Request{}, false
+	}
+	n++
+	lpn, k := uvarint(buf[n:])
+	if k <= 0 {
+		return Request{}, false
+	}
+	n += k
+	pages, k := uvarint(buf[n:])
+	if k <= 0 || pages == 0 || pages > maxRequestPages {
+		return Request{}, false
+	}
+	n += k
+	r := Request{At: tr.lastAt + event.Time(delta), Op: op, LPN: lpn, Pages: int(pages)}
+	if op == OpWrite {
+		r.FPs = tr.fps.take(r.Pages)
+		for i := range r.FPs {
+			v, k := uvarint(buf[n:])
+			if k <= 0 {
+				return Request{}, false
+			}
+			n += k
+			r.FPs[i] = dedup.Fingerprint(v)
+		}
+	}
+	tr.r.Discard(n)
+	tr.lastAt = r.At
+	return r, true
+}
+
+// nextFields decodes one record field by field with
+// binary.ReadUvarint, reading more input as it needs it; it names every
+// error.
+func (tr *Reader) nextFields() (Request, bool) {
 	fail := func(err error) (Request, bool) {
 		tr.done = true
 		if err != io.EOF {
@@ -171,7 +248,7 @@ func (tr *Reader) Next() (Request, bool) {
 		}
 		return Request{}, false
 	}
-	delta, err := tr.uvarint()
+	delta, err := binary.ReadUvarint(tr.r)
 	if err != nil {
 		return fail(err) // EOF here is a clean end of trace
 	}
@@ -189,10 +266,10 @@ func (tr *Reader) Next() (Request, bool) {
 	if r.Op > OpTrim {
 		return fail(fmt.Errorf("trace: unknown op %d", op))
 	}
-	if r.LPN, err = tr.uvarint(); err != nil {
+	if r.LPN, err = binary.ReadUvarint(tr.r); err != nil {
 		return fail(fmt.Errorf("trace: truncated record: %w", err))
 	}
-	pages, err := tr.uvarint()
+	pages, err := binary.ReadUvarint(tr.r)
 	if err != nil {
 		return fail(fmt.Errorf("trace: truncated record: %w", err))
 	}
@@ -203,7 +280,7 @@ func (tr *Reader) Next() (Request, bool) {
 	if r.Op == OpWrite {
 		r.FPs = tr.fps.take(r.Pages)
 		for i := range r.FPs {
-			v, err := tr.uvarint()
+			v, err := binary.ReadUvarint(tr.r)
 			if err != nil {
 				return fail(fmt.Errorf("trace: truncated fingerprints: %w", err))
 			}
@@ -264,10 +341,21 @@ func NewTextReader(r io.Reader) *TextReader {
 // Err returns the first parse error.
 func (tr *TextReader) Err() error { return tr.err }
 
-// Next implements Source.
+// Next implements Source. An ASCII line is parsed in place; any other
+// line, and any line parseTextFields does not take, goes to
+// parseTextLine, which names the error.
 func (tr *TextReader) Next() (Request, bool) {
 	for tr.err == nil && tr.sc.Scan() {
 		tr.line++
+		var f [5][]byte
+		if n, ok := asciiFields(tr.sc.Bytes(), f[:]); ok {
+			if n == 0 || f[0][0] == '#' {
+				continue
+			}
+			if r, ok := parseTextFields(&f, n, &tr.fps); ok {
+				return r, true
+			}
+		}
 		line := strings.TrimSpace(tr.sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -283,6 +371,156 @@ func (tr *TextReader) Next() (Request, bool) {
 		tr.err = tr.sc.Err()
 	}
 	return Request{}, false
+}
+
+// asciiFields splits line at ASCII white space into f, as strings.Fields
+// does, and returns how many fields the line has, those past len(f)
+// included. It reports false for a line holding a byte outside ASCII,
+// whose white space only strings.Fields knows, or a control byte that
+// is not white space.
+func asciiFields(line []byte, f [][]byte) (n int, ok bool) {
+	for i := 0; ; {
+		for i < len(line) && asciiSpace(line[i]) {
+			i++
+		}
+		if i == len(line) {
+			return n, true
+		}
+		start := i
+		for i < len(line) && line[i]-'!' <= 0x7f-'!' {
+			i++
+		}
+		if i < len(line) && !asciiSpace(line[i]) {
+			return 0, false
+		}
+		if n < len(f) {
+			f[n] = line[start:i]
+		}
+		n++
+	}
+}
+
+// asciiSpace reports whether c is one of the ASCII bytes
+// unicode.IsSpace accepts.
+func asciiSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// decimalDigits parses a field of 1 to 19 ASCII digits, the fields on
+// which strconv's base-10 parsers cannot overflow uint64. It reports
+// false for any other field (a sign, 20 digits or more), which strconv
+// must judge.
+func decimalDigits(b []byte) (uint64, bool) {
+	if len(b) == 0 || len(b) > 19 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		v = v*10 + uint64(d)
+	}
+	return v, true
+}
+
+// hexValue maps each hex digit of either case to its value and every
+// other byte to 0xff.
+var hexValue = func() (t [256]byte) {
+	for c := range t {
+		switch {
+		case '0' <= c && c <= '9':
+			t[c] = byte(c - '0')
+		case 'a' <= c && c <= 'f':
+			t[c] = byte(c - 'a' + 10)
+		case 'A' <= c && c <= 'F':
+			t[c] = byte(c - 'A' + 10)
+		default:
+			t[c] = 0xff
+		}
+	}
+	return t
+}()
+
+// hexDigits parses a field of 1 to 16 hex digits of either case. It
+// reports false for any other field.
+func hexDigits(b []byte) (uint64, bool) {
+	if len(b) == 0 || len(b) > 16 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range b {
+		d := hexValue[c]
+		if d == 0xff {
+			return 0, false
+		}
+		v = v<<4 | uint64(d)
+	}
+	return v, true
+}
+
+// parseTextFields parses the line asciiFields split into f, n fields
+// in all, into what parseTextLine would return for it. It reports
+// false for any line it does not take whole: an error, and also valid
+// spellings such as a signed or 20-digit number, which parseTextLine
+// reads.
+func parseTextFields(f *[5][]byte, n int, fps *fpScratch) (Request, bool) {
+	if n < 4 || len(f[1]) != 1 {
+		return Request{}, false
+	}
+	at, ok := decimalDigits(f[0])
+	if !ok || at > math.MaxInt64 {
+		return Request{}, false
+	}
+	lpn, ok := decimalDigits(f[2])
+	if !ok {
+		return Request{}, false
+	}
+	pages, ok := decimalDigits(f[3])
+	if !ok || pages < 1 || pages > math.MaxInt {
+		return Request{}, false
+	}
+	r := Request{At: event.Time(at), LPN: lpn, Pages: int(pages)}
+	switch f[1][0] {
+	case 'R':
+		r.Op = OpRead
+	case 'T':
+		r.Op = OpTrim
+	case 'W':
+		r.Op = OpWrite
+		list := f[4]
+		// Each fingerprint takes a digit and all but the last a comma,
+		// so a page count the list cannot hold is refused before the
+		// scratch buffer grows to it.
+		if n != 5 || uint64(len(list)) < 2*pages-1 {
+			return Request{}, false
+		}
+		r.FPs = fps.take(r.Pages)
+		// One pass over "fp,fp,...": each of 1 to 16 hex digits.
+		i, digits, v := 0, 0, uint64(0)
+		for _, c := range list {
+			if c == ',' {
+				if digits == 0 || i == len(r.FPs)-1 {
+					return Request{}, false
+				}
+				r.FPs[i] = dedup.Fingerprint(v)
+				i, digits, v = i+1, 0, 0
+				continue
+			}
+			d := hexValue[c]
+			if d == 0xff || digits == 16 {
+				return Request{}, false
+			}
+			v = v<<4 | uint64(d)
+			digits++
+		}
+		if digits == 0 || i != len(r.FPs)-1 {
+			return Request{}, false
+		}
+		r.FPs[i] = dedup.Fingerprint(v)
+	default:
+		return Request{}, false
+	}
+	return r, true
 }
 
 func parseTextLine(line string, fps *fpScratch) (Request, error) {

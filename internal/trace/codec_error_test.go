@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -147,13 +149,15 @@ func TestBinaryGarbageNeverPanics(t *testing.T) {
 	}
 }
 
-// The binary Reader decodes a uvarint in place when the buffer holds it
-// whole and through binary.ReadUvarint otherwise. Read one byte per
-// call, the buffer never holds a multi-byte uvarint whole, so every
-// field takes the ReadUvarint path; the two paths must give the same
-// requests and the same error for every prefix of a trace and for
-// corruptions (an overflowing varint, a varint of 10 bytes whose last
-// byte is too large) in every field position.
+// The binary Reader decodes a record in place when the buffer holds it
+// whole and valid, and field by field otherwise. Every way of reading
+// must give the same requests and the same error, for every prefix of
+// a trace, for corruptions (an overflowing varint, a varint of 10
+// bytes whose last byte is too large) in every field position, and for
+// the malformed records above: in a 4 KiB buffer; one byte per read,
+// so that the buffer never holds a multi-byte uvarint whole; in a
+// 16-byte buffer, so that nearly every record straddles its end; and
+// with every record sent field by field.
 func TestBinaryInPlaceMatchesReadUvarint(t *testing.T) {
 	spec, err := Preset(Homes, 2105, 60, 3)
 	if err != nil {
@@ -190,26 +194,63 @@ func TestBinaryInPlaceMatchesReadUvarint(t *testing.T) {
 			inputs = append(inputs, append(append(append([]byte{}, full[:at]...), bad...), full[at:]...))
 		}
 	}
-	decode := func(r io.Reader) ([]Request, string) {
-		rd, err := NewReader(r)
+	for _, body := range [][]byte{
+		{0x00, 0x07, 0x01, 0x01},                           // unknown op
+		{0x00, byte(OpRead), 0x01, 0x00},                   // pages = 0
+		{0x00, byte(OpRead), 0x01, 0x80, 0x80, 0x80, 0x01}, // pages = 2^21
+		bytes.Repeat([]byte{0xff}, 11),                     // overflowing delta
+		{0x80},                                             // partial delta
+		{0x00, byte(OpRead), 0x80},                         // partial lpn
+		{0x01, byte(OpWrite), 0x03, 0x02, 0x09},            // one fingerprint of two
+		{0x01, byte(OpRead), 0x01, 0x01, 0x00, 0x07},       // good record, then an unknown op
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, byte(OpRead), 0x01, 0x01,
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, byte(OpRead), 0x01, 0x01}, // arrival overflows
+		{0x00, 0x01, 0x00, 0x02, 0x01},
+		bytes.Repeat([]byte{0xab}, 64),
+	} {
+		inputs = append(inputs, recordBytes(body...))
+	}
+	decode := func(br *bufio.Reader, next func(*Reader) (Request, bool)) ([]Request, string) {
+		rd, err := newReader(br)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := Collect(rd)
+		var got []Request
+		for {
+			r, ok := next(rd)
+			if !ok {
+				break
+			}
+			r.FPs = slices.Clone(r.FPs)
+			got = append(got, r)
+		}
 		if rd.Err() == nil {
 			return got, ""
 		}
 		return got, rd.Err().Error()
 	}
 	for i, in := range inputs {
-		want, wantErr := decode(iotest.OneByteReader(bytes.NewReader(in)))
-		got, gotErr := decode(bytes.NewReader(in))
-		if gotErr != wantErr || len(got) != len(want) {
-			t.Fatalf("input %d (%d bytes): %d requests, err %q; byte at a time: %d, %q", i, len(in), len(got), gotErr, len(want), wantErr)
-		}
-		for j := range got {
-			if !reflect.DeepEqual(got[j], want[j]) {
-				t.Fatalf("input %d request %d: %+v, byte at a time %+v", i, j, got[j], want[j])
+		want, wantErr := decode(bufio.NewReader(bytes.NewReader(in)), (*Reader).nextFields)
+		for _, c := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"4 KiB buffer", bytes.NewReader(in)},
+			{"byte at a time", iotest.OneByteReader(bytes.NewReader(in))},
+			{"16-byte buffer", bufio.NewReaderSize(bytes.NewReader(in), 16)},
+		} {
+			br, ok := c.r.(*bufio.Reader)
+			if !ok {
+				br = bufio.NewReader(c.r)
+			}
+			got, gotErr := decode(br, (*Reader).Next)
+			if gotErr != wantErr || len(got) != len(want) {
+				t.Fatalf("input %d (%d bytes), %s: %d requests, err %q; field by field: %d, %q", i, len(in), c.name, len(got), gotErr, len(want), wantErr)
+			}
+			for j := range got {
+				if !reflect.DeepEqual(got[j], want[j]) {
+					t.Fatalf("input %d request %d, %s: %+v, field by field %+v", i, j, c.name, got[j], want[j])
+				}
 			}
 		}
 	}

@@ -54,10 +54,21 @@ func NewFIUReader(r io.Reader, timeScale float64) *FIUReader {
 // Err returns the first parse error, if any.
 func (fr *FIUReader) Err() error { return fr.err }
 
-// Next implements Source.
+// Next implements Source. An ASCII line is parsed in place; any other
+// line, and any line parseFields does not take, goes to parse, which
+// names the error.
 func (fr *FIUReader) Next() (Request, bool) {
 	for fr.err == nil && fr.sc.Scan() {
 		fr.line++
+		var f [9][]byte
+		if n, ok := asciiFields(fr.sc.Bytes(), f[:]); ok {
+			if n == 0 || f[0][0] == '#' {
+				continue
+			}
+			if r, ok := fr.parseFields(&f, n); ok {
+				return r, true
+			}
+		}
 		line := strings.TrimSpace(fr.sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -75,15 +86,58 @@ func (fr *FIUReader) Next() (Request, bool) {
 	return Request{}, false
 }
 
-func (fr *FIUReader) parse(line string) (Request, error) {
-	f := strings.Fields(line)
-	if len(f) < 8 {
-		return Request{}, fmt.Errorf("want >=8 fields, got %d", len(f))
+// parseFields parses the line asciiFields split into f, n fields in
+// all, into what parse would return for it. It reports false for any
+// line it does not take whole, for parse to read or reject.
+func (fr *FIUReader) parseFields(f *[9][]byte, n int) (Request, bool) {
+	if n < 8 || len(f[5]) != 1 {
+		return Request{}, false
 	}
-	ts, err := strconv.ParseInt(f[0], 10, 64)
+	ts, ok := decimalDigits(f[0])
+	if !ok || ts > math.MaxInt64 {
+		return Request{}, false
+	}
+	// The first line's timestamp becomes the base here even if the
+	// line is then left to parse, which sets the same base from it.
+	at, err := fr.arrival(int64(ts))
 	if err != nil {
-		return Request{}, fmt.Errorf("timestamp: %w", err)
+		return Request{}, false
 	}
+	block, ok := decimalDigits(f[3])
+	if !ok {
+		return Request{}, false
+	}
+	count, ok := decimalDigits(f[4])
+	if !ok || count < 1 || count > maxRequestPages {
+		return Request{}, false
+	}
+	r := Request{At: at, LPN: block, Pages: int(count)}
+	// W or w, R or r: what parse accepts through strings.ToUpper.
+	switch f[5][0] | 0x20 {
+	case 'w':
+		if n < 9 {
+			return Request{}, false
+		}
+		fp, ok := foldHex(f[8])
+		if !ok {
+			return Request{}, false
+		}
+		r.Op = OpWrite
+		r.FPs = fr.fps.take(r.Pages)
+		for i := range r.FPs {
+			r.FPs[i] = fp
+		}
+	case 'r':
+		r.Op = OpRead
+	default:
+		return Request{}, false
+	}
+	return r, true
+}
+
+// arrival rebases ts on the trace's first timestamp and applies the
+// time scale.
+func (fr *FIUReader) arrival(ts int64) (event.Time, error) {
 	at := event.Time(ts)
 	if !fr.has {
 		fr.base = at
@@ -95,9 +149,24 @@ func (fr *FIUReader) parse(line string) (Request, error) {
 	}
 	scaled := float64(rel) * fr.scale
 	if !(scaled < math.MaxInt64) { // also rejects a NaN scale
-		return Request{}, fmt.Errorf("timestamp %d out of range at time scale %g", ts, fr.scale)
+		return 0, fmt.Errorf("timestamp %d out of range at time scale %g", ts, fr.scale)
 	}
-	rel = event.Time(scaled)
+	return event.Time(scaled), nil
+}
+
+func (fr *FIUReader) parse(line string) (Request, error) {
+	f := strings.Fields(line)
+	if len(f) < 8 {
+		return Request{}, fmt.Errorf("want >=8 fields, got %d", len(f))
+	}
+	ts, err := strconv.ParseInt(f[0], 10, 64)
+	if err != nil {
+		return Request{}, fmt.Errorf("timestamp: %w", err)
+	}
+	rel, err := fr.arrival(ts)
+	if err != nil {
+		return Request{}, err
+	}
 
 	block, err := strconv.ParseUint(f[3], 10, 64)
 	if err != nil {
@@ -151,7 +220,26 @@ func FoldMD5(h string) (dedup.Fingerprint, error) {
 			return 0, fmt.Errorf("content hash: %w", err)
 		}
 	}
-	// Mix the halves sequentially (not symmetrically) so structured
-	// digests — identical or complementary halves — cannot cancel.
-	return dedup.OfUint64(uint64(dedup.OfUint64(hi)) ^ lo), nil
+	return foldHalves(hi, lo), nil
+}
+
+// foldHex is FoldMD5 for a digest it reads in place. It reports false
+// wherever FoldMD5 fails.
+func foldHex(h []byte) (dedup.Fingerprint, bool) {
+	if len(h) < 16 {
+		return 0, false
+	}
+	hi, ok := hexDigits(h[:16])
+	var lo uint64
+	if ok && len(h) >= 32 {
+		lo, ok = hexDigits(h[16:32])
+	}
+	return foldHalves(hi, lo), ok
+}
+
+// foldHalves mixes a digest's halves sequentially (not symmetrically)
+// so structured digests — identical or complementary halves — cannot
+// cancel.
+func foldHalves(hi, lo uint64) dedup.Fingerprint {
+	return dedup.OfUint64(uint64(dedup.OfUint64(hi)) ^ lo)
 }

@@ -278,12 +278,19 @@ func fuzzOpenSeeds() [][]byte {
 // with Writer, which must give the reference encoding and decode back
 // to the same requests. The input bytes themselves are not compared:
 // a non-canonical uvarint (0x80 0x00 for 0) decodes, and re-encodes
-// shorter.
+// shorter. Every input is also read as text and as FIU, through the
+// in-place line parsers and through the fallback parsers alone, which
+// must agree request for request and error for error.
 func FuzzOpen(f *testing.F) {
 	for _, seed := range fuzzOpenSeeds() {
 		f.Add(seed)
 	}
+	f.Add([]byte(fiuSample))
+	f.Add([]byte("10 R 5 1\n20 W 6 2 ab,CD\n# note\n30 T 7 4\n"))
+	f.Add([]byte(strings.Join(textEdgeLines[:12], "\n")))
+	f.Add([]byte(strings.Join(fiuEdgeLines[:12], "\n")))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkLinesMatchFallback(t, data)
 		src, err := Open(bytes.NewReader(data), OpenOptions{})
 		if err != nil {
 			return

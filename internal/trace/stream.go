@@ -204,6 +204,11 @@ type Stream struct {
 	cur    *chunk
 	pos    int
 	closed bool
+	// spent holds the consumer's read chunks until ChunkDepth-1 of them
+	// go back to the free list at once, so a producer that outruns the
+	// simulation wakes once per batch instead of once per chunk.
+	spent  [ChunkDepth - 1]*chunk
+	nspent int
 	err    error // surfaced via Err after the stream ends
 
 	// decErr is written by the producer before it closes out; the
@@ -340,17 +345,23 @@ func (s *Stream) Next() (Request, bool) {
 	}
 	if s.cur != nil {
 		s.liveBytes.Add(-chunkBytes(s.cur))
-		s.free <- s.cur
+		s.spent[s.nspent] = s.cur
+		s.nspent++
 		s.cur = nil
+		if s.nspent == len(s.spent) {
+			s.giveBack()
+		}
 	}
 	var next *chunk
 	var ok bool
 	select {
 	case next, ok = <-s.out:
 	default:
-		// The ring is empty. The wait is a stall, the decoder not having
-		// kept ahead, only if it ends in a chunk rather than the
-		// producer's close.
+		// The ring is empty: the producer may be waiting for the spent
+		// buffers, so they go back before the consumer blocks. The wait
+		// is a stall, the decoder not having kept ahead, only if it ends
+		// in a chunk rather than the producer's close.
+		s.giveBack()
 		at, occupancy := s.wall(), uint64(len(s.out))
 		if next, ok = <-s.out; ok {
 			s.stalls++
@@ -366,11 +377,22 @@ func (s *Stream) Next() (Request, bool) {
 	return s.Next()
 }
 
+// giveBack returns the spent chunks to the free list, which has room
+// for every buffer.
+func (s *Stream) giveBack() {
+	for i := range s.nspent {
+		s.free <- s.spent[i]
+		s.spent[i] = nil
+	}
+	s.nspent = 0
+}
+
 // release ends the stream on the consumer's side after the producer has
-// exited. By then every chunk buffer is on the free list, and each goes
-// back to the pool exactly once.
+// exited. By then every chunk buffer is on the free list or spent, and
+// each goes back to the pool exactly once.
 func (s *Stream) release() {
 	s.closed = true
+	s.giveBack()
 	for {
 		select {
 		case c := <-s.free:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,20 +112,95 @@ func TestStreamCleanEndNoError(t *testing.T) {
 }
 
 // Close must release the decode goroutine even when the stream is
-// abandoned mid-flight, and must be safe to call repeatedly.
+// abandoned mid-flight, and must be safe to call repeatedly: after a
+// few requests, and after each number of whole chunks, so that the
+// consumer holds from none to all but one of a batch of spent buffers.
 func TestStreamCloseMidFlight(t *testing.T) {
+	for _, consumed := range []int{5, ChunkRequests, 2 * ChunkRequests, 3*ChunkRequests + 1, 5 * ChunkRequests} {
+		g, err := NewGenerator(streamSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewStream(g, StreamOptions{})
+		for i := 0; i < consumed; i++ {
+			if _, ok := st.Next(); !ok {
+				t.Fatal("stream ended early")
+			}
+		}
+		st.Close()
+		st.Close() // idempotent
+		if _, ok := <-st.out; ok {
+			t.Fatalf("after %d requests: the producer outlived Close", consumed)
+		}
+		if _, ok := st.Next(); ok {
+			t.Fatalf("after %d requests: a closed stream yielded", consumed)
+		}
+	}
+}
+
+// pacedSource sleeps before every ChunkRequests-th request of src, a
+// producer slower than any consumer.
+type pacedSource struct {
+	src Source
+	n   int
+}
+
+func (p *pacedSource) Next() (Request, bool) {
+	if p.n%ChunkRequests == 0 {
+		time.Sleep(200 * time.Microsecond)
+	}
+	p.n++
+	return p.src.Next()
+}
+
+// The consumer holds up to ChunkDepth-2 spent buffers between batches.
+// That never starves the producer into a deadlock, whether it is faster
+// than the consumer (which sleeps at every chunk) or slower, and
+// whatever the number of chunks in the stream; each buffer goes back
+// to the pool once.
+func TestStreamSpentBuffersNeverDeadlock(t *testing.T) {
 	g, err := NewGenerator(streamSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewStream(g, StreamOptions{})
-	for i := 0; i < 5; i++ {
-		if _, ok := st.Next(); !ok {
-			t.Fatal("stream ended early")
+	all := Collect(g)
+	for _, slowProducer := range []bool{false, true} {
+		for chunks := 1; chunks <= 2*(ChunkDepth+2); chunks++ {
+			takePool()
+			want := all[:min(len(all), chunks*ChunkRequests-1)]
+			var src Source = &SliceSource{Reqs: want}
+			if slowProducer {
+				src = &pacedSource{src: src}
+			}
+			done := make(chan []Request)
+			go func() {
+				st := NewStream(src, StreamOptions{})
+				var got []Request
+				for {
+					r, ok := st.Next()
+					if !ok {
+						break
+					}
+					if !slowProducer && len(got)%ChunkRequests == 0 {
+						time.Sleep(200 * time.Microsecond)
+					}
+					r.FPs = slices.Clone(r.FPs)
+					got = append(got, r)
+				}
+				st.Close()
+				done <- got
+			}()
+			select {
+			case got := <-done:
+				requestsEqual(t, got, want, fmt.Sprintf("slow producer %v, %d chunks", slowProducer, chunks))
+			case <-time.After(20 * time.Second):
+				t.Fatalf("slow producer %v, %d chunks: the stream deadlocked", slowProducer, chunks)
+			}
+			if n := len(takePool()); n != ChunkDepth+2 {
+				t.Fatalf("slow producer %v, %d chunks: pool holds %d buffers, want %d", slowProducer, chunks, n, ChunkDepth+2)
+			}
 		}
 	}
-	st.Close()
-	st.Close() // idempotent
 }
 
 // The bounded-memory guarantee: reader-side live bytes depend on the
@@ -391,11 +467,13 @@ func takePool() []*chunk {
 }
 
 // A stream hands its ring's buffers back to the pool exactly once —
-// drained to its end and then closed twice, or abandoned mid-flight —
-// and clears them first, so the pool keeps no fingerprints reachable.
-// Runs under -race in CI.
+// drained to its end and then closed twice, or abandoned mid-flight
+// with the consumer holding from none to all but one of a batch of
+// spent buffers — and clears them first, so the pool keeps no
+// fingerprints reachable. Runs under -race in CI.
 func TestStreamReturnsEachBufferOnce(t *testing.T) {
-	for _, midFlight := range []bool{false, true} {
+	for _, consumed := range []int{-1, 5, ChunkRequests + 1, 2*ChunkRequests + 1, 3*ChunkRequests + 1, 4 * ChunkRequests} {
+		midFlight := consumed >= 0
 		takePool()
 		g, err := NewGenerator(streamSpec())
 		if err != nil {
@@ -403,7 +481,7 @@ func TestStreamReturnsEachBufferOnce(t *testing.T) {
 		}
 		st := NewStream(g, StreamOptions{})
 		if midFlight {
-			for i := 0; i < 5; i++ {
+			for i := 0; i < consumed; i++ {
 				st.Next()
 			}
 		} else {
@@ -413,21 +491,21 @@ func TestStreamReturnsEachBufferOnce(t *testing.T) {
 		st.Close()
 		pooled := takePool()
 		if len(pooled) != ChunkDepth+2 {
-			t.Fatalf("midFlight=%v: pool holds %d buffers, want %d", midFlight, len(pooled), ChunkDepth+2)
+			t.Fatalf("consumed %d: pool holds %d buffers, want %d", consumed, len(pooled), ChunkDepth+2)
 		}
 		seen := make(map[*chunk]bool)
 		for _, c := range pooled {
 			b := c.reqs
 			if len(b) != 0 || cap(b) != ChunkRequests || len(c.slab) != 0 {
-				t.Fatalf("midFlight=%v: pooled buffer len %d cap %d, slab len %d", midFlight, len(b), cap(b), len(c.slab))
+				t.Fatalf("consumed %d: pooled buffer len %d cap %d, slab len %d", consumed, len(b), cap(b), len(c.slab))
 			}
 			if seen[c] {
-				t.Fatalf("midFlight=%v: a buffer was returned twice", midFlight)
+				t.Fatalf("consumed %d: a buffer was returned twice", consumed)
 			}
 			seen[c] = true
 			for i, r := range b[:cap(b)] {
 				if r.At != 0 || r.LPN != 0 || r.Pages != 0 || r.FPs != nil {
-					t.Fatalf("midFlight=%v: pooled buffer slot %d not cleared: %+v", midFlight, i, r)
+					t.Fatalf("consumed %d: pooled buffer slot %d not cleared: %+v", consumed, i, r)
 				}
 			}
 		}
@@ -437,7 +515,7 @@ func TestStreamReturnsEachBufferOnce(t *testing.T) {
 		}
 		st2 := NewStream(&SliceSource{}, StreamOptions{})
 		if n := len(takePool()); n != 0 {
-			t.Fatalf("midFlight=%v: a new stream left %d pooled buffers unused", midFlight, n)
+			t.Fatalf("consumed %d: a new stream left %d pooled buffers unused", consumed, n)
 		}
 		st2.Close()
 	}
