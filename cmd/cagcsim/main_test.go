@@ -144,7 +144,19 @@ func TestValidateSchedFlags(t *testing.T) {
 // time. The run is long enough to stream its generator through the
 // ring, whose wall-clock ingest events differ run to run.
 func TestTraceSummaryDeterministic(t *testing.T) {
-	args := []string{"-workload", "mail", "-scheme", "cagc", "-buffer", "64", "-requests", "3000", "-trace-summary"}
+	checkSummaryDeterministic(t, "-workload", "mail", "-scheme", "cagc", "-buffer", "64", "-requests", "3000", "-trace-summary")
+}
+
+// The flight recorder's summary is deterministic too: its dropped count
+// and its retained window hold simulated-time events only, while the
+// wall-clock ingest events keep a window of their own.
+func TestFlightSummaryDeterministic(t *testing.T) {
+	checkSummaryDeterministic(t, "-workload", "mail", "-scheme", "cagc", "-buffer", "64", "-requests", "3000",
+		"-trace-last", "4096", "-trace-summary")
+}
+
+func checkSummaryDeterministic(t *testing.T, args ...string) {
+	t.Helper()
 	summary := func() string {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err != nil {

@@ -33,12 +33,6 @@ type WriteBuffer struct {
 	index map[uint64]*list.Element
 	ctrl  event.Time
 	tr    *obs.Recorder // nil when tracing is off
-
-	// dirty is true once the slot chain (lru list + index) has diverged
-	// from whatever this buffer was last copied from. A clean chain lets
-	// CopyFrom skip rebuilding the list and map — an allocation saved,
-	// not bytes. Read misses leave the chain untouched and stay clean.
-	dirty bool
 }
 
 // New wraps f with a write-back buffer of capPages pages.
@@ -67,26 +61,21 @@ const slotCopyBytes = 64
 // into — and returns the bytes copied. Slot contents and LRU order are
 // reproduced exactly, so b coalesces, evicts, and drains the same pages
 // at the same times src would. The LRU is list+map backed, so the slot
-// chain is rebuilt rather than copied flat (buffered configurations
-// are rare in batch/fleet runs) — unless it never diverged from src
-// (the dirty flag is clear, e.g. a replay that only missed reads), in
-// which case only the scalars are refreshed. A zero WriteBuffer has no
-// chain yet and always builds one: that is the clone.
+// chain is rebuilt on every copy rather than copied flat (buffered
+// configurations are rare in batch/fleet runs). A recycled runner may
+// last have been copied from another snapshot's buffer, so nothing of
+// b's previous chain is trusted.
 func (b *WriteBuffer) CopyFrom(src *WriteBuffer, f *ftl.FTL) int {
 	b.f = f
 	b.cap = src.cap
 	b.ctrl = src.ctrl
 	b.tr = src.tr
-	if b.lru != nil && !b.dirty {
-		return 0
-	}
 	b.lru = list.New()
 	b.index = make(map[uint64]*list.Element, len(src.index))
 	for el := src.lru.Front(); el != nil; el = el.Next() {
 		s := *el.Value.(*slot)
 		b.index[s.lpn] = b.lru.PushBack(&s)
 	}
-	b.dirty = false // b's chain equals src's again
 	return len(src.index) * slotCopyBytes
 }
 
@@ -97,7 +86,6 @@ func (b *WriteBuffer) Len() int { return b.lru.Len() }
 // a full buffer evicts its least-recently-used page to flash in the
 // background (the user response is not gated on the flush).
 func (b *WriteBuffer) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (event.Time, error) {
-	b.dirty = true
 	if el, ok := b.index[lpn]; ok {
 		el.Value.(*slot).fp = fp
 		b.lru.MoveToFront(el)
@@ -124,7 +112,6 @@ func (b *WriteBuffer) Write(at event.Time, lpn uint64, fp dedup.Fingerprint) (ev
 // Read serves from the buffer when the page is resident.
 func (b *WriteBuffer) Read(at event.Time, lpn uint64) (event.Time, error) {
 	if el, ok := b.index[lpn]; ok {
-		b.dirty = true
 		b.lru.MoveToFront(el)
 		b.tr.Instant(obs.TrackBuffer, obs.KBufHit, at, lpn)
 		return at + b.ctrl, nil
@@ -135,7 +122,6 @@ func (b *WriteBuffer) Read(at event.Time, lpn uint64) (event.Time, error) {
 // Trim discards any buffered copy and trims the flash mapping.
 func (b *WriteBuffer) Trim(at event.Time, lpn uint64) (event.Time, error) {
 	if el, ok := b.index[lpn]; ok {
-		b.dirty = true
 		b.lru.Remove(el)
 		delete(b.index, lpn)
 	}
@@ -146,9 +132,6 @@ func (b *WriteBuffer) Trim(at event.Time, lpn uint64) (event.Time, error) {
 // semantics) and returns the completion time of the last write.
 func (b *WriteBuffer) Flush(at event.Time) (event.Time, error) {
 	done := at
-	if b.lru.Len() > 0 {
-		b.dirty = true
-	}
 	for b.lru.Len() > 0 {
 		el := b.lru.Back()
 		s := el.Value.(*slot)

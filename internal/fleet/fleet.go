@@ -23,8 +23,8 @@
 // Memory stays bounded by eager reduction: a device's full Result
 // (histograms, timeline) is folded into its shard accumulator and
 // dropped immediately, keeping only a compact DeviceSummary; runner
-// clones are recycled through the snapshot free-list, so peak clone
-// residency is bounded by the worker count, not the fleet size.
+// clones are recycled through the process-wide parked list, so peak
+// clone residency is bounded by the worker count, not the fleet size.
 package fleet
 
 import (
@@ -322,7 +322,6 @@ func buildClasses(cfg Config) (*classes, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fleet: class (util %d, stagger %d): %w", u, s, err)
 			}
-			snap.SetFreeListCap(cfg.Workers)
 			cl.snaps[u][s] = snap
 		}
 	}

@@ -25,9 +25,9 @@ func (f *FTL) CopyFrom(src *FTL, dev *flash.Device) int {
 	f.opts = src.opts
 	if cp, ok := src.opts.Policy.(ClonablePolicy); ok {
 		// Stateful policies are part of the warm state. A recycled
-		// runner's RandomPolicy is overwritten in place (one policy
-		// kind per snapshot, so the types match); anything else is
-		// cloned fresh.
+		// runner's RandomPolicy is overwritten in place; when the runner
+		// held another policy (it last served a snapshot with a
+		// different one) the source's is cloned fresh.
 		sp, _ := src.opts.Policy.(*RandomPolicy)
 		if dp, ok := prev.(*RandomPolicy); ok && sp != nil {
 			*dp = *sp

@@ -148,7 +148,7 @@ const (
 	// times). Harness-side facts — they never enter deterministic
 	// results, only telemetry and benchmark reports.
 	KSchedSteal  // tasks executed by a worker other than the one they were dealt to (cumulative)
-	KSchedReseed // runner re-seeds served from the clone free-list (cumulative)
+	KSchedReseed // runner re-seeds served from the parked list (cumulative)
 
 	// Serving layer (TrackServe; wall-clock times).
 	KServeWait     // span: a job's time in the admission queue (arg = job sequence)

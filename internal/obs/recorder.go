@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"cagc/internal/event"
@@ -35,46 +37,101 @@ const chunkEvents = 4096
 //     chunks never move once allocated, so open scope spans can be
 //     patched in place when they end.
 //   - Flight recorder (NewFlightRecorder): a bounded ring of the last N
-//     events, for long preconditioning runs where only the recent
-//     window matters. Recording is allocation-free after construction;
-//     evicted events are simply gone (Dropped counts them).
+//     simulated-time events, for long preconditioning runs where only
+//     the recent window matters. Wall-clock tracks (Track.wallClock:
+//     scheduling, fleet, serve, ingest) keep their own last N in a
+//     second ring, so their run-to-run varying count never moves the
+//     simulated window or Dropped. Recording is allocation-free after
+//     construction, apart from the wall-clock ring's one allocation on
+//     its first event; evicted events are simply gone (Dropped counts
+//     the simulated-time ones).
 //
 // Recorder is safe for concurrent use (harness-level fan-out may share
 // one recorder across runs), but event interleaving across concurrent
 // runs follows goroutine scheduling; single-threaded runs — every
 // simulation the CLIs trace by default — record deterministically.
 type Recorder struct {
-	mu      sync.Mutex
-	chunks  [][]Event // unbounded mode
-	ring    []Event   // flight-recorder mode
-	seq     uint64    // last assigned sequence number
-	scopes  []uint64  // open scope spans, innermost last
-	dropped uint64    // events evicted by the ring
+	mu     sync.Mutex
+	chunks [][]Event // unbounded mode
+	ring   ring      // flight-recorder mode: simulated-time tracks
+	wall   ring      // flight-recorder mode: wall-clock tracks
+	seq    uint64    // last assigned sequence number
+	scopes []scope   // open scope spans, innermost last
+}
+
+// scope is an open scope span: its sequence number and where End finds
+// it (in flight-recorder mode, its position in ring or wall).
+type scope struct {
+	seq, pos uint64
+	wall     bool
+}
+
+// ring is a flight recorder's window: the i-th event put (1-based) sits
+// in slots[(i-1) % len(slots)].
+type ring struct {
+	slots []Event
+	n     uint64 // events ever put
+}
+
+// put stores ev over the oldest slot and returns its position.
+func (g *ring) put(ev Event) uint64 {
+	g.n++
+	g.slots[(g.n-1)%uint64(len(g.slots))] = ev
+	return g.n
+}
+
+// at returns the event put at pos, or nil once it has been evicted.
+func (g *ring) at(pos, seq uint64) *Event {
+	if ev := &g.slots[(pos-1)%uint64(len(g.slots))]; ev.Seq == seq {
+		return ev
+	}
+	return nil
+}
+
+// held returns the number of events the ring holds.
+func (g *ring) held() int { return int(min(g.n, uint64(len(g.slots)))) }
+
+// evicted returns the number of events the ring has let go.
+func (g *ring) evicted() uint64 { return g.n - uint64(g.held()) }
+
+// appendWindow appends the held events to out, oldest first.
+func (g *ring) appendWindow(out []Event) []Event {
+	for pos := g.n - uint64(g.held()) + 1; pos <= g.n; pos++ {
+		out = append(out, g.slots[(pos-1)%uint64(len(g.slots))])
+	}
+	return out
+}
+
+// reset empties the ring, keeping its slots.
+func (g *ring) reset() {
+	clear(g.slots)
+	g.n = 0
 }
 
 // NewRecorder returns an unbounded chunked recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{scopes: make([]uint64, 0, 16)}
+	return &Recorder{scopes: make([]scope, 0, 16)}
 }
 
 // NewFlightRecorder returns a recorder that keeps only the last n
-// events (n < 1 is treated as 1).
+// simulated-time events and the last n wall-clock ones (n < 1 is
+// treated as 1).
 func NewFlightRecorder(n int) *Recorder {
 	if n < 1 {
 		n = 1
 	}
-	return &Recorder{ring: make([]Event, n), scopes: make([]uint64, 0, 16)}
+	return &Recorder{ring: ring{slots: make([]Event, n)}, scopes: make([]scope, 0, 16)}
 }
+
+// flight reports whether r is a flight recorder.
+func (r *Recorder) flight() bool { return r.ring.slots != nil }
 
 // Len returns the number of events currently held.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ring != nil {
-		if r.seq < uint64(len(r.ring)) {
-			return int(r.seq)
-		}
-		return len(r.ring)
+	if r.flight() {
+		return r.ring.held() + r.wall.held()
 	}
 	n := 0
 	for _, c := range r.chunks {
@@ -83,28 +140,33 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Dropped returns how many events the flight-recorder ring evicted.
+// Dropped returns how many simulated-time events the flight-recorder
+// ring evicted.
 func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.ring.evicted()
 }
 
-// record appends ev (Seq and Parent are assigned here) and returns its
-// sequence number. Callers hold r.mu.
-func (r *Recorder) record(ev Event) uint64 {
+// record appends ev (Seq and Parent are assigned here) and returns
+// where End finds it. Callers hold r.mu.
+func (r *Recorder) record(ev Event) scope {
 	r.seq++
 	ev.Seq = r.seq
 	if !ev.Kind.Detached() && len(r.scopes) > 0 {
-		ev.Parent = r.scopes[len(r.scopes)-1]
+		ev.Parent = r.scopes[len(r.scopes)-1].seq
 	}
-	if r.ring != nil {
-		slot := (ev.Seq - 1) % uint64(len(r.ring))
-		if r.ring[slot].Seq != 0 {
-			r.dropped++
+	sc := scope{seq: ev.Seq, pos: ev.Seq}
+	if r.flight() {
+		g := &r.ring
+		if sc.wall = ev.Track.wallClock(); sc.wall {
+			g = &r.wall
+			if g.slots == nil {
+				g.slots = make([]Event, len(r.ring.slots))
+			}
 		}
-		r.ring[slot] = ev
-		return ev.Seq
+		sc.pos = g.put(ev)
+		return sc
 	}
 	n := len(r.chunks)
 	if n == 0 || len(r.chunks[n-1]) == chunkEvents {
@@ -112,23 +174,19 @@ func (r *Recorder) record(ev Event) uint64 {
 		n++
 	}
 	r.chunks[n-1] = append(r.chunks[n-1], ev)
-	return ev.Seq
+	return sc
 }
 
-// at returns the stored event with sequence number seq, or nil when it
-// has been evicted (ring mode). Callers hold r.mu.
-func (r *Recorder) at(seq uint64) *Event {
-	if seq == 0 || seq > r.seq {
-		return nil
+// at returns the stored event of scope sc, or nil when it has been
+// evicted (flight-recorder mode). Callers hold r.mu.
+func (r *Recorder) at(sc scope) *Event {
+	switch {
+	case sc.wall:
+		return r.wall.at(sc.pos, sc.seq)
+	case r.flight():
+		return r.ring.at(sc.pos, sc.seq)
 	}
-	if r.ring != nil {
-		ev := &r.ring[(seq-1)%uint64(len(r.ring))]
-		if ev.Seq != seq {
-			return nil // evicted
-		}
-		return ev
-	}
-	return &r.chunks[(seq-1)/chunkEvents][(seq-1)%chunkEvents]
+	return &r.chunks[(sc.seq-1)/chunkEvents][(sc.seq-1)%chunkEvents]
 }
 
 // Span records a completed interval [start, end] on track. Every
@@ -176,10 +234,10 @@ func (r *Recorder) Begin(track Track, kind Kind, start event.Time, arg uint64) S
 
 func (r *Recorder) begin(track Track, kind Kind, start event.Time, arg uint64) SpanID {
 	r.mu.Lock()
-	seq := r.record(Event{Start: start, End: start, Track: track, Kind: kind, Arg: arg})
-	r.scopes = append(r.scopes, seq)
+	sc := r.record(Event{Start: start, End: start, Track: track, Kind: kind, Arg: arg})
+	r.scopes = append(r.scopes, sc)
 	r.mu.Unlock()
-	return SpanID(seq)
+	return SpanID(sc.seq)
 }
 
 // End closes the scope span id, recording its completion time (clamped
@@ -194,17 +252,14 @@ func (r *Recorder) End(id SpanID, end event.Time) {
 
 func (r *Recorder) end(id SpanID, end event.Time) {
 	r.mu.Lock()
-	if ev := r.at(uint64(id)); ev != nil {
-		if end < ev.Start {
-			end = ev.Start
-		}
-		ev.End = end
-	}
 	// Pop the scope. Scopes close LIFO in the single-threaded simulator;
 	// search from the top tolerates an End whose span was never pushed
 	// (impossible today, cheap insurance anyway).
 	for i := len(r.scopes) - 1; i >= 0; i-- {
-		if r.scopes[i] == uint64(id) {
+		if sc := r.scopes[i]; sc.seq == uint64(id) {
+			if ev := r.at(sc); ev != nil {
+				ev.End = max(end, ev.Start)
+			}
 			r.scopes = r.scopes[:i]
 			break
 		}
@@ -213,24 +268,17 @@ func (r *Recorder) end(id SpanID, end event.Time) {
 }
 
 // Events returns a copy of the recorded events in sequence order. In
-// flight-recorder mode only the surviving window is returned (its
-// sequence numbers are contiguous; parents below the window are gone).
+// flight-recorder mode only the surviving windows are returned, merged:
+// the simulated-time events' sequence numbers have gaps where
+// wall-clock events were recorded, and parents below the window are
+// gone.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.ring != nil {
-		n := uint64(len(r.ring))
-		out := make([]Event, 0, len(r.ring))
-		lo := uint64(1)
-		if r.seq > n {
-			lo = r.seq - n + 1
-		}
-		for seq := lo; seq <= r.seq; seq++ {
-			ev := r.ring[(seq-1)%n]
-			if ev.Seq == seq {
-				out = append(out, ev)
-			}
-		}
+	if r.flight() {
+		out := r.ring.appendWindow(make([]Event, 0, r.ring.held()+r.wall.held()))
+		out = r.wall.appendWindow(out)
+		slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 		return out
 	}
 	var out []Event
@@ -246,12 +294,8 @@ func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.chunks = nil
-	if r.ring != nil {
-		for i := range r.ring {
-			r.ring[i] = Event{}
-		}
-	}
+	r.ring.reset()
+	r.wall.reset()
 	r.seq = 0
-	r.dropped = 0
 	r.scopes = r.scopes[:0]
 }

@@ -123,6 +123,76 @@ func TestFlightRecorderEndAfterEviction(t *testing.T) {
 	}
 }
 
+// Wall-clock events take no slot of the flight ring: however many of
+// them interleave, the ring keeps the last n simulated-time events and
+// Dropped counts only those, while the wall-clock tracks keep their own
+// last n. A scope span ends correctly across the interleaving.
+func TestFlightRecorderKeepsWallClockApart(t *testing.T) {
+	record := func(wall int) *Recorder {
+		r := NewFlightRecorder(4)
+		id := r.Begin(TrackGC, KGCCollect, 0, 0)
+		for i := 0; i < 3; i++ {
+			r.Span(DieTrack(0), KDieErase, event.Time(i), event.Time(i+1), 0)
+			for j := 0; j < wall; j++ {
+				r.Instant(TrackIngest, KIngestStall, event.Time(j), uint64(j))
+			}
+		}
+		r.End(id, 50)
+		for i := 0; i < 6; i++ {
+			r.Instant(TrackRequests, KReqRead, event.Time(60+i), 0)
+		}
+		return r
+	}
+	plain := record(0)
+	for _, wall := range []int{1, 7} {
+		r := record(wall)
+		if r.Dropped() != plain.Dropped() || r.Dropped() != 6 {
+			t.Fatalf("%d wall events per span: dropped %d, want %d", wall, r.Dropped(), plain.Dropped())
+		}
+		var sim, walls []Event
+		evs := r.Events()
+		for i, ev := range evs {
+			if i > 0 && ev.Seq <= evs[i-1].Seq {
+				t.Fatalf("events out of sequence order at %d: %+v", i, evs)
+			}
+			if ev.Track.wallClock() {
+				walls = append(walls, ev)
+			} else {
+				sim = append(sim, ev)
+			}
+		}
+		if len(walls) != min(4, 3*wall) {
+			t.Fatalf("%d wall events per span: %d wall-clock events held, want %d", wall, len(walls), min(4, 3*wall))
+		}
+		if len(sim) != 4 || r.Len() != len(evs) {
+			t.Fatalf("%d wall events per span: %d simulated-time events held, len %d", wall, len(sim), r.Len())
+		}
+		for i, ev := range sim {
+			if want := plain.Events()[i]; ev.Kind != want.Kind || ev.Start != want.Start {
+				t.Fatalf("%d wall events per span: window event %d = %+v, want %+v", wall, i, ev, want)
+			}
+		}
+	}
+	// A window with a gap in its numbering (seq 3 evicted, older
+	// wall-clock events kept): the collect span's End lands on it, and
+	// the summary still finds it as the program span's parent.
+	r := NewFlightRecorder(2)
+	r.Instant(TrackIngest, KIngestStall, 0, 0)
+	r.Instant(TrackIngest, KIngestStall, 0, 1)
+	r.Instant(TrackRequests, KReqRead, 0, 0)
+	id := r.Begin(TrackGC, KGCCollect, 1, 0)
+	r.Span(DieTrack(0), KDieProgram, 1, 3, 0)
+	r.End(id, 50)
+	evs := r.Events()
+	if len(evs) != 4 || evs[1].Seq != 2 || evs[2].Seq != 4 || evs[2].End != 50 {
+		t.Fatalf("gapped window = %+v, want seqs 1, 2, 4, 5 with the collect ending at 50", evs)
+	}
+	if s := Summarize(r); s.GC.MigrateProgram != 2 || s.Events != 2 || s.Dropped != 1 {
+		t.Fatalf("summary of a gapped window: migrate-program %d, events %d, dropped %d; want 2, 2, 1",
+			s.GC.MigrateProgram, s.Events, s.Dropped)
+	}
+}
+
 func TestRecorderReset(t *testing.T) {
 	r := NewRecorder()
 	id := r.Begin(TrackRequests, KReqWrite, 0, 0)

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"cagc/internal/event"
@@ -140,9 +142,9 @@ func intersect(a, b []ival) event.Time {
 	return total
 }
 
-// Summarize aggregates the recorder's events. Parent attribution uses
-// the contiguous sequence numbering of Events(): a die or hash span
-// whose parent is a gc.collect span is GC work, everything else is
+// Summarize aggregates the recorder's events. Parent attribution looks
+// a parent up by sequence number in Events(): a die or hash span whose
+// parent is a gc.collect span is GC work, everything else is
 // foreground.
 func Summarize(r *Recorder) *Summary {
 	evs := r.Events()
@@ -152,10 +154,17 @@ func Summarize(r *Recorder) *Summary {
 	}
 	lo := evs[0].Seq
 	underGC := func(parent uint64) bool {
-		if parent < lo || parent > evs[len(evs)-1].Seq {
-			return false
+		// Direct when the numbering is contiguous (unbounded mode); a
+		// flight recording's merged windows have gaps.
+		i := parent - lo
+		if parent < lo || i >= uint64(len(evs)) || evs[i].Seq != parent {
+			j, ok := slices.BinarySearchFunc(evs, parent, func(ev Event, seq uint64) int { return cmp.Compare(ev.Seq, seq) })
+			if !ok {
+				return false
+			}
+			i = uint64(j)
 		}
-		return evs[parent-lo].Kind == KGCCollect
+		return evs[i].Kind == KGCCollect
 	}
 	var hashIvs, eraseIvs []ival
 	for i := range evs {

@@ -287,6 +287,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "warm_cache_snapshots %d\n", m.WarmCache.Snapshots)
 	fmt.Fprintf(w, "pool_steals_total %d\n", m.Steals)
 	fmt.Fprintf(w, "sim_clones_live %d\n", m.Clones.Live)
+	fmt.Fprintf(w, "sim_clones_parked %d\n", m.Clones.Parked)
 	fmt.Fprintf(w, "sim_clones_fresh_total %d\n", m.Clones.Fresh)
 	fmt.Fprintf(w, "sim_clones_recycled_total %d\n", m.Clones.Recycled)
 	fmt.Fprintf(w, "sim_clone_reseeds_total %d\n", m.Clones.Reseeds)

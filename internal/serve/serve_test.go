@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -569,6 +571,61 @@ func TestServeMetricsAndCatalog(t *testing.T) {
 			t.Errorf("service trace missing %q", want)
 		}
 	}
+}
+
+// Parked runners are bounded per process, not per warm state: after a
+// run, a fleet over two utilization classes and a batch, each on its
+// own device shape, /metrics shows at most GOMAXPROCS parked.
+func TestServeClonesParkedBounded(t *testing.T) {
+	s := New(Options{QueueDepth: 8, Workers: 2})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	run := testParams(31)
+	fleet := testParams(32)
+	fleet.DeviceBytes, fleet.Requests = 32<<20, 300
+	batch := testParams(0)
+	batch.Utilization, batch.Requests = 0.6, 500
+	var ids []string
+	for _, spec := range []JobSpec{
+		{Params: run},
+		{Kind: KindFleet, Params: fleet, Fleet: &cagc.FleetParams{Devices: 6, UtilSpread: 0.1, UtilClasses: 2}},
+		{Kind: KindBatch, Params: batch, Seeds: []int64{1, 2, 3, 4}},
+	} {
+		st, code := postJob(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s submit: %d", spec.Kind, code)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		if fin := waitDone(t, s, id); fin.Status != StatusDone {
+			t.Fatalf("job %s: %s (%s)", id, fin.Status, fin.Err)
+		}
+	}
+	metrics, code := getBody(t, ts, "/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: %d", code)
+	}
+	for _, line := range strings.Split(string(metrics), "\n") {
+		v, ok := strings.CutPrefix(line, "sim_clones_parked ")
+		if !ok {
+			continue
+		}
+		parked, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("sim_clones_parked %q: %v", v, err)
+		}
+		if limit := runtime.GOMAXPROCS(0); parked > limit {
+			t.Fatalf("sim_clones_parked %d after a run, fleet and batch, want at most GOMAXPROCS = %d", parked, limit)
+		}
+		if parked == 0 {
+			t.Fatal("sim_clones_parked 0: nothing recycled")
+		}
+		return
+	}
+	t.Fatalf("metrics carry no sim_clones_parked line:\n%s", metrics)
 }
 
 // endlessSeeds streams a syntactically valid batch spec whose seed list

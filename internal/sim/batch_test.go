@@ -20,8 +20,8 @@ type batchRun struct {
 }
 
 // runBatch executes runs the way the root package's batch engine does:
-// one pool.Run task per run, warm runs recycled through the snapshot's
-// free-list, results and errors addressed by index. results[i] is
+// one pool.Run task per run, warm runs recycled through the parked
+// list, results and errors addressed by index. results[i] is
 // non-nil exactly where errs[i] is nil.
 func runBatch(runs []batchRun, workers int) (results []*Result, errs []error) {
 	results = make([]*Result, len(runs))

@@ -33,6 +33,7 @@ func TestRunWarmRecycledCanceledBalancesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drainParked()
 	before := CloneGaugeStats()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -45,11 +46,8 @@ func TestRunWarmRecycledCanceledBalancesGauge(t *testing.T) {
 	if after.Live != before.Live {
 		t.Fatalf("live clones %d != pre-job %d", after.Live, before.Live)
 	}
-	snap.mu.Lock()
-	parked := len(snap.free)
-	snap.mu.Unlock()
-	if parked != 0 {
-		t.Fatalf("aborted runner parked on the free-list (%d entries)", parked)
+	if after.Parked != 0 {
+		t.Fatalf("aborted runner parked (%d parked)", after.Parked)
 	}
 	// The snapshot still serves unbounded runs after the aborted one.
 	if _, err := RunWarmRecycled(snap, cfg, spec); err != nil {

@@ -44,10 +44,10 @@ func Measure(snap *Snapshot, cfg Config, spec trace.Spec, m Measured) (*Result, 
 		if ok {
 			snap.Release(r)
 		} else {
-			// An error or a panic: keep the runner out of the free-list,
+			// An error or a panic: keep the runner off the parked list,
 			// but keep the gauge balanced — it was acquired, it is no
 			// longer live.
-			gaugeRelease()
+			gaugeRelease(r, false)
 		}
 	}()
 	res, err := replayOn(r, snap.offset, spec, m)

@@ -42,6 +42,7 @@ func TestPanickingRunBalancesGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One clean run parks a runner, so the armed run below is recycled.
+	drainParked()
 	if _, err := RunWarmRecycled(snap, cfg, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,8 @@ func TestPanickingRunBalancesGauge(t *testing.T) {
 		t.Fatalf("panicking batch left live clones at %d, want %d", live, before.Live)
 	}
 	settleGoroutines(t, base, "panicking batch")
-	snap.mu.Lock()
-	parked := len(snap.free)
-	snap.mu.Unlock()
-	if parked != 0 {
-		t.Fatalf("%d panicked runners parked on the free-list", parked)
+	if parked := CloneGaugeStats().Parked; parked != 0 {
+		t.Fatalf("%d panicked runners parked", parked)
 	}
 	armed.Store(false)
 	if _, err := RunWarmRecycled(snap, cfg, spec); err != nil {

@@ -4,16 +4,22 @@ package sim
 // allocations per flash block, plus the tables), and batch/fleet
 // executions cut thousands of them back to back — clone churn becomes
 // the allocator's dominant load well before it becomes a correctness
-// problem. The free-list below recycles completed runners: Release
-// parks a runner, Acquire re-seeds a parked one from the snapshot
-// master through the same full copyFrom a Clone runs (device, FTL,
-// index, buffer), which reuses every backing array instead of
-// allocating them. After each worker's first run a snapshot serves
-// clones with zero heap growth, and the number of live clones is
-// bounded by the number of workers — not by the batch or fleet size. A
-// process-wide gauge tracks that bound so tests can assert it.
+// problem. One process-wide list recycles completed runners: Release
+// parks a runner from any snapshot, Acquire pops any parked runner and
+// re-seeds it from its own snapshot's master through the same full
+// copyFrom a Clone runs (device, FTL, index, buffer), which appends into
+// the runner's existing arrays instead of allocating them. A runner
+// moves freely between snapshots of different geometry, scheme, buffer,
+// mapping cache or policy: copyFrom makes every layer equal to the
+// source whatever it held before, and grows an array only when the new
+// master is larger than anything the runner held. The list is capped at
+// GOMAXPROCS, so parked residency is GOMAXPROCS runners per process,
+// however many warm states the process keeps; live runners are bounded
+// by the number of workers. A process-wide gauge tracks both so tests
+// and /metrics can assert them.
 
 import (
+	"runtime"
 	"sync"
 
 	"cagc/internal/trace"
@@ -22,15 +28,20 @@ import (
 // CloneStats is a snapshot of the process-wide clone gauge.
 type CloneStats struct {
 	Fresh       uint64 // clones cut from a snapshot master
-	Recycled    uint64 // runners re-seeded from the free-list
+	Recycled    uint64 // runners re-seeded from the parked list
 	Live        int    // acquired and not yet released
 	Peak        int    // high-water mark of Live since the last reset
+	Parked      int    // runners waiting on the parked list
 	Reseeds     uint64 // re-seeds (== Recycled acquires)
 	ReseedBytes uint64 // bytes copied by those re-seeds, one full copy each
 }
 
-var cloneGauge struct {
+// recycler is the parked list and the gauge, under one lock.
+var recycler struct {
 	mu          sync.Mutex
+	parked      []*Runner
+	fixedCap    int  // the cap SetFreeListCap fixed, when fixed
+	fixed       bool // false: the cap is GOMAXPROCS
 	fresh       uint64
 	recycled    uint64
 	live        int
@@ -39,39 +50,57 @@ var cloneGauge struct {
 	reseedBytes uint64
 }
 
-func gaugeAcquire(recycled bool) {
-	g := &cloneGauge
+// parkCap is the parked-list cap. Callers hold recycler.mu.
+func parkCap() int {
+	if recycler.fixed {
+		return recycler.fixedCap
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// takeParked pops the most recently parked runner (nil when none is
+// parked) and counts the acquire, recycled or fresh.
+func takeParked() *Runner {
+	g := &recycler
 	g.mu.Lock()
-	if recycled {
+	defer g.mu.Unlock()
+	var r *Runner
+	if n := len(g.parked); n > 0 {
+		r = g.parked[n-1]
+		g.parked[n-1] = nil
+		g.parked = g.parked[:n-1]
 		g.recycled++
 	} else {
 		g.fresh++
 	}
 	g.live++
-	if g.live > g.peak {
-		g.peak = g.live
-	}
-	g.mu.Unlock()
+	g.peak = max(g.peak, g.live)
+	return r
 }
 
 func gaugeReseed(bytes int) {
-	g := &cloneGauge
+	g := &recycler
 	g.mu.Lock()
 	g.reseeds++
 	g.reseedBytes += uint64(bytes)
 	g.mu.Unlock()
 }
 
-func gaugeRelease() {
-	g := &cloneGauge
+// gaugeRelease counts a runner that is no longer live and, when park
+// is set and the list has room, parks it.
+func gaugeRelease(r *Runner, park bool) {
+	g := &recycler
 	g.mu.Lock()
 	g.live--
+	if park && len(g.parked) < parkCap() {
+		g.parked = append(g.parked, r)
+	}
 	g.mu.Unlock()
 }
 
 // CloneGaugeStats returns the process-wide clone accounting.
 func CloneGaugeStats() CloneStats {
-	g := &cloneGauge
+	g := &recycler
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return CloneStats{
@@ -79,15 +108,16 @@ func CloneGaugeStats() CloneStats {
 		Recycled:    g.recycled,
 		Live:        g.live,
 		Peak:        g.peak,
+		Parked:      len(g.parked),
 		Reseeds:     g.reseeds,
 		ReseedBytes: g.reseedBytes,
 	}
 }
 
-// ResetCloneGauge zeroes the counters and the peak (tests). Live is
-// preserved — it reflects runners actually outstanding.
+// ResetCloneGauge zeroes the counters and the peak (tests). Live and
+// Parked are preserved — they reflect runners actually held.
 func ResetCloneGauge() {
-	g := &cloneGauge
+	g := &recycler
 	g.mu.Lock()
 	g.fresh, g.recycled = 0, 0
 	g.reseeds, g.reseedBytes = 0, 0
@@ -95,71 +125,60 @@ func ResetCloneGauge() {
 	g.mu.Unlock()
 }
 
-// SetFreeListCap bounds how many completed runners the snapshot parks
-// for recycling (default GOMAXPROCS at snapshot build). Workers each
-// hold at most one live clone, so the cap never needs to exceed the
-// worker count; 0 disables recycling entirely.
+// SetFreeListCap fixes the process-wide parked-list cap at n (0
+// disables recycling) in place of the GOMAXPROCS default, dropping
+// parked runners beyond it. The cap is not per snapshot: s only names
+// the call, which the benchmark harness's clone and re-seed kernels
+// make.
 func (s *Snapshot) SetFreeListCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	s.freeCap = n
-	if len(s.free) > n {
+	g := &recycler
+	g.mu.Lock()
+	g.fixed, g.fixedCap = true, max(n, 0)
+	if len(g.parked) > g.fixedCap {
 		// Drop the references too: a runner left in the backing array
-		// would stay reachable for the snapshot's life.
-		clear(s.free[n:])
-		s.free = s.free[:n]
+		// would stay reachable for the process's life.
+		clear(g.parked[g.fixedCap:])
+		g.parked = g.parked[:g.fixedCap]
 	}
-	s.mu.Unlock()
+	g.mu.Unlock()
 }
 
 // Acquire returns an independent warm runner adopting cfg: a parked
-// runner from the free-list re-seeded from the master, or a fresh clone
-// when none is parked. Pair with Release when the run completes;
-// results are bit-identical either way. The build-affecting parameters
-// must match the snapshot's; QueueDepth is replay-only and may differ
-// (a queue-depth sweep shares one warm state). For a stateful victim
-// policy the snapshot's policy state is the one that carries over —
-// cfg's policy instance contributes only its name, so it must be
-// constructed with the same seed.
+// runner, from this snapshot or any other, re-seeded from s's master,
+// or a fresh clone when none is parked. Pair with Release when the run
+// completes; results are bit-identical either way. The build-affecting
+// parameters must match the snapshot's; QueueDepth is replay-only and
+// may differ (a queue-depth sweep shares one warm state). For a
+// stateful victim policy the snapshot's policy state is the one that
+// carries over — cfg's policy instance contributes only its name, so it
+// must be constructed with the same seed.
 func (s *Snapshot) Acquire(cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := s.compatible(cfg); err != nil {
 		return nil, err
 	}
-	var r *Runner
-	s.mu.Lock()
-	if n := len(s.free); n > 0 {
-		r = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	}
-	s.mu.Unlock()
-	recycled := r != nil
-	if recycled {
+	r := takeParked()
+	if r != nil {
 		gaugeReseed(r.copyFrom(s.master))
 	} else {
 		r = s.master.Clone()
 	}
-	gaugeAcquire(recycled)
 	return adopt(r, cfg), nil
 }
 
-// Release parks r for recycling by a later Acquire (up to the
-// free-list cap; beyond it the runner is simply dropped). Only release
-// runners whose replay completed — a failed run's state is not worth
-// recycling, and dropping it costs one fresh clone.
+// Release parks r on the process-wide list for a later Acquire from
+// any snapshot (up to the cap; beyond it the runner is simply
+// dropped). Only release runners whose replay completed — a failed
+// run's state is not worth recycling, and dropping it costs one fresh
+// clone. A parked runner keeps its arrays and nothing of its last run:
+// its tracer, context and tenant ranges are let go here.
 func (s *Snapshot) Release(r *Runner) {
 	if r == nil {
 		return
 	}
-	gaugeRelease()
-	s.mu.Lock()
-	if len(s.free) < s.freeCap {
-		s.free = append(s.free, r)
-	}
-	s.mu.Unlock()
+	r.SetTracer(nil)
+	r.cfg, r.tenants = Config{}, nil
+	gaugeRelease(r, true)
 }
 
 // RunWarmRecycled is Run starting from a warm snapshot: acquire

@@ -10,14 +10,17 @@ import (
 	"time"
 	"unsafe"
 
+	"cagc/internal/flash"
 	"cagc/internal/ftl"
+	"cagc/internal/obs"
 	"cagc/internal/pool"
 	"cagc/internal/trace"
 )
 
-// A recycled runner must be indistinguishable from a fresh clone: the
-// first RunWarmRecycled cuts a clone, releases it, and every later run
-// re-seeds that same runner through copyFrom. All of them must
+// A recycled runner must be indistinguishable from a fresh clone: with
+// the parked list drained, the first RunWarmRecycled cuts a clone,
+// releases it, and every later run re-seeds that same runner through
+// copyFrom. All of them must
 // reproduce a cold Run bit for bit — including with the full stateful
 // stack (write buffer, cached mapping table, stateful victim policy,
 // closed-loop replay), which exercises every CopyFrom in the tree.
@@ -51,6 +54,7 @@ func TestRunWarmRecycledMatchesColdRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			drainParked()
 			before := CloneGaugeStats()
 			for i := 0; i < 3; i++ {
 				runCfg, _ := tc.cfg(t)
@@ -82,7 +86,7 @@ func TestRecycledRunnerCarriesNoRunState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prime the free-list with a run on a different seed.
+	// Prime the parked list with a run on a different seed.
 	primed := spec
 	primed.Seed = 4242
 	if _, err := RunWarmRecycled(snap, cfg, primed); err != nil {
@@ -113,7 +117,7 @@ func TestRecycledRunnerCarriesNoRunState(t *testing.T) {
 	}
 }
 
-// The whole point of the free-list: a batch of N runs must never hold
+// The whole point of the parked list: a batch of N runs must never hold
 // more than workers+1 clones live at once, regardless of N. (The +1
 // allows for a released runner being re-seeded while another worker
 // holds its own — in practice peak == workers for this serial-release
@@ -125,7 +129,8 @@ func TestBatchCloneResidencyBoundedByWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, workers = 12, 3
-	snap.SetFreeListCap(workers)
+	fixParkCap(t, workers)
+	drainParked()
 	ResetCloneGauge()
 	before := CloneGaugeStats()
 	results := make([]*Result, n)
@@ -161,28 +166,38 @@ func TestBatchCloneResidencyBoundedByWorkers(t *testing.T) {
 	}
 }
 
-// Release beyond the free-list cap must drop the runner, not park it:
-// the next acquires recycle exactly as many runners as the cap allows
-// and cut fresh clones for the rest.
+// Release beyond the cap must drop the runner, not park it, and the cap
+// is one for the process: runners released from two snapshots share
+// it. The next acquires recycle exactly as many runners as the cap
+// allows and cut fresh clones for the rest.
 func TestReleaseBeyondCapDrops(t *testing.T) {
 	cfg, spec := snapConfig(t, ftl.CAGCOptions())
 	snap, err := NewSnapshot(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.SetFreeListCap(1)
+	otherCfg, otherSpec := snapConfig(t, ftl.BaselineOptions())
+	other, err := NewSnapshot(otherCfg, otherSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixParkCap(t, 1)
+	drainParked()
 	r1, err := snap.Acquire(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := snap.Acquire(cfg)
+	r2, err := other.Acquire(otherCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap.Release(r1)
-	snap.Release(r2) // beyond the cap: dropped
+	other.Release(r2) // beyond the cap: dropped
+	if parked := CloneGaugeStats().Parked; parked != 1 {
+		t.Fatalf("%d runners parked after two releases under a cap of 1", parked)
+	}
 	before := CloneGaugeStats()
-	r3, err := snap.Acquire(cfg) // recycles r1
+	r3, err := other.Acquire(otherCfg) // recycles r1, re-seeded from other's master
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +206,8 @@ func TestReleaseBeyondCapDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := CloneGaugeStats()
-	if rec := after.Recycled - before.Recycled; rec != 1 {
-		t.Fatalf("recycled %d runners after a cap-1 double release, want 1", rec)
+	if rec := after.Recycled - before.Recycled; rec != 1 || r3 != r1 {
+		t.Fatalf("recycled %d runners after a cap-1 double release (the parked one: %v), want 1", rec, r3 == r1)
 	}
 	if fresh := after.Fresh - before.Fresh; fresh != 1 {
 		t.Fatalf("cut %d fresh clones after a cap-1 double release, want 1", fresh)
@@ -200,42 +215,52 @@ func TestReleaseBeyondCapDrops(t *testing.T) {
 	// Shrinking the cap below the parked population trims the list.
 	// (Both runners go back first: the gauge's Live outlasts this test,
 	// and one of them is the parked population.)
-	snap.Release(r3)
+	other.Release(r3)
 	snap.Release(r4)
 	snap.SetFreeListCap(0)
-	snap.mu.Lock()
-	parked := len(snap.free)
-	snap.mu.Unlock()
-	if parked != 0 {
-		t.Fatalf("%d runners parked after capping the free-list at 0", parked)
+	if parked := CloneGaugeStats().Parked; parked != 0 {
+		t.Fatalf("%d runners parked after capping the list at 0", parked)
 	}
 }
 
-// Trimming the free-list must let go of the runners it drops: a
+// Trimming the parked list must let go of the runners it drops: a
 // reference left behind in the list's backing array would pin ~200 KB
-// per runner for the snapshot's life.
+// per runner for the process's life. The runners come from three
+// snapshots, which stay reachable, so only the list could hold them.
 func TestSetFreeListCapDropsReferences(t *testing.T) {
-	cfg, spec := snapConfig(t, ftl.CAGCOptions())
-	snap, err := NewSnapshot(cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const parked = 3
-	snap.SetFreeListCap(parked)
+	var snaps [parked]*Snapshot
+	var cfgs [parked]Config
+	for i := range snaps {
+		cfg, spec := snapConfig(t, ftl.CAGCOptions())
+		cfg.Utilization = 0.5 + 0.05*float64(i)
+		spec = specFor(t, cfg, trace.Mail, spec.Requests)
+		snap, err := NewSnapshot(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i], cfgs[i] = snap, cfg
+	}
+	fixParkCap(t, parked)
+	drainParked()
 	var collected atomic.Int32
 	func() { // its own frame, so no runner stays reachable from this one
 		var rs [parked]*Runner
 		for i := range rs {
-			if rs[i], err = snap.Acquire(cfg); err != nil {
+			var err error
+			if rs[i], err = snaps[i].Acquire(cfgs[i]); err != nil {
 				t.Fatal(err)
 			}
 			runtime.SetFinalizer(rs[i], func(*Runner) { collected.Add(1) })
 		}
-		for _, r := range rs {
-			snap.Release(r)
+		for i, r := range rs {
+			snaps[i].Release(r)
 		}
 	}()
-	snap.SetFreeListCap(0)
+	if n := CloneGaugeStats().Parked; n != parked {
+		t.Fatalf("%d runners parked, want %d", n, parked)
+	}
+	snaps[0].SetFreeListCap(0)
 	for i := 0; i < 50 && collected.Load() < parked; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
@@ -243,10 +268,41 @@ func TestSetFreeListCapDropsReferences(t *testing.T) {
 	if n := collected.Load(); n != parked {
 		t.Fatalf("%d of %d dropped runners became collectable", n, parked)
 	}
-	runtime.KeepAlive(snap)
+	runtime.KeepAlive(snaps)
 }
 
-// A failed run must never re-enter the free-list — its state is
+// A parked runner keeps its arrays and nothing of its last run: the
+// run's recorder becomes collectable while the runner waits.
+func TestParkedRunnerHoldsNoRunReferences(t *testing.T) {
+	cfg, spec := snapConfig(t, ftl.CAGCOptions())
+	snap, err := NewSnapshot(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainParked()
+	var collected atomic.Bool
+	func() {
+		rec := obs.NewRecorder()
+		runtime.SetFinalizer(rec, func(*obs.Recorder) { collected.Store(true) })
+		traced := cfg
+		traced.Tracer = rec
+		if _, err := RunWarmRecycled(snap, traced, spec); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if n := CloneGaugeStats().Parked; n != 1 {
+		t.Fatalf("%d runners parked after one run, want 1", n)
+	}
+	for i := 0; i < 50 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("the parked runner keeps its last run's recorder reachable")
+	}
+}
+
+// A failed run must never re-enter the parked list — its state is
 // mid-replay garbage — but the residency gauge must stay balanced.
 func TestFailedRunNotRecycled(t *testing.T) {
 	cfg, spec := snapConfig(t, ftl.CAGCOptions())
@@ -254,6 +310,7 @@ func TestFailedRunNotRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drainParked()
 	bad := spec
 	bad.AvgReqPages = 0.5 // rejected by the generator, after Acquire
 	before := CloneGaugeStats()
@@ -263,6 +320,9 @@ func TestFailedRunNotRecycled(t *testing.T) {
 	mid := CloneGaugeStats()
 	if live := mid.Live - before.Live; live != 0 {
 		t.Fatalf("failed run left %d clones live", live)
+	}
+	if mid.Parked != 0 {
+		t.Fatalf("failed run parked its runner (%d parked)", mid.Parked)
 	}
 	// The failed runner was dropped, not parked: the next run cuts a
 	// fresh clone.
@@ -281,7 +341,7 @@ func TestFailedRunNotRecycled(t *testing.T) {
 // Concurrent Acquire/Release churn must keep the residency gauge
 // consistent: Live returns to zero, Peak never exceeds the number of
 // concurrent holders, and every acquire is accounted fresh or recycled.
-// Run under -race this also exercises the free-list locking.
+// Run under -race this also exercises the parked list's locking.
 func TestConcurrentAcquireReleaseGauge(t *testing.T) {
 	cfg, spec := snapConfig(t, ftl.CAGCOptions())
 	snap, err := NewSnapshot(cfg, spec)
@@ -289,7 +349,7 @@ func TestConcurrentAcquireReleaseGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers, perWorker = 4, 6
-	snap.SetFreeListCap(workers)
+	fixParkCap(t, workers)
 	ResetCloneGauge()
 	before := CloneGaugeStats()
 	small := spec
@@ -326,8 +386,8 @@ func TestConcurrentAcquireReleaseGauge(t *testing.T) {
 	}
 }
 
-// Every re-seed is the one full copy. A fresh Acquire cuts a clone
-// and re-seeds nothing; each of the next three recycles of that runner
+// Every re-seed is the one full copy. With the parked list drained, a
+// fresh Acquire cuts a clone and re-seeds nothing; each of the next three recycles of that runner
 // copies exactly the bytes master.Clone() copies, and leaves the runner
 // equal to the master field by field.
 func TestEveryRecycleCopiesFull(t *testing.T) {
@@ -337,6 +397,7 @@ func TestEveryRecycleCopiesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := uint64(new(Runner).copyFrom(snap.master)) // Clone's copy
+	drainParked()
 
 	// cycle acquires, checks the runner against the master, replays,
 	// and parks it; it returns the bytes the Acquire's re-seed copied.
@@ -377,8 +438,7 @@ func TestEveryRecycleCopiesFull(t *testing.T) {
 // into an empty Runner — is walked against the master field by field
 // across all three schemes plus the full stateful stack (write buffer,
 // cached mapping table, RandomPolicy), so a field added to a struct and
-// forgotten in its CopyFrom fails here by name. Only scratchFields are
-// skipped.
+// forgotten in its CopyFrom fails here by name.
 func TestCloneEqualsMasterFieldByField(t *testing.T) {
 	stack := ftl.CAGCOptions()
 	stack.Policy = ftl.NewRandomPolicy(7)
@@ -433,12 +493,6 @@ func TestCloneEqualsMasterFieldByField(t *testing.T) {
 	}
 }
 
-// scratchFields are the struct fields no copy carries because they are
-// not runner state: the write buffer's dirty mark, which records
-// whether the holder has diverged from whatever it was last copied
-// from.
-var scratchFields = map[string]bool{"dirty": true}
-
 // diffRunners walks the device, FTL and write buffer of two runners and
 // returns the path of the first field that differs ("" when equal).
 func diffRunners(a, b *Runner) string {
@@ -454,8 +508,8 @@ func diffRunners(a, b *Runner) string {
 	return ""
 }
 
-// diffState is reflect.DeepEqual that names the first difference, skips
-// scratchFields, and lets a nil slice equal an empty one: a
+// diffState is reflect.DeepEqual that names the first difference and
+// lets a nil slice equal an empty one: a
 // re-seed reuses the runner's backing arrays, so a table the master
 // holds as nil comes back empty but allocated. seen breaks pointer
 // cycles (the write buffer's list) the way DeepEqual does.
@@ -489,11 +543,7 @@ func diffState(path string, a, b reflect.Value, seen map[[2]unsafe.Pointer]bool)
 		return diffState(path, a.Elem(), b.Elem(), seen)
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
-			name := a.Type().Field(i).Name
-			if scratchFields[name] {
-				continue
-			}
-			if d := diffState(path+"."+name, a.Field(i), b.Field(i), seen); d != "" {
+			if d := diffState(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i), seen); d != "" {
 				return d
 			}
 		}
@@ -535,4 +585,128 @@ func diffState(path string, a, b reflect.Value, seen map[[2]unsafe.Pointer]bool)
 	default: // func, chan: none in runner state today; fail loudly
 		return path + " (" + a.Kind().String() + ")"
 	}
+}
+
+// One runner cycles through masters that differ in every way a warm
+// state can: geometry (16 and 64 MiB), write buffer on and off,
+// cached mapping table on and off, random and greedy victim policy.
+// After each acquire the runner equals its new master field by field
+// and replays to the cold run's Result. Between the two buffered
+// masters the runner replays nothing, so its buffer chain is untouched
+// when the second buffered master re-seeds it: nothing of the first
+// master's chain may survive.
+func TestCrossSnapshotRecycleExact(t *testing.T) {
+	type master struct {
+		name      string
+		mb        int64
+		buffer    int
+		cache     int
+		random    bool
+		zeroWrite bool // replay nothing instead of the spec
+	}
+	masters := []master{
+		{name: "16MiB", mb: 16},
+		{name: "64MiB", mb: 64},
+		{name: "16MiB/buffer32/cache/random", mb: 16, buffer: 32, cache: 1024, random: true, zeroWrite: true},
+		{name: "16MiB/buffer64", mb: 16, buffer: 64},
+		{name: "64MiB/random", mb: 64, random: true},
+		{name: "16MiB/cache/buffer32", mb: 16, buffer: 32, cache: 512},
+		{name: "16MiB again", mb: 16},
+	}
+	mk := func(m master) Config {
+		opts := ftl.CAGCOptions()
+		opts.MappingCache = m.cache
+		if m.random {
+			opts.Policy = ftl.NewRandomPolicy(7)
+		}
+		cfg := smallConfig(opts)
+		cfg.Device = flash.ScaledConfig(m.mb << 20)
+		cfg.BufferPages = m.buffer
+		return cfg
+	}
+	drainParked()
+	var prev *Runner
+	for i, m := range masters {
+		spec := specFor(t, mk(m), trace.Mail, 1500)
+		snap, err := NewSnapshot(mk(m), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := CloneGaugeStats()
+		r, err := snap.Acquire(mk(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recycled := CloneGaugeStats().Recycled - before.Recycled; i > 0 && (recycled != 1 || r != prev) {
+			t.Fatalf("%s: acquire did not recycle the previous master's runner", m.name)
+		}
+		if d := diffRunners(r, snap.master); d != "" {
+			t.Fatalf("%s: re-seeded runner differs from its master at %s", m.name, d)
+		}
+		if m.zeroWrite {
+			if _, err := replayOn(r, snap.offset, spec, Measured{Src: &sliceSource{}}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			cold, err := Run(mk(m), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := replayOn(r, snap.offset, spec, Measured{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Fatalf("%s: recycled run diverged from the cold run", m.name)
+			}
+		}
+		snap.Release(r)
+		prev = r
+	}
+}
+
+// Parked residency is GOMAXPROCS runners per process, not per warm
+// state: serving 20 distinct snapshots, one after another and then
+// from three workers at once, leaves at most GOMAXPROCS runners parked.
+func TestParkedResidencyBoundedAcrossSnapshots(t *testing.T) {
+	const n, workers = 20, 3
+	var snaps [n]*Snapshot
+	var cfgs [n]Config
+	var specs [n]trace.Spec
+	for i := range snaps {
+		cfg := smallConfig(ftl.CAGCOptions())
+		cfg.Utilization = 0.4 + 0.01*float64(i)
+		spec := specFor(t, cfg, trace.Mail, 200)
+		snap, err := NewSnapshot(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i], cfgs[i], specs[i] = snap, cfg, spec
+	}
+	limit := runtime.GOMAXPROCS(0)
+	check := func(how string) {
+		t.Helper()
+		st := CloneGaugeStats()
+		if st.Parked > limit {
+			t.Fatalf("%s: %d runners parked for %d snapshots, want at most GOMAXPROCS = %d", how, st.Parked, n, limit)
+		}
+		if st.Parked == 0 {
+			t.Fatalf("%s: nothing parked: recycling is not engaging", how)
+		}
+	}
+	for i := range snaps {
+		if _, err := RunWarmRecycled(snaps[i], cfgs[i], specs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("serially")
+	errs := pool.Run(n, pool.Options{Workers: workers}, func(i int) error {
+		_, err := RunWarmRecycled(snaps[i], cfgs[i], specs[i])
+		return err
+	}).Errs
+	if err := pool.First(errs); err != nil {
+		t.Fatal(err)
+	}
+	check("from 3 workers")
+	runtime.KeepAlive(snaps)
 }

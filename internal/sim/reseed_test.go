@@ -124,8 +124,9 @@ func TestReseedDifferentialMatrix(t *testing.T) {
 					t.Fatalf("%s run JSON differs from cold run JSON", label)
 				}
 			}
-			// The first run cuts a fresh clone and parks it; the next two
-			// re-seed that same runner.
+			// With the parked list drained, the first run cuts a fresh
+			// clone and parks it; the next two re-seed that same runner.
+			drainParked()
 			for _, leg := range []string{"fresh-clone", "first-recycled", "second-recycled"} {
 				res, err := RunWarmRecycled(snap, c.mk(), spec)
 				if err != nil {

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"cagc/internal/buffer"
 	"cagc/internal/event"
@@ -28,10 +26,6 @@ type Snapshot struct {
 	cfg    Config     // normalized build configuration
 	offset event.Time // precondition settle time
 	master *Runner
-
-	mu      sync.Mutex // guards free
-	free    []*Runner  // recycled clones (see recycle.go)
-	freeCap int
 }
 
 // copyFrom makes r equal src layer by layer — device, FTL, write
@@ -102,12 +96,7 @@ func NewSnapshot(cfg Config, spec trace.Spec) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{
-		cfg:     cfg.withDefaults(),
-		offset:  offset,
-		master:  r,
-		freeCap: runtime.GOMAXPROCS(0),
-	}, nil
+	return &Snapshot{cfg: cfg.withDefaults(), offset: offset, master: r}, nil
 }
 
 // Offset returns the precondition settle time — the arrival-time shift

@@ -3,7 +3,7 @@ package cagc
 // Warm-state snapshot cache. Every point of a sweep used to rebuild and
 // re-precondition an identical SSD; the cache builds each distinct warm
 // state once (sim.NewSnapshot) and serves every later run a clone via
-// the recycling free-list (sim.Measure), so steady-state
+// the process-wide parked list (sim.Measure), so steady-state
 // serving allocates no fresh clone per run beyond the worker count.
 // Results are bit-identical to cold runs — the clone
 // layer reproduces device, FTL, index, buffer, and timeline state
@@ -165,8 +165,8 @@ func warmSnapshot(cfg sim.Config, spec trace.Spec, policySeed int64) (*sim.Snaps
 // measure is the back half of every single-device entry mode: Run,
 // ReplayTrace/ReplayFile and RunScenario. The warm snapshot comes from
 // the registry unless the caller opted out (ColdStart); sim.Measure
-// then acquires a runner, replays m and releases the runner through the
-// clone free-list, so per-run allocation stays flat and clone residency
+// then acquires a runner, replays m and releases the runner to the
+// parked list, so per-run allocation stays flat and clone residency
 // stays bounded by the number of concurrent runs.
 func measure(cfg sim.Config, spec trace.Spec, p Params, m sim.Measured) (*Result, error) {
 	var snap *sim.Snapshot
