@@ -168,7 +168,7 @@ func TestArrayRefusesCtx(t *testing.T) {
 
 // A file replay of Run's own measured stream renders Run's document
 // byte for byte, for every scheme and at non-default Params. Two file
-// replays in a row share one warm snapshot through the clone free-list:
+// replays in a row share one warm snapshot through the parked list:
 // the second recycles the first's runner and the gauge stays balanced.
 func TestReplayFileMatchesRunAtNonDefaultParams(t *testing.T) {
 	p := Params{Requests: 2500, Seed: 9, RefThreshold: 2, WearLevelThreshold: 2,

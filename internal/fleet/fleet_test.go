@@ -172,7 +172,7 @@ func TestFleetSnapshotsPerClass(t *testing.T) {
 }
 
 // Fleet runs must keep clone residency bounded by the worker count —
-// the free-list contract at fleet scale.
+// the parked-list contract at fleet scale.
 func TestFleetCloneResidencyBounded(t *testing.T) {
 	cfg := fleetConfig(t, 20)
 	cfg.Workers = 3
